@@ -4,9 +4,9 @@ numerically verified structural theorems."""
 
 from .analysis import (TheoremReport, check_kh_relation, classify_flat,
                        classify_minimal, solve_minimal_radius, weingarten_check)
-from .canal import (CanalConfig, GridSpec, RadiusProfile, SurfacePatch,
-                    Variant, canal_point, nullcone_point, sample_grid,
-                    validate_config)
+from .canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
+                    SurfacePatch, Variant, canal_point, canal_points,
+                    nullcone_point, sample_grid, validate_config)
 from .curvature import (CurvatureReport, Route, curvature_report, curvatures,
                         fundamental_forms, shape_operator, tubular_curvatures,
                         unit_normal)
@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanalConfig", "CausalCharacter", "CurvatureReport", "CurveSpec",
-    "DerivativeMode", "Expr", "FrenetFrame", "GridSpec", "RadiusProfile",
-    "Route", "SurfacePatch", "TheoremReport", "Variant", "Vec4",
-    "canal_point", "causal_character", "check_kh_relation", "classify_flat",
+    "DerivativeMode", "Expr", "FrenetFrame", "GridSpec", "PointMapCache",
+    "RadiusProfile", "Route", "SurfacePatch", "TheoremReport", "Variant", "Vec4",
+    "canal_point", "canal_points", "causal_character", "check_kh_relation", "classify_flat",
     "classify_minimal", "curvature_report", "curvatures", "differentiate",
     "evaluate", "fundamental_forms", "inner", "norm", "normalize",
     "nullcone_point", "parse", "sample_grid", "shape_operator",

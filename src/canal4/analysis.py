@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .canal import CanalConfig, RadiusProfile, SurfacePatch
+from .canal import CanalConfig, PointMapCache, RadiusProfile, SurfacePatch
 from .curvature import Route, curvature_report, gauss_mean_principal
 from .curve import CurveSpec, TAU_K
 from .errors import DomainExitError, InadmissibleConfigError
@@ -57,11 +56,12 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
     tol = tolerance if tolerance is not None else (
         KH_TOL_CLOSED if route is Route.CLOSED_FORM else KH_TOL_NUMERIC)
     sgn = _family_sign(patch)
+    cache = PointMapCache(patch.curve, patch.config)
     worst = 0.0
     n = 0
     for i, jj, k, s, t, w, _ in patch.nodes():
         rep = curvature_report(patch.curve, patch.config, s, t, w, route,
-                               frame=patch.frames[i])
+                               frame=patch.frames[i], cache=cache)
         r = patch.config.radius(s)
         worst = max(worst, abs(3.0 * rep.H * r - rep.K * r ** 3 - 2.0 * sgn))
         n += 1
@@ -79,8 +79,12 @@ def _kh_at(curve, config, cache, s, t, w):
     return K, H
 
 
-def _fd_scalar(f, x, h):
-    return (f(x - 2 * h) - 8.0 * f(x - h) + 8.0 * f(x + h) - f(x + 2 * h)) / (12.0 * h)
+def _fd_kh(kh_of, x, h):
+    """5-point derivatives (K', H') from one (K, H) evaluation per offset."""
+    (k0, h0), (k1, h1), (k2, h2), (k3, h3) = (kh_of(x - 2 * h), kh_of(x - h),
+                                              kh_of(x + h), kh_of(x + 2 * h))
+    return ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h),
+            (h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h))
 
 
 def weingarten_check(patch: SurfacePatch, pair: str,
@@ -92,28 +96,22 @@ def weingarten_check(patch: SurfacePatch, pair: str,
     """
     if pair not in ("st", "sw", "tw"):
         raise ValueError(f"pair must be 'st', 'sw' or 'tw', got {pair!r}")
-    from .curvature import _FrameCache
-    cache = _FrameCache(patch.curve)
+    cache = PointMapCache(patch.curve, patch.config)
     config = patch.config
     worst = 0.0
     n = 0
     for i, jj, k, s, t, w, _ in patch.nodes():
-        def K_of(u, axis):
-            args = {"s": s, "t": t, "w": w}
-            args[axis] = u
-            return _kh_at(patch.curve, config, cache, args["s"], args["t"], args["w"])[0]
-
-        def H_of(u, axis):
-            args = {"s": s, "t": t, "w": w}
-            args[axis] = u
-            return _kh_at(patch.curve, config, cache, args["s"], args["t"], args["w"])[1]
-
-        u_ax, v_ax = pair[0], pair[1]
         base = {"s": s, "t": t, "w": w}
-        Hu = _fd_scalar(lambda x: H_of(x, u_ax), base[u_ax], fd_step)
-        Hv = _fd_scalar(lambda x: H_of(x, v_ax), base[v_ax], fd_step)
-        Ku = _fd_scalar(lambda x: K_of(x, u_ax), base[u_ax], fd_step)
-        Kv = _fd_scalar(lambda x: K_of(x, v_ax), base[v_ax], fd_step)
+
+        def kh_along(axis):
+            def kh_of(u):
+                args = dict(base)
+                args[axis] = u
+                return _kh_at(patch.curve, config, cache, args["s"], args["t"], args["w"])
+            return _fd_kh(kh_of, base[axis], fd_step)
+
+        Ku, Hu = kh_along(pair[0])
+        Kv, Hv = kh_along(pair[1])
         num = abs(Hu * Kv - Hv * Ku)
         scale = max(max(abs(Hu), abs(Hv)) * max(abs(Ku), abs(Kv)), WEINGARTEN_ETA)
         worst = max(worst, num / scale)
@@ -245,6 +243,7 @@ def solve_minimal_radius(eps1_lambda: int, c1: float, r0: float, s_range,
         raise InadmissibleConfigError("r0 must be positive")
     if sign not in (-1, 1):
         raise InadmissibleConfigError("sign must be +-1")
+    from scipy.integrate import solve_ivp
     c43 = (c1 * c1) ** (2.0 / 3.0)          # |c1|^(4/3)
 
     def radicand(r):

@@ -19,10 +19,10 @@ the remaining one is determined (j = 1 admits no such surface).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from . import expr as ex
 from .curve import CurveSpec, FrenetFrame
@@ -78,8 +78,8 @@ class RadiusProfile:
 
     @classmethod
     def from_constant(cls, c: float) -> "RadiusProfile":
-        if not c > 0:
-            raise InadmissibleConfigError(f"radius must be positive, got {c!r}")
+        if not (c > 0 and math.isfinite(c)):
+            raise InadmissibleConfigError(f"radius must be positive and finite, got {c!r}")
         c = float(c)
         return cls("constant", lambda s: c, lambda s: 0.0, lambda s: 0.0, constant=c)
 
@@ -131,25 +131,31 @@ class CanalConfig:
 
 
 # transverse coefficient patterns (a2, a3, a4) per frame type
-def transverse_coefficients(j: int, variant: Variant, t: float, w: float):
+def _even_odd(j: int):
+    """(cos, sin) for j = 1, (cosh, sinh) for j >= 2: the pattern's functions."""
+    return (math.cos, math.sin) if j == 1 else (math.cosh, math.sinh)
+
+
+def _coefficient_pattern(j: int, variant: Variant, ct, st, cw, sw):
+    """(a2, a3, a4) from the even/odd functions of t and w (floats or arrays)."""
     if j == 1:
-        cw = math.cos(w)
-        return (math.cos(t) * cw, math.sin(t) * cw, math.sin(w))
+        return (ct * cw, st * cw, sw)
     if variant is Variant.STANDARD:
-        cht, sht = math.cosh(t), math.sinh(t)
-        chw, shw = math.cosh(w), math.sinh(w)
         if j == 2:
-            return (cht * chw, shw, sht * chw)
+            return (ct * cw, sw, st * cw)
         if j == 3:
-            return (sht * chw, cht * chw, shw)
-        return (shw, sht * chw, cht * chw)
-    cht, sht = math.cosh(t), math.sinh(t)
-    chw, shw = math.cosh(w), math.sinh(w)
+            return (st * cw, ct * cw, sw)
+        return (sw, st * cw, ct * cw)
     if j == 2:
-        return (cht * shw, chw, sht * shw)
+        return (ct * sw, cw, st * sw)
     if j == 3:
-        return (sht * shw, cht * shw, chw)
-    return (chw, sht * shw, cht * shw)
+        return (st * sw, ct * sw, cw)
+    return (cw, st * sw, ct * sw)
+
+
+def transverse_coefficients(j: int, variant: Variant, t: float, w: float):
+    even, odd = _even_odd(j)
+    return _coefficient_pattern(j, variant, even(t), odd(t), even(w), odd(w))
 
 
 def transverse_partials(j: int, variant: Variant, t: float, w: float):
@@ -238,27 +244,103 @@ def _basic_family_checks(config: CanalConfig):
             "no tubular hypersurface exists for (j, lambda) = (1, -1)")
 
 
+class PointMapCache:
+    """Per-s pieces of the point map, memoized by exact float value of s.
+
+    Grid rows and finite-difference stencils revisit the same s values; one
+    cache per patch-level loop shares the frame, b(s), the axial coefficient
+    -lam*eps1*r*r' and phi = sigma*r*sqrt(|q|) between every node at that s.
+    Calling the cache returns the frame.
+    """
+
+    def __init__(self, curve: CurveSpec, config: CanalConfig, frames=None):
+        self.curve = curve
+        self.config = config
+        self._frames: dict[float, FrenetFrame] = dict(frames or {})
+        self._rows: dict[float, tuple] = {}
+
+    def __call__(self, s: float) -> FrenetFrame:
+        fr = self._frames.get(s)
+        if fr is None:
+            fr = self._frames[s] = self.curve.frame(s)
+        return fr
+
+    def row(self, s: float):
+        """((b, F1, F2, F3, F4) as a (5, 4) array, axial, phi) at s."""
+        hit = self._rows.get(s)
+        if hit is not None:
+            return hit
+        config = self.config
+        fr = self(s)
+        if fr.frame_type != config.j:
+            raise InadmissibleConfigError(
+                f"curve has frame type {fr.frame_type}, config wants j = {config.j}")
+        eps1 = fr.eps[0]
+        rv = config.radius(s)
+        if rv <= 0:
+            raise InadmissibleConfigError(f"radius r({s!r}) = {rv:.6g} must be positive")
+        rp = config.radius.r_prime(s)
+        phi = config.sigma * offset_scale(config, s, eps1)
+        basis = np.array([v.as_tuple() for v in (self.curve.point(s),) + fr.vectors])
+        hit = self._rows[s] = (basis, -config.lam * eps1 * rv * rp, phi)
+        return hit
+
+
+def _distinct(values):
+    """(distinct values in first-seen order, each value's index among them)."""
+    index: dict[float, int] = {}
+    at = [index.setdefault(v, len(index)) for v in values]
+    return list(index), at
+
+
+def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,
+                 cache: PointMapCache | None = None) -> np.ndarray:
+    """Surface points at aligned sequences of s, t, w values: an (n, 4) array.
+
+    Evaluates b + axial*F1 + (phi*a2)*F2 + (phi*a3)*F3 + (phi*a4)*F4 with
+    per-s pieces from the cache, elementwise in that order (the same IEEE
+    results as scalar arithmetic). The trig functions run in math once per
+    distinct t and w: numpy's vectorized sin/cosh may differ from libm in the
+    last ulp. lam = 0 rows go through nullcone_point.
+    """
+    _basic_family_checks(config)
+    s, t, w = list(s), list(t), list(w)
+    if not len(s) == len(t) == len(w):
+        raise ValueError(f"s, t, w must align, got {len(s)}, {len(t)}, {len(w)} values")
+    if cache is None:
+        cache = PointMapCache(curve, config)
+    if config.lam == 0:
+        pts = [nullcone_point(curve, config.j, config.a_free, a, b, c, config.sigma, cache(a))
+               .as_tuple() for a, b, c in zip(s, t, w)]
+        return np.array(pts, dtype=float).reshape(len(pts), 4)
+    if not s:
+        return np.empty((0, 4))
+    s_keys, at = _distinct(s)
+    rows = [cache.row(v) for v in s_keys]
+    basis = np.array([r[0] for r in rows])[at]
+    axial = np.array([r[1] for r in rows])[at]
+    phi = np.array([r[2] for r in rows])[at]
+    even, odd = _even_odd(config.j)
+
+    def trig(values):
+        keys, where = _distinct(values)
+        table = np.array([(even(v), odd(v)) for v in keys])[where]
+        return table[:, 0], table[:, 1]
+
+    a2, a3, a4 = _coefficient_pattern(config.j, config.variant, *trig(t), *trig(w))
+    out = (basis[:, 0] + axial[:, None] * basis[:, 1] + (phi * a2)[:, None] * basis[:, 2]
+           + (phi * a3)[:, None] * basis[:, 3] + (phi * a4)[:, None] * basis[:, 4])
+    if not np.isfinite(out).all():
+        raise DomainError("non-finite surface point")
+    return out
+
+
 def canal_point(curve: CurveSpec, config: CanalConfig, s: float, t: float, w: float,
                 frame: FrenetFrame | None = None) -> Vec4:
-    """One surface point. Frame may be passed in to reuse across a grid."""
-    _basic_family_checks(config)
-    if config.lam == 0:
-        return nullcone_point(curve, config.j, config.a_free, s, t, w, config.sigma, frame)
-    fr = frame if frame is not None else curve.frame(s)
-    if fr.frame_type != config.j:
-        raise InadmissibleConfigError(
-            f"curve has frame type {fr.frame_type}, config wants j = {config.j}")
-    eps1 = fr.eps[0]
-    rv = config.radius(s)
-    if rv <= 0:
-        raise InadmissibleConfigError(f"radius r({s!r}) = {rv:.6g} must be positive")
-    rp = config.radius.r_prime(s)
-    phi = config.sigma * offset_scale(config, s, eps1)
-    a2, a3, a4 = transverse_coefficients(config.j, config.variant, t, w)
-    p = curve.point(s)
-    axial = -config.lam * eps1 * rv * rp
-    return (p + axial * fr.f1 + (phi * a2) * fr.f2
-            + (phi * a3) * fr.f3 + (phi * a4) * fr.f4)
+    """One surface point: canal_points on a single node, as a Vec4. A frame
+    passed in is used as the frame at s."""
+    cache = PointMapCache(curve, config, {s: frame} if frame is not None else None)
+    return Vec4(*canal_points(curve, config, (s,), (t,), (w,), cache)[0].tolist())
 
 
 _FREE_SLOTS = {2: (3, 4), 3: (2, 4), 4: (2, 3)}
@@ -435,40 +517,22 @@ class SurfacePatch:
         return worst
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CANAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> SurfacePatch:
-    """Evaluate the full lattice; frames cached per s value.
+    """Evaluate the full lattice, one canal_points call per s row.
 
     Nodes where the metric degeneracy factor |A| < 1e-6 are built but flagged
-    (curvature evaluation skips them). CANAL_THREADS > 1 parallelizes over s.
+    (curvature evaluation skips them).
     """
     _basic_family_checks(config)
     s_vals, t_vals, w_vals = grid.s_values, grid.t_values, grid.w_values
-
-    def build_row(s):
-        fr = curve.frame(s)
-        row = []
-        for t in t_vals:
-            for w in w_vals:
-                row.append(canal_point(curve, config, s, t, w, frame=fr))
-        return fr, row
-
-    workers = _thread_count()
-    if workers > 1 and len(s_vals) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(build_row, s_vals))
-    else:
-        results = [build_row(s) for s in s_vals]
-
-    frames = tuple(fr for fr, _ in results)
-    points = tuple(p for _, row in results for p in row)
+    t_col = [t for t in t_vals for _ in w_vals]
+    w_col = list(w_vals) * len(t_vals)
+    cache = PointMapCache(curve, config)
+    frames, points = [], []
+    for s in s_vals:
+        frames.append(cache(s))
+        row = canal_points(curve, config, [s] * len(t_col), t_col, w_col, cache)
+        points.extend(Vec4(*p) for p in row.tolist())
     degenerate = set()
     if config.lam != 0:
         nt, nw = len(t_vals), len(w_vals)
@@ -477,4 +541,5 @@ def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> Surfac
                 for i in range(len(s_vals)):
                     for jj in range(nt):
                         degenerate.add((i * nt + jj) * nw + k)
-    return SurfacePatch(curve, config, grid, points, frames, frozenset(degenerate))
+    return SurfacePatch(curve, config, grid, tuple(points), tuple(frames),
+                        frozenset(degenerate))

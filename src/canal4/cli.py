@@ -8,8 +8,9 @@
     canal export    ... --obj slice.obj [--csv curv.csv] [--slice-w V | --slice-t V]
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 invalid configuration, 3 numeric breakdown. Configuration may also come
-from a flat key=value file (--config); command line flags override it.
+2 invalid configuration or an unreadable/unwritable file, 3 numeric
+breakdown. Configuration may also come from a flat key=value file
+(--config); command line flags override it.
 """
 from __future__ import annotations
 
@@ -467,7 +468,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except CanalError as exc:
+    except (CanalError, OSError) as exc:     # OSError: unreadable --config, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -10,9 +10,11 @@ Two independent routes:
   principal curvatures use the general family formulas (mu1 = mu2 =
   eps3*eps4*lam^j / r, and the rational expression for mu3).
 * NUMERIC differentiates the point map with 5-point central stencils
-  (step 1e-4), takes the normal as the normalized triple cross product of
-  the partials (sign aligned with the closed-form normal), and computes
-  g, h, S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S).
+  (step 1e-4; 1e-3 for second partials), all 75 stencil nodes of a node in
+  one batched canal_points call. It takes the normal as the normalized
+  triple cross product of the partials (sign aligned with the closed-form
+  normal), and computes g, h, S = g^-1 h, K = det h / det g, 3H = tr S,
+  mu = eig(S).
 
 Conventions: K = det(S) and 3H = tr(S); the sign eps_N = <N,N> (= lam here)
 is reported but not folded into K or H, matching the family formulas and
@@ -26,10 +28,10 @@ from enum import Enum
 
 import numpy as np
 
-from .canal import (CanalConfig, Variant, canal_point, degeneracy_factor,
-                    family_function, offset_scale, transverse_coefficients,
-                    transverse_partials, DEGENERATE_A_TOL)
-from .curve import CurveSpec, FrenetFrame
+from .canal import (CanalConfig, PointMapCache, Variant, canal_points,
+                    degeneracy_factor, family_function, offset_scale,
+                    transverse_coefficients, transverse_partials, DEGENERATE_A_TOL)
+from .curve import FrenetFrame
 from .errors import (ComplexEigenvaluesError, DegenerateNodeError,
                      InadmissibleConfigError, PoleAtNodeError,
                      RankDeficientError, SingularMetricError)
@@ -72,21 +74,6 @@ def _check_node(config: CanalConfig, w: float):
     if abs(A) < DEGENERATE_A_TOL:
         raise DegenerateNodeError(f"|A| = {abs(A):.3g} < {DEGENERATE_A_TOL:g} at w={w!r}")
     return A
-
-
-class _FrameCache:
-    """frenet(s) memoized by exact float value (FD stencils repeat s)."""
-
-    def __init__(self, curve: CurveSpec):
-        self.curve = curve
-        self._cache: dict[float, FrenetFrame] = {}
-
-    def __call__(self, s: float) -> FrenetFrame:
-        fr = self._cache.get(s)
-        if fr is None:
-            fr = self.curve.frame(s)
-            self._cache[s] = fr
-        return fr
 
 
 # ---------------------------------------------------------------------------
@@ -176,39 +163,44 @@ def gauss_mean_principal(j, lam, eps, k1, r, rp, rpp, t, w, sigma=1):
 # ---------------------------------------------------------------------------
 # numeric route
 
-def _point_fn(curve, config, cache):
-    def f(s, t, w):
-        return canal_point(curve, config, s, t, w, frame=cache(s))
-    return f
+def _stencil_nodes(x, h1, h2):
+    """(s, t, w) columns of the 75 nodes the 5-point stencils read around x:
+    first partials (step h1) per axis, then the pure second partials (step
+    h2) per axis, then the mixed ones (st, sw, tw) as a 4 x 4 outer x inner
+    grid. Only the shifted coordinates are offset."""
+    first = (-2 * h1, -h1, h1, 2 * h1)
+    second = (-2 * h2, -h2, h2, 2 * h2)
+    nodes = []
+
+    def shifted(pairs):
+        b = list(x)
+        for axis, d in pairs:
+            b[axis] += d
+        nodes.append(b)
+
+    for axis in range(3):
+        for d in first:
+            shifted(((axis, d),))
+    for axis in range(3):
+        for d in (-2 * h2, -h2, 0.0, h2, 2 * h2):
+            shifted(((axis, d),))
+    for i, jj in ((0, 1), (0, 2), (1, 2)):
+        for di in second:
+            for dj in second:
+                shifted(((i, di), (jj, dj)))
+    return zip(*nodes)
 
 
-def _fd1(f, args, axis, h=FD_STEP):
-    a = list(args)
-
-    def at(d):
-        b = list(a)
-        b[axis] += d
-        return f(*b)
-
-    return (at(-2 * h) - 8.0 * at(-h) + 8.0 * at(h) - at(2 * h)) * (1.0 / (12 * h))
+def _fd1(P, h):
+    """5-point first derivative over axis -2 (4 offsets) of a point array."""
+    return ((P[..., 0, :] - 8.0 * P[..., 1, :] + 8.0 * P[..., 2, :] - P[..., 3, :])
+            * (1.0 / (12 * h)))
 
 
-def _fd2(f, args, i, jj, h=FD_STEP):
-    if i == jj:
-        a = list(args)
-
-        def at(d):
-            b = list(a)
-            b[i] += d
-            return f(*b)
-
-        return (-1.0 * at(-2 * h) + 16.0 * at(-h) - 30.0 * at(0.0)
-                + 16.0 * at(h) - at(2 * h)) * (1.0 / (12 * h * h))
-
-    def g_(*b):
-        return _fd1(f, b, jj, h)
-
-    return _fd1(g_, args, i, h)
+def _fd2(P, h):
+    """5-point second derivative over axis -2 (5 offsets, centre included)."""
+    return (-1.0 * P[..., 0, :] + 16.0 * P[..., 1, :] - 30.0 * P[..., 2, :]
+            + 16.0 * P[..., 3, :] - P[..., 4, :]) * (1.0 / (12 * h * h))
 
 
 def _euclid_dot(u: Vec4, v: Vec4) -> float:
@@ -216,14 +208,20 @@ def _euclid_dot(u: Vec4, v: Vec4) -> float:
 
 
 def numeric_fundamental_forms(curve, config, s, t, w, step=FD_STEP,
-                              step2=FD_STEP2):
-    """(g, h, N) from FD partials of the point map; N aligned with closed form."""
+                              step2=FD_STEP2, cache: PointMapCache | None = None):
+    """(g, h, N) from FD partials of the point map; N aligned with closed form.
+
+    All 75 stencil nodes go through one canal_points call; pass a cache to
+    share the per-s pieces between nodes at the same s.
+    """
     _require_curvature_family(config)
     _check_node(config, w)
-    cache = _FrameCache(curve)
-    f = _point_fn(curve, config, cache)
-    args = (s, t, w)
-    parts = [_fd1(f, args, i, step) for i in range(3)]
+    if cache is None:
+        cache = PointMapCache(curve, config)
+    P = canal_points(curve, config, *_stencil_nodes((s, t, w), step, step2), cache)
+    parts = [Vec4(*v) for v in _fd1(P[:12].reshape(3, 4, 4), step).tolist()]
+    second = _fd2(P[12:27].reshape(3, 5, 4), step2).tolist()
+    mixed = _fd1(_fd1(P[27:].reshape(3, 4, 4, 4), step2), step2).tolist()
     g = np.array([[inner(parts[i], parts[jj]) for jj in range(3)] for i in range(3)])
 
     cross = triple_cross(parts[0], parts[1], parts[2])
@@ -239,9 +237,9 @@ def numeric_fundamental_forms(curve, config, s, t, w, step=FD_STEP,
         N = -N
 
     h = np.empty((3, 3))
-    for i in range(3):
-        for jj in range(i, 3):
-            h[i, jj] = h[jj, i] = inner(_fd2(f, args, i, jj, step2), N)
+    for i, jj, vec in ((0, 0, second[0]), (0, 1, mixed[0]), (0, 2, mixed[1]),
+                       (1, 1, second[1]), (1, 2, mixed[2]), (2, 2, second[2])):
+        h[i, jj] = h[jj, i] = inner(Vec4(*vec), N)
     return g, h, N
 
 
@@ -299,8 +297,13 @@ def fundamental_forms(curve, config, s, t, w, route: Route = Route.CLOSED_FORM):
 
 
 def curvature_report(curve, config, s, t, w, route: Route = Route.CLOSED_FORM,
-                     frame: FrenetFrame | None = None) -> CurvatureReport:
-    """Full per-node report: g, h, S, N, eps_N, K, H, mu, f_j, A."""
+                     frame: FrenetFrame | None = None,
+                     cache: PointMapCache | None = None) -> CurvatureReport:
+    """Full per-node report: g, h, S, N, eps_N, K, H, mu, f_j, A.
+
+    A cache shared by the nodes of one patch saves the numeric route its
+    per-s work.
+    """
     _require_curvature_family(config)
     A = _check_node(config, w)
     if route is Route.CLOSED_FORM:
@@ -321,7 +324,7 @@ def curvature_report(curve, config, s, t, w, route: Route = Route.CLOSED_FORM,
             K = mu12 * mu12 * mu3
             H = (2.0 * mu12 + mu3) / 3.0
     else:
-        g, h, N = numeric_fundamental_forms(curve, config, s, t, w)
+        g, h, N = numeric_fundamental_forms(curve, config, s, t, w, cache=cache)
         S = shape_operator(g, h)
         K = float(np.linalg.det(h) / np.linalg.det(g))
         H = float(np.trace(S)) / 3.0

@@ -107,6 +107,8 @@ class CurveSpec:
         # compiled component derivatives, order 0..4, built lazily per order
         self._compiled: dict[int, tuple] = {}
         self._exprs: dict[int, tuple] = {0: comps}
+        # constant frame of a straight curve, set by the first k1 = 0 frame
+        self._line_frame: FrenetFrame | None = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -262,9 +264,11 @@ class CurveSpec:
         try:
             return self.frenet(s)
         except FrameDegenerateError:
-            if self.is_straight():
-                return self.frame_for_line()
-            raise
+            if self._line_frame is None:
+                if not self.is_straight():
+                    raise
+                self._line_frame = self.frame_for_line()
+            return self._line_frame
 
     def verify_unit_speed(self, n_samples: int = 100) -> UnitSpeedReport:
         """Report max | |<b',b'>| - 1 | over an even sample of the domain."""

@@ -9,8 +9,8 @@ from __future__ import annotations
 import json
 
 from . import expr as ex
-from .canal import (CanalConfig, GridSpec, RadiusProfile, SurfacePatch,
-                    Variant, sample_grid)
+from .canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
+                    SurfacePatch, Variant)
 from .curve import CurveSpec, DerivativeMode
 from .curvature import Route, curvature_report
 from .errors import EmptySliceError, NumericError
@@ -69,11 +69,13 @@ def export_curvature_csv(patch: SurfacePatch) -> str:
     are skipped.
     """
     rows = [CSV_HEADER]
+    cache = PointMapCache(patch.curve, patch.config)
     for i, jj, k, s, t, w, _ in patch.nodes():
         try:
             cf = curvature_report(patch.curve, patch.config, s, t, w,
                                   Route.CLOSED_FORM, frame=patch.frames[i])
-            num = curvature_report(patch.curve, patch.config, s, t, w, Route.NUMERIC)
+            num = curvature_report(patch.curve, patch.config, s, t, w, Route.NUMERIC,
+                                   cache=cache)
         except NumericError:
             continue
         rows.append(",".join(repr(float(v)) for v in
@@ -173,6 +175,3 @@ def patch_from_json(text: str) -> SurfacePatch:
     )
     return SurfacePatch(curve, config, grid, points, frames, frozenset(doc["degenerate"]))
 
-
-def build_patch(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> SurfacePatch:
-    return sample_grid(curve, config, grid)

@@ -299,3 +299,74 @@ def tubular_table(j, lam, r, k1, t, w):
         u = k1 * sinh(w)
         return u / (r * r * (1 - r * u)), (2 - 3 * r * u) / (3 * r * (-1 + r * u))
     raise ValueError(f"no tubular family (j={j}, lambda={lam})")
+
+
+# ---------------------------------------------------------------------------
+# scalar reference for the batched point map and the numeric route: one Vec4
+# point per call, 5-point stencils as nested calls (the original per-node
+# implementation, kept here so the batched code is held to exact equality)
+
+def reference_point(curve, config, s, t, w, frame=None):
+    """b + axial F1 + (phi a2) F2 + (phi a3) F3 + (phi a4) F4 in Vec4 arithmetic."""
+    from canal4.canal import offset_scale, transverse_coefficients
+    fr = frame if frame is not None else curve.frame(s)
+    eps1 = fr.eps[0]
+    rv = config.radius(s)
+    rp = config.radius.r_prime(s)
+    phi = config.sigma * offset_scale(config, s, eps1)
+    a2, a3, a4 = transverse_coefficients(config.j, config.variant, t, w)
+    axial = -config.lam * eps1 * rv * rp
+    return (curve.point(s) + axial * fr.f1 + (phi * a2) * fr.f2
+            + (phi * a3) * fr.f3 + (phi * a4) * fr.f4)
+
+
+def reference_fd1(f, args, axis, h):
+    a = list(args)
+
+    def at(d):
+        b = list(a)
+        b[axis] += d
+        return f(*b)
+
+    return (at(-2 * h) - 8.0 * at(-h) + 8.0 * at(h) - at(2 * h)) * (1.0 / (12 * h))
+
+
+def reference_fd2(f, args, i, jj, h):
+    if i == jj:
+        a = list(args)
+
+        def at(d):
+            b = list(a)
+            b[i] += d
+            return f(*b)
+
+        return (-1.0 * at(-2 * h) + 16.0 * at(-h) - 30.0 * at(0.0)
+                + 16.0 * at(h) - at(2 * h)) * (1.0 / (12 * h * h))
+
+    def g_(*b):
+        return reference_fd1(f, b, jj, h)
+
+    return reference_fd1(g_, args, i, h)
+
+
+def reference_numeric_forms(curve, config, s, t, w, step=1e-4, step2=1e-3):
+    """(g, h, N) of the numeric route, one reference_point per stencil node."""
+    from canal4.curvature import closed_fundamental_forms
+    from canal4.minkowski import inner, triple_cross
+
+    def f(a, b, c):
+        return reference_point(curve, config, a, b, c)
+
+    args = (s, t, w)
+    parts = [reference_fd1(f, args, i, step) for i in range(3)]
+    g = np.array([[inner(parts[i], parts[jj]) for jj in range(3)] for i in range(3)])
+    cross = triple_cross(*parts)
+    N = cross * (1.0 / sqrt(abs(inner(cross, cross))))
+    _, _, N_cf = closed_fundamental_forms(curve, config, s, t, w)
+    if sum(x * y for x, y in zip(N.as_tuple(), N_cf.as_tuple())) < 0:
+        N = -N
+    h = np.empty((3, 3))
+    for i in range(3):
+        for jj in range(i, 3):
+            h[i, jj] = h[jj, i] = inner(reference_fd2(f, args, i, jj, step2), N)
+    return g, h, N

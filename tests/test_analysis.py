@@ -1,5 +1,9 @@
 """Theorem checks: the K-H identity, Weingarten pairs, flatness, minimality."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +248,35 @@ def test_weingarten_all_pairs_for_tubular(beta1, gamma4):
         for pair in ("st", "sw", "tw"):
             rep = weingarten_check(patch, pair)
             assert rep.passed, (j, pair, rep)
+
+
+def test_weingarten_evaluates_k_and_h_once_per_stencil_point(beta1, monkeypatch):
+    """Both pair axes take 4 offsets each: 8 closed-form (K, H) per node."""
+    import canal4.analysis as analysis
+    calls = []
+    original = analysis.gauss_mean_principal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patch = sample_grid(beta1, make_config(1, 1, R2S),
+                        GridSpec((1.0, 1.5), (0.3, 1.2), (0.4,)))
+    expected = weingarten_check(patch, "tw")
+    monkeypatch.setattr(analysis, "gauss_mean_principal", counted)
+    report = weingarten_check(patch, "tw")
+    assert len(calls) == 8 * report.nodes_checked
+    assert report == expected
+
+
+def test_import_does_not_load_scipy():
+    """scipy is imported only when the minimal-radius ODE is solved."""
+    import canal4
+    src = str(Path(canal4.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, canal4; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

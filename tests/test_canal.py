@@ -4,13 +4,15 @@ import math
 import pytest
 
 from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, make_config
+import oracles
 from oracles import (example_surface_11, example_surface_1m1,
                      example_surface_31, example_surface_3m1)
 
 from canal4 import expr as ex
-from canal4.canal import (CanalConfig, GridSpec, RadiusProfile, Variant,
-                          canal_point, nullcone_point, resolve_variant,
-                          sample_grid, transverse_coefficients, validate_config)
+from canal4.canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
+                          Variant, canal_point, canal_points, nullcone_point,
+                          resolve_variant, sample_grid, transverse_coefficients,
+                          validate_config)
 from canal4.errors import InadmissibleConfigError, VariantViolatedError
 from canal4.minkowski import Vec4, inner
 
@@ -216,10 +218,60 @@ def test_degenerate_nodes_flagged(beta1):
     assert len(flagged) == 4            # every node at w = pi/2
 
 
-def test_threaded_grid_matches_serial(beta1, monkeypatch):
+def _reference_cases(family_curves, rng):
+    """(curve, config) per family: both branches of the standard variant on a
+    random radius, and the supercritical tubular families."""
+    import conftest
+    for j, lam in ALL_FAMILIES:
+        radius = conftest.random_polynomial_radius(rng, j, lam, conftest.SWEEP_S_RANGE[j])
+        for sigma in (1, -1):
+            yield family_curves[j], CanalConfig(j, lam, radius, sigma)
+    for j in (2, 3, 4):
+        yield family_curves[j], CanalConfig(j, 1, RadiusProfile.from_constant(0.6), 1,
+                                            Variant.ALT_SUPERCRITICAL)
+
+
+def test_sample_grid_equals_scalar_reference(family_curves, rng):
+    """The batched point map reproduces the scalar Vec4 formula bit for bit."""
+    for curve, cfg in _reference_cases(family_curves, rng):
+        t_range = (0.0, 6.0) if cfg.j == 1 else (-1.3, 1.3)
+        grid = GridSpec.regular((0.5, 2.0), t_range, (-0.9, 1.1), (3, 4, 3))
+        patch = sample_grid(curve, cfg, grid)
+        for i, jj, k, s, t, w, p in patch.nodes(include_degenerate=True):
+            expected = oracles.reference_point(curve, cfg, s, t, w)
+            assert p == expected
+            assert canal_point(curve, cfg, s, t, w) == expected
+        assert patch.frames == tuple(curve.frame(s) for s in grid.s_values)
+
+
+def test_canal_points_batch_matches_scalar_map(gamma2, rng):
+    """Unordered, repeated (s, t, w) triples in one call: each row equals its
+    own single-node call, and a shared cache changes nothing."""
+    radius = RadiusProfile.from_expr("0.5 + 1.5*s")
+    cfg = CanalConfig(2, -1, radius)
+    nodes = [(rng.choice((0.6, 0.9, 1.2)), rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for _ in range(20)]
+    nodes += nodes[:3]
+    cache = PointMapCache(gamma2, cfg)
+    batch = canal_points(gamma2, cfg, *zip(*nodes), cache=cache)
+    assert batch.shape == (len(nodes), 4)
+    for row, (s, t, w) in zip(batch.tolist(), nodes):
+        assert Vec4(*row) == canal_point(gamma2, cfg, s, t, w)
+    again = canal_points(gamma2, cfg, *zip(*nodes), cache=cache)
+    assert (again == batch).all()
+
+
+def test_canal_points_rejects_misaligned_columns(beta1):
     cfg = make_config(1, 1, R2S)
-    grid = GridSpec.regular((0.5, 2.0), (0.0, 6.0), (0.1, 0.9), (6, 5, 3))
-    serial = sample_grid(beta1, cfg, grid)
-    monkeypatch.setenv("CANAL_THREADS", "4")
-    threaded = sample_grid(beta1, cfg, grid)
-    assert all(_delta(a, b) == 0.0 for a, b in zip(serial.points, threaded.points))
+    with pytest.raises(ValueError):
+        canal_points(beta1, cfg, (1.0, 1.1), (0.0,), (0.0,))
+
+
+def test_nullcone_grid_equals_nullcone_point(beta2):
+    a2 = ex.parse("w*cos(t)", ("s", "t", "w"))
+    a4 = ex.parse("w*sin(t)", ("s", "t", "w"))
+    cfg = CanalConfig(3, 0, a_free=(a2, a4))
+    grid = GridSpec((0.8, 1.4), (0.0, 0.7), (0.3, 0.9))
+    patch = sample_grid(beta2, cfg, grid)
+    for i, jj, k, s, t, w, p in patch.nodes():
+        assert p == nullcone_point(beta2, 3, (a2, a4), s, t, w)

@@ -210,3 +210,28 @@ def test_branch_flag_changes_surface(tmp_path):
     assert run(args + ["--branch", "+", "--obj", str(plus)]) == 0
     assert run(args + ["--branch", "-", "--obj", str(minus)]) == 0
     assert plus.read_bytes() != minus.read_bytes()
+
+
+def _bad_config_exit(capsys, argv):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_infinite_constant_radius_exit_2(tmp_path, capsys):
+    _bad_config_exit(capsys, ["build", "--example", "beta1", "--family", "j1,l1",
+                              "--radius", "inf", "--out", str(tmp_path / "p.json")])
+
+
+def test_missing_config_file_exit_2(tmp_path, capsys):
+    _bad_config_exit(capsys, ["verify", "--config", str(tmp_path / "absent.cfg")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--example", "beta1", "--family", "j1,l1", "--grid", "2x2x1", "--out"],
+    ["export", "--example", "beta1", "--family", "j1,l1", "--grid", "2x2x1", "--obj"],
+    ["export", "--example", "beta1", "--family", "j1,l1", "--grid", "2x2x1", "--csv"],
+], ids=["out", "obj", "csv"])
+def test_unwritable_output_path_exit_2(tmp_path, capsys, argv):
+    _bad_config_exit(capsys, argv + [str(tmp_path / "no-such-dir" / "file")])

@@ -9,7 +9,8 @@ import conftest
 from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, make_config
 import oracles
 
-from canal4.canal import CanalConfig, RadiusProfile, Variant, degeneracy_factor
+from canal4.canal import (CanalConfig, PointMapCache, RadiusProfile, Variant,
+                          degeneracy_factor)
 from canal4.curvature import (Route, closed_fundamental_forms, curvature_report,
                               curvatures, fundamental_forms,
                               numeric_fundamental_forms, shape_operator,
@@ -155,6 +156,25 @@ def test_routes_agree_on_forms(family_curves, rng):
         g_num, h_num, _ = numeric_fundamental_forms(curve, cfg, s, t, w)
         assert np.max(np.abs(g_cf - g_num) / (1 + np.abs(g_cf))) <= 1e-5
         assert np.max(np.abs(h_cf - h_num) / (1 + np.abs(h_cf))) <= 1e-4
+
+
+def test_numeric_route_equals_scalar_reference(family_curves, rng):
+    """The one-call stencil gives g, h and N bit for bit equal to the per-node
+    scalar stencil, with and without a cache shared across nodes."""
+    for j, lam in ALL_FAMILIES:
+        curve = family_curves[j]
+        s_range = conftest.SWEEP_S_RANGE[j]
+        cfg = CanalConfig(j, lam, conftest.random_polynomial_radius(rng, j, lam, s_range))
+        cache = PointMapCache(curve, cfg)
+        s0, t0, w0 = admissible_node(rng, curve, cfg, s_range, d_floor=0.25)
+        # the second node shares s with the first, so it reads cached rows
+        for s, t, w in ((s0, t0, w0), (s0, -t0, 0.5 * w0)):
+            g_ref, h_ref, N_ref = oracles.reference_numeric_forms(curve, cfg, s, t, w)
+            for shared in (None, cache):
+                g, h, N = numeric_fundamental_forms(curve, cfg, s, t, w, cache=shared)
+                assert np.array_equal(g, g_ref)
+                assert np.array_equal(h, h_ref)
+                assert N == N_ref
 
 
 def test_metric_signature(family_curves, rng):

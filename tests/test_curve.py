@@ -143,6 +143,26 @@ def test_frame_for_line_spacelike(spacelike_line):
     assert fr.f1.as_tuple() == (0.0, 1.0, 0.0, 0.0)
 
 
+def test_line_frame_memoized(monkeypatch):
+    """A straight line samples is_straight once and reuses its constant
+    frame; frames outside the domain still raise."""
+    line = CurveSpec(("0", "s", "0", "0"), (0.5, 2.5))
+    calls = []
+    original = CurveSpec.is_straight
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(CurveSpec, "is_straight", counted)
+    first = line.frame(0.7)
+    assert line.frame(1.9) is first
+    assert first == line.frame_for_line()
+    assert len(calls) == 1
+    with pytest.raises(OutOfDomainError):
+        line.frame(9.0)
+
+
 def test_frame_for_line_timelike(timelike_line):
     fr = timelike_line.frame_for_line()
     assert fr.frame_type == 1
