@@ -10,7 +10,7 @@ from .canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
 from .curvature import (CurvatureReport, Route, curvature_report, curvatures,
                         fundamental_forms, shape_operator, tubular_curvatures,
                         unit_normal)
-from .curve import CurveSpec, DerivativeMode, FrenetFrame
+from .curve import CurveSpec, FrenetFrame
 from .expr import Expr, differentiate, evaluate, parse
 from .minkowski import (CausalCharacter, Vec4, causal_character, inner, norm,
                         normalize, triple_cross)
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanalConfig", "CausalCharacter", "CurvatureReport", "CurveSpec",
-    "DerivativeMode", "Expr", "FrenetFrame", "GridSpec", "PointMapCache",
+    "Expr", "FrenetFrame", "GridSpec", "PointMapCache",
     "RadiusProfile", "Route", "SurfacePatch", "TheoremReport", "Variant", "Vec4",
     "canal_point", "canal_points", "causal_character", "check_kh_relation", "classify_flat",
     "classify_minimal", "curvature_report", "curvatures", "differentiate",

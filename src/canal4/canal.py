@@ -39,18 +39,6 @@ class Variant(Enum):
     ALT_SUPERCRITICAL = "alt"        # r'^2 - lam*eps1 < 0 (j >= 2, lam = +1)
 
 
-def _safe_eval(fn, source):
-    def wrapped(s):
-        try:
-            value = fn(s)
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"radius evaluation failed at s={s!r}: {exc}") from exc
-        if not math.isfinite(value):
-            raise DomainError(f"radius is non-finite at s={s!r}")
-        return value
-    return wrapped
-
-
 @dataclass(frozen=True)
 class RadiusProfile:
     """Radius function with first and second derivatives.
@@ -72,9 +60,8 @@ class RadiusProfile:
         e = ex.parse(source) if isinstance(source, str) else source
         d1 = ex.differentiate(e)
         d2 = ex.differentiate(d1)
-        return cls("expr", _safe_eval(ex.compile_expr(e), e),
-                   _safe_eval(ex.compile_expr(d1), d1),
-                   _safe_eval(ex.compile_expr(d2), d2), expr=e)
+        return cls("expr", ex.compile_expr(e), ex.compile_expr(d1), ex.compile_expr(d2),
+                   expr=e)
 
     @classmethod
     def from_constant(cls, c: float) -> "RadiusProfile":
@@ -82,18 +69,6 @@ class RadiusProfile:
             raise InadmissibleConfigError(f"radius must be positive and finite, got {c!r}")
         c = float(c)
         return cls("constant", lambda s: c, lambda s: 0.0, lambda s: 0.0, constant=c)
-
-    @classmethod
-    def from_table(cls, s_nodes, r_nodes, rp_nodes, r_second) -> "RadiusProfile":
-        from scipy.interpolate import CubicHermiteSpline
-        spline = CubicHermiteSpline(s_nodes, r_nodes, rp_nodes)
-        dspline = spline.derivative()
-        return cls("table", lambda s: float(spline(s)), lambda s: float(dspline(s)),
-                   r_second, table=(tuple(s_nodes), tuple(r_nodes), tuple(rp_nodes)))
-
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
 
     def __call__(self, s: float) -> float:
         return self.r(s)
@@ -235,22 +210,14 @@ def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile,
     return Variant.ALT_SUPERCRITICAL
 
 
-def _basic_family_checks(config: CanalConfig):
-    if config.j == 1 and config.lam == 0:
-        raise InadmissibleConfigError(
-            "a null-cone canal hypersurface with j = 1 cannot be defined")
-    if (config.j, config.lam) == (1, -1) and config.radius.is_constant:
-        raise InadmissibleConfigError(
-            "no tubular hypersurface exists for (j, lambda) = (1, -1)")
-
-
 class PointMapCache:
     """Per-s pieces of the point map, memoized by exact float value of s.
 
     Grid rows and finite-difference stencils revisit the same s values; one
     cache per patch-level loop shares the frame, b(s), the axial coefficient
     -lam*eps1*r*r' and phi = sigma*r*sqrt(|q|) between every node at that s.
-    Calling the cache returns the frame.
+    Calling the cache returns the frame. For lam = 0 the cache also holds the
+    two free a-functions, compiled once.
     """
 
     def __init__(self, curve: CurveSpec, config: CanalConfig, frames=None):
@@ -258,6 +225,8 @@ class PointMapCache:
         self.config = config
         self._frames: dict[float, FrenetFrame] = dict(frames or {})
         self._rows: dict[float, tuple] = {}
+        self.a_fns = (tuple(ex.compile_expr(a, ("s", "t", "w")) for a in config.a_free)
+                      if config.lam == 0 else None)
 
     def __call__(self, s: float) -> FrenetFrame:
         fr = self._frames.get(s)
@@ -266,7 +235,8 @@ class PointMapCache:
         return fr
 
     def row(self, s: float):
-        """((b, F1, F2, F3, F4) as a (5, 4) array, axial, phi) at s."""
+        """((b, F1, F2, F3, F4) as a (5, 4) array, axial, phi) at s; for lam = 0
+        only the array is used."""
         hit = self._rows.get(s)
         if hit is not None:
             return hit
@@ -275,13 +245,16 @@ class PointMapCache:
         if fr.frame_type != config.j:
             raise InadmissibleConfigError(
                 f"curve has frame type {fr.frame_type}, config wants j = {config.j}")
+        basis = np.array([v.as_tuple() for v in (self.curve.point(s),) + fr.vectors])
+        if config.lam == 0:
+            hit = self._rows[s] = (basis, 0.0, 0.0)
+            return hit
         eps1 = fr.eps[0]
         rv = config.radius(s)
         if rv <= 0:
             raise InadmissibleConfigError(f"radius r({s!r}) = {rv:.6g} must be positive")
         rp = config.radius.r_prime(s)
         phi = config.sigma * offset_scale(config, s, eps1)
-        basis = np.array([v.as_tuple() for v in (self.curve.point(s),) + fr.vectors])
         hit = self._rows[s] = (basis, -config.lam * eps1 * rv * rp, phi)
         return hit
 
@@ -301,35 +274,38 @@ def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,
     per-s pieces from the cache, elementwise in that order (the same IEEE
     results as scalar arithmetic). The trig functions run in math once per
     distinct t and w: numpy's vectorized sin/cosh may differ from libm in the
-    last ulp. lam = 0 rows go through nullcone_point.
+    last ulp. lam = 0 evaluates b + a2*F2 + a3*F3 + a4*F4 with the null-cone
+    coefficients of _nullcone_coefficients.
     """
-    _basic_family_checks(config)
     s, t, w = list(s), list(t), list(w)
     if not len(s) == len(t) == len(w):
         raise ValueError(f"s, t, w must align, got {len(s)}, {len(t)}, {len(w)} values")
     if cache is None:
         cache = PointMapCache(curve, config)
-    if config.lam == 0:
-        pts = [nullcone_point(curve, config.j, config.a_free, a, b, c, config.sigma, cache(a))
-               .as_tuple() for a, b, c in zip(s, t, w)]
-        return np.array(pts, dtype=float).reshape(len(pts), 4)
     if not s:
         return np.empty((0, 4))
     s_keys, at = _distinct(s)
     rows = [cache.row(v) for v in s_keys]
     basis = np.array([r[0] for r in rows])[at]
-    axial = np.array([r[1] for r in rows])[at]
-    phi = np.array([r[2] for r in rows])[at]
-    even, odd = _even_odd(config.j)
+    if config.lam == 0:
+        fa, fb = cache.a_fns
+        coeff = np.array([_nullcone_coefficients(config.j, config.sigma, fa(*node), fb(*node))
+                          for node in zip(s, t, w)])
+        out = (basis[:, 0] + coeff[:, :1] * basis[:, 2] + coeff[:, 1:2] * basis[:, 3]
+               + coeff[:, 2:] * basis[:, 4])
+    else:
+        axial = np.array([r[1] for r in rows])[at]
+        phi = np.array([r[2] for r in rows])[at]
+        even, odd = _even_odd(config.j)
 
-    def trig(values):
-        keys, where = _distinct(values)
-        table = np.array([(even(v), odd(v)) for v in keys])[where]
-        return table[:, 0], table[:, 1]
+        def trig(values):
+            keys, where = _distinct(values)
+            table = np.array([(even(v), odd(v)) for v in keys])[where]
+            return table[:, 0], table[:, 1]
 
-    a2, a3, a4 = _coefficient_pattern(config.j, config.variant, *trig(t), *trig(w))
-    out = (basis[:, 0] + axial[:, None] * basis[:, 1] + (phi * a2)[:, None] * basis[:, 2]
-           + (phi * a3)[:, None] * basis[:, 3] + (phi * a4)[:, None] * basis[:, 4])
+        a2, a3, a4 = _coefficient_pattern(config.j, config.variant, *trig(t), *trig(w))
+        out = (basis[:, 0] + axial[:, None] * basis[:, 1] + (phi * a2)[:, None] * basis[:, 2]
+               + (phi * a3)[:, None] * basis[:, 3] + (phi * a4)[:, None] * basis[:, 4])
     if not np.isfinite(out).all():
         raise DomainError("non-finite surface point")
     return out
@@ -346,46 +322,30 @@ def canal_point(curve: CurveSpec, config: CanalConfig, s: float, t: float, w: fl
 _FREE_SLOTS = {2: (3, 4), 3: (2, 4), 4: (2, 3)}
 
 
-def nullcone_point(curve: CurveSpec, j: int, a_free, s: float, t: float, w: float,
-                   sigma: int = 1, frame: FrenetFrame | None = None) -> Vec4:
-    """Envelope-of-null-cones point: b + sum a_i F_i with sum eps_i a_i^2 = 0.
-
-    a_free supplies the two free coefficient functions (index order per
-    _FREE_SLOTS); each is an Expr in (s, t, w) or a plain callable. The
-    remaining coefficient is sigma * sqrt(sum of the free squares).
-    """
-    if j == 1:
-        raise InadmissibleConfigError(
-            "a null-cone canal hypersurface with j = 1 cannot be defined")
-    if j not in (2, 3, 4):
-        raise InadmissibleConfigError(f"frame type j must be 2..4 for lambda = 0, got {j!r}")
-    fr = frame if frame is not None else curve.frame(s)
-    if fr.frame_type != j:
-        raise InadmissibleConfigError(
-            f"curve has frame type {fr.frame_type}, config wants j = {j}")
-    vals = []
-    for f in a_free:
-        if isinstance(f, ex.Expr):
-            vals.append(ex.evaluate(f, s=s, t=t, w=w))
-        else:
-            vals.append(float(f(s, t, w)))
-    for v in vals:
-        if not math.isfinite(v):
-            raise DomainError(f"a-function returned non-finite value {v!r}")
-    determined = sigma * math.hypot(vals[0], vals[1])
-    coeff = {j: determined}
-    coeff[_FREE_SLOTS[j][0]] = vals[0]
-    coeff[_FREE_SLOTS[j][1]] = vals[1]
+def _nullcone_coefficients(j: int, sigma: int, first: float, second: float):
+    """(a2, a3, a4): the free values in the slots of _FREE_SLOTS[j], and
+    a_j = sigma * sqrt(first^2 + second^2), so that sum eps_i a_i^2 = 0."""
+    coeff = {j: sigma * math.hypot(first, second)}
+    coeff[_FREE_SLOTS[j][0]] = first
+    coeff[_FREE_SLOTS[j][1]] = second
     residual = -coeff[j] ** 2 + sum(coeff[i] ** 2 for i in (2, 3, 4) if i != j)
     scale = 1.0 + sum(v * v for v in coeff.values())
     if abs(residual) > 1e-9 * scale:
         raise NullConditionViolatedError(
             f"sum eps_i a_i^2 = {residual:.3g} (tolerance {1e-9 * scale:.3g})")
-    p = curve.point(s)
-    fvecs = {2: fr.f2, 3: fr.f3, 4: fr.f4}
-    for i in (2, 3, 4):
-        p = p + coeff[i] * fvecs[i]
-    return p
+    return coeff[2], coeff[3], coeff[4]
+
+
+def nullcone_point(curve: CurveSpec, j: int, a_free, s: float, t: float, w: float,
+                   sigma: int = 1, frame: FrenetFrame | None = None) -> Vec4:
+    """Envelope-of-null-cones point: b + sum a_i F_i with sum eps_i a_i^2 = 0.
+
+    a_free holds the two free coefficient functions, Exprs in (s, t, w), in
+    the index order of _FREE_SLOTS; the remaining coefficient is sigma *
+    sqrt(sum of the free squares). canal_point of the lam = 0 family.
+    """
+    config = CanalConfig(j, 0, None, sigma, Variant.STANDARD, tuple(a_free))
+    return canal_point(curve, config, s, t, w, frame)
 
 
 @dataclass(frozen=True)
@@ -436,9 +396,6 @@ def validate_config(curve: CurveSpec, config: CanalConfig,
                 f"selects {variant.value!r}")
     except InadmissibleConfigError as exc:
         reasons.append(str(exc))
-
-    if (config.j, config.lam) == (1, -1) and config.radius.is_constant:
-        reasons.append("no tubular hypersurface exists for (j, lambda) = (1, -1)")
 
     return AdmissibilityReport(not reasons, tuple(reasons), tuple(checks))
 
@@ -523,7 +480,6 @@ def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> Surfac
     Nodes where the metric degeneracy factor |A| < 1e-6 are built but flagged
     (curvature evaluation skips them).
     """
-    _basic_family_checks(config)
     s_vals, t_vals, w_vals = grid.s_values, grid.t_values, grid.w_values
     t_col = [t for t in t_vals for _ in w_vals]
     w_col = list(w_vals) * len(t_vals)

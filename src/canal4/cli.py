@@ -82,12 +82,21 @@ def _parse_grid(text):
     return ns, nt, nw
 
 
-def _parse_range(text, label):
+def _parse_number(text, label):
     try:
-        a_part, b_part = text.split(":")
-        a, b = float(a_part), float(b_part)
+        value = float(text)
     except ValueError:
+        raise ConfigError(f"bad {label} {text!r}; expected a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{label} must be finite, got {text!r}")
+    return value
+
+
+def _parse_range(text, label):
+    a_part, sep, b_part = text.partition(":")
+    if not sep:
         raise ConfigError(f"bad {label} {text!r}; expected like '0.25:3'")
+    a, b = _parse_number(a_part, label), _parse_number(b_part, label)
     if not a < b:
         raise ConfigError(f"{label} must be increasing, got {text!r}")
     return a, b
@@ -112,7 +121,7 @@ class Job:
             default_range_s = builtin.EXAMPLE_DOMAIN
             default_radius = builtin.EXAMPLE_RADIUS
             default_family = (builtin.EXAMPLE_FRAME_TYPE[example], 1)
-            self.default_slice_w = builtin.EXAMPLE_SLICE_W
+            default_slice_w = builtin.EXAMPLE_SLICE_W
         else:
             if not all(explicit):
                 raise ConfigError("all four of --curve-x1..x4 are required")
@@ -120,7 +129,7 @@ class Job:
             default_range_s = (0.25, 3.0)
             default_radius = None
             default_family = None
-            self.default_slice_w = None
+            default_slice_w = None
 
         range_s = get("range_s")
         self.s_range = _parse_range(range_s, "--range-s") if range_s else default_range_s
@@ -191,32 +200,27 @@ class Job:
         self.w_range = _parse_range(range_w, "--range-w") if range_w else default_w
         self.t_endpoint = t_endpoint
 
-        self.slice_w = get("slice_w")
-        self.slice_t = get("slice_t")
+        if default_slice_w is None:
+            default_slice_w = 0.5 * (self.w_range[0] + self.w_range[1])
+        self.slice_w = _parse_number(get("slice_w", default_slice_w), "--slice-w")
+        slice_t = get("slice_t")
+        self.slice_t = None if slice_t is None else _parse_number(slice_t, "--slice-t")
         drop = get("drop", "x1")
         if str(drop) not in ("x1", "x2", "x3", "x4", "1", "2", "3", "4"):
             raise ConfigError(f"--drop must be one of x1..x4, got {drop!r}")
         self.drop = int(str(drop).lstrip("x"))
 
-    def grid(self, counts=None, slice_w=None, slice_t=None) -> GridSpec:
-        ns, nt, nw = counts or self.counts
-        if slice_w is not None:
-            return GridSpec(GridSpec.linspace(self.s_range, ns),
-                            GridSpec.linspace(self.t_range, nt, self.t_endpoint),
-                            (float(slice_w),))
-        if slice_t is not None:
-            return GridSpec(GridSpec.linspace(self.s_range, ns),
-                            (float(slice_t),),
-                            GridSpec.linspace(self.w_range, nw))
-        if nw == 1:
-            w_default = self.default_slice_w if self.default_slice_w is not None \
-                else 0.5 * (self.w_range[0] + self.w_range[1])
-            w_values = (float(self.slice_w) if self.slice_w is not None else w_default,)
-            return GridSpec(GridSpec.linspace(self.s_range, ns),
-                            GridSpec.linspace(self.t_range, nt, self.t_endpoint),
-                            w_values)
-        return GridSpec.regular(self.s_range, self.t_range, self.w_range,
-                                (ns, nt, nw), self.t_endpoint)
+    def grid(self, axis=None) -> GridSpec:
+        """The s, t and w values. axis "t" or "w" asks for a one-value slice at
+        slice_t or slice_w (export); a grid with one w value is a w slice."""
+        ns, nt, nw = self.counts
+        t_values = GridSpec.linspace(self.t_range, nt, self.t_endpoint)
+        w_values = GridSpec.linspace(self.w_range, nw if nw > 1 else 16)
+        if axis == "t":
+            t_values = (self.slice_t,)
+        elif axis == "w" or nw == 1:
+            w_values = (self.slice_w,)
+        return GridSpec(GridSpec.linspace(self.s_range, ns), t_values, w_values)
 
     def validated_patch(self, grid=None):
         report = validate_config(self.curve, self.config)
@@ -258,7 +262,7 @@ def cmd_example(args, file_values):
 
 def cmd_build(args, file_values):
     job = Job(args, file_values)
-    patch = job.validated_patch(job.grid())
+    patch = job.validated_patch()
     out = _merged(args, file_values, "out")
     if not out:
         raise ConfigError("--out PATH is required for build")
@@ -270,7 +274,7 @@ def cmd_build(args, file_values):
 
 def cmd_curvature(args, file_values):
     job = Job(args, file_values)
-    patch = job.validated_patch(job.grid())
+    patch = job.validated_patch()
     out = _merged(args, file_values, "out")
     if not out:
         raise ConfigError("--out PATH is required for curvature")
@@ -366,17 +370,8 @@ def cmd_export(args, file_values):
     csv_path = _merged(args, file_values, "csv")
     if not obj_path and not csv_path:
         raise ConfigError("export needs --obj and/or --csv")
-    ns, nt, nw = job.counts
-    if job.slice_t is not None:
-        grid = job.grid((ns, 1, max(nw, 2) if nw > 1 else 16), slice_t=float(job.slice_t))
-        axis = "t"
-    else:
-        w_val = float(job.slice_w) if job.slice_w is not None else (
-            job.default_slice_w if job.default_slice_w is not None
-            else 0.5 * (job.w_range[0] + job.w_range[1]))
-        grid = job.grid((ns, nt, 1), slice_w=w_val)
-        axis = "w"
-    patch = job.validated_patch(grid)
+    axis = "w" if job.slice_t is None else "t"
+    patch = job.validated_patch(job.grid(axis))
     if obj_path:
         _write(obj_path, cio.export_obj(patch, drop=job.drop, axis=axis, index=0))
         print(f"wrote {obj_path}")

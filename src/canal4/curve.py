@@ -16,35 +16,17 @@ import math
 from dataclasses import dataclass
 
 from . import expr as ex
-from .errors import (DomainError, FrameDegenerateError, NonUnitSpeedError,
-                     NullResidualError, OutOfDomainError)
+from .errors import (FrameDegenerateError, NonUnitSpeedError, NullResidualError,
+                     OutOfDomainError)
 from .minkowski import (E1, E2, E3, E4, TAU_NULL, Vec4, inner, norm,
                         triple_cross)
 
 TAU_K = 1e-8            # curvature degeneracy threshold
-TOL_UNIT_SYMBOLIC = 1e-10
-TOL_UNIT_FD = 1e-6
-TOL_FRAME = 1e-8
+TOL_UNIT = 1e-10        # unit speed: max | |<b',b'>| - 1 |
 MAX_DERIVATIVE_ORDER = 4
-
-
-@dataclass(frozen=True)
-class DerivativeMode:
-    """Symbolic differentiation or central finite differences of width h."""
-
-    kind: str = "symbolic"          # "symbolic" | "finite_difference"
-    step: float = 1e-4
-
-    def __post_init__(self):
-        if self.kind not in ("symbolic", "finite_difference"):
-            raise ValueError(f"bad derivative mode {self.kind!r}")
-
-
-SYMBOLIC = DerivativeMode("symbolic")
-
-
-def finite_difference(step: float = 1e-4) -> DerivativeMode:
-    return DerivativeMode("finite_difference", step)
+# How far finite-difference stencils centered on a domain end reach past it:
+# 2 * curvature.FD_STEP2 and 2 * analysis.WEINGARTEN_FD_STEP.
+STENCIL_REACH = 2e-3
 
 
 @dataclass(frozen=True)
@@ -94,7 +76,7 @@ class CurveSpec:
     reparametrization.
     """
 
-    def __init__(self, components, domain, mode: DerivativeMode = SYMBOLIC):
+    def __init__(self, components, domain):
         comps = tuple(ex.parse(c) if isinstance(c, str) else c for c in components)
         if len(comps) != 4:
             raise ValueError("a curve needs exactly 4 components")
@@ -103,7 +85,6 @@ class CurveSpec:
             raise ValueError(f"empty domain [{smin}, {smax}]")
         self.components = comps
         self.domain = (smin, smax)
-        self.mode = mode
         # compiled component derivatives, order 0..4, built lazily per order
         self._compiled: dict[int, tuple] = {}
         self._exprs: dict[int, tuple] = {0: comps}
@@ -125,47 +106,26 @@ class CurveSpec:
 
     def _eval_order(self, s, order):
         fns = self._fns(order)
-        try:
-            return Vec4(fns[0](s), fns[1](s), fns[2](s), fns[3](s))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"curve evaluation failed at s={s!r}: {exc}") from exc
+        return Vec4(fns[0](s), fns[1](s), fns[2](s), fns[3](s))
 
-    def _check_domain(self, s, margin=0.0):
-        # analytic components extend smoothly; allow a small overhang so FD
+    def _check_domain(self, s):
+        # analytic components extend smoothly; allow an overhang so FD
         # stencils centered on the domain boundary stay evaluable
         smin, smax = self.domain
-        overhang = 1e-3 * (smax - smin) + 1e-12
-        if not (smin - overhang <= s - margin and s + margin <= smax + overhang):
-            raise OutOfDomainError(
-                f"s={s!r} (stencil margin {margin:g}) outside domain [{smin}, {smax}]")
+        overhang = max(1e-3 * (smax - smin), STENCIL_REACH) + 1e-12
+        if not smin - overhang <= s <= smax + overhang:
+            raise OutOfDomainError(f"s={s!r} outside domain [{smin}, {smax}]")
 
     def point(self, s: float) -> Vec4:
         self._check_domain(s)
         return self._eval_order(s, 0)
 
     def derivatives(self, s: float, order: int) -> list[Vec4]:
-        """[b'(s), ..., b^(order)(s)] by symbolic or FD differentiation."""
+        """[b'(s), ..., b^(order)(s)] from the symbolic derivatives."""
         if not 1 <= order <= MAX_DERIVATIVE_ORDER:
             raise ValueError(f"order must be 1..{MAX_DERIVATIVE_ORDER}")
-        if self.mode.kind == "symbolic":
-            self._check_domain(s)
-            return [self._eval_order(s, k) for k in range(1, order + 1)]
-        h = self.mode.step
-        self._check_domain(s, margin=2 * h)
-        f = lambda x: self._eval_order(x, 0)
-        fm2, fm1, f0, fp1, fp2 = (f(s - 2 * h), f(s - h), f(s), f(s + h), f(s + 2 * h))
-        out = [(fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) * (1.0 / (12 * h))]
-        if order >= 2:
-            out.append((-1.0 * fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) * (1.0 / (12 * h * h)))
-        if order >= 3:
-            out.append((-1.0 * fm2 + 2.0 * fm1 - 2.0 * fp1 + fp2) * (1.0 / (2 * h ** 3)))
-        if order >= 4:
-            out.append((fm2 - 4.0 * fm1 + 6.0 * f0 - 4.0 * fp1 + fp2) * (1.0 / h ** 4))
-        return out[:order]
-
-    @property
-    def unit_speed_tolerance(self) -> float:
-        return TOL_UNIT_SYMBOLIC if self.mode.kind == "symbolic" else TOL_UNIT_FD
+        self._check_domain(s)
+        return [self._eval_order(s, k) for k in range(1, order + 1)]
 
     # -- frames -------------------------------------------------------------
 
@@ -174,7 +134,7 @@ class CurveSpec:
         d = self.derivatives(s, 4)
         f1 = d[0]
         q1 = inner(f1, f1)
-        if abs(abs(q1) - 1.0) > 10 * self.unit_speed_tolerance:
+        if abs(abs(q1) - 1.0) > 10 * TOL_UNIT:
             raise NonUnitSpeedError(f"<b',b'> = {q1:.6g} at s={s!r}; curve is not unit speed")
         if _is_null_residual(f1):
             raise NullResidualError(f"tangent is null at s={s!r}")
@@ -232,7 +192,7 @@ class CurveSpec:
         s0 = 0.5 * (smin + smax) if s is None else s
         f1 = self.derivatives(s0, 1)[0]
         q1 = inner(f1, f1)
-        if abs(abs(q1) - 1.0) > 10 * self.unit_speed_tolerance:
+        if abs(abs(q1) - 1.0) > 10 * TOL_UNIT:
             raise NonUnitSpeedError(f"<b',b'> = {q1:.6g}; line is not unit speed")
         if _is_null_residual(f1):
             raise NullResidualError("line direction is null")
@@ -280,5 +240,4 @@ class CurveSpec:
             s = smin + (smax - smin) * i / (n_samples - 1)
             d1 = self.derivatives(s, 1)[0]
             worst = max(worst, abs(abs(inner(d1, d1)) - 1.0))
-        tol = self.unit_speed_tolerance
-        return UnitSpeedReport(worst, tol, worst <= tol, n_samples)
+        return UnitSpeedReport(worst, TOL_UNIT, worst <= TOL_UNIT, n_samples)

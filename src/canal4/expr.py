@@ -17,6 +17,7 @@ functions of (s, t, w)).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, ExprSyntaxError, UnknownFunctionError
@@ -136,6 +137,8 @@ def _tokenize(text):
                 value = float(text[i:j])
             except ValueError:
                 raise ExprSyntaxError(f"bad number {text[i:j]!r}", i)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text[i:j]!r} is out of range", i)
             tokens.append(("num", value, i))
             i = j
             continue
@@ -244,7 +247,8 @@ class _Parser:
 
 
 def parse(text: str, variables: tuple[str, ...] = ("s",)) -> Expr:
-    """Parse expression text into a tree. Raises ExprSyntaxError/UnknownFunctionError."""
+    """Parse expression text into a tree. Raises ExprSyntaxError/UnknownFunctionError,
+    also for a number literal that overflows to infinity."""
     parser = _Parser(_tokenize(text), variables)
     node = parser.parse_expr()
     kind, value, offset = parser.peek()
@@ -254,54 +258,46 @@ def parse(text: str, variables: tuple[str, ...] = ("s",)) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one code generator
 
-def _eval(node, env):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise DomainError(f"no value supplied for variable {node.name!r}")
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, Add):
-        return _eval(node.left, env) + _eval(node.right, env)
-    if isinstance(node, Sub):
-        return _eval(node.left, env) - _eval(node.right, env)
-    if isinstance(node, Mul):
-        return _eval(node.left, env) * _eval(node.right, env)
-    if isinstance(node, Div):
-        denom = _eval(node.right, env)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        return _eval(node.left, env) / denom
-    if isinstance(node, Pow):
-        return math.pow(_eval(node.base, env), node.exponent)
-    if isinstance(node, Call):
-        return FUNCTIONS[node.func](_eval(node.arg, env))
-    raise TypeError(f"not an Expr node: {node!r}")
+_MATH_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
+# the globals of every compiled function
+_NAMESPACE = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
+_NAMESPACE["_pow"] = math.pow
 
 
-def evaluate(expr: Expr, **env: float) -> float:
-    """IEEE evaluation; raises DomainError instead of returning NaN/Inf."""
-    try:
-        value = _eval(expr, env)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(str(exc)) from exc
-    if not math.isfinite(value):
-        raise DomainError(f"non-finite value {value!r}")
-    return value
+def _domain_error(expr, variables, values, problem):
+    """DomainError for a math error or a non-finite value at these values."""
+    where = ", ".join(f"{k}={v!r}" for k, v in zip(variables, values))
+    if not isinstance(problem, Exception):
+        problem = f"non-finite value {problem!r}"
+    return DomainError(f"{expr} at {where}: {problem}")
 
 
 def compile_expr(expr: Expr, variables: tuple[str, ...] = ("s",)):
-    """Compile to a fast positional callable. Math errors propagate raw."""
-    src = _to_python(expr)
-    namespace = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
-    namespace["_pow"] = math.pow
-    code = f"lambda {', '.join(variables)}: {src}"
-    return eval(code, namespace)  # code generated from our own AST
+    """Compile to a positional function of the variables. Math errors and
+    non-finite results raise DomainError instead of returning NaN/Inf."""
+    fn = eval(f"lambda {', '.join(variables)}: {_to_python(expr)}",
+              _NAMESPACE)  # code generated from our own AST
+
+    def checked(*values):
+        try:
+            value = fn(*values)
+        except _MATH_ERRORS as exc:
+            raise _domain_error(expr, variables, values, exc) from exc
+        if math.isfinite(value):
+            return value
+        raise _domain_error(expr, variables, values, value)
+    return checked
+
+
+def evaluate(expr: Expr, **env: float) -> float:
+    """compile_expr on the variables given, called once; a variable the
+    expression needs but env lacks raises DomainError."""
+    missing = variables_of(expr) - env.keys()
+    if missing:
+        raise DomainError(f"no value supplied for variable {min(missing)!r}")
+    return compile_expr(expr, tuple(env))(*env.values())
 
 
 def _to_python(node):
@@ -375,8 +371,12 @@ def _diff(node, var):
     raise TypeError(f"not an Expr node: {node!r}")
 
 
+_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
 def fold(node: Expr) -> Expr:
-    """Constant folding plus trivial 0/1 identities; no other simplification."""
+    """Constant folding plus trivial 0/1 identities; no other simplification.
+    A Const is always finite."""
     if isinstance(node, (Const, Var)):
         return node
     if isinstance(node, Neg):
@@ -389,15 +389,12 @@ def fold(node: Expr) -> Expr:
     if isinstance(node, (Add, Sub, Mul, Div)):
         a, b = fold(node.left), fold(node.right)
         if isinstance(a, Const) and isinstance(b, Const):
-            if isinstance(node, Add):
-                return Const(a.value + b.value)
-            if isinstance(node, Sub):
-                return Const(a.value - b.value)
-            if isinstance(node, Mul):
-                return Const(a.value * b.value)
-            if b.value != 0.0:
-                return Const(a.value / b.value)
-            return Div(a, b)  # keep; evaluation reports the division by zero
+            # keep a division by zero or an overflow: evaluation reports it
+            if not (isinstance(node, Div) and b.value == 0.0):
+                value = _ARITH[type(node)](a.value, b.value)
+                if math.isfinite(value):
+                    return Const(value)
+            return type(node)(a, b)
         if isinstance(node, Add):
             if isinstance(a, Const) and a.value == 0.0:
                 return b
@@ -442,7 +439,7 @@ def fold(node: Expr) -> Expr:
         if isinstance(arg, Const):
             try:
                 return Const(FUNCTIONS[node.func](arg.value))
-            except (ValueError, OverflowError):
+            except (ValueError, OverflowError):   # math raises on overflow
                 return Call(node.func, arg)
         return Call(node.func, arg)
     raise TypeError(f"not an Expr node: {node!r}")

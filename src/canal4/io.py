@@ -11,7 +11,7 @@ import json
 from . import expr as ex
 from .canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
                     SurfacePatch, Variant)
-from .curve import CurveSpec, DerivativeMode
+from .curve import CurveSpec
 from .curvature import Route, curvature_report
 from .errors import EmptySliceError, NumericError
 
@@ -86,6 +86,10 @@ def export_curvature_csv(patch: SurfacePatch) -> str:
 # ---------------------------------------------------------------------------
 # patch JSON
 
+# v1 documents carry the curve's derivative mode; symbolic is the only one
+_CURVE_MODE = {"kind": "symbolic", "step": 1e-4}
+
+
 def _radius_payload(radius: RadiusProfile):
     if radius is None:
         return None
@@ -100,10 +104,13 @@ def _radius_payload(radius: RadiusProfile):
 def _radius_from_payload(payload):
     if payload is None:
         return None
-    if payload["kind"] == "constant":
+    kind = payload["kind"]
+    if kind == "constant":
         return RadiusProfile.from_constant(payload["value"])
-    if payload["kind"] == "expr":
+    if kind == "expr":
         return RadiusProfile.from_expr(payload["text"])
+    if kind != "table":
+        raise ValueError(f"unknown radius kind {kind!r}")
     from scipy.interpolate import CubicHermiteSpline
     spline = CubicHermiteSpline(payload["s"], payload["r"], payload["rp"])
     d2 = spline.derivative(2)
@@ -122,7 +129,7 @@ def patch_to_json(patch: SurfacePatch) -> str:
         "curve": {
             "components": [str(c) for c in patch.curve.components],
             "domain": list(patch.curve.domain),
-            "mode": {"kind": patch.curve.mode.kind, "step": patch.curve.mode.step},
+            "mode": _CURVE_MODE,
         },
         "config": {
             "j": config.j,
@@ -156,11 +163,11 @@ def patch_from_json(text: str) -> SurfacePatch:
     from .minkowski import Vec4
 
     doc = json.loads(text)
-    if doc.get("format") != "canal-patch" or doc.get("version") != 1:
+    cdoc = doc.get("curve", {})
+    if (doc.get("format") != "canal-patch" or doc.get("version") != 1
+            or cdoc.get("mode", {}).get("kind") != _CURVE_MODE["kind"]):
         raise ValueError("not a canal-patch v1 document")
-    cdoc = doc["curve"]
-    curve = CurveSpec(tuple(cdoc["components"]), tuple(cdoc["domain"]),
-                      DerivativeMode(cdoc["mode"]["kind"], cdoc["mode"]["step"]))
+    curve = CurveSpec(tuple(cdoc["components"]), tuple(cdoc["domain"]))
     fdoc = doc["config"]
     a_free = None
     if fdoc.get("a_free"):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, file formats,
 determinism, and the checked-in OBJ golden."""
+import json
 import math
 from pathlib import Path
 
@@ -52,8 +53,9 @@ def test_verify_numeric_route():
 def test_build_rejects_impossible_families(tmp_path):
     out = str(tmp_path / "p.json")
     assert run(["build", "--example", "beta1", "--family", "j1,l0", "--out", out]) == 2
-    assert run(["build", "--example", "beta1", "--family", "j1,l-1",
-                "--radius", "0.5", "--out", out]) == 2
+    for radius in ("0.5", "2"):     # (1, -1) tubes fail the variant sign
+        assert run(["build", "--example", "beta1", "--family", "j1,l-1",
+                    "--radius", radius, "--out", out]) == 2
     # frame-type mismatch
     assert run(["build", "--example", "beta2", "--family", "j1,l1", "--out", out]) == 2
 
@@ -203,6 +205,19 @@ def test_tabulated_radius_json_round_trip(spacelike_line):
     assert patch_to_json(loaded) == text
 
 
+def test_patch_json_rejects_unknown_radius_and_other_curve_modes(beta1):
+    patch = sample_grid(beta1, CanalConfig(1, 1, RadiusProfile.from_expr("2*s")),
+                        GridSpec((1.0,), (0.2,), (0.4,)))
+    doc = json.loads(patch_to_json(patch))
+    doc["config"]["radius"] = {"kind": "spline", "s": [0.0, 1.0], "r": [1.0, 2.0]}
+    with pytest.raises(ValueError, match="unknown radius kind 'spline'"):
+        patch_from_json(json.dumps(doc))
+    doc = json.loads(patch_to_json(patch))
+    doc["curve"]["mode"]["kind"] = "finite_difference"
+    with pytest.raises(ValueError, match="not a canal-patch v1 document"):
+        patch_from_json(json.dumps(doc))
+
+
 def test_branch_flag_changes_surface(tmp_path):
     args = ["export", "--example", "beta1", "--family", "j1,l1",
             "--grid", "4x6x1", "--slice-w", "0.5"]
@@ -224,6 +239,13 @@ def test_infinite_constant_radius_exit_2(tmp_path, capsys):
                               "--radius", "inf", "--out", str(tmp_path / "p.json")])
 
 
+@pytest.mark.parametrize("flag", [["--slice-w", "abc"], ["--slice-w", "inf"],
+                                  ["--range-t", "0:inf"]], ids=["word", "inf", "range"])
+def test_bad_slice_or_range_exit_2(tmp_path, capsys, flag):
+    _bad_config_exit(capsys, ["export", "--example", "beta1", "--family", "j1,l1", *flag,
+                              "--obj", str(tmp_path / "x.obj")])
+
+
 def test_missing_config_file_exit_2(tmp_path, capsys):
     _bad_config_exit(capsys, ["verify", "--config", str(tmp_path / "absent.cfg")])
 
@@ -235,3 +257,27 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
 ], ids=["out", "obj", "csv"])
 def test_unwritable_output_path_exit_2(tmp_path, capsys, argv):
     _bad_config_exit(capsys, argv + [str(tmp_path / "no-such-dir" / "file")])
+
+
+@pytest.mark.parametrize("flag, text, code", [
+    ("--radius", "1e309*s", 2),          # literal overflows: syntax error
+    ("--radius", "1e308*10*s", 3),       # product overflows: numeric breakdown
+    ("--curve-x1", "1e309*s", 2),
+], ids=["radius-literal", "radius-product", "curve-literal"])
+def test_overflowing_expression_exit_code(tmp_path, capsys, flag, text, code):
+    if flag == "--radius":
+        argv = ["build", "--example", "beta1", "--radius", text]
+    else:
+        argv = ["build", "--curve-x1", text, "--curve-x2", "0", "--curve-x3", "0",
+                "--curve-x4", "0", "--family", "j1,l1", "--radius", "2"]
+    assert run(argv + ["--out", str(tmp_path / "x.json")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_curvature_on_short_s_range(tmp_path):
+    """The numeric route's stencils reach 2e-3 past the ends of an s-range of
+    span 1 (the overhang used to be 1e-3 of the span)."""
+    out = tmp_path / "c.csv"
+    assert run(["curvature", "--example", "beta1", "--range-s=1:2", "--range-w=-1:1",
+                "--grid", "3x3x3", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 27

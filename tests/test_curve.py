@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from canal4.curve import CurveSpec, finite_difference
+from canal4.curve import STENCIL_REACH, CurveSpec
 from canal4.errors import (FrameDegenerateError, NonUnitSpeedError,
                            NullResidualError, OutOfDomainError)
 from canal4.minkowski import Vec4, inner
@@ -193,20 +193,15 @@ def test_out_of_domain(beta1):
         beta1.point(5.0)
 
 
-def test_finite_difference_mode_matches_symbolic(beta1):
-    fd = CurveSpec(beta1.components, beta1.domain, finite_difference(0.02))
-    s = 1.2
-    sym = beta1.derivatives(s, 4)
-    num = fd.derivatives(s, 4)
-    tolerances = (1e-6, 1e-4, 1e-2, 1e-1)
-    for ds, dn, tol in zip(sym, num, tolerances):
-        assert _max_component_delta(ds, dn) <= tol
-
-
-def test_fd_mode_stencil_domain_check(beta1):
-    fd = CurveSpec(beta1.components, beta1.domain, finite_difference(0.1))
+def test_domain_overhang_covers_the_stencil_reach(beta1):
+    from canal4.analysis import WEINGARTEN_FD_STEP
+    from canal4.curvature import FD_STEP2
+    assert STENCIL_REACH >= max(2 * FD_STEP2, 2 * WEINGARTEN_FD_STEP)
+    short = CurveSpec(beta1.components, (1.0, 1.5))
+    for s in (1.0 - STENCIL_REACH, 1.5 + STENCIL_REACH):
+        short.derivatives(s, 2)
     with pytest.raises(OutOfDomainError):
-        fd.derivatives(0.26, 2)     # stencil reaches s = 0.06 < 0.25
+        short.point(1.5 + 2 * STENCIL_REACH)
 
 
 def test_varying_curvature_frame(varying_curvature_curve):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canal4.errors import DomainError, ExprSyntaxError, UnknownFunctionError
-from canal4.expr import (Const, differentiate, evaluate, parse, variables_of)
+from canal4.expr import (Const, compile_expr, differentiate, evaluate, parse,
+                         variables_of)
 
 
 def test_parse_linear():
@@ -59,6 +60,32 @@ def test_eval_domain_errors():
         evaluate(parse("1/s"), s=0.0)
     with pytest.raises(DomainError):
         evaluate(parse("exp(s)"), s=1e6)   # overflow reported, not inf
+
+
+def test_missing_variable_is_a_domain_error():
+    with pytest.raises(DomainError, match="'t'"):
+        evaluate(parse("s + t", ("s", "t")), s=1.0)
+
+
+def test_overflowing_literal_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError):
+        parse("1e309")
+
+
+def test_overflowing_constant_product_is_a_domain_error():
+    e = parse("1e308*10*s")
+    assert "1e+308" in str(e)             # not folded to a non-finite constant
+    with pytest.raises(DomainError):
+        evaluate(e, s=1.0)
+    with pytest.raises(DomainError):
+        compile_expr(e)(1.0)
+
+
+def test_compiled_function_reports_domain_errors():
+    with pytest.raises(DomainError):
+        compile_expr(parse("exp(s)"))(1e6)
+    with pytest.raises(DomainError):
+        compile_expr(parse("1/s"))(0.0)
 
 
 def test_eval_cosh():
