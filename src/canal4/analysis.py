@@ -56,13 +56,12 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
     tol = tolerance if tolerance is not None else (
         KH_TOL_CLOSED if route is Route.CLOSED_FORM else KH_TOL_NUMERIC)
     sgn = _family_sign(patch)
-    cache = PointMapCache(patch.curve, patch.config)
+    cache = PointMapCache(patch.curve, patch.config, zip(patch.grid.s_values, patch.frames))
     worst = 0.0
     n = 0
     for i, jj, k, s, t, w, _ in patch.nodes():
-        rep = curvature_report(patch.curve, patch.config, s, t, w, route,
-                               frame=patch.frames[i], cache=cache)
-        r = patch.config.radius(s)
+        rep = curvature_report(patch.curve, patch.config, s, t, w, route, cache)
+        r = cache.row(s).r
         worst = max(worst, abs(3.0 * rep.H * r - rep.K * r ** 3 - 2.0 * sgn))
         n += 1
     return TheoremReport(f"kh-relation[{route.value}]", worst, tol, worst <= tol, n)
@@ -71,11 +70,10 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
 # ---------------------------------------------------------------------------
 # Weingarten
 
-def _kh_at(curve, config, cache, s, t, w):
-    fr = cache(s)
-    K, H, _ = gauss_mean_principal(
-        config.j, config.lam, fr.eps, fr.k1, config.radius(s),
-        config.radius.r_prime(s), config.radius.r_second(s), t, w, config.sigma)
+def _kh_at(config, cache, s, t, w):
+    row = cache.row(s)
+    K, H, _ = gauss_mean_principal(config.j, config.lam, row.frame.eps, row.frame.k1,
+                                   row.r, row.rp, row.rpp, t, w, config.sigma)
     return K, H
 
 
@@ -96,7 +94,7 @@ def weingarten_check(patch: SurfacePatch, pair: str,
     """
     if pair not in ("st", "sw", "tw"):
         raise ValueError(f"pair must be 'st', 'sw' or 'tw', got {pair!r}")
-    cache = PointMapCache(patch.curve, patch.config)
+    cache = PointMapCache(patch.curve, patch.config, zip(patch.grid.s_values, patch.frames))
     config = patch.config
     worst = 0.0
     n = 0
@@ -107,7 +105,7 @@ def weingarten_check(patch: SurfacePatch, pair: str,
             def kh_of(u):
                 args = dict(base)
                 args[axis] = u
-                return _kh_at(patch.curve, config, cache, args["s"], args["t"], args["w"])
+                return _kh_at(config, cache, args["s"], args["t"], args["w"])
             return _fd_kh(kh_of, base[axis], fd_step)
 
         Ku, Hu = kh_along(pair[0])

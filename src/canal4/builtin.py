@@ -3,7 +3,6 @@ spacelike curve with timelike binormal, both with radius 2s and a default
 w = 2 slice for projections."""
 from __future__ import annotations
 
-from .canal import CanalConfig, RadiusProfile
 from .curve import CurveSpec
 from .errors import UnknownExampleError
 
@@ -39,11 +38,3 @@ def example_components(name: str) -> tuple[str, str, str, str]:
             f"unknown example {name!r}; available: {', '.join(example_names())}")
     return _CURVES[name]
 
-
-def example_config(name: str, lam: int = 1) -> CanalConfig:
-    """Default canal family over the example: its frame type, radius 2s."""
-    j = EXAMPLE_FRAME_TYPE[name] if name in _CURVES else None
-    if j is None:
-        raise UnknownExampleError(
-            f"unknown example {name!r}; available: {', '.join(example_names())}")
-    return CanalConfig(j, lam, RadiusProfile.from_expr(EXAMPLE_RADIUS))

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import expr as ex
 from .curve import CurveSpec, FrenetFrame
-from .errors import (DomainError, InadmissibleConfigError,
+from .errors import (CanalError, DomainError, InadmissibleConfigError,
                      NullConditionViolatedError, VariantViolatedError)
 from .minkowski import Vec4, inner
 
@@ -164,25 +164,30 @@ def family_function(j: int, t: float, w: float) -> float:
     return math.sinh(w)
 
 
-def degeneracy_factor(j: int, w: float) -> float:
-    """A = cos w (j=1) or cosh w (j>=2); det g carries A^2."""
-    return math.cos(w) if j == 1 else math.cosh(w)
+def degeneracy_factor(j: int, variant: Variant, w: float) -> float:
+    """A = cos w (j=1), cosh w (j>=2) or sinh w (supercritical); det g carries A^2."""
+    if j == 1:
+        return math.cos(w)
+    return math.cosh(w) if variant is Variant.STANDARD else math.sinh(w)
 
 
-def offset_scale(config: CanalConfig, s: float, eps1: int) -> float:
-    """r * sqrt(|q|) with q = r'^2 - lam*eps1; raises if q crosses the variant sign."""
-    rv = config.radius(s)
-    rp = config.radius.r_prime(s)
+def _root_q(config: CanalConfig, s: float, eps1: int, rp: float) -> float:
+    """sqrt(|q|) with q = r'^2 - lam*eps1; raises if q crosses the variant sign."""
     q = rp * rp - config.lam * eps1
     if config.variant is Variant.STANDARD:
         if q <= VARIANT_BOUNDARY_TOL:
             raise VariantViolatedError(
                 f"r'^2 - lam*eps1 = {q:.3g} <= 0 at s={s!r} (standard variant needs > 0)")
-        return rv * math.sqrt(q)
+        return math.sqrt(q)
     if q >= -VARIANT_BOUNDARY_TOL:
         raise VariantViolatedError(
             f"r'^2 - lam*eps1 = {q:.3g} >= 0 at s={s!r} (supercritical variant needs < 0)")
-    return rv * math.sqrt(-q)
+    return math.sqrt(-q)
+
+
+def offset_scale(config: CanalConfig, s: float, eps1: int) -> float:
+    """r * sqrt(|q|) with q = r'^2 - lam*eps1; raises if q crosses the variant sign."""
+    return config.radius(s) * _root_q(config, s, eps1, config.radius.r_prime(s))
 
 
 def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile,
@@ -210,52 +215,62 @@ def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile,
     return Variant.ALT_SUPERCRITICAL
 
 
-class PointMapCache:
-    """Per-s pieces of the point map, memoized by exact float value of s.
+@dataclass(frozen=True)
+class PointMapRow:
+    """Everything the point map and the curvature formulas need at one s.
 
-    Grid rows and finite-difference stencils revisit the same s values; one
-    cache per patch-level loop shares the frame, b(s), the axial coefficient
-    -lam*eps1*r*r' and phi = sigma*r*sqrt(|q|) between every node at that s.
-    Calling the cache returns the frame. For lam = 0 the cache also holds the
-    two free a-functions, compiled once.
+    For lam = 0 only frame and basis are set; the radius fields are 0.0.
+    """
+
+    frame: FrenetFrame
+    basis: np.ndarray       # (5, 4): b, F1, F2, F3, F4
+    r: float
+    rp: float
+    rpp: float
+    axial: float            # -lam*eps1*r*r'
+    phi: float              # sigma*r*sqrt(|q|)
+
+
+class PointMapCache:
+    """Per-s rows of the point map, memoized by exact float value of s.
+
+    Grid rows, finite-difference stencils and the curvature formulas revisit
+    the same s values; one cache per patch-level loop evaluates and checks
+    the frame, b(s), r, r' and r'' once for every node at that s. frames
+    holds (s, frame) pairs already built, such as a patch's. For lam = 0 the
+    cache also holds the two free a-functions, compiled once.
     """
 
     def __init__(self, curve: CurveSpec, config: CanalConfig, frames=None):
         self.curve = curve
         self.config = config
         self._frames: dict[float, FrenetFrame] = dict(frames or {})
-        self._rows: dict[float, tuple] = {}
+        self._rows: dict[float, PointMapRow] = {}
         self.a_fns = (tuple(ex.compile_expr(a, ("s", "t", "w")) for a in config.a_free)
                       if config.lam == 0 else None)
 
-    def __call__(self, s: float) -> FrenetFrame:
-        fr = self._frames.get(s)
-        if fr is None:
-            fr = self._frames[s] = self.curve.frame(s)
-        return fr
-
-    def row(self, s: float):
-        """((b, F1, F2, F3, F4) as a (5, 4) array, axial, phi) at s; for lam = 0
-        only the array is used."""
+    def row(self, s: float) -> PointMapRow:
+        """The row at s, built and checked on first use."""
         hit = self._rows.get(s)
         if hit is not None:
             return hit
         config = self.config
-        fr = self(s)
+        fr = self._frames.get(s) or self.curve.frame(s)
         if fr.frame_type != config.j:
             raise InadmissibleConfigError(
                 f"curve has frame type {fr.frame_type}, config wants j = {config.j}")
         basis = np.array([v.as_tuple() for v in (self.curve.point(s),) + fr.vectors])
         if config.lam == 0:
-            hit = self._rows[s] = (basis, 0.0, 0.0)
+            hit = self._rows[s] = PointMapRow(fr, basis, 0.0, 0.0, 0.0, 0.0, 0.0)
             return hit
         eps1 = fr.eps[0]
         rv = config.radius(s)
         if rv <= 0:
             raise InadmissibleConfigError(f"radius r({s!r}) = {rv:.6g} must be positive")
         rp = config.radius.r_prime(s)
-        phi = config.sigma * offset_scale(config, s, eps1)
-        hit = self._rows[s] = (basis, -config.lam * eps1 * rv * rp, phi)
+        phi = config.sigma * (rv * _root_q(config, s, eps1, rp))
+        hit = self._rows[s] = PointMapRow(fr, basis, rv, rp, config.radius.r_second(s),
+                                          -config.lam * eps1 * rv * rp, phi)
         return hit
 
 
@@ -286,7 +301,7 @@ def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,
         return np.empty((0, 4))
     s_keys, at = _distinct(s)
     rows = [cache.row(v) for v in s_keys]
-    basis = np.array([r[0] for r in rows])[at]
+    basis = np.array([r.basis for r in rows])[at]
     if config.lam == 0:
         fa, fb = cache.a_fns
         coeff = np.array([_nullcone_coefficients(config.j, config.sigma, fa(*node), fb(*node))
@@ -294,8 +309,8 @@ def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,
         out = (basis[:, 0] + coeff[:, :1] * basis[:, 2] + coeff[:, 1:2] * basis[:, 3]
                + coeff[:, 2:] * basis[:, 4])
     else:
-        axial = np.array([r[1] for r in rows])[at]
-        phi = np.array([r[2] for r in rows])[at]
+        axial = np.array([r.axial for r in rows])[at]
+        phi = np.array([r.phi for r in rows])[at]
         even, odd = _even_odd(config.j)
 
         def trig(values):
@@ -311,12 +326,10 @@ def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,
     return out
 
 
-def canal_point(curve: CurveSpec, config: CanalConfig, s: float, t: float, w: float,
-                frame: FrenetFrame | None = None) -> Vec4:
-    """One surface point: canal_points on a single node, as a Vec4. A frame
-    passed in is used as the frame at s."""
-    cache = PointMapCache(curve, config, {s: frame} if frame is not None else None)
-    return Vec4(*canal_points(curve, config, (s,), (t,), (w,), cache)[0].tolist())
+def canal_point(curve: CurveSpec, config: CanalConfig, s: float, t: float,
+                w: float) -> Vec4:
+    """One surface point: canal_points on a single node, as a Vec4."""
+    return Vec4(*canal_points(curve, config, (s,), (t,), (w,))[0].tolist())
 
 
 _FREE_SLOTS = {2: (3, 4), 3: (2, 4), 4: (2, 3)}
@@ -337,7 +350,7 @@ def _nullcone_coefficients(j: int, sigma: int, first: float, second: float):
 
 
 def nullcone_point(curve: CurveSpec, j: int, a_free, s: float, t: float, w: float,
-                   sigma: int = 1, frame: FrenetFrame | None = None) -> Vec4:
+                   sigma: int = 1) -> Vec4:
     """Envelope-of-null-cones point: b + sum a_i F_i with sum eps_i a_i^2 = 0.
 
     a_free holds the two free coefficient functions, Exprs in (s, t, w), in
@@ -345,7 +358,7 @@ def nullcone_point(curve: CurveSpec, j: int, a_free, s: float, t: float, w: floa
     sqrt(sum of the free squares). canal_point of the lam = 0 family.
     """
     config = CanalConfig(j, 0, None, sigma, Variant.STANDARD, tuple(a_free))
-    return canal_point(curve, config, s, t, w, frame)
+    return canal_point(curve, config, s, t, w)
 
 
 @dataclass(frozen=True)
@@ -373,7 +386,7 @@ def validate_config(curve: CurveSpec, config: CanalConfig,
         checks.append(f"curve frame type: {j_curve}")
         if j_curve != config.j:
             reasons.append(f"frame type mismatch: curve has j = {j_curve}, config j = {config.j}")
-    except Exception as exc:  # degenerate frames reported, not raised
+    except CanalError as exc:  # degenerate frames reported, not raised
         reasons.append(f"frame construction failed: {exc}")
 
     if config.lam == 0:
@@ -486,14 +499,14 @@ def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> Surfac
     cache = PointMapCache(curve, config)
     frames, points = [], []
     for s in s_vals:
-        frames.append(cache(s))
+        frames.append(cache.row(s).frame)
         row = canal_points(curve, config, [s] * len(t_col), t_col, w_col, cache)
         points.extend(Vec4(*p) for p in row.tolist())
     degenerate = set()
     if config.lam != 0:
         nt, nw = len(t_vals), len(w_vals)
         for k, w in enumerate(w_vals):
-            if abs(degeneracy_factor(config.j, w)) < DEGENERATE_A_TOL:
+            if abs(degeneracy_factor(config.j, config.variant, w)) < DEGENERATE_A_TOL:
                 for i in range(len(s_vals)):
                     for jj in range(nt):
                         degenerate.add((i * nt + jj) * nw + k)

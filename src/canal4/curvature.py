@@ -12,9 +12,12 @@ Two independent routes:
 * NUMERIC differentiates the point map with 5-point central stencils
   (step 1e-4; 1e-3 for second partials), all 75 stencil nodes of a node in
   one batched canal_points call. It takes the normal as the normalized
-  triple cross product of the partials (sign aligned with the closed-form
-  normal), and computes g, h, S = g^-1 h, K = det h / det g, 3H = tr S,
-  mu = eig(S).
+  triple cross product of the partials, oriented along the radial vector
+  c(C - b) of its own stencil centre (the exact normal is (c/r)(C - b)),
+  and computes g, h, S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S).
+
+Both routes read the per-s values (frame, b, r, r', r'') from the rows of a
+PointMapCache; a cache shared over a patch evaluates them once per s value.
 
 Conventions: K = det(S) and 3H = tr(S); the sign eps_N = <N,N> (= lam here)
 is reported but not folded into K or H, matching the family formulas and
@@ -29,9 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .canal import (CanalConfig, PointMapCache, Variant, canal_points,
-                    degeneracy_factor, family_function, offset_scale,
-                    transverse_coefficients, transverse_partials, DEGENERATE_A_TOL)
-from .curve import FrenetFrame
+                    degeneracy_factor, family_function, transverse_coefficients,
+                    transverse_partials, DEGENERATE_A_TOL)
 from .errors import (ComplexEigenvaluesError, DegenerateNodeError,
                      InadmissibleConfigError, PoleAtNodeError,
                      RankDeficientError, SingularMetricError)
@@ -70,39 +72,37 @@ def _require_curvature_family(config: CanalConfig):
 
 
 def _check_node(config: CanalConfig, w: float):
-    A = degeneracy_factor(config.j, w)
+    A = degeneracy_factor(config.j, config.variant, w)
     if abs(A) < DEGENERATE_A_TOL:
         raise DegenerateNodeError(f"|A| = {abs(A):.3g} < {DEGENERATE_A_TOL:g} at w={w!r}")
     return A
 
 
+def _normal_sign(config: CanalConfig, eps) -> int:
+    """c = -eps3*eps4*lam^j: the unit normal is N = (c/r)(C - b)."""
+    return -eps[2] * eps[3] * config.lam ** config.j
+
+
 # ---------------------------------------------------------------------------
 # closed-form route
 
-def _closed_data(curve, config, s, frame=None):
-    fr = frame if frame is not None else curve.frame(s)
+def closed_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None = None):
+    """Exact (g, h, N) from frame components of the surface partials."""
+    _require_curvature_family(config)
+    _check_node(config, w)
+    if cache is None:
+        cache = PointMapCache(curve, config)
+    row = cache.row(s)
+    fr = row.frame
     e1, e2, e3, e4 = fr.eps
-    rv = config.radius(s)
-    rp = config.radius.r_prime(s)
-    rpp = config.radius.r_second(s)
+    rv, rp, rpp, phi, a1 = row.r, row.rp, row.rpp, row.phi, row.axial
     q = rp * rp - config.lam * e1
-    phi = config.sigma * offset_scale(config, s, e1)    # sigma * r * sqrt(|q|)
     psi = phi / rv                                      # sigma * sqrt(|q|)
     # d/ds of sigma*r*sqrt(|q|); the r'' term flips sign with the variant
     vsign = 1.0 if config.variant is Variant.STANDARD else -1.0
     dphi = config.sigma * rp * (abs(q) + vsign * rv * rpp) / math.sqrt(abs(q))
-    a1 = -config.lam * e1 * rv * rp
     da1 = -config.lam * e1 * (rp * rp + rv * rpp)
-    c = -e3 * e4 * config.lam ** config.j
-    return fr, (e1, e2, e3, e4), (rv, rp, rpp, q, phi, psi, dphi, a1, da1, c)
-
-
-def closed_fundamental_forms(curve, config, s, t, w, frame=None):
-    """Exact (g, h, N) from frame components of the surface partials."""
-    _require_curvature_family(config)
-    _check_node(config, w)
-    fr, eps, (rv, rp, rpp, q, phi, psi, dphi, a1, da1, c) = _closed_data(curve, config, s, frame)
-    e1, e2, e3, e4 = eps
+    c = _normal_sign(config, fr.eps)
     k1, k2, k3 = fr.k1, fr.k2, fr.k3
     a = transverse_coefficients(config.j, config.variant, t, w)
     dat, daw = transverse_partials(config.j, config.variant, t, w)
@@ -203,16 +203,12 @@ def _fd2(P, h):
             + 16.0 * P[..., 3, :] - P[..., 4, :]) * (1.0 / (12 * h * h))
 
 
-def _euclid_dot(u: Vec4, v: Vec4) -> float:
-    return u.x1 * v.x1 + u.x2 * v.x2 + u.x3 * v.x3 + u.x4 * v.x4
-
-
 def numeric_fundamental_forms(curve, config, s, t, w, step=FD_STEP,
                               step2=FD_STEP2, cache: PointMapCache | None = None):
-    """(g, h, N) from FD partials of the point map; N aligned with closed form.
+    """(g, h, N) from FD partials of the point map; N points along c(C - b).
 
     All 75 stencil nodes go through one canal_points call; pass a cache to
-    share the per-s pieces between nodes at the same s.
+    share the per-s rows between nodes at the same s.
     """
     _require_curvature_family(config)
     _check_node(config, w)
@@ -232,8 +228,11 @@ def numeric_fundamental_forms(curve, config, s, t, w, step=FD_STEP,
     if abs(qn) <= 1e-12 * max(diag, 1e-300):
         raise RankDeficientError("surface partials are (numerically) linearly dependent")
     N = cross * (1.0 / math.sqrt(abs(qn)))
-    _, _, N_cf = closed_fundamental_forms(curve, config, s, t, w, frame=cache(s))
-    if _euclid_dot(N, N_cf) < 0:
+    # the exact normal is (c/r)(C - b), so the numeric one is close to +-that;
+    # P[14] is the stencil centre (the 0.0 offset of the pure s stencil)
+    row = cache.row(s)
+    radial = _normal_sign(config, row.frame.eps) * (P[14] - row.basis[0])
+    if float(np.dot(N.as_tuple(), radial)) < 0:
         N = -N
 
     h = np.empty((3, 3))
@@ -280,8 +279,6 @@ def principal_from_shape(S: np.ndarray) -> tuple[float, float, float]:
 
 def unit_normal(curve, config, s, t, w, route: Route = Route.CLOSED_FORM) -> Vec4:
     if route is Route.CLOSED_FORM:
-        _require_curvature_family(config)
-        _check_node(config, w)
         _, _, N = closed_fundamental_forms(curve, config, s, t, w)
         return N
     _, _, N = numeric_fundamental_forms(curve, config, s, t, w)
@@ -297,28 +294,29 @@ def fundamental_forms(curve, config, s, t, w, route: Route = Route.CLOSED_FORM):
 
 
 def curvature_report(curve, config, s, t, w, route: Route = Route.CLOSED_FORM,
-                     frame: FrenetFrame | None = None,
                      cache: PointMapCache | None = None) -> CurvatureReport:
     """Full per-node report: g, h, S, N, eps_N, K, H, mu, f_j, A.
 
-    A cache shared by the nodes of one patch saves the numeric route its
-    per-s work.
+    A cache shared by the nodes of one patch evaluates the per-s rows (frame,
+    b, r, r', r'') once for all of them.
     """
     _require_curvature_family(config)
     A = _check_node(config, w)
+    if cache is None:
+        cache = PointMapCache(curve, config)
     if route is Route.CLOSED_FORM:
-        fr = frame if frame is not None else curve.frame(s)
-        g, h, N = closed_fundamental_forms(curve, config, s, t, w, frame=fr)
+        row = cache.row(s)
+        fr = row.frame
+        g, h, N = closed_fundamental_forms(curve, config, s, t, w, cache)
         S = shape_operator(g, h)
         if config.variant is Variant.STANDARD:
-            K, H, mu = gauss_mean_principal(
-                config.j, config.lam, fr.eps, fr.k1, config.radius(s),
-                config.radius.r_prime(s), config.radius.r_second(s), t, w, config.sigma)
+            K, H, mu = gauss_mean_principal(config.j, config.lam, fr.eps, fr.k1, row.r,
+                                            row.rp, row.rpp, t, w, config.sigma)
         else:
             # supercritical variant: same shape-operator structure; take the
             # principal curvatures from the exact S
             sgn = fr.eps[2] * fr.eps[3] * config.lam ** config.j
-            mu12 = sgn / config.radius(s)
+            mu12 = sgn / row.r
             mu3 = float(np.trace(S)) - 2.0 * mu12
             mu = (mu12, mu12, mu3)
             K = mu12 * mu12 * mu3

@@ -69,13 +69,11 @@ def export_curvature_csv(patch: SurfacePatch) -> str:
     are skipped.
     """
     rows = [CSV_HEADER]
-    cache = PointMapCache(patch.curve, patch.config)
+    cache = PointMapCache(patch.curve, patch.config, zip(patch.grid.s_values, patch.frames))
     for i, jj, k, s, t, w, _ in patch.nodes():
         try:
-            cf = curvature_report(patch.curve, patch.config, s, t, w,
-                                  Route.CLOSED_FORM, frame=patch.frames[i])
-            num = curvature_report(patch.curve, patch.config, s, t, w, Route.NUMERIC,
-                                   cache=cache)
+            cf = curvature_report(patch.curve, patch.config, s, t, w, Route.CLOSED_FORM, cache)
+            num = curvature_report(patch.curve, patch.config, s, t, w, Route.NUMERIC, cache)
         except NumericError:
             continue
         rows.append(",".join(repr(float(v)) for v in

@@ -56,7 +56,6 @@ class Vec4:
         return (self.x1, self.x2, self.x3, self.x4)
 
 
-ZERO = Vec4(0.0, 0.0, 0.0, 0.0)
 E1 = Vec4(1.0, 0.0, 0.0, 0.0)
 E2 = Vec4(0.0, 1.0, 0.0, 0.0)
 E3 = Vec4(0.0, 0.0, 1.0, 0.0)

@@ -107,7 +107,7 @@ def admissible_node(rng, curve, config, s_range, d_floor=0.2, a_floor=1e-3,
         else:
             t = rng.uniform(-1.3, 1.3)
             w = rng.uniform(-1.3, 1.3)
-        if abs(degeneracy_factor(config.j, w)) < max(a_floor, 1e-3):
+        if abs(degeneracy_factor(config.j, config.variant, w)) < max(a_floor, 1e-3):
             continue
         f = family_function(config.j, t, w)
         if abs(f) < f_floor:

@@ -100,7 +100,7 @@ def family_sweep(family_curves):
         for _ in range(500):
             s, t, w = admissible_node(rng, curve, cfg, s_range, d_floor=0.25)
             fr = curve.frame(s)
-            cf = curvature_report(curve, cfg, s, t, w, Route.CLOSED_FORM, frame=fr)
+            cf = curvature_report(curve, cfg, s, t, w, Route.CLOSED_FORM)
             num = curvature_report(curve, cfg, s, t, w, Route.NUMERIC)
             nodes.append((s, t, w, fr, cf, num))
         data[(j, lam)] = (curve, cfg, nodes)

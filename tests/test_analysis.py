@@ -269,6 +269,34 @@ def test_weingarten_evaluates_k_and_h_once_per_stencil_point(beta1, monkeypatch)
     assert report == expected
 
 
+def test_radius_evaluated_once_per_distinct_s(beta1):
+    """The K-H check (both routes), the Weingarten check and the CSV export
+    evaluate r, r' and r'' at most once per distinct s, not once per node."""
+    from collections import Counter
+    from canal4.io import export_curvature_csv
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(s):
+            calls[name, s] += 1
+            return fn(s)
+        return wrapper
+
+    radius = RadiusProfile("expr", counted("r", R2S.r), counted("r'", R2S.r_prime),
+                           counted("r''", R2S.r_second), expr=R2S.expr)
+    patch = sample_grid(beta1, make_config(1, 1, radius),
+                        GridSpec((1.0, 1.5), (0.3, 1.2, 2.0), (0.4, -0.6)))
+    checks = (lambda: check_kh_relation(patch, Route.CLOSED_FORM),
+              lambda: check_kh_relation(patch, Route.NUMERIC),
+              lambda: weingarten_check(patch, "sw"),
+              lambda: export_curvature_csv(patch))
+    for check in checks:
+        calls.clear()
+        check()
+        assert {name for name, _ in calls} == {"r", "r'", "r''"}
+        assert max(calls.values()) == 1
+
+
 def test_import_does_not_load_scipy():
     """scipy is imported only when the minimal-radius ODE is solved."""
     import canal4

@@ -13,7 +13,9 @@ from canal4.canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
                           Variant, canal_point, canal_points, nullcone_point,
                           resolve_variant, sample_grid, transverse_coefficients,
                           validate_config)
-from canal4.errors import DomainError, InadmissibleConfigError, VariantViolatedError
+from canal4.curve import CurveSpec
+from canal4.errors import (DomainError, FrameDegenerateError, InadmissibleConfigError,
+                           VariantViolatedError)
 from canal4.minkowski import Vec4, inner
 
 R2S = RadiusProfile.from_expr("2*s")
@@ -216,6 +218,25 @@ def test_degenerate_nodes_flagged(beta1):
                if patch.is_degenerate(i, jj, k)]
     assert all(k == 1 for _, _, k in flagged)
     assert len(flagged) == 4            # every node at w = pi/2
+
+
+def test_validate_config_reports_frame_errors(beta1, monkeypatch):
+    def degenerate(self, s):
+        raise FrameDegenerateError("k1 vanished")
+
+    monkeypatch.setattr(CurveSpec, "frame", degenerate)
+    report = validate_config(beta1, make_config(1, 1, R2S))
+    assert not report.passed
+    assert "frame construction failed: k1 vanished" in report.reasons
+
+
+def test_validate_config_lets_programming_errors_through(beta1, monkeypatch):
+    def broken(self, s):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(CurveSpec, "frame", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        validate_config(beta1, make_config(1, 1, R2S))
 
 
 def _reference_cases(family_curves, rng):

@@ -9,9 +9,11 @@ import pytest
 import oracles
 
 from canal4.cli import main
-from canal4.io import (CSV_HEADER, export_obj, patch_from_json,
+from canal4.io import (CSV_HEADER, export_curvature_csv, export_obj, patch_from_json,
                        patch_to_json)
-from canal4.canal import CanalConfig, GridSpec, RadiusProfile, sample_grid
+from canal4.canal import CanalConfig, GridSpec, RadiusProfile, Variant, sample_grid
+from canal4.curvature import curvature_report
+from canal4.errors import DegenerateNodeError
 
 GOLDEN = Path(__file__).parent / "golden" / "beta1_w2.obj"
 
@@ -138,6 +140,26 @@ def test_obj_skips_faces_at_degenerate_nodes(beta1):
     lines = text.splitlines()
     assert sum(1 for ln in lines if ln.startswith("v ")) == 6   # vertices all emitted
     assert sum(1 for ln in lines if ln.startswith("f ")) == 0   # all faces touch the pole
+
+
+def test_supercritical_degenerate_column_skipped(beta2):
+    """At w = 0 the supercritical metric degenerates (sinh w = 0): that column
+    is flagged, the CSV has one row per non-degenerate node, OBJ faces there
+    are skipped and the curvature report refuses the node."""
+    cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.5*s"), 1, Variant.ALT_SUPERCRITICAL)
+    patch = sample_grid(beta2, cfg, GridSpec((1.0, 1.5, 2.0), (-0.5, 0.4, 1.0),
+                                             (-1.0, 0.0, 1.0)))
+    assert patch.degenerate == {patch.flat_index(i, jj, 1) for i in range(3) for jj in range(3)}
+    rows = export_curvature_csv(patch).splitlines()[1:]
+    assert len(rows) == len(list(patch.nodes())) == 18
+    assert all(float(row.split(",")[2]) != 0.0 for row in rows)
+    faces = [sum(1 for ln in export_obj(patch, axis="w", index=k).splitlines()
+                 if ln.startswith("f ")) for k in range(3)]
+    assert faces == [8, 0, 8]
+    t_slice = export_obj(patch, axis="t", index=0).splitlines()
+    assert sum(1 for ln in t_slice if ln.startswith("f ")) == 0   # every quad touches w = 0
+    with pytest.raises(DegenerateNodeError):
+        curvature_report(beta2, cfg, 1.5, 0.4, 0.0)
 
 
 def test_csv_header_contract(tmp_path):

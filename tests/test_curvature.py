@@ -142,7 +142,7 @@ def test_det_formulas_all_families(family_curves, rng):
         from canal4.canal import family_function
         dg, dh = oracles.table_dets(cfg.j, cfg.lam, fr.eps, fr.k1, cfg.radius(s),
                                     cfg.radius.r_prime(s), cfg.radius.r_second(s),
-                                    t, w, degeneracy_factor(cfg.j, w),
+                                    t, w, degeneracy_factor(cfg.j, cfg.variant, w),
                                     family_function(cfg.j, t, w))
         assert float(np.linalg.det(g)) == pytest.approx(dg, rel=1e-8)
         assert float(np.linalg.det(h)) == pytest.approx(dh, rel=1e-8)
@@ -175,6 +175,25 @@ def test_numeric_route_equals_scalar_reference(family_curves, rng):
                 assert np.array_equal(g, g_ref)
                 assert np.array_equal(h, h_ref)
                 assert N == N_ref
+
+
+def test_numeric_route_needs_no_closed_form(family_curves, rng, monkeypatch):
+    """The numeric route orients N from its own stencil: with the closed-form
+    forms unavailable it still gives the same g, h and N bit for bit."""
+    import canal4.curvature as curvature
+    cases = [(curve, cfg, s, t, w) for curve, cfg, s, t, w
+             in _family_cases(family_curves, rng, per_family=1)]
+    expected = [numeric_fundamental_forms(*case) for case in cases]
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the numeric route called the closed form")
+
+    monkeypatch.setattr(curvature, "closed_fundamental_forms", unavailable)
+    for case, (g_ref, h_ref, N_ref) in zip(cases, expected):
+        g, h, N = numeric_fundamental_forms(*case)
+        assert np.array_equal(g, g_ref)
+        assert np.array_equal(h, h_ref)
+        assert N == N_ref
 
 
 def test_metric_signature(family_curves, rng):
