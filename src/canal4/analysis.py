@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canal import CanalConfig, PointMapCache, RadiusProfile, SurfacePatch
-from .curvature import Route, curvature_report, gauss_mean_principal
+from .curvature import Route, curvature_report, gauss_mean_principal, node_reports
 from .curve import CurveSpec, TAU_K
-from .errors import DomainExitError, InadmissibleConfigError
+from .errors import DomainExitError, InadmissibleConfigError, unwrap
 from .minkowski import inner
 
 KH_TOL_CLOSED = 1e-9
@@ -59,8 +59,8 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
     cache = PointMapCache(patch.curve, patch.config, zip(patch.grid.s_values, patch.frames))
     worst = 0.0
     n = 0
-    for i, jj, k, s, t, w, _ in patch.nodes():
-        rep = curvature_report(patch.curve, patch.config, s, t, w, route, cache)
+    for s, t, w, (rep,) in node_reports(patch, (route,), cache):
+        rep = unwrap(rep)
         r = cache.row(s).r
         worst = max(worst, abs(3.0 * rep.H * r - rep.K * r ** 3 - 2.0 * sgn))
         n += 1

@@ -60,8 +60,8 @@ class RadiusProfile:
         e = ex.parse(source) if isinstance(source, str) else source
         d1 = ex.differentiate(e)
         d2 = ex.differentiate(d1)
-        return cls("expr", ex.compile_expr(e), ex.compile_expr(d1), ex.compile_expr(d2),
-                   expr=e)
+        return cls("expr", ex.compile_expr(e, name="r"), ex.compile_expr(d1, name="r'"),
+                   ex.compile_expr(d2, name="r''"), expr=e)
 
     @classmethod
     def from_constant(cls, c: float) -> "RadiusProfile":
@@ -128,9 +128,31 @@ def _coefficient_pattern(j: int, variant: Variant, ct, st, cw, sw):
     return (cw, st * sw, ct * sw)
 
 
+def _overflow(name: str, *args) -> DomainError:
+    """The DomainError for math.cosh or sinh overflowing (|x| > ~710) in name(*args)."""
+    return DomainError(f"{name}({', '.join(map(str, args))}): cosh or sinh overflows")
+
+
+def _trig_table(j: int, values):
+    """even(v) and odd(v) of each value as two arrays, in math. Where cosh or
+    sinh overflows both are nan (which, unlike inf, raises no floating-point
+    warning downstream), so that surface point is not finite."""
+    even, odd = _even_odd(j)
+
+    def pair(v):
+        try:
+            return even(v), odd(v)
+        except OverflowError:
+            return math.nan, math.nan
+    return np.array([pair(v) for v in values]).T
+
+
 def transverse_coefficients(j: int, variant: Variant, t: float, w: float):
     even, odd = _even_odd(j)
-    return _coefficient_pattern(j, variant, even(t), odd(t), even(w), odd(w))
+    try:
+        return _coefficient_pattern(j, variant, even(t), odd(t), even(w), odd(w))
+    except OverflowError:
+        raise _overflow("transverse_coefficients", j, variant, t, w) from None
 
 
 def transverse_partials(j: int, variant: Variant, t: float, w: float):
@@ -138,8 +160,11 @@ def transverse_partials(j: int, variant: Variant, t: float, w: float):
     if j == 1:
         ct, st, cw, sw = math.cos(t), math.sin(t), math.cos(w), math.sin(w)
         return ((-st * cw, ct * cw, 0.0), (-ct * sw, -st * sw, cw))
-    cht, sht = math.cosh(t), math.sinh(t)
-    chw, shw = math.cosh(w), math.sinh(w)
+    try:
+        cht, sht = math.cosh(t), math.sinh(t)
+        chw, shw = math.cosh(w), math.sinh(w)
+    except OverflowError:
+        raise _overflow("transverse_partials", j, variant, t, w) from None
     if variant is Variant.STANDARD:
         if j == 2:
             return ((sht * chw, 0.0, cht * chw), (cht * shw, chw, sht * shw))
@@ -157,18 +182,24 @@ def family_function(j: int, t: float, w: float) -> float:
     """f_j, the transverse pattern coupled to k1 in the curvature formulas."""
     if j == 1:
         return math.cos(t) * math.cos(w)
-    if j == 2:
-        return math.cosh(t) * math.cosh(w)
-    if j == 3:
-        return math.sinh(t) * math.cosh(w)
-    return math.sinh(w)
+    try:
+        if j == 2:
+            return math.cosh(t) * math.cosh(w)
+        if j == 3:
+            return math.sinh(t) * math.cosh(w)
+        return math.sinh(w)
+    except OverflowError:
+        raise _overflow("family_function", j, t, w) from None
 
 
 def degeneracy_factor(j: int, variant: Variant, w: float) -> float:
     """A = cos w (j=1), cosh w (j>=2) or sinh w (supercritical); det g carries A^2."""
     if j == 1:
         return math.cos(w)
-    return math.cosh(w) if variant is Variant.STANDARD else math.sinh(w)
+    try:
+        return math.cosh(w) if variant is Variant.STANDARD else math.sinh(w)
+    except OverflowError:
+        raise _overflow("degeneracy_factor", j, variant, w) from None
 
 
 def _root_q(config: CanalConfig, s: float, eps1: int, rp: float) -> float:
@@ -246,7 +277,8 @@ class PointMapCache:
         self.config = config
         self._frames: dict[float, FrenetFrame] = dict(frames or {})
         self._rows: dict[float, PointMapRow] = {}
-        self.a_fns = (tuple(ex.compile_expr(a, ("s", "t", "w")) for a in config.a_free)
+        self.a_fns = (tuple(ex.compile_expr(a, ("s", "t", "w"), f"a{slot}")
+                            for a, slot in zip(config.a_free, _FREE_SLOTS[config.j]))
                       if config.lam == 0 else None)
 
     def row(self, s: float) -> PointMapRow:
@@ -281,16 +313,35 @@ def _distinct(values):
     return list(index), at
 
 
+def indexed_points(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_keys, t_at,
+                   w_keys, w_at) -> np.ndarray:
+    """Surface points at (s_keys[s_at], t_keys[t_at], w_keys[w_at]), an (..., 4)
+    array over the broadcast shape of the index arrays; lam = +-1 only.
+
+    Evaluates b + axial*F1 + (phi*a2)*F2 + (phi*a3)*F3 + (phi*a4)*F4 with the
+    cache rows at s_keys, elementwise in that order (the same IEEE results as
+    scalar arithmetic). Trig runs in math once per key: numpy's vectorized
+    cosh may differ from libm in the last ulp.
+    """
+    rows = [cache.row(v) for v in s_keys]
+    basis = np.array([r.basis for r in rows])[s_at]
+    axial, phi = np.array([(r.axial, r.phi) for r in rows])[s_at].T
+    (ct, st), (cw, sw) = _trig_table(config.j, t_keys), _trig_table(config.j, w_keys)
+    a2, a3, a4 = _coefficient_pattern(config.j, config.variant,
+                                      ct[t_at], st[t_at], cw[w_at], sw[w_at])
+    return (basis[..., 0, :] + axial[..., None] * basis[..., 1, :]
+            + (phi * a2)[..., None] * basis[..., 2, :]
+            + (phi * a3)[..., None] * basis[..., 3, :]
+            + (phi * a4)[..., None] * basis[..., 4, :])
+
+
 def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,
                  cache: PointMapCache | None = None) -> np.ndarray:
     """Surface points at aligned sequences of s, t, w values: an (n, 4) array.
 
-    Evaluates b + axial*F1 + (phi*a2)*F2 + (phi*a3)*F3 + (phi*a4)*F4 with
-    per-s pieces from the cache, elementwise in that order (the same IEEE
-    results as scalar arithmetic). The trig functions run in math once per
-    distinct t and w: numpy's vectorized sin/cosh may differ from libm in the
-    last ulp. lam = 0 evaluates b + a2*F2 + a3*F3 + a4*F4 with the null-cone
-    coefficients of _nullcone_coefficients.
+    indexed_points over the distinct values of each sequence; lam = 0
+    evaluates b + a2*F2 + a3*F3 + a4*F4 with the null-cone coefficients of
+    _nullcone_coefficients.
     """
     s, t, w = list(s), list(t), list(w)
     if not len(s) == len(t) == len(w):
@@ -300,29 +351,18 @@ def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,
     if not s:
         return np.empty((0, 4))
     s_keys, at = _distinct(s)
-    rows = [cache.row(v) for v in s_keys]
-    basis = np.array([r.basis for r in rows])[at]
     if config.lam == 0:
+        basis = np.array([cache.row(v).basis for v in s_keys])[at]
         fa, fb = cache.a_fns
         coeff = np.array([_nullcone_coefficients(config.j, config.sigma, fa(*node), fb(*node))
                           for node in zip(s, t, w)])
         out = (basis[:, 0] + coeff[:, :1] * basis[:, 2] + coeff[:, 1:2] * basis[:, 3]
                + coeff[:, 2:] * basis[:, 4])
     else:
-        axial = np.array([r.axial for r in rows])[at]
-        phi = np.array([r.phi for r in rows])[at]
-        even, odd = _even_odd(config.j)
-
-        def trig(values):
-            keys, where = _distinct(values)
-            table = np.array([(even(v), odd(v)) for v in keys])[where]
-            return table[:, 0], table[:, 1]
-
-        a2, a3, a4 = _coefficient_pattern(config.j, config.variant, *trig(t), *trig(w))
-        out = (basis[:, 0] + axial[:, None] * basis[:, 1] + (phi * a2)[:, None] * basis[:, 2]
-               + (phi * a3)[:, None] * basis[:, 3] + (phi * a4)[:, None] * basis[:, 4])
+        out = indexed_points(config, cache, s_keys, at, *_distinct(t), *_distinct(w))
     if not np.isfinite(out).all():
-        raise DomainError("non-finite surface point")
+        k = int(np.argmin(np.isfinite(out).all(axis=1)))
+        raise DomainError(f"non-finite surface point at s={s[k]!r}, t={t[k]!r}, w={w[k]!r}")
     return out
 
 

@@ -10,11 +10,15 @@ Two independent routes:
   principal curvatures use the general family formulas (mu1 = mu2 =
   eps3*eps4*lam^j / r, and the rational expression for mu3).
 * NUMERIC differentiates the point map with 5-point central stencils
-  (step 1e-4; 1e-3 for second partials), all 75 stencil nodes of a node in
-  one batched canal_points call. It takes the normal as the normalized
-  triple cross product of the partials, oriented along the radial vector
-  c(C - b) of its own stencil centre (the exact normal is (c/r)(C - b)),
-  and computes g, h, S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S).
+  (step 1e-4; 1e-3 for second partials) in passes over the nodes of one s
+  row (at most PASS_NODES of them): the 75-node stencils of a pass go
+  through one indexed_points call, then the partials, g, N, h and the
+  stacked det, solve and eigvals run as arrays, each node keeping its own
+  errors. It takes the normal as the normalized triple cross product of
+  the partials, oriented along the radial vector c(C - b) of its own
+  stencil centre (the exact normal is (c/r)(C - b)), and computes g, h,
+  S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S). node_reports feeds
+  the patch loops pass by pass; a one-node call is a pass of one node.
 
 Both routes read the per-s values (frame, b, r, r', r'') from the rows of a
 PointMapCache; a cache shared over a patch evaluates them once per s value.
@@ -25,18 +29,19 @@ the K-H relation 3Hr - Kr^3 - 2 eps3 eps4 lam^j = 0.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .canal import (CanalConfig, PointMapCache, Variant, canal_points,
-                    degeneracy_factor, family_function, transverse_coefficients,
+from .canal import (CanalConfig, PointMapCache, Variant, _distinct, degeneracy_factor,
+                    family_function, indexed_points, transverse_coefficients,
                     transverse_partials, DEGENERATE_A_TOL)
-from .errors import (ComplexEigenvaluesError, DegenerateNodeError,
-                     InadmissibleConfigError, PoleAtNodeError,
-                     RankDeficientError, SingularMetricError)
+from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
+                     InadmissibleConfigError, PoleAtNodeError, RankDeficientError,
+                     SingularMetricError, or_error, unwrap)
 from .minkowski import Vec4, inner, triple_cross
 
 FD_STEP = 1e-4         # first partials
@@ -65,13 +70,11 @@ class CurvatureReport:
     route: Route
 
 
-def _require_curvature_family(config: CanalConfig):
+def _check_node(config: CanalConfig, w: float):
+    """A at the node; raises for the null-cone families and degenerate nodes."""
     if config.lam == 0:
         raise InadmissibleConfigError(
             "curvature is not defined for the null-cone families (lambda = 0)")
-
-
-def _check_node(config: CanalConfig, w: float):
     A = degeneracy_factor(config.j, config.variant, w)
     if abs(A) < DEGENERATE_A_TOL:
         raise DegenerateNodeError(f"|A| = {abs(A):.3g} < {DEGENERATE_A_TOL:g} at w={w!r}")
@@ -88,7 +91,6 @@ def _normal_sign(config: CanalConfig, eps) -> int:
 
 def closed_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None = None):
     """Exact (g, h, N) from frame components of the surface partials."""
-    _require_curvature_family(config)
     _check_node(config, w)
     if cache is None:
         cache = PointMapCache(curve, config)
@@ -163,32 +165,22 @@ def gauss_mean_principal(j, lam, eps, k1, r, rp, rpp, t, w, sigma=1):
 # ---------------------------------------------------------------------------
 # numeric route
 
-def _stencil_nodes(x, h1, h2):
-    """(s, t, w) columns of the 75 nodes the 5-point stencils read around x:
-    first partials (step h1) per axis, then the pure second partials (step
-    h2) per axis, then the mixed ones (st, sw, tw) as a 4 x 4 outer x inner
-    grid. Only the shifted coordinates are offset."""
-    first = (-2 * h1, -h1, h1, 2 * h1)
-    second = (-2 * h2, -h2, h2, 2 * h2)
-    nodes = []
+# The 75 stencil nodes of a node: first partials (FD_STEP) per axis, the pure
+# second partials (FD_STEP2) per axis, then the mixed ones (st, sw, tw) as a
+# 4 x 4 outer x inner grid. Entries index the axis' _axis_values; 4 is the
+# node's own value, so an unshifted coordinate stays exactly x.
+_STENCIL = np.array(
+    [[k if a == axis else 4 for a in range(3)] for axis in range(3) for k in (0, 1, 2, 3)]
+    + [[k if a == axis else 4 for a in range(3)] for axis in range(3) for k in (5, 6, 4, 7, 8)]
+    + [[ki if a == i else kj if a == jj else 4 for a in range(3)]
+       for i, jj in ((0, 1), (0, 2), (1, 2)) for ki in (5, 6, 7, 8) for kj in (5, 6, 7, 8)])
+_H_INDEX = [[0, 3, 4], [3, 1, 5], [4, 5, 2]]    # h from the partials ss, tt, ww, st, sw, tw
 
-    def shifted(pairs):
-        b = list(x)
-        for axis, d in pairs:
-            b[axis] += d
-        nodes.append(b)
 
-    for axis in range(3):
-        for d in first:
-            shifted(((axis, d),))
-    for axis in range(3):
-        for d in (-2 * h2, -h2, 0.0, h2, 2 * h2):
-            shifted(((axis, d),))
-    for i, jj in ((0, 1), (0, 2), (1, 2)):
-        for di in second:
-            for dj in second:
-                shifted(((i, di), (jj, dj)))
-    return zip(*nodes)
+def _axis_values(x):
+    """The nine values of a stencil axis, in the order a node first reads them."""
+    return ([x + d for d in (-2 * FD_STEP, -FD_STEP, FD_STEP, 2 * FD_STEP)] + [x]
+            + [x + d for d in (-2 * FD_STEP2, -FD_STEP2, FD_STEP2, 2 * FD_STEP2)])
 
 
 def _fd1(P, h):
@@ -203,78 +195,153 @@ def _fd2(P, h):
             + 16.0 * P[..., 3, :] - P[..., 4, :]) * (1.0 / (12 * h * h))
 
 
-def numeric_fundamental_forms(curve, config, s, t, w, step=FD_STEP,
-                              step2=FD_STEP2, cache: PointMapCache | None = None):
-    """(g, h, N) from FD partials of the point map; N points along c(C - b).
+def _numeric_forms(config, s, t, w, cache):
+    """(g, h, N) of the nodes (s, t[n], w[n]) as (n, 3, 3), (n, 3, 3), (n, 4)
+    arrays (None if no node gets that far), and each node's error or None.
+    One indexed_points call evaluates the stencils of all nodes; the rest is
+    elementwise in the order of the scalar formulas, so every node gets the
+    bits of its one-node call."""
+    errors = [or_error(_check_node, config, v) for v in w]
+    errors = [e if isinstance(e, CanalError) else None for e in errors]
+    if all(errors):
+        return None, errors
+    (t_keys, t_at), (w_keys, w_at) = _distinct(t), _distinct(w)
+    si, ti, wi = _STENCIL.T
+    try:
+        P = indexed_points(config, cache, _axis_values(s), si,
+                           [v for x in t_keys for v in _axis_values(x)],
+                           9 * np.array(t_at)[:, None] + ti,
+                           [v for x in w_keys for v in _axis_values(x)],
+                           9 * np.array(w_at)[:, None] + wi)
+    except CanalError as exc:               # a per-s row of the stencil
+        return None, [e or exc for e in errors]
 
-    All 75 stencil nodes go through one canal_points call; pass a cache to
-    share the per-s rows between nodes at the same s.
-    """
-    _require_curvature_family(config)
-    _check_node(config, w)
-    if cache is None:
-        cache = PointMapCache(curve, config)
-    P = canal_points(curve, config, *_stencil_nodes((s, t, w), step, step2), cache)
-    parts = [Vec4(*v) for v in _fd1(P[:12].reshape(3, 4, 4), step).tolist()]
-    second = _fd2(P[12:27].reshape(3, 5, 4), step2).tolist()
-    mixed = _fd1(_fd1(P[27:].reshape(3, 4, 4, 4), step2), step2).tolist()
-    g = np.array([[inner(parts[i], parts[jj]) for jj in range(3)] for i in range(3)])
+    def flag(bad, error):
+        for n in np.flatnonzero(bad):
+            errors[n] = errors[n] or error(f"s={s!r}, t={t[n]!r}, w={w[n]!r}")
 
-    cross = triple_cross(parts[0], parts[1], parts[2])
-    qn = inner(cross, cross)
-    # |<cross,cross>| = |det g|; compare against the metric diagonal so the
-    # test is signature-aware (euclidean scales mislead on hyperbolic nodes)
-    diag = abs(g[0, 0] * g[1, 1] * g[2, 2])
-    if abs(qn) <= 1e-12 * max(diag, 1e-300):
-        raise RankDeficientError("surface partials are (numerically) linearly dependent")
-    N = cross * (1.0 / math.sqrt(abs(qn)))
-    # the exact normal is (c/r)(C - b), so the numeric one is close to +-that;
-    # P[14] is the stencil centre (the 0.0 offset of the pure s stencil)
-    row = cache.row(s)
-    radial = _normal_sign(config, row.frame.eps) * (P[14] - row.basis[0])
-    if float(np.dot(N.as_tuple(), radial)) < 0:
-        N = -N
+    flag(~np.isfinite(P).all(axis=(1, 2)),
+         lambda at: DomainError(f"non-finite surface point near {at}"))
+    with np.errstate(all="ignore"):         # flagged nodes may overflow or divide by 0
+        parts = _fd1(P[:, :12].reshape(-1, 3, 4, 4), FD_STEP)
+        second = _fd2(P[:, 12:27].reshape(-1, 3, 5, 4), FD_STEP2)
+        mixed = _fd1(_fd1(P[:, 27:].reshape(-1, 3, 4, 4, 4), FD_STEP2), FD_STEP2)
+        g = inner(parts[:, :, None], parts[:, None])
+        cross = triple_cross(parts[:, 0], parts[:, 1], parts[:, 2])
+        qn = inner(cross, cross)
+        # |<cross,cross>| = |det g|; compare against the metric diagonal so the
+        # test is signature-aware (euclidean scales mislead on hyperbolic nodes)
+        diag = np.abs(g[:, 0, 0] * g[:, 1, 1] * g[:, 2, 2])
+        flag(np.abs(qn) <= 1e-12 * np.maximum(diag, 1e-300), lambda at: RankDeficientError(
+            f"surface partials are (numerically) linearly dependent at {at}"))
+        N = cross * (1.0 / np.sqrt(np.abs(qn)))[:, None]
+        # the exact normal is (c/r)(C - b), so the numeric one is close to
+        # +-that; P[:, 14] is the stencil centre, the node itself
+        row = cache.row(s)
+        radial = _normal_sign(config, row.frame.eps) * (P[:, 14] - row.basis[0])
+        N = np.where(((N * radial).sum(axis=1) < 0)[:, None], -N, N)
+        h = inner(np.concatenate((second, mixed), axis=1)[:, _H_INDEX], N[:, None, None])
+        flag(~(np.isfinite(g).all(axis=(1, 2)) & np.isfinite(h).all(axis=(1, 2))),
+             lambda at: DomainError(f"non-finite partials near {at}"))
+        return (g, h, N), errors
 
-    h = np.empty((3, 3))
-    for i, jj, vec in ((0, 0, second[0]), (0, 1, mixed[0]), (0, 2, mixed[1]),
-                       (1, 1, second[1]), (1, 2, mixed[2]), (2, 2, second[2])):
-        h[i, jj] = h[jj, i] = inner(Vec4(*vec), N)
-    return g, h, N
+
+def numeric_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None = None):
+    """(g, h, N) from FD partials of the point map, N along c(C - b): the
+    one-node case of _numeric_forms. A cache shares per-s rows between calls."""
+    forms, (error,) = _numeric_forms(config, s, (t,), (w,), cache or PointMapCache(curve, config))
+    unwrap(error)
+    g, h, N = forms
+    return g[0], h[0], Vec4(*N[0].tolist())
+
+
+def _numeric_reports(config, s, t, w, cache):
+    """The numeric CurvatureReport, or the CanalError it raises, of each node
+    (s, t[n], w[n]): _numeric_forms, then det, solve and eigvals stacked over
+    the nodes (the same bits as one call per matrix)."""
+    forms, errors = _numeric_forms(config, s, t, w, cache)
+    if forms is None:
+        return errors
+    g, h, N = forms
+    with np.errstate(invalid="ignore"):     # a flagged node's g may be nan
+        det_g = np.linalg.det(g)
+    errors = [e or or_error(_check_metric, gn, float(d)) for e, gn, d in zip(errors, g, det_g)]
+    bad = np.array([e is not None for e in errors])
+    g[bad], h[bad] = np.eye(3), 0.0         # keeps the stacked calls finite and solvable
+    S = np.linalg.solve(g, h)
+    K = np.linalg.det(h) / np.linalg.det(g)
+    H = np.trace(S, axis1=1, axis2=2) / 3.0
+    eig = np.linalg.eigvals(S)
+
+    def report(n):
+        Nn = Vec4(*N[n].tolist())
+        return CurvatureReport(g=g[n], h=h[n], S=S[n], N=Nn, eps_N=1 if inner(Nn, Nn) > 0 else -1,
+                               K=float(K[n]), H=float(H[n]), mu=_principal(eig[n]),
+                               f_j=family_function(config.j, t[n], w[n]),
+                               A=degeneracy_factor(config.j, config.variant, w[n]),
+                               route=Route.NUMERIC)
+    return [e or or_error(report, n) for n, e in enumerate(errors)]
+
+
+# Most nodes in one numeric pass. A pass has a fixed cost (tens of numpy calls)
+# and holds the stencil arrays of all its nodes at once: rows split evenly
+# into passes this small keep most of the speed of whole rows, with a peak
+# memory that does not grow with the row.
+PASS_NODES = 8
+
+
+def node_reports(patch, routes, cache: PointMapCache):
+    """(s, t, w, reports) per non-degenerate node of the patch, in node order:
+    per route the node's CurvatureReport or the CanalError it raises (see
+    unwrap). The numeric route takes each s row in passes of at most
+    PASS_NODES nodes, the closed form one curvature_report call per node."""
+    curve, config = patch.curve, patch.config
+    for _, row in itertools.groupby(patch.nodes(), key=lambda node: node[0]):
+        row = [node[3:6] for node in row]
+        passes = -(-len(row) // PASS_NODES)
+        for k in range(passes):
+            s, t, w = zip(*row[k * len(row) // passes:(k + 1) * len(row) // passes])
+            columns = [_numeric_reports(config, s[0], t, w, cache) if route is Route.NUMERIC
+                       else [or_error(curvature_report, curve, config, *node, route, cache)
+                             for node in zip(s, t, w)]
+                       for route in routes]
+            yield from zip(s, t, w, zip(*columns))
 
 
 # ---------------------------------------------------------------------------
 # shared pieces
 
-def shape_operator(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """S = g^-1 h; raises SingularMetricError when det g ~ 0."""
-    det_g = float(np.linalg.det(g))
-    scale = float(np.max(np.abs(g))) or 1.0
+def _check_metric(g: np.ndarray, det_g: float):
+    """Raise SingularMetricError when det g ~ 0 against g's scale."""
+    scale = float(np.abs(g).max()) or 1.0
     if abs(det_g) < SINGULAR_REL_TOL * scale ** 3:
         raise SingularMetricError(f"det g = {det_g:.3g} below {SINGULAR_REL_TOL:g}*scale^3")
+
+
+def shape_operator(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """S = g^-1 h; raises SingularMetricError when det g ~ 0."""
+    _check_metric(g, float(np.linalg.det(g)))
     return np.linalg.solve(g, h)
 
 
-def _order_double_root_first(vals):
-    """Sort three eigenvalues as (double root, double root, simple root)."""
-    pairs = [(abs(vals[a] - vals[b]), a, b) for a, b in ((0, 1), (0, 2), (1, 2))]
-    _, a, b = min(pairs)
-    rest = ({0, 1, 2} - {a, b}).pop()
-    return (vals[a], vals[b], vals[rest])
-
-
-def principal_from_shape(S: np.ndarray) -> tuple[float, float, float]:
-    """Real eigenvalues of the numeric shape operator, double root first.
+def _principal(vals) -> tuple[float, float, float]:
+    """Real parts of S's eigenvalues, the double root first.
 
     FD noise splits the structural double root into a conjugate pair whose
     imaginary part scales with the perturbation, so the truncation threshold
     is relative to the eigenvalue magnitude.
     """
-    vals = np.linalg.eigvals(S)
-    tol = EIG_IMAG_REL_TOL * (1.0 + float(np.max(np.abs(vals.real))))
-    if np.max(np.abs(vals.imag)) > tol:
-        raise ComplexEigenvaluesError(
-            f"complex principal curvatures (max imag {np.max(np.abs(vals.imag)):.3g})")
-    return _order_double_root_first(tuple(float(v) for v in vals.real))
+    imag = float(np.abs(vals.imag).max())
+    vals = tuple(vals.real.tolist())
+    if imag > EIG_IMAG_REL_TOL * (1.0 + max(map(abs, vals))):
+        raise ComplexEigenvaluesError(f"complex principal curvatures (max imag {imag:.3g})")
+    _, a, b = min((abs(vals[a] - vals[b]), a, b) for a, b in ((0, 1), (0, 2), (1, 2)))
+    return (vals[a], vals[b], vals[({0, 1, 2} - {a, b}).pop()])
+
+
+def principal_from_shape(S: np.ndarray) -> tuple[float, float, float]:
+    """Real eigenvalues of the numeric shape operator, double root first."""
+    return _principal(np.linalg.eigvals(S))
 
 
 def unit_normal(curve, config, s, t, w, route: Route = Route.CLOSED_FORM) -> Vec4:
@@ -298,35 +365,30 @@ def curvature_report(curve, config, s, t, w, route: Route = Route.CLOSED_FORM,
     """Full per-node report: g, h, S, N, eps_N, K, H, mu, f_j, A.
 
     A cache shared by the nodes of one patch evaluates the per-s rows (frame,
-    b, r, r', r'') once for all of them.
+    b, r, r', r'') once for all of them. The numeric route is the one-node
+    case of the row pass of node_reports.
     """
-    _require_curvature_family(config)
     A = _check_node(config, w)
     if cache is None:
         cache = PointMapCache(curve, config)
-    if route is Route.CLOSED_FORM:
-        row = cache.row(s)
-        fr = row.frame
-        g, h, N = closed_fundamental_forms(curve, config, s, t, w, cache)
-        S = shape_operator(g, h)
-        if config.variant is Variant.STANDARD:
-            K, H, mu = gauss_mean_principal(config.j, config.lam, fr.eps, fr.k1, row.r,
-                                            row.rp, row.rpp, t, w, config.sigma)
-        else:
-            # supercritical variant: same shape-operator structure; take the
-            # principal curvatures from the exact S
-            sgn = fr.eps[2] * fr.eps[3] * config.lam ** config.j
-            mu12 = sgn / row.r
-            mu3 = float(np.trace(S)) - 2.0 * mu12
-            mu = (mu12, mu12, mu3)
-            K = mu12 * mu12 * mu3
-            H = (2.0 * mu12 + mu3) / 3.0
+    if route is Route.NUMERIC:
+        return unwrap(_numeric_reports(config, s, (t,), (w,), cache)[0])
+    row = cache.row(s)
+    fr = row.frame
+    g, h, N = closed_fundamental_forms(curve, config, s, t, w, cache)
+    S = shape_operator(g, h)
+    if config.variant is Variant.STANDARD:
+        K, H, mu = gauss_mean_principal(config.j, config.lam, fr.eps, fr.k1, row.r,
+                                        row.rp, row.rpp, t, w, config.sigma)
     else:
-        g, h, N = numeric_fundamental_forms(curve, config, s, t, w, cache=cache)
-        S = shape_operator(g, h)
-        K = float(np.linalg.det(h) / np.linalg.det(g))
-        H = float(np.trace(S)) / 3.0
-        mu = principal_from_shape(S)
+        # supercritical variant: same shape-operator structure; take the
+        # principal curvatures from the exact S
+        sgn = fr.eps[2] * fr.eps[3] * config.lam ** config.j
+        mu12 = sgn / row.r
+        mu3 = float(np.trace(S)) - 2.0 * mu12
+        mu = (mu12, mu12, mu3)
+        K = mu12 * mu12 * mu3
+        H = (2.0 * mu12 + mu3) / 3.0
     eps_n = 1 if inner(N, N) > 0 else -1
     return CurvatureReport(g=g, h=h, S=S, N=N, eps_N=eps_n, K=float(K), H=float(H),
                            mu=tuple(float(m) for m in mu),

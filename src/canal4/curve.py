@@ -101,7 +101,8 @@ class CurveSpec:
                     self._fns(order - 1)
                     prev = self._exprs[order - 1]
                 self._exprs[order] = tuple(ex.differentiate(c) for c in prev)
-            self._compiled[order] = tuple(ex.compile_expr(c) for c in self._exprs[order])
+            self._compiled[order] = tuple(ex.compile_expr(c, name=f"x{i}" + "'" * order)
+                                          for i, c in enumerate(self._exprs[order], 1))
         return self._compiled[order]
 
     def _eval_order(self, s, order):

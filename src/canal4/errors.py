@@ -10,6 +10,22 @@ class CanalError(Exception):
     """Base class for all package errors."""
 
 
+def or_error(fn, *args):
+    """fn(*args), or the CanalError it raises: a per-node result that a batch
+    computation hands on for its caller to raise where it reaches the node."""
+    try:
+        return fn(*args)
+    except CanalError as exc:
+        return exc
+
+
+def unwrap(result):
+    """The value of an or_error result; raises it if it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 class ConfigError(CanalError):
     """Invalid user input or inadmissible configuration (CLI exit 2)."""
 

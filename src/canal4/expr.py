@@ -266,17 +266,19 @@ _NAMESPACE = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
 _NAMESPACE["_pow"] = math.pow
 
 
-def _domain_error(expr, variables, values, problem):
+def _domain_error(expr, variables, values, problem, name):
     """DomainError for a math error or a non-finite value at these values."""
     where = ", ".join(f"{k}={v!r}" for k, v in zip(variables, values))
     if not isinstance(problem, Exception):
         problem = f"non-finite value {problem!r}"
-    return DomainError(f"{expr} at {where}: {problem}")
+    what = f"{name}({', '.join(variables)}) = {expr}" if name else str(expr)
+    return DomainError(f"{what} at {where}: {problem}")
 
 
-def compile_expr(expr: Expr, variables: tuple[str, ...] = ("s",)):
+def compile_expr(expr: Expr, variables: tuple[str, ...] = ("s",), name: str | None = None):
     """Compile to a positional function of the variables. Math errors and
-    non-finite results raise DomainError instead of returning NaN/Inf."""
+    non-finite results raise DomainError instead of returning NaN/Inf; its
+    message names the function (such as r' or x2'') when name is given."""
     fn = eval(f"lambda {', '.join(variables)}: {_to_python(expr)}",
               _NAMESPACE)  # code generated from our own AST
 
@@ -284,10 +286,10 @@ def compile_expr(expr: Expr, variables: tuple[str, ...] = ("s",)):
         try:
             value = fn(*values)
         except _MATH_ERRORS as exc:
-            raise _domain_error(expr, variables, values, exc) from exc
+            raise _domain_error(expr, variables, values, exc, name) from exc
         if math.isfinite(value):
             return value
-        raise _domain_error(expr, variables, values, value)
+        raise _domain_error(expr, variables, values, value, name)
     return checked
 
 

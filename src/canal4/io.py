@@ -12,8 +12,8 @@ from . import expr as ex
 from .canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
                     SurfacePatch, Variant)
 from .curve import CurveSpec
-from .curvature import Route, curvature_report
-from .errors import EmptySliceError, NumericError
+from .curvature import Route, node_reports
+from .errors import EmptySliceError, NumericError, unwrap
 
 CSV_HEADER = "s,t,w,K_cf,H_cf,mu1,mu2,mu3,K_num,H_num"   # column contract v1
 
@@ -70,10 +70,9 @@ def export_curvature_csv(patch: SurfacePatch) -> str:
     """
     rows = [CSV_HEADER]
     cache = PointMapCache(patch.curve, patch.config, zip(patch.grid.s_values, patch.frames))
-    for i, jj, k, s, t, w, _ in patch.nodes():
+    for s, t, w, (cf, num) in node_reports(patch, (Route.CLOSED_FORM, Route.NUMERIC), cache):
         try:
-            cf = curvature_report(patch.curve, patch.config, s, t, w, Route.CLOSED_FORM, cache)
-            num = curvature_report(patch.curve, patch.config, s, t, w, Route.NUMERIC, cache)
+            cf, num = unwrap(cf), unwrap(num)
         except NumericError:
             continue
         rows.append(",".join(repr(float(v)) for v in

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import NullVectorError
 
 # Absolute tolerance for causal classification of numerically computed vectors.
@@ -62,26 +64,34 @@ E3 = Vec4(0.0, 0.0, 1.0, 0.0)
 E4 = Vec4(0.0, 0.0, 0.0, 1.0)
 
 
-def inner(x: Vec4, y: Vec4) -> float:
-    """Minkowski inner product, signature (-,+,+,+)."""
-    return -x.x1 * y.x1 + x.x2 * y.x2 + x.x3 * y.x3 + x.x4 * y.x4
+def inner(x, y):
+    """Minkowski inner product, signature (-,+,+,+), of two Vec4s or over the
+    last axis of (..., 4) arrays (elementwise, in the same order)."""
+    if isinstance(x, Vec4):
+        return -x.x1 * y.x1 + x.x2 * y.x2 + x.x3 * y.x3 + x.x4 * y.x4
+    return (-x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+            + x[..., 3] * y[..., 3])
 
 
-def triple_cross(x: Vec4, y: Vec4, z: Vec4) -> Vec4:
-    """Ternary cross product; orthogonal to x, y, z and alternating."""
+def triple_cross(x, y, z):
+    """Ternary cross product; orthogonal to x, y, z and alternating. Of three
+    Vec4s, or over the last axis of (..., 4) arrays (elementwise)."""
+    vec = isinstance(x, Vec4)
+    (x1, x2, x3, x4), (y1, y2, y3, y4), (z1, z2, z3, z4) = (
+        v.as_tuple() if vec else (v[..., 0], v[..., 1], v[..., 2], v[..., 3]) for v in (x, y, z))
     # 2x2 minors of the lower two rows (y, z), indexed by column pair
-    m12 = y.x1 * z.x2 - y.x2 * z.x1
-    m13 = y.x1 * z.x3 - y.x3 * z.x1
-    m14 = y.x1 * z.x4 - y.x4 * z.x1
-    m23 = y.x2 * z.x3 - y.x3 * z.x2
-    m24 = y.x2 * z.x4 - y.x4 * z.x2
-    m34 = y.x3 * z.x4 - y.x4 * z.x3
+    m12 = y1 * z2 - y2 * z1
+    m13 = y1 * z3 - y3 * z1
+    m14 = y1 * z4 - y4 * z1
+    m23 = y2 * z3 - y3 * z2
+    m24 = y2 * z4 - y4 * z2
+    m34 = y3 * z4 - y4 * z3
     # cofactor expansion along the row x
-    c1 = x.x2 * m34 - x.x3 * m24 + x.x4 * m23
-    c2 = x.x1 * m34 - x.x3 * m14 + x.x4 * m13
-    c3 = x.x1 * m24 - x.x2 * m14 + x.x4 * m12
-    c4 = x.x1 * m23 - x.x2 * m13 + x.x3 * m12
-    return Vec4(-c1, -c2, c3, -c4)
+    c1 = x2 * m34 - x3 * m24 + x4 * m23
+    c2 = x1 * m34 - x3 * m14 + x4 * m13
+    c3 = x1 * m24 - x2 * m14 + x4 * m12
+    c4 = x1 * m23 - x2 * m13 + x3 * m12
+    return Vec4(-c1, -c2, c3, -c4) if vec else np.stack((-c1, -c2, c3, -c4), axis=-1)
 
 
 def causal_character(x: Vec4, tau: float = TAU_NULL) -> CausalCharacter:

@@ -370,3 +370,47 @@ def reference_numeric_forms(curve, config, s, t, w, step=1e-4, step2=1e-3):
         for jj in range(i, 3):
             h[i, jj] = h[jj, i] = inner(reference_fd2(f, args, i, jj, step2), N)
     return g, h, N
+
+
+# ---------------------------------------------------------------------------
+# per-node reference for the numeric patch loops: the scalar forms above, one
+# shape operator, det and eigvals call per node, one node after the other
+
+def reference_numeric_report(curve, config, s, t, w):
+    """(K, H, mu) of the numeric route at one node."""
+    from canal4.curvature import principal_from_shape, shape_operator
+    g, h, _ = reference_numeric_forms(curve, config, s, t, w)
+    S = shape_operator(g, h)
+    return (float(np.linalg.det(h) / np.linalg.det(g)), float(np.trace(S)) / 3.0,
+            principal_from_shape(S))
+
+
+def reference_kh_report(patch):
+    """check_kh_relation(patch, Route.NUMERIC), node by node."""
+    from canal4.analysis import KH_TOL_NUMERIC, TheoremReport
+    fr = patch.frames[0]
+    sgn = fr.eps[2] * fr.eps[3] * patch.config.lam ** patch.config.j
+    worst, n = 0.0, 0
+    for i, jj, k, s, t, w, _ in patch.nodes():
+        K, H, _ = reference_numeric_report(patch.curve, patch.config, s, t, w)
+        r = patch.config.radius(s)
+        worst = max(worst, abs(3.0 * H * r - K * r ** 3 - 2.0 * sgn))
+        n += 1
+    return TheoremReport("kh-relation[numeric]", worst, KH_TOL_NUMERIC,
+                         worst <= KH_TOL_NUMERIC, n)
+
+
+def reference_curvature_csv(patch):
+    """export_curvature_csv(patch), node by node."""
+    from canal4.curvature import Route, curvature_report
+    from canal4.errors import NumericError
+    from canal4.io import CSV_HEADER
+    rows = [CSV_HEADER]
+    for i, jj, k, s, t, w, _ in patch.nodes():
+        try:
+            cf = curvature_report(patch.curve, patch.config, s, t, w, Route.CLOSED_FORM)
+            K, H, _ = reference_numeric_report(patch.curve, patch.config, s, t, w)
+        except NumericError:
+            continue
+        rows.append(",".join(repr(float(v)) for v in (s, t, w, cf.K, cf.H, *cf.mu, K, H)))
+    return "\n".join(rows) + "\n"

@@ -297,6 +297,31 @@ def test_radius_evaluated_once_per_distinct_s(beta1):
         assert max(calls.values()) == 1
 
 
+def test_numeric_loops_evaluate_the_point_map_once_per_pass(beta1, monkeypatch):
+    """The numeric K-H check and the CSV export put the stencils of an s row
+    through one point-map evaluation per pass of at most PASS_NODES nodes,
+    not one per node: 6 nodes a row take one pass, 12 take two."""
+    import canal4.curvature as curvature
+    from canal4.io import export_curvature_csv
+    rows = []
+    original = curvature.indexed_points
+
+    def counted(config, cache, s_keys, *rest):
+        rows.append(s_keys[4])          # the row's own s among the stencil's nine
+        return original(config, cache, s_keys, *rest)
+
+    monkeypatch.setattr(curvature, "indexed_points", counted)
+    assert curvature.PASS_NODES == 8
+    for w_values, passes in (((0.4, -0.6), 1), ((0.4, -0.6, 0.2, -0.1), 2)):
+        patch = sample_grid(beta1, make_config(1, 1, R2S),
+                            GridSpec((1.0, 1.5), (0.3, 1.2, 2.0), w_values))
+        for check in (lambda: check_kh_relation(patch, Route.NUMERIC),
+                      lambda: export_curvature_csv(patch)):
+            rows.clear()
+            check()
+            assert rows == [1.0] * passes + [1.5] * passes
+
+
 def test_import_does_not_load_scipy():
     """scipy is imported only when the minimal-radius ODE is solved."""
     import canal4

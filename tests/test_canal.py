@@ -10,9 +10,9 @@ from oracles import (example_surface_11, example_surface_1m1,
 
 from canal4 import expr as ex
 from canal4.canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
-                          Variant, canal_point, canal_points, nullcone_point,
-                          resolve_variant, sample_grid, transverse_coefficients,
-                          validate_config)
+                          Variant, canal_point, canal_points, degeneracy_factor,
+                          family_function, nullcone_point, resolve_variant, sample_grid,
+                          transverse_coefficients, transverse_partials, validate_config)
 from canal4.curve import CurveSpec
 from canal4.errors import (DomainError, FrameDegenerateError, InadmissibleConfigError,
                            VariantViolatedError)
@@ -280,6 +280,32 @@ def test_canal_points_batch_matches_scalar_map(gamma2, rng):
         assert Vec4(*row) == canal_point(gamma2, cfg, s, t, w)
     again = canal_points(gamma2, cfg, *zip(*nodes), cache=cache)
     assert (again == batch).all()
+
+
+def test_hyperbolic_overflow_is_a_domain_error(beta2):
+    """Past |x| ~ 710 cosh and sinh overflow: DomainError from the transverse
+    pattern, its partials, f_j, A and the point map's trig table."""
+    std, alt = Variant.STANDARD, Variant.ALT_SUPERCRITICAL
+    for fn, args in ((transverse_coefficients, (3, std, 800.0, 0.1)),
+                     (transverse_partials, (2, alt, 0.1, -800.0)),
+                     (family_function, (4, 0.0, 800.0)),
+                     (degeneracy_factor, (2, alt, 800.0))):
+        with pytest.raises(DomainError, match="cosh or sinh overflows"):
+            fn(*args)
+    with pytest.raises(DomainError, match=r"non-finite surface point at s=1.0, t=800.0, w=0.1"):
+        canal_points(beta2, make_config(3, 1, R2S), (1.0, 1.0), (0.5, 800.0), (0.1, 0.1))
+
+
+def test_domain_error_names_curve_component_and_a_function(beta2):
+    curve = CurveSpec(("s", "0", "0", "exp(800*s)"), (0.5, 2.5))
+    with pytest.raises(DomainError, match=r"^x4\(s\) = exp\(800\*s\) at s=1.0: "):
+        curve.point(1.0)
+    with pytest.raises(DomainError, match=r"^x4'\(s\) = "):
+        curve.derivatives(1.0, 1)
+    a_free = (ex.parse("exp(800*w)", ("s", "t", "w")), ex.parse("w", ("s", "t", "w")))
+    cfg = CanalConfig(3, 0, a_free=a_free)
+    with pytest.raises(DomainError, match=r"^a2\(s, t, w\) = exp\(800\*w\) at s=1.0, "):
+        canal_points(beta2, cfg, (1.0,), (0.0,), (1.0,))
 
 
 def test_canal_points_rejects_misaligned_columns(beta1):

@@ -296,6 +296,25 @@ def test_overflowing_expression_exit_code(tmp_path, capsys, flag, text, code):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build", "curvature"])
+@pytest.mark.parametrize("axis", ["--range-t=0:800", "--range-w=0:800"])
+def test_hyperbolic_overflow_exit_3(tmp_path, capsys, command, axis):
+    """cosh and sinh overflow past |x| ~ 710 on j >= 2 families: a numeric
+    breakdown that names the node, not an OverflowError traceback."""
+    assert run([command, "--example", "beta2", "--family", "j3,l1", "--radius", "2*s", axis,
+                "--grid", "3x3x3", "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric breakdown: non-finite surface point at s=0.25, ")
+    assert "Traceback" not in err
+
+
+def test_domain_error_names_the_function(tmp_path, capsys):
+    assert run(["build", "--example", "beta1", "--radius", "1e308*10*s",
+                "--out", str(tmp_path / "x.json")]) == 3
+    assert capsys.readouterr().err == (
+        "numeric breakdown: r'(s) = 1e+308*10 at s=0.25: non-finite value inf\n")
+
+
 def test_curvature_on_short_s_range(tmp_path):
     """The numeric route's stencils reach 2e-3 past the ends of an s-range of
     span 1 (the overhang used to be 1e-3 of the span)."""

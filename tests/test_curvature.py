@@ -196,6 +196,89 @@ def test_numeric_route_needs_no_closed_form(family_curves, rng, monkeypatch):
         assert N == N_ref
 
 
+def _row_configs(family_curves, rng):
+    """A config per family and branch, a supercritical one and the tubes."""
+    for j, lam in ALL_FAMILIES:
+        radius = conftest.random_polynomial_radius(rng, j, lam, conftest.SWEEP_S_RANGE[j])
+        for sigma in (1, -1):
+            yield family_curves[j], CanalConfig(j, lam, radius, sigma)
+    yield family_curves[3], CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), -1,
+                                        Variant.ALT_SUPERCRITICAL)
+    for j, lam in TUBULAR_FAMILIES:
+        variant = Variant.ALT_SUPERCRITICAL if (j >= 2 and lam == 1) else Variant.STANDARD
+        yield family_curves[j], CanalConfig(j, lam, RadiusProfile.from_constant(0.2), 1, variant)
+
+
+def test_row_pass_equals_scalar_reference(family_curves, rng):
+    """One pass over a whole s row gives every node's g, h and N bit for bit
+    equal to the per-node scalar stencil."""
+    from canal4.curvature import _numeric_forms
+    for curve, cfg in _row_configs(family_curves, rng):
+        s = rng.uniform(*conftest.SWEEP_S_RANGE[cfg.j])
+        t = [rng.uniform(0.0, 6.0) if cfg.j == 1 else rng.uniform(-1.3, 1.3) for _ in range(3)]
+        w = [rng.choice((-1, 1)) * rng.uniform(0.3, 1.2) for _ in range(3)]
+        t, w = [x for x in t for _ in w], w * len(t)
+        (g, h, N), errors = _numeric_forms(cfg, s, t, w, PointMapCache(curve, cfg))
+        assert errors == [None] * len(t)
+        for n, node in enumerate(zip(t, w)):
+            g_ref, h_ref, N_ref = oracles.reference_numeric_forms(curve, cfg, s, *node)
+            assert np.array_equal(g[n], g_ref)
+            assert np.array_equal(h[n], h_ref)
+            assert Vec4(*N[n].tolist()) == N_ref
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return exc
+
+
+def test_row_errors_match_one_node_calls(beta2):
+    """Good nodes, a degenerate one (supercritical w = 0) and one whose
+    stencil overflows cosh in one row: each node gets the report or the error
+    (type and message) of its one-node call. A stencil s past the domain
+    fails every node's per-s rows, after the degenerate node's own check."""
+    from canal4.curvature import _numeric_reports
+    cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
+                      Variant.ALT_SUPERCRITICAL)
+    t = (0.3, -0.4, 800.0, 0.3, 0.9)
+    w = (0.4, 0.0, 0.5, -0.7, 0.0)
+    kinds = []
+    for s in (1.2, 3.001):
+        row = _numeric_reports(cfg, s, t, w, PointMapCache(beta2, cfg))
+        for node, got in zip(zip(t, w), row):
+            one = _outcome(lambda: curvature_report(beta2, cfg, s, *node, Route.NUMERIC))
+            assert type(got) is type(one)
+            if isinstance(one, Exception):
+                assert str(got) == str(one)
+            else:
+                for field in ("g", "h", "S"):
+                    assert np.array_equal(getattr(got, field), getattr(one, field))
+                assert (got.N, got.K, got.H, got.mu) == (one.N, one.K, one.H, one.mu)
+            kinds.append(type(got).__name__)
+    assert kinds == ["CurvatureReport", "DegenerateNodeError", "DomainError",
+                     "CurvatureReport", "DegenerateNodeError", "OutOfDomainError",
+                     "DegenerateNodeError", "OutOfDomainError", "OutOfDomainError",
+                     "DegenerateNodeError"]
+
+
+def test_numeric_patch_loops_equal_per_node_reference(beta1, beta2):
+    """check_kh_relation on the numeric route and the CSV export give the
+    report and the bytes of the node-by-node reference loop."""
+    from canal4.analysis import check_kh_relation
+    from canal4.canal import GridSpec, sample_grid
+    from canal4.io import export_curvature_csv
+    cases = [(beta1, make_config(1, 1, R2S), (0.0, 6.0), (-1.2, 1.2)),
+             (beta2, make_config(3, -1, R2S), (-1.3, 1.3), (-1.2, 1.2)),
+             (beta2, CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
+                                 Variant.ALT_SUPERCRITICAL), (-1.3, 1.3), (-1.0, 1.0))]
+    for curve, cfg, t_range, w_range in cases:
+        patch = sample_grid(curve, cfg, GridSpec.regular((0.6, 2.4), t_range, w_range, (2, 3, 3)))
+        assert check_kh_relation(patch, Route.NUMERIC) == oracles.reference_kh_report(patch)
+        assert export_curvature_csv(patch) == oracles.reference_curvature_csv(patch)
+
+
 def test_metric_signature(family_curves, rng):
     """lam = -1 induces a positive-definite metric, lam = +1 a Lorentzian one."""
     for curve, cfg, s, t, w in _family_cases(family_curves, rng, per_family=2):
