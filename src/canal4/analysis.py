@@ -98,7 +98,7 @@ def weingarten_check(patch: SurfacePatch, pair: str,
     config = patch.config
     worst = 0.0
     n = 0
-    for i, jj, k, s, t, w, _ in patch.nodes():
+    for i, jj, k, s, t, w in patch.nodes():
         base = {"s": s, "t": t, "w": w}
 
         def kh_along(axis):

@@ -19,6 +19,7 @@ the remaining one is determined (j = 1 admits no such surface).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -337,32 +338,38 @@ def indexed_points(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_ke
 
 def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,
                  cache: PointMapCache | None = None) -> np.ndarray:
-    """Surface points at aligned sequences of s, t, w values: an (n, 4) array.
-
-    indexed_points over the distinct values of each sequence; lam = 0
-    evaluates b + a2*F2 + a3*F3 + a4*F4 with the null-cone coefficients of
-    _nullcone_coefficients.
-    """
+    """Surface points at aligned sequences of s, t, w values: an (n, 4) array,
+    _points_at over the distinct values of each sequence."""
     s, t, w = list(s), list(t), list(w)
     if not len(s) == len(t) == len(w):
         raise ValueError(f"s, t, w must align, got {len(s)}, {len(t)}, {len(w)} values")
-    if cache is None:
-        cache = PointMapCache(curve, config)
-    if not s:
+    return _points_at(config, cache or PointMapCache(curve, config),
+                      *_distinct(s), *_distinct(t), *_distinct(w))
+
+
+def _points_at(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_keys, t_at,
+               w_keys, w_at) -> np.ndarray:
+    """Surface points at (s_keys[s_at], t_keys[t_at], w_keys[w_at]) for 1-D
+    index sequences, an (n, 4) array checked finite: indexed_points, or for
+    lam = 0 b + a2*F2 + a3*F3 + a4*F4 with the coefficients of
+    _nullcone_coefficients, node by node."""
+    def node(k):
+        return s_keys[s_at[k]], t_keys[t_at[k]], w_keys[w_at[k]]
+    if not len(s_at):
         return np.empty((0, 4))
-    s_keys, at = _distinct(s)
     if config.lam == 0:
-        basis = np.array([cache.row(v).basis for v in s_keys])[at]
+        basis = np.array([cache.row(v).basis for v in s_keys])[s_at]
         fa, fb = cache.a_fns
-        coeff = np.array([_nullcone_coefficients(config.j, config.sigma, fa(*node), fb(*node))
-                          for node in zip(s, t, w)])
+        coeff = np.array([_nullcone_coefficients(config.j, config.sigma, fa(*p), fb(*p))
+                          for p in map(node, range(len(s_at)))])
         out = (basis[:, 0] + coeff[:, :1] * basis[:, 2] + coeff[:, 1:2] * basis[:, 3]
                + coeff[:, 2:] * basis[:, 4])
     else:
-        out = indexed_points(config, cache, s_keys, at, *_distinct(t), *_distinct(w))
-    if not np.isfinite(out).all():
-        k = int(np.argmin(np.isfinite(out).all(axis=1)))
-        raise DomainError(f"non-finite surface point at s={s[k]!r}, t={t[k]!r}, w={w[k]!r}")
+        out = indexed_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        s, t, w = node(int(np.argmin(finite)))
+        raise DomainError(f"non-finite surface point at s={s!r}, t={t!r}, w={w!r}")
     return out
 
 
@@ -479,16 +486,35 @@ class GridSpec:
                    cls.linspace(w_range, nw))
 
 
+class _Vec4View(Sequence):
+    """Read-only Vec4 items of an (n, 4) array, built on access; len() builds none."""
+
+    def __init__(self, coords: np.ndarray):
+        self._coords = coords
+
+    def __len__(self) -> int:
+        return len(self._coords)
+
+    def __getitem__(self, k: int) -> Vec4:
+        return Vec4(*self._coords[k].tolist())
+
+
 class SurfacePatch:
     """Sampled (s,t,w) lattice of canal points with cached frames per s."""
 
-    def __init__(self, curve, config, grid, points, frames, degenerate):
+    def __init__(self, curve, config, grid, coords, frames, degenerate):
         self.curve = curve
         self.config = config
         self.grid = grid
-        self.points = points            # flat tuple, row-major (s, t, w)
+        self.coords = coords            # (n, 4) float64, flat row-major (s, t, w)
+        self.coords.flags.writeable = False
         self.frames = frames            # one FrenetFrame per s value
         self.degenerate = degenerate    # frozenset of flat indices
+
+    @property
+    def points(self) -> Sequence[Vec4]:
+        """The points as Vec4s, in the order of coords."""
+        return _Vec4View(self.coords)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -498,57 +524,54 @@ class SurfacePatch:
         ns, nt, nw = self.shape
         return (i * nt + jj) * nw + k
 
-    def point(self, i: int, jj: int, k: int) -> Vec4:
-        return self.points[self.flat_index(i, jj, k)]
-
     def is_degenerate(self, i: int, jj: int, k: int) -> bool:
         return self.flat_index(i, jj, k) in self.degenerate
 
     def nodes(self, include_degenerate: bool = False):
-        """Yield (i, j, k, s, t, w, point)."""
+        """Yield (i, j, k, s, t, w)."""
         for i, s in enumerate(self.grid.s_values):
             for jj, t in enumerate(self.grid.t_values):
                 for k, w in enumerate(self.grid.w_values):
-                    fi = self.flat_index(i, jj, k)
-                    if not include_degenerate and fi in self.degenerate:
-                        continue
-                    yield (i, jj, k, s, t, w, self.points[fi])
+                    if include_degenerate or self.flat_index(i, jj, k) not in self.degenerate:
+                        yield (i, jj, k, s, t, w)
 
     def max_sphere_residual(self) -> float:
         """max |<P-b, P-b> - lam*r^2| over all nodes (lam = 0: |<P-b, P-b>|)."""
-        worst = 0.0
-        for i, s in enumerate(self.grid.s_values):
-            b = self.curve.point(s)
-            target = 0.0 if self.config.lam == 0 else self.config.lam * self.config.radius(s) ** 2
-            for jj in range(len(self.grid.t_values)):
-                for k in range(len(self.grid.w_values)):
-                    d = self.points[self.flat_index(i, jj, k)] - b
-                    worst = max(worst, abs(inner(d, d) - target))
-        return worst
+        ns, nt, nw = self.shape
+        lam, s_values = self.config.lam, self.grid.s_values
+        b = np.array([self.curve.point(s).as_tuple() for s in s_values])
+        target = [0.0 if lam == 0 else lam * self.config.radius(s) ** 2 for s in s_values]
+        d = self.coords.reshape(ns, nt * nw, 4) - b.reshape(ns, 1, 4)
+        return float(np.abs(inner(d, d) - np.reshape(target, (ns, 1))).max(initial=0.0))
 
 
 def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> SurfacePatch:
-    """Evaluate the full lattice, one canal_points call per s row.
+    """Evaluate the full lattice: the PointMapCache rows in s order, then one
+    point-map call over all nodes. A row that fails (frame, radius, variant)
+    raises only after the points of the earlier rows are checked finite.
 
     Nodes where the metric degeneracy factor |A| < 1e-6 are built but flagged
     (curvature evaluation skips them).
     """
     s_vals, t_vals, w_vals = grid.s_values, grid.t_values, grid.w_values
-    t_col = [t for t in t_vals for _ in w_vals]
-    w_col = list(w_vals) * len(t_vals)
+    nt, nw = len(t_vals), len(w_vals)
     cache = PointMapCache(curve, config)
-    frames, points = [], []
-    for s in s_vals:
-        frames.append(cache.row(s).frame)
-        row = canal_points(curve, config, [s] * len(t_col), t_col, w_col, cache)
-        points.extend(Vec4(*p) for p in row.tolist())
-    degenerate = set()
-    if config.lam != 0:
-        nt, nw = len(t_vals), len(w_vals)
-        for k, w in enumerate(w_vals):
-            if abs(degeneracy_factor(config.j, config.variant, w)) < DEGENERATE_A_TOL:
-                for i in range(len(s_vals)):
-                    for jj in range(nt):
-                        degenerate.add((i * nt + jj) * nw + k)
-    return SurfacePatch(curve, config, grid, tuple(points), tuple(frames),
-                        frozenset(degenerate))
+
+    def lattice(ns):
+        """The points of the first ns s rows."""
+        return _points_at(config, cache, s_vals[:ns], np.repeat(np.arange(ns), nt * nw),
+                          t_vals, np.tile(np.repeat(np.arange(nt), nw), ns),
+                          w_vals, np.tile(np.arange(nw), ns * nt))
+
+    frames = []
+    try:
+        for s in s_vals:
+            frames.append(cache.row(s).frame)
+    except CanalError:
+        lattice(len(frames))
+        raise
+    coords = lattice(len(frames))
+    flagged = [k for k, w in enumerate(w_vals) if config.lam != 0
+               and abs(degeneracy_factor(config.j, config.variant, w)) < DEGENERATE_A_TOL]
+    degenerate = frozenset(i for k in flagged for i in range(k, len(coords), nw))
+    return SurfacePatch(curve, config, grid, coords, tuple(frames), degenerate)

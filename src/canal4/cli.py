@@ -15,6 +15,7 @@ breakdown. Configuration may also come from a flat key=value file
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -328,8 +329,7 @@ def cmd_verify(args, file_values):
             r_max = max(job.config.radius(s) for s in patch.grid.s_values) if job.lam else 1.0
             tol = 1e-9 * (1.0 + r_max * r_max)
             reports.append(analysis.TheoremReport(
-                "sphere-membership", resid, tol, resid <= tol,
-                len(patch.points)))
+                "sphere-membership", resid, tol, resid <= tol, len(patch.coords)))
 
     all_passed = all(r.passed for r in reports)
     for r in reports:
@@ -404,7 +404,9 @@ def _add_common(p):
         p.add_argument(f"--{k}", help=f"free coefficient {k}(s,t,w) for lambda = 0")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="canal",
         description="Canal and tubular hypersurfaces in Lorentz-Minkowski 4-space")

@@ -8,16 +8,19 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from . import expr as ex
 from .canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
                     SurfacePatch, Variant)
-from .curve import CurveSpec
+from .curve import CurveSpec, FrenetFrame
 from .curvature import Route, node_reports
 from .errors import EmptySliceError, NumericError, unwrap
+from .minkowski import Vec4
 
 CSV_HEADER = "s,t,w,K_cf,H_cf,mu1,mu2,mu3,K_num,H_num"   # column contract v1
 
-_DROP_TO_KEPT = {1: (1, 2, 3), 2: (0, 2, 3), 3: (0, 1, 3), 4: (0, 1, 2)}
+_DROP_TO_KEPT = {1: [1, 2, 3], 2: [0, 2, 3], 3: [0, 1, 3], 4: [0, 1, 2]}
 
 
 def export_obj(patch: SurfacePatch, drop: int = 1, axis: str = "w",
@@ -33,32 +36,23 @@ def export_obj(patch: SurfacePatch, drop: int = 1, axis: str = "w",
     if axis not in ("w", "t"):
         raise ValueError(f"slice axis must be 'w' or 't', got {axis!r}")
     ns, nt, nw = patch.shape
+    along = 2 if axis == "w" else 1       # the sliced axis of the (s, t, w) lattice
     ncol = nt if axis == "w" else nw
-    nfix = nw if axis == "w" else nt
-    if ns < 1 or ncol < 1 or not 0 <= index < nfix:
+    if ns < 1 or ncol < 1 or not 0 <= index < patch.shape[along]:
         raise EmptySliceError(f"no slice at {axis} index {index} in grid {patch.shape}")
 
-    def node(i, col):
-        return (i, col, index) if axis == "w" else (i, index, col)
-
-    kept = _DROP_TO_KEPT[drop]
+    vertices = np.take(patch.coords.reshape(ns, nt, nw, 4), index, axis=along)
+    flagged = np.isin(np.arange(ns * nt * nw), list(patch.degenerate)).reshape(ns, nt, nw)
+    flagged = np.take(flagged, index, axis=along)
     lines = ["# canal hypersurface slice, projection drops x%d" % drop]
-    for i in range(ns):
-        for col in range(ncol):
-            p = patch.point(*node(i, col)).as_tuple()
-            lines.append("v %.9g %.9g %.9g" % (p[kept[0]], p[kept[1]], p[kept[2]]))
-
-    def vid(i, col):
-        return i * ncol + col + 1
-
-    for i in range(ns - 1):
-        for col in range(ncol - 1):
-            corners = ((i, col), (i, col + 1), (i + 1, col + 1), (i + 1, col))
-            if any(patch.is_degenerate(*node(a, b)) for a, b in corners):
-                continue
-            v00, v01, v11, v10 = (vid(*c) for c in corners)
-            lines.append(f"f {v00} {v01} {v11}")
-            lines.append(f"f {v00} {v11} {v10}")
+    lines += ["v %.9g %.9g %.9g" % tuple(v)
+              for v in vertices[..., _DROP_TO_KEPT[drop]].reshape(-1, 3).tolist()]
+    # faces of the quads (i, col) .. (i + 1, col + 1) with no degenerate corner
+    skip = flagged[:-1, :-1] | flagged[:-1, 1:] | flagged[1:, 1:] | flagged[1:, :-1]
+    for i, col in np.argwhere(~skip).tolist():
+        v00, v01, v11, v10 = (i * ncol + col + 1, i * ncol + col + 2,
+                              (i + 1) * ncol + col + 2, (i + 1) * ncol + col + 1)
+        lines += [f"f {v00} {v01} {v11}", f"f {v00} {v11} {v10}"]
     return "\n".join(lines) + "\n"
 
 
@@ -141,7 +135,7 @@ def patch_to_json(patch: SurfacePatch) -> str:
             "t": list(patch.grid.t_values),
             "w": list(patch.grid.w_values),
         },
-        "points": [list(p.as_tuple()) for p in patch.points],
+        "points": patch.coords.tolist(),
         "frames": [
             {
                 "vectors": [list(v.as_tuple()) for v in fr.vectors],
@@ -156,9 +150,6 @@ def patch_to_json(patch: SurfacePatch) -> str:
 
 
 def patch_from_json(text: str) -> SurfacePatch:
-    from .curve import FrenetFrame
-    from .minkowski import Vec4
-
     doc = json.loads(text)
     cdoc = doc.get("curve", {})
     if (doc.get("format") != "canal-patch" or doc.get("version") != 1
@@ -172,10 +163,24 @@ def patch_from_json(text: str) -> SurfacePatch:
     config = CanalConfig(fdoc["j"], fdoc["lambda"], _radius_from_payload(fdoc["radius"]),
                          fdoc["sigma"], Variant(fdoc["variant"]), a_free)
     grid = GridSpec(tuple(doc["grid"]["s"]), tuple(doc["grid"]["t"]), tuple(doc["grid"]["w"]))
-    points = tuple(Vec4(*p) for p in doc["points"])
+    ns, nt, nw = len(grid.s_values), len(grid.t_values), len(grid.w_values)
+    n = ns * nt * nw
+    points = doc["points"]
+    try:
+        coords = np.array(points, dtype=float) if points != [] else np.empty((0, 4))
+    except (TypeError, ValueError):
+        coords = None
+    if coords is None or coords.shape != (n, 4) or not np.isfinite(coords).all():
+        raise ValueError(f"points: expected {n} points of 4 finite numbers for the "
+                         f"{ns}x{nt}x{nw} grid")
+    if len(doc["frames"]) != ns:
+        raise ValueError(f"frames: expected {ns}, one per s value, got {len(doc['frames'])}")
     frames = tuple(
         FrenetFrame(*(Vec4(*v) for v in fr["vectors"]), tuple(fr["eps"]), *fr["k"])
         for fr in doc["frames"]
     )
-    return SurfacePatch(curve, config, grid, points, frames, frozenset(doc["degenerate"]))
+    degenerate = doc["degenerate"]
+    if not all(type(k) is int and 0 <= k < n for k in degenerate):
+        raise ValueError(f"degenerate: flat node indices must be ints in [0, {n})")
+    return SurfacePatch(curve, config, grid, coords, frames, frozenset(degenerate))
 

@@ -320,6 +320,18 @@ def reference_point(curve, config, s, t, w, frame=None):
             + (phi * a3) * fr.f3 + (phi * a4) * fr.f4)
 
 
+def reference_grid_coords(curve, config, grid):
+    """sample_grid's points built one s row at a time: one canal_points call
+    per row, stacked into the (n, 4) array in row-major (s, t, w) order."""
+    from canal4.canal import PointMapCache, canal_points
+    t_col = [t for t in grid.t_values for _ in grid.w_values]
+    w_col = list(grid.w_values) * len(grid.t_values)
+    cache = PointMapCache(curve, config)
+    rows = [canal_points(curve, config, [s] * len(t_col), t_col, w_col, cache)
+            for s in grid.s_values]
+    return np.concatenate(rows) if rows else np.empty((0, 4))
+
+
 def reference_fd1(f, args, axis, h):
     a = list(args)
 
@@ -391,7 +403,7 @@ def reference_kh_report(patch):
     fr = patch.frames[0]
     sgn = fr.eps[2] * fr.eps[3] * patch.config.lam ** patch.config.j
     worst, n = 0.0, 0
-    for i, jj, k, s, t, w, _ in patch.nodes():
+    for i, jj, k, s, t, w in patch.nodes():
         K, H, _ = reference_numeric_report(patch.curve, patch.config, s, t, w)
         r = patch.config.radius(s)
         worst = max(worst, abs(3.0 * H * r - K * r ** 3 - 2.0 * sgn))
@@ -406,7 +418,7 @@ def reference_curvature_csv(patch):
     from canal4.errors import NumericError
     from canal4.io import CSV_HEADER
     rows = [CSV_HEADER]
-    for i, jj, k, s, t, w, _ in patch.nodes():
+    for i, jj, k, s, t, w in patch.nodes():
         try:
             cf = curvature_report(patch.curve, patch.config, s, t, w, Route.CLOSED_FORM)
             K, H, _ = reference_numeric_report(patch.curve, patch.config, s, t, w)

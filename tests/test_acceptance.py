@@ -192,7 +192,7 @@ def test_criterion_5_theorem_suite(family_curves, spacelike_line, beta1):
     assert minimal.verdict == "minimal" and minimal.sampled_max_H <= 1e-5
     patch = _theorem_patch(spacelike_line, CanalConfig(2, 1, prof), 2)
     worst_H = max(abs(curvature_report(patch.curve, patch.config, s, t, w).H)
-                  for _, _, _, s, t, w, _ in patch.nodes())
+                  for _, _, _, s, t, w in patch.nodes())
     assert worst_H <= 1e-5
     _line("criterion 5 (theorem suite)",
           f"tw residual {worst_tw:.3g} (<=1e-8) on all families; sw residual "

@@ -156,7 +156,7 @@ def test_flat_agrees_with_sampled_K(spacelike_line):
     cfg = CanalConfig(2, -1, curved_radius)
     patch = _patch(spacelike_line, cfg, 2)
     worst = max(abs(curvature_report(patch.curve, cfg, s, t, w).K)
-                for _, _, _, s, t, w, _ in patch.nodes())
+                for _, _, _, s, t, w in patch.nodes())
     assert worst > 1e-9
     assert classify_flat(spacelike_line, curved_radius).verdict == "not-flat"
 
@@ -204,7 +204,7 @@ def test_minimal_profile_gives_minimal_canal(spacelike_line):
     assert validate_config(spacelike_line, cfg).passed
     patch = _patch(spacelike_line, cfg, 2)
     worst = max(abs(curvature_report(patch.curve, cfg, s, t, w).H)
-                for _, _, _, s, t, w, _ in patch.nodes())
+                for _, _, _, s, t, w in patch.nodes())
     assert worst <= 1e-5
 
 

@@ -207,7 +207,8 @@ def test_empty_grid_gives_empty_patch(beta1):
     cfg = make_config(1, 1, R2S)
     patch = sample_grid(beta1, cfg, GridSpec((), (), ()))
     assert patch.shape == (0, 0, 0)
-    assert patch.points == ()
+    assert len(patch.points) == 0
+    assert patch.coords.shape == (0, 4)
 
 
 def test_degenerate_nodes_flagged(beta1):
@@ -258,11 +259,67 @@ def test_sample_grid_equals_scalar_reference(family_curves, rng):
         t_range = (0.0, 6.0) if cfg.j == 1 else (-1.3, 1.3)
         grid = GridSpec.regular((0.5, 2.0), t_range, (-0.9, 1.1), (3, 4, 3))
         patch = sample_grid(curve, cfg, grid)
-        for i, jj, k, s, t, w, p in patch.nodes(include_degenerate=True):
+        for i, jj, k, s, t, w in patch.nodes(include_degenerate=True):
             expected = oracles.reference_point(curve, cfg, s, t, w)
-            assert p == expected
+            assert patch.points[patch.flat_index(i, jj, k)] == expected
             assert canal_point(curve, cfg, s, t, w) == expected
         assert patch.frames == tuple(curve.frame(s) for s in grid.s_values)
+
+
+def test_sample_grid_coords_equal_per_row_reference(family_curves, beta2, rng):
+    """One point-map call over the lattice gives the bits of one canal_points
+    call per s row: every family on both branches, the tubes, the
+    supercritical variant and the null cone."""
+    cases = list(_reference_cases(family_curves, rng))
+    for j, lam in TUBULAR_FAMILIES:
+        variant = Variant.ALT_SUPERCRITICAL if (j >= 2 and lam == 1) else Variant.STANDARD
+        for sigma in (1, -1):
+            cases.append((family_curves[j], CanalConfig(j, lam, RadiusProfile.from_constant(0.3),
+                                                        sigma, variant)))
+    a_free = (ex.parse("w*cos(t)", ("s", "t", "w")), ex.parse("w*sin(t)", ("s", "t", "w")))
+    cases.append((beta2, CanalConfig(3, 0, a_free=a_free)))
+    for curve, cfg in cases:
+        t_range = (0.0, 6.0) if cfg.j == 1 else (-1.3, 1.3)
+        grid = GridSpec.regular((0.5, 2.0), t_range, (-0.9, 1.1), (3, 5, 4))
+        coords = sample_grid(curve, cfg, grid).coords
+        assert coords.shape == (60, 4)
+        assert coords.tobytes() == oracles.reference_grid_coords(curve, cfg, grid).tobytes()
+
+
+def test_sample_grid_reports_an_earlier_nonfinite_point_before_a_later_row_error(beta2):
+    """Row by row, t = 800 overflows cosh in the first row before r(2.5) < 0
+    fails the second; the one-call lattice keeps that order."""
+    cfg = make_config(3, -1, RadiusProfile.from_expr("2 - s"))
+    with pytest.raises(InadmissibleConfigError, match=r"radius r\(2.5\)"):
+        sample_grid(beta2, cfg, GridSpec((1.0, 2.5), (0.5,), (0.1,)))
+    with pytest.raises(DomainError, match=r"non-finite surface point at s=1.0, t=800.0, w=0.1"):
+        sample_grid(beta2, cfg, GridSpec((1.0, 2.5), (0.5, 800.0), (0.1,)))
+    with pytest.raises(InadmissibleConfigError, match=r"radius r\(2.5\)"):
+        sample_grid(beta2, cfg, GridSpec((2.5, 1.0), (0.5, 800.0), (0.1,)))
+
+
+def test_patch_pipeline_builds_no_vec4_per_node(beta1, monkeypatch):
+    """sample_grid -> JSON -> patch -> OBJ builds Vec4s per s (frames, b),
+    not per node, and len(patch.points) builds none."""
+    from canal4.io import export_obj, patch_from_json, patch_to_json
+    built = [0]
+    post_init = Vec4.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+    monkeypatch.setattr(Vec4, "__post_init__", counting)
+    cfg = make_config(1, 1, R2S)
+    counts = []
+    for nt, nw in ((3, 2), (30, 20)):
+        built[0] = 0
+        grid = GridSpec.regular((0.5, 2.0), (0.0, 6.0), (-0.9, 1.1), (2, nt, nw))
+        patch = patch_from_json(patch_to_json(sample_grid(beta1, cfg, grid)))
+        export_obj(patch)
+        counts.append(built[0])
+        assert len(patch.points) == 2 * nt * nw
+        assert built[0] == counts[-1]
+    assert counts[0] == counts[1] <= 2 * 20     # about 19 per s value: frame, b, reloaded frame
 
 
 def test_canal_points_batch_matches_scalar_map(gamma2, rng):
@@ -320,5 +377,6 @@ def test_nullcone_grid_equals_nullcone_point(beta2):
     cfg = CanalConfig(3, 0, a_free=(a2, a4))
     grid = GridSpec((0.8, 1.4), (0.0, 0.7), (0.3, 0.9))
     patch = sample_grid(beta2, cfg, grid)
-    for i, jj, k, s, t, w, p in patch.nodes():
-        assert p == nullcone_point(beta2, 3, (a2, a4), s, t, w)
+    for i, jj, k, s, t, w in patch.nodes():
+        assert patch.points[patch.flat_index(i, jj, k)] == nullcone_point(beta2, 3, (a2, a4),
+                                                                          s, t, w)

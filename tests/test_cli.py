@@ -240,6 +240,67 @@ def test_patch_json_rejects_unknown_radius_and_other_curve_modes(beta1):
         patch_from_json(json.dumps(doc))
 
 
+def _small_patch_doc(beta1):
+    """The JSON document of a 1x3x2 patch with its w = pi/2 column degenerate."""
+    patch = sample_grid(beta1, CanalConfig(1, 1, RadiusProfile.from_expr("2*s")),
+                        GridSpec((1.0,), (0.2, 0.9, 1.7), (0.4, math.pi / 2)))
+    doc = json.loads(patch_to_json(patch))
+    assert len(doc["points"]) == 6 and doc["degenerate"] == [1, 3, 5]
+    return doc
+
+
+@pytest.mark.parametrize("points", [
+    lambda p: p[:-1],                        # a point missing
+    lambda p: [q[:3] for q in p],            # 3-component points
+    lambda p: [q + [0.0] for q in p],        # 5-component points
+    lambda p: sum(p, []),                    # flat list of 24 numbers
+    lambda p: p[:-1] + [[1.0, None, 0.0, 0.0]],
+    lambda p: p[:-1] + [[1.0, "x", 0.0, 0.0]],
+])
+def test_patch_json_rejects_points_off_the_grid_shape(beta1, points):
+    doc = _small_patch_doc(beta1)
+    doc["points"] = points(doc["points"])
+    with pytest.raises(ValueError, match="^points: "):
+        patch_from_json(json.dumps(doc))
+
+
+def test_patch_json_rejects_a_frame_count_other_than_ns(beta1):
+    doc = _small_patch_doc(beta1)
+    doc["frames"] = doc["frames"] * 2
+    with pytest.raises(ValueError, match=r"^frames: expected 1, one per s value, got 2"):
+        patch_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("degenerate", [[1, 3, 99], [-1], [1.0], [True], ["1"]])
+def test_patch_json_rejects_degenerate_indices_off_the_grid(beta1, degenerate):
+    doc = _small_patch_doc(beta1)
+    doc["degenerate"] = degenerate
+    with pytest.raises(ValueError, match=r"^degenerate: .* \[0, 6\)"):
+        patch_from_json(json.dumps(doc))
+
+
+def test_successive_main_calls_share_one_parser_and_no_state(tmp_path, capsys):
+    """The parser is built once per process; a flag of one call (--out,
+    --route) is not seen by the next, and argparse's exit 2 leaves it usable."""
+    import canal4.cli as cli
+    cli.build_parser.cache_clear()
+    report = tmp_path / "verify.json"
+    assert run(["verify", "--example", "beta1", "--check", "kh", "--route", "num",
+                "--out", str(report)]) == 0
+    assert "kh-relation[numeric]" in capsys.readouterr().out
+    report.unlink()
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert run(["classify", "--example", "beta2"]) == 0
+    assert "flat:" in capsys.readouterr().out
+    assert run(["verify", "--example", "beta1", "--check", "kh"]) == 0
+    out = capsys.readouterr().out
+    assert "kh-relation[closed-form]" in out and "numeric" not in out
+    assert not report.exists()
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_branch_flag_changes_surface(tmp_path):
     args = ["export", "--example", "beta1", "--family", "j1,l1",
             "--grid", "4x6x1", "--slice-w", "0.5"]
