@@ -72,22 +72,23 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
 
 def _kh_at(config, cache, s, t, w):
     row = cache.row(s)
-    K, H, _ = gauss_mean_principal(config.j, config.lam, row.frame.eps, row.frame.k1,
-                                   row.r, row.rp, row.rpp, t, w, config.sigma)
-    return K, H
+    return gauss_mean_principal(config.j, config.lam, config.variant, row.frame.eps,
+                                row.frame.k1, row.r, row.rp, row.rpp, t, w, config.sigma)[:2]
 
 
-def _fd_kh(kh_of, x, h):
-    """5-point derivatives (K', H') from one (K, H) evaluation per offset."""
-    (k0, h0), (k1, h1), (k2, h2), (k3, h3) = (kh_of(x - 2 * h), kh_of(x - h),
-                                              kh_of(x + h), kh_of(x + 2 * h))
+def _fd_kh(config, cache, node, i):
+    """5-point derivatives (K', H') along coordinate i of node (s, t, w), from
+    one (K, H) evaluation per offset."""
+    h = WEINGARTEN_FD_STEP
+    (k0, h0), (k1, h1), (k2, h2), (k3, h3) = [
+        _kh_at(config, cache, *node[:i], node[i] + d, *node[i + 1:])
+        for d in (-2 * h, -h, h, 2 * h)]
     return ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h),
             (h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h))
 
 
 def weingarten_check(patch: SurfacePatch, pair: str,
-                     tolerance: float = WEINGARTEN_TOL,
-                     fd_step: float = WEINGARTEN_FD_STEP) -> TheoremReport:
+                     tolerance: float = WEINGARTEN_TOL) -> TheoremReport:
     """Normalized max of |H_u K_v - H_v K_u| over the patch nodes.
 
     Partials of the closed-form K and H fields by 5-point finite differences.
@@ -98,18 +99,8 @@ def weingarten_check(patch: SurfacePatch, pair: str,
     config = patch.config
     worst = 0.0
     n = 0
-    for i, jj, k, s, t, w in patch.nodes():
-        base = {"s": s, "t": t, "w": w}
-
-        def kh_along(axis):
-            def kh_of(u):
-                args = dict(base)
-                args[axis] = u
-                return _kh_at(config, cache, args["s"], args["t"], args["w"])
-            return _fd_kh(kh_of, base[axis], fd_step)
-
-        Ku, Hu = kh_along(pair[0])
-        Kv, Hv = kh_along(pair[1])
+    for node in patch.nodes():
+        (Ku, Hu), (Kv, Hv) = [_fd_kh(config, cache, node[3:], "stw".index(a)) for a in pair]
         num = abs(Hu * Kv - Hv * Ku)
         scale = max(max(abs(Hu), abs(Hv)) * max(abs(Ku), abs(Kv)), WEINGARTEN_ETA)
         worst = max(worst, num / scale)

@@ -7,10 +7,12 @@ A canal hypersurface over a unit-speed center curve b(s) with frame
                * (a2(t,w) F2 + a3(t,w) F3 + a4(t,w) F4)
 
 for lam = +1 (pseudo hyperspheres) or lam = -1 (pseudo hyperbolic
-hyperspheres); the transverse coefficient pattern (a2,a3,a4) depends on the
-frame type j and on which sign r'^2 - lam*eps1 takes (STANDARD: > 0,
-ALT_SUPERCRITICAL: < 0, possible only for j >= 2, lam = +1). Points satisfy
-<C - b, C - b> = lam*r^2.
+hyperspheres). One table gives every family's transverse pattern:
+(a2,a3,a4) = (even(t)*A, odd(t)*A, B) in the slot order _SLOTS[j], where
+(even, odd) = (cos, sin) for j = 1, (cosh, sinh) for j >= 2, and (A, B) =
+(even(w), odd(w)) when r'^2 - lam*eps1 > 0 (STANDARD), swapped when it is
+< 0 (ALT_SUPERCRITICAL, only for j >= 2, lam = +1). A is the metric
+degeneracy factor and f_j = a2. Points satisfy <C - b, C - b> = lam*r^2.
 
 For lam = 0 the surface is an envelope of null cones: C = b + sum a_i F_i
 with sum(eps_i a_i^2) = 0; two of the a_i are free functions of (s,t,w) and
@@ -38,6 +40,9 @@ VARIANT_BOUNDARY_TOL = 1e-12
 class Variant(Enum):
     STANDARD = "standard"            # r'^2 - lam*eps1 > 0
     ALT_SUPERCRITICAL = "alt"        # r'^2 - lam*eps1 < 0 (j >= 2, lam = +1)
+
+    def __init__(self, value):
+        self.sign = 1 if value == "standard" else -1    # v, the sign of r'^2 - lam*eps1
 
 
 @dataclass(frozen=True)
@@ -106,39 +111,36 @@ class CanalConfig:
                 "the supercritical variant exists only for j in {2,3,4} with lambda = +1")
 
 
-# transverse coefficient patterns (a2, a3, a4) per frame type
-def _even_odd(j: int):
-    """(cos, sin) for j = 1, (cosh, sinh) for j >= 2: the pattern's functions."""
-    return (math.cos, math.sin) if j == 1 else (math.cosh, math.sinh)
+# every family's transverse pattern: (a2, a3, a4) = (even(t)*A, odd(t)*A, B) in
+# the slot order _SLOTS[j], with (A, B) = (even(w), odd(w))[::v] for the variant's
+# sign v: the supercritical variant swaps A and B (and so their w-derivatives)
+_SLOTS = {1: (0, 1, 2), 2: (0, 2, 1), 3: (1, 0, 2), 4: (2, 1, 0)}
+_EVEN_ODD = {j: (math.cos, math.sin) if j == 1 else (math.cosh, math.sinh) for j in _SLOTS}
 
 
-def _coefficient_pattern(j: int, variant: Variant, ct, st, cw, sw):
-    """(a2, a3, a4) from the even/odd functions of t and w (floats or arrays)."""
-    if j == 1:
-        return (ct * cw, st * cw, sw)
-    if variant is Variant.STANDARD:
-        if j == 2:
-            return (ct * cw, sw, st * cw)
-        if j == 3:
-            return (st * cw, ct * cw, sw)
-        return (sw, st * cw, ct * cw)
-    if j == 2:
-        return (ct * sw, cw, st * sw)
-    if j == 3:
-        return (st * sw, ct * sw, cw)
-    return (cw, st * sw, ct * sw)
+def _place(j: int, even_t, odd_t, A, B):
+    """(a2, a3, a4): (even_t*A, odd_t*A, B) in the slot order _SLOTS[j]."""
+    x = (even_t * A, odd_t * A, B)
+    i2, i3, i4 = _SLOTS[j]
+    return x[i2], x[i3], x[i4]
 
 
-def _overflow(name: str, *args) -> DomainError:
-    """The DomainError for math.cosh or sinh overflowing (|x| > ~710) in name(*args)."""
-    return DomainError(f"{name}({', '.join(map(str, args))}): cosh or sinh overflows")
+def _a2_and_A(j: int, v: int):
+    """Functions (T, W, A): a2 = T(t)*W(w) (W(w) where T is None), A(w) the factor A."""
+    A, B = _EVEN_ODD[j][::v]
+    T = (*_EVEN_ODD[j], None)[_SLOTS[j][0]]
+    return T, B if T is None else A, A
+
+
+# per frame type and variant sign; f_j and A are called on every closed-form node
+_A2_AND_A = {j: {v: _a2_and_A(j, v) for v in (1, -1)} for j in _SLOTS}
 
 
 def _trig_table(j: int, values):
     """even(v) and odd(v) of each value as two arrays, in math. Where cosh or
     sinh overflows both are nan (which, unlike inf, raises no floating-point
     warning downstream), so that surface point is not finite."""
-    even, odd = _even_odd(j)
+    even, odd = _EVEN_ODD[j]
 
     def pair(v):
         try:
@@ -148,73 +150,45 @@ def _trig_table(j: int, values):
     return np.array([pair(v) for v in values]).T
 
 
-def transverse_coefficients(j: int, variant: Variant, t: float, w: float):
-    even, odd = _even_odd(j)
+def transverse(j: int, variant: Variant, t: float, w: float):
+    """(a, da/dt, da/dw) at one node, each an (a2, a3, a4) tuple."""
+    even, odd = _EVEN_ODD[j]
     try:
-        return _coefficient_pattern(j, variant, even(t), odd(t), even(w), odd(w))
+        et, ot, ew, ow = even(t), odd(t), even(w), odd(w)
     except OverflowError:
-        raise _overflow("transverse_coefficients", j, variant, t, w) from None
+        raise DomainError(f"transverse{(j, variant.value, t, w)}: cosh or sinh overflows") from None
+    det, dew = (-ot, -ow) if j == 1 else (ot, ow)      # even'(t), even'(w)
+    (A, B), (dA, dB) = (ew, ow)[::variant.sign], (dew, ew)[::variant.sign]
+    return (_place(j, et, ot, A, B), _place(j, det, et, A, 0.0), _place(j, et, ot, dA, dB))
 
 
-def transverse_partials(j: int, variant: Variant, t: float, w: float):
-    """((da2/dt, da3/dt, da4/dt), (da2/dw, da3/dw, da4/dw))."""
-    if j == 1:
-        ct, st, cw, sw = math.cos(t), math.sin(t), math.cos(w), math.sin(w)
-        return ((-st * cw, ct * cw, 0.0), (-ct * sw, -st * sw, cw))
+def family_function(j: int, variant: Variant, t: float, w: float) -> float:
+    """f_j = a2, the pattern's F2 coefficient, coupled to k1 in the curvatures."""
+    T, W, _ = _A2_AND_A[j][variant.sign]
     try:
-        cht, sht = math.cosh(t), math.sinh(t)
-        chw, shw = math.cosh(w), math.sinh(w)
+        return W(w) if T is None else T(t) * W(w)
     except OverflowError:
-        raise _overflow("transverse_partials", j, variant, t, w) from None
-    if variant is Variant.STANDARD:
-        if j == 2:
-            return ((sht * chw, 0.0, cht * chw), (cht * shw, chw, sht * shw))
-        if j == 3:
-            return ((cht * chw, sht * chw, 0.0), (sht * shw, cht * shw, chw))
-        return ((0.0, cht * chw, sht * chw), (chw, sht * shw, cht * shw))
-    if j == 2:
-        return ((sht * shw, 0.0, cht * shw), (cht * chw, shw, sht * chw))
-    if j == 3:
-        return ((cht * shw, sht * shw, 0.0), (sht * chw, cht * chw, shw))
-    return ((0.0, cht * shw, sht * shw), (shw, sht * chw, cht * chw))
-
-
-def family_function(j: int, t: float, w: float) -> float:
-    """f_j, the transverse pattern coupled to k1 in the curvature formulas."""
-    if j == 1:
-        return math.cos(t) * math.cos(w)
-    try:
-        if j == 2:
-            return math.cosh(t) * math.cosh(w)
-        if j == 3:
-            return math.sinh(t) * math.cosh(w)
-        return math.sinh(w)
-    except OverflowError:
-        raise _overflow("family_function", j, t, w) from None
+        raise DomainError(f"family_function{(j, variant.value, t, w)}: "
+                          "cosh or sinh overflows") from None
 
 
 def degeneracy_factor(j: int, variant: Variant, w: float) -> float:
-    """A = cos w (j=1), cosh w (j>=2) or sinh w (supercritical); det g carries A^2."""
-    if j == 1:
-        return math.cos(w)
+    """A of the pattern: cos w (j=1), cosh w (j>=2) or sinh w (supercritical);
+    det g carries A^2."""
     try:
-        return math.cosh(w) if variant is Variant.STANDARD else math.sinh(w)
+        return _A2_AND_A[j][variant.sign][2](w)
     except OverflowError:
-        raise _overflow("degeneracy_factor", j, variant, w) from None
+        raise DomainError(f"degeneracy_factor{(j, variant.value, w)}: "
+                          "cosh or sinh overflows") from None
 
 
 def _root_q(config: CanalConfig, s: float, eps1: int, rp: float) -> float:
-    """sqrt(|q|) with q = r'^2 - lam*eps1; raises if q crosses the variant sign."""
-    q = rp * rp - config.lam * eps1
-    if config.variant is Variant.STANDARD:
-        if q <= VARIANT_BOUNDARY_TOL:
-            raise VariantViolatedError(
-                f"r'^2 - lam*eps1 = {q:.3g} <= 0 at s={s!r} (standard variant needs > 0)")
-        return math.sqrt(q)
-    if q >= -VARIANT_BOUNDARY_TOL:
-        raise VariantViolatedError(
-            f"r'^2 - lam*eps1 = {q:.3g} >= 0 at s={s!r} (supercritical variant needs < 0)")
-    return math.sqrt(-q)
+    """sqrt(v*q), q = r'^2 - lam*eps1 and v the variant's sign; raises unless v*q > 0."""
+    v, q = config.variant.sign, rp * rp - config.lam * eps1
+    if v * q <= VARIANT_BOUNDARY_TOL:
+        raise VariantViolatedError(f"r'^2 - lam*eps1 = {q:.3g} at s={s!r} has the wrong sign "
+                                   f"for the {config.variant.value} variant")
+    return math.sqrt(v * q)
 
 
 def offset_scale(config: CanalConfig, s: float, eps1: int) -> float:
@@ -327,9 +301,9 @@ def indexed_points(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_ke
     rows = [cache.row(v) for v in s_keys]
     basis = np.array([r.basis for r in rows])[s_at]
     axial, phi = np.array([(r.axial, r.phi) for r in rows])[s_at].T
-    (ct, st), (cw, sw) = _trig_table(config.j, t_keys), _trig_table(config.j, w_keys)
-    a2, a3, a4 = _coefficient_pattern(config.j, config.variant,
-                                      ct[t_at], st[t_at], cw[w_at], sw[w_at])
+    (et, ot), (ew, ow) = _trig_table(config.j, t_keys), _trig_table(config.j, w_keys)
+    A, B = (ew, ow)[::config.variant.sign]
+    a2, a3, a4 = _place(config.j, et[t_at], ot[t_at], A[w_at], B[w_at])
     return (basis[..., 0, :] + axial[..., None] * basis[..., 1, :]
             + (phi * a2)[..., None] * basis[..., 2, :]
             + (phi * a3)[..., None] * basis[..., 3, :]

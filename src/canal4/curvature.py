@@ -7,8 +7,10 @@ Two independent routes:
   surface partials (the moving-frame relations make these finite formulas);
   the second form follows from h_col = -c/r * g_col with c = -eps3*eps4*
   lam^j, except h11 which picks up the tangential term. K, H and the
-  principal curvatures use the general family formulas (mu1 = mu2 =
-  eps3*eps4*lam^j / r, and the rational expression for mu3).
+  principal curvatures use the general family formulas of
+  gauss_mean_principal, one for both variants: mu1 = mu2 = eps3*eps4*lam^j
+  / r, and a rational expression for mu3 in which the supercritical variant
+  negates r'^2 - lam*eps1 and r''.
 * NUMERIC differentiates the point map with 5-point central stencils
   (step 1e-4; 1e-3 for second partials) in passes over the nodes of one s
   row (at most PASS_NODES of them): the 75-node stencils of a pass go
@@ -37,8 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .canal import (CanalConfig, PointMapCache, Variant, _distinct, degeneracy_factor,
-                    family_function, indexed_points, transverse_coefficients,
-                    transverse_partials, DEGENERATE_A_TOL)
+                    family_function, indexed_points, transverse, DEGENERATE_A_TOL)
 from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
                      InadmissibleConfigError, PoleAtNodeError, RankDeficientError,
                      SingularMetricError, or_error, unwrap)
@@ -92,22 +93,18 @@ def _normal_sign(config: CanalConfig, eps) -> int:
 def closed_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None = None):
     """Exact (g, h, N) from frame components of the surface partials."""
     _check_node(config, w)
-    if cache is None:
-        cache = PointMapCache(curve, config)
-    row = cache.row(s)
+    row = (cache or PointMapCache(curve, config)).row(s)
     fr = row.frame
     e1, e2, e3, e4 = fr.eps
     rv, rp, rpp, phi, a1 = row.r, row.rp, row.rpp, row.phi, row.axial
     q = rp * rp - config.lam * e1
     psi = phi / rv                                      # sigma * sqrt(|q|)
     # d/ds of sigma*r*sqrt(|q|); the r'' term flips sign with the variant
-    vsign = 1.0 if config.variant is Variant.STANDARD else -1.0
-    dphi = config.sigma * rp * (abs(q) + vsign * rv * rpp) / math.sqrt(abs(q))
+    dphi = config.sigma * rp * (abs(q) + config.variant.sign * rv * rpp) / math.sqrt(abs(q))
     da1 = -config.lam * e1 * (rp * rp + rv * rpp)
     c = _normal_sign(config, fr.eps)
     k1, k2, k3 = fr.k1, fr.k2, fr.k3
-    a = transverse_coefficients(config.j, config.variant, t, w)
-    dat, daw = transverse_partials(config.j, config.variant, t, w)
+    a, dat, daw = transverse(config.j, config.variant, t, w)
 
     cs = (1.0 + da1 + e3 * e4 * k1 * phi * a[0],
           a1 * k1 + dphi * a[0] + e1 * e4 * k2 * phi * a[1],
@@ -123,13 +120,8 @@ def closed_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None
     parts = (cs, ct, cw)
     g = np.array([[mdot(parts[i], parts[jj]) for jj in range(3)] for i in range(3)])
 
-    h = np.empty((3, 3))
+    h = -c * g / rv
     h[0, 0] = -c * (g[0, 0] - e1 * cs[0]) / rv
-    h[0, 1] = h[1, 0] = -c * g[0, 1] / rv
-    h[0, 2] = h[2, 0] = -c * g[0, 2] / rv
-    h[1, 1] = -c * g[1, 1] / rv
-    h[1, 2] = h[2, 1] = -c * g[1, 2] / rv
-    h[2, 2] = -c * g[2, 2] / rv
 
     n_coeff = (c * a1 / rv, c * psi * a[0], c * psi * a[1], c * psi * a[2])
     N = (n_coeff[0] * fr.f1 + n_coeff[1] * fr.f2
@@ -137,21 +129,29 @@ def closed_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None
     return g, h, N
 
 
-def gauss_mean_principal(j, lam, eps, k1, r, rp, rpp, t, w, sigma=1):
-    """General family formulas for K, H and (mu1, mu2, mu3), standard variant.
+def gauss_mean_principal(j, lam, variant, eps, k1, r, rp, rpp, t, w, sigma=1):
+    """General family formulas for K, H and (mu1, mu2, mu3), both variants.
 
-    The branch sign enters as f -> sigma * f_j.
+    With v the variant's sign, Q = v(r'^2 - lam*eps1) > 0, R = v r'' and
+    f = sigma * f_j:
+        num = r k1^2 f^2 Q + R (Q + r R) + v eps2 lam k1 f sqrt(Q) (Q + 2 r R)
+        D = Q + v eps2 lam r k1 f sqrt(Q) + r R
+    and mu1 = mu2 = sgn / r, mu3 = sgn num / D^2 with sgn = eps3 eps4 lam^j.
+    v = -1 is v = +1 continued through w -> w + i pi/2, sigma -> -sigma and
+    sqrt(q) -> i sqrt(Q), which maps the standard point map onto this one.
     """
     e1, e2, e3, e4 = eps
-    q = rp * rp - lam * e1
-    if q <= 0:
-        raise InadmissibleConfigError(
-            f"r'^2 - lam*eps1 = {q:.3g} <= 0: general curvature formulas need the standard variant")
-    f = sigma * family_function(j, t, w)
-    root = math.sqrt(q)
-    num = (r * k1 * k1 * f * f * q + rpp * (q + r * rpp)
-           + e2 * lam * k1 * f * root * (q + 2.0 * r * rpp))
-    dfac = q + e2 * lam * r * k1 * f * root + r * rpp
+    v = variant.sign
+    Q = v * (rp * rp - lam * e1)
+    if Q <= 0:
+        raise InadmissibleConfigError(f"r'^2 - lam*eps1 = {v * Q:.3g} has the wrong sign "
+                                      f"for the {variant.value} variant")
+    f = sigma * family_function(j, variant, t, w)
+    R = v * rpp
+    root = math.sqrt(Q)
+    num = (r * k1 * k1 * f * f * Q + R * (Q + r * R)
+           + v * e2 * lam * k1 * f * root * (Q + 2.0 * r * R))
+    dfac = Q + v * e2 * lam * r * k1 * f * root + r * R
     if abs(dfac) < 1e-300:
         raise SingularMetricError("curvature denominator vanished (focal point)")
     sgn = e3 * e4 * lam ** j
@@ -277,7 +277,7 @@ def _numeric_reports(config, s, t, w, cache):
         Nn = Vec4(*N[n].tolist())
         return CurvatureReport(g=g[n], h=h[n], S=S[n], N=Nn, eps_N=1 if inner(Nn, Nn) > 0 else -1,
                                K=float(K[n]), H=float(H[n]), mu=_principal(eig[n]),
-                               f_j=family_function(config.j, t[n], w[n]),
+                               f_j=family_function(config.j, config.variant, t[n], w[n]),
                                A=degeneracy_factor(config.j, config.variant, w[n]),
                                route=Route.NUMERIC)
     return [e or or_error(report, n) for n, e in enumerate(errors)]
@@ -344,20 +344,15 @@ def principal_from_shape(S: np.ndarray) -> tuple[float, float, float]:
     return _principal(np.linalg.eigvals(S))
 
 
+_FORMS = {Route.CLOSED_FORM: closed_fundamental_forms, Route.NUMERIC: numeric_fundamental_forms}
+
+
 def unit_normal(curve, config, s, t, w, route: Route = Route.CLOSED_FORM) -> Vec4:
-    if route is Route.CLOSED_FORM:
-        _, _, N = closed_fundamental_forms(curve, config, s, t, w)
-        return N
-    _, _, N = numeric_fundamental_forms(curve, config, s, t, w)
-    return N
+    return _FORMS[route](curve, config, s, t, w)[2]
 
 
 def fundamental_forms(curve, config, s, t, w, route: Route = Route.CLOSED_FORM):
-    if route is Route.CLOSED_FORM:
-        g, h, _ = closed_fundamental_forms(curve, config, s, t, w)
-    else:
-        g, h, _ = numeric_fundamental_forms(curve, config, s, t, w)
-    return g, h
+    return _FORMS[route](curve, config, s, t, w)[:2]
 
 
 def curvature_report(curve, config, s, t, w, route: Route = Route.CLOSED_FORM,
@@ -374,25 +369,15 @@ def curvature_report(curve, config, s, t, w, route: Route = Route.CLOSED_FORM,
     if route is Route.NUMERIC:
         return unwrap(_numeric_reports(config, s, (t,), (w,), cache)[0])
     row = cache.row(s)
-    fr = row.frame
     g, h, N = closed_fundamental_forms(curve, config, s, t, w, cache)
     S = shape_operator(g, h)
-    if config.variant is Variant.STANDARD:
-        K, H, mu = gauss_mean_principal(config.j, config.lam, fr.eps, fr.k1, row.r,
-                                        row.rp, row.rpp, t, w, config.sigma)
-    else:
-        # supercritical variant: same shape-operator structure; take the
-        # principal curvatures from the exact S
-        sgn = fr.eps[2] * fr.eps[3] * config.lam ** config.j
-        mu12 = sgn / row.r
-        mu3 = float(np.trace(S)) - 2.0 * mu12
-        mu = (mu12, mu12, mu3)
-        K = mu12 * mu12 * mu3
-        H = (2.0 * mu12 + mu3) / 3.0
+    K, H, mu = gauss_mean_principal(config.j, config.lam, config.variant, row.frame.eps,
+                                    row.frame.k1, row.r, row.rp, row.rpp, t, w, config.sigma)
     eps_n = 1 if inner(N, N) > 0 else -1
     return CurvatureReport(g=g, h=h, S=S, N=N, eps_N=eps_n, K=float(K), H=float(H),
                            mu=tuple(float(m) for m in mu),
-                           f_j=family_function(config.j, t, w), A=A, route=route)
+                           f_j=family_function(config.j, config.variant, t, w), A=A,
+                           route=route)
 
 
 def curvatures(curve, config, s, t, w, route: Route = Route.CLOSED_FORM):
@@ -404,26 +389,14 @@ def curvatures(curve, config, s, t, w, route: Route = Route.CLOSED_FORM):
 # ---------------------------------------------------------------------------
 # tubular closed forms
 
-_TUBULAR_PATTERNS = {
-    (1, 1): lambda t, w: math.cos(t) * math.cos(w),
-    (2, 1): lambda t, w: math.cosh(t) * math.sinh(w),
-    (2, -1): lambda t, w: math.cosh(t) * math.cosh(w),
-    (3, 1): lambda t, w: math.sinh(t) * math.sinh(w),
-    (3, -1): lambda t, w: math.sinh(t) * math.cosh(w),
-    (4, 1): lambda t, w: math.cosh(w),
-    (4, -1): lambda t, w: math.sinh(w),
-}
-
-
 def tubular_curvatures(j, lam, r_const, k1, t, w):
-    """(K, H) of the constant-radius families; (1,-1) does not exist."""
-    if (j, lam) == (1, -1):
-        raise InadmissibleConfigError(
-            "no tubular hypersurface exists for (j, lambda) = (1, -1)")
-    try:
-        u = k1 * _TUBULAR_PATTERNS[(j, lam)](t, w)
-    except KeyError:
+    """(K, H) of the constant-radius families; (1,-1) does not exist. With
+    r' = 0, r'^2 - lam*eps1 < 0 exactly when j >= 2 and lam = +1: those take
+    the supercritical pattern's f_j."""
+    if (j, lam) == (1, -1) or j not in (1, 2, 3, 4) or lam not in (-1, 1):
         raise InadmissibleConfigError(f"no tubular family (j={j}, lambda={lam})")
+    variant = Variant.ALT_SUPERCRITICAL if j >= 2 and lam == 1 else Variant.STANDARD
+    u = k1 * family_function(j, variant, t, w)
     r = r_const
     if (j, lam) in ((1, 1), (2, 1), (2, -1)):
         den = 1.0 + r * u

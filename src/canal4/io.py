@@ -7,6 +7,7 @@ timestamps, shortest-round-trip float serialization (JSON/CSV) and fixed
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -92,24 +93,53 @@ def _radius_payload(radius: RadiusProfile):
     return {"kind": "table", "s": list(s_nodes), "r": list(r_nodes), "rp": list(rp_nodes)}
 
 
+def _get(doc, path: str, at: str = ""):
+    """The value at a dotted path of nested dicts, such as "grid.s"; a missing
+    key is a ValueError that names the path up to it (after the prefix at)."""
+    keys = path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"{at}{'.'.join(keys[:i + 1])}: missing")
+        doc = doc[key]
+    return doc
+
+
+def _numbers(value, n: int) -> bool:
+    """Whether value is a list of n finite JSON numbers."""
+    return (isinstance(value, list) and len(value) == n
+            and all(type(x) in (int, float) and math.isfinite(x) for x in value))
+
+
+def _frame_from_payload(fr, field: str) -> FrenetFrame:
+    vectors, eps, k = (_get(fr, key, f"{field}.") for key in ("vectors", "eps", "k"))
+    if not (isinstance(vectors, list) and len(vectors) == 4
+            and all(_numbers(v, 4) for v in vectors)):
+        raise ValueError(f"{field}.vectors: expected 4 vectors of 4 finite numbers")
+    if not (_numbers(eps, 4) and all(type(e) is int for e in eps) and sorted(eps) == [-1, 1, 1, 1]):
+        raise ValueError(f"{field}.eps: expected 4 signs +-1 with exactly one -1")
+    if not _numbers(k, 3):
+        raise ValueError(f"{field}.k: expected 3 finite numbers")
+    return FrenetFrame(*(Vec4(*v) for v in vectors), tuple(eps), *k)
+
+
 def _radius_from_payload(payload):
     if payload is None:
         return None
-    kind = payload["kind"]
+    kind = _get(payload, "kind")
     if kind == "constant":
-        return RadiusProfile.from_constant(payload["value"])
+        return RadiusProfile.from_constant(_get(payload, "value"))
     if kind == "expr":
-        return RadiusProfile.from_expr(payload["text"])
+        return RadiusProfile.from_expr(_get(payload, "text"))
     if kind != "table":
         raise ValueError(f"unknown radius kind {kind!r}")
     from scipy.interpolate import CubicHermiteSpline
-    spline = CubicHermiteSpline(payload["s"], payload["r"], payload["rp"])
+    s, r, rp = (_get(payload, key) for key in ("s", "r", "rp"))
+    spline = CubicHermiteSpline(s, r, rp)
     d2 = spline.derivative(2)
     return RadiusProfile("table", lambda s: float(spline(s)),
                          lambda s: float(spline.derivative()(s)),
                          lambda s: float(d2(s)),
-                         table=(tuple(payload["s"]), tuple(payload["r"]),
-                                tuple(payload["rp"])))
+                         table=(tuple(s), tuple(r), tuple(rp)))
 
 
 def patch_to_json(patch: SurfacePatch) -> str:
@@ -150,22 +180,22 @@ def patch_to_json(patch: SurfacePatch) -> str:
 
 
 def patch_from_json(text: str) -> SurfacePatch:
+    """The patch of a canal-patch v1 document. A missing or malformed field is
+    a ValueError that names it."""
     doc = json.loads(text)
-    cdoc = doc.get("curve", {})
-    if (doc.get("format") != "canal-patch" or doc.get("version") != 1
-            or cdoc.get("mode", {}).get("kind") != _CURVE_MODE["kind"]):
+    if (not isinstance(doc, dict) or doc.get("format") != "canal-patch"
+            or doc.get("version") != 1 or _get(doc, "curve.mode.kind") != _CURVE_MODE["kind"]):
         raise ValueError("not a canal-patch v1 document")
-    curve = CurveSpec(tuple(cdoc["components"]), tuple(cdoc["domain"]))
-    fdoc = doc["config"]
-    a_free = None
-    if fdoc.get("a_free"):
-        a_free = tuple(ex.parse(a, ("s", "t", "w")) for a in fdoc["a_free"])
-    config = CanalConfig(fdoc["j"], fdoc["lambda"], _radius_from_payload(fdoc["radius"]),
-                         fdoc["sigma"], Variant(fdoc["variant"]), a_free)
-    grid = GridSpec(tuple(doc["grid"]["s"]), tuple(doc["grid"]["t"]), tuple(doc["grid"]["w"]))
+    curve = CurveSpec(tuple(_get(doc, "curve.components")), tuple(_get(doc, "curve.domain")))
+    a_free = tuple(ex.parse(a, ("s", "t", "w")) for a in _get(doc, "config.a_free") or ())
+    config = CanalConfig(_get(doc, "config.j"), _get(doc, "config.lambda"),
+                         _radius_from_payload(_get(doc, "config.radius")),
+                         _get(doc, "config.sigma"), Variant(_get(doc, "config.variant")),
+                         a_free or None)
+    grid = GridSpec(*(tuple(_get(doc, f"grid.{axis}")) for axis in "stw"))
     ns, nt, nw = len(grid.s_values), len(grid.t_values), len(grid.w_values)
     n = ns * nt * nw
-    points = doc["points"]
+    points = _get(doc, "points")
     try:
         coords = np.array(points, dtype=float) if points != [] else np.empty((0, 4))
     except (TypeError, ValueError):
@@ -173,14 +203,11 @@ def patch_from_json(text: str) -> SurfacePatch:
     if coords is None or coords.shape != (n, 4) or not np.isfinite(coords).all():
         raise ValueError(f"points: expected {n} points of 4 finite numbers for the "
                          f"{ns}x{nt}x{nw} grid")
-    if len(doc["frames"]) != ns:
-        raise ValueError(f"frames: expected {ns}, one per s value, got {len(doc['frames'])}")
-    frames = tuple(
-        FrenetFrame(*(Vec4(*v) for v in fr["vectors"]), tuple(fr["eps"]), *fr["k"])
-        for fr in doc["frames"]
-    )
-    degenerate = doc["degenerate"]
+    frames = _get(doc, "frames")
+    if len(frames) != ns:
+        raise ValueError(f"frames: expected {ns}, one per s value, got {len(frames)}")
+    frames = tuple(_frame_from_payload(fr, f"frames[{i}]") for i, fr in enumerate(frames))
+    degenerate = _get(doc, "degenerate")
     if not all(type(k) is int and 0 <= k < n for k in degenerate):
         raise ValueError(f"degenerate: flat node indices must be ints in [0, {n})")
     return SurfacePatch(curve, config, grid, coords, frames, frozenset(degenerate))
-

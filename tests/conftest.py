@@ -109,7 +109,7 @@ def admissible_node(rng, curve, config, s_range, d_floor=0.2, a_floor=1e-3,
             w = rng.uniform(-1.3, 1.3)
         if abs(degeneracy_factor(config.j, config.variant, w)) < max(a_floor, 1e-3):
             continue
-        f = family_function(config.j, t, w)
+        f = family_function(config.j, config.variant, t, w)
         if abs(f) < f_floor:
             continue
         fr = curve.frame(s)
@@ -117,8 +117,10 @@ def admissible_node(rng, curve, config, s_range, d_floor=0.2, a_floor=1e-3,
         r = config.radius(s)
         rp = config.radius.r_prime(s)
         rpp = config.radius.r_second(s)
-        q = rp * rp - config.lam * e1
-        d = q + e2 * config.lam * fr.k1 * (config.sigma * f) * r * math.sqrt(q) + r * rpp
+        v = config.variant.sign         # the supercritical variant: q -> -q, r'' -> -r''
+        q = v * (rp * rp - config.lam * e1)
+        d = (q + v * e2 * config.lam * fr.k1 * (config.sigma * f) * r * math.sqrt(q)
+             + r * (v * rpp))
         if abs(d) < d_floor * max(1.0, q):
             continue
         return s, t, w

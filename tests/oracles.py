@@ -308,13 +308,13 @@ def tubular_table(j, lam, r, k1, t, w):
 
 def reference_point(curve, config, s, t, w, frame=None):
     """b + axial F1 + (phi a2) F2 + (phi a3) F3 + (phi a4) F4 in Vec4 arithmetic."""
-    from canal4.canal import offset_scale, transverse_coefficients
+    from canal4.canal import offset_scale, transverse
     fr = frame if frame is not None else curve.frame(s)
     eps1 = fr.eps[0]
     rv = config.radius(s)
     rp = config.radius.r_prime(s)
     phi = config.sigma * offset_scale(config, s, eps1)
-    a2, a3, a4 = transverse_coefficients(config.j, config.variant, t, w)
+    (a2, a3, a4), _, _ = transverse(config.j, config.variant, t, w)
     axial = -config.lam * eps1 * rv * rp
     return (curve.point(s) + axial * fr.f1 + (phi * a2) * fr.f2
             + (phi * a3) * fr.f3 + (phi * a4) * fr.f4)

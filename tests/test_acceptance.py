@@ -148,6 +148,44 @@ def test_criterion_4_oracle_equivalence(family_sweep):
           f"K/H/mu {worst_KH:.3g} (<=1e-4); sign(det g) = -lambda everywhere")
 
 
+def test_supercritical_closed_form_sweep(family_curves):
+    """The supercritical variant (j = 2, 3, 4, lam = +1, r'^2 < 1) on both
+    branches, constant and linear radii: the closed-form K, H and mu agree
+    with the numeric route, mu3 with trace(S) of the closed-form S, and K, H
+    satisfy the K-H identity; f_j is a2 of the supercritical pattern."""
+    from canal4.analysis import KH_TOL_CLOSED
+    from canal4.canal import family_function
+    rng = random.Random(9090)
+    alt = Variant.ALT_SUPERCRITICAL
+    worst_route = worst_trace = worst_kh = 0.0
+    count = 0
+    for j in (2, 3, 4):
+        curve = family_curves[j]
+        for sigma in (1, -1):
+            for radius in ("0.5", "0.6 + 0.3*s", "2 - 0.5*s"):
+                cfg = CanalConfig(j, 1, RadiusProfile.from_expr(radius), sigma, alt)
+                for _ in range(10):
+                    s, t, w = admissible_node(rng, curve, cfg, conftest.SWEEP_S_RANGE[j],
+                                              d_floor=0.25, a_floor=0.2)
+                    cf = curvature_report(curve, cfg, s, t, w, Route.CLOSED_FORM)
+                    num = curvature_report(curve, cfg, s, t, w, Route.NUMERIC)
+                    for a, b in zip((cf.K, cf.H) + cf.mu, (num.K, num.H) + num.mu):
+                        worst_route = max(worst_route, abs(a - b) / (1 + abs(a)))
+                    mu3_trace = float(np.trace(cf.S)) - cf.mu[0] - cf.mu[1]
+                    worst_trace = max(worst_trace, abs(cf.mu[2] - mu3_trace) / (1 + abs(cf.mu[2])))
+                    fr, r = curve.frame(s), cfg.radius(s)
+                    worst_kh = max(worst_kh, abs(3 * cf.H * r - cf.K * r ** 3
+                                                 - 2 * fr.eps[2] * fr.eps[3]))
+                    assert cf.f_j == num.f_j == family_function(j, alt, t, w)
+                    count += 1
+    assert worst_route <= 1e-4
+    assert worst_trace <= 1e-9
+    assert worst_kh <= KH_TOL_CLOSED
+    _line(f"supercritical closed form ({count} nodes, j = 2..4, both branches)",
+          f"K/H/mu vs numeric {worst_route:.3g} (<=1e-4), mu3 vs trace(S) "
+          f"{worst_trace:.3g} (<=1e-9), K-H residual {worst_kh:.3g} (<={KH_TOL_CLOSED:g})")
+
+
 def _theorem_patch(curve, cfg, j):
     s0, s1 = conftest.SWEEP_S_RANGE[j]
     s0 = max(s0, curve.domain[0] + 0.01)

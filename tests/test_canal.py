@@ -12,7 +12,7 @@ from canal4 import expr as ex
 from canal4.canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
                           Variant, canal_point, canal_points, degeneracy_factor,
                           family_function, nullcone_point, resolve_variant, sample_grid,
-                          transverse_coefficients, transverse_partials, validate_config)
+                          transverse, validate_config)
 from canal4.curve import CurveSpec
 from canal4.errors import (DomainError, FrameDegenerateError, InadmissibleConfigError,
                            VariantViolatedError)
@@ -95,11 +95,66 @@ def test_tubular_specialization_bit_exact(family_curves):
             cfg = CanalConfig(j, lam, RadiusProfile.from_constant(rc), sigma, variant)
             for (s, t, w) in [(0.8, 0.5, 0.6), (1.4, -0.9, 0.3)]:
                 fr = curve.frame(s)
-                a2, a3, a4 = transverse_coefficients(j, variant, t, w)
+                (a2, a3, a4), _, _ = transverse(j, variant, t, w)
                 expected = (curve.point(s) + (sigma * rc * a2) * fr.f2
                             + (sigma * rc * a3) * fr.f3 + (sigma * rc * a4) * fr.f4)
                 got = canal_point(curve, cfg, s, t, w)
                 assert _delta(got, expected) <= 1e-14
+
+
+# The seven transverse patterns of the paper, written out: (a2, a3, a4), their
+# t- and w-partials, and the degeneracy factor A, per (j, variant).
+_c, _s, _ch, _sh = math.cos, math.sin, math.cosh, math.sinh
+PAPER_PATTERNS = {
+    (1, Variant.STANDARD): (
+        lambda t, w: (_c(t) * _c(w), _s(t) * _c(w), _s(w)),
+        lambda t, w: (-_s(t) * _c(w), _c(t) * _c(w), 0.0),
+        lambda t, w: (-_c(t) * _s(w), -_s(t) * _s(w), _c(w)),
+        _c),
+    (2, Variant.STANDARD): (
+        lambda t, w: (_ch(t) * _ch(w), _sh(w), _sh(t) * _ch(w)),
+        lambda t, w: (_sh(t) * _ch(w), 0.0, _ch(t) * _ch(w)),
+        lambda t, w: (_ch(t) * _sh(w), _ch(w), _sh(t) * _sh(w)),
+        _ch),
+    (3, Variant.STANDARD): (
+        lambda t, w: (_sh(t) * _ch(w), _ch(t) * _ch(w), _sh(w)),
+        lambda t, w: (_ch(t) * _ch(w), _sh(t) * _ch(w), 0.0),
+        lambda t, w: (_sh(t) * _sh(w), _ch(t) * _sh(w), _ch(w)),
+        _ch),
+    (4, Variant.STANDARD): (
+        lambda t, w: (_sh(w), _sh(t) * _ch(w), _ch(t) * _ch(w)),
+        lambda t, w: (0.0, _ch(t) * _ch(w), _sh(t) * _ch(w)),
+        lambda t, w: (_ch(w), _sh(t) * _sh(w), _ch(t) * _sh(w)),
+        _ch),
+    (2, Variant.ALT_SUPERCRITICAL): (
+        lambda t, w: (_ch(t) * _sh(w), _ch(w), _sh(t) * _sh(w)),
+        lambda t, w: (_sh(t) * _sh(w), 0.0, _ch(t) * _sh(w)),
+        lambda t, w: (_ch(t) * _ch(w), _sh(w), _sh(t) * _ch(w)),
+        _sh),
+    (3, Variant.ALT_SUPERCRITICAL): (
+        lambda t, w: (_sh(t) * _sh(w), _ch(t) * _sh(w), _ch(w)),
+        lambda t, w: (_ch(t) * _sh(w), _sh(t) * _sh(w), 0.0),
+        lambda t, w: (_sh(t) * _ch(w), _ch(t) * _ch(w), _sh(w)),
+        _sh),
+    (4, Variant.ALT_SUPERCRITICAL): (
+        lambda t, w: (_ch(w), _sh(t) * _sh(w), _ch(t) * _sh(w)),
+        lambda t, w: (0.0, _ch(t) * _sh(w), _sh(t) * _sh(w)),
+        lambda t, w: (_sh(w), _sh(t) * _ch(w), _ch(t) * _ch(w)),
+        _sh),
+}
+
+
+def test_transverse_pattern_table_matches_the_paper():
+    """transverse, family_function (= a2) and degeneracy_factor (= A) give the
+    paper's patterns bit for bit (repr tells -0.0 from 0.0), at nodes of every
+    sign."""
+    nodes = [(0.3, 0.7), (-1.1, 0.4), (2.5, -0.9), (-0.6, -1.7), (0.0, 0.0)]
+    for (j, variant), (a, a_t, a_w, A) in PAPER_PATTERNS.items():
+        for t, w in nodes:
+            assert (repr(transverse(j, variant, t, w))
+                    == repr((a(t, w), a_t(t, w), a_w(t, w)))), (j, variant, t, w)
+            assert repr(family_function(j, variant, t, w)) == repr(a(t, w)[0])
+            assert repr(degeneracy_factor(j, variant, w)) == repr(A(w))
 
 
 def test_branch_symmetry(beta1, rng):
@@ -341,11 +396,12 @@ def test_canal_points_batch_matches_scalar_map(gamma2, rng):
 
 def test_hyperbolic_overflow_is_a_domain_error(beta2):
     """Past |x| ~ 710 cosh and sinh overflow: DomainError from the transverse
-    pattern, its partials, f_j, A and the point map's trig table."""
+    pattern with its partials, f_j, A and the point map's trig table."""
     std, alt = Variant.STANDARD, Variant.ALT_SUPERCRITICAL
-    for fn, args in ((transverse_coefficients, (3, std, 800.0, 0.1)),
-                     (transverse_partials, (2, alt, 0.1, -800.0)),
-                     (family_function, (4, 0.0, 800.0)),
+    for fn, args in ((transverse, (3, std, 800.0, 0.1)),
+                     (transverse, (2, alt, 0.1, -800.0)),
+                     (family_function, (4, std, 0.0, 800.0)),
+                     (family_function, (3, alt, 800.0, 0.0)),
                      (degeneracy_factor, (2, alt, 800.0))):
         with pytest.raises(DomainError, match="cosh or sinh overflows"):
             fn(*args)

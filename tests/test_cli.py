@@ -2,6 +2,7 @@
 determinism, and the checked-in OBJ golden."""
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,20 @@ def test_verify_exit_codes():
 def test_verify_numeric_route():
     assert run(["verify", "--example", "beta2", "--family", "j3,l-1",
                 "--check", "kh,sphere,unit-speed", "--route", "both"]) == 0
+
+
+def test_verify_weingarten_on_a_supercritical_family(capsys):
+    """Weingarten verdicts on beta2 (j3,l1) with the supercritical variant: a
+    tube is Weingarten on every pair; a growing radius (k1 r' != 0) fails st
+    and sw and passes tw."""
+    args = ["verify", "--example", "beta2", "--family", "j3,l1", "--variant", "alt",
+            "--check", "weingarten-st,weingarten-sw,weingarten-tw"]
+    assert run(args + ["--radius", "0.5"]) == 0
+    assert capsys.readouterr().out.count("PASS weingarten-") == 3
+    assert run(args + ["--radius", "0.6+0.3*s"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL weingarten-st" in out and "FAIL weingarten-sw" in out
+            and "PASS weingarten-tw" in out)
 
 
 def test_build_rejects_impossible_families(tmp_path):
@@ -238,6 +253,17 @@ def test_patch_json_rejects_unknown_radius_and_other_curve_modes(beta1):
     doc["curve"]["mode"]["kind"] = "finite_difference"
     with pytest.raises(ValueError, match="not a canal-patch v1 document"):
         patch_from_json(json.dumps(doc))
+    for path in ("degenerate", "points", "grid", "frames", "config", "curve", "grid.w",
+                 "config.radius", "curve.domain", "frames.0.eps"):
+        doc = json.loads(patch_to_json(patch))
+        *outer, key = path.split(".")
+        parent = doc
+        for name in outer:
+            parent = parent[int(name) if name.isdigit() else name]
+        del parent[key]
+        missing = path.replace(".0.", "[0].")
+        with pytest.raises(ValueError, match=rf"^{re.escape(missing)}: missing"):
+            patch_from_json(json.dumps(doc))
 
 
 def _small_patch_doc(beta1):
@@ -265,10 +291,26 @@ def test_patch_json_rejects_points_off_the_grid_shape(beta1, points):
 
 
 def test_patch_json_rejects_a_frame_count_other_than_ns(beta1):
+    """Also a frame other than 4 vectors of 4 finite numbers, 4 signs with
+    exactly one -1 and 3 finite curvatures."""
     doc = _small_patch_doc(beta1)
     doc["frames"] = doc["frames"] * 2
     with pytest.raises(ValueError, match=r"^frames: expected 1, one per s value, got 2"):
         patch_from_json(json.dumps(doc))
+    for key, bad in (("vectors", lambda v: [v[0][:3]] + v[1:]),
+                     ("vectors", lambda v: v[:3]),
+                     ("vectors", lambda v: [[1.0, None, 0.0, 0.0]] + v[1:]),
+                     ("vectors", lambda v: [["1", 0.0, 0.0, 0.0]] + v[1:]),
+                     ("eps", lambda e: e[:2]),
+                     ("eps", lambda e: [-1, -1, 1, 1]),
+                     ("eps", lambda e: [-1, 1.0, 1, 1]),
+                     ("eps", lambda e: [-1, 0, 1, 1]),
+                     ("k", lambda k: k[:2]),
+                     ("k", lambda k: k[:2] + ["x"])):
+        doc = _small_patch_doc(beta1)
+        doc["frames"][0][key] = bad(doc["frames"][0][key])
+        with pytest.raises(ValueError, match=rf"^frames\[0\]\.{key}: expected "):
+            patch_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("degenerate", [[1, 3, 99], [-1], [1.0], [True], ["1"]])

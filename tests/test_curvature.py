@@ -143,7 +143,7 @@ def test_det_formulas_all_families(family_curves, rng):
         dg, dh = oracles.table_dets(cfg.j, cfg.lam, fr.eps, fr.k1, cfg.radius(s),
                                     cfg.radius.r_prime(s), cfg.radius.r_second(s),
                                     t, w, degeneracy_factor(cfg.j, cfg.variant, w),
-                                    family_function(cfg.j, t, w))
+                                    family_function(cfg.j, cfg.variant, t, w))
         assert float(np.linalg.det(g)) == pytest.approx(dg, rel=1e-8)
         assert float(np.linalg.det(h)) == pytest.approx(dh, rel=1e-8)
         # hypersurface causal type: det g sign is -lam
