@@ -14,15 +14,19 @@ ratios.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canal import CanalConfig, PointMapCache, RadiusProfile, SurfacePatch
-from .curvature import Route, curvature_report, gauss_mean_principal, node_reports
+from .canal import (CanalConfig, PointMapCache, RadiusProfile, SurfacePatch, _distinct,
+                    family_function)
+from .curvature import (_FOCAL, Route, _admissible_q, _family_curvatures, curvature_report,
+                        node_reports)
 from .curve import CurveSpec, TAU_K
-from .errors import DomainExitError, InadmissibleConfigError, unwrap
+from .errors import (CanalError, DomainExitError, InadmissibleConfigError, SingularMetricError,
+                     or_error, unwrap)
 from .minkowski import inner
 
 KH_TOL_CLOSED = 1e-9
@@ -70,41 +74,60 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
 # ---------------------------------------------------------------------------
 # Weingarten
 
-def _kh_at(config, cache, s, t, w):
-    row = cache.row(s)
-    return gauss_mean_principal(config.j, config.lam, config.variant, row.frame.eps,
-                                row.frame.k1, row.r, row.rp, row.rpp, t, w, config.sigma)[:2]
-
-
-def _fd_kh(config, cache, node, i):
-    """5-point derivatives (K', H') along coordinate i of node (s, t, w), from
-    one (K, H) evaluation per offset."""
-    h = WEINGARTEN_FD_STEP
-    (k0, h0), (k1, h1), (k2, h2), (k3, h3) = [
-        _kh_at(config, cache, *node[:i], node[i] + d, *node[i + 1:])
-        for d in (-2 * h, -h, h, 2 * h)]
-    return ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h),
-            (h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h))
+def _kh_points(config, cache, eps, points):
+    """Closed-form (K, H) at the points (s, t, w): two arrays from one pass of
+    the family formulas. Raises the first point's error, each point's being
+    that of its gauss_mean_principal call (the row, Q > 0, f_j, the focal D)."""
+    def per_s(x):
+        row = cache.row(x)
+        return (row.r, row.frame.k1, row.rpp,
+                _admissible_q(config.lam, config.variant, eps[0], row.rp))
+    s_keys, s_at = _distinct([p[0] for p in points])
+    rows = [or_error(per_s, x) for x in s_keys]     # in the order the points read them
+    f = [rows[k] if isinstance(rows[k], CanalError)
+         else or_error(family_function, config.j, config.variant, t, w)
+         for k, (_, t, w) in zip(s_at, points)]
+    errors = [x if isinstance(x, CanalError) else None for x in f]
+    r, k1, rpp, Q = np.array([(1.0, 0.0, 0.0, 1.0) if isinstance(x, CanalError) else x
+                              for x in rows])[s_at].T
+    K, H, _, _, focal = _family_curvatures(
+        config.j, config.lam, config.variant, eps, k1, r, Q, rpp,
+        config.sigma * np.array([0.0 if e else x for e, x in zip(errors, f)]))
+    first = next((e or SingularMetricError(_FOCAL)
+                  for e, fo in zip(errors, focal) if e or fo), None)
+    if first:
+        raise first
+    return K, H
 
 
 def weingarten_check(patch: SurfacePatch, pair: str,
                      tolerance: float = WEINGARTEN_TOL) -> TheoremReport:
     """Normalized max of |H_u K_v - H_v K_u| over the patch nodes.
 
-    Partials of the closed-form K and H fields by 5-point finite differences.
+    Partials of the closed-form K and H fields by 5-point finite differences,
+    from one _kh_points pass per s row over the 8 stencil points of its nodes.
     """
     if pair not in ("st", "sw", "tw"):
         raise ValueError(f"pair must be 'st', 'sw' or 'tw', got {pair!r}")
     cache = PointMapCache(patch.curve, patch.config, zip(patch.grid.s_values, patch.frames))
-    config = patch.config
+    config, h = patch.config, WEINGARTEN_FD_STEP
     worst = 0.0
     n = 0
-    for node in patch.nodes():
-        (Ku, Hu), (Kv, Hv) = [_fd_kh(config, cache, node[3:], "stw".index(a)) for a in pair]
-        num = abs(Hu * Kv - Hv * Ku)
-        scale = max(max(abs(Hu), abs(Hv)) * max(abs(Ku), abs(Kv)), WEINGARTEN_ETA)
-        worst = max(worst, num / scale)
-        n += 1
+    for _, row in itertools.groupby(patch.nodes(), key=lambda node: node[0]):
+        # node by node, 4 offsets along each coordinate of the pair
+        points = [(*node[3:3 + i], node[3 + i] + d, *node[4 + i:]) for node in row
+                  for i in map("stw".index, pair) for d in (-2 * h, -h, h, 2 * h)]
+        (k0, k1, k2, k3), (h0, h1, h2, h3) = (
+            x.reshape(-1, 4).T for x in _kh_points(config, cache, patch.frames[0].eps, points))
+        with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
+            Ku, Kv = ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h)).reshape(-1, 2).T
+            Hu, Hv = ((h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h)).reshape(-1, 2).T
+            num = np.abs(Hu * Kv - Hv * Ku)
+            # np.maximum differs from max only on nan, where num is nan too
+            scale = np.maximum(np.maximum(np.abs(Hu), np.abs(Hv))
+                               * np.maximum(np.abs(Ku), np.abs(Kv)), WEINGARTEN_ETA)
+            worst = max([worst, *(num / scale).tolist()])     # max skips nan
+        n += len(num)
     return TheoremReport(f"weingarten-{pair}", worst, tolerance, worst <= tolerance, n)
 
 
@@ -125,7 +148,7 @@ def _max_k1(curve: CurveSpec, n_samples: int) -> float:
     worst = 0.0
     for i in range(n_samples):
         s = smin + (smax - smin) * i / (n_samples - 1)
-        d2 = curve.derivatives(s, 2)[1]
+        d2 = curve.derivative(s, 2)
         worst = max(worst, math.sqrt(abs(inner(d2, d2))))
     return worst
 
@@ -199,15 +222,14 @@ def classify_minimal(curve: CurveSpec, radius: RadiusProfile, lam: int,
     if max_k1 > TAU_K:
         return MinimalityReport("not-minimal", f"k1 reaches {max_k1:.3g} > {TAU_K:g}",
                                 max_k1, math.inf, None)
-    eps1 = curve.frame(0.5 * (smin + smax)).eps[0]
-    e1l = eps1 * lam
+    fr = curve.frame(0.5 * (smin + smax))
+    e1l = fr.eps[0] * lam
     worst = max(abs(minimal_radius_residual(radius, e1l, smin + (smax - smin) * i / (n_samples - 1)))
                 for i in range(n_samples))
     if worst > MINIMAL_RESIDUAL_TOL:
         return MinimalityReport("not-minimal",
                                 f"radius equation residual {worst:.3g} > {MINIMAL_RESIDUAL_TOL:g}",
                                 max_k1, worst, None)
-    fr = curve.frame(0.5 * (smin + smax))
     config = CanalConfig(fr.frame_type, lam, radius)
     _, sampled_H = _sample_K_H(curve, config)
     verdict = "minimal" if sampled_H <= MINIMAL_H_TOL else "not-minimal"

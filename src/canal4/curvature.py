@@ -10,7 +10,10 @@ Two independent routes:
   principal curvatures use the general family formulas of
   gauss_mean_principal, one for both variants: mu1 = mu2 = eps3*eps4*lam^j
   / r, and a rational expression for mu3 in which the supercritical variant
-  negates r'^2 - lam*eps1 and r''.
+  negates r'^2 - lam*eps1 and r''. It runs in passes over the nodes of one
+  s row too: g, h and N elementwise over the nodes, stacked det and solve,
+  then the family formulas over the array of f_j, each node keeping the
+  error of its one-node call.
 * NUMERIC differentiates the point map with 5-point central stencils
   (step 1e-4; 1e-3 for second partials) in passes over the nodes of one s
   row (at most PASS_NODES of them): the 75-node stencils of a pass go
@@ -19,11 +22,12 @@ Two independent routes:
   errors. It takes the normal as the normalized triple cross product of
   the partials, oriented along the radial vector c(C - b) of its own
   stencil centre (the exact normal is (c/r)(C - b)), and computes g, h,
-  S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S). node_reports feeds
-  the patch loops pass by pass; a one-node call is a pass of one node.
+  S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S).
 
 Both routes read the per-s values (frame, b, r, r', r'') from the rows of a
 PointMapCache; a cache shared over a patch evaluates them once per s value.
+node_reports feeds the patch loops pass by pass; a one-node call is a pass
+of one node.
 
 Conventions: K = det(S) and 3H = tr(S); the sign eps_N = <N,N> (= lam here)
 is reported but not folded into K or H, matching the family formulas and
@@ -49,6 +53,7 @@ FD_STEP = 1e-4         # first partials
 FD_STEP2 = 1e-3        # second partials: rounding noise scales as |C|/h^2
 EIG_IMAG_REL_TOL = 1e-5
 SINGULAR_REL_TOL = 1e-12
+_FOCAL = "curvature denominator vanished (focal point)"
 
 
 class Route(Enum):
@@ -90,10 +95,23 @@ def _normal_sign(config: CanalConfig, eps) -> int:
 # ---------------------------------------------------------------------------
 # closed-form route
 
-def closed_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None = None):
-    """Exact (g, h, N) from frame components of the surface partials."""
-    _check_node(config, w)
-    row = (cache or PointMapCache(curve, config)).row(s)
+def _closed_forms(config, s, t, w, cache):
+    """(g, h, N, a2) of the nodes (s, t[n], w[n]) as (n, 3, 3), (n, 3, 3), (n, 4)
+    and (n,) arrays (None if no node gets that far), and each node's error or
+    None. g holds the Minkowski products of the frame components of the surface
+    partials (stacked over the nodes); everything is in the order of the scalar
+    formulas, so every node gets the bits of its one-node call."""
+    errors = [or_error(_check_node, config, v) for v in w]
+    errors = [e if isinstance(e, CanalError) else None for e in errors]
+    if all(errors):
+        return None, errors
+    try:
+        row = cache.row(s)
+    except CanalError as exc:
+        return None, [e or exc for e in errors]
+    coeff = [e or or_error(transverse, config.j, config.variant, tn, wn)
+             for e, tn, wn in zip(errors, t, w)]
+    errors = [x if isinstance(x, CanalError) else None for x in coeff]
     fr = row.frame
     e1, e2, e3, e4 = fr.eps
     rv, rp, rpp, phi, a1 = row.r, row.rp, row.rpp, row.phi, row.axial
@@ -104,29 +122,91 @@ def closed_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None
     da1 = -config.lam * e1 * (rp * rp + rv * rpp)
     c = _normal_sign(config, fr.eps)
     k1, k2, k3 = fr.k1, fr.k2, fr.k3
-    a, dat, daw = transverse(config.j, config.variant, t, w)
+    n0, F = c * a1 / rv, list(zip(*row.basis[1:].tolist()))     # F: (F1..F4) per component
+    # per node in floats (a pass has few nodes, each many terms): the frame
+    # components of the s, t and w partials, and N = n0 F1 + n1 F2 + n2 F3 + n3 F4
+    parts, normals = [], []
+    for a, dat, daw in (((0.0,) * 3,) * 3 if e else x for e, x in zip(errors, coeff)):
+        parts.append(((1.0 + da1 + e3 * e4 * k1 * phi * a[0],
+                       a1 * k1 + dphi * a[0] + e1 * e4 * k2 * phi * a[1],
+                       dphi * a[1] + k2 * phi * a[0] + e1 * e2 * k3 * phi * a[2],
+                       dphi * a[2] + k3 * phi * a[1]),
+                      (0.0, phi * dat[0], phi * dat[1], phi * dat[2]),
+                      (0.0, phi * daw[0], phi * daw[1], phi * daw[2])))
+        n1, n2, n3 = c * psi * a[0], c * psi * a[1], c * psi * a[2]
+        normals.append([x1 * n0 + x2 * n1 + x3 * n2 + x4 * n3 for x1, x2, x3, x4 in F])
+    with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
+        P = np.array(parts)
+        m = P[:, :, None] * P[:, None]      # e_i u_i v_i = e_i (u_i v_i): e_i = +-1
+        g = e1 * m[..., 0] + e2 * m[..., 1] + e3 * m[..., 2] + e4 * m[..., 3]
+        h = -c * g / rv
+        h[:, 0, 0] = -c * (g[:, 0, 0] - e1 * P[:, 0, 0]) / rv
+    a2 = np.array([0.0 if e else x[0][0] for e, x in zip(errors, coeff)])
+    return (g, h, np.array(normals), a2), errors
 
-    cs = (1.0 + da1 + e3 * e4 * k1 * phi * a[0],
-          a1 * k1 + dphi * a[0] + e1 * e4 * k2 * phi * a[1],
-          dphi * a[1] + k2 * phi * a[0] + e1 * e2 * k3 * phi * a[2],
-          dphi * a[2] + k3 * phi * a[1])
-    ct = (0.0, phi * dat[0], phi * dat[1], phi * dat[2])
-    cw = (0.0, phi * daw[0], phi * daw[1], phi * daw[2])
 
-    def mdot(u, v):
-        return (e1 * u[0] * v[0] + e2 * u[1] * v[1]
-                + e3 * u[2] * v[2] + e4 * u[3] * v[3])
+def _closed_reports(config, s, t, w, cache):
+    """The closed-form CurvatureReport, or the CanalError it raises, of each node
+    (s, t[n], w[n]): _closed_forms, det and solve stacked over the nodes, then
+    K, H and mu from the family formulas over the array of f = sigma*a2."""
+    forms, errors = _closed_forms(config, s, t, w, cache)
+    if forms is None:
+        return errors
+    g, h, N, a2 = forms
+    S, errors = _shape_operators(g, h, errors)
+    row = cache.row(s)
+    fr = row.frame
+    # Q > 0 holds once the row is built; f_j = a2 overflows only where transverse did
+    Q = _admissible_q(config.lam, config.variant, fr.eps[0], row.rp)
+    K, H, mu12, mu3, focal = _family_curvatures(config.j, config.lam, config.variant, fr.eps,
+                                                fr.k1, row.r, Q, row.rpp, config.sigma * a2)
 
-    parts = (cs, ct, cw)
-    g = np.array([[mdot(parts[i], parts[jj]) for jj in range(3)] for i in range(3)])
+    def report(n):
+        if focal[n]:
+            raise SingularMetricError(_FOCAL)
+        Nn = Vec4(*N[n].tolist())
+        return CurvatureReport(g=g[n], h=h[n], S=S[n], N=Nn, eps_N=1 if inner(Nn, Nn) > 0 else -1,
+                               K=float(K[n]), H=float(H[n]), mu=(mu12, mu12, float(mu3[n])),
+                               f_j=float(a2[n]),
+                               A=degeneracy_factor(config.j, config.variant, w[n]),
+                               route=Route.CLOSED_FORM)
+    return [e or or_error(report, n) for n, e in enumerate(errors)]
 
-    h = -c * g / rv
-    h[0, 0] = -c * (g[0, 0] - e1 * cs[0]) / rv
 
-    n_coeff = (c * a1 / rv, c * psi * a[0], c * psi * a[1], c * psi * a[2])
-    N = (n_coeff[0] * fr.f1 + n_coeff[1] * fr.f2
-         + n_coeff[2] * fr.f3 + n_coeff[3] * fr.f4)
-    return g, h, N
+def closed_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None = None):
+    """Exact (g, h, N) from frame components of the surface partials: the
+    one-node case of _closed_forms."""
+    return _one_node(_closed_forms, curve, config, s, t, w, cache)
+
+
+def _admissible_q(lam, variant, eps1, rp):
+    """Q = v(r'^2 - lam*eps1), v the variant's sign; raises unless Q > 0."""
+    Q = variant.sign * (rp * rp - lam * eps1)
+    if Q <= 0:
+        raise InadmissibleConfigError(f"r'^2 - lam*eps1 = {variant.sign * Q:.3g} has the wrong "
+                                      f"sign for the {variant.value} variant")
+    return Q
+
+
+def _family_curvatures(j, lam, variant, eps, k1, r, Q, rpp, f):
+    """(K, H, mu1 = mu2, mu3, focal) of the formulas of gauss_mean_principal at
+    Q > 0 and f = sigma*f_j, over floats or elementwise over arrays (the same
+    bits as floats); focal is |D| < 1e-300, where the values are nan."""
+    e1, e2, e3, e4 = eps
+    v = variant.sign
+    R = v * rpp
+    root = np.sqrt(Q)                       # correctly rounded, as math.sqrt
+    sgn = e3 * e4 * lam ** j
+    with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
+        num = (r * k1 * k1 * f * f * Q + R * (Q + r * R)
+               + v * e2 * lam * k1 * f * root * (Q + 2.0 * r * R))
+        dfac = Q + v * e2 * lam * r * k1 * f * root + r * R
+        focal = np.abs(dfac) < 1e-300
+        dfac = np.where(focal, math.nan, dfac)
+        # sgn = +-1: sgn num / D^2 = sgn (num / D^2) exactly
+        mu3 = num / (dfac * dfac)
+        return (sgn * num / (r * r * dfac * dfac), (sgn / 3.0) * (2.0 / r + mu3), sgn / r,
+                sgn * mu3, focal)
 
 
 def gauss_mean_principal(j, lam, variant, eps, k1, r, rp, rpp, t, w, sigma=1):
@@ -139,27 +219,14 @@ def gauss_mean_principal(j, lam, variant, eps, k1, r, rp, rpp, t, w, sigma=1):
     and mu1 = mu2 = sgn / r, mu3 = sgn num / D^2 with sgn = eps3 eps4 lam^j.
     v = -1 is v = +1 continued through w -> w + i pi/2, sigma -> -sigma and
     sqrt(q) -> i sqrt(Q), which maps the standard point map onto this one.
+    The scalar case of _family_curvatures, which the patch loops run on arrays.
     """
-    e1, e2, e3, e4 = eps
-    v = variant.sign
-    Q = v * (rp * rp - lam * e1)
-    if Q <= 0:
-        raise InadmissibleConfigError(f"r'^2 - lam*eps1 = {v * Q:.3g} has the wrong sign "
-                                      f"for the {variant.value} variant")
-    f = sigma * family_function(j, variant, t, w)
-    R = v * rpp
-    root = math.sqrt(Q)
-    num = (r * k1 * k1 * f * f * Q + R * (Q + r * R)
-           + v * e2 * lam * k1 * f * root * (Q + 2.0 * r * R))
-    dfac = Q + v * e2 * lam * r * k1 * f * root + r * R
-    if abs(dfac) < 1e-300:
-        raise SingularMetricError("curvature denominator vanished (focal point)")
-    sgn = e3 * e4 * lam ** j
-    mu12 = sgn / r
-    mu3 = sgn * num / (dfac * dfac)
-    K = sgn * num / (r * r * dfac * dfac)
-    H = (sgn / 3.0) * (2.0 / r + num / (dfac * dfac))
-    return K, H, (mu12, mu12, mu3)
+    Q = _admissible_q(lam, variant, eps[0], rp)
+    K, H, mu12, mu3, focal = _family_curvatures(j, lam, variant, eps, k1, r, Q, rpp,
+                                                sigma * family_function(j, variant, t, w))
+    if focal:
+        raise SingularMetricError(_FOCAL)
+    return float(K), float(H), (mu12, mu12, float(mu3))
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +316,7 @@ def _numeric_forms(config, s, t, w, cache):
 def numeric_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None = None):
     """(g, h, N) from FD partials of the point map, N along c(C - b): the
     one-node case of _numeric_forms. A cache shares per-s rows between calls."""
-    forms, (error,) = _numeric_forms(config, s, (t,), (w,), cache or PointMapCache(curve, config))
-    unwrap(error)
-    g, h, N = forms
-    return g[0], h[0], Vec4(*N[0].tolist())
+    return _one_node(_numeric_forms, curve, config, s, t, w, cache)
 
 
 def _numeric_reports(config, s, t, w, cache):
@@ -263,12 +327,7 @@ def _numeric_reports(config, s, t, w, cache):
     if forms is None:
         return errors
     g, h, N = forms
-    with np.errstate(invalid="ignore"):     # a flagged node's g may be nan
-        det_g = np.linalg.det(g)
-    errors = [e or or_error(_check_metric, gn, float(d)) for e, gn, d in zip(errors, g, det_g)]
-    bad = np.array([e is not None for e in errors])
-    g[bad], h[bad] = np.eye(3), 0.0         # keeps the stacked calls finite and solvable
-    S = np.linalg.solve(g, h)
+    S, errors = _shape_operators(g, h, errors)
     K = np.linalg.det(h) / np.linalg.det(g)
     H = np.trace(S, axis1=1, axis2=2) / 3.0
     eig = np.linalg.eigvals(S)
@@ -283,44 +342,62 @@ def _numeric_reports(config, s, t, w, cache):
     return [e or or_error(report, n) for n, e in enumerate(errors)]
 
 
-# Most nodes in one numeric pass. A pass has a fixed cost (tens of numpy calls)
-# and holds the stencil arrays of all its nodes at once: rows split evenly
-# into passes this small keep most of the speed of whole rows, with a peak
-# memory that does not grow with the row.
+# Most nodes in one pass. A pass has a fixed cost (tens of numpy calls) and
+# the numeric one holds the stencil arrays of all its nodes at once: rows
+# split evenly into passes this small keep most of the speed of whole rows,
+# with a peak memory that does not grow with the row.
 PASS_NODES = 8
+_REPORTS = {Route.CLOSED_FORM: _closed_reports, Route.NUMERIC: _numeric_reports}
 
 
 def node_reports(patch, routes, cache: PointMapCache):
     """(s, t, w, reports) per non-degenerate node of the patch, in node order:
     per route the node's CurvatureReport or the CanalError it raises (see
-    unwrap). The numeric route takes each s row in passes of at most
-    PASS_NODES nodes, the closed form one curvature_report call per node."""
-    curve, config = patch.curve, patch.config
+    unwrap). Both routes take each s row in passes of at most PASS_NODES
+    nodes."""
     for _, row in itertools.groupby(patch.nodes(), key=lambda node: node[0]):
         row = [node[3:6] for node in row]
         passes = -(-len(row) // PASS_NODES)
         for k in range(passes):
             s, t, w = zip(*row[k * len(row) // passes:(k + 1) * len(row) // passes])
-            columns = [_numeric_reports(config, s[0], t, w, cache) if route is Route.NUMERIC
-                       else [or_error(curvature_report, curve, config, *node, route, cache)
-                             for node in zip(s, t, w)]
-                       for route in routes]
+            columns = [_REPORTS[route](patch.config, s[0], t, w, cache) for route in routes]
             yield from zip(s, t, w, zip(*columns))
 
 
 # ---------------------------------------------------------------------------
 # shared pieces
 
-def _check_metric(g: np.ndarray, det_g: float):
-    """Raise SingularMetricError when det g ~ 0 against g's scale."""
-    scale = float(np.abs(g).max()) or 1.0
+def _one_node(forms, curve, config, s, t, w, cache):
+    """(g, h, N) of one node from a row pass (_closed_forms or _numeric_forms)."""
+    out, (error,) = forms(config, s, (t,), (w,), cache or PointMapCache(curve, config))
+    unwrap(error)
+    return out[0][0], out[1][0], Vec4(*out[2][0].tolist())
+
+
+def _shape_operators(g, h, errors):
+    """S = g^-1 h of each node, det and solve stacked over the nodes (the same
+    bits as one call per matrix), and the errors with each det g ~ 0 added."""
+    with np.errstate(all="ignore"):         # a flagged node's g may be nan
+        det_g = np.linalg.det(g)
+        scales = np.abs(g).max(axis=(1, 2))
+    errors = [e or or_error(_check_metric, sc, d)
+              for e, sc, d in zip(errors, scales.tolist(), det_g.tolist())]
+    bad = np.array([e is not None for e in errors])
+    if bad.any():                           # keeps the stacked calls finite and solvable
+        g[bad], h[bad] = np.eye(3), 0.0
+    return np.linalg.solve(g, h), errors
+
+
+def _check_metric(scale: float, det_g: float):
+    """Raise SingularMetricError when det g ~ 0 against g's scale max |g_ij|."""
+    scale = scale or 1.0
     if abs(det_g) < SINGULAR_REL_TOL * scale ** 3:
         raise SingularMetricError(f"det g = {det_g:.3g} below {SINGULAR_REL_TOL:g}*scale^3")
 
 
 def shape_operator(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """S = g^-1 h; raises SingularMetricError when det g ~ 0."""
-    _check_metric(g, float(np.linalg.det(g)))
+    _check_metric(float(np.abs(g).max()), float(np.linalg.det(g)))
     return np.linalg.solve(g, h)
 
 
@@ -357,27 +434,11 @@ def fundamental_forms(curve, config, s, t, w, route: Route = Route.CLOSED_FORM):
 
 def curvature_report(curve, config, s, t, w, route: Route = Route.CLOSED_FORM,
                      cache: PointMapCache | None = None) -> CurvatureReport:
-    """Full per-node report: g, h, S, N, eps_N, K, H, mu, f_j, A.
-
-    A cache shared by the nodes of one patch evaluates the per-s rows (frame,
-    b, r, r', r'') once for all of them. The numeric route is the one-node
-    case of the row pass of node_reports.
+    """Full per-node report: g, h, S, N, eps_N, K, H, mu, f_j, A, the one-node
+    case of the row pass of node_reports. A cache shared by the nodes of one
+    patch evaluates the per-s rows (frame, b, r, r', r'') once for all of them.
     """
-    A = _check_node(config, w)
-    if cache is None:
-        cache = PointMapCache(curve, config)
-    if route is Route.NUMERIC:
-        return unwrap(_numeric_reports(config, s, (t,), (w,), cache)[0])
-    row = cache.row(s)
-    g, h, N = closed_fundamental_forms(curve, config, s, t, w, cache)
-    S = shape_operator(g, h)
-    K, H, mu = gauss_mean_principal(config.j, config.lam, config.variant, row.frame.eps,
-                                    row.frame.k1, row.r, row.rp, row.rpp, t, w, config.sigma)
-    eps_n = 1 if inner(N, N) > 0 else -1
-    return CurvatureReport(g=g, h=h, S=S, N=N, eps_N=eps_n, K=float(K), H=float(H),
-                           mu=tuple(float(m) for m in mu),
-                           f_j=family_function(config.j, config.variant, t, w), A=A,
-                           route=route)
+    return unwrap(_REPORTS[route](config, s, (t,), (w,), cache or PointMapCache(curve, config))[0])
 
 
 def curvatures(curve, config, s, t, w, route: Route = Route.CLOSED_FORM):

@@ -60,12 +60,22 @@ class UnitSpeedReport:
     n_samples: int
 
 
-def _euclid_sq(v: Vec4) -> float:
-    return v.x1 * v.x1 + v.x2 * v.x2 + v.x3 * v.x3 + v.x4 * v.x4
+# Frames are built on 4-tuples of floats; only the finished vectors become Vec4s.
+
+def _euclid_sq(v) -> float:
+    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]
 
 
-def _is_null_residual(v: Vec4) -> bool:
+def _is_null_residual(v) -> bool:
     return abs(inner(v, v)) <= TAU_NULL * max(1.0, _euclid_sq(v))
+
+
+def _scaled(v, a):      # v * a
+    return (v[0] * a, v[1] * a, v[2] * a, v[3] * a)
+
+
+def _minus(u, a, v):    # u - a * v, as Vec4 arithmetic rounds it
+    return (u[0] - v[0] * a, u[1] - v[1] * a, u[2] - v[2] * a, u[3] - v[3] * a)
 
 
 class CurveSpec:
@@ -106,8 +116,9 @@ class CurveSpec:
         return self._compiled[order]
 
     def _eval_order(self, s, order):
-        fns = self._fns(order)
-        return Vec4(fns[0](s), fns[1](s), fns[2](s), fns[3](s))
+        """b^(order)(s) as 4 floats, straight from the compiled components."""
+        x1, x2, x3, x4 = self._fns(order)
+        return (x1(s), x2(s), x3(s), x4(s))
 
     def _check_domain(self, s):
         # analytic components extend smoothly; allow an overhang so FD
@@ -119,21 +130,28 @@ class CurveSpec:
 
     def point(self, s: float) -> Vec4:
         self._check_domain(s)
-        return self._eval_order(s, 0)
+        return Vec4(*self._eval_order(s, 0))
+
+    def derivative(self, s: float, order: int) -> tuple[float, float, float, float]:
+        """b^(order)(s) alone, as 4 floats, from the symbolic derivatives."""
+        return self._orders(s, order, (order,))[0]
 
     def derivatives(self, s: float, order: int) -> list[Vec4]:
         """[b'(s), ..., b^(order)(s)] from the symbolic derivatives."""
+        return [Vec4(*d) for d in self._orders(s, order, range(1, order + 1))]
+
+    def _orders(self, s, order, orders):
+        """b^(k)(s) for k in orders as 4-tuples, order being the highest k."""
         if not 1 <= order <= MAX_DERIVATIVE_ORDER:
             raise ValueError(f"order must be 1..{MAX_DERIVATIVE_ORDER}")
         self._check_domain(s)
-        return [self._eval_order(s, k) for k in range(1, order + 1)]
+        return [self._eval_order(s, k) for k in orders]
 
     # -- frames -------------------------------------------------------------
 
     def frenet(self, s: float) -> FrenetFrame:
         """Moving frame at s; requires k1, k2 > TAU_K and non-null residuals."""
-        d = self.derivatives(s, 4)
-        f1 = d[0]
+        f1, d2, d3, d4 = self._orders(s, 4, (1, 2, 3, 4))
         q1 = inner(f1, f1)
         if abs(abs(q1) - 1.0) > 10 * TOL_UNIT:
             raise NonUnitSpeedError(f"<b',b'> = {q1:.6g} at s={s!r}; curve is not unit speed")
@@ -141,7 +159,7 @@ class CurveSpec:
             raise NullResidualError(f"tangent is null at s={s!r}")
         e1 = 1 if q1 > 0 else -1
 
-        rho2 = d[1] - (e1 * inner(d[1], f1)) * f1
+        rho2 = _minus(d2, e1 * inner(d2, f1), f1)
         if _is_null_residual(rho2):
             if norm(rho2) <= TAU_K:
                 raise FrameDegenerateError(f"k1 vanishes at s={s!r}")
@@ -149,10 +167,10 @@ class CurveSpec:
         k1 = norm(rho2)
         if k1 <= TAU_K:
             raise FrameDegenerateError(f"k1 = {k1:.3g} <= {TAU_K:g} at s={s!r}")
-        f2 = rho2 * (1.0 / k1)
+        f2 = _scaled(rho2, 1.0 / k1)
         e2 = 1 if inner(f2, f2) > 0 else -1
 
-        rho3 = d[2] - (e1 * inner(d[2], f1)) * f1 - (e2 * inner(d[2], f2)) * f2
+        rho3 = _minus(_minus(d3, e1 * inner(d3, f1), f1), e2 * inner(d3, f2), f2)
         if _is_null_residual(rho3):
             if norm(rho3) / k1 <= TAU_K:
                 raise FrameDegenerateError(f"k2 vanishes at s={s!r}")
@@ -160,26 +178,26 @@ class CurveSpec:
         k2 = norm(rho3) / k1
         if k2 <= TAU_K:
             raise FrameDegenerateError(f"k2 = {k2:.3g} <= {TAU_K:g} at s={s!r}")
-        f3 = rho3 * (1.0 / norm(rho3))
+        f3 = _scaled(rho3, 1.0 / norm(rho3))
         e3 = 1 if inner(f3, f3) > 0 else -1
 
         cross = triple_cross(f1, f2, f3)
         e4 = 1 if inner(cross, cross) > 0 else -1
-        f4 = cross * (-e4 / norm(cross))       # det(F1,F2,F3,F4) = +1
-        k3 = e4 * inner(d[3], f4) / (k1 * k2)
+        f4 = _scaled(cross, -e4 / norm(cross))       # det(F1,F2,F3,F4) = +1
+        k3 = e4 * inner(d4, f4) / (k1 * k2)
 
+        vectors = [Vec4(*f) for f in (f1, f2, f3, f4)]
         eps = (e1, e2, e3, e4)
         if eps.count(-1) != 1:
             raise NullResidualError(f"frame signs {eps} at s={s!r}: not a Lorentz tetrad")
-        return FrenetFrame(f1, f2, f3, f4, eps, k1, k2, k3)
+        return FrenetFrame(*vectors, eps, k1, k2, k3)
 
     def is_straight(self, n_samples: int = 16) -> bool:
         """True when b'' vanishes across the domain (within TAU_K)."""
         smin, smax = self.domain
         for i in range(n_samples):
             s = smin + (smax - smin) * i / (n_samples - 1)
-            d2 = self.derivatives(s, 2)[1]
-            if math.sqrt(_euclid_sq(d2)) > TAU_K:
+            if math.sqrt(_euclid_sq(self.derivative(s, 2))) > TAU_K:
                 return False
         return True
 
@@ -191,7 +209,7 @@ class CurveSpec:
         """
         smin, smax = self.domain
         s0 = 0.5 * (smin + smax) if s is None else s
-        f1 = self.derivatives(s0, 1)[0]
+        f1 = self.derivative(s0, 1)
         q1 = inner(f1, f1)
         if abs(abs(q1) - 1.0) > 10 * TOL_UNIT:
             raise NonUnitSpeedError(f"<b',b'> = {q1:.6g}; line is not unit speed")
@@ -202,23 +220,23 @@ class CurveSpec:
         for cand in (E1, E2, E3, E4):
             if len(frame) == 3:
                 break
-            rho = cand
+            rho = cand.as_tuple()
             for f, e in zip(frame, eps):
-                rho = rho - (e * inner(rho, f)) * f
+                rho = _minus(rho, e * inner(rho, f), f)
             if _euclid_sq(rho) < 1e-12 or _is_null_residual(rho):
                 continue
-            rho = rho * (1.0 / norm(rho))
+            rho = _scaled(rho, 1.0 / norm(rho))
             frame.append(rho)
             eps.append(1 if inner(rho, rho) > 0 else -1)
         if len(frame) != 3:
             raise NullResidualError("could not complete a non-null frame for the line")
         cross = triple_cross(frame[0], frame[1], frame[2])
         e4 = 1 if inner(cross, cross) > 0 else -1
-        f4 = cross * (-e4 / norm(cross))
+        vectors = [Vec4(*f) for f in (*frame, _scaled(cross, -e4 / norm(cross)))]
         eps.append(e4)
         if tuple(eps).count(-1) != 1:
             raise NullResidualError(f"frame signs {tuple(eps)}: not a Lorentz tetrad")
-        return FrenetFrame(frame[0], frame[1], frame[2], f4, tuple(eps), 0.0, 0.0, 0.0)
+        return FrenetFrame(*vectors, tuple(eps), 0.0, 0.0, 0.0)
 
     def frame(self, s: float) -> FrenetFrame:
         """frenet(s), falling back to the constant line frame when k1 = 0."""
@@ -239,6 +257,6 @@ class CurveSpec:
         worst = 0.0
         for i in range(n_samples):
             s = smin + (smax - smin) * i / (n_samples - 1)
-            d1 = self.derivatives(s, 1)[0]
+            d1 = self.derivative(s, 1)
             worst = max(worst, abs(abs(inner(d1, d1)) - 1.0))
         return UnitSpeedReport(worst, TOL_UNIT, worst <= TOL_UNIT, n_samples)

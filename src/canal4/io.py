@@ -93,14 +93,17 @@ def _radius_payload(radius: RadiusProfile):
     return {"kind": "table", "s": list(s_nodes), "r": list(r_nodes), "rp": list(rp_nodes)}
 
 
-def _get(doc, path: str, at: str = ""):
+def _get(doc, path: str, at: str = "", kind=object):
     """The value at a dotted path of nested dicts, such as "grid.s"; a missing
-    key is a ValueError that names the path up to it (after the prefix at)."""
+    key, or a value not of the kind, is a ValueError that names the path up to
+    it (after the prefix at)."""
     keys = path.split(".")
     for i, key in enumerate(keys):
         if not isinstance(doc, dict) or key not in doc:
             raise ValueError(f"{at}{'.'.join(keys[:i + 1])}: missing")
         doc = doc[key]
+    if not isinstance(doc, kind):
+        raise ValueError(f"{at}{path}: expected a {kind.__name__}, got {type(doc).__name__}")
     return doc
 
 
@@ -186,13 +189,14 @@ def patch_from_json(text: str) -> SurfacePatch:
     if (not isinstance(doc, dict) or doc.get("format") != "canal-patch"
             or doc.get("version") != 1 or _get(doc, "curve.mode.kind") != _CURVE_MODE["kind"]):
         raise ValueError("not a canal-patch v1 document")
-    curve = CurveSpec(tuple(_get(doc, "curve.components")), tuple(_get(doc, "curve.domain")))
+    curve = CurveSpec(tuple(_get(doc, "curve.components", kind=list)),
+                      tuple(_get(doc, "curve.domain", kind=list)))
     a_free = tuple(ex.parse(a, ("s", "t", "w")) for a in _get(doc, "config.a_free") or ())
     config = CanalConfig(_get(doc, "config.j"), _get(doc, "config.lambda"),
                          _radius_from_payload(_get(doc, "config.radius")),
                          _get(doc, "config.sigma"), Variant(_get(doc, "config.variant")),
                          a_free or None)
-    grid = GridSpec(*(tuple(_get(doc, f"grid.{axis}")) for axis in "stw"))
+    grid = GridSpec(*(tuple(_get(doc, f"grid.{axis}", kind=list)) for axis in "stw"))
     ns, nt, nw = len(grid.s_values), len(grid.t_values), len(grid.w_values)
     n = ns * nt * nw
     points = _get(doc, "points")
@@ -203,11 +207,11 @@ def patch_from_json(text: str) -> SurfacePatch:
     if coords is None or coords.shape != (n, 4) or not np.isfinite(coords).all():
         raise ValueError(f"points: expected {n} points of 4 finite numbers for the "
                          f"{ns}x{nt}x{nw} grid")
-    frames = _get(doc, "frames")
+    frames = _get(doc, "frames", kind=list)
     if len(frames) != ns:
         raise ValueError(f"frames: expected {ns}, one per s value, got {len(frames)}")
     frames = tuple(_frame_from_payload(fr, f"frames[{i}]") for i, fr in enumerate(frames))
-    degenerate = _get(doc, "degenerate")
+    degenerate = _get(doc, "degenerate", kind=list)
     if not all(type(k) is int and 0 <= k < n for k in degenerate):
         raise ValueError(f"degenerate: flat node indices must be ints in [0, {n})")
     return SurfacePatch(curve, config, grid, coords, frames, frozenset(degenerate))

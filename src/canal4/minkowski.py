@@ -65,20 +65,24 @@ E4 = Vec4(0.0, 0.0, 0.0, 1.0)
 
 
 def inner(x, y):
-    """Minkowski inner product, signature (-,+,+,+), of two Vec4s or over the
-    last axis of (..., 4) arrays (elementwise, in the same order)."""
+    """Minkowski inner product, signature (-,+,+,+), of two Vec4s or 4-tuples of
+    floats, or over the last axis of (..., 4) arrays (elementwise, in the same order)."""
     if isinstance(x, Vec4):
         return -x.x1 * y.x1 + x.x2 * y.x2 + x.x3 * y.x3 + x.x4 * y.x4
+    if isinstance(x, tuple):
+        return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
     return (-x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
             + x[..., 3] * y[..., 3])
 
 
 def triple_cross(x, y, z):
     """Ternary cross product; orthogonal to x, y, z and alternating. Of three
-    Vec4s, or over the last axis of (..., 4) arrays (elementwise)."""
-    vec = isinstance(x, Vec4)
+    Vec4s or 4-tuples of floats, or over the last axis of (..., 4) arrays
+    (elementwise)."""
+    vec, tup = isinstance(x, Vec4), isinstance(x, tuple)
     (x1, x2, x3, x4), (y1, y2, y3, y4), (z1, z2, z3, z4) = (
-        v.as_tuple() if vec else (v[..., 0], v[..., 1], v[..., 2], v[..., 3]) for v in (x, y, z))
+        v.as_tuple() if vec else v if tup else (v[..., 0], v[..., 1], v[..., 2], v[..., 3])
+        for v in (x, y, z))
     # 2x2 minors of the lower two rows (y, z), indexed by column pair
     m12 = y1 * z2 - y2 * z1
     m13 = y1 * z3 - y3 * z1
@@ -91,7 +95,8 @@ def triple_cross(x, y, z):
     c2 = x1 * m34 - x3 * m14 + x4 * m13
     c3 = x1 * m24 - x2 * m14 + x4 * m12
     c4 = x1 * m23 - x2 * m13 + x3 * m12
-    return Vec4(-c1, -c2, c3, -c4) if vec else np.stack((-c1, -c2, c3, -c4), axis=-1)
+    out = (-c1, -c2, c3, -c4)
+    return Vec4(*out) if vec else out if tup else np.stack(out, axis=-1)
 
 
 def causal_character(x: Vec4, tau: float = TAU_NULL) -> CausalCharacter:
@@ -106,7 +111,7 @@ def causal_character(x: Vec4, tau: float = TAU_NULL) -> CausalCharacter:
     return CausalCharacter.NULL
 
 
-def norm(x: Vec4) -> float:
+def norm(x) -> float:
     """sqrt(|<x,x>|) >= 0."""
     return math.sqrt(abs(inner(x, x)))
 

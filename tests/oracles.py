@@ -426,3 +426,213 @@ def reference_curvature_csv(patch):
             continue
         rows.append(",".join(repr(float(v)) for v in (s, t, w, cf.K, cf.H, *cf.mu, K, H)))
     return "\n".join(rows) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Vec4 reference for the frames: Gram-Schmidt in Vec4 arithmetic on
+# derivatives(s, 4), the original implementation of CurveSpec.frenet, kept here
+# so that the float-tuple frames are held to exact equality
+
+def _reference_null_residual(v):
+    from canal4.minkowski import TAU_NULL, inner
+    return abs(inner(v, v)) <= TAU_NULL * max(
+        1.0, v.x1 * v.x1 + v.x2 * v.x2 + v.x3 * v.x3 + v.x4 * v.x4)
+
+
+def reference_frenet(curve, s):
+    """CurveSpec.frenet(s) in Vec4 arithmetic: the same frame, or the same error."""
+    from canal4.curve import TAU_K, TOL_UNIT, FrenetFrame
+    from canal4.errors import FrameDegenerateError, NonUnitSpeedError, NullResidualError
+    from canal4.minkowski import inner, norm, triple_cross
+    d = curve.derivatives(s, 4)
+    f1 = d[0]
+    q1 = inner(f1, f1)
+    if abs(abs(q1) - 1.0) > 10 * TOL_UNIT:
+        raise NonUnitSpeedError(f"<b',b'> = {q1:.6g} at s={s!r}; curve is not unit speed")
+    if _reference_null_residual(f1):
+        raise NullResidualError(f"tangent is null at s={s!r}")
+    e1 = 1 if q1 > 0 else -1
+
+    rho2 = d[1] - (e1 * inner(d[1], f1)) * f1
+    if _reference_null_residual(rho2):
+        if norm(rho2) <= TAU_K:
+            raise FrameDegenerateError(f"k1 vanishes at s={s!r}")
+        raise NullResidualError(f"principal normal direction is null at s={s!r}")
+    k1 = norm(rho2)
+    if k1 <= TAU_K:
+        raise FrameDegenerateError(f"k1 = {k1:.3g} <= {TAU_K:g} at s={s!r}")
+    f2 = rho2 * (1.0 / k1)
+    e2 = 1 if inner(f2, f2) > 0 else -1
+
+    rho3 = d[2] - (e1 * inner(d[2], f1)) * f1 - (e2 * inner(d[2], f2)) * f2
+    if _reference_null_residual(rho3):
+        if norm(rho3) / k1 <= TAU_K:
+            raise FrameDegenerateError(f"k2 vanishes at s={s!r}")
+        raise NullResidualError(f"binormal direction is null at s={s!r}")
+    k2 = norm(rho3) / k1
+    if k2 <= TAU_K:
+        raise FrameDegenerateError(f"k2 = {k2:.3g} <= {TAU_K:g} at s={s!r}")
+    f3 = rho3 * (1.0 / norm(rho3))
+    e3 = 1 if inner(f3, f3) > 0 else -1
+
+    cross = triple_cross(f1, f2, f3)
+    e4 = 1 if inner(cross, cross) > 0 else -1
+    f4 = cross * (-e4 / norm(cross))       # det(F1,F2,F3,F4) = +1
+    k3 = e4 * inner(d[3], f4) / (k1 * k2)
+
+    eps = (e1, e2, e3, e4)
+    if eps.count(-1) != 1:
+        raise NullResidualError(f"frame signs {eps} at s={s!r}: not a Lorentz tetrad")
+    return FrenetFrame(f1, f2, f3, f4, eps, k1, k2, k3)
+
+
+# ---------------------------------------------------------------------------
+# per-node references for the closed-form row passes: the original scalar
+# closed form, one node (and one (K, H) stencil point) per call
+
+def reference_gauss_mean_principal(j, lam, variant, eps, k1, r, rp, rpp, t, w, sigma=1):
+    """K, H, (mu1, mu2, mu3) of the family formulas in float arithmetic."""
+    from canal4.canal import family_function
+    from canal4.errors import InadmissibleConfigError, SingularMetricError
+    e1, e2, e3, e4 = eps
+    v = variant.sign
+    Q = v * (rp * rp - lam * e1)
+    if Q <= 0:
+        raise InadmissibleConfigError(f"r'^2 - lam*eps1 = {v * Q:.3g} has the wrong sign "
+                                      f"for the {variant.value} variant")
+    f = sigma * family_function(j, variant, t, w)
+    R = v * rpp
+    root = sqrt(Q)
+    num = (r * k1 * k1 * f * f * Q + R * (Q + r * R)
+           + v * e2 * lam * k1 * f * root * (Q + 2.0 * r * R))
+    dfac = Q + v * e2 * lam * r * k1 * f * root + r * R
+    if abs(dfac) < 1e-300:
+        raise SingularMetricError("curvature denominator vanished (focal point)")
+    sgn = e3 * e4 * lam ** j
+    mu12 = sgn / r
+    mu3 = sgn * num / (dfac * dfac)
+    K = sgn * num / (r * r * dfac * dfac)
+    H = (sgn / 3.0) * (2.0 / r + num / (dfac * dfac))
+    return K, H, (mu12, mu12, mu3)
+
+
+def reference_closed_forms(curve, config, s, t, w):
+    """Exact (g, h, N) of one node: frame components of the partials in floats,
+    N in Vec4 arithmetic."""
+    from canal4.canal import PointMapCache, transverse
+    from canal4.curvature import _check_node, _normal_sign
+    _check_node(config, w)
+    row = PointMapCache(curve, config).row(s)
+    fr = row.frame
+    e1, e2, e3, e4 = fr.eps
+    rv, rp, rpp, phi, a1 = row.r, row.rp, row.rpp, row.phi, row.axial
+    q = rp * rp - config.lam * e1
+    psi = phi / rv
+    dphi = config.sigma * rp * (abs(q) + config.variant.sign * rv * rpp) / sqrt(abs(q))
+    da1 = -config.lam * e1 * (rp * rp + rv * rpp)
+    c = _normal_sign(config, fr.eps)
+    k1, k2, k3 = fr.k1, fr.k2, fr.k3
+    a, dat, daw = transverse(config.j, config.variant, t, w)
+    cs = (1.0 + da1 + e3 * e4 * k1 * phi * a[0],
+          a1 * k1 + dphi * a[0] + e1 * e4 * k2 * phi * a[1],
+          dphi * a[1] + k2 * phi * a[0] + e1 * e2 * k3 * phi * a[2],
+          dphi * a[2] + k3 * phi * a[1])
+    ct = (0.0, phi * dat[0], phi * dat[1], phi * dat[2])
+    cw = (0.0, phi * daw[0], phi * daw[1], phi * daw[2])
+
+    def mdot(u, v):
+        return (e1 * u[0] * v[0] + e2 * u[1] * v[1]
+                + e3 * u[2] * v[2] + e4 * u[3] * v[3])
+
+    parts = (cs, ct, cw)
+    g = np.array([[mdot(parts[i], parts[jj]) for jj in range(3)] for i in range(3)])
+    h = -c * g / rv
+    h[0, 0] = -c * (g[0, 0] - e1 * cs[0]) / rv
+    n_coeff = (c * a1 / rv, c * psi * a[0], c * psi * a[1], c * psi * a[2])
+    N = (n_coeff[0] * fr.f1 + n_coeff[1] * fr.f2
+         + n_coeff[2] * fr.f3 + n_coeff[3] * fr.f4)
+    return g, h, N
+
+
+def reference_closed_report(curve, config, s, t, w):
+    """The closed-form CurvatureReport of one node, or the error it raises."""
+    from canal4.canal import PointMapCache, family_function
+    from canal4.curvature import CurvatureReport, Route, _check_node, shape_operator
+    from canal4.minkowski import inner
+    A = _check_node(config, w)
+    row = PointMapCache(curve, config).row(s)
+    g, h, N = reference_closed_forms(curve, config, s, t, w)
+    S = shape_operator(g, h)
+    K, H, mu = reference_gauss_mean_principal(
+        config.j, config.lam, config.variant, row.frame.eps, row.frame.k1, row.r, row.rp,
+        row.rpp, t, w, config.sigma)
+    return CurvatureReport(g=g, h=h, S=S, N=N, eps_N=1 if inner(N, N) > 0 else -1,
+                           K=float(K), H=float(H), mu=tuple(float(m) for m in mu),
+                           f_j=family_function(config.j, config.variant, t, w),
+                           A=A,
+                           route=Route.CLOSED_FORM)
+
+
+def reference_weingarten(patch, pair):
+    """weingarten_check(patch, pair) node by node: 5-point stencils of
+    reference_gauss_mean_principal, 8 calls per node."""
+    from canal4.analysis import WEINGARTEN_ETA, WEINGARTEN_FD_STEP, WEINGARTEN_TOL, TheoremReport
+    from canal4.canal import PointMapCache
+    cfg = patch.config
+    cache = PointMapCache(patch.curve, cfg, zip(patch.grid.s_values, patch.frames))
+
+    def kh(s, t, w):
+        row = cache.row(s)
+        return reference_gauss_mean_principal(cfg.j, cfg.lam, cfg.variant, row.frame.eps,
+                                              row.frame.k1, row.r, row.rp, row.rpp, t, w,
+                                              cfg.sigma)[:2]
+
+    def fd(node, i):
+        h = WEINGARTEN_FD_STEP
+        (k0, h0), (k1, h1), (k2, h2), (k3, h3) = [
+            kh(*node[:i], node[i] + d, *node[i + 1:]) for d in (-2 * h, -h, h, 2 * h)]
+        return ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h),
+                (h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h))
+
+    worst, n = 0.0, 0
+    for node in patch.nodes():
+        (Ku, Hu), (Kv, Hv) = [fd(node[3:], "stw".index(a)) for a in pair]
+        num = abs(Hu * Kv - Hv * Ku)
+        scale = max(max(abs(Hu), abs(Hv)) * max(abs(Ku), abs(Kv)), WEINGARTEN_ETA)
+        worst = max(worst, num / scale)
+        n += 1
+    return TheoremReport(f"weingarten-{pair}", worst, WEINGARTEN_TOL, worst <= WEINGARTEN_TOL, n)
+
+
+def reference_frame_for_line(curve):
+    """CurveSpec.frame_for_line() in Vec4 arithmetic."""
+    from canal4.curve import TOL_UNIT, FrenetFrame
+    from canal4.errors import NonUnitSpeedError, NullResidualError
+    from canal4.minkowski import E1, E2, E3, E4, inner, norm, triple_cross
+    smin, smax = curve.domain
+    f1 = curve.derivatives(0.5 * (smin + smax), 1)[0]
+    q1 = inner(f1, f1)
+    if abs(abs(q1) - 1.0) > 10 * TOL_UNIT:
+        raise NonUnitSpeedError(f"<b',b'> = {q1:.6g}; line is not unit speed")
+    if _reference_null_residual(f1):
+        raise NullResidualError("line direction is null")
+    frame, eps = [f1], [1 if q1 > 0 else -1]
+    for cand in (E1, E2, E3, E4):
+        if len(frame) == 3:
+            break
+        rho = cand
+        for f, e in zip(frame, eps):
+            rho = rho - (e * inner(rho, f)) * f
+        if (rho.x1 * rho.x1 + rho.x2 * rho.x2 + rho.x3 * rho.x3 + rho.x4 * rho.x4 < 1e-12
+                or _reference_null_residual(rho)):
+            continue
+        rho = rho * (1.0 / norm(rho))
+        frame.append(rho)
+        eps.append(1 if inner(rho, rho) > 0 else -1)
+    if len(frame) != 3:
+        raise NullResidualError("could not complete a non-null frame for the line")
+    cross = triple_cross(frame[0], frame[1], frame[2])
+    e4 = 1 if inner(cross, cross) > 0 else -1
+    eps.append(e4)
+    return FrenetFrame(frame[0], frame[1], frame[2], cross * (-e4 / norm(cross)), tuple(eps),
+                       0.0, 0.0, 0.0)

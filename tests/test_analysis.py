@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conftest
@@ -251,22 +252,93 @@ def test_weingarten_all_pairs_for_tubular(beta1, gamma4):
 
 
 def test_weingarten_evaluates_k_and_h_once_per_stencil_point(beta1, monkeypatch):
-    """Both pair axes take 4 offsets each: 8 closed-form (K, H) per node."""
+    """One array pass of the family formulas per s row: each node's 8 stencil
+    points (4 offsets along each axis of the pair) are array elements of that
+    pass, each evaluated exactly once."""
+    from collections import Counter
     import canal4.analysis as analysis
-    calls = []
-    original = analysis.gauss_mean_principal
+    from canal4.analysis import WEINGARTEN_FD_STEP as h
+    points, sizes = [], []
+    kh_points, kernel = analysis._kh_points, analysis._family_curvatures
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def recorded(config, cache, eps, pts):
+        points.append(pts)
+        return kh_points(config, cache, eps, pts)
+
+    def counted(*args):
+        sizes.append(args[-1].shape)
+        return kernel(*args)
 
     patch = sample_grid(beta1, make_config(1, 1, R2S),
-                        GridSpec((1.0, 1.5), (0.3, 1.2), (0.4,)))
-    expected = weingarten_check(patch, "tw")
-    monkeypatch.setattr(analysis, "gauss_mean_principal", counted)
-    report = weingarten_check(patch, "tw")
-    assert len(calls) == 8 * report.nodes_checked
-    assert report == expected
+                        GridSpec((1.0, 1.5), (0.3, 1.2, 2.0), (0.4, -0.6)))
+    for pair in ("tw", "sw"):
+        expected = weingarten_check(patch, pair)
+        points.clear()
+        sizes.clear()
+        monkeypatch.setattr(analysis, "_kh_points", recorded)
+        monkeypatch.setattr(analysis, "_family_curvatures", counted)
+        report = weingarten_check(patch, pair)
+        monkeypatch.undo()
+        assert report == expected and report.nodes_checked == 12
+        assert sizes == [(8 * 6,)] * 2             # one call per s row, 8 points per node
+        for row, (i, s) in zip(points, enumerate(patch.grid.s_values)):
+            stencil = Counter(
+                tuple(x + d if a == ax else x for a, x in enumerate((s, t, w)))
+                for t in patch.grid.t_values for w in patch.grid.w_values
+                for ax in map("stw".index, pair) for d in (-2 * h, -h, h, 2 * h))
+            assert Counter(row) == stencil and max(stencil.values()) == 1
+
+
+def _error_patches(beta1, gamma2):
+    """Patches whose Weingarten stencils fail: a radius that turns negative
+    one stencil step below the grid, cosh overflowing along t at one node and
+    along w at an earlier one, and a null-cone family (no Q > 0)."""
+    from canal4 import expr as ex
+    from canal4.canal import SurfacePatch, Variant
+    yield sample_grid(beta1, make_config(1, 1, RadiusProfile.from_expr("2*s - 1.999")),
+                      GridSpec((1.0, 1.5), (0.3, 1.2), (0.4,))), "sw"
+    cfg = CanalConfig(2, -1, RadiusProfile.from_expr("1 + 0.2*s"))
+    grid = GridSpec((1.0, 1.2), (0.3, 710.475), (710.475, 0.3))
+    yield SurfacePatch(gamma2, cfg, grid, np.zeros((8, 4)),
+                       tuple(gamma2.frame(s) for s in grid.s_values), frozenset()), "tw"
+    a_free = tuple(ex.parse(a, ("s", "t", "w")) for a in ("t", "w"))
+    yield sample_grid(gamma2, CanalConfig(2, 0, None, 1, Variant.STANDARD, a_free),
+                      GridSpec((1.0,), (0.3,), (0.4,))), "st"
+
+
+def test_weingarten_equals_scalar_reference(family_curves, beta1, gamma2, rng):
+    """The row passes give the residual and node count of the original loop of
+    8 scalar (K, H) evaluations per node, bit for bit, and on stencils that
+    fail its first error (type and message)."""
+    import oracles
+    from canal4.canal import Variant
+    cases = [(j, CanalConfig(j, lam, conftest.random_polynomial_radius(
+                 rng, j, lam, conftest.SWEEP_S_RANGE[j]), sigma))
+             for j, lam in ALL_FAMILIES for sigma in (1, -1)]
+    cases += [(3, CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), -1,
+                              Variant.ALT_SUPERCRITICAL)),
+              (4, CanalConfig(4, -1, RadiusProfile.from_constant(0.3)))]
+    for j, cfg in cases:
+        patch = _patch(family_curves[j], cfg, j)
+        for pair in ("st", "sw", "tw"):
+            got, one = weingarten_check(patch, pair), oracles.reference_weingarten(patch, pair)
+            assert repr(got) == repr(one)
+    kinds = []
+    for patch, pair in _error_patches(beta1, gamma2):
+        got, one = (_outcome(lambda: check(patch, pair))
+                    for check in (weingarten_check, oracles.reference_weingarten))
+        assert type(got) is type(one) and str(got) == str(one)
+        kinds.append(f"{type(got).__name__}: {got}")
+    assert [k.split(":")[0] for k in kinds] == ["InadmissibleConfigError", "DomainError",
+                                               "InadmissibleConfigError"]
+    assert "(2, 'standard', 0.3, 710.476)" in kinds[1]     # node 0's w offset comes first
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return exc
 
 
 def test_radius_evaluated_once_per_distinct_s(beta1):

@@ -264,6 +264,15 @@ def test_patch_json_rejects_unknown_radius_and_other_curve_modes(beta1):
         missing = path.replace(".0.", "[0].")
         with pytest.raises(ValueError, match=rf"^{re.escape(missing)}: missing"):
             patch_from_json(json.dumps(doc))
+    for path in ("degenerate", "frames", "grid.s", "grid.t", "grid.w", "curve.components",
+                 "curve.domain"):
+        for bad, kind in ((5, "int"), ({"0": 1.0}, "dict"), ("1.0", "str")):
+            doc = json.loads(patch_to_json(patch))
+            *outer, key = path.split(".")
+            (doc[outer[0]] if outer else doc)[key] = bad
+            expected = rf"^{re.escape(path)}: expected a list, got {kind}$"
+            with pytest.raises(ValueError, match=expected):
+                patch_from_json(json.dumps(doc))
 
 
 def _small_patch_doc(beta1):

@@ -263,6 +263,95 @@ def test_row_errors_match_one_node_calls(beta2):
                      "DegenerateNodeError"]
 
 
+def _assert_same_outcome(got, one):
+    """The same error (type and message), or reports equal bit for bit."""
+    assert type(got) is type(one)
+    if isinstance(one, Exception):
+        assert str(got) == str(one)
+        return
+    for field in ("g", "h", "S"):
+        assert getattr(got, field).tobytes() == getattr(one, field).tobytes()
+    assert repr(got.N) == repr(one.N)
+    assert repr((got.eps_N, got.K, got.H, got.mu, got.f_j, got.A, got.route)) == repr(
+        (one.eps_N, one.K, one.H, one.mu, one.f_j, one.A, one.route))
+
+
+def test_closed_row_pass_equals_per_node_reference(family_curves, rng):
+    """The closed-form pass over an s row gives every node's g, h, N and
+    report bit for bit equal to the original per-node closed form, on every
+    family and branch, the supercritical variant and the tubes; so do the
+    one-node calls, which are passes of one node."""
+    from canal4.curvature import _closed_forms, _closed_reports
+    for curve, cfg in _row_configs(family_curves, rng):
+        s = rng.uniform(*conftest.SWEEP_S_RANGE[cfg.j])
+        t = [rng.uniform(0.0, 6.0) if cfg.j == 1 else rng.uniform(-1.3, 1.3) for _ in range(3)]
+        w = [rng.choice((-1, 1)) * rng.uniform(0.3, 1.2) for _ in range(3)]
+        t, w = [x for x in t for _ in w], w * len(t)
+        (g, h, N, _), errors = _closed_forms(cfg, s, t, w, PointMapCache(curve, cfg))
+        assert errors == [None] * len(t)
+        reports = _closed_reports(cfg, s, t, w, PointMapCache(curve, cfg))
+        for n, node in enumerate(zip(t, w)):
+            g_ref, h_ref, N_ref = oracles.reference_closed_forms(curve, cfg, s, *node)
+            assert g[n].tobytes() == g_ref.tobytes() and h[n].tobytes() == h_ref.tobytes()
+            assert repr(Vec4(*N[n].tolist())) == repr(N_ref)
+            ref = _outcome(lambda: oracles.reference_closed_report(curve, cfg, s, *node))
+            _assert_same_outcome(reports[n], ref)
+            _assert_same_outcome(curvature_report(curve, cfg, s, *node), ref)
+            g1, h1, N1 = closed_fundamental_forms(curve, cfg, s, *node)
+            assert (g1.tobytes(), h1.tobytes(), repr(N1)) == (
+                g_ref.tobytes(), h_ref.tobytes(), repr(N_ref))
+
+
+def test_closed_row_errors_match_per_node_reference(beta2):
+    """One supercritical row mixes good nodes, a degenerate one (w = 0), one
+    whose cosh overflows (t = 800) and one on the focal locus D = 0: each
+    node gets the report or the error (type and message) of the per-node
+    reference. Past the domain the row fails every node after its own
+    degenerate check."""
+    from canal4.curvature import _closed_reports
+    cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
+                      Variant.ALT_SUPERCRITICAL)
+    row = PointMapCache(beta2, cfg).row(1.2)
+    Q, R = -(row.rp ** 2 - row.frame.eps[0]), -row.rpp
+    # D = Q - eps2 r k1 f sqrt(Q) + r R = 0 with f = sinh(t) sinh(w), w = 0.5
+    f = (Q + row.r * R) / (row.frame.eps[1] * row.r * row.frame.k1 * math.sqrt(Q))
+    t = (0.3, -0.4, 800.0, 0.3, math.asinh(f / math.sinh(0.5)))
+    w = (0.4, 0.0, 0.5, -0.7, 0.5)
+    kinds = []
+    for s in (1.2, 3.01):
+        reports = _closed_reports(cfg, s, t, w, PointMapCache(beta2, cfg))
+        for node, got in zip(zip(t, w), reports):
+            _assert_same_outcome(got, _outcome(
+                lambda: oracles.reference_closed_report(beta2, cfg, s, *node)))
+            kinds.append(type(got).__name__)
+    assert kinds == ["CurvatureReport", "DegenerateNodeError", "DomainError",
+                     "CurvatureReport", "SingularMetricError", "OutOfDomainError",
+                     "DegenerateNodeError", "OutOfDomainError", "OutOfDomainError",
+                     "OutOfDomainError"]
+
+
+def test_gauss_mean_principal_equals_float_reference(family_curves, rng):
+    """The scalar wrapper of the array formulas gives the float formulas' bits,
+    or their error: Q <= 0, a cosh overflow in f_j, a focal denominator."""
+    from canal4.curvature import gauss_mean_principal
+    cases = [(cfg.j, cfg.lam, cfg.variant, curve.frame(s).eps, curve.frame(s).k1, cfg.radius(s),
+              cfg.radius.r_prime(s), cfg.radius.r_second(s), t, w, cfg.sigma)
+             for curve, cfg in _row_configs(family_curves, rng)
+             for s, t, w in [admissible_node(rng, curve, cfg, conftest.SWEEP_S_RANGE[cfg.j])]]
+    cases += [(1, 1, Variant.STANDARD, (-1, 1, 1, 1), 0.5, 1.0, 0.0, 0.0, 0.3, 0.4, 1),
+              (1, 1, Variant.STANDARD, (1, -1, 1, 1), 0.5, 1.0, 1.0, 0.0, 0.3, 0.4, 1),
+              (2, 1, Variant.STANDARD, (1, -1, 1, 1), 0.5, 1.0, 2.0, 0.1, 800.0, 0.4, 1),
+              (1, 1, Variant.STANDARD, (-1, 1, 1, 1), 0.0, 1.0, 0.0, -1.0, 0.3, 0.4, 1)]
+    kinds = []
+    for case in cases:
+        got = _outcome(lambda: gauss_mean_principal(*case))
+        one = _outcome(lambda: oracles.reference_gauss_mean_principal(*case))
+        assert type(got) is type(one) and repr(got) == repr(one)
+        kinds.append(type(got).__name__)
+    assert kinds[-4:] == ["tuple", "InadmissibleConfigError", "DomainError",
+                          "SingularMetricError"]
+
+
 def test_numeric_patch_loops_equal_per_node_reference(beta1, beta2):
     """check_kh_relation on the numeric route and the CSV export give the
     report and the bytes of the node-by-node reference loop."""

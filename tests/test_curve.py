@@ -130,6 +130,44 @@ def test_curvature_constancy(beta1, beta2):
             assert statistics.pstdev(vals) <= 1e-8
 
 
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return exc
+
+
+def test_frenet_equals_vec4_reference(family_curves, varying_curvature_curve, timelike_line):
+    """Gram-Schmidt on float tuples gives the frames of the Vec4 original bit
+    for bit (by repr) on every curve, and its errors with the same type and
+    message: non-unit speed, a null tangent, k1 = 0 (where frame falls back
+    to the line frame) and k2 = 0."""
+    import oracles
+    curves = [*family_curves.values(), varying_curvature_curve]
+    for curve in curves:
+        smin, smax = curve.domain
+        for i in range(9):
+            s = smin + (smax - smin) * i / 8
+            assert repr(curve.frenet(s)) == repr(oracles.reference_frenet(curve, s))
+    bad = {"NonUnitSpeedError": CurveSpec(("0", "2*s", "0", "0"), (0.0, 2.0)),
+           "NullResidualError": CurveSpec(("1048576*s", "1048576*s", "s", "0"), (0.0, 2.0)),
+           "FrameDegenerateError": CurveSpec(("0", "s", "0", "0"), (0.5, 2.5)),
+           "FrameDegenerateError k2": CurveSpec(("0", "cos(s)", "sin(s)", "0"), (0.0, 3.0))}
+    for kind, curve in bad.items():
+        got = _outcome(lambda: curve.frenet(1.0))
+        one = _outcome(lambda: oracles.reference_frenet(curve, 1.0))
+        assert type(got).__name__ == kind.split()[0] and type(got) is type(one)
+        assert str(got) == str(one)
+    assert "k1 vanishes" in str(_outcome(lambda: bad["FrameDegenerateError"].frenet(1.0)))
+    assert "k2 vanishes" in str(_outcome(lambda: bad["FrameDegenerateError k2"].frenet(1.0)))
+    line = bad["FrameDegenerateError"]
+    for other in (timelike_line, line):
+        assert repr(other.frame(1.0)) == repr(other.frame_for_line()) == repr(
+            oracles.reference_frame_for_line(other))
+    assert str(_outcome(lambda: bad["FrameDegenerateError k2"].frame(1.0))) == str(
+        _outcome(lambda: oracles.reference_frenet(bad["FrameDegenerateError k2"], 1.0)))
+
+
 def test_line_frame_degenerate(spacelike_line):
     with pytest.raises(FrameDegenerateError):
         spacelike_line.frenet(1.0)
