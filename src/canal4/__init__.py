@@ -7,24 +7,18 @@ from .analysis import (TheoremReport, check_kh_relation, classify_flat,
 from .canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
                     SurfacePatch, Variant, canal_point, canal_points,
                     nullcone_point, sample_grid, validate_config)
-from .curvature import (CurvatureReport, Route, curvature_report, curvatures,
-                        fundamental_forms, shape_operator, tubular_curvatures,
-                        unit_normal)
+from .curvature import CurvatureReport, Route, curvature_report, tubular_curvatures
 from .curve import CurveSpec, FrenetFrame
 from .expr import Expr, differentiate, evaluate, parse
-from .minkowski import (CausalCharacter, Vec4, causal_character, inner, norm,
-                        normalize, triple_cross)
+from .minkowski import Vec4, inner, norm, triple_cross
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanalConfig", "CausalCharacter", "CurvatureReport", "CurveSpec",
-    "Expr", "FrenetFrame", "GridSpec", "PointMapCache",
-    "RadiusProfile", "Route", "SurfacePatch", "TheoremReport", "Variant", "Vec4",
-    "canal_point", "canal_points", "causal_character", "check_kh_relation", "classify_flat",
-    "classify_minimal", "curvature_report", "curvatures", "differentiate",
-    "evaluate", "fundamental_forms", "inner", "norm", "normalize",
-    "nullcone_point", "parse", "sample_grid", "shape_operator",
-    "solve_minimal_radius", "triple_cross", "tubular_curvatures",
-    "unit_normal", "validate_config", "weingarten_check",
+    "CanalConfig", "CurvatureReport", "CurveSpec", "Expr", "FrenetFrame", "GridSpec",
+    "PointMapCache", "RadiusProfile", "Route", "SurfacePatch", "TheoremReport", "Variant",
+    "Vec4", "canal_point", "canal_points", "check_kh_relation", "classify_flat",
+    "classify_minimal", "curvature_report", "differentiate", "evaluate", "inner", "norm",
+    "nullcone_point", "parse", "sample_grid", "solve_minimal_radius", "triple_cross",
+    "tubular_curvatures", "validate_config", "weingarten_check",
 ]

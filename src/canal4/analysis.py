@@ -14,14 +14,12 @@ ratios.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canal import (CanalConfig, PointMapCache, RadiusProfile, SurfacePatch, _distinct,
-                    family_function)
+from .canal import CanalConfig, RadiusProfile, SurfacePatch, _distinct, family_function
 from .curvature import (_FOCAL, Route, _admissible_q, _family_curvatures, curvature_report,
                         node_reports)
 from .curve import CurveSpec, TAU_K
@@ -60,12 +58,11 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
     tol = tolerance if tolerance is not None else (
         KH_TOL_CLOSED if route is Route.CLOSED_FORM else KH_TOL_NUMERIC)
     sgn = _family_sign(patch)
-    cache = PointMapCache(patch.curve, patch.config, zip(patch.grid.s_values, patch.frames))
     worst = 0.0
     n = 0
-    for s, t, w, (rep,) in node_reports(patch, (route,), cache):
+    for s, t, w, (rep,) in node_reports(patch, (route,)):
         rep = unwrap(rep)
-        r = cache.row(s).r
+        r = patch.cache.row(s).r
         worst = max(worst, abs(3.0 * rep.H * r - rep.K * r ** 3 - 2.0 * sgn))
         n += 1
     return TheoremReport(f"kh-relation[{route.value}]", worst, tol, worst <= tol, n)
@@ -106,16 +103,16 @@ def weingarten_check(patch: SurfacePatch, pair: str,
 
     Partials of the closed-form K and H fields by 5-point finite differences,
     from one _kh_points pass per s row over the 8 stencil points of its nodes.
+    The stencil rows go into the patch's cache, so the pairs share them.
     """
     if pair not in ("st", "sw", "tw"):
         raise ValueError(f"pair must be 'st', 'sw' or 'tw', got {pair!r}")
-    cache = PointMapCache(patch.curve, patch.config, zip(patch.grid.s_values, patch.frames))
-    config, h = patch.config, WEINGARTEN_FD_STEP
+    config, cache, h = patch.config, patch.cache, WEINGARTEN_FD_STEP
     worst = 0.0
     n = 0
-    for _, row in itertools.groupby(patch.nodes(), key=lambda node: node[0]):
+    for row in patch.node_rows():
         # node by node, 4 offsets along each coordinate of the pair
-        points = [(*node[3:3 + i], node[3 + i] + d, *node[4 + i:]) for node in row
+        points = [(*node[:i], node[i] + d, *node[i + 1:]) for node in row
                   for i in map("stw".index, pair) for d in (-2 * h, -h, h, 2 * h)]
         (k0, k1, k2, k3), (h0, h1, h2, h3) = (
             x.reshape(-1, 4).T for x in _kh_points(config, cache, patch.frames[0].eps, points))
@@ -144,10 +141,8 @@ class FlatnessReport:
 
 
 def _max_k1(curve: CurveSpec, n_samples: int) -> float:
-    smin, smax = curve.domain
     worst = 0.0
-    for i in range(n_samples):
-        s = smin + (smax - smin) * i / (n_samples - 1)
+    for s in curve.sweep(n_samples):
         d2 = curve.derivative(s, 2)
         worst = max(worst, math.sqrt(abs(inner(d2, d2))))
     return worst
@@ -178,8 +173,7 @@ def classify_flat(curve: CurveSpec, radius: RadiusProfile,
     """Flat iff k1 = 0 and r'' = 0 with |r'| != 1; |r'| = 1 is EXCLUDED."""
     smin, smax = curve.domain
     max_k1 = _max_k1(curve, n_samples)
-    max_rpp = max(abs(radius.r_second(smin + (smax - smin) * i / (n_samples - 1)))
-                  for i in range(n_samples))
+    max_rpp = max(abs(radius.r_second(s)) for s in curve.sweep(n_samples))
     if max_k1 > TAU_K:
         return FlatnessReport("not-flat", f"k1 reaches {max_k1:.3g} > {TAU_K:g}",
                               max_k1, max_rpp, None)
@@ -224,8 +218,7 @@ def classify_minimal(curve: CurveSpec, radius: RadiusProfile, lam: int,
                                 max_k1, math.inf, None)
     fr = curve.frame(0.5 * (smin + smax))
     e1l = fr.eps[0] * lam
-    worst = max(abs(minimal_radius_residual(radius, e1l, smin + (smax - smin) * i / (n_samples - 1)))
-                for i in range(n_samples))
+    worst = max(abs(minimal_radius_residual(radius, e1l, s)) for s in curve.sweep(n_samples))
     if worst > MINIMAL_RESIDUAL_TOL:
         return MinimalityReport("not-minimal",
                                 f"radius equation residual {worst:.3g} > {MINIMAL_RESIDUAL_TOL:g}",

@@ -20,6 +20,8 @@ the remaining one is determined (j = 1 admits no such surface).
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -200,10 +202,8 @@ def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile,
                     n_samples: int = 33) -> Variant:
     """Pick the variant from the sign of r'^2 - lam*eps1 over the domain."""
     eps1 = -1 if j == 1 else 1
-    smin, smax = curve.domain
     sign = None
-    for i in range(n_samples):
-        s = smin + (smax - smin) * i / (n_samples - 1)
+    for s in curve.sweep(n_samples):
         q = radius.r_prime(s) ** 2 - lam * eps1
         here = 1 if q > VARIANT_BOUNDARY_TOL else (-1 if q < -VARIANT_BOUNDARY_TOL else 0)
         if here == 0:
@@ -241,10 +241,10 @@ class PointMapCache:
     """Per-s rows of the point map, memoized by exact float value of s.
 
     Grid rows, finite-difference stencils and the curvature formulas revisit
-    the same s values; one cache per patch-level loop evaluates and checks
-    the frame, b(s), r, r' and r'' once for every node at that s. frames
-    holds (s, frame) pairs already built, such as a patch's. For lam = 0 the
-    cache also holds the two free a-functions, compiled once.
+    the same s values; one cache per patch (SurfacePatch.cache) evaluates and
+    checks the frame, b(s), r, r' and r'' once for every node and every check
+    at that s. frames holds (s, frame) pairs already built, such as a patch's.
+    For lam = 0 the cache also holds the two free a-functions, compiled once.
     """
 
     def __init__(self, curve: CurveSpec, config: CanalConfig, frames=None):
@@ -414,9 +414,7 @@ def validate_config(curve: CurveSpec, config: CanalConfig,
         checks.append("lambda = 0: null condition enforced per point")
         return AdmissibilityReport(not reasons, tuple(reasons), tuple(checks))
 
-    smin, smax = curve.domain
-    r_min = min(config.radius(smin + (smax - smin) * i / (n_samples - 1))
-                for i in range(n_samples))
+    r_min = min(map(config.radius, curve.sweep(n_samples)))
     checks.append(f"radius minimum over domain: {r_min:.6g}")
     if r_min <= 0:
         reasons.append(f"radius must stay positive (min {r_min:.6g})")
@@ -501,6 +499,12 @@ class SurfacePatch:
     def is_degenerate(self, i: int, jj: int, k: int) -> bool:
         return self.flat_index(i, jj, k) in self.degenerate
 
+    @functools.cached_property
+    def cache(self) -> PointMapCache:
+        """The patch's one PointMapCache, seeded with its frames and built on
+        first use; every curvature, theorem and export pass reads it."""
+        return PointMapCache(self.curve, self.config, zip(self.grid.s_values, self.frames))
+
     def nodes(self, include_degenerate: bool = False):
         """Yield (i, j, k, s, t, w)."""
         for i, s in enumerate(self.grid.s_values):
@@ -509,12 +513,18 @@ class SurfacePatch:
                     if include_degenerate or self.flat_index(i, jj, k) not in self.degenerate:
                         yield (i, jj, k, s, t, w)
 
+    def node_rows(self):
+        """The (s, t, w) of the non-degenerate nodes, one list per s row that has any."""
+        for _, row in itertools.groupby(self.nodes(), key=lambda node: node[0]):
+            yield [node[3:] for node in row]
+
     def max_sphere_residual(self) -> float:
-        """max |<P-b, P-b> - lam*r^2| over all nodes (lam = 0: |<P-b, P-b>|)."""
+        """max |<P-b, P-b> - lam*r^2| over all nodes (lam = 0: |<P-b, P-b>|),
+        with b and r from the cache rows."""
         ns, nt, nw = self.shape
-        lam, s_values = self.config.lam, self.grid.s_values
-        b = np.array([self.curve.point(s).as_tuple() for s in s_values])
-        target = [0.0 if lam == 0 else lam * self.config.radius(s) ** 2 for s in s_values]
+        rows = [self.cache.row(s) for s in self.grid.s_values]
+        b = np.array([row.basis[0] for row in rows])
+        target = [self.config.lam * row.r ** 2 for row in rows]
         d = self.coords.reshape(ns, nt * nw, 4) - b.reshape(ns, 1, 4)
         return float(np.abs(inner(d, d) - np.reshape(target, (ns, 1))).max(initial=0.0))
 

@@ -25,9 +25,9 @@ Two independent routes:
   S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S).
 
 Both routes read the per-s values (frame, b, r, r', r'') from the rows of a
-PointMapCache; a cache shared over a patch evaluates them once per s value.
-node_reports feeds the patch loops pass by pass; a one-node call is a pass
-of one node.
+PointMapCache; a patch's one cache evaluates them once per s value for all
+its consumers. node_reports feeds the patch loops pass by pass;
+curvature_report, the one scalar entry point, is a pass of one node.
 
 Conventions: K = det(S) and 3H = tr(S); the sign eps_N = <N,N> (= lam here)
 is reported but not folded into K or H, matching the family formulas and
@@ -35,7 +35,6 @@ the K-H relation 3Hr - Kr^3 - 2 eps3 eps4 lam^j = 0.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,7 +46,7 @@ from .canal import (CanalConfig, PointMapCache, Variant, _distinct, degeneracy_f
 from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
                      InadmissibleConfigError, PoleAtNodeError, RankDeficientError,
                      SingularMetricError, or_error, unwrap)
-from .minkowski import Vec4, inner, triple_cross
+from .minkowski import inner, triple_cross
 
 FD_STEP = 1e-4         # first partials
 FD_STEP2 = 1e-3        # second partials: rounding noise scales as |C|/h^2
@@ -66,7 +65,7 @@ class CurvatureReport:
     g: np.ndarray
     h: np.ndarray
     S: np.ndarray
-    N: Vec4
+    N: tuple[float, float, float, float]
     eps_N: int
     K: float
     H: float
@@ -164,19 +163,13 @@ def _closed_reports(config, s, t, w, cache):
     def report(n):
         if focal[n]:
             raise SingularMetricError(_FOCAL)
-        Nn = Vec4(*N[n].tolist())
+        Nn = tuple(N[n].tolist())
         return CurvatureReport(g=g[n], h=h[n], S=S[n], N=Nn, eps_N=1 if inner(Nn, Nn) > 0 else -1,
                                K=float(K[n]), H=float(H[n]), mu=(mu12, mu12, float(mu3[n])),
                                f_j=float(a2[n]),
                                A=degeneracy_factor(config.j, config.variant, w[n]),
                                route=Route.CLOSED_FORM)
     return [e or or_error(report, n) for n, e in enumerate(errors)]
-
-
-def closed_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None = None):
-    """Exact (g, h, N) from frame components of the surface partials: the
-    one-node case of _closed_forms."""
-    return _one_node(_closed_forms, curve, config, s, t, w, cache)
 
 
 def _admissible_q(lam, variant, eps1, rp):
@@ -313,12 +306,6 @@ def _numeric_forms(config, s, t, w, cache):
         return (g, h, N), errors
 
 
-def numeric_fundamental_forms(curve, config, s, t, w, cache: PointMapCache | None = None):
-    """(g, h, N) from FD partials of the point map, N along c(C - b): the
-    one-node case of _numeric_forms. A cache shares per-s rows between calls."""
-    return _one_node(_numeric_forms, curve, config, s, t, w, cache)
-
-
 def _numeric_reports(config, s, t, w, cache):
     """The numeric CurvatureReport, or the CanalError it raises, of each node
     (s, t[n], w[n]): _numeric_forms, then det, solve and eigvals stacked over
@@ -333,7 +320,7 @@ def _numeric_reports(config, s, t, w, cache):
     eig = np.linalg.eigvals(S)
 
     def report(n):
-        Nn = Vec4(*N[n].tolist())
+        Nn = tuple(N[n].tolist())
         return CurvatureReport(g=g[n], h=h[n], S=S[n], N=Nn, eps_N=1 if inner(Nn, Nn) > 0 else -1,
                                K=float(K[n]), H=float(H[n]), mu=_principal(eig[n]),
                                f_j=family_function(config.j, config.variant, t[n], w[n]),
@@ -350,29 +337,21 @@ PASS_NODES = 8
 _REPORTS = {Route.CLOSED_FORM: _closed_reports, Route.NUMERIC: _numeric_reports}
 
 
-def node_reports(patch, routes, cache: PointMapCache):
+def node_reports(patch, routes):
     """(s, t, w, reports) per non-degenerate node of the patch, in node order:
     per route the node's CurvatureReport or the CanalError it raises (see
     unwrap). Both routes take each s row in passes of at most PASS_NODES
-    nodes."""
-    for _, row in itertools.groupby(patch.nodes(), key=lambda node: node[0]):
-        row = [node[3:6] for node in row]
+    nodes, reading the patch's cache."""
+    for row in patch.node_rows():
         passes = -(-len(row) // PASS_NODES)
         for k in range(passes):
             s, t, w = zip(*row[k * len(row) // passes:(k + 1) * len(row) // passes])
-            columns = [_REPORTS[route](patch.config, s[0], t, w, cache) for route in routes]
+            columns = [_REPORTS[route](patch.config, s[0], t, w, patch.cache) for route in routes]
             yield from zip(s, t, w, zip(*columns))
 
 
 # ---------------------------------------------------------------------------
 # shared pieces
-
-def _one_node(forms, curve, config, s, t, w, cache):
-    """(g, h, N) of one node from a row pass (_closed_forms or _numeric_forms)."""
-    out, (error,) = forms(config, s, (t,), (w,), cache or PointMapCache(curve, config))
-    unwrap(error)
-    return out[0][0], out[1][0], Vec4(*out[2][0].tolist())
-
 
 def _shape_operators(g, h, errors):
     """S = g^-1 h of each node, det and solve stacked over the nodes (the same
@@ -395,12 +374,6 @@ def _check_metric(scale: float, det_g: float):
         raise SingularMetricError(f"det g = {det_g:.3g} below {SINGULAR_REL_TOL:g}*scale^3")
 
 
-def shape_operator(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """S = g^-1 h; raises SingularMetricError when det g ~ 0."""
-    _check_metric(float(np.abs(g).max()), float(np.linalg.det(g)))
-    return np.linalg.solve(g, h)
-
-
 def _principal(vals) -> tuple[float, float, float]:
     """Real parts of S's eigenvalues, the double root first.
 
@@ -416,35 +389,13 @@ def _principal(vals) -> tuple[float, float, float]:
     return (vals[a], vals[b], vals[({0, 1, 2} - {a, b}).pop()])
 
 
-def principal_from_shape(S: np.ndarray) -> tuple[float, float, float]:
-    """Real eigenvalues of the numeric shape operator, double root first."""
-    return _principal(np.linalg.eigvals(S))
-
-
-_FORMS = {Route.CLOSED_FORM: closed_fundamental_forms, Route.NUMERIC: numeric_fundamental_forms}
-
-
-def unit_normal(curve, config, s, t, w, route: Route = Route.CLOSED_FORM) -> Vec4:
-    return _FORMS[route](curve, config, s, t, w)[2]
-
-
-def fundamental_forms(curve, config, s, t, w, route: Route = Route.CLOSED_FORM):
-    return _FORMS[route](curve, config, s, t, w)[:2]
-
-
 def curvature_report(curve, config, s, t, w, route: Route = Route.CLOSED_FORM,
                      cache: PointMapCache | None = None) -> CurvatureReport:
-    """Full per-node report: g, h, S, N, eps_N, K, H, mu, f_j, A, the one-node
-    case of the row pass of node_reports. A cache shared by the nodes of one
-    patch evaluates the per-s rows (frame, b, r, r', r'') once for all of them.
-    """
+    """Full per-node report: g, h, S, N (a 4-tuple), eps_N, K, H, mu, f_j, A,
+    the one-node case of the row pass of node_reports. A cache shared by the
+    nodes of one patch evaluates the per-s rows (frame, b, r, r', r'') once
+    for all of them."""
     return unwrap(_REPORTS[route](config, s, (t,), (w,), cache or PointMapCache(curve, config))[0])
-
-
-def curvatures(curve, config, s, t, w, route: Route = Route.CLOSED_FORM):
-    """(K, H, mu1, mu2, mu3) at one node."""
-    rep = curvature_report(curve, config, s, t, w, route)
-    return (rep.K, rep.H) + rep.mu
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,11 @@ class CurveSpec:
         if not smin - overhang <= s <= smax + overhang:
             raise OutOfDomainError(f"s={s!r} outside domain [{smin}, {smax}]")
 
+    def sweep(self, n: int) -> list[float]:
+        """n evenly spaced s values from smin to smax, both ends included."""
+        smin, smax = self.domain
+        return [smin + (smax - smin) * i / (n - 1) for i in range(n)]
+
     def point(self, s: float) -> Vec4:
         self._check_domain(s)
         return Vec4(*self._eval_order(s, 0))
@@ -153,7 +158,7 @@ class CurveSpec:
         """Moving frame at s; requires k1, k2 > TAU_K and non-null residuals."""
         f1, d2, d3, d4 = self._orders(s, 4, (1, 2, 3, 4))
         q1 = inner(f1, f1)
-        if abs(abs(q1) - 1.0) > 10 * TOL_UNIT:
+        if not abs(abs(q1) - 1.0) <= 10 * TOL_UNIT:     # a nan <b',b'> fails too
             raise NonUnitSpeedError(f"<b',b'> = {q1:.6g} at s={s!r}; curve is not unit speed")
         if _is_null_residual(f1):
             raise NullResidualError(f"tangent is null at s={s!r}")
@@ -194,9 +199,7 @@ class CurveSpec:
 
     def is_straight(self, n_samples: int = 16) -> bool:
         """True when b'' vanishes across the domain (within TAU_K)."""
-        smin, smax = self.domain
-        for i in range(n_samples):
-            s = smin + (smax - smin) * i / (n_samples - 1)
+        for s in self.sweep(n_samples):
             if math.sqrt(_euclid_sq(self.derivative(s, 2))) > TAU_K:
                 return False
         return True
@@ -211,7 +214,7 @@ class CurveSpec:
         s0 = 0.5 * (smin + smax) if s is None else s
         f1 = self.derivative(s0, 1)
         q1 = inner(f1, f1)
-        if abs(abs(q1) - 1.0) > 10 * TOL_UNIT:
+        if not abs(abs(q1) - 1.0) <= 10 * TOL_UNIT:     # a nan <b',b'> fails too
             raise NonUnitSpeedError(f"<b',b'> = {q1:.6g}; line is not unit speed")
         if _is_null_residual(f1):
             raise NullResidualError("line direction is null")
@@ -253,10 +256,9 @@ class CurveSpec:
         """Report max | |<b',b'>| - 1 | over an even sample of the domain."""
         if n_samples < 2:
             raise ValueError("n_samples must be >= 2")
-        smin, smax = self.domain
         worst = 0.0
-        for i in range(n_samples):
-            s = smin + (smax - smin) * i / (n_samples - 1)
+        for s in self.sweep(n_samples):
             d1 = self.derivative(s, 1)
-            worst = max(worst, abs(abs(inner(d1, d1)) - 1.0))
+            gap = abs(abs(inner(d1, d1)) - 1.0)
+            worst = max(worst, math.inf if math.isnan(gap) else gap)    # nan: the speed overflows
         return UnitSpeedReport(worst, TOL_UNIT, worst <= TOL_UNIT, n_samples)

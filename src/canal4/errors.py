@@ -70,10 +70,6 @@ class DomainError(NumericError):
     """Expression evaluation outside a function's domain (log<=0, sqrt<0, /0)."""
 
 
-class NullVectorError(NumericError):
-    """normalize() called on a null vector."""
-
-
 class FrameDegenerateError(NumericError):
     """A curvature (k1 or k2) vanished; the moving frame does not exist."""
 

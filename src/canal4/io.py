@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
-                    SurfacePatch, Variant)
+from .canal import CanalConfig, GridSpec, RadiusProfile, SurfacePatch, Variant
 from .curve import CurveSpec, FrenetFrame
 from .curvature import Route, node_reports
 from .errors import EmptySliceError, NumericError, unwrap
@@ -64,8 +63,7 @@ def export_curvature_csv(patch: SurfacePatch) -> str:
     are skipped.
     """
     rows = [CSV_HEADER]
-    cache = PointMapCache(patch.curve, patch.config, zip(patch.grid.s_values, patch.frames))
-    for s, t, w, (cf, num) in node_reports(patch, (Route.CLOSED_FORM, Route.NUMERIC), cache):
+    for s, t, w, (cf, num) in node_reports(patch, (Route.CLOSED_FORM, Route.NUMERIC)):
         try:
             cf, num = unwrap(cf), unwrap(num)
         except NumericError:
@@ -113,26 +111,38 @@ def _numbers(value, n: int) -> bool:
             and all(type(x) in (int, float) and math.isfinite(x) for x in value))
 
 
+def _strings(value, n: int) -> bool:
+    """Whether value is a list of n strings."""
+    return isinstance(value, list) and len(value) == n and all(type(x) is str for x in value)
+
+
+def _require(ok: bool, field: str, expected: str):
+    """A ValueError naming the field unless ok."""
+    if not ok:
+        raise ValueError(f"{field}: expected {expected}")
+
+
 def _frame_from_payload(fr, field: str) -> FrenetFrame:
     vectors, eps, k = (_get(fr, key, f"{field}.") for key in ("vectors", "eps", "k"))
-    if not (isinstance(vectors, list) and len(vectors) == 4
-            and all(_numbers(v, 4) for v in vectors)):
-        raise ValueError(f"{field}.vectors: expected 4 vectors of 4 finite numbers")
-    if not (_numbers(eps, 4) and all(type(e) is int for e in eps) and sorted(eps) == [-1, 1, 1, 1]):
-        raise ValueError(f"{field}.eps: expected 4 signs +-1 with exactly one -1")
-    if not _numbers(k, 3):
-        raise ValueError(f"{field}.k: expected 3 finite numbers")
+    _require(isinstance(vectors, list) and len(vectors) == 4
+             and all(_numbers(v, 4) for v in vectors), f"{field}.vectors",
+             "4 vectors of 4 finite numbers")
+    _require(_numbers(eps, 4) and all(type(e) is int for e in eps) and sorted(eps) == [-1, 1, 1, 1],
+             f"{field}.eps", "4 signs +-1 with exactly one -1")
+    _require(_numbers(k, 3), f"{field}.k", "3 finite numbers")
     return FrenetFrame(*(Vec4(*v) for v in vectors), tuple(eps), *k)
 
 
 def _radius_from_payload(payload):
     if payload is None:
         return None
-    kind = _get(payload, "kind")
+    kind = _get(payload, "kind", "config.radius.")
     if kind == "constant":
-        return RadiusProfile.from_constant(_get(payload, "value"))
+        value = _get(payload, "value", "config.radius.")
+        _require(_numbers([value], 1), "config.radius.value", "a finite number")
+        return RadiusProfile.from_constant(value)
     if kind == "expr":
-        return RadiusProfile.from_expr(_get(payload, "text"))
+        return RadiusProfile.from_expr(_get(payload, "text", "config.radius.", str))
     if kind != "table":
         raise ValueError(f"unknown radius kind {kind!r}")
     from scipy.interpolate import CubicHermiteSpline
@@ -189,14 +199,22 @@ def patch_from_json(text: str) -> SurfacePatch:
     if (not isinstance(doc, dict) or doc.get("format") != "canal-patch"
             or doc.get("version") != 1 or _get(doc, "curve.mode.kind") != _CURVE_MODE["kind"]):
         raise ValueError("not a canal-patch v1 document")
-    curve = CurveSpec(tuple(_get(doc, "curve.components", kind=list)),
-                      tuple(_get(doc, "curve.domain", kind=list)))
-    a_free = tuple(ex.parse(a, ("s", "t", "w")) for a in _get(doc, "config.a_free") or ())
+    components, domain = (_get(doc, f"curve.{key}", kind=list) for key in ("components", "domain"))
+    _require(_strings(components, 4), "curve.components", "4 expression strings")
+    _require(_numbers(domain, 2), "curve.domain", "2 finite numbers")
+    curve = CurveSpec(tuple(components), tuple(domain))
+    for key in ("j", "lambda", "sigma"):
+        _require(type(_get(doc, f"config.{key}")) is int, f"config.{key}", "an integer")
+    a_free = _get(doc, "config.a_free")
+    _require(a_free is None or _strings(a_free, 2), "config.a_free", "null or 2 expression strings")
     config = CanalConfig(_get(doc, "config.j"), _get(doc, "config.lambda"),
                          _radius_from_payload(_get(doc, "config.radius")),
                          _get(doc, "config.sigma"), Variant(_get(doc, "config.variant")),
-                         a_free or None)
-    grid = GridSpec(*(tuple(_get(doc, f"grid.{axis}", kind=list)) for axis in "stw"))
+                         a_free and tuple(ex.parse(a, ("s", "t", "w")) for a in a_free))
+    axes = [_get(doc, f"grid.{axis}", kind=list) for axis in "stw"]
+    for axis, values in zip("stw", axes):
+        _require(_numbers(values, len(values)), f"grid.{axis}", "finite numbers")
+    grid = GridSpec(*map(tuple, axes))
     ns, nt, nw = len(grid.s_values), len(grid.t_values), len(grid.w_values)
     n = ns * nt * nw
     points = _get(doc, "points")
@@ -204,14 +222,12 @@ def patch_from_json(text: str) -> SurfacePatch:
         coords = np.array(points, dtype=float) if points != [] else np.empty((0, 4))
     except (TypeError, ValueError):
         coords = None
-    if coords is None or coords.shape != (n, 4) or not np.isfinite(coords).all():
-        raise ValueError(f"points: expected {n} points of 4 finite numbers for the "
-                         f"{ns}x{nt}x{nw} grid")
+    _require(coords is not None and coords.shape == (n, 4) and np.isfinite(coords).all(),
+             "points", f"{n} points of 4 finite numbers for the {ns}x{nt}x{nw} grid")
     frames = _get(doc, "frames", kind=list)
-    if len(frames) != ns:
-        raise ValueError(f"frames: expected {ns}, one per s value, got {len(frames)}")
+    _require(len(frames) == ns, "frames", f"{ns}, one per s value, got {len(frames)}")
     frames = tuple(_frame_from_payload(fr, f"frames[{i}]") for i, fr in enumerate(frames))
     degenerate = _get(doc, "degenerate", kind=list)
-    if not all(type(k) is int and 0 <= k < n for k in degenerate):
-        raise ValueError(f"degenerate: flat node indices must be ints in [0, {n})")
+    _require(all(type(k) is int and 0 <= k < n for k in degenerate), "degenerate",
+             f"flat node indices, ints in [0, {n})")
     return SurfacePatch(curve, config, grid, coords, frames, frozenset(degenerate))

@@ -8,20 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import NullVectorError
-
-# Absolute tolerance for causal classification of numerically computed vectors.
+# Tolerance on |<x,x>| below which a numerically computed vector counts as null.
 TAU_NULL = 1e-10
-
-
-class CausalCharacter(Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE = "timelike"
-    NULL = "null"
 
 
 @dataclass(frozen=True)
@@ -99,26 +90,6 @@ def triple_cross(x, y, z):
     return Vec4(*out) if vec else out if tup else np.stack(out, axis=-1)
 
 
-def causal_character(x: Vec4, tau: float = TAU_NULL) -> CausalCharacter:
-    """Classify by the sign of <x,x>; the zero vector is spacelike."""
-    if x.x1 == 0.0 and x.x2 == 0.0 and x.x3 == 0.0 and x.x4 == 0.0:
-        return CausalCharacter.SPACELIKE
-    q = inner(x, x)
-    if q < -tau:
-        return CausalCharacter.TIMELIKE
-    if q > tau:
-        return CausalCharacter.SPACELIKE
-    return CausalCharacter.NULL
-
-
 def norm(x) -> float:
     """sqrt(|<x,x>|) >= 0."""
     return math.sqrt(abs(inner(x, x)))
-
-
-def normalize(x: Vec4, tau: float = TAU_NULL) -> Vec4:
-    """x scaled so |<result,result>| = 1. Raises NullVectorError on null x."""
-    q = inner(x, x)
-    if abs(q) <= tau:
-        raise NullVectorError(f"cannot normalize a null vector (<x,x> = {q:g})")
-    return x * (1.0 / math.sqrt(abs(q)))

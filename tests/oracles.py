@@ -363,7 +363,7 @@ def reference_fd2(f, args, i, jj, h):
 
 def reference_numeric_forms(curve, config, s, t, w, step=1e-4, step2=1e-3):
     """(g, h, N) of the numeric route, one reference_point per stencil node."""
-    from canal4.curvature import closed_fundamental_forms
+    from canal4.curvature import curvature_report
     from canal4.minkowski import inner, triple_cross
 
     def f(a, b, c):
@@ -374,8 +374,8 @@ def reference_numeric_forms(curve, config, s, t, w, step=1e-4, step2=1e-3):
     g = np.array([[inner(parts[i], parts[jj]) for jj in range(3)] for i in range(3)])
     cross = triple_cross(*parts)
     N = cross * (1.0 / sqrt(abs(inner(cross, cross))))
-    _, _, N_cf = closed_fundamental_forms(curve, config, s, t, w)
-    if sum(x * y for x, y in zip(N.as_tuple(), N_cf.as_tuple())) < 0:
+    N_cf = curvature_report(curve, config, s, t, w).N
+    if sum(x * y for x, y in zip(N.as_tuple(), N_cf)) < 0:
         N = -N
     h = np.empty((3, 3))
     for i in range(3):
@@ -388,13 +388,20 @@ def reference_numeric_forms(curve, config, s, t, w, step=1e-4, step2=1e-3):
 # per-node reference for the numeric patch loops: the scalar forms above, one
 # shape operator, det and eigvals call per node, one node after the other
 
+def reference_shape_operator(g, h):
+    """S = g^-1 h of one node; raises SingularMetricError when det g ~ 0."""
+    from canal4.curvature import _check_metric
+    _check_metric(float(np.abs(g).max()), float(np.linalg.det(g)))
+    return np.linalg.solve(g, h)
+
+
 def reference_numeric_report(curve, config, s, t, w):
     """(K, H, mu) of the numeric route at one node."""
-    from canal4.curvature import principal_from_shape, shape_operator
+    from canal4.curvature import _principal
     g, h, _ = reference_numeric_forms(curve, config, s, t, w)
-    S = shape_operator(g, h)
+    S = reference_shape_operator(g, h)
     return (float(np.linalg.det(h) / np.linalg.det(g)), float(np.trace(S)) / 3.0,
-            principal_from_shape(S))
+            _principal(np.linalg.eigvals(S)))
 
 
 def reference_kh_report(patch):
@@ -557,16 +564,16 @@ def reference_closed_forms(curve, config, s, t, w):
 def reference_closed_report(curve, config, s, t, w):
     """The closed-form CurvatureReport of one node, or the error it raises."""
     from canal4.canal import PointMapCache, family_function
-    from canal4.curvature import CurvatureReport, Route, _check_node, shape_operator
+    from canal4.curvature import CurvatureReport, Route, _check_node
     from canal4.minkowski import inner
     A = _check_node(config, w)
     row = PointMapCache(curve, config).row(s)
     g, h, N = reference_closed_forms(curve, config, s, t, w)
-    S = shape_operator(g, h)
+    S = reference_shape_operator(g, h)
     K, H, mu = reference_gauss_mean_principal(
         config.j, config.lam, config.variant, row.frame.eps, row.frame.k1, row.r, row.rp,
         row.rpp, t, w, config.sigma)
-    return CurvatureReport(g=g, h=h, S=S, N=N, eps_N=1 if inner(N, N) > 0 else -1,
+    return CurvatureReport(g=g, h=h, S=S, N=N.as_tuple(), eps_N=1 if inner(N, N) > 0 else -1,
                            K=float(K), H=float(H), mu=tuple(float(m) for m in mu),
                            f_j=family_function(config.j, config.variant, t, w),
                            A=A,

@@ -343,7 +343,8 @@ def _outcome(fn):
 
 def test_radius_evaluated_once_per_distinct_s(beta1):
     """The K-H check (both routes), the Weingarten check and the CSV export
-    evaluate r, r' and r'' at most once per distinct s, not once per node."""
+    evaluate r, r' and r'' at most once per distinct s, not once per node;
+    and since they share the patch's cache, so do all four run on one patch."""
     from collections import Counter
     from canal4.io import export_curvature_csv
     calls = Counter()
@@ -356,17 +357,25 @@ def test_radius_evaluated_once_per_distinct_s(beta1):
 
     radius = RadiusProfile("expr", counted("r", R2S.r), counted("r'", R2S.r_prime),
                            counted("r''", R2S.r_second), expr=R2S.expr)
-    patch = sample_grid(beta1, make_config(1, 1, radius),
-                        GridSpec((1.0, 1.5), (0.3, 1.2, 2.0), (0.4, -0.6)))
-    checks = (lambda: check_kh_relation(patch, Route.CLOSED_FORM),
-              lambda: check_kh_relation(patch, Route.NUMERIC),
-              lambda: weingarten_check(patch, "sw"),
-              lambda: export_curvature_csv(patch))
-    for check in checks:
+
+    def new_patch():
+        patch = sample_grid(beta1, make_config(1, 1, radius),
+                            GridSpec((1.0, 1.5), (0.3, 1.2, 2.0), (0.4, -0.6)))
         calls.clear()
-        check()
+        return patch
+
+    checks = (lambda patch: check_kh_relation(patch, Route.CLOSED_FORM),
+              lambda patch: check_kh_relation(patch, Route.NUMERIC),
+              lambda patch: weingarten_check(patch, "sw"),
+              export_curvature_csv)
+    for check in checks:
+        check(new_patch())
         assert {name for name, _ in calls} == {"r", "r'", "r''"}
         assert max(calls.values()) == 1
+    patch = new_patch()
+    for check in checks:
+        check(patch)
+    assert max(calls.values()) == 1
 
 
 def test_numeric_loops_evaluate_the_point_map_once_per_pass(beta1, monkeypatch):

@@ -330,6 +330,49 @@ def test_patch_json_rejects_degenerate_indices_off_the_grid(beta1, degenerate):
         patch_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("path, bad", [
+    ("config.radius.text", 5),
+    ("config.radius.value", "abc"),
+    ("config.a_free", 5),
+    ("config.j", "1"),
+    ("config.j", True),
+    ("curve.components", [1, 2, 3, 4]),
+    ("grid.s", ["x"]),
+], ids=["radius-text", "radius-value", "a_free", "j-str", "j-bool", "components", "grid-s"])
+def test_patch_json_rejects_ill_typed_fields(beta1, path, bad):
+    """A field of the wrong type is a ValueError that names it."""
+    radius = (RadiusProfile.from_constant(2.0) if path == "config.radius.value"
+              else RadiusProfile.from_expr("2*s"))
+    patch = sample_grid(beta1, CanalConfig(1, 1, radius), GridSpec((1.0,), (0.2,), (0.4,)))
+    doc = json.loads(patch_to_json(patch))
+    *outer, key = path.split(".")
+    parent = doc
+    for name in outer:
+        parent = parent[name]
+    parent[key] = bad
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: expected "):
+        patch_from_json(json.dumps(doc))
+
+
+def test_verify_shares_stencil_rows_between_checks(monkeypatch):
+    """The checks of one verify command read one cache per patch: weingarten-st
+    and weingarten-sw share their 20 off-grid stencil rows, so the command
+    builds 26 frames for its 5 s values (1 to validate, 5 for the grid, 20
+    stencil rows), not 46."""
+    from canal4.curve import CurveSpec
+    calls = []
+    frenet = CurveSpec.frenet
+
+    def counted(self, s):
+        calls.append(s)
+        return frenet(self, s)
+
+    monkeypatch.setattr(CurveSpec, "frenet", counted)
+    assert run(["verify", "--example", "beta1", "--check",
+                "kh,weingarten-st,weingarten-sw,weingarten-tw", "--route", "cf"]) == 1
+    assert len(calls) <= 26
+
+
 def test_successive_main_calls_share_one_parser_and_no_state(tmp_path, capsys):
     """The parser is built once per process; a flag of one call (--out,
     --route) is not seen by the next, and argparse's exit 2 leaves it usable."""
@@ -393,19 +436,24 @@ def test_unwritable_output_path_exit_2(tmp_path, capsys, argv):
     _bad_config_exit(capsys, argv + [str(tmp_path / "no-such-dir" / "file")])
 
 
-@pytest.mark.parametrize("flag, text, code", [
-    ("--radius", "1e309*s", 2),          # literal overflows: syntax error
-    ("--radius", "1e308*10*s", 3),       # product overflows: numeric breakdown
-    ("--curve-x1", "1e309*s", 2),
-], ids=["radius-literal", "radius-product", "curve-literal"])
-def test_overflowing_expression_exit_code(tmp_path, capsys, flag, text, code):
-    if flag == "--radius":
-        argv = ["build", "--example", "beta1", "--radius", text]
-    else:
-        argv = ["build", "--curve-x1", text, "--curve-x2", "0", "--curve-x3", "0",
-                "--curve-x4", "0", "--family", "j1,l1", "--radius", "2"]
-    assert run(argv + ["--out", str(tmp_path / "x.json")]) == code
-    assert "Traceback" not in capsys.readouterr().err
+def _curve(*components):
+    """The flags of an explicit curve with the (j1, l1) family."""
+    return [arg for i, c in enumerate(components, 1) for arg in (f"--curve-x{i}", c)] + [
+        "--family", "j1,l1"]
+
+
+@pytest.mark.parametrize("source, code", [
+    (["--example", "beta1", "--radius", "1e309*s"], 2),      # literal overflows: syntax error
+    (["--example", "beta1", "--radius", "1e308*10*s"], 3),   # product overflows: numeric breakdown
+    (_curve("1e309*s", "0", "0", "0") + ["--radius", "2"], 2),
+    # <b',b'> = -inf + inf = nan: not unit speed
+    (_curve("1e200*s", "1e200*s", "s", "0") + ["--radius", "1", "--grid", "2x2x1"], 2),
+], ids=["radius-literal", "radius-product", "curve-literal", "curve-speed"])
+def test_overflowing_expression_exit_code(tmp_path, capsys, source, code):
+    assert run(["build", *source, "--out", str(tmp_path / "x.json")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:" if code == 2 else "numeric breakdown:")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["build", "curvature"])

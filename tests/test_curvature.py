@@ -11,10 +11,7 @@ import oracles
 
 from canal4.canal import (CanalConfig, PointMapCache, RadiusProfile, Variant,
                           degeneracy_factor)
-from canal4.curvature import (Route, closed_fundamental_forms, curvature_report,
-                              curvatures, fundamental_forms,
-                              numeric_fundamental_forms, shape_operator,
-                              tubular_curvatures, unit_normal)
+from canal4.curvature import Route, _check_metric, _principal, curvature_report, tubular_curvatures
 from canal4.errors import (DegenerateNodeError, InadmissibleConfigError,
                            PoleAtNodeError, SingularMetricError)
 from canal4.minkowski import Vec4, inner
@@ -26,6 +23,10 @@ SQ21 = math.sqrt(21.0)
 
 def _vdelta(a: Vec4, b: Vec4) -> float:
     return max(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple()))
+
+
+def _normal(curve, cfg, s, t, w, route=Route.CLOSED_FORM) -> Vec4:
+    return Vec4(*curvature_report(curve, cfg, s, t, w, route).N)
 
 
 def _family_cases(family_curves, rng, per_family=6, d_floor=0.25):
@@ -46,7 +47,7 @@ def test_normal_closed_form_golden(beta1):
     """Sphere family over the timelike curve: N = -(r' F1 + sqrt(r'^2+1) F2) at (1,0,0)."""
     cfg = make_config(1, 1, R2S)
     fr = beta1.frenet(1.0)
-    N = unit_normal(beta1, cfg, 1.0, 0.0, 0.0)
+    N = _normal(beta1, cfg, 1.0, 0.0, 0.0)
     expected = -(2.0 * fr.f1 + math.sqrt(5.0) * fr.f2)
     assert _vdelta(N, expected) < 1e-12
     assert inner(N, N) == pytest.approx(1.0, abs=1e-10)
@@ -56,7 +57,7 @@ def test_normal_sign_is_lambda(beta1, beta2):
     for curve, j in ((beta1, 1), (beta2, 3)):
         for lam in (1, -1):
             cfg = make_config(j, lam, R2S)
-            N = unit_normal(curve, cfg, 1.0, 0.4, 0.3)
+            N = _normal(curve, cfg, 1.0, 0.4, 0.3)
             assert inner(N, N) == pytest.approx(lam, abs=1e-10)
 
 
@@ -64,7 +65,7 @@ def test_normal_matches_reference_table(family_curves, rng):
     """The per-family normal lines (with the corrected (2,-1) sign)."""
     for curve, cfg, s, t, w in _family_cases(family_curves, rng, per_family=3):
         fr = curve.frenet(s)
-        N = unit_normal(curve, cfg, s, t, w)
+        N = _normal(curve, cfg, s, t, w)
         expected = oracles.normal_table(cfg.j, cfg.lam, fr, cfg.radius.r_prime(s), t, w)
         assert _vdelta(N, expected) <= 1e-10 * (1 + abs(cfg.radius.r_prime(s)))
 
@@ -74,7 +75,7 @@ def test_tubular_normal_reduces_to_transverse_sum(beta1):
     cfg = CanalConfig(1, 1, RadiusProfile.from_constant(0.4))
     fr = beta1.frenet(0.9)
     t, w = 0.5, 0.7
-    N = unit_normal(beta1, cfg, 0.9, t, w)
+    N = _normal(beta1, cfg, 0.9, t, w)
     a2 = math.cos(t) * math.cos(w)
     a3 = math.sin(t) * math.cos(w)
     a4 = math.sin(w)
@@ -84,15 +85,15 @@ def test_tubular_normal_reduces_to_transverse_sum(beta1):
 
 def test_normal_routes_agree(beta1):
     cfg = make_config(1, -1, R2S)
-    N_cf = unit_normal(beta1, cfg, 1.1, 0.7, 0.4, Route.CLOSED_FORM)
-    N_num = unit_normal(beta1, cfg, 1.1, 0.7, 0.4, Route.NUMERIC)
+    N_cf = _normal(beta1, cfg, 1.1, 0.7, 0.4, Route.CLOSED_FORM)
+    N_num = _normal(beta1, cfg, 1.1, 0.7, 0.4, Route.NUMERIC)
     assert _vdelta(N_cf, N_num) < 1e-7
 
 
 def test_normal_orthogonal_to_fd_partials(beta1):
     cfg = make_config(1, 1, R2S)
     s, t, w = 1.2, 0.6, 0.3
-    N = unit_normal(beta1, cfg, s, t, w)
+    N = _normal(beta1, cfg, s, t, w)
     from canal4.canal import canal_point
     h = 1e-5
     for axis in range(3):
@@ -109,7 +110,7 @@ def test_normal_orthogonal_to_fd_partials(beta1):
 
 def test_g33_and_detg_goldens(beta1):
     cfg = make_config(1, 1, R2S)
-    g, h = fundamental_forms(beta1, cfg, 1.0, 0.0, 0.0)
+    g = curvature_report(beta1, cfg, 1.0, 0.0, 0.0).g
     assert g[2, 2] == pytest.approx(20.0, rel=1e-12)          # (r'^2+lam) r^2
     assert g[1, 2] == 0.0 and g[2, 1] == 0.0
     det_g = float(np.linalg.det(g))
@@ -122,7 +123,8 @@ def test_forms_match_reference_tables(family_curves, rng):
     """Every transcribed g/h entry that survives verification, all 8 families."""
     for curve, cfg, s, t, w in _family_cases(family_curves, rng, per_family=4):
         fr = curve.frenet(s)
-        g, h = fundamental_forms(curve, cfg, s, t, w)
+        rep = curvature_report(curve, cfg, s, t, w)
+        g, h = rep.g, rep.h
         gt, ht = oracles.table_g_h(cfg.j, cfg.lam, (fr.k1, fr.k2, fr.k3),
                                    cfg.radius(s), cfg.radius.r_prime(s),
                                    cfg.radius.r_second(s), t, w)
@@ -138,7 +140,8 @@ def test_forms_match_reference_tables(family_curves, rng):
 def test_det_formulas_all_families(family_curves, rng):
     for curve, cfg, s, t, w in _family_cases(family_curves, rng, per_family=4):
         fr = curve.frenet(s)
-        g, h = fundamental_forms(curve, cfg, s, t, w)
+        rep = curvature_report(curve, cfg, s, t, w)
+        g, h = rep.g, rep.h
         from canal4.canal import family_function
         dg, dh = oracles.table_dets(cfg.j, cfg.lam, fr.eps, fr.k1, cfg.radius(s),
                                     cfg.radius.r_prime(s), cfg.radius.r_second(s),
@@ -152,10 +155,10 @@ def test_det_formulas_all_families(family_curves, rng):
 
 def test_routes_agree_on_forms(family_curves, rng):
     for curve, cfg, s, t, w in _family_cases(family_curves, rng, per_family=2):
-        g_cf, h_cf, _ = closed_fundamental_forms(curve, cfg, s, t, w)
-        g_num, h_num, _ = numeric_fundamental_forms(curve, cfg, s, t, w)
-        assert np.max(np.abs(g_cf - g_num) / (1 + np.abs(g_cf))) <= 1e-5
-        assert np.max(np.abs(h_cf - h_num) / (1 + np.abs(h_cf))) <= 1e-4
+        cf = curvature_report(curve, cfg, s, t, w, Route.CLOSED_FORM)
+        num = curvature_report(curve, cfg, s, t, w, Route.NUMERIC)
+        assert np.max(np.abs(cf.g - num.g) / (1 + np.abs(cf.g))) <= 1e-5
+        assert np.max(np.abs(cf.h - num.h) / (1 + np.abs(cf.h))) <= 1e-4
 
 
 def test_numeric_route_equals_scalar_reference(family_curves, rng):
@@ -171,29 +174,29 @@ def test_numeric_route_equals_scalar_reference(family_curves, rng):
         for s, t, w in ((s0, t0, w0), (s0, -t0, 0.5 * w0)):
             g_ref, h_ref, N_ref = oracles.reference_numeric_forms(curve, cfg, s, t, w)
             for shared in (None, cache):
-                g, h, N = numeric_fundamental_forms(curve, cfg, s, t, w, cache=shared)
-                assert np.array_equal(g, g_ref)
-                assert np.array_equal(h, h_ref)
-                assert N == N_ref
+                rep = curvature_report(curve, cfg, s, t, w, Route.NUMERIC, shared)
+                assert np.array_equal(rep.g, g_ref)
+                assert np.array_equal(rep.h, h_ref)
+                assert rep.N == N_ref.as_tuple()
 
 
 def test_numeric_route_needs_no_closed_form(family_curves, rng, monkeypatch):
     """The numeric route orients N from its own stencil: with the closed-form
     forms unavailable it still gives the same g, h and N bit for bit."""
     import canal4.curvature as curvature
-    cases = [(curve, cfg, s, t, w) for curve, cfg, s, t, w
+    cases = [(curve, cfg, s, t, w, Route.NUMERIC) for curve, cfg, s, t, w
              in _family_cases(family_curves, rng, per_family=1)]
-    expected = [numeric_fundamental_forms(*case) for case in cases]
+    expected = [curvature_report(*case) for case in cases]
 
     def unavailable(*args, **kwargs):
         raise AssertionError("the numeric route called the closed form")
 
-    monkeypatch.setattr(curvature, "closed_fundamental_forms", unavailable)
-    for case, (g_ref, h_ref, N_ref) in zip(cases, expected):
-        g, h, N = numeric_fundamental_forms(*case)
-        assert np.array_equal(g, g_ref)
-        assert np.array_equal(h, h_ref)
-        assert N == N_ref
+    monkeypatch.setattr(curvature, "_closed_forms", unavailable)
+    for case, ref in zip(cases, expected):
+        rep = curvature_report(*case)
+        assert np.array_equal(rep.g, ref.g)
+        assert np.array_equal(rep.h, ref.h)
+        assert rep.N == ref.N
 
 
 def _row_configs(family_curves, rng):
@@ -297,9 +300,6 @@ def test_closed_row_pass_equals_per_node_reference(family_curves, rng):
             ref = _outcome(lambda: oracles.reference_closed_report(curve, cfg, s, *node))
             _assert_same_outcome(reports[n], ref)
             _assert_same_outcome(curvature_report(curve, cfg, s, *node), ref)
-            g1, h1, N1 = closed_fundamental_forms(curve, cfg, s, *node)
-            assert (g1.tobytes(), h1.tobytes(), repr(N1)) == (
-                g_ref.tobytes(), h_ref.tobytes(), repr(N_ref))
 
 
 def test_closed_row_errors_match_per_node_reference(beta2):
@@ -371,7 +371,7 @@ def test_numeric_patch_loops_equal_per_node_reference(beta1, beta2):
 def test_metric_signature(family_curves, rng):
     """lam = -1 induces a positive-definite metric, lam = +1 a Lorentzian one."""
     for curve, cfg, s, t, w in _family_cases(family_curves, rng, per_family=2):
-        g, _ = fundamental_forms(curve, cfg, s, t, w)
+        g = curvature_report(curve, cfg, s, t, w).g
         eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
         if cfg.lam == -1:
             assert np.all(eigs > 0)
@@ -386,8 +386,8 @@ def test_shape_operator_structure(beta1, rng):
     for lam in (1, -1):
         cfg = make_config(1, lam, R2S)
         s, t, w = admissible_node(rng, beta1, cfg, (0.5, 2.5))
-        g, h = fundamental_forms(beta1, cfg, s, t, w)
-        S = shape_operator(g, h)
+        rep = curvature_report(beta1, cfg, s, t, w)
+        g, h, S = rep.g, rep.h, rep.S
         assert S[1, 1] == pytest.approx(lam / (2 * s), rel=1e-9)
         assert S[2, 2] == pytest.approx(lam / (2 * s), rel=1e-9)
         for idx in ((0, 1), (0, 2), (1, 2), (2, 1)):
@@ -397,8 +397,7 @@ def test_shape_operator_structure(beta1, rng):
 
 def test_shape_diag_all_families(family_curves, rng):
     for curve, cfg, s, t, w in _family_cases(family_curves, rng, per_family=2):
-        g, h = fundamental_forms(curve, cfg, s, t, w)
-        S = shape_operator(g, h)
+        S = curvature_report(curve, cfg, s, t, w).S
         expected = oracles.table_shape_diag(cfg.j, cfg.lam, cfg.radius(s))
         assert S[1, 1] == pytest.approx(expected, rel=1e-9)
         assert S[2, 2] == pytest.approx(expected, rel=1e-9)
@@ -406,13 +405,13 @@ def test_shape_diag_all_families(family_curves, rng):
 
 def test_singular_metric_raises():
     with pytest.raises(SingularMetricError):
-        shape_operator(np.zeros((3, 3)), np.eye(3))
+        _check_metric(0.0, float(np.linalg.det(np.zeros((3, 3)))))
 
 
 def test_degenerate_node_raises(beta1):
     cfg = make_config(1, 1, R2S)
     with pytest.raises(DegenerateNodeError):
-        curvatures(beta1, cfg, 1.0, 0.3, math.pi / 2)
+        curvature_report(beta1, cfg, 1.0, 0.3, math.pi / 2)
 
 
 def test_curvature_goldens(beta1, beta2):
@@ -426,7 +425,8 @@ def test_curvature_goldens(beta1, beta2):
         (beta2, 3, -1, (0.5, 0.5, 0.0)),
     ]
     for curve, j, lam, mu_exp in cases:
-        K, H, m1, m2, m3 = curvatures(curve, make_config(j, lam, R2S), 1.0, 0.0, 0.0)
+        rep = curvature_report(curve, make_config(j, lam, R2S), 1.0, 0.0, 0.0)
+        K, H, (m1, m2, m3) = rep.K, rep.H, rep.mu
         assert m1 == pytest.approx(mu_exp[0], abs=1e-9)
         assert m2 == pytest.approx(mu_exp[1], abs=1e-9)
         assert m3 == pytest.approx(mu_exp[2], abs=1e-9)
@@ -444,7 +444,8 @@ def test_curvatures_match_example_formulas(beta1, beta2, rng):
     for curve, cfg, formula in cases:
         for _ in range(6):
             s, t, w = admissible_node(rng, curve, cfg, (0.5, 2.5))
-            K, H, m1, m2, m3 = curvatures(curve, cfg, s, t, w)
+            rep = curvature_report(curve, cfg, s, t, w)
+            K, H, (m1, m2, m3) = rep.K, rep.H, rep.mu
             Ke, He, mue = formula(s, t, w)
             assert K == pytest.approx(Ke, rel=1e-9, abs=1e-12)
             assert H == pytest.approx(He, rel=1e-9, abs=1e-12)
@@ -551,14 +552,13 @@ def test_lambda0_has_no_curvature(beta2):
     a4 = ex.parse("w*sin(t)", ("s", "t", "w"))
     cfg = CanalConfig(3, 0, None, 1, Variant.STANDARD, (a2, a4))
     with pytest.raises(InadmissibleConfigError):
-        curvatures(beta2, cfg, 1.0, 0.5, 0.5)
+        curvature_report(beta2, cfg, 1.0, 0.5, 0.5)
 
 
 def test_complex_eigenvalues_detected():
-    from canal4.curvature import principal_from_shape
     rotation_like = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(Exception) as err:
-        principal_from_shape(rotation_like)
+        _principal(np.linalg.eigvals(rotation_like))
     assert "complex" in str(err.value)
 
 

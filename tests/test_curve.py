@@ -226,6 +226,17 @@ def test_verify_unit_speed_fails_for_speed_two():
     assert rep.max_deviation == pytest.approx(3.0)
 
 
+def test_overflowing_speed_is_not_unit_speed():
+    """<b',b'> = -inf + inf = nan: a deviation of inf, and no frame."""
+    fast = CurveSpec(("1e200*s", "1e200*s", "s", "0"), (0.25, 3.0))
+    rep = fast.verify_unit_speed(10)
+    assert rep.max_deviation == math.inf and not rep.passed
+    with pytest.raises(NonUnitSpeedError):
+        fast.frame(1.0)
+    with pytest.raises(NonUnitSpeedError):
+        fast.frame_for_line()
+
+
 def test_out_of_domain(beta1):
     with pytest.raises(OutOfDomainError):
         beta1.point(5.0)

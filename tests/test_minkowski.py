@@ -1,14 +1,11 @@
-"""Inner product, ternary cross product, causal classification."""
+"""Inner product, ternary cross product, norm."""
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canal4.errors import NullVectorError
-from canal4.minkowski import (E1, E2, E3, E4, CausalCharacter, Vec4,
-                              causal_character, inner, norm, normalize,
-                              triple_cross)
+from canal4.minkowski import E1, E2, E3, E4, Vec4, inner, norm, triple_cross
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False)
 vec = st.builds(Vec4, coord, coord, coord, coord)
@@ -45,21 +42,9 @@ def test_cross_repeated_argument_vanishes():
         assert abs(c) <= 1e-14
 
 
-def test_causal_characters():
-    assert causal_character(E1) is CausalCharacter.TIMELIKE
-    assert causal_character(E2) is CausalCharacter.SPACELIKE
-    assert causal_character(Vec4(1.0, 1.0, 0.0, 0.0)) is CausalCharacter.NULL
-    assert causal_character(Vec4(0.0, 0.0, 0.0, 0.0)) is CausalCharacter.SPACELIKE
-
-
 def test_norms():
     assert norm(Vec4(0.0, 3.0, 4.0, 0.0)) == 5.0
     assert norm(Vec4(2.0, 0.0, 0.0, math.sqrt(3.0))) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_normalize_null_raises():
-    with pytest.raises(NullVectorError):
-        normalize(Vec4(1.0, 1.0, 0.0, 0.0))
 
 
 def test_vec4_rejects_nonfinite():
