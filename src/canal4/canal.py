@@ -193,11 +193,6 @@ def _root_q(config: CanalConfig, s: float, eps1: int, rp: float) -> float:
     return math.sqrt(v * q)
 
 
-def offset_scale(config: CanalConfig, s: float, eps1: int) -> float:
-    """r * sqrt(|q|) with q = r'^2 - lam*eps1; raises if q crosses the variant sign."""
-    return config.radius(s) * _root_q(config, s, eps1, config.radius.r_prime(s))
-
-
 def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile,
                     n_samples: int = 33) -> Variant:
     """Pick the variant from the sign of r'^2 - lam*eps1 over the domain."""
@@ -266,7 +261,7 @@ class PointMapCache:
         if fr.frame_type != config.j:
             raise InadmissibleConfigError(
                 f"curve has frame type {fr.frame_type}, config wants j = {config.j}")
-        basis = np.array([v.as_tuple() for v in (self.curve.point(s),) + fr.vectors])
+        basis = np.array((self.curve.derivative(s, 0), *fr.tetrad))
         if config.lam == 0:
             hit = self._rows[s] = PointMapRow(fr, basis, 0.0, 0.0, 0.0, 0.0, 0.0)
             return hit
@@ -386,42 +381,33 @@ def nullcone_point(curve: CurveSpec, j: int, a_free, s: float, t: float, w: floa
 class AdmissibilityReport:
     passed: bool
     reasons: tuple[str, ...]
-    checks: tuple[str, ...]
 
 
 def validate_config(curve: CurveSpec, config: CanalConfig,
                     n_samples: int = 33) -> AdmissibilityReport:
     """Report-valued admissibility sweep: frame type, radius, variant, lam rules."""
     reasons = []
-    checks = []
 
     rep = curve.verify_unit_speed(n_samples)
-    checks.append(f"unit speed: max deviation {rep.max_deviation:.3g}")
     if not rep.passed:
         reasons.append(f"curve is not unit speed (deviation {rep.max_deviation:.3g})")
 
-    j_curve = None
     try:
-        smin, smax = curve.domain
-        j_curve = curve.frame(0.5 * (smin + smax)).frame_type
-        checks.append(f"curve frame type: {j_curve}")
+        j_curve = curve.frame(0.5 * (curve.domain[0] + curve.domain[1])).frame_type
         if j_curve != config.j:
             reasons.append(f"frame type mismatch: curve has j = {j_curve}, config j = {config.j}")
     except CanalError as exc:  # degenerate frames reported, not raised
         reasons.append(f"frame construction failed: {exc}")
 
     if config.lam == 0:
-        checks.append("lambda = 0: null condition enforced per point")
-        return AdmissibilityReport(not reasons, tuple(reasons), tuple(checks))
+        return AdmissibilityReport(not reasons, tuple(reasons))
 
     r_min = min(map(config.radius, curve.sweep(n_samples)))
-    checks.append(f"radius minimum over domain: {r_min:.6g}")
     if r_min <= 0:
         reasons.append(f"radius must stay positive (min {r_min:.6g})")
 
     try:
         variant = resolve_variant(curve, config.j, config.lam, config.radius, n_samples)
-        checks.append(f"variant condition sign: {variant.value}")
         if variant is not config.variant:
             reasons.append(
                 f"declared variant {config.variant.value!r} but r'^2 - lam*eps1 "
@@ -429,7 +415,7 @@ def validate_config(curve: CurveSpec, config: CanalConfig,
     except InadmissibleConfigError as exc:
         reasons.append(str(exc))
 
-    return AdmissibilityReport(not reasons, tuple(reasons), tuple(checks))
+    return AdmissibilityReport(not reasons, tuple(reasons))
 
 
 @dataclass(frozen=True)
@@ -529,6 +515,17 @@ class SurfacePatch:
         return float(np.abs(inner(d, d) - np.reshape(target, (ns, 1))).max(initial=0.0))
 
 
+def degenerate_nodes(config: CanalConfig, grid: GridSpec) -> frozenset[int]:
+    """Flat indices of the grid nodes where the metric degeneracy factor
+    |A| < DEGENERATE_A_TOL (none for lam = 0): the nodes sample_grid flags and
+    the patch reader expects a document to list."""
+    nw = len(grid.w_values)
+    n = len(grid.s_values) * len(grid.t_values) * nw
+    flagged = [k for k, w in enumerate(grid.w_values) if config.lam != 0
+               and abs(degeneracy_factor(config.j, config.variant, w)) < DEGENERATE_A_TOL]
+    return frozenset(i for k in flagged for i in range(k, n, nw))
+
+
 def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> SurfacePatch:
     """Evaluate the full lattice: the PointMapCache rows in s order, then one
     point-map call over all nodes. A row that fails (frame, radius, variant)
@@ -554,8 +551,5 @@ def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> Surfac
     except CanalError:
         lattice(len(frames))
         raise
-    coords = lattice(len(frames))
-    flagged = [k for k, w in enumerate(w_vals) if config.lam != 0
-               and abs(degeneracy_factor(config.j, config.variant, w)) < DEGENERATE_A_TOL]
-    degenerate = frozenset(i for k in flagged for i in range(k, len(coords), nw))
-    return SurfacePatch(curve, config, grid, coords, tuple(frames), degenerate)
+    return SurfacePatch(curve, config, grid, lattice(len(frames)), tuple(frames),
+                        degenerate_nodes(config, grid))

@@ -36,7 +36,9 @@ EXIT_NUMERIC = 3
 _CHECK_NAMES = ("kh", "weingarten-st", "weingarten-sw", "weingarten-tw", "unit-speed", "sphere")
 
 
-def _read_config_file(path):
+def _read_config_file(path, keys):
+    """The key = value pairs of a config file; a key outside keys, the options
+    of the command, is a ConfigError."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -46,7 +48,10 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -242,7 +247,7 @@ def cmd_example(args, file_values):
     name = args.name
     comps = builtin.example_components(name)
     lines = [
-        f"example = {name}",
+        f"# example = {name}",
         f"curve_x1 = {comps[0]}",
         f"curve_x2 = {comps[1]}",
         f"curve_x3 = {comps[2]}",
@@ -457,7 +462,7 @@ def main(argv=None) -> int:
     config_path = getattr(args, "config", None)
     try:
         if config_path:
-            file_values = _read_config_file(config_path)
+            file_values = _read_config_file(config_path, vars(args).keys() - {"command", "config"})
         return _COMMANDS[args.command](args, file_values)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

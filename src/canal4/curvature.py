@@ -121,7 +121,7 @@ def _closed_forms(config, s, t, w, cache):
     da1 = -config.lam * e1 * (rp * rp + rv * rpp)
     c = _normal_sign(config, fr.eps)
     k1, k2, k3 = fr.k1, fr.k2, fr.k3
-    n0, F = c * a1 / rv, list(zip(*row.basis[1:].tolist()))     # F: (F1..F4) per component
+    n0, F = c * a1 / rv, list(zip(*fr.tetrad))         # F: (F1..F4) per component
     # per node in floats (a pass has few nodes, each many terms): the frame
     # components of the s, t and w partials, and N = n0 F1 + n1 F2 + n2 F3 + n3 F4
     parts, normals = [], []

@@ -12,18 +12,20 @@ by construction, k3 = eps4<F3',F4> signed. The frame vectors satisfy
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import expr as ex
-from .errors import (FrameDegenerateError, NonUnitSpeedError, NullResidualError,
-                     OutOfDomainError)
-from .minkowski import (E1, E2, E3, E4, TAU_NULL, Vec4, inner, norm,
-                        triple_cross)
+from .errors import (DomainError, FrameDegenerateError, NonUnitSpeedError,
+                     NullResidualError, OutOfDomainError)
+from .minkowski import TAU_NULL, Vec4, inner, norm, triple_cross
 
 TAU_K = 1e-8            # curvature degeneracy threshold
 TOL_UNIT = 1e-10        # unit speed: max | |<b',b'>| - 1 |
 MAX_DERIVATIVE_ORDER = 4
+# the canonical basis e1..e4, which completes the frame of a straight line
+_AXES = tuple(tuple(float(i == k) for i in range(4)) for k in range(4))
 # How far finite-difference stencils centered on a domain end reach past it:
 # 2 * curvature.FD_STEP2 and 2 * analysis.WEINGARTEN_FD_STEP.
 STENCIL_REACH = 2e-3
@@ -31,12 +33,10 @@ STENCIL_REACH = 2e-3
 
 @dataclass(frozen=True)
 class FrenetFrame:
-    """Orthonormal tetrad with signs and curvatures at one parameter value."""
+    """Orthonormal tetrad with signs and curvatures at one parameter value.
+    tetrad holds F1..F4, each a 4-tuple of floats."""
 
-    f1: Vec4
-    f2: Vec4
-    f3: Vec4
-    f4: Vec4
+    tetrad: tuple[tuple[float, float, float, float], ...]
     eps: tuple[int, int, int, int]
     k1: float
     k2: float
@@ -49,7 +49,8 @@ class FrenetFrame:
 
     @property
     def vectors(self) -> tuple[Vec4, Vec4, Vec4, Vec4]:
-        return (self.f1, self.f2, self.f3, self.f4)
+        """F1..F4 as Vec4s, built on access."""
+        return tuple(Vec4(*f) for f in self.tetrad)
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class UnitSpeedReport:
     n_samples: int
 
 
-# Frames are built on 4-tuples of floats; only the finished vectors become Vec4s.
+# Frames are built and kept on 4-tuples of floats.
 
 def _euclid_sq(v) -> float:
     return v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]
@@ -74,8 +75,37 @@ def _scaled(v, a):      # v * a
     return (v[0] * a, v[1] * a, v[2] * a, v[3] * a)
 
 
-def _minus(u, a, v):    # u - a * v, as Vec4 arithmetic rounds it
+def _minus(u, a, v):    # u - a * v
     return (u[0] - v[0] * a, u[1] - v[1] * a, u[2] - v[2] * a, u[3] - v[3] * a)
+
+
+def _fourth(f1, f2, f3):
+    """(F4, eps4): the unit triple cross product of F1, F2, F3, signed so
+    that det(F1, F2, F3, F4) = +1, and its sign."""
+    cross = triple_cross(f1, f2, f3)
+    e4 = 1 if inner(cross, cross) > 0 else -1
+    return _scaled(cross, -e4 / norm(cross)), e4
+
+
+def _tangent_sign(f1, at: str) -> int:
+    """eps1 = sign <F1,F1> of the tangent F1 = b'; raises unless |<b',b'>| = 1
+    (a nan fails too) and F1 is not null."""
+    q1 = inner(f1, f1)
+    if not abs(abs(q1) - 1.0) <= 10 * TOL_UNIT:
+        raise NonUnitSpeedError(f"<b',b'> = {q1:.6g}{at}; curve is not unit speed")
+    if _is_null_residual(f1):
+        raise NullResidualError(f"tangent is null{at}")
+    return 1 if q1 > 0 else -1
+
+
+def _checked_frame(tetrad, eps, ks, at: str) -> FrenetFrame:
+    """The FrenetFrame once every component and curvature is finite (else a
+    DomainError) and eps has exactly one -1 (else a NullResidualError)."""
+    if not all(map(math.isfinite, itertools.chain(*tetrad, ks))):
+        raise DomainError(f"non-finite frame component or curvature{at}")
+    if eps.count(-1) != 1:
+        raise NullResidualError(f"frame signs {eps}{at}: not a Lorentz tetrad")
+    return FrenetFrame(tetrad, eps, *ks)
 
 
 class CurveSpec:
@@ -104,21 +134,14 @@ class CurveSpec:
     # -- evaluation ---------------------------------------------------------
 
     def _fns(self, order):
+        """The compiled components of b^(order); each order is compiled once."""
         if order not in self._compiled:
             if order not in self._exprs:
-                prev = self._exprs[order - 1] if order - 1 in self._exprs else None
-                if prev is None:
-                    self._fns(order - 1)
-                    prev = self._exprs[order - 1]
-                self._exprs[order] = tuple(ex.differentiate(c) for c in prev)
+                self._fns(order - 1)
+                self._exprs[order] = tuple(ex.differentiate(c) for c in self._exprs[order - 1])
             self._compiled[order] = tuple(ex.compile_expr(c, name=f"x{i}" + "'" * order)
                                           for i, c in enumerate(self._exprs[order], 1))
         return self._compiled[order]
-
-    def _eval_order(self, s, order):
-        """b^(order)(s) as 4 floats, straight from the compiled components."""
-        x1, x2, x3, x4 = self._fns(order)
-        return (x1(s), x2(s), x3(s), x4(s))
 
     def _check_domain(self, s):
         # analytic components extend smoothly; allow an overhang so FD
@@ -133,36 +156,21 @@ class CurveSpec:
         smin, smax = self.domain
         return [smin + (smax - smin) * i / (n - 1) for i in range(n)]
 
-    def point(self, s: float) -> Vec4:
-        self._check_domain(s)
-        return Vec4(*self._eval_order(s, 0))
-
     def derivative(self, s: float, order: int) -> tuple[float, float, float, float]:
-        """b^(order)(s) alone, as 4 floats, from the symbolic derivatives."""
-        return self._orders(s, order, (order,))[0]
-
-    def derivatives(self, s: float, order: int) -> list[Vec4]:
-        """[b'(s), ..., b^(order)(s)] from the symbolic derivatives."""
-        return [Vec4(*d) for d in self._orders(s, order, range(1, order + 1))]
-
-    def _orders(self, s, order, orders):
-        """b^(k)(s) for k in orders as 4-tuples, order being the highest k."""
-        if not 1 <= order <= MAX_DERIVATIVE_ORDER:
-            raise ValueError(f"order must be 1..{MAX_DERIVATIVE_ORDER}")
+        """b^(order)(s), order 0 (the point b(s)) to 4, as 4 floats from the
+        compiled symbolic derivatives; s must lie in the domain."""
+        if not 0 <= order <= MAX_DERIVATIVE_ORDER:
+            raise ValueError(f"order must be 0..{MAX_DERIVATIVE_ORDER}")
         self._check_domain(s)
-        return [self._eval_order(s, k) for k in orders]
+        x1, x2, x3, x4 = self._fns(order)
+        return (x1(s), x2(s), x3(s), x4(s))
 
     # -- frames -------------------------------------------------------------
 
     def frenet(self, s: float) -> FrenetFrame:
         """Moving frame at s; requires k1, k2 > TAU_K and non-null residuals."""
-        f1, d2, d3, d4 = self._orders(s, 4, (1, 2, 3, 4))
-        q1 = inner(f1, f1)
-        if not abs(abs(q1) - 1.0) <= 10 * TOL_UNIT:     # a nan <b',b'> fails too
-            raise NonUnitSpeedError(f"<b',b'> = {q1:.6g} at s={s!r}; curve is not unit speed")
-        if _is_null_residual(f1):
-            raise NullResidualError(f"tangent is null at s={s!r}")
-        e1 = 1 if q1 > 0 else -1
+        f1, d2, d3, d4 = (self.derivative(s, k) for k in range(1, 5))
+        e1 = _tangent_sign(f1, f" at s={s!r}")
 
         rho2 = _minus(d2, e1 * inner(d2, f1), f1)
         if _is_null_residual(rho2):
@@ -186,16 +194,9 @@ class CurveSpec:
         f3 = _scaled(rho3, 1.0 / norm(rho3))
         e3 = 1 if inner(f3, f3) > 0 else -1
 
-        cross = triple_cross(f1, f2, f3)
-        e4 = 1 if inner(cross, cross) > 0 else -1
-        f4 = _scaled(cross, -e4 / norm(cross))       # det(F1,F2,F3,F4) = +1
+        f4, e4 = _fourth(f1, f2, f3)
         k3 = e4 * inner(d4, f4) / (k1 * k2)
-
-        vectors = [Vec4(*f) for f in (f1, f2, f3, f4)]
-        eps = (e1, e2, e3, e4)
-        if eps.count(-1) != 1:
-            raise NullResidualError(f"frame signs {eps} at s={s!r}: not a Lorentz tetrad")
-        return FrenetFrame(*vectors, eps, k1, k2, k3)
+        return _checked_frame((f1, f2, f3, f4), (e1, e2, e3, e4), (k1, k2, k3), f" at s={s!r}")
 
     def is_straight(self, n_samples: int = 16) -> bool:
         """True when b'' vanishes across the domain (within TAU_K)."""
@@ -204,26 +205,19 @@ class CurveSpec:
                 return False
         return True
 
-    def frame_for_line(self, s: float | None = None) -> FrenetFrame:
-        """Constant frame for a straight (k1 = 0) non-null curve.
+    def frame_for_line(self) -> FrenetFrame:
+        """Constant frame for a straight (k1 = 0) non-null curve, with the
+        tangent at the middle of the domain.
 
         F2..F4 are completed from the canonical basis by Gram-Schmidt in the
         order e1, e2, e3, e4, skipping near-parallel and null residuals.
         """
-        smin, smax = self.domain
-        s0 = 0.5 * (smin + smax) if s is None else s
-        f1 = self.derivative(s0, 1)
-        q1 = inner(f1, f1)
-        if not abs(abs(q1) - 1.0) <= 10 * TOL_UNIT:     # a nan <b',b'> fails too
-            raise NonUnitSpeedError(f"<b',b'> = {q1:.6g}; line is not unit speed")
-        if _is_null_residual(f1):
-            raise NullResidualError("line direction is null")
-        frame = [f1]
-        eps = [1 if q1 > 0 else -1]
-        for cand in (E1, E2, E3, E4):
+        s0 = 0.5 * (self.domain[0] + self.domain[1])
+        frame = [self.derivative(s0, 1)]
+        eps = [_tangent_sign(frame[0], f" at s={s0!r}")]
+        for rho in _AXES:
             if len(frame) == 3:
                 break
-            rho = cand.as_tuple()
             for f, e in zip(frame, eps):
                 rho = _minus(rho, e * inner(rho, f), f)
             if _euclid_sq(rho) < 1e-12 or _is_null_residual(rho):
@@ -233,13 +227,8 @@ class CurveSpec:
             eps.append(1 if inner(rho, rho) > 0 else -1)
         if len(frame) != 3:
             raise NullResidualError("could not complete a non-null frame for the line")
-        cross = triple_cross(frame[0], frame[1], frame[2])
-        e4 = 1 if inner(cross, cross) > 0 else -1
-        vectors = [Vec4(*f) for f in (*frame, _scaled(cross, -e4 / norm(cross)))]
-        eps.append(e4)
-        if tuple(eps).count(-1) != 1:
-            raise NullResidualError(f"frame signs {tuple(eps)}: not a Lorentz tetrad")
-        return FrenetFrame(*vectors, tuple(eps), 0.0, 0.0, 0.0)
+        f4, e4 = _fourth(*frame)
+        return _checked_frame((*frame, f4), (*eps, e4), (0.0, 0.0, 0.0), f" at s={s0!r}")
 
     def frame(self, s: float) -> FrenetFrame:
         """frenet(s), falling back to the constant line frame when k1 = 0."""

@@ -43,9 +43,6 @@ class Expr:
     def __str__(self) -> str:
         return _to_str(self, 0)
 
-    def __call__(self, **env: float) -> float:
-        return evaluate(self, **env)
-
 
 @dataclass(frozen=True, slots=True)
 class Const(Expr):

@@ -12,11 +12,11 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .canal import CanalConfig, GridSpec, RadiusProfile, SurfacePatch, Variant
+from .canal import (DEGENERATE_A_TOL, CanalConfig, GridSpec, RadiusProfile, SurfacePatch,
+                    Variant, degenerate_nodes)
 from .curve import CurveSpec, FrenetFrame
 from .curvature import Route, node_reports
 from .errors import EmptySliceError, NumericError, unwrap
-from .minkowski import Vec4
 
 CSV_HEADER = "s,t,w,K_cf,H_cf,mu1,mu2,mu3,K_num,H_num"   # column contract v1
 
@@ -122,15 +122,17 @@ def _require(ok: bool, field: str, expected: str):
         raise ValueError(f"{field}: expected {expected}")
 
 
-def _frame_from_payload(fr, field: str) -> FrenetFrame:
+def _frame_from_payload(fr, field: str, j: int) -> FrenetFrame:
+    """The frame of a document's frames entry, whose timelike vector is F_j."""
     vectors, eps, k = (_get(fr, key, f"{field}.") for key in ("vectors", "eps", "k"))
     _require(isinstance(vectors, list) and len(vectors) == 4
              and all(_numbers(v, 4) for v in vectors), f"{field}.vectors",
              "4 vectors of 4 finite numbers")
     _require(_numbers(eps, 4) and all(type(e) is int for e in eps) and sorted(eps) == [-1, 1, 1, 1],
              f"{field}.eps", "4 signs +-1 with exactly one -1")
+    _require(eps[j - 1] == -1, f"{field}.eps", f"the -1 at the frame type config.j = {j}")
     _require(_numbers(k, 3), f"{field}.k", "3 finite numbers")
-    return FrenetFrame(*(Vec4(*v) for v in vectors), tuple(eps), *k)
+    return FrenetFrame(tuple(tuple(map(float, v)) for v in vectors), tuple(eps), *map(float, k))
 
 
 def _radius_from_payload(payload):
@@ -146,7 +148,12 @@ def _radius_from_payload(payload):
     if kind != "table":
         raise ValueError(f"unknown radius kind {kind!r}")
     from scipy.interpolate import CubicHermiteSpline
-    s, r, rp = (_get(payload, key) for key in ("s", "r", "rp"))
+    s, r, rp = (_get(payload, key, "config.radius.", list) for key in ("s", "r", "rp"))
+    _require(_numbers(s, len(s)) and len(s) >= 2 and all(a < b for a, b in zip(s, s[1:])),
+             "config.radius.s", "at least 2 increasing finite numbers")
+    for key, values in (("r", r), ("rp", rp)):
+        _require(_numbers(values, len(s)), f"config.radius.{key}",
+                 f"{len(s)} finite numbers, one per s")
     spline = CubicHermiteSpline(s, r, rp)
     d2 = spline.derivative(2)
     return RadiusProfile("table", lambda s: float(spline(s)),
@@ -181,7 +188,7 @@ def patch_to_json(patch: SurfacePatch) -> str:
         "points": patch.coords.tolist(),
         "frames": [
             {
-                "vectors": [list(v.as_tuple()) for v in fr.vectors],
+                "vectors": [list(f) for f in fr.tetrad],
                 "eps": list(fr.eps),
                 "k": [fr.k1, fr.k2, fr.k3],
             }
@@ -199,6 +206,7 @@ def patch_from_json(text: str) -> SurfacePatch:
     if (not isinstance(doc, dict) or doc.get("format") != "canal-patch"
             or doc.get("version") != 1 or _get(doc, "curve.mode.kind") != _CURVE_MODE["kind"]):
         raise ValueError("not a canal-patch v1 document")
+    _require(type(doc["version"]) is int, "version", "the integer 1")
     components, domain = (_get(doc, f"curve.{key}", kind=list) for key in ("components", "domain"))
     _require(_strings(components, 4), "curve.components", "4 expression strings")
     _require(_numbers(domain, 2), "curve.domain", "2 finite numbers")
@@ -207,9 +215,13 @@ def patch_from_json(text: str) -> SurfacePatch:
         _require(type(_get(doc, f"config.{key}")) is int, f"config.{key}", "an integer")
     a_free = _get(doc, "config.a_free")
     _require(a_free is None or _strings(a_free, 2), "config.a_free", "null or 2 expression strings")
+    _require(a_free is None or _get(doc, "config.lambda") == 0, "config.a_free",
+             "null for lambda = +-1")
+    variant = _get(doc, "config.variant")
+    _require(variant in [v.value for v in Variant], "config.variant", "'standard' or 'alt'")
     config = CanalConfig(_get(doc, "config.j"), _get(doc, "config.lambda"),
                          _radius_from_payload(_get(doc, "config.radius")),
-                         _get(doc, "config.sigma"), Variant(_get(doc, "config.variant")),
+                         _get(doc, "config.sigma"), Variant(variant),
                          a_free and tuple(ex.parse(a, ("s", "t", "w")) for a in a_free))
     axes = [_get(doc, f"grid.{axis}", kind=list) for axis in "stw"]
     for axis, values in zip("stw", axes):
@@ -226,8 +238,11 @@ def patch_from_json(text: str) -> SurfacePatch:
              "points", f"{n} points of 4 finite numbers for the {ns}x{nt}x{nw} grid")
     frames = _get(doc, "frames", kind=list)
     _require(len(frames) == ns, "frames", f"{ns}, one per s value, got {len(frames)}")
-    frames = tuple(_frame_from_payload(fr, f"frames[{i}]") for i, fr in enumerate(frames))
+    frames = tuple(_frame_from_payload(fr, f"frames[{i}]", config.j) for i, fr in enumerate(frames))
     degenerate = _get(doc, "degenerate", kind=list)
     _require(all(type(k) is int and 0 <= k < n for k in degenerate), "degenerate",
              f"flat node indices, ints in [0, {n})")
-    return SurfacePatch(curve, config, grid, coords, frames, frozenset(degenerate))
+    expected = degenerate_nodes(config, grid)
+    _require(sorted(degenerate) == sorted(expected), "degenerate",
+             f"the {len(expected)} nodes where |A| < {DEGENERATE_A_TOL:g}")
+    return SurfacePatch(curve, config, grid, coords, frames, expected)

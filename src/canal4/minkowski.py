@@ -17,7 +17,9 @@ TAU_NULL = 1e-10
 
 @dataclass(frozen=True)
 class Vec4:
-    """A point/vector of E_1^4. Components must be finite."""
+    """A point/vector of E_1^4 as the public API hands it out (canal_point,
+    SurfacePatch.points, FrenetFrame.vectors); the computations themselves run
+    on 4-tuples of floats and (..., 4) arrays. Components must be finite."""
 
     x1: float
     x2: float
@@ -29,37 +31,13 @@ class Vec4:
             if not math.isfinite(c):
                 raise ValueError(f"non-finite component in Vec4: {c!r}")
 
-    def __add__(self, other: "Vec4") -> "Vec4":
-        return Vec4(self.x1 + other.x1, self.x2 + other.x2,
-                    self.x3 + other.x3, self.x4 + other.x4)
-
-    def __sub__(self, other: "Vec4") -> "Vec4":
-        return Vec4(self.x1 - other.x1, self.x2 - other.x2,
-                    self.x3 - other.x3, self.x4 - other.x4)
-
-    def __mul__(self, a: float) -> "Vec4":
-        return Vec4(self.x1 * a, self.x2 * a, self.x3 * a, self.x4 * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vec4":
-        return Vec4(-self.x1, -self.x2, -self.x3, -self.x4)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
 
 
-E1 = Vec4(1.0, 0.0, 0.0, 0.0)
-E2 = Vec4(0.0, 1.0, 0.0, 0.0)
-E3 = Vec4(0.0, 0.0, 1.0, 0.0)
-E4 = Vec4(0.0, 0.0, 0.0, 1.0)
-
-
 def inner(x, y):
-    """Minkowski inner product, signature (-,+,+,+), of two Vec4s or 4-tuples of
-    floats, or over the last axis of (..., 4) arrays (elementwise, in the same order)."""
-    if isinstance(x, Vec4):
-        return -x.x1 * y.x1 + x.x2 * y.x2 + x.x3 * y.x3 + x.x4 * y.x4
+    """Minkowski inner product, signature (-,+,+,+), of two 4-tuples of floats,
+    or over the last axis of (..., 4) arrays (elementwise, in the same order)."""
     if isinstance(x, tuple):
         return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
     return (-x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
@@ -68,12 +46,10 @@ def inner(x, y):
 
 def triple_cross(x, y, z):
     """Ternary cross product; orthogonal to x, y, z and alternating. Of three
-    Vec4s or 4-tuples of floats, or over the last axis of (..., 4) arrays
-    (elementwise)."""
-    vec, tup = isinstance(x, Vec4), isinstance(x, tuple)
+    4-tuples of floats, or over the last axis of (..., 4) arrays (elementwise)."""
+    tup = isinstance(x, tuple)
     (x1, x2, x3, x4), (y1, y2, y3, y4), (z1, z2, z3, z4) = (
-        v.as_tuple() if vec else v if tup else (v[..., 0], v[..., 1], v[..., 2], v[..., 3])
-        for v in (x, y, z))
+        v if tup else (v[..., 0], v[..., 1], v[..., 2], v[..., 3]) for v in (x, y, z))
     # 2x2 minors of the lower two rows (y, z), indexed by column pair
     m12 = y1 * z2 - y2 * z1
     m13 = y1 * z3 - y3 * z1
@@ -87,7 +63,7 @@ def triple_cross(x, y, z):
     c3 = x1 * m24 - x2 * m14 + x4 * m12
     c4 = x1 * m23 - x2 * m13 + x3 * m12
     out = (-c1, -c2, c3, -c4)
-    return Vec4(*out) if vec else out if tup else np.stack(out, axis=-1)
+    return out if tup else np.stack(out, axis=-1)
 
 
 def norm(x) -> float:

@@ -2,10 +2,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from canal4.canal import CanalConfig, RadiusProfile, Variant
 from canal4.curve import CurveSpec
+from canal4.minkowski import Vec4
 
 
 @pytest.fixture(scope="session")
@@ -125,6 +127,11 @@ def admissible_node(rng, curve, config, s_range, d_floor=0.2, a_floor=1e-3,
             continue
         return s, t, w
     raise AssertionError("failed to draw an admissible node")
+
+
+def arr(v):
+    """A Vec4 or a 4-tuple as a (4,) float array, for vector arithmetic."""
+    return np.array(v.as_tuple() if isinstance(v, Vec4) else v, dtype=float)
 
 
 def make_config(j, lam, radius, sigma=1):

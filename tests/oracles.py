@@ -145,9 +145,9 @@ def table_shape_diag(j, lam, r):
 
 
 def normal_table(j, lam, frame, rp, t, w):
-    """Per-family unit normal lines; the (2,-1) second-term sign is
-    CORRECTED (forced by the general closed form and the FD normal)."""
-    F1, F2, F3, F4 = frame.vectors
+    """Per-family unit normal lines, a (4,) array; the (2,-1) second-term sign
+    is CORRECTED (forced by the general closed form and the FD normal)."""
+    F1, F2, F3, F4 = map(np.array, frame.tetrad)
     ct, st, cw, sw = cos(t), sin(t), cos(w), sin(w)
     cht, sht, chw, shw = cosh(t), sinh(t), cosh(w), sinh(w)
     if j == 1:
@@ -302,22 +302,25 @@ def tubular_table(j, lam, r, k1, t, w):
 
 
 # ---------------------------------------------------------------------------
-# scalar reference for the batched point map and the numeric route: one Vec4
-# point per call, 5-point stencils as nested calls (the original per-node
-# implementation, kept here so the batched code is held to exact equality)
+# scalar reference for the batched point map and the numeric route: one (4,)
+# array point per call, 5-point stencils as nested calls (the original
+# per-node implementation, kept here so the batched code is held to exact
+# equality)
 
 def reference_point(curve, config, s, t, w, frame=None):
-    """b + axial F1 + (phi a2) F2 + (phi a3) F3 + (phi a4) F4 in Vec4 arithmetic."""
-    from canal4.canal import offset_scale, transverse
+    """b + axial F1 + (phi a2) F2 + (phi a3) F3 + (phi a4) F4 in (4,) array
+    arithmetic, left to right."""
+    from canal4.canal import _root_q, transverse
     fr = frame if frame is not None else curve.frame(s)
     eps1 = fr.eps[0]
     rv = config.radius(s)
     rp = config.radius.r_prime(s)
-    phi = config.sigma * offset_scale(config, s, eps1)
+    phi = config.sigma * (rv * _root_q(config, s, eps1, rp))
     (a2, a3, a4), _, _ = transverse(config.j, config.variant, t, w)
     axial = -config.lam * eps1 * rv * rp
-    return (curve.point(s) + axial * fr.f1 + (phi * a2) * fr.f2
-            + (phi * a3) * fr.f3 + (phi * a4) * fr.f4)
+    F1, F2, F3, F4 = map(np.array, fr.tetrad)
+    return (np.array(curve.derivative(s, 0)) + axial * F1 + (phi * a2) * F2
+            + (phi * a3) * F3 + (phi * a4) * F4)
 
 
 def reference_grid_coords(curve, config, grid):
@@ -375,7 +378,7 @@ def reference_numeric_forms(curve, config, s, t, w, step=1e-4, step2=1e-3):
     cross = triple_cross(*parts)
     N = cross * (1.0 / sqrt(abs(inner(cross, cross))))
     N_cf = curvature_report(curve, config, s, t, w).N
-    if sum(x * y for x, y in zip(N.as_tuple(), N_cf)) < 0:
+    if sum(x * y for x, y in zip(N.tolist(), N_cf)) < 0:
         N = -N
     h = np.empty((3, 3))
     for i in range(3):
@@ -436,22 +439,29 @@ def reference_curvature_csv(patch):
 
 
 # ---------------------------------------------------------------------------
-# Vec4 reference for the frames: Gram-Schmidt in Vec4 arithmetic on
-# derivatives(s, 4), the original implementation of CurveSpec.frenet, kept here
-# so that the float-tuple frames are held to exact equality
+# array reference for the frames: Gram-Schmidt in (4,) array arithmetic on
+# the derivatives of orders 1..4, the original implementation of
+# CurveSpec.frenet, kept here so that the float-tuple frames are held to exact
+# equality
 
 def _reference_null_residual(v):
     from canal4.minkowski import TAU_NULL, inner
     return abs(inner(v, v)) <= TAU_NULL * max(
-        1.0, v.x1 * v.x1 + v.x2 * v.x2 + v.x3 * v.x3 + v.x4 * v.x4)
+        1.0, v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
+
+
+def _reference_frame(vectors, eps, ks):
+    """The FrenetFrame of (4,) array vectors and float curvatures."""
+    from canal4.curve import FrenetFrame
+    return FrenetFrame(tuple(tuple(v.tolist()) for v in vectors), eps, *map(float, ks))
 
 
 def reference_frenet(curve, s):
-    """CurveSpec.frenet(s) in Vec4 arithmetic: the same frame, or the same error."""
-    from canal4.curve import TAU_K, TOL_UNIT, FrenetFrame
+    """CurveSpec.frenet(s) in array arithmetic: the same frame, or the same error."""
+    from canal4.curve import TAU_K, TOL_UNIT
     from canal4.errors import FrameDegenerateError, NonUnitSpeedError, NullResidualError
     from canal4.minkowski import inner, norm, triple_cross
-    d = curve.derivatives(s, 4)
+    d = [np.array(curve.derivative(s, k)) for k in (1, 2, 3, 4)]
     f1 = d[0]
     q1 = inner(f1, f1)
     if abs(abs(q1) - 1.0) > 10 * TOL_UNIT:
@@ -490,7 +500,7 @@ def reference_frenet(curve, s):
     eps = (e1, e2, e3, e4)
     if eps.count(-1) != 1:
         raise NullResidualError(f"frame signs {eps} at s={s!r}: not a Lorentz tetrad")
-    return FrenetFrame(f1, f2, f3, f4, eps, k1, k2, k3)
+    return _reference_frame((f1, f2, f3, f4), eps, (k1, k2, k3))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +535,7 @@ def reference_gauss_mean_principal(j, lam, variant, eps, k1, r, rp, rpp, t, w, s
 
 def reference_closed_forms(curve, config, s, t, w):
     """Exact (g, h, N) of one node: frame components of the partials in floats,
-    N in Vec4 arithmetic."""
+    N in (4,) array arithmetic."""
     from canal4.canal import PointMapCache, transverse
     from canal4.curvature import _check_node, _normal_sign
     _check_node(config, w)
@@ -556,8 +566,8 @@ def reference_closed_forms(curve, config, s, t, w):
     h = -c * g / rv
     h[0, 0] = -c * (g[0, 0] - e1 * cs[0]) / rv
     n_coeff = (c * a1 / rv, c * psi * a[0], c * psi * a[1], c * psi * a[2])
-    N = (n_coeff[0] * fr.f1 + n_coeff[1] * fr.f2
-         + n_coeff[2] * fr.f3 + n_coeff[3] * fr.f4)
+    F1, F2, F3, F4 = map(np.array, fr.tetrad)
+    N = n_coeff[0] * F1 + n_coeff[1] * F2 + n_coeff[2] * F3 + n_coeff[3] * F4
     return g, h, N
 
 
@@ -573,7 +583,7 @@ def reference_closed_report(curve, config, s, t, w):
     K, H, mu = reference_gauss_mean_principal(
         config.j, config.lam, config.variant, row.frame.eps, row.frame.k1, row.r, row.rp,
         row.rpp, t, w, config.sigma)
-    return CurvatureReport(g=g, h=h, S=S, N=N.as_tuple(), eps_N=1 if inner(N, N) > 0 else -1,
+    return CurvatureReport(g=g, h=h, S=S, N=tuple(N.tolist()), eps_N=1 if inner(N, N) > 0 else -1,
                            K=float(K), H=float(H), mu=tuple(float(m) for m in mu),
                            f_j=family_function(config.j, config.variant, t, w),
                            A=A,
@@ -612,25 +622,25 @@ def reference_weingarten(patch, pair):
 
 
 def reference_frame_for_line(curve):
-    """CurveSpec.frame_for_line() in Vec4 arithmetic."""
-    from canal4.curve import TOL_UNIT, FrenetFrame
+    """CurveSpec.frame_for_line() in array arithmetic."""
+    from canal4.curve import TOL_UNIT
     from canal4.errors import NonUnitSpeedError, NullResidualError
-    from canal4.minkowski import E1, E2, E3, E4, inner, norm, triple_cross
-    smin, smax = curve.domain
-    f1 = curve.derivatives(0.5 * (smin + smax), 1)[0]
+    from canal4.minkowski import inner, norm, triple_cross
+    s0 = 0.5 * (curve.domain[0] + curve.domain[1])
+    f1 = np.array(curve.derivative(s0, 1))
     q1 = inner(f1, f1)
     if abs(abs(q1) - 1.0) > 10 * TOL_UNIT:
-        raise NonUnitSpeedError(f"<b',b'> = {q1:.6g}; line is not unit speed")
+        raise NonUnitSpeedError(f"<b',b'> = {q1:.6g} at s={s0!r}; curve is not unit speed")
     if _reference_null_residual(f1):
-        raise NullResidualError("line direction is null")
+        raise NullResidualError(f"tangent is null at s={s0!r}")
     frame, eps = [f1], [1 if q1 > 0 else -1]
-    for cand in (E1, E2, E3, E4):
+    for cand in np.eye(4):
         if len(frame) == 3:
             break
         rho = cand
         for f, e in zip(frame, eps):
             rho = rho - (e * inner(rho, f)) * f
-        if (rho.x1 * rho.x1 + rho.x2 * rho.x2 + rho.x3 * rho.x3 + rho.x4 * rho.x4 < 1e-12
+        if (rho[0] * rho[0] + rho[1] * rho[1] + rho[2] * rho[2] + rho[3] * rho[3] < 1e-12
                 or _reference_null_residual(rho)):
             continue
         rho = rho * (1.0 / norm(rho))
@@ -641,5 +651,4 @@ def reference_frame_for_line(curve):
     cross = triple_cross(frame[0], frame[1], frame[2])
     e4 = 1 if inner(cross, cross) > 0 else -1
     eps.append(e4)
-    return FrenetFrame(frame[0], frame[1], frame[2], cross * (-e4 / norm(cross)), tuple(eps),
-                       0.0, 0.0, 0.0)
+    return _reference_frame((*frame, cross * (-e4 / norm(cross))), tuple(eps), (0.0, 0.0, 0.0))

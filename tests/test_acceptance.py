@@ -282,7 +282,7 @@ def test_criterion_7_nullcone(family_curves):
         w = rng.uniform(-1.2, 1.2)
         sigma = 1 if count % 2 else -1
         p = nullcone_point(curve, j, (a_first, a_second), s, t, w, sigma)
-        d = p - curve.point(s)
+        d = np.array(p.as_tuple()) - np.array(curve.derivative(s, 0))
         worst = max(worst, abs(inner(d, d)))
         count += 1
     assert worst <= 1e-9

@@ -1,9 +1,10 @@
 """Canal point construction, admissibility, null cones, and grid sampling."""
 import math
 
+import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, make_config
+from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, arr, make_config
 import oracles
 from oracles import (example_surface_11, example_surface_1m1,
                      example_surface_31, example_surface_3m1)
@@ -21,16 +22,21 @@ from canal4.minkowski import Vec4, inner
 R2S = RadiusProfile.from_expr("2*s")
 
 
-def _delta(a: Vec4, b) -> float:
-    bt = b.as_tuple() if isinstance(b, Vec4) else tuple(b)
-    return max(abs(x - y) for x, y in zip(a.as_tuple(), bt))
+def _delta(a, b) -> float:
+    """Largest component difference of two Vec4s, 4-tuples or (4,) arrays."""
+    return float(np.abs(arr(a) - arr(b)).max())
+
+
+def _b(curve, s):
+    """The curve point b(s) as a (4,) array."""
+    return np.array(curve.derivative(s, 0))
 
 
 def test_point_golden_frame_combination(beta1):
     """At (1,0,0) the sphere-family point is b + 4 F1 + 2 sqrt(5) F2."""
     cfg = make_config(1, 1, R2S)
-    fr = beta1.frenet(1.0)
-    expected = beta1.point(1.0) + 4.0 * fr.f1 + (2 * math.sqrt(5)) * fr.f2
+    F1, F2, _, _ = map(np.array, beta1.frenet(1.0).tetrad)
+    expected = _b(beta1, 1.0) + 4.0 * F1 + (2 * math.sqrt(5)) * F2
     assert _delta(canal_point(beta1, cfg, 1.0, 0.0, 0.0), expected) < 1e-12
 
 
@@ -61,8 +67,7 @@ def test_sphere_membership_sweep(family_curves, rng):
         sigma = 1 if count % 2 == 0 else -1
         cfg = CanalConfig(j, lam, radius, sigma)
         s, t, w = admissible_node(rng, curve, cfg, curve.domain, d_floor=0.0)
-        p = canal_point(curve, cfg, s, t, w)
-        d = p - curve.point(s)
+        d = arr(canal_point(curve, cfg, s, t, w)) - _b(curve, s)
         r = radius(s)
         assert abs(inner(d, d) - lam * r * r) <= 1e-9 * (1.0 + r * r)
         count += 1
@@ -74,14 +79,14 @@ def test_offset_is_normal_direction(beta1, rng):
     h = 1e-5
     for _ in range(10):
         s, t, w = admissible_node(rng, beta1, cfg, (0.5, 2.5), d_floor=0.0)
-        b = beta1.point(s)
-        d = canal_point(beta1, cfg, s, t, w) - b
+        d = arr(canal_point(beta1, cfg, s, t, w)) - _b(beta1, s)
         for axis in range(3):
             args_p = [s, t, w]
             args_m = [s, t, w]
             args_p[axis] += h
             args_m[axis] -= h
-            part = (canal_point(beta1, cfg, *args_p) - canal_point(beta1, cfg, *args_m)) * (1 / (2 * h))
+            part = (arr(canal_point(beta1, cfg, *args_p))
+                    - arr(canal_point(beta1, cfg, *args_m))) * (1 / (2 * h))
             assert abs(inner(d, part)) <= 1e-6 * (1.0 + abs(inner(d, d)))
 
 
@@ -94,10 +99,10 @@ def test_tubular_specialization_bit_exact(family_curves):
         for sigma in (1, -1):
             cfg = CanalConfig(j, lam, RadiusProfile.from_constant(rc), sigma, variant)
             for (s, t, w) in [(0.8, 0.5, 0.6), (1.4, -0.9, 0.3)]:
-                fr = curve.frame(s)
+                _, F2, F3, F4 = map(np.array, curve.frame(s).tetrad)
                 (a2, a3, a4), _, _ = transverse(j, variant, t, w)
-                expected = (curve.point(s) + (sigma * rc * a2) * fr.f2
-                            + (sigma * rc * a3) * fr.f3 + (sigma * rc * a4) * fr.f4)
+                expected = (_b(curve, s) + (sigma * rc * a2) * F2
+                            + (sigma * rc * a3) * F3 + (sigma * rc * a4) * F4)
                 got = canal_point(curve, cfg, s, t, w)
                 assert _delta(got, expected) <= 1e-14
 
@@ -166,8 +171,8 @@ def test_branch_symmetry(beta1, rng):
             s, t, w = admissible_node(rng, beta1, plus, (0.6, 2.4), d_floor=0.0)
             fr = beta1.frenet(s)
             r, rp = 2 * s, 2.0
-            center = beta1.point(s) + (-lam * fr.eps[0] * r * rp) * fr.f1
-            total = canal_point(beta1, plus, s, t, w) + canal_point(beta1, minus, s, t, w)
+            center = _b(beta1, s) + (-lam * fr.eps[0] * r * rp) * np.array(fr.tetrad[0])
+            total = arr(canal_point(beta1, plus, s, t, w)) + arr(canal_point(beta1, minus, s, t, w))
             assert _delta(total, 2.0 * center) <= 1e-12 * (1 + abs(r))
 
 
@@ -213,18 +218,18 @@ def test_nullcone_unit_circle_directions(beta2):
     a2 = ex.parse("cos(t)", ("s", "t", "w"))
     a4 = ex.parse("sin(t)", ("s", "t", "w"))
     s, t = 1.0, 0.7
-    fr = beta2.frenet(s)
+    _, F2, F3, F4 = map(np.array, beta2.frenet(s).tetrad)
     got = nullcone_point(beta2, 3, (a2, a4), s, t, 0.0, sigma=1)
-    expected = (beta2.point(s) + math.cos(t) * fr.f2 + 1.0 * fr.f3 + math.sin(t) * fr.f4)
+    expected = _b(beta2, s) + math.cos(t) * F2 + 1.0 * F3 + math.sin(t) * F4
     assert _delta(got, expected) < 1e-12
-    d = got - beta2.point(s)
+    d = arr(got) - _b(beta2, s)
     assert abs(inner(d, d)) < 1e-12
 
 
 def test_nullcone_degenerate_point_is_center(beta2):
     zero = ex.parse("0", ("s", "t", "w"))
     got = nullcone_point(beta2, 3, (zero, zero), 1.2, 0.4, 0.9)
-    assert _delta(got, beta2.point(1.2)) < 1e-14
+    assert _delta(got, _b(beta2, 1.2)) < 1e-14
 
 
 def test_nullcone_condition_sweep(family_curves, rng):
@@ -239,7 +244,7 @@ def test_nullcone_condition_sweep(family_curves, rng):
             w = rng.uniform(-1.0, 1.0)
             p = nullcone_point(curve, j, (a_first, a_second), s, t, w,
                                sigma=1 if rng.random() < 0.5 else -1)
-            d = p - curve.point(s)
+            d = arr(p) - _b(curve, s)
             assert abs(inner(d, d)) <= 1e-9
 
 
@@ -309,13 +314,13 @@ def _reference_cases(family_curves, rng):
 
 
 def test_sample_grid_equals_scalar_reference(family_curves, rng):
-    """The batched point map reproduces the scalar Vec4 formula bit for bit."""
+    """The batched point map reproduces the scalar array formula bit for bit."""
     for curve, cfg in _reference_cases(family_curves, rng):
         t_range = (0.0, 6.0) if cfg.j == 1 else (-1.3, 1.3)
         grid = GridSpec.regular((0.5, 2.0), t_range, (-0.9, 1.1), (3, 4, 3))
         patch = sample_grid(curve, cfg, grid)
         for i, jj, k, s, t, w in patch.nodes(include_degenerate=True):
-            expected = oracles.reference_point(curve, cfg, s, t, w)
+            expected = Vec4(*oracles.reference_point(curve, cfg, s, t, w).tolist())
             assert patch.points[patch.flat_index(i, jj, k)] == expected
             assert canal_point(curve, cfg, s, t, w) == expected
         assert patch.frames == tuple(curve.frame(s) for s in grid.s_values)
@@ -353,9 +358,11 @@ def test_sample_grid_reports_an_earlier_nonfinite_point_before_a_later_row_error
         sample_grid(beta2, cfg, GridSpec((2.5, 1.0), (0.5, 800.0), (0.1,)))
 
 
-def test_patch_pipeline_builds_no_vec4_per_node(beta1, monkeypatch):
-    """sample_grid -> JSON -> patch -> OBJ builds Vec4s per s (frames, b),
-    not per node, and len(patch.points) builds none."""
+def test_patch_pipeline_builds_no_vec4_per_node(beta1, monkeypatch, tmp_path):
+    """sample_grid -> JSON -> patch -> OBJ builds no Vec4 (frames stay float
+    tuples, points an array) and len(patch.points) builds none; neither do the
+    verify (kh, weingarten-tw) and curvature commands on beta1."""
+    from canal4.cli import main
     from canal4.io import export_obj, patch_from_json, patch_to_json
     built = [0]
     post_init = Vec4.__post_init__
@@ -365,16 +372,15 @@ def test_patch_pipeline_builds_no_vec4_per_node(beta1, monkeypatch):
         post_init(self)
     monkeypatch.setattr(Vec4, "__post_init__", counting)
     cfg = make_config(1, 1, R2S)
-    counts = []
     for nt, nw in ((3, 2), (30, 20)):
-        built[0] = 0
         grid = GridSpec.regular((0.5, 2.0), (0.0, 6.0), (-0.9, 1.1), (2, nt, nw))
         patch = patch_from_json(patch_to_json(sample_grid(beta1, cfg, grid)))
         export_obj(patch)
-        counts.append(built[0])
         assert len(patch.points) == 2 * nt * nw
-        assert built[0] == counts[-1]
-    assert counts[0] == counts[1] <= 2 * 20     # about 19 per s value: frame, b, reloaded frame
+    assert built[0] == 0
+    assert main(["verify", "--example", "beta1", "--check", "kh,weingarten-tw"]) == 0
+    assert main(["curvature", "--example", "beta1", "--out", str(tmp_path / "curv.csv")]) == 0
+    assert built[0] == 0
 
 
 def test_canal_points_batch_matches_scalar_map(gamma2, rng):
@@ -412,9 +418,9 @@ def test_hyperbolic_overflow_is_a_domain_error(beta2):
 def test_domain_error_names_curve_component_and_a_function(beta2):
     curve = CurveSpec(("s", "0", "0", "exp(800*s)"), (0.5, 2.5))
     with pytest.raises(DomainError, match=r"^x4\(s\) = exp\(800\*s\) at s=1.0: "):
-        curve.point(1.0)
+        curve.derivative(1.0, 0)
     with pytest.raises(DomainError, match=r"^x4'\(s\) = "):
-        curve.derivatives(1.0, 1)
+        curve.derivative(1.0, 1)
     a_free = (ex.parse("exp(800*w)", ("s", "t", "w")), ex.parse("w", ("s", "t", "w")))
     cfg = CanalConfig(3, 0, a_free=a_free)
     with pytest.raises(DomainError, match=r"^a2\(s, t, w\) = exp\(800\*w\) at s=1.0, "):

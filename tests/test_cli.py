@@ -37,6 +37,35 @@ def test_example_subcommand(capsys):
     assert "family = j3,l1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, family", [("beta1", "j1,l1"), ("beta2", "j3,l1")])
+def test_example_output_is_a_config_file(tmp_path, capsys, name, family):
+    """The printed configuration, read back with --config, builds the bytes
+    of --example: the example line is a comment, so the curve is given once."""
+    assert run(["example", name]) == 0
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(capsys.readouterr().out)
+    assert f"# example = {name}\n" in cfg.read_text()
+    assert f"family = {family}\n" in cfg.read_text()
+    outs = [tmp_path / "from-config.json", tmp_path / "from-example.json"]
+    assert run(["build", "--config", str(cfg), "--grid", "3x4x2", "--out", str(outs[0])]) == 0
+    assert run(["build", "--example", name, "--grid", "3x4x2", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_unknown_config_key_exit_2(tmp_path, capsys):
+    """A key that no option of the command takes is an error naming the file,
+    the line and the key, not a silently ignored setting."""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("example = beta1\nradus = 5\n")
+    assert run(["build", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:2: unknown key 'radus'\n"
+    assert not (tmp_path / "x.json").exists()
+    cfg.write_text("example = beta1\nobj = x.obj\n")      # an export option, not build's
+    assert run(["build", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+    assert "unknown key 'obj'" in capsys.readouterr().err
+
+
 def test_unknown_example_exit_2():
     assert run(["example", "beta3"]) == 2
 
@@ -330,27 +359,40 @@ def test_patch_json_rejects_degenerate_indices_off_the_grid(beta1, degenerate):
         patch_from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("path, bad", [
-    ("config.radius.text", 5),
-    ("config.radius.value", "abc"),
-    ("config.a_free", 5),
-    ("config.j", "1"),
-    ("config.j", True),
-    ("curve.components", [1, 2, 3, 4]),
-    ("grid.s", ["x"]),
-], ids=["radius-text", "radius-value", "a_free", "j-str", "j-bool", "components", "grid-s"])
-def test_patch_json_rejects_ill_typed_fields(beta1, path, bad):
-    """A field of the wrong type is a ValueError that names it."""
+@pytest.mark.parametrize("path, bad, field", [
+    ("config.radius.text", 5, None),
+    ("config.radius.value", "abc", None),
+    ("config.a_free", 5, None),
+    ("config.j", "1", None),
+    ("config.j", True, None),
+    ("curve.components", [1, 2, 3, 4], None),
+    ("grid.s", ["x"], None),
+    ("version", True, None),
+    ("config.variant", "xyz", None),
+    ("config.a_free", ["s", "t"], None),                # on a lambda = +1 patch
+    ("config.j", 2, "frames[0].eps"),                   # the frames have frame type 1
+    ("frames.1.eps", [1, -1, 1, 1], "frames[1].eps"),   # config.j is 1
+    ("config.radius", {"kind": "table", "s": "x", "r": [1.0], "rp": [0.0]},
+     "config.radius.s"),
+    ("config.radius", {"kind": "table", "s": [0.0, 1.0], "r": [1.0], "rp": [0.0, 0.0]},
+     "config.radius.r"),
+    ("degenerate", list(range(8)), None),               # no node of the grid is degenerate
+], ids=["radius-text", "radius-value", "a_free", "j-str", "j-bool", "components", "grid-s",
+        "version-bool", "variant", "a_free-lambda", "j-frame-type", "eps-frame-type",
+        "table-s", "table-lengths", "degenerate-set"])
+def test_patch_json_rejects_ill_typed_fields(beta1, path, bad, field):
+    """A field of the wrong type, or at odds with the rest of the document, is
+    a ValueError that names it (field, where that is not the edited path)."""
     radius = (RadiusProfile.from_constant(2.0) if path == "config.radius.value"
               else RadiusProfile.from_expr("2*s"))
-    patch = sample_grid(beta1, CanalConfig(1, 1, radius), GridSpec((1.0,), (0.2,), (0.4,)))
-    doc = json.loads(patch_to_json(patch))
+    grid = GridSpec((1.0, 1.5), (0.2, 0.9), (0.4, 0.7))
+    doc = json.loads(patch_to_json(sample_grid(beta1, CanalConfig(1, 1, radius), grid)))
     *outer, key = path.split(".")
     parent = doc
     for name in outer:
-        parent = parent[name]
+        parent = parent[int(name) if name.isdigit() else name]
     parent[key] = bad
-    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: expected "):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field or path)}: expected "):
         patch_from_json(json.dumps(doc))
 
 
@@ -448,7 +490,10 @@ def _curve(*components):
     (_curve("1e309*s", "0", "0", "0") + ["--radius", "2"], 2),
     # <b',b'> = -inf + inf = nan: not unit speed
     (_curve("1e200*s", "1e200*s", "s", "0") + ["--radius", "1", "--grid", "2x2x1"], 2),
-], ids=["radius-literal", "radius-product", "curve-literal", "curve-speed"])
+    # unit speed, but the third derivative overflows: a nan in the frame at s = 3.0
+    (_curve("2*sinh(s)", "2*cosh(s)", "sqrt(3)/2e76*cos(2e76*s)", "sqrt(3)/2e76*sin(2e76*s)")
+     + ["--radius", "1", "--grid", "2x2x1"], 3),
+], ids=["radius-literal", "radius-product", "curve-literal", "curve-speed", "frame-nan"])
 def test_overflowing_expression_exit_code(tmp_path, capsys, source, code):
     assert run(["build", *source, "--out", str(tmp_path / "x.json")]) == code
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, make_config
+from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, arr, make_config
 import oracles
 
 from canal4.canal import (CanalConfig, PointMapCache, RadiusProfile, Variant,
@@ -14,19 +14,19 @@ from canal4.canal import (CanalConfig, PointMapCache, RadiusProfile, Variant,
 from canal4.curvature import Route, _check_metric, _principal, curvature_report, tubular_curvatures
 from canal4.errors import (DegenerateNodeError, InadmissibleConfigError,
                            PoleAtNodeError, SingularMetricError)
-from canal4.minkowski import Vec4, inner
+from canal4.minkowski import inner
 
 R2S = RadiusProfile.from_expr("2*s")
 SQ35 = math.sqrt(35.0)
 SQ21 = math.sqrt(21.0)
 
 
-def _vdelta(a: Vec4, b: Vec4) -> float:
-    return max(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple()))
+def _vdelta(a, b) -> float:
+    return float(np.abs(a - b).max())
 
 
-def _normal(curve, cfg, s, t, w, route=Route.CLOSED_FORM) -> Vec4:
-    return Vec4(*curvature_report(curve, cfg, s, t, w, route).N)
+def _normal(curve, cfg, s, t, w, route=Route.CLOSED_FORM) -> np.ndarray:
+    return np.array(curvature_report(curve, cfg, s, t, w, route).N)
 
 
 def _family_cases(family_curves, rng, per_family=6, d_floor=0.25):
@@ -46,9 +46,9 @@ def _family_cases(family_curves, rng, per_family=6, d_floor=0.25):
 def test_normal_closed_form_golden(beta1):
     """Sphere family over the timelike curve: N = -(r' F1 + sqrt(r'^2+1) F2) at (1,0,0)."""
     cfg = make_config(1, 1, R2S)
-    fr = beta1.frenet(1.0)
+    F1, F2, _, _ = map(np.array, beta1.frenet(1.0).tetrad)
     N = _normal(beta1, cfg, 1.0, 0.0, 0.0)
-    expected = -(2.0 * fr.f1 + math.sqrt(5.0) * fr.f2)
+    expected = -(2.0 * F1 + math.sqrt(5.0) * F2)
     assert _vdelta(N, expected) < 1e-12
     assert inner(N, N) == pytest.approx(1.0, abs=1e-10)
 
@@ -73,13 +73,13 @@ def test_normal_matches_reference_table(family_curves, rng):
 def test_tubular_normal_reduces_to_transverse_sum(beta1):
     """Constant radius: N = -eps3 eps4 lam^j * (sum a_i F_i) (here -(sum))."""
     cfg = CanalConfig(1, 1, RadiusProfile.from_constant(0.4))
-    fr = beta1.frenet(0.9)
+    _, F2, F3, F4 = map(np.array, beta1.frenet(0.9).tetrad)
     t, w = 0.5, 0.7
     N = _normal(beta1, cfg, 0.9, t, w)
     a2 = math.cos(t) * math.cos(w)
     a3 = math.sin(t) * math.cos(w)
     a4 = math.sin(w)
-    expected = -(a2 * fr.f2 + a3 * fr.f3 + a4 * fr.f4)
+    expected = -(a2 * F2 + a3 * F3 + a4 * F4)
     assert _vdelta(N, expected) < 1e-12
 
 
@@ -101,7 +101,8 @@ def test_normal_orthogonal_to_fd_partials(beta1):
         m = [s, t, w]
         p[axis] += h
         m[axis] -= h
-        tangent = (canal_point(beta1, cfg, *p) - canal_point(beta1, cfg, *m)) * (1 / (2 * h))
+        tangent = (arr(canal_point(beta1, cfg, *p))
+                   - arr(canal_point(beta1, cfg, *m))) * (1 / (2 * h))
         assert abs(inner(N, tangent)) <= 1e-8 * (1 + abs(inner(tangent, tangent)))
 
 
@@ -177,7 +178,7 @@ def test_numeric_route_equals_scalar_reference(family_curves, rng):
                 rep = curvature_report(curve, cfg, s, t, w, Route.NUMERIC, shared)
                 assert np.array_equal(rep.g, g_ref)
                 assert np.array_equal(rep.h, h_ref)
-                assert rep.N == N_ref.as_tuple()
+                assert np.array(rep.N).tobytes() == N_ref.tobytes()
 
 
 def test_numeric_route_needs_no_closed_form(family_curves, rng, monkeypatch):
@@ -227,7 +228,7 @@ def test_row_pass_equals_scalar_reference(family_curves, rng):
             g_ref, h_ref, N_ref = oracles.reference_numeric_forms(curve, cfg, s, *node)
             assert np.array_equal(g[n], g_ref)
             assert np.array_equal(h[n], h_ref)
-            assert Vec4(*N[n].tolist()) == N_ref
+            assert N[n].tobytes() == N_ref.tobytes()
 
 
 def _outcome(fn):
@@ -296,7 +297,7 @@ def test_closed_row_pass_equals_per_node_reference(family_curves, rng):
         for n, node in enumerate(zip(t, w)):
             g_ref, h_ref, N_ref = oracles.reference_closed_forms(curve, cfg, s, *node)
             assert g[n].tobytes() == g_ref.tobytes() and h[n].tobytes() == h_ref.tobytes()
-            assert repr(Vec4(*N[n].tolist())) == repr(N_ref)
+            assert N[n].tobytes() == N_ref.tobytes()
             ref = _outcome(lambda: oracles.reference_closed_report(curve, cfg, s, *node))
             _assert_same_outcome(reports[n], ref)
             _assert_same_outcome(curvature_report(curve, cfg, s, *node), ref)

@@ -3,10 +3,11 @@ frame differential relations."""
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from canal4.curve import STENCIL_REACH, CurveSpec
-from canal4.errors import (FrameDegenerateError, NonUnitSpeedError,
+from canal4.errors import (DomainError, FrameDegenerateError, NonUnitSpeedError,
                            NullResidualError, OutOfDomainError)
 from canal4.minkowski import Vec4, inner
 
@@ -18,46 +19,45 @@ def beta1_frame(s):
     """Published frame of the timelike example curve."""
     ch, sh, c, si = math.cosh(s), math.sinh(s), math.cos(s), math.sin(s)
     r3 = math.sqrt(3.0)
-    return (Vec4(2 * ch, 2 * sh, -r3 * si, r3 * c),
-            Vec4(2 / SQ7 * sh, 2 / SQ7 * ch, -SQ37 * c, -SQ37 * si),
-            Vec4(-r3 * ch, -r3 * sh, 2 * si, -2 * c),
-            Vec4(SQ37 * sh, SQ37 * ch, 2 / SQ7 * c, 2 / SQ7 * si))
+    return ((2 * ch, 2 * sh, -r3 * si, r3 * c),
+            (2 / SQ7 * sh, 2 / SQ7 * ch, -SQ37 * c, -SQ37 * si),
+            (-r3 * ch, -r3 * sh, 2 * si, -2 * c),
+            (SQ37 * sh, SQ37 * ch, 2 / SQ7 * c, 2 / SQ7 * si))
 
 
 def beta2_frame(s):
     """Published frame of the spacelike example curve (timelike binormal)."""
     ch, sh, c, si = math.cosh(s), math.sinh(s), math.cos(s), math.sin(s)
     r3 = math.sqrt(3.0)
-    return (Vec4(r3 * ch, r3 * sh, -2 * si, 2 * c),
-            Vec4(SQ37 * sh, SQ37 * ch, -2 / SQ7 * c, -2 / SQ7 * si),
-            Vec4(2 * ch, 2 * sh, -r3 * si, r3 * c),
-            Vec4(2 / SQ7 * sh, 2 / SQ7 * ch, SQ37 * c, SQ37 * si))
+    return ((r3 * ch, r3 * sh, -2 * si, 2 * c),
+            (SQ37 * sh, SQ37 * ch, -2 / SQ7 * c, -2 / SQ7 * si),
+            (2 * ch, 2 * sh, -r3 * si, r3 * c),
+            (2 / SQ7 * sh, 2 / SQ7 * ch, SQ37 * c, SQ37 * si))
 
 
-def _max_component_delta(a: Vec4, b: Vec4) -> float:
-    return max(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple()))
+def _max_component_delta(a, b) -> float:
+    return max(abs(x - y) for x, y in zip(a, b))
 
 
 def test_beta1_derivative_golden(beta1):
-    d1 = beta1.derivatives(0.25, 1)[0]
-    exact = Vec4(2 * math.cosh(0.25), 2 * math.sinh(0.25),
-                 -math.sqrt(3) * math.sin(0.25), math.sqrt(3) * math.cos(0.25))
+    d1 = beta1.derivative(0.25, 1)
+    exact = (2 * math.cosh(0.25), 2 * math.sinh(0.25),
+             -math.sqrt(3) * math.sin(0.25), math.sqrt(3) * math.cos(0.25))
     assert _max_component_delta(d1, exact) < 1e-14
+    with pytest.raises(ValueError, match="order must be 0..4"):
+        beta1.derivative(0.25, 5)
 
 
 def test_derivative_at_zero_values():
     # domains extended to include 0 for the tangent golden
     b1 = CurveSpec(("2*sinh(s)", "2*cosh(s)", "sqrt(3)*cos(s)", "sqrt(3)*sin(s)"), (-1.0, 1.0))
-    assert _max_component_delta(b1.derivatives(0.0, 1)[0],
-                                Vec4(2.0, 0.0, 0.0, math.sqrt(3.0))) < 1e-15
+    assert _max_component_delta(b1.derivative(0.0, 1), (2.0, 0.0, 0.0, math.sqrt(3.0))) < 1e-15
     b2 = CurveSpec(("sqrt(3)*sinh(s)", "sqrt(3)*cosh(s)", "2*cos(s)", "2*sin(s)"), (-1.0, 1.0))
-    assert _max_component_delta(b2.derivatives(0.0, 1)[0],
-                                Vec4(math.sqrt(3.0), 0.0, 0.0, 2.0)) < 1e-15
+    assert _max_component_delta(b2.derivative(0.0, 1), (math.sqrt(3.0), 0.0, 0.0, 2.0)) < 1e-15
 
 
 def test_line_second_derivative_vanishes(spacelike_line):
-    d2 = spacelike_line.derivatives(1.0, 2)[1]
-    assert d2.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+    assert spacelike_line.derivative(1.0, 2) == (0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.8, 1.7, 2.6])
@@ -68,7 +68,7 @@ def test_beta1_frame_golden(beta1, s):
     assert fr.k1 == pytest.approx(SQ7, abs=1e-12)
     assert fr.k2 == pytest.approx(4 * SQ37, abs=1e-12)
     assert fr.k3 == pytest.approx(1 / SQ7, abs=1e-12)
-    for got, exact in zip(fr.vectors, beta1_frame(s)):
+    for got, exact in zip(fr.tetrad, beta1_frame(s)):
         assert _max_component_delta(got, exact) < 1e-10
 
 
@@ -80,7 +80,7 @@ def test_beta2_frame_golden(beta2, s):
     assert fr.k1 == pytest.approx(SQ7, abs=1e-12)
     assert fr.k2 == pytest.approx(4 * SQ37, abs=1e-12)
     assert fr.k3 == pytest.approx(1 / SQ7, abs=1e-12)
-    for got, exact in zip(fr.vectors, beta2_frame(s)):
+    for got, exact in zip(fr.tetrad, beta2_frame(s)):
         assert _max_component_delta(got, exact) < 1e-10
 
 
@@ -95,8 +95,8 @@ def test_frame_orthonormality(family_curves, rng):
         for _ in range(50):
             fr = curve.frenet(rng.uniform(smin, smax))
             worst = 0.0
-            for i, (fi, ei) in enumerate(zip(fr.vectors, fr.eps)):
-                for jj, (fj, _) in enumerate(zip(fr.vectors, fr.eps)):
+            for i, (fi, ei) in enumerate(zip(fr.tetrad, fr.eps)):
+                for jj, fj in enumerate(fr.tetrad):
                     target = ei if i == jj else 0.0
                     worst = max(worst, abs(inner(fi, fj) - target))
             assert worst <= 1e-8
@@ -112,13 +112,14 @@ def test_frenet_ode_residual(family_curves):
             minus = curve.frenet(s - h)
             e1, e2, e3, e4 = fr.eps
             k1, k2, k3 = fr.k1, fr.k2, fr.k3
-            rhs = (k1 * fr.f2,
-                   (e3 * e4 * k1) * fr.f1 + k2 * fr.f3,
-                   (e1 * e4 * k2) * fr.f2 + k3 * fr.f4,
-                   (e1 * e2 * k3) * fr.f3)
+            F1, F2, F3, F4 = map(np.array, fr.tetrad)
+            rhs = (k1 * F2,
+                   (e3 * e4 * k1) * F1 + k2 * F3,
+                   (e1 * e4 * k2) * F2 + k3 * F4,
+                   (e1 * e2 * k3) * F3)
             scale = 1.0 + max(k1, k2, abs(k3))
-            for fp, fm, r in zip(plus.vectors, minus.vectors, rhs):
-                d = (fp - fm) * (1.0 / (2 * h))
+            for fp, fm, r in zip(plus.tetrad, minus.tetrad, rhs):
+                d = (np.array(fp) - np.array(fm)) * (1.0 / (2 * h))
                 assert _max_component_delta(d, r) <= 1e-5 * scale
 
 
@@ -137,8 +138,8 @@ def _outcome(fn):
         return exc
 
 
-def test_frenet_equals_vec4_reference(family_curves, varying_curvature_curve, timelike_line):
-    """Gram-Schmidt on float tuples gives the frames of the Vec4 original bit
+def test_frenet_equals_array_reference(family_curves, varying_curvature_curve, timelike_line):
+    """Gram-Schmidt on float tuples gives the frames of the array original bit
     for bit (by repr) on every curve, and its errors with the same type and
     message: non-unit speed, a null tangent, k1 = 0 (where frame falls back
     to the line frame) and k2 = 0."""
@@ -178,7 +179,8 @@ def test_frame_for_line_spacelike(spacelike_line):
     assert fr.k1 == fr.k2 == fr.k3 == 0.0
     assert fr.eps.count(-1) == 1
     assert fr.frame_type == 2           # timelike axis lands in F2
-    assert fr.f1.as_tuple() == (0.0, 1.0, 0.0, 0.0)
+    assert fr.tetrad[0] == (0.0, 1.0, 0.0, 0.0)
+    assert fr.vectors == tuple(Vec4(*f) for f in fr.tetrad)
 
 
 def test_line_frame_memoized(monkeypatch):
@@ -239,7 +241,7 @@ def test_overflowing_speed_is_not_unit_speed():
 
 def test_out_of_domain(beta1):
     with pytest.raises(OutOfDomainError):
-        beta1.point(5.0)
+        beta1.derivative(5.0, 0)
 
 
 def test_domain_overhang_covers_the_stencil_reach(beta1):
@@ -248,9 +250,20 @@ def test_domain_overhang_covers_the_stencil_reach(beta1):
     assert STENCIL_REACH >= max(2 * FD_STEP2, 2 * WEINGARTEN_FD_STEP)
     short = CurveSpec(beta1.components, (1.0, 1.5))
     for s in (1.0 - STENCIL_REACH, 1.5 + STENCIL_REACH):
-        short.derivatives(s, 2)
+        short.derivative(s, 2)
     with pytest.raises(OutOfDomainError):
-        short.point(1.5 + 2 * STENCIL_REACH)
+        short.derivative(1.5 + 2 * STENCIL_REACH, 0)
+
+
+def test_non_finite_frame_is_a_numeric_error():
+    """A unit-speed helix whose x3, x4 wind at frequency 2e76: its third and
+    fourth derivatives overflow, so the frame at s = 3.0 holds a nan. That is
+    a DomainError naming s, raised before the frame signs are checked."""
+    helix = CurveSpec(("2*sinh(s)", "2*cosh(s)", "sqrt(3)/2e76*cos(2e76*s)",
+                       "sqrt(3)/2e76*sin(2e76*s)"), (0.25, 3.0))
+    assert helix.verify_unit_speed(10).passed
+    with pytest.raises(DomainError, match=r"^non-finite frame component or curvature at s=3.0$"):
+        helix.frame(3.0)
 
 
 def test_varying_curvature_frame(varying_curvature_curve):
