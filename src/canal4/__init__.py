@@ -7,7 +7,7 @@ from .analysis import (TheoremReport, check_kh_relation, classify_flat,
 from .canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
                     SurfacePatch, Variant, canal_point, canal_points,
                     nullcone_point, sample_grid, validate_config)
-from .curvature import CurvatureReport, Route, curvature_report, tubular_curvatures
+from .curvature import CurvatureReport, Route, curvature_report
 from .curve import CurveSpec, FrenetFrame
 from .expr import Expr, differentiate, evaluate, parse
 from .minkowski import Vec4, inner, norm, triple_cross
@@ -20,5 +20,5 @@ __all__ = [
     "Vec4", "canal_point", "canal_points", "check_kh_relation", "classify_flat",
     "classify_minimal", "curvature_report", "differentiate", "evaluate", "inner", "norm",
     "nullcone_point", "parse", "sample_grid", "solve_minimal_radius", "triple_cross",
-    "tubular_curvatures", "validate_config", "weingarten_check",
+    "validate_config", "weingarten_check",
 ]

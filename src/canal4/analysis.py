@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canal import CanalConfig, RadiusProfile, SurfacePatch, _distinct, family_function
+from .canal import (CanalConfig, RadiusProfile, SurfacePatch, _distinct, _hermite,
+                    family_function)
 from .curvature import (_FOCAL, Route, _admissible_q, _family_curvatures, curvature_report,
                         node_reports)
 from .curve import CurveSpec, TAU_K
@@ -36,6 +37,8 @@ FLAT_K_TOL = 1e-9
 MINIMAL_RESIDUAL_TOL = 1e-6
 MINIMAL_H_TOL = 1e-5
 LINEAR_SLOPE_BOUNDARY_TOL = 1e-9
+RK4_SUBSTEPS = 8               # solve_minimal_radius: RK4 steps per table interval,
+EXIT_SUBSTEPS = 512            # and in an interval where those steps leave its domain
 
 
 @dataclass(frozen=True)
@@ -236,10 +239,11 @@ def solve_minimal_radius(eps1_lambda: int, c1: float, r0: float, s_range,
                          sign: int = 1, n_nodes: int = 257) -> RadiusProfile:
     """Integrate r' = sign*sqrt(eps1*lam + (c1/r)^(4/3)) from r(s0) = r0.
 
-    Tabulated profile (cubic Hermite through RK45 output at rtol = atol =
-    1e-10); r' and r'' are evaluated from the closed forms of r so the
-    radius equation holds exactly along the profile. Raises DomainExitError
-    with the turning s when the radicand reaches zero.
+    Tabulated profile: classical RK4, RK4_SUBSTEPS steps per table interval,
+    cubic Hermite between the nodes; r' and r'' are the closed forms of r, so
+    the radius equation holds exactly along it. An interval whose steps leave
+    the domain (r or the radicand <= 0) is integrated again more carefully:
+    that reaches the next node or raises DomainExitError where one reaches 0.
     """
     if c1 == 0:
         raise InadmissibleConfigError("c1 must be nonzero")
@@ -247,42 +251,55 @@ def solve_minimal_radius(eps1_lambda: int, c1: float, r0: float, s_range,
         raise InadmissibleConfigError("r0 must be positive")
     if sign not in (-1, 1):
         raise InadmissibleConfigError("sign must be +-1")
-    from scipy.integrate import solve_ivp
+    s0, s1 = float(s_range[0]), float(s_range[1])
+    if not (s0 < s1 and n_nodes >= 2):
+        raise InadmissibleConfigError(f"need s0 < s1, n_nodes >= 2: {s_range!r}, {n_nodes!r}")
     c43 = (c1 * c1) ** (2.0 / 3.0)          # |c1|^(4/3)
 
     def radicand(r):
         return eps1_lambda + c43 * r ** (-4.0 / 3.0)
 
-    if radicand(r0) <= 0:
-        raise DomainExitError(f"radicand <= 0 already at r0 = {r0!r}", s_range[0])
+    def slope(r):
+        """sign*sqrt(radicand(r)); nan, which later stages keep, where r or it is <= 0."""
+        try:
+            q = radicand(r) if r > 0 else 0.0
+        except OverflowError:               # 0 < r < ~1e-231
+            q = 0.0
+        return sign * math.sqrt(q) if q > 0 else math.nan
 
-    def rhs(s, y):
-        return [sign * math.sqrt(max(radicand(y[0]), 0.0))]
+    def step(r, k1, h):
+        k2 = slope(r + 0.5 * h * k1)
+        k3 = slope(r + 0.5 * h * k2)
+        k4 = slope(r + h * k3)
+        r += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        return r, slope(r)
 
-    def turning(s, y):
-        return radicand(y[0]) - 1e-14
+    def careful(s, b, r, k):
+        """(r, k) at b from the node (s, r, k) in steps of (b - s)/EXIT_SUBSTEPS, each one
+        that leaves the domain halved; DomainExitError where one short of b moves nothing."""
+        h = (b - s) / EXIT_SUBSTEPS
+        while s < b:
+            h = min(h, b - s)
+            r_next, k_next = step(r, k, h)
+            last = h == b - s
+            if math.isnan(k_next) and s + 0.5 * h != s:
+                h *= 0.5
+            elif math.isnan(k_next) or (r_next == r and not last):
+                raise DomainExitError(
+                    f"radius equation: r or its radicand reaches 0 at s = {s:.9g}", s)
+            else:
+                s, r, k = b if last else s + h, r_next, k_next
+        return r, k
 
-    turning.terminal = True
-    turning.direction = -1
-
-    s0, s1 = float(s_range[0]), float(s_range[1])
-    sol = solve_ivp(rhs, (s0, s1), [r0], method="RK45", rtol=1e-10, atol=1e-10,
-                    dense_output=True, events=turning, max_step=(s1 - s0) / 16)
-    if sol.t_events[0].size > 0:
-        raise DomainExitError(
-            f"radius equation radicand hit zero at s = {sol.t_events[0][0]:.9g}",
-            float(sol.t_events[0][0]))
-    if not sol.success:
-        raise DomainExitError(f"integration failed: {sol.message}", s1)
-
-    s_nodes = np.linspace(s0, s1, n_nodes)
-    r_nodes = sol.sol(s_nodes)[0]
-    rp_nodes = [sign * math.sqrt(radicand(r)) for r in r_nodes]
-    from scipy.interpolate import CubicHermiteSpline
-    spline = CubicHermiteSpline(s_nodes, r_nodes, rp_nodes)
-
-    def r_of(s):
-        return float(spline(s))
+    s_nodes = np.linspace(s0, s1, n_nodes).tolist()
+    nodes = [(float(r0), slope(r0))]
+    for a, b in zip(s_nodes, s_nodes[1:]):
+        r, k = nodes[-1]
+        for _ in range(RK4_SUBSTEPS):       # nan, once reached, stays
+            r, k = step(r, k, (b - a) / RK4_SUBSTEPS)
+        nodes.append(careful(a, b, *nodes[-1]) if math.isnan(k) else (r, k))
+    r_nodes, rp_nodes = zip(*nodes)
+    r_of = _hermite(s_nodes, r_nodes, rp_nodes)[0]
 
     def rp_of(s):
         return sign * math.sqrt(radicand(r_of(s)))
@@ -291,7 +308,4 @@ def solve_minimal_radius(eps1_lambda: int, c1: float, r0: float, s_range,
         # d/ds sqrt(radicand(r)) = radicand'(r)/2; exactly the radius equation
         return -(2.0 / 3.0) * c43 * r_of(s) ** (-7.0 / 3.0)
 
-    return RadiusProfile("table", r_of, rp_of, rpp_of,
-                         table=(tuple(float(x) for x in s_nodes),
-                                tuple(float(x) for x in r_nodes),
-                                tuple(float(x) for x in rp_nodes)))
+    return RadiusProfile("table", r_of, rp_of, rpp_of, table=(tuple(s_nodes), r_nodes, rp_nodes))

@@ -20,6 +20,7 @@ the remaining one is determined (j = 1 admits no such surface).
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -49,11 +50,9 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class RadiusProfile:
-    """Radius function with first and second derivatives.
-
-    kind "expr": symbolic, derivatives exact. kind "constant": tubular.
-    kind "table": numeric profile (cubic Hermite through solver output).
-    """
+    """Radius function with first and second derivatives. kind "expr": symbolic,
+    derivatives exact; "constant": tubular; "table": numeric, _hermite's r
+    through the nodes of a solver's table."""
 
     kind: str
     r: object          # callable s -> float
@@ -80,6 +79,28 @@ class RadiusProfile:
 
     def __call__(self, s: float) -> float:
         return self.r(s)
+
+
+def _hermite(s, r, rp):
+    """The piecewise-cubic Hermite interpolant through the nodes (s, r) with
+    slopes rp and its first two derivatives, as functions of s: exactly r at
+    the nodes, with the end cubics continued past the table's ends."""
+    s, r, rp = (tuple(map(float, v)) for v in (s, r, rp))
+
+    def at(x, k):
+        """The k-th derivative at x of the cubic of the interval [s_i, s_i + h] of x."""
+        i = min(max(bisect.bisect_right(s, x) - 1, 0), len(s) - 2)
+        h = s[i + 1] - s[i]
+        u, d, m0, m1 = (x - s[i]) / h, (r[i + 1] - r[i]) / h, rp[i], rp[i + 1]
+        v = 1.0 - u
+        if k == 0:
+            return (v * v * (1.0 + 2.0 * u) * r[i] + u * u * (3.0 - 2.0 * u) * r[i + 1]
+                    + h * u * v * (v * m0 - u * m1))
+        if k == 1:
+            return 6.0 * u * v * d + v * (1.0 - 3.0 * u) * m0 + u * (3.0 * u - 2.0) * m1
+        return ((6.0 - 12.0 * u) * d + (6.0 * u - 4.0) * m0 + (6.0 * u - 2.0) * m1) / h
+
+    return tuple(functools.partial(at, k=k) for k in range(3))
 
 
 @dataclass(frozen=True)

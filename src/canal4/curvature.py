@@ -41,10 +41,10 @@ from enum import Enum
 
 import numpy as np
 
-from .canal import (CanalConfig, PointMapCache, Variant, _distinct, degeneracy_factor,
+from .canal import (CanalConfig, PointMapCache, _distinct, degeneracy_factor,
                     family_function, indexed_points, transverse, DEGENERATE_A_TOL)
 from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
-                     InadmissibleConfigError, PoleAtNodeError, RankDeficientError,
+                     InadmissibleConfigError, RankDeficientError,
                      SingularMetricError, or_error, unwrap)
 from .minkowski import inner, triple_cross
 
@@ -396,32 +396,3 @@ def curvature_report(curve, config, s, t, w, route: Route = Route.CLOSED_FORM,
     nodes of one patch evaluates the per-s rows (frame, b, r, r', r'') once
     for all of them."""
     return unwrap(_REPORTS[route](config, s, (t,), (w,), cache or PointMapCache(curve, config))[0])
-
-
-# ---------------------------------------------------------------------------
-# tubular closed forms
-
-def tubular_curvatures(j, lam, r_const, k1, t, w):
-    """(K, H) of the constant-radius families; (1,-1) does not exist. With
-    r' = 0, r'^2 - lam*eps1 < 0 exactly when j >= 2 and lam = +1: those take
-    the supercritical pattern's f_j."""
-    if (j, lam) == (1, -1) or j not in (1, 2, 3, 4) or lam not in (-1, 1):
-        raise InadmissibleConfigError(f"no tubular family (j={j}, lambda={lam})")
-    variant = Variant.ALT_SUPERCRITICAL if j >= 2 and lam == 1 else Variant.STANDARD
-    u = k1 * family_function(j, variant, t, w)
-    r = r_const
-    if (j, lam) in ((1, 1), (2, 1), (2, -1)):
-        den = 1.0 + r * u
-        if abs(den) < 1e-12:
-            raise PoleAtNodeError(f"1 + r*k1*f = {den:.3g}: focal point")
-        return u / (r * r * den), (2.0 + 3.0 * r * u) / (3.0 * r * den)
-    if (j, lam) == (3, -1):
-        den = -1.0 + r * u
-        if abs(den) < 1e-12:
-            raise PoleAtNodeError(f"-1 + r*k1*f = {den:.3g}: focal point")
-        return u / (r * r * den), (2.0 - 3.0 * r * u) / (3.0 * r * (-den))
-    # (3,1), (4,1), (4,-1)
-    den = 1.0 - r * u
-    if abs(den) < 1e-12:
-        raise PoleAtNodeError(f"1 - r*k1*f = {den:.3g}: focal point")
-    return u / (r * r * den), (2.0 - 3.0 * r * u) / (3.0 * r * (-den))

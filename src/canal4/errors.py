@@ -94,10 +94,6 @@ class ComplexEigenvaluesError(NumericError):
     """Numeric shape operator returned a complex pair beyond tolerance."""
 
 
-class PoleAtNodeError(NumericError):
-    """Tubular curvature denominator 1 + r*k1*f vanished (focal point)."""
-
-
 class NullConditionViolatedError(NumericError):
     """Null-cone coefficients failed sum(eps_i a_i^2) = 0."""
 

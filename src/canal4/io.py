@@ -13,10 +13,10 @@ import numpy as np
 
 from . import expr as ex
 from .canal import (DEGENERATE_A_TOL, CanalConfig, GridSpec, RadiusProfile, SurfacePatch,
-                    Variant, degenerate_nodes)
+                    Variant, _hermite, degenerate_nodes)
 from .curve import CurveSpec, FrenetFrame
 from .curvature import Route, node_reports
-from .errors import EmptySliceError, NumericError, unwrap
+from .errors import DomainError, EmptySliceError, NumericError, or_error, unwrap
 
 CSV_HEADER = "s,t,w,K_cf,H_cf,mu1,mu2,mu3,K_num,H_num"   # column contract v1
 
@@ -147,19 +147,13 @@ def _radius_from_payload(payload):
         return RadiusProfile.from_expr(_get(payload, "text", "config.radius.", str))
     if kind != "table":
         raise ValueError(f"unknown radius kind {kind!r}")
-    from scipy.interpolate import CubicHermiteSpline
     s, r, rp = (_get(payload, key, "config.radius.", list) for key in ("s", "r", "rp"))
     _require(_numbers(s, len(s)) and len(s) >= 2 and all(a < b for a, b in zip(s, s[1:])),
              "config.radius.s", "at least 2 increasing finite numbers")
     for key, values in (("r", r), ("rp", rp)):
         _require(_numbers(values, len(s)), f"config.radius.{key}",
                  f"{len(s)} finite numbers, one per s")
-    spline = CubicHermiteSpline(s, r, rp)
-    d2 = spline.derivative(2)
-    return RadiusProfile("table", lambda s: float(spline(s)),
-                         lambda s: float(spline.derivative()(s)),
-                         lambda s: float(d2(s)),
-                         table=(tuple(s), tuple(r), tuple(rp)))
+    return RadiusProfile("table", *_hermite(s, r, rp), table=(tuple(s), tuple(r), tuple(rp)))
 
 
 def patch_to_json(patch: SurfacePatch) -> str:
@@ -211,12 +205,13 @@ def patch_from_json(text: str) -> SurfacePatch:
     _require(_strings(components, 4), "curve.components", "4 expression strings")
     _require(_numbers(domain, 2), "curve.domain", "2 finite numbers")
     curve = CurveSpec(tuple(components), tuple(domain))
-    for key in ("j", "lambda", "sigma"):
-        _require(type(_get(doc, f"config.{key}")) is int, f"config.{key}", "an integer")
+    for key, values in (("j", (1, 2, 3, 4)), ("lambda", (-1, 0, 1)), ("sigma", (-1, 1))):
+        value = _get(doc, f"config.{key}")
+        _require(type(value) is int and value in values, f"config.{key}", f"an int in {values}")
     a_free = _get(doc, "config.a_free")
     _require(a_free is None or _strings(a_free, 2), "config.a_free", "null or 2 expression strings")
-    _require(a_free is None or _get(doc, "config.lambda") == 0, "config.a_free",
-             "null for lambda = +-1")
+    _require((a_free is None) != (_get(doc, "config.lambda") == 0), "config.a_free",
+             "2 expression strings for lambda = 0, null for lambda = +-1")
     variant = _get(doc, "config.variant")
     _require(variant in [v.value for v in Variant], "config.variant", "'standard' or 'alt'")
     config = CanalConfig(_get(doc, "config.j"), _get(doc, "config.lambda"),
@@ -227,6 +222,9 @@ def patch_from_json(text: str) -> SurfacePatch:
     for axis, values in zip("stw", axes):
         _require(_numbers(values, len(values)), f"grid.{axis}", "finite numbers")
     grid = GridSpec(*map(tuple, axes))
+    expected = or_error(degenerate_nodes, config, grid)
+    _require(not isinstance(expected, DomainError), "grid.w",
+             "values at which the pattern's cosh and sinh are finite")
     ns, nt, nw = len(grid.s_values), len(grid.t_values), len(grid.w_values)
     n = ns * nt * nw
     points = _get(doc, "points")
@@ -242,7 +240,6 @@ def patch_from_json(text: str) -> SurfacePatch:
     degenerate = _get(doc, "degenerate", kind=list)
     _require(all(type(k) is int and 0 <= k < n for k in degenerate), "degenerate",
              f"flat node indices, ints in [0, {n})")
-    expected = degenerate_nodes(config, grid)
     _require(sorted(degenerate) == sorted(expected), "degenerate",
              f"the {len(expected)} nodes where |A| < {DEGENERATE_A_TOL:g}")
     return SurfacePatch(curve, config, grid, coords, frames, expected)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from canal4.canal import CanalConfig, RadiusProfile, Variant
+from canal4.curvature import gauss_mean_principal
 from canal4.curve import CurveSpec
 from canal4.minkowski import Vec4
 
@@ -65,6 +66,18 @@ def family_curves(beta1, gamma2, beta2, gamma4):
 
 ALL_FAMILIES = [(j, lam) for j in (1, 2, 3, 4) for lam in (1, -1)]
 TUBULAR_FAMILIES = [fam for fam in ALL_FAMILIES if fam != (1, -1)]
+
+
+def tubular_variant(j, lam):
+    """A constant radius has r'^2 - lam*eps1 < 0 exactly when j >= 2 and lam = +1."""
+    return Variant.ALT_SUPERCRITICAL if j >= 2 and lam == 1 else Variant.STANDARD
+
+
+def tubular_kh(j, lam, r, k1, t, w):
+    """(K, H) of the constant-radius family (j, lam): the general family
+    formulas of gauss_mean_principal at r' = r'' = 0."""
+    eps = tuple(-1 if i == j else 1 for i in (1, 2, 3, 4))
+    return gauss_mean_principal(j, lam, tubular_variant(j, lam), eps, k1, r, 0.0, 0.0, t, w)[:2]
 
 # sweep parameter windows per frame type: the j = 2 curve has a cosh(2s)
 # amplitude, so large s amplifies FD rounding noise in the numeric oracle

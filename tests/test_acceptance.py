@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import conftest
+import oracles
 from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node
 
 from canal4.analysis import (classify_flat, classify_minimal,
@@ -20,7 +21,7 @@ from canal4.analysis import (classify_flat, classify_minimal,
 from canal4.canal import (CanalConfig, GridSpec, RadiusProfile, Variant,
                           sample_grid)
 from canal4.cli import main as cli_main
-from canal4.curvature import Route, curvature_report, tubular_curvatures
+from canal4.curvature import Route, curvature_report
 from canal4 import expr as ex
 from canal4.minkowski import inner
 
@@ -247,7 +248,7 @@ def test_criterion_6_tubular(family_curves, tmp_path):
 
     rng = random.Random(5150)
     rc = 0.2
-    worst = 0.0
+    worst = worst_table = 0.0
     for j, lam in TUBULAR_FAMILIES:
         curve = family_curves[j]
         variant = Variant.ALT_SUPERCRITICAL if (j >= 2 and lam == 1) else Variant.STANDARD
@@ -257,14 +258,18 @@ def test_criterion_6_tubular(family_curves, tmp_path):
             t = rng.uniform(-1.0, 1.0) if j != 1 else rng.uniform(0.0, 2 * math.pi)
             w = rng.uniform(-1.0, 1.0)
             fr = curve.frame(s)
-            K_t, H_t = tubular_curvatures(j, lam, rc, fr.k1, t, w)
+            cf = curvature_report(curve, cfg, s, t, w, Route.CLOSED_FORM)
+            K_o, H_o = oracles.tubular_table(j, lam, rc, fr.k1, t, w)
+            dev_table = max(abs(cf.K - K_o) / (1 + abs(K_o)), abs(cf.H - H_o) / (1 + abs(H_o)))
+            worst_table = max(worst_table, dev_table)
+            assert dev_table <= 1e-10, (j, lam, s, t, w)
             num = curvature_report(curve, cfg, s, t, w, Route.NUMERIC)
-            dev = max(abs(num.K - K_t) / (1 + abs(K_t)), abs(num.H - H_t) / (1 + abs(H_t)))
+            dev = max(abs(num.K - cf.K) / (1 + abs(cf.K)), abs(num.H - cf.H) / (1 + abs(cf.H)))
             worst = max(worst, dev)
             assert dev <= 1e-4, (j, lam, s, t, w)
     _line("criterion 6 (tubular families)",
-          f"impossible families exit 2; closed-form vs numeric K/H dev {worst:.3g} "
-          f"(<=1e-4) over the 7 existing families")
+          f"impossible families exit 2; closed-form vs tubular table K/H dev {worst_table:.3g} "
+          f"(<=1e-10), vs numeric {worst:.3g} (<=1e-4) over the 7 existing families")
 
 
 def test_criterion_7_nullcone(family_curves):

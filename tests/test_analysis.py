@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import conftest
+import oracles
 from conftest import ALL_FAMILIES, make_config
 
 from canal4.analysis import (check_kh_relation, classify_flat, classify_minimal,
@@ -62,14 +63,15 @@ def test_kh_identity_all_families(family_curves, rng):
 
 def test_kh_identity_tubular_rows(family_curves):
     """The constant-radius K/H rows satisfy the identity exactly."""
-    from canal4.curvature import tubular_curvatures
     for j, lam in conftest.TUBULAR_FAMILIES:
         curve = family_curves[j]
         fr = curve.frame(0.9)
         sgn = fr.eps[2] * fr.eps[3] * lam ** j
         for (t, w) in [(0.4, 0.7), (-0.8, 0.3), (1.1, -0.9)]:
-            K, H = tubular_curvatures(j, lam, 0.25, fr.k1, t, w)
+            K, H = conftest.tubular_kh(j, lam, 0.25, fr.k1, t, w)
             assert abs(3 * H * 0.25 - K * 0.25 ** 3 - 2 * sgn) <= 1e-9
+            K_o, H_o = oracles.tubular_table(j, lam, 0.25, fr.k1, t, w)
+            assert K == pytest.approx(K_o, rel=1e-12) and H == pytest.approx(H_o, rel=1e-12)
 
 
 def test_weingarten_tw_always(family_curves, rng):
@@ -181,10 +183,51 @@ def test_minimal_radius_solver_basics():
 
 
 def test_minimal_radius_turning_point():
-    # shrinking-radicand branch: eps1*lam = -1 needs r < |c1|
+    # shrinking-radicand branch: eps1*lam = -1 needs r < |c1|; r' = 0 at r = 1,
+    # reached at s = int_0.9^1 dr/sqrt(r^(-4/3) - 1) (mpmath.quad)
     with pytest.raises(DomainExitError) as err:
         solve_minimal_radius(-1, 1.0, 0.9, (0.0, 2.0), 1)
-    assert 0.0 < err.value.turning_s < 2.0
+    assert abs(err.value.turning_s - 0.5369162587) <= 1e-5
+
+
+def test_minimal_radius_just_before_turning_point():
+    """s1 = 0.5369, 1.6e-5 before that turning point: the RK4 probes of the
+    last interval leave the domain, but the profile itself does not, so the
+    solver returns it (the radicand is about 1.2e-10 at s1)."""
+    prof = solve_minimal_radius(-1, 1.0, 0.9, (0.0, 0.5369), 1)
+    s, r, rp = prof.table
+    assert s[-1] == 0.5369 and 0.0 < 1.0 - r[-1] < 1e-9 and 0.0 < rp[-1] < 1e-4
+    for x in np.linspace(s[-2], s[-1], 11):
+        assert 0.0 <= prof.r_prime(x) < 2e-3
+
+
+def test_minimal_radius_reaching_zero():
+    """The shrinking branch reaches r = 0 at s = -2 + int_0^1 dr/sqrt(1 + r^(-4/3))
+    (mpmath.quad): a DomainExitError there, with no warning on the way."""
+    with pytest.raises(DomainExitError) as err:
+        solve_minimal_radius(1, 1.0, 1.0, (-2.0, 2.0), sign=-1)
+    assert abs(err.value.turning_s - -1.5128237763) <= 1e-5
+
+
+@pytest.mark.parametrize("eps1_lambda, c1, r0, s_range", [
+    (1, 1.0, 1.0, (0.0, 1.5)), (1, 1.0, 1.0, (0.5, 2.5)), (1, 0.7, 0.8, (0.5, 2.5))])
+def test_minimal_profile_matches_quadrature(eps1_lambda, c1, r0, s_range):
+    """The profile of each generator above against its inverse function
+    s(r) = s0 + int_r0^r dr/sqrt(eps1*lam + (c1/r)^(4/3)), by mpmath.quad:
+    r is off by |s(r) - s| r' to first order, within 1e-9 of r, at nodes and
+    between them."""
+    mpmath = pytest.importorskip("mpmath")
+    prof = solve_minimal_radius(eps1_lambda, c1, r0, s_range, 1)
+    with mpmath.workdps(30):
+        c43 = (mpmath.mpf(c1) ** 2) ** (mpmath.mpf(2) / 3)
+
+        def slope(r):
+            return mpmath.sqrt(eps1_lambda + c43 * mpmath.mpf(r) ** (-mpmath.mpf(4) / 3))
+
+        for s in np.linspace(*s_range, 61):         # 5 table nodes, 56 points between
+            r = prof(s)
+            s_of_r = s_range[0] + mpmath.quad(lambda x: 1 / slope(x), [r0, r])
+            assert abs(float((s_of_r - s) * slope(r))) <= 1e-9 * r, s
 
 
 def test_minimal_radius_rejects_bad_arguments():
@@ -192,6 +235,11 @@ def test_minimal_radius_rejects_bad_arguments():
         solve_minimal_radius(1, 0.0, 1.0, (0.0, 1.0), 1)
     with pytest.raises(InadmissibleConfigError):
         solve_minimal_radius(1, 1.0, -0.5, (0.0, 1.0), 1)
+    with pytest.raises(InadmissibleConfigError):
+        solve_minimal_radius(1, 1.0, 1.0, (1.0, 0.0), 1)
+    for n_nodes in (0, 1):
+        with pytest.raises(InadmissibleConfigError):
+            solve_minimal_radius(1, 1.0, 1.0, (0.0, 1.0), 1, n_nodes)
 
 
 def test_minimal_profile_gives_minimal_canal(spacelike_line):
@@ -310,7 +358,6 @@ def test_weingarten_equals_scalar_reference(family_curves, beta1, gamma2, rng):
     """The row passes give the residual and node count of the original loop of
     8 scalar (K, H) evaluations per node, bit for bit, and on stencils that
     fail its first error (type and message)."""
-    import oracles
     from canal4.canal import Variant
     cases = [(j, CanalConfig(j, lam, conftest.random_polynomial_radius(
                  rng, j, lam, conftest.SWEEP_S_RANGE[j]), sigma))
@@ -404,13 +451,23 @@ def test_numeric_loops_evaluate_the_point_map_once_per_pass(beta1, monkeypatch):
 
 
 def test_import_does_not_load_scipy():
-    """scipy is imported only when the minimal-radius ODE is solved."""
+    """A fresh interpreter imports canal4, solves a minimal-radius profile and
+    round-trips a patch over it (a table radius) through JSON, with no scipy
+    module loaded."""
     import canal4
     src = str(Path(canal4.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, canal4; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = "\n".join([
+        "import sys, canal4",
+        "from canal4.io import patch_from_json, patch_to_json",
+        "prof = canal4.solve_minimal_radius(1, 1.0, 1.0, (0.5, 2.5))",
+        "line = canal4.CurveSpec(('0', 's', '0', '0'), (0.5, 2.5))",
+        "grid = canal4.GridSpec((0.8, 1.6), (0.2, 0.9), (0.4,))",
+        "patch = canal4.sample_grid(line, canal4.CanalConfig(2, 1, prof), grid)",
+        "back = patch_from_json(patch_to_json(patch)).config.radius",
+        "assert back.kind == 'table' and back(1.3) == prof(1.3), (back(1.3), prof(1.3))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -1,8 +1,11 @@
 """Canal point construction, admissibility, null cones, and grid sampling."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, arr, make_config
 import oracles
@@ -11,7 +14,7 @@ from oracles import (example_surface_11, example_surface_1m1,
 
 from canal4 import expr as ex
 from canal4.canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
-                          Variant, canal_point, canal_points, degeneracy_factor,
+                          Variant, _hermite, canal_point, canal_points, degeneracy_factor,
                           family_function, nullcone_point, resolve_variant, sample_grid,
                           transverse, validate_config)
 from canal4.curve import CurveSpec
@@ -442,3 +445,28 @@ def test_nullcone_grid_equals_nullcone_point(beta2):
     for i, jj, k, s, t, w in patch.nodes():
         assert patch.points[patch.flat_index(i, jj, k)] == nullcone_point(beta2, 3, (a2, a4),
                                                                           s, t, w)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       start=st.floats(-2.0, 2.0),
+       gaps=st.lists(st.floats(0.25, 1.0), min_size=1, max_size=6),
+       at=st.lists(st.floats(-0.25, 1.25), min_size=1, max_size=8))
+def test_hermite_reproduces_cubics_and_node_values(coeffs, start, gaps, at):
+    """Through the values and slopes of a cubic, _hermite is that cubic with
+    its first two derivatives, inside the table and past its ends, to 1e-12
+    of the table's size (over h^k for the k-th derivative); at the nodes it
+    gives the table's r bit for bit."""
+    c0, c1, c2, c3 = coeffs
+    s = list(itertools.accumulate([start] + gaps))
+    r = [c0 + x * (c1 + x * (c2 + x * c3)) for x in s]
+    rp = [c1 + x * (2.0 * c2 + 3.0 * c3 * x) for x in s]
+    f, df, d2f = _hermite(s, r, rp)
+    assert [f(x) for x in s] == r
+    size = max(map(abs, r + rp)) + 1e-300
+    for frac in at:
+        x = s[0] + frac * (s[-1] - s[0])
+        exact = (c0 + x * (c1 + x * (c2 + x * c3)), c1 + x * (2.0 * c2 + 3.0 * c3 * x),
+                 2.0 * c2 + 6.0 * c3 * x)
+        for k, (fn, want) in enumerate(zip((f, df, d2f), exact)):
+            assert abs(fn(x) - want) <= 1e-12 * size / min(gaps) ** k, (k, x)

@@ -377,16 +377,23 @@ def test_patch_json_rejects_degenerate_indices_off_the_grid(beta1, degenerate):
     ("config.radius", {"kind": "table", "s": [0.0, 1.0], "r": [1.0], "rp": [0.0, 0.0]},
      "config.radius.r"),
     ("degenerate", list(range(8)), None),               # no node of the grid is degenerate
+    ("grid.w", [800.0, 0.7], None),                     # cosh(800) overflows (j = 3 patch)
+    ("config.j", 7, None),
+    ("config.lambda", 0, "config.a_free"),              # a_free is null
 ], ids=["radius-text", "radius-value", "a_free", "j-str", "j-bool", "components", "grid-s",
         "version-bool", "variant", "a_free-lambda", "j-frame-type", "eps-frame-type",
-        "table-s", "table-lengths", "degenerate-set"])
-def test_patch_json_rejects_ill_typed_fields(beta1, path, bad, field):
+        "table-s", "table-lengths", "degenerate-set", "grid-w-overflow", "j-range",
+        "lambda0-no-a_free"])
+def test_patch_json_rejects_ill_typed_fields(beta1, beta2, path, bad, field):
     """A field of the wrong type, or at odds with the rest of the document, is
-    a ValueError that names it (field, where that is not the edited path)."""
+    a ValueError that names it (field, where that is not the edited path).
+    The document is a beta1 j1,l1 patch; a w value overflows only the
+    hyperbolic patterns, so that case edits a beta2 j3,l1 patch."""
     radius = (RadiusProfile.from_constant(2.0) if path == "config.radius.value"
               else RadiusProfile.from_expr("2*s"))
+    curve, j = (beta2, 3) if path == "grid.w" else (beta1, 1)
     grid = GridSpec((1.0, 1.5), (0.2, 0.9), (0.4, 0.7))
-    doc = json.loads(patch_to_json(sample_grid(beta1, CanalConfig(1, 1, radius), grid)))
+    doc = json.loads(patch_to_json(sample_grid(curve, CanalConfig(j, 1, radius), grid)))
     *outer, key = path.split(".")
     parent = doc
     for name in outer:

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, arr, make_config
+from conftest import (ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, arr, make_config,
+                      tubular_kh, tubular_variant)
 import oracles
 
 from canal4.canal import (CanalConfig, PointMapCache, RadiusProfile, Variant,
                           degeneracy_factor)
-from canal4.curvature import Route, _check_metric, _principal, curvature_report, tubular_curvatures
-from canal4.errors import (DegenerateNodeError, InadmissibleConfigError,
-                           PoleAtNodeError, SingularMetricError)
+from canal4.curvature import Route, _check_metric, _principal, curvature_report
+from canal4.errors import DegenerateNodeError, InadmissibleConfigError, SingularMetricError
 from canal4.minkowski import inner
 
 R2S = RadiusProfile.from_expr("2*s")
@@ -515,17 +515,17 @@ def test_tubular_curvature_goldens(beta1):
     k1 = math.sqrt(7.0)
     r = 0.3
     # f vanishes at t = pi/2: K = 0, H = 2/(3r)
-    K, H = tubular_curvatures(1, 1, r, k1, math.pi / 2, 0.0)
+    K, H = tubular_kh(1, 1, r, k1, math.pi / 2, 0.0)
     assert K == pytest.approx(0.0, abs=1e-12)
     assert H == pytest.approx(2.0 / (3 * r), rel=1e-12)
-    with pytest.raises(PoleAtNodeError):
+    with pytest.raises(SingularMetricError):
         # r k1 cos t cos w = -1 exactly
-        tubular_curvatures(1, 1, 1.0 / k1, k1, math.pi, 0.0)
+        tubular_kh(1, 1, 1.0 / k1, k1, math.pi, 0.0)
     with pytest.raises(InadmissibleConfigError):
-        tubular_curvatures(1, -1, r, k1, 0.0, 0.0)
+        tubular_kh(1, -1, r, k1, 0.0, 0.0)
     # hyperbolic family row at w = 0
     t = 0.7
-    K, H = tubular_curvatures(2, -1, r, k1, t, 0.0)
+    K, H = tubular_kh(2, -1, r, k1, t, 0.0)
     u = k1 * math.cosh(t)
     assert K == pytest.approx(u / (r * r * (1 + r * u)), rel=1e-12)
 
@@ -534,11 +534,10 @@ def test_tubular_matches_numeric_all_families(family_curves):
     rc = 0.2
     for j, lam in TUBULAR_FAMILIES:
         curve = family_curves[j]
-        variant = Variant.ALT_SUPERCRITICAL if (j >= 2 and lam == 1) else Variant.STANDARD
-        cfg = CanalConfig(j, lam, RadiusProfile.from_constant(rc), 1, variant)
+        cfg = CanalConfig(j, lam, RadiusProfile.from_constant(rc), 1, tubular_variant(j, lam))
         s, t, w = 0.9, 0.5, 0.6
         fr = curve.frame(s)
-        K_t, H_t = tubular_curvatures(j, lam, rc, fr.k1, t, w)
+        K_t, H_t = tubular_kh(j, lam, rc, fr.k1, t, w)
         K_o, H_o = oracles.tubular_table(j, lam, rc, fr.k1, t, w)
         assert K_t == pytest.approx(K_o, rel=1e-12)
         assert H_t == pytest.approx(H_o, rel=1e-12)
