@@ -14,13 +14,13 @@ ratios.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canal import (CanalConfig, RadiusProfile, SurfacePatch, _distinct, _hermite,
-                    family_function)
+from .canal import CanalConfig, RadiusProfile, SurfacePatch, _distinct, family_function
 from .curvature import (_FOCAL, Route, _admissible_q, _family_curvatures, curvature_report,
                         node_reports)
 from .curve import CurveSpec, TAU_K
@@ -151,13 +151,6 @@ def _max_k1(curve: CurveSpec, n_samples: int) -> float:
     return worst
 
 
-def _cross_validation_config(curve: CurveSpec, radius: RadiusProfile) -> CanalConfig:
-    """Admissible family over the curve: lam = -eps1 keeps r'^2 - lam*eps1 > 0."""
-    fr = curve.frame(0.5 * (curve.domain[0] + curve.domain[1]))
-    lam = -fr.eps[0]
-    return CanalConfig(fr.frame_type, lam, radius)
-
-
 def _sample_K_H(curve, config, n=20):
     smin, smax = curve.domain
     worst_K = worst_H = 0.0
@@ -187,7 +180,8 @@ def classify_flat(curve: CurveSpec, radius: RadiusProfile,
     if abs(abs(slope) - 1.0) <= LINEAR_SLOPE_BOUNDARY_TOL:
         return FlatnessReport("excluded", "|r'| = 1 sits on the variant boundary",
                               max_k1, max_rpp, None)
-    sampled_K, _ = _sample_K_H(curve, _cross_validation_config(curve, radius))
+    fr = curve.frame(0.5 * (smin + smax))      # lam = -eps1 keeps r'^2 - lam*eps1 > 0
+    sampled_K, _ = _sample_K_H(curve, CanalConfig(fr.frame_type, -fr.eps[0], radius))
     verdict = "flat" if sampled_K <= FLAT_K_TOL else "not-flat"
     reason = (f"k1 = 0, r'' = 0, sampled |K| <= {sampled_K:.3g}" if verdict == "flat"
               else f"sampled |K| = {sampled_K:.3g} exceeds {FLAT_K_TOL:g}")
@@ -235,6 +229,22 @@ def classify_minimal(curve: CurveSpec, radius: RadiusProfile, lam: int,
     return MinimalityReport(verdict, reason, max_k1, worst, sampled_H)
 
 
+def _hermite(s, r, rp):
+    """The piecewise-cubic Hermite interpolant through the nodes (s, r) with
+    slopes rp, as a function of s: exactly r at the nodes, with the end cubics
+    continued past the table's ends."""
+    s, r, rp = (tuple(map(float, v)) for v in (s, r, rp))
+
+    def at(x):
+        i = min(max(bisect.bisect_right(s, x) - 1, 0), len(s) - 2)
+        h = s[i + 1] - s[i]
+        u = (x - s[i]) / h
+        v = 1.0 - u
+        return (v * v * (1.0 + 2.0 * u) * r[i] + u * u * (3.0 - 2.0 * u) * r[i + 1]
+                + h * u * v * (v * rp[i] - u * rp[i + 1]))
+    return at
+
+
 def solve_minimal_radius(eps1_lambda: int, c1: float, r0: float, s_range,
                          sign: int = 1, n_nodes: int = 257) -> RadiusProfile:
     """Integrate r' = sign*sqrt(eps1*lam + (c1/r)^(4/3)) from r(s0) = r0.
@@ -244,13 +254,17 @@ def solve_minimal_radius(eps1_lambda: int, c1: float, r0: float, s_range,
     the radius equation holds exactly along it. An interval whose steps leave
     the domain (r or the radicand <= 0) is integrated again more carefully:
     that reaches the next node or raises DomainExitError where one reaches 0.
+    The profile's generator is these arguments, so the same call rebuilds it
+    bit for bit.
     """
-    if c1 == 0:
-        raise InadmissibleConfigError("c1 must be nonzero")
-    if r0 <= 0:
-        raise InadmissibleConfigError("r0 must be positive")
-    if sign not in (-1, 1):
-        raise InadmissibleConfigError("sign must be +-1")
+    c1, r0 = float(c1), float(r0)
+    if not (c1 != 0 and math.isfinite(c1)):
+        raise InadmissibleConfigError(f"c1 must be finite and nonzero, got {c1!r}")
+    if not (r0 > 0 and math.isfinite(r0)):
+        raise InadmissibleConfigError(f"r0 must be positive and finite, got {r0!r}")
+    if eps1_lambda not in (-1, 1) or sign not in (-1, 1):
+        raise InadmissibleConfigError(
+            f"eps1_lambda and sign must be +-1, got {eps1_lambda!r} and {sign!r}")
     s0, s1 = float(s_range[0]), float(s_range[1])
     if not (s0 < s1 and n_nodes >= 2):
         raise InadmissibleConfigError(f"need s0 < s1, n_nodes >= 2: {s_range!r}, {n_nodes!r}")
@@ -292,14 +306,14 @@ def solve_minimal_radius(eps1_lambda: int, c1: float, r0: float, s_range,
         return r, k
 
     s_nodes = np.linspace(s0, s1, n_nodes).tolist()
-    nodes = [(float(r0), slope(r0))]
+    nodes = [(r0, slope(r0))]
     for a, b in zip(s_nodes, s_nodes[1:]):
         r, k = nodes[-1]
         for _ in range(RK4_SUBSTEPS):       # nan, once reached, stays
             r, k = step(r, k, (b - a) / RK4_SUBSTEPS)
         nodes.append(careful(a, b, *nodes[-1]) if math.isnan(k) else (r, k))
     r_nodes, rp_nodes = zip(*nodes)
-    r_of = _hermite(s_nodes, r_nodes, rp_nodes)[0]
+    r_of = _hermite(s_nodes, r_nodes, rp_nodes)
 
     def rp_of(s):
         return sign * math.sqrt(radicand(r_of(s)))
@@ -308,4 +322,5 @@ def solve_minimal_radius(eps1_lambda: int, c1: float, r0: float, s_range,
         # d/ds sqrt(radicand(r)) = radicand'(r)/2; exactly the radius equation
         return -(2.0 / 3.0) * c43 * r_of(s) ** (-7.0 / 3.0)
 
-    return RadiusProfile("table", r_of, rp_of, rpp_of, table=(tuple(s_nodes), r_nodes, rp_nodes))
+    return RadiusProfile(r_of, rp_of, rpp_of,
+                         ("minimal", int(eps1_lambda), c1, r0, (s0, s1), int(sign), n_nodes))

@@ -20,12 +20,11 @@ the remaining one is determined (j = 1 admits no such surface).
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -50,57 +49,34 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class RadiusProfile:
-    """Radius function with first and second derivatives. kind "expr": symbolic,
-    derivatives exact; "constant": tubular; "table": numeric, _hermite's r
-    through the nodes of a solver's table."""
+    """A radius function r(s) with its first and second derivatives, and the
+    generator that builds them: ("expr", text), derivatives exact;
+    ("constant", value), a tube; or ("minimal", eps1_lambda, c1, r0, s_range,
+    sign, n_nodes), the arguments of analysis.solve_minimal_radius. Profiles
+    compare and hash by their generator."""
 
-    kind: str
-    r: object          # callable s -> float
-    r_prime: object
-    r_second: object
-    expr: ex.Expr | None = None
-    constant: float | None = None
-    table: tuple | None = None      # (s_nodes, r_nodes, rp_nodes) for JSON round trip
+    r: object = field(compare=False)          # callable s -> float
+    r_prime: object = field(compare=False)
+    r_second: object = field(compare=False)
+    generator: tuple
 
     @classmethod
     def from_expr(cls, source) -> "RadiusProfile":
         e = ex.parse(source) if isinstance(source, str) else source
         d1 = ex.differentiate(e)
         d2 = ex.differentiate(d1)
-        return cls("expr", ex.compile_expr(e, name="r"), ex.compile_expr(d1, name="r'"),
-                   ex.compile_expr(d2, name="r''"), expr=e)
+        return cls(ex.compile_expr(e, name="r"), ex.compile_expr(d1, name="r'"),
+                   ex.compile_expr(d2, name="r''"), ("expr", str(e)))
 
     @classmethod
     def from_constant(cls, c: float) -> "RadiusProfile":
         if not (c > 0 and math.isfinite(c)):
             raise InadmissibleConfigError(f"radius must be positive and finite, got {c!r}")
         c = float(c)
-        return cls("constant", lambda s: c, lambda s: 0.0, lambda s: 0.0, constant=c)
+        return cls(lambda s: c, lambda s: 0.0, lambda s: 0.0, ("constant", c))
 
     def __call__(self, s: float) -> float:
         return self.r(s)
-
-
-def _hermite(s, r, rp):
-    """The piecewise-cubic Hermite interpolant through the nodes (s, r) with
-    slopes rp and its first two derivatives, as functions of s: exactly r at
-    the nodes, with the end cubics continued past the table's ends."""
-    s, r, rp = (tuple(map(float, v)) for v in (s, r, rp))
-
-    def at(x, k):
-        """The k-th derivative at x of the cubic of the interval [s_i, s_i + h] of x."""
-        i = min(max(bisect.bisect_right(s, x) - 1, 0), len(s) - 2)
-        h = s[i + 1] - s[i]
-        u, d, m0, m1 = (x - s[i]) / h, (r[i + 1] - r[i]) / h, rp[i], rp[i + 1]
-        v = 1.0 - u
-        if k == 0:
-            return (v * v * (1.0 + 2.0 * u) * r[i] + u * u * (3.0 - 2.0 * u) * r[i + 1]
-                    + h * u * v * (v * m0 - u * m1))
-        if k == 1:
-            return 6.0 * u * v * d + v * (1.0 - 3.0 * u) * m0 + u * (3.0 * u - 2.0) * m1
-        return ((6.0 - 12.0 * u) * d + (6.0 * u - 4.0) * m0 + (6.0 * u - 2.0) * m1) / h
-
-    return tuple(functools.partial(at, k=k) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -457,13 +433,6 @@ class GridSpec:
         step = (b - a) / (n - 1 if endpoint else n)
         return tuple(a + step * i for i in range(n))
 
-    @classmethod
-    def regular(cls, s_range, t_range, w_range, counts,
-                t_endpoint=False) -> "GridSpec":
-        ns, nt, nw = counts
-        return cls(cls.linspace(s_range, ns), cls.linspace(t_range, nt, t_endpoint),
-                   cls.linspace(w_range, nw))
-
 
 class _Vec4View(Sequence):
     """Read-only Vec4 items of an (n, 4) array, built on access; len() builds none."""
@@ -503,21 +472,18 @@ class SurfacePatch:
         ns, nt, nw = self.shape
         return (i * nt + jj) * nw + k
 
-    def is_degenerate(self, i: int, jj: int, k: int) -> bool:
-        return self.flat_index(i, jj, k) in self.degenerate
-
     @functools.cached_property
     def cache(self) -> PointMapCache:
         """The patch's one PointMapCache, seeded with its frames and built on
         first use; every curvature, theorem and export pass reads it."""
         return PointMapCache(self.curve, self.config, zip(self.grid.s_values, self.frames))
 
-    def nodes(self, include_degenerate: bool = False):
-        """Yield (i, j, k, s, t, w)."""
+    def nodes(self):
+        """Yield (i, j, k, s, t, w) of the non-degenerate nodes."""
         for i, s in enumerate(self.grid.s_values):
             for jj, t in enumerate(self.grid.t_values):
                 for k, w in enumerate(self.grid.w_values):
-                    if include_degenerate or self.flat_index(i, jj, k) not in self.degenerate:
+                    if self.flat_index(i, jj, k) not in self.degenerate:
                         yield (i, jj, k, s, t, w)
 
     def node_rows(self):

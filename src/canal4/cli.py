@@ -22,7 +22,7 @@ import sys
 
 from . import analysis, builtin, io as cio
 from . import expr as ex
-from .canal import (CanalConfig, GridSpec, RadiusProfile, Variant,
+from .canal import (_FREE_SLOTS, CanalConfig, GridSpec, RadiusProfile, Variant,
                     resolve_variant, sample_grid, validate_config)
 from .curve import CurveSpec
 from .curvature import Route
@@ -58,11 +58,7 @@ def _read_config_file(path, keys):
 def _merged(args, file_values, key, default=None):
     """CLI flag wins over config file, which wins over the default."""
     cli = getattr(args, key, None)
-    if cli is not None:
-        return cli
-    if key in file_values:
-        return file_values[key]
-    return default
+    return cli if cli is not None else file_values.get(key, default)
 
 
 def _parse_family(text):
@@ -165,10 +161,8 @@ class Job:
                 self.radius = RadiusProfile.from_expr(radius_text)
 
         a_free = None
-        if self.lam == 0:
-            if self.j == 1:
-                raise ConfigError("the (j = 1, lambda = 0) family cannot be defined")
-            slots = {2: ("a3", "a4"), 3: ("a2", "a4"), 4: ("a2", "a3")}[self.j]
+        if self.lam == 0 and self.j in _FREE_SLOTS:     # CanalConfig rejects the other j
+            slots = [f"a{i}" for i in _FREE_SLOTS[self.j]]
             texts = [get(k) for k in slots]
             if not all(texts):
                 raise ConfigError(
@@ -176,17 +170,15 @@ class Job:
             a_free = tuple(ex.parse(t, ("s", "t", "w")) for t in texts)
 
         variant_text = get("variant", "auto")
-        if self.lam != 0:
-            if variant_text == "auto":
-                variant = resolve_variant(self.curve, self.j, self.lam, self.radius)
-            elif variant_text in ("standard", "std"):
-                variant = Variant.STANDARD
-            elif variant_text in ("alt", "supercritical"):
-                variant = Variant.ALT_SUPERCRITICAL
-            else:
-                raise ConfigError(f"--variant must be auto|standard|alt, got {variant_text!r}")
-        else:
+        variant = {"standard": Variant.STANDARD, "std": Variant.STANDARD,
+                   "alt": Variant.ALT_SUPERCRITICAL,
+                   "supercritical": Variant.ALT_SUPERCRITICAL}.get(variant_text)
+        if self.lam == 0:
             variant = Variant.STANDARD
+        elif variant_text == "auto":
+            variant = resolve_variant(self.curve, self.j, self.lam, self.radius)
+        elif variant is None:
+            raise ConfigError(f"--variant must be auto|standard|alt, got {variant_text!r}")
         self.config = CanalConfig(self.j, self.lam, self.radius, self.sigma, variant, a_free)
 
         # grid
@@ -248,10 +240,7 @@ def cmd_example(args, file_values):
     comps = builtin.example_components(name)
     lines = [
         f"# example = {name}",
-        f"curve_x1 = {comps[0]}",
-        f"curve_x2 = {comps[1]}",
-        f"curve_x3 = {comps[2]}",
-        f"curve_x4 = {comps[3]}",
+        *(f"curve_x{i} = {c}" for i, c in enumerate(comps, 1)),
         f"range_s = {builtin.EXAMPLE_DOMAIN[0]}:{builtin.EXAMPLE_DOMAIN[1]}",
         f"radius = {builtin.EXAMPLE_RADIUS}",
         f"family = j{builtin.EXAMPLE_FRAME_TYPE[name]},l1",
@@ -420,38 +409,28 @@ def build_parser():
     p = sub.add_parser("example", help="print the configuration of a builtin example")
     p.add_argument("name", help="beta1 or beta2")
 
-    p = sub.add_parser("build", help="sample a surface patch and write JSON")
-    _add_common(p)
-    p.add_argument("--out", help="output patch JSON path")
-
-    p = sub.add_parser("curvature", help="write per-node curvature CSV")
-    _add_common(p)
-    p.add_argument("--out", help="output CSV path")
-
-    p = sub.add_parser("verify", help="run theorem checks; exit 0 iff all pass")
-    _add_common(p)
-    p.add_argument("--check", help="comma list: " + ", ".join(_CHECK_NAMES))
-    p.add_argument("--route", help="cf|num|both (default cf)")
-    p.add_argument("--out", help="optional JSON report path")
-
-    p = sub.add_parser("classify", help="flat / minimal classification")
-    _add_common(p)
-    p.add_argument("--out", help="optional JSON report path")
-
-    p = sub.add_parser("export", help="write OBJ slice and/or curvature CSV")
-    _add_common(p)
-    p.add_argument("--obj", help="output OBJ path")
-    p.add_argument("--csv", help="output CSV path")
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        if name != "example":
+            p = sub.add_parser(name, help=help_text)
+            _add_common(p)
+            for flag, flag_help in flags.items():
+                p.add_argument(flag, help=flag_help)
     return parser
 
 
+# subcommand: (function, help, the flags it adds to the common ones)
 _COMMANDS = {
-    "example": cmd_example,
-    "build": cmd_build,
-    "curvature": cmd_curvature,
-    "verify": cmd_verify,
-    "classify": cmd_classify,
-    "export": cmd_export,
+    "example": (cmd_example, None, None),
+    "build": (cmd_build, "sample a surface patch and write JSON",
+              {"--out": "output patch JSON path"}),
+    "curvature": (cmd_curvature, "write per-node curvature CSV", {"--out": "output CSV path"}),
+    "verify": (cmd_verify, "run theorem checks; exit 0 iff all pass",
+               {"--check": "comma list: " + ", ".join(_CHECK_NAMES),
+                "--route": "cf|num|both (default cf)", "--out": "optional JSON report path"}),
+    "classify": (cmd_classify, "flat / minimal classification",
+                 {"--out": "optional JSON report path"}),
+    "export": (cmd_export, "write OBJ slice and/or curvature CSV",
+               {"--obj": "output OBJ path", "--csv": "output CSV path"}),
 }
 
 
@@ -463,7 +442,7 @@ def main(argv=None) -> int:
     try:
         if config_path:
             file_values = _read_config_file(config_path, vars(args).keys() - {"command", "config"})
-        return _COMMANDS[args.command](args, file_values)
+        return _COMMANDS[args.command][0](args, file_values)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

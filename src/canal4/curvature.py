@@ -389,10 +389,8 @@ def _principal(vals) -> tuple[float, float, float]:
     return (vals[a], vals[b], vals[({0, 1, 2} - {a, b}).pop()])
 
 
-def curvature_report(curve, config, s, t, w, route: Route = Route.CLOSED_FORM,
-                     cache: PointMapCache | None = None) -> CurvatureReport:
+def curvature_report(curve, config, s, t, w,
+                     route: Route = Route.CLOSED_FORM) -> CurvatureReport:
     """Full per-node report: g, h, S, N (a 4-tuple), eps_N, K, H, mu, f_j, A,
-    the one-node case of the row pass of node_reports. A cache shared by the
-    nodes of one patch evaluates the per-s rows (frame, b, r, r', r'') once
-    for all of them."""
-    return unwrap(_REPORTS[route](config, s, (t,), (w,), cache or PointMapCache(curve, config))[0])
+    the one-node case of the row pass of node_reports."""
+    return unwrap(_REPORTS[route](config, s, (t,), (w,), PointMapCache(curve, config))[0])

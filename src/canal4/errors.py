@@ -31,10 +31,11 @@ class ConfigError(CanalError):
 
 
 class ExprSyntaxError(ConfigError):
-    """Expression text failed to parse; carries the byte offset."""
+    """Expression text failed to parse, or a tree to compile; carries the byte
+    offset of the text, if any."""
 
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (at offset {offset})")
+    def __init__(self, message, offset=None):
+        super().__init__(message if offset is None else f"{message} (at offset {offset})")
         self.offset = offset
 
 

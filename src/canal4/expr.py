@@ -101,17 +101,24 @@ class Call(Expr):
 # tokenizer / parser
 
 _OPS = set("+-*/^()")
+# How deep parentheses, and the tree, may nest: the parser recurses through the
+# one, fold, differentiate and Python's compiler through the other
+MAX_NESTING = 100
+_SUBTREES = ("left", "right", "arg", "base")     # the Expr fields of the node types
 
 
 def _tokenize(text):
     tokens = []  # (kind, value, offset)
-    i, n = 0, len(text)
+    i, n, depth = 0, len(text), 0
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
             continue
         if c in _OPS:
+            depth += (c == "(") - (c == ")")
+            if depth > MAX_NESTING:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING} levels", i)
             tokens.append(("op", c, i))
             i += 1
             continue
@@ -194,11 +201,14 @@ class _Parser:
                 return node
 
     def parse_unary(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        signs = 0
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            signs += 1
+        node = self.parse_power()
+        for _ in range(signs):
+            node = Neg(node)
+        return node
 
     def parse_power(self):
         node = self.parse_atom()
@@ -213,7 +223,7 @@ class _Parser:
                     self.advance()
                     sign = -sign
                     k, v, _ = self.peek()
-                exp_node = fold(self.parse_atom())
+                exp_node = fold(_shallow(self.parse_atom(), offset))
                 if not isinstance(exp_node, Const):
                     raise ExprSyntaxError("exponent must be a constant", offset)
                 node = Pow(node, sign * exp_node.value)
@@ -245,13 +255,25 @@ class _Parser:
 
 def parse(text: str, variables: tuple[str, ...] = ("s",)) -> Expr:
     """Parse expression text into a tree. Raises ExprSyntaxError/UnknownFunctionError,
-    also for a number literal that overflows to infinity."""
+    also for a number literal that overflows to infinity and for nesting
+    deeper than MAX_NESTING."""
     parser = _Parser(_tokenize(text), variables)
     node = parser.parse_expr()
     kind, value, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {value!r}", offset)
-    return fold(node)
+    return fold(_shallow(node, 0))
+
+
+def _shallow(node: Expr, offset) -> Expr:
+    """The node, unless its tree nests deeper than MAX_NESTING levels above its
+    leaves (ExprSyntaxError); measured level by level, without recursion."""
+    level = [node]
+    for _ in range(MAX_NESTING + 1):
+        level = [getattr(n, f) for n in level for f in _SUBTREES if hasattr(n, f)]
+        if not level:
+            return node
+    raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", offset)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +298,11 @@ def compile_expr(expr: Expr, variables: tuple[str, ...] = ("s",), name: str | No
     """Compile to a positional function of the variables. Math errors and
     non-finite results raise DomainError instead of returning NaN/Inf; its
     message names the function (such as r' or x2'') when name is given."""
-    fn = eval(f"lambda {', '.join(variables)}: {_to_python(expr)}",
-              _NAMESPACE)  # code generated from our own AST
+    try:
+        fn = eval(f"lambda {', '.join(variables)}: {_to_python(expr)}",
+                  _NAMESPACE)  # code generated from our own AST
+    except (SyntaxError, RecursionError) as exc:    # nested too deeply to compile
+        raise ExprSyntaxError(f"cannot compile {name or 'expression'}: {exc}") from None
 
     def checked(*values):
         try:
@@ -299,6 +324,9 @@ def evaluate(expr: Expr, **env: float) -> float:
     return compile_expr(expr, tuple(env))(*env.values())
 
 
+_SYMBOL = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
 def _to_python(node):
     if isinstance(node, Const):
         return repr(node.value)
@@ -306,14 +334,8 @@ def _to_python(node):
         return node.name
     if isinstance(node, Neg):
         return f"(-{_to_python(node.arg)})"
-    if isinstance(node, Add):
-        return f"({_to_python(node.left)} + {_to_python(node.right)})"
-    if isinstance(node, Sub):
-        return f"({_to_python(node.left)} - {_to_python(node.right)})"
-    if isinstance(node, Mul):
-        return f"({_to_python(node.left)} * {_to_python(node.right)})"
-    if isinstance(node, Div):
-        return f"({_to_python(node.left)} / {_to_python(node.right)})"
+    if type(node) in _SYMBOL:
+        return f"({_to_python(node.left)} {_SYMBOL[type(node)]} {_to_python(node.right)})"
     if isinstance(node, Pow):
         return f"_pow({_to_python(node.base)}, {node.exponent!r})"
     if isinstance(node, Call):
@@ -349,10 +371,8 @@ def _diff(node, var):
         return Const(1.0 if node.name == var else 0.0)
     if isinstance(node, Neg):
         return Neg(_diff(node.arg, var))
-    if isinstance(node, Add):
-        return Add(_diff(node.left, var), _diff(node.right, var))
-    if isinstance(node, Sub):
-        return Sub(_diff(node.left, var), _diff(node.right, var))
+    if isinstance(node, (Add, Sub)):
+        return type(node)(_diff(node.left, var), _diff(node.right, var))
     if isinstance(node, Mul):
         return Add(Mul(_diff(node.left, var), node.right),
                    Mul(node.left, _diff(node.right, var)))
@@ -447,17 +467,8 @@ def fold(node: Expr) -> Expr:
 def variables_of(expr: Expr) -> frozenset[str]:
     if isinstance(expr, Var):
         return frozenset((expr.name,))
-    if isinstance(expr, Const):
-        return frozenset()
-    if isinstance(expr, Neg):
-        return variables_of(expr.arg)
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return variables_of(expr.left) | variables_of(expr.right)
-    if isinstance(expr, Pow):
-        return variables_of(expr.base)
-    if isinstance(expr, Call):
-        return variables_of(expr.arg)
-    raise TypeError(f"not an Expr node: {expr!r}")
+    return frozenset().union(*(variables_of(getattr(expr, f))
+                               for f in _SUBTREES if hasattr(expr, f)))
 
 
 # precedence levels for printing: + - (1), * / (2), unary - (3), ^ (4)
@@ -472,12 +483,10 @@ def _to_str(node, parent_prec):
         inner = f"-{_to_str(node.arg, 3)}"
         return f"({inner})" if parent_prec > 2 else inner
     if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        inner = f"{_to_str(node.left, 1)} {op} {_to_str(node.right, 2)}"
+        inner = f"{_to_str(node.left, 1)} {_SYMBOL[type(node)]} {_to_str(node.right, 2)}"
         return f"({inner})" if parent_prec > 1 else inner
     if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        inner = f"{_to_str(node.left, 2)}{op}{_to_str(node.right, 3)}"
+        inner = f"{_to_str(node.left, 2)}{_SYMBOL[type(node)]}{_to_str(node.right, 3)}"
         return f"({inner})" if parent_prec > 2 else inner
     if isinstance(node, Pow):
         e = node.exponent

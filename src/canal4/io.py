@@ -12,11 +12,12 @@ import math
 import numpy as np
 
 from . import expr as ex
+from .analysis import solve_minimal_radius
 from .canal import (DEGENERATE_A_TOL, CanalConfig, GridSpec, RadiusProfile, SurfacePatch,
-                    Variant, _hermite, degenerate_nodes)
+                    Variant, degenerate_nodes)
 from .curve import CurveSpec, FrenetFrame
 from .curvature import Route, node_reports
-from .errors import DomainError, EmptySliceError, NumericError, or_error, unwrap
+from .errors import CanalError, EmptySliceError, NumericError, unwrap
 
 CSV_HEADER = "s,t,w,K_cf,H_cf,mu1,mu2,mu3,K_num,H_num"   # column contract v1
 
@@ -80,15 +81,23 @@ def export_curvature_csv(patch: SurfacePatch) -> str:
 _CURVE_MODE = {"kind": "symbolic", "step": 1e-4}
 
 
+# the radius kinds: the constructor that rebuilds a profile from its generator,
+# the JSON names of the generator's arguments, and the one a failed build names
+_RADIUS_KINDS = {
+    "constant": (RadiusProfile.from_constant, ("value",), "value"),
+    "expr": (RadiusProfile.from_expr, ("text",), "text"),
+    "minimal": (solve_minimal_radius,
+                ("eps1_lambda", "c1", "r0", "s_range", "sign", "n_nodes"), "s_range"),
+}
+MAX_RADIUS_NODES = 65537
+
+
 def _radius_payload(radius: RadiusProfile):
+    """The radius's generator as a JSON object: its kind and its arguments."""
     if radius is None:
         return None
-    if radius.kind == "constant":
-        return {"kind": "constant", "value": radius.constant}
-    if radius.kind == "expr":
-        return {"kind": "expr", "text": str(radius.expr)}
-    s_nodes, r_nodes, rp_nodes = radius.table
-    return {"kind": "table", "s": list(s_nodes), "r": list(r_nodes), "rp": list(rp_nodes)}
+    kind, *args = radius.generator
+    return {"kind": kind, **dict(zip(_RADIUS_KINDS[kind][1], args))}
 
 
 def _get(doc, path: str, at: str = "", kind=object):
@@ -135,25 +144,45 @@ def _frame_from_payload(fr, field: str, j: int) -> FrenetFrame:
     return FrenetFrame(tuple(tuple(map(float, v)) for v in vectors), tuple(eps), *map(float, k))
 
 
+def _built(field: str, build, *args):
+    """build(*args); a CanalError or ValueError it raises (expression text that
+    does not parse, an inadmissible family, a radius that does not solve) is a
+    ValueError naming the field."""
+    try:
+        return build(*args)
+    except (CanalError, ValueError) as exc:
+        raise ValueError(f"{field}: expected an admissible value: {exc}") from exc
+
+
+_SIGN = (lambda x: type(x) is int and x in (-1, 1), "the int -1 or 1")
+# what each argument of a radius generator must be, as a JSON value
+_RADIUS_FIELDS = {
+    "value": (lambda x: _numbers([x], 1), "a finite number"),
+    "text": (lambda x: type(x) is str, "a string"),
+    "eps1_lambda": _SIGN,
+    "c1": (lambda x: _numbers([x], 1) and x != 0, "a finite nonzero number"),
+    "r0": (lambda x: _numbers([x], 1) and x > 0, "a finite positive number"),
+    "s_range": (lambda x: _numbers(x, 2) and x[0] < x[1], "2 increasing finite numbers"),
+    "sign": _SIGN,
+    "n_nodes": (lambda x: type(x) is int and 2 <= x <= MAX_RADIUS_NODES,
+                f"an int in [2, {MAX_RADIUS_NODES}]"),
+}
+
+
 def _radius_from_payload(payload):
+    """The profile of a radius payload: its kind's constructor called again on
+    the generator, so r, r' and r'' come back bit for bit."""
     if payload is None:
         return None
-    kind = _get(payload, "kind", "config.radius.")
-    if kind == "constant":
-        value = _get(payload, "value", "config.radius.")
-        _require(_numbers([value], 1), "config.radius.value", "a finite number")
-        return RadiusProfile.from_constant(value)
-    if kind == "expr":
-        return RadiusProfile.from_expr(_get(payload, "text", "config.radius.", str))
-    if kind != "table":
-        raise ValueError(f"unknown radius kind {kind!r}")
-    s, r, rp = (_get(payload, key, "config.radius.", list) for key in ("s", "r", "rp"))
-    _require(_numbers(s, len(s)) and len(s) >= 2 and all(a < b for a, b in zip(s, s[1:])),
-             "config.radius.s", "at least 2 increasing finite numbers")
-    for key, values in (("r", r), ("rp", rp)):
-        _require(_numbers(values, len(s)), f"config.radius.{key}",
-                 f"{len(s)} finite numbers, one per s")
-    return RadiusProfile("table", *_hermite(s, r, rp), table=(tuple(s), tuple(r), tuple(rp)))
+    kind = _get(payload, "kind", "config.radius.", str)
+    if kind not in _RADIUS_KINDS:
+        raise ValueError(f"config.radius.kind: unknown radius kind {kind!r} "
+                         f"(expected one of {', '.join(_RADIUS_KINDS)})")
+    build, names, blamed = _RADIUS_KINDS[kind]
+    args = [_get(payload, name, "config.radius.") for name in names]
+    for name, value in zip(names, args):
+        _require(_RADIUS_FIELDS[name][0](value), f"config.radius.{name}", _RADIUS_FIELDS[name][1])
+    return _built(f"config.radius.{blamed}", build, *args)
 
 
 def patch_to_json(patch: SurfacePatch) -> str:
@@ -204,7 +233,8 @@ def patch_from_json(text: str) -> SurfacePatch:
     components, domain = (_get(doc, f"curve.{key}", kind=list) for key in ("components", "domain"))
     _require(_strings(components, 4), "curve.components", "4 expression strings")
     _require(_numbers(domain, 2), "curve.domain", "2 finite numbers")
-    curve = CurveSpec(tuple(components), tuple(domain))
+    curve = _built("curve.domain", CurveSpec,
+                   tuple(_built("curve.components", ex.parse, c) for c in components), domain)
     for key, values in (("j", (1, 2, 3, 4)), ("lambda", (-1, 0, 1)), ("sigma", (-1, 1))):
         value = _get(doc, f"config.{key}")
         _require(type(value) is int and value in values, f"config.{key}", f"an int in {values}")
@@ -214,17 +244,16 @@ def patch_from_json(text: str) -> SurfacePatch:
              "2 expression strings for lambda = 0, null for lambda = +-1")
     variant = _get(doc, "config.variant")
     _require(variant in [v.value for v in Variant], "config.variant", "'standard' or 'alt'")
-    config = CanalConfig(_get(doc, "config.j"), _get(doc, "config.lambda"),
-                         _radius_from_payload(_get(doc, "config.radius")),
-                         _get(doc, "config.sigma"), Variant(variant),
-                         a_free and tuple(ex.parse(a, ("s", "t", "w")) for a in a_free))
+    config = _built("config", CanalConfig, _get(doc, "config.j"), _get(doc, "config.lambda"),
+                    _radius_from_payload(_get(doc, "config.radius")),
+                    _get(doc, "config.sigma"), Variant(variant),
+                    a_free and tuple(_built("config.a_free", ex.parse, a, ("s", "t", "w"))
+                                     for a in a_free))
     axes = [_get(doc, f"grid.{axis}", kind=list) for axis in "stw"]
     for axis, values in zip("stw", axes):
         _require(_numbers(values, len(values)), f"grid.{axis}", "finite numbers")
     grid = GridSpec(*map(tuple, axes))
-    expected = or_error(degenerate_nodes, config, grid)
-    _require(not isinstance(expected, DomainError), "grid.w",
-             "values at which the pattern's cosh and sinh are finite")
+    expected = _built("grid.w", degenerate_nodes, config, grid)
     ns, nt, nw = len(grid.s_values), len(grid.t_values), len(grid.w_values)
     n = ns * nt * nw
     points = _get(doc, "points")

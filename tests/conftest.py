@@ -4,11 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from canal4.canal import CanalConfig, RadiusProfile, Variant
 from canal4.curvature import gauss_mean_principal
 from canal4.curve import CurveSpec
 from canal4.minkowski import Vec4
+
+# every property test draws the same examples on every run
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -195,9 +195,8 @@ def test_minimal_radius_just_before_turning_point():
     last interval leave the domain, but the profile itself does not, so the
     solver returns it (the radicand is about 1.2e-10 at s1)."""
     prof = solve_minimal_radius(-1, 1.0, 0.9, (0.0, 0.5369), 1)
-    s, r, rp = prof.table
-    assert s[-1] == 0.5369 and 0.0 < 1.0 - r[-1] < 1e-9 and 0.0 < rp[-1] < 1e-4
-    for x in np.linspace(s[-2], s[-1], 11):
+    assert 0.0 < 1.0 - prof(0.5369) < 1e-9 and 0.0 < prof.r_prime(0.5369) < 1e-4
+    for x in np.linspace(*np.linspace(0.0, 0.5369, 257)[-2:], 11):
         assert 0.0 <= prof.r_prime(x) < 2e-3
 
 
@@ -402,8 +401,8 @@ def test_radius_evaluated_once_per_distinct_s(beta1):
             return fn(s)
         return wrapper
 
-    radius = RadiusProfile("expr", counted("r", R2S.r), counted("r'", R2S.r_prime),
-                           counted("r''", R2S.r_second), expr=R2S.expr)
+    radius = RadiusProfile(counted("r", R2S.r), counted("r'", R2S.r_prime),
+                           counted("r''", R2S.r_second), R2S.generator)
 
     def new_patch():
         patch = sample_grid(beta1, make_config(1, 1, radius),
@@ -452,8 +451,8 @@ def test_numeric_loops_evaluate_the_point_map_once_per_pass(beta1, monkeypatch):
 
 def test_import_does_not_load_scipy():
     """A fresh interpreter imports canal4, solves a minimal-radius profile and
-    round-trips a patch over it (a table radius) through JSON, with no scipy
-    module loaded."""
+    round-trips a patch over it (rebuilt from its generator) through JSON, with
+    no scipy module loaded."""
     import canal4
     src = str(Path(canal4.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -466,7 +465,7 @@ def test_import_does_not_load_scipy():
         "grid = canal4.GridSpec((0.8, 1.6), (0.2, 0.9), (0.4,))",
         "patch = canal4.sample_grid(line, canal4.CanalConfig(2, 1, prof), grid)",
         "back = patch_from_json(patch_to_json(patch)).config.radius",
-        "assert back.kind == 'table' and back(1.3) == prof(1.3), (back(1.3), prof(1.3))",
+        "assert back == prof and back(1.3) == prof(1.3), (back(1.3), prof(1.3))",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

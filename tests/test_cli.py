@@ -6,13 +6,17 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
+from canal4.analysis import classify_flat, classify_minimal, solve_minimal_radius
 from canal4.cli import main
 from canal4.io import (CSV_HEADER, export_curvature_csv, export_obj, patch_from_json,
                        patch_to_json)
 from canal4.canal import CanalConfig, GridSpec, RadiusProfile, Variant, sample_grid
+from canal4.curve import CurveSpec
 from canal4.curvature import curvature_report
 from canal4.errors import DegenerateNodeError
 
@@ -98,7 +102,8 @@ def test_verify_weingarten_on_a_supercritical_family(capsys):
 
 def test_build_rejects_impossible_families(tmp_path):
     out = str(tmp_path / "p.json")
-    assert run(["build", "--example", "beta1", "--family", "j1,l0", "--out", out]) == 2
+    for family in ("j1,l0", "j5,l0", "j0,l1"):      # no null cone for j = 1; no j = 5 or 0
+        assert run(["build", "--example", "beta1", "--family", family, "--out", out]) == 2
     for radius in ("0.5", "2"):     # (1, -1) tubes fail the variant sign
         assert run(["build", "--example", "beta1", "--family", "j1,l-1",
                     "--radius", radius, "--out", out]) == 2
@@ -258,26 +263,82 @@ def test_example_and_explicit_curve_conflict():
                 "--family", "j1,l1"]) == 2
 
 
-def test_tabulated_radius_json_round_trip(spacelike_line):
-    from canal4.analysis import solve_minimal_radius
-    s0, s1 = spacelike_line.domain
-    prof = solve_minimal_radius(1, 1.0, 1.0, (s0, s1), 1)
-    cfg = CanalConfig(2, 1, prof)
-    patch = sample_grid(spacelike_line, cfg, GridSpec((0.8, 1.6), (0.2, 0.9), (0.4,)))
+def _profile(radius, s_values):
+    return [(radius(s), radius.r_prime(s), radius.r_second(s)) for s in s_values]
+
+
+def test_minimal_radius_reloads_from_its_generator(spacelike_line):
+    """The JSON document holds a minimal profile as its generator, and the
+    reader solves it again: r, r', r'' equal bit for bit over the domain, and
+    the profile stays minimal."""
+    prof = solve_minimal_radius(1, 1.0, 1.0, (0.5, 2.5))
+    patch = sample_grid(spacelike_line, CanalConfig(2, 1, prof),
+                        GridSpec((0.8, 1.6), (0.2, 0.9), (0.4,)))
     text = patch_to_json(patch)
-    loaded = patch_from_json(text)
-    for a, b in zip(loaded.points, patch.points):
-        assert a.as_tuple() == b.as_tuple()
-    assert patch_to_json(loaded) == text
+    assert json.loads(text)["config"]["radius"] == {
+        "kind": "minimal", "eps1_lambda": 1, "c1": 1.0, "r0": 1.0, "s_range": [0.5, 2.5],
+        "sign": 1, "n_nodes": 257}
+    back = patch_from_json(text)
+    s_values = spacelike_line.sweep(4001)
+    assert _profile(back.config.radius, s_values) == _profile(prof, s_values)
+    assert classify_minimal(spacelike_line, back.config.radius, 1).verdict == "minimal"
+    assert back.config == patch.config and patch_to_json(back) == text
+
+
+@st.composite
+def _line_radii(draw):
+    """(domain, lam, radius) over a spacelike line: a constant, expr or
+    minimal radius, admissible on the (j = 2, lam) family; the minimal
+    generators solve with no turning point and r > 0."""
+    s0 = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(("constant", "expr", "minimal")))
+    if kind == "constant":
+        return (s0, s0 + 1.0), -1, RadiusProfile.from_constant(draw(st.floats(0.2, 3.0)))
+    if kind == "expr":
+        form = draw(st.sampled_from(("{a} + {b}*s", "{a} + {b}*s^2", "{a}*exp({b}*s)")))
+        text = form.format(a=draw(st.floats(1.0, 2.0)), b=draw(st.floats(-0.1, 0.8)))
+        return (s0, s0 + 2.0), -1, RadiusProfile.from_expr(text)
+    eps1_lambda, sign, c1_sign = (draw(st.sampled_from((-1, 1))) for _ in range(3))
+    if eps1_lambda == 1:        # |r'| < 1.6 while r > 1.3, so r stays above 1.3
+        c1, r0, span = draw(st.floats(0.5, 1.5)), draw(st.floats(3.0, 4.0)), 1.0
+    else:                       # r0 about |c1|/2: far from r = |c1| (r' = 0) and r = 0
+        c1 = draw(st.floats(2.0, 3.0))
+        r0, span = c1 * draw(st.floats(0.45, 0.55)), 0.25
+    domain = (s0, s0 + span)
+    return domain, eps1_lambda, solve_minimal_radius(
+        eps1_lambda, c1_sign * c1, r0, domain, sign, draw(st.integers(2, 300)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_line_radii())
+def test_radius_json_round_trip_keeps_profile_and_verdicts(case):
+    """Every radius kind reloads as the same profile: r, r', r'' bit for bit at
+    200 s values, and the same flat and minimal verdicts."""
+    domain, lam, radius = case
+    line = CurveSpec(("0", "s", "0", "0"), domain)
+    grid = GridSpec(domain, (0.2, 0.9), (0.4,))
+    patch = sample_grid(line, CanalConfig(2, lam, radius), grid)
+    text = patch_to_json(patch)
+    back = patch_from_json(text)
+    again = back.config.radius
+    assert back.config == patch.config and patch_to_json(back) == text
+    s_values = line.sweep(200)
+    assert _profile(again, s_values) == _profile(radius, s_values)
+    assert classify_flat(line, again) == classify_flat(line, radius)
+    assert classify_minimal(line, again, lam) == classify_minimal(line, radius, lam)
 
 
 def test_patch_json_rejects_unknown_radius_and_other_curve_modes(beta1):
+    """Also a tabulated radius, which documents no longer hold."""
     patch = sample_grid(beta1, CanalConfig(1, 1, RadiusProfile.from_expr("2*s")),
                         GridSpec((1.0,), (0.2,), (0.4,)))
     doc = json.loads(patch_to_json(patch))
-    doc["config"]["radius"] = {"kind": "spline", "s": [0.0, 1.0], "r": [1.0, 2.0]}
-    with pytest.raises(ValueError, match="unknown radius kind 'spline'"):
-        patch_from_json(json.dumps(doc))
+    for kind in ("spline", "table"):
+        doc["config"]["radius"] = {"kind": kind, "s": [0.0, 1.0], "r": [1.0, 2.0],
+                                   "rp": [0.0, 0.0]}
+        with pytest.raises(ValueError,
+                           match=f"^config.radius.kind: unknown radius kind '{kind}'"):
+            patch_from_json(json.dumps(doc))
     doc = json.loads(patch_to_json(patch))
     doc["curve"]["mode"]["kind"] = "finite_difference"
     with pytest.raises(ValueError, match="not a canal-patch v1 document"):
@@ -359,6 +420,11 @@ def test_patch_json_rejects_degenerate_indices_off_the_grid(beta1, degenerate):
         patch_from_json(json.dumps(doc))
 
 
+# the radius of a minimal-profile document over the spacelike line (0.5, 2.5)
+_MINIMAL = {"kind": "minimal", "eps1_lambda": 1, "c1": 1.0, "r0": 1.0, "s_range": [0.5, 2.5],
+            "sign": 1, "n_nodes": 257}
+
+
 @pytest.mark.parametrize("path, bad, field", [
     ("config.radius.text", 5, None),
     ("config.radius.value", "abc", None),
@@ -372,23 +438,30 @@ def test_patch_json_rejects_degenerate_indices_off_the_grid(beta1, degenerate):
     ("config.a_free", ["s", "t"], None),                # on a lambda = +1 patch
     ("config.j", 2, "frames[0].eps"),                   # the frames have frame type 1
     ("frames.1.eps", [1, -1, 1, 1], "frames[1].eps"),   # config.j is 1
-    ("config.radius", {"kind": "table", "s": "x", "r": [1.0], "rp": [0.0]},
-     "config.radius.s"),
-    ("config.radius", {"kind": "table", "s": [0.0, 1.0], "r": [1.0], "rp": [0.0, 0.0]},
-     "config.radius.r"),
+    ("config.radius", dict(_MINIMAL, n_nodes=1), "config.radius.n_nodes"),
+    ("config.radius", dict(_MINIMAL, s_range="x"), "config.radius.s_range"),
     ("degenerate", list(range(8)), None),               # no node of the grid is degenerate
     ("grid.w", [800.0, 0.7], None),                     # cosh(800) overflows (j = 3 patch)
     ("config.j", 7, None),
     ("config.lambda", 0, "config.a_free"),              # a_free is null
+    ("config.variant", "alt", "config"),                # j = 1 has no supercritical variant
+    ("config.radius", None, "config"),                  # lambda = +1 needs a radius
+    ("config.radius.value", -1.0, None),
+    ("config", lambda c: dict(c, a_free=["t", "w"], **{"lambda": 0}), None),  # no j = 1 null cone
+    ("config.radius.text", "2*", None),
+    ("curve.components.0", "2*", "curve.components"),
+    ("curve.domain", [3.0, 0.25], None),
 ], ids=["radius-text", "radius-value", "a_free", "j-str", "j-bool", "components", "grid-s",
         "version-bool", "variant", "a_free-lambda", "j-frame-type", "eps-frame-type",
-        "table-s", "table-lengths", "degenerate-set", "grid-w-overflow", "j-range",
-        "lambda0-no-a_free"])
+        "generator-n_nodes", "generator-s_range", "degenerate-set", "grid-w-overflow",
+        "j-range", "lambda0-no-a_free", "variant-alt-j1", "radius-null", "radius-negative",
+        "lambda0-j1", "radius-text-syntax", "component-syntax", "domain-reversed"])
 def test_patch_json_rejects_ill_typed_fields(beta1, beta2, path, bad, field):
     """A field of the wrong type, or at odds with the rest of the document, is
-    a ValueError that names it (field, where that is not the edited path).
-    The document is a beta1 j1,l1 patch; a w value overflows only the
-    hyperbolic patterns, so that case edits a beta2 j3,l1 patch."""
+    a ValueError that names it (field, where that is not the edited path; bad
+    may edit the value at path). The document is a beta1 j1,l1 patch; a w
+    value overflows only the hyperbolic patterns, so that case edits a beta2
+    j3,l1 patch."""
     radius = (RadiusProfile.from_constant(2.0) if path == "config.radius.value"
               else RadiusProfile.from_expr("2*s"))
     curve, j = (beta2, 3) if path == "grid.w" else (beta1, 1)
@@ -398,8 +471,38 @@ def test_patch_json_rejects_ill_typed_fields(beta1, beta2, path, bad, field):
     parent = doc
     for name in outer:
         parent = parent[int(name) if name.isdigit() else name]
-    parent[key] = bad
+    key = int(key) if key.isdigit() else key
+    parent[key] = bad(parent[key]) if callable(bad) else bad
     with pytest.raises(ValueError, match=rf"^{re.escape(field or path)}: expected "):
+        patch_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("eps1_lambda", 0), ("eps1_lambda", 1.0), ("eps1_lambda", True),
+    ("c1", 0.0), ("c1", "1"), ("r0", 0.0), ("r0", -1.0), ("r0", None),
+    ("sign", 2), ("sign", -1.0),
+    ("s_range", [2.5, 0.5]), ("s_range", [0.5]), ("s_range", [0.5, 1e400]),
+    ("n_nodes", 1), ("n_nodes", 65538), ("n_nodes", 257.0),
+    ("s_range", [-3.0, 2.5]),          # with sign -1, r reaches 0 at s = -2.513
+], ids=["eps1_lambda-0", "eps1_lambda-float", "eps1_lambda-bool", "c1-zero", "c1-str",
+        "r0-zero", "r0-negative", "r0-null", "sign-2", "sign-float", "s_range-reversed",
+        "s_range-short", "s_range-inf", "n_nodes-1", "n_nodes-max", "n_nodes-float",
+        "s_range-exit"])
+def test_patch_json_rejects_bad_minimal_generators(spacelike_line, key, bad):
+    """Each argument of a minimal radius's generator is checked, and a generator
+    whose profile leaves its domain is rejected naming s_range; a missing one
+    is named too."""
+    prof = solve_minimal_radius(1, 1.0, 1.0, (0.5, 2.5))
+    doc = json.loads(patch_to_json(sample_grid(spacelike_line, CanalConfig(2, 1, prof),
+                                               GridSpec((0.8,), (0.2,), (0.4,)))))
+    assert doc["config"]["radius"] == _MINIMAL
+    if key == "s_range" and bad[0] == -3.0:
+        doc["config"]["radius"]["sign"] = -1
+    doc["config"]["radius"][key] = bad
+    with pytest.raises(ValueError, match=rf"^config\.radius\.{key}: expected "):
+        patch_from_json(json.dumps(doc))
+    del doc["config"]["radius"][key]
+    with pytest.raises(ValueError, match=rf"^config\.radius\.{key}: missing"):
         patch_from_json(json.dumps(doc))
 
 
@@ -458,6 +561,13 @@ def _bad_config_exit(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("radius", ["-" * 3000 + "s", "(" * 300 + "s" + ")" * 300,
+                                    "+".join(["s"] * 400)], ids=["minus", "parens", "sum"])
+def test_deeply_nested_radius_exit_2(tmp_path, capsys, radius):
+    _bad_config_exit(capsys, ["build", "--example", "beta1", "--grid", "2x2x1",
+                              f"--radius={radius}", "--out", str(tmp_path / "x.json")])
 
 
 def test_infinite_constant_radius_exit_2(tmp_path, capsys):

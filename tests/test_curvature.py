@@ -12,8 +12,10 @@ import oracles
 
 from canal4.canal import (CanalConfig, PointMapCache, RadiusProfile, Variant,
                           degeneracy_factor)
-from canal4.curvature import Route, _check_metric, _principal, curvature_report
-from canal4.errors import DegenerateNodeError, InadmissibleConfigError, SingularMetricError
+from canal4.curvature import (Route, _check_metric, _numeric_reports, _principal,
+                               curvature_report)
+from canal4.errors import (DegenerateNodeError, InadmissibleConfigError, SingularMetricError,
+                           unwrap)
 from canal4.minkowski import inner
 
 R2S = RadiusProfile.from_expr("2*s")
@@ -164,7 +166,8 @@ def test_routes_agree_on_forms(family_curves, rng):
 
 def test_numeric_route_equals_scalar_reference(family_curves, rng):
     """The one-call stencil gives g, h and N bit for bit equal to the per-node
-    scalar stencil, with and without a cache shared across nodes."""
+    scalar stencil, from curvature_report and from the row pass on a cache
+    shared across nodes."""
     for j, lam in ALL_FAMILIES:
         curve = family_curves[j]
         s_range = conftest.SWEEP_S_RANGE[j]
@@ -174,8 +177,8 @@ def test_numeric_route_equals_scalar_reference(family_curves, rng):
         # the second node shares s with the first, so it reads cached rows
         for s, t, w in ((s0, t0, w0), (s0, -t0, 0.5 * w0)):
             g_ref, h_ref, N_ref = oracles.reference_numeric_forms(curve, cfg, s, t, w)
-            for shared in (None, cache):
-                rep = curvature_report(curve, cfg, s, t, w, Route.NUMERIC, shared)
+            for rep in (curvature_report(curve, cfg, s, t, w, Route.NUMERIC),
+                        unwrap(_numeric_reports(cfg, s, (t,), (w,), cache)[0])):
                 assert np.array_equal(rep.g, g_ref)
                 assert np.array_equal(rep.h, h_ref)
                 assert np.array(rep.N).tobytes() == N_ref.tobytes()
@@ -364,7 +367,9 @@ def test_numeric_patch_loops_equal_per_node_reference(beta1, beta2):
              (beta2, CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
                                  Variant.ALT_SUPERCRITICAL), (-1.3, 1.3), (-1.0, 1.0))]
     for curve, cfg, t_range, w_range in cases:
-        patch = sample_grid(curve, cfg, GridSpec.regular((0.6, 2.4), t_range, w_range, (2, 3, 3)))
+        grid = GridSpec(GridSpec.linspace((0.6, 2.4), 2), GridSpec.linspace(t_range, 3, False),
+                        GridSpec.linspace(w_range, 3))
+        patch = sample_grid(curve, cfg, grid)
         assert check_kh_relation(patch, Route.NUMERIC) == oracles.reference_kh_report(patch)
         assert export_curvature_csv(patch) == oracles.reference_curvature_csv(patch)
 

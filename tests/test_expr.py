@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canal4.errors import DomainError, ExprSyntaxError, UnknownFunctionError
-from canal4.expr import (Const, compile_expr, differentiate, evaluate, parse,
-                         variables_of)
+from canal4.expr import (MAX_NESTING, Add, Const, Var, compile_expr, differentiate, evaluate,
+                         parse, variables_of)
 
 
 def test_parse_linear():
@@ -86,6 +86,32 @@ def test_compiled_function_reports_domain_errors():
         compile_expr(parse("exp(s)"))(1e6)
     with pytest.raises(DomainError):
         compile_expr(parse("1/s"))(0.0)
+
+
+@pytest.mark.parametrize("nested", [lambda n: "-" * n + "s",
+                                    lambda n: "(" * n + "s" + ")" * n,
+                                    lambda n: "sin(" * n + "s" + ")" * n,
+                                    lambda n: "+".join(["s"] * (n + 1)),
+                                    lambda n: "s^" + "(" + "+".join(["1"] * (n + 1)) + ")"],
+                         ids=["minus", "parens", "calls", "sum", "exponent"])
+def test_parse_nesting_bound(nested):
+    """MAX_NESTING levels parse; more are a syntax error, not a RecursionError
+    (a sum of n + 1 terms nests n levels)."""
+    parse(nested(MAX_NESTING))
+    for n in (MAX_NESTING + 1, 30 * MAX_NESTING):
+        with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_NESTING} levels"):
+            parse(nested(n))
+
+
+@pytest.mark.parametrize("depth", [300, 5000])
+def test_compile_too_deep_a_tree_is_a_syntax_error(depth):
+    """A tree parse would not give (differentiate may) that Python cannot
+    compile: too many nested parentheses, or too deep a recursion."""
+    tree = Var("s")
+    for _ in range(depth):
+        tree = Add(tree, Var("s"))
+    with pytest.raises(ExprSyntaxError, match="^cannot compile r: "):
+        compile_expr(tree, name="r")
 
 
 def test_eval_cosh():
