@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canal import CanalConfig, RadiusProfile, SurfacePatch, _distinct, family_function
-from .curvature import (_FOCAL, Route, _admissible_q, _family_curvatures, curvature_report,
-                        node_reports)
+from .canal import (_A2_AND_A, CanalConfig, PointMapCache, RadiusProfile, SurfacePatch,
+                    _math_table, family_function)
+from .curvature import (_FOCAL, Route, _admissible_q, _closed_forms, _family_curvatures,
+                        _normal_sign, node_reports)
 from .curve import CurveSpec, TAU_K
 from .errors import (CanalError, DomainExitError, InadmissibleConfigError, SingularMetricError,
                      or_error, unwrap)
@@ -50,53 +51,57 @@ class TheoremReport:
     nodes_checked: int
 
 
-def _family_sign(patch: SurfacePatch) -> int:
-    fr = patch.frames[0]
-    return fr.eps[2] * fr.eps[3] * patch.config.lam ** patch.config.j
-
-
 def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
                       tolerance: float | None = None) -> TheoremReport:
-    """max |3 H r - K r^3 - 2 eps3 eps4 lam^j| over non-degenerate nodes."""
+    """max |3 H r - K r^3 - 2 eps3 eps4 lam^j| over non-degenerate nodes, the
+    closed form in one pass over the patch; raises the first node's error."""
     tol = tolerance if tolerance is not None else (
         KH_TOL_CLOSED if route is Route.CLOSED_FORM else KH_TOL_NUMERIC)
-    sgn = _family_sign(patch)
+    sgn = -_normal_sign(patch.config, patch.frames[0].eps)      # eps3 eps4 lam^j
+    keys = patch.node_keys()
+    if route is Route.NUMERIC:
+        K, H = np.array([(rep.K, rep.H) for rep in (unwrap(x[3]) for x in node_reports(patch))]
+                        ).reshape(-1, 2).T
+    else:
+        forms, errors = _closed_forms(patch.config, patch.cache, *keys)
+        unwrap(next(filter(None, errors), None))
+        K, H = forms[6:8] if forms else ((), ())
     worst = 0.0
-    n = 0
-    for s, t, w, (rep,) in node_reports(patch, (route,)):
-        rep = unwrap(rep)
-        r = patch.cache.row(s).r
-        worst = max(worst, abs(3.0 * rep.H * r - rep.K * r ** 3 - 2.0 * sgn))
-        n += 1
-    return TheoremReport(f"kh-relation[{route.value}]", worst, tol, worst <= tol, n)
+    if len(K):
+        r, r3 = np.array([(row.r, row.r ** 3) for row in map(patch.cache.row, keys[0])])[keys[1]].T
+        with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
+            worst = max([worst, *np.abs(3.0 * H * r - K * r3 - 2.0 * sgn).tolist()])
+    return TheoremReport(f"kh-relation[{route.value}]", worst, tol, worst <= tol, len(K))
 
 
 # ---------------------------------------------------------------------------
 # Weingarten
 
-def _kh_points(config, cache, eps, points):
-    """Closed-form (K, H) at the points (s, t, w): two arrays from one pass of
-    the family formulas. Raises the first point's error, each point's being
-    that of its gauss_mean_principal call (the row, Q > 0, f_j, the focal D)."""
+def _kh_points(config, cache, eps, s_keys, s_at, t_keys, t_at, w_keys, w_at):
+    """Closed-form (K, H) arrays at the points (s_keys[s_at], t_keys[t_at],
+    w_keys[w_at]): row values once per s key, f_j's trig once per t and w key.
+    Raises the first point's gauss_mean_principal error (row, Q, f_j, D)."""
     def per_s(x):
         row = cache.row(x)
         return (row.r, row.frame.k1, row.rpp,
                 _admissible_q(config.lam, config.variant, eps[0], row.rp))
-    s_keys, s_at = _distinct([p[0] for p in points])
-    rows = [or_error(per_s, x) for x in s_keys]     # in the order the points read them
-    f = [rows[k] if isinstance(rows[k], CanalError)
-         else or_error(family_function, config.j, config.variant, t, w)
-         for k, (_, t, w) in zip(s_at, points)]
-    errors = [x if isinstance(x, CanalError) else None for x in f]
-    r, k1, rpp, Q = np.array([(1.0, 0.0, 0.0, 1.0) if isinstance(x, CanalError) else x
-                              for x in rows])[s_at].T
-    K, H, _, _, focal = _family_curvatures(
-        config.j, config.lam, config.variant, eps, k1, r, Q, rpp,
-        config.sigma * np.array([0.0 if e else x for e, x in zip(errors, f)]))
-    first = next((e or SingularMetricError(_FOCAL)
-                  for e, fo in zip(errors, focal) if e or fo), None)
-    if first:
-        raise first
+    rows = [or_error(per_s, x) for x in s_keys]
+    failed = np.array([isinstance(x, CanalError) for x in rows])
+    r, k1, rpp, Q = np.array([(1.0, 0.0, 0.0, 1.0) if bad else x
+                              for bad, x in zip(failed, rows)])[s_at].T
+    T, W, _ = _A2_AND_A[config.j][config.variant.sign]
+    with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
+        f = _math_table(W, w_keys)[w_at]
+        if T is not None:
+            f = _math_table(T, t_keys)[t_at] * f
+        K, H, _, _, focal = _family_curvatures(config.j, config.lam, config.variant, eps, k1, r,
+                                               Q, rpp, config.sigma * f)
+    bad = failed[s_at] | np.isnan(f) | focal      # nan f: cosh or sinh overflowed
+    if bad.any():
+        p = int(np.argmax(bad))
+        if not failed[s_at[p]] and np.isnan(f[p]):     # raises its DomainError
+            family_function(config.j, config.variant, t_keys[t_at[p]], w_keys[w_at[p]])
+        raise rows[s_at[p]] if failed[s_at[p]] else SingularMetricError(_FOCAL)
     return K, H
 
 
@@ -105,29 +110,35 @@ def weingarten_check(patch: SurfacePatch, pair: str,
     """Normalized max of |H_u K_v - H_v K_u| over the patch nodes.
 
     Partials of the closed-form K and H fields by 5-point finite differences,
-    from one _kh_points pass per s row over the 8 stencil points of its nodes.
-    The stencil rows go into the patch's cache, so the pairs share them.
+    from one _kh_points pass over the 8 stencil points of every node, keyed by
+    each grid value and its 4 offsets along the pair's axes. The stencil rows
+    go into the patch's cache, so the pairs share them.
     """
     if pair not in ("st", "sw", "tw"):
         raise ValueError(f"pair must be 'st', 'sw' or 'tw', got {pair!r}")
-    config, cache, h = patch.config, patch.cache, WEINGARTEN_FD_STEP
-    worst = 0.0
-    n = 0
-    for row in patch.node_rows():
-        # node by node, 4 offsets along each coordinate of the pair
-        points = [(*node[:i], node[i] + d, *node[i + 1:]) for node in row
-                  for i in map("stw".index, pair) for d in (-2 * h, -h, h, 2 * h)]
-        (k0, k1, k2, k3), (h0, h1, h2, h3) = (
-            x.reshape(-1, 4).T for x in _kh_points(config, cache, patch.frames[0].eps, points))
-        with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
-            Ku, Kv = ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h)).reshape(-1, 2).T
-            Hu, Hv = ((h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h)).reshape(-1, 2).T
-            num = np.abs(Hu * Kv - Hv * Ku)
-            # np.maximum differs from max only on nan, where num is nan too
-            scale = np.maximum(np.maximum(np.abs(Hu), np.abs(Hv))
-                               * np.maximum(np.abs(Ku), np.abs(Kv)), WEINGARTEN_ETA)
-            worst = max([worst, *(num / scale).tolist()])     # max skips nan
-        n += len(num)
+    h = WEINGARTEN_FD_STEP
+    keys = patch.node_keys()
+    n = len(keys[1])
+    if not n:
+        return TheoremReport(f"weingarten-{pair}", 0.0, tolerance, True, 0)
+    stencil = []
+    for axis, values, at in zip("stw", keys[::2], keys[1::2]):
+        # node by node: 4 offsets along the pair's 1st axis, then its 2nd; none off the pair
+        offsets = (-2 * h, -h, h, 2 * h) if axis in pair else ()
+        shift = [k if a == axis else 0 for a in pair for k in (1, 2, 3, 4)]
+        stencil += [[y for x in values for y in (x, *(x + d for d in offsets))],
+                    ((1 + len(offsets)) * at[:, None] + shift).ravel()]
+    (k0, k1, k2, k3), (h0, h1, h2, h3) = (
+        x.reshape(-1, 4).T
+        for x in _kh_points(patch.config, patch.cache, patch.frames[0].eps, *stencil))
+    with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
+        Ku, Kv = ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h)).reshape(-1, 2).T
+        Hu, Hv = ((h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h)).reshape(-1, 2).T
+        num = np.abs(Hu * Kv - Hv * Ku)
+        # np.maximum differs from max only on nan, where num is nan too
+        scale = np.maximum(np.maximum(np.abs(Hu), np.abs(Hv))
+                           * np.maximum(np.abs(Ku), np.abs(Kv)), WEINGARTEN_ETA)
+        worst = max([0.0, *(num / scale).tolist()])     # max skips nan
     return TheoremReport(f"weingarten-{pair}", worst, tolerance, worst <= tolerance, n)
 
 
@@ -152,16 +163,14 @@ def _max_k1(curve: CurveSpec, n_samples: int) -> float:
 
 
 def _sample_K_H(curve, config, n=20):
+    """max |K| and max |H| of the closed form at n sample nodes, in one pass."""
     smin, smax = curve.domain
-    worst_K = worst_H = 0.0
-    for i in range(n):
-        s = smin + (smax - smin) * (i + 0.5) / n
-        t = 0.4 + 0.11 * (i % 5)
-        w = 0.3 + 0.07 * (i % 7)
-        rep = curvature_report(curve, config, s, t, w, Route.CLOSED_FORM)
-        worst_K = max(worst_K, abs(rep.K))
-        worst_H = max(worst_H, abs(rep.H))
-    return worst_K, worst_H
+    nodes = [(smin + (smax - smin) * (i + 0.5) / n, 0.4 + 0.11 * (i % 5), 0.3 + 0.07 * (i % 7))
+             for i in range(n)]
+    forms, errors = _closed_forms(config, PointMapCache(curve, config),
+                                  *(x for axis in zip(*nodes) for x in (axis, range(n))))
+    unwrap(next(filter(None, errors), None))
+    return tuple(max([0.0, *np.abs(x).tolist()]) for x in forms[6:8])
 
 
 def classify_flat(curve: CurveSpec, radius: RadiusProfile,

@@ -21,7 +21,6 @@ the remaining one is determined (j = 1 admits no such surface).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -135,18 +134,23 @@ def _a2_and_A(j: int, v: int):
 _A2_AND_A = {j: {v: _a2_and_A(j, v) for v in (1, -1)} for j in _SLOTS}
 
 
-def _trig_table(j: int, values):
-    """even(v) and odd(v) of each value as two arrays, in math. Where cosh or
-    sinh overflows both are nan (which, unlike inf, raises no floating-point
-    warning downstream), so that surface point is not finite."""
-    even, odd = _EVEN_ODD[j]
-
-    def pair(v):
+def _math_table(fn, values):
+    """fn of each value in math (numpy's cosh may differ from libm in the last
+    ulp) as an array, nan where fn overflows (nan raises no warning, inf may)."""
+    def at(v):
         try:
-            return even(v), odd(v)
+            return fn(v)
         except OverflowError:
-            return math.nan, math.nan
-    return np.array([pair(v) for v in values]).T
+            return math.nan
+    return np.array([at(v) for v in values], dtype=float)
+
+
+def _pattern(j: int, v: int, et, ot, ew, ow):
+    """(a, da/dt, da/dw), each an (a2, a3, a4) triple, from even and odd of t
+    and w and the variant's sign v: floats or arrays alike."""
+    det, dew = (-ot, -ow) if j == 1 else (ot, ow)      # even'(t), even'(w)
+    (A, B), (dA, dB) = (ew, ow)[::v], (dew, ew)[::v]
+    return (_place(j, et, ot, A, B), _place(j, det, et, A, 0.0), _place(j, et, ot, dA, dB))
 
 
 def transverse(j: int, variant: Variant, t: float, w: float):
@@ -156,9 +160,7 @@ def transverse(j: int, variant: Variant, t: float, w: float):
         et, ot, ew, ow = even(t), odd(t), even(w), odd(w)
     except OverflowError:
         raise DomainError(f"transverse{(j, variant.value, t, w)}: cosh or sinh overflows") from None
-    det, dew = (-ot, -ow) if j == 1 else (ot, ow)      # even'(t), even'(w)
-    (A, B), (dA, dB) = (ew, ow)[::variant.sign], (dew, ew)[::variant.sign]
-    return (_place(j, et, ot, A, B), _place(j, det, et, A, 0.0), _place(j, et, ot, dA, dB))
+    return _pattern(j, variant.sign, et, ot, ew, ow)
 
 
 def family_function(j: int, variant: Variant, t: float, w: float) -> float:
@@ -287,13 +289,13 @@ def indexed_points(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_ke
 
     Evaluates b + axial*F1 + (phi*a2)*F2 + (phi*a3)*F3 + (phi*a4)*F4 with the
     cache rows at s_keys, elementwise in that order (the same IEEE results as
-    scalar arithmetic). Trig runs in math once per key: numpy's vectorized
-    cosh may differ from libm in the last ulp.
+    scalar arithmetic). Trig runs in math once per key (_math_table).
     """
     rows = [cache.row(v) for v in s_keys]
     basis = np.array([r.basis for r in rows])[s_at]
     axial, phi = np.array([(r.axial, r.phi) for r in rows])[s_at].T
-    (et, ot), (ew, ow) = _trig_table(config.j, t_keys), _trig_table(config.j, w_keys)
+    (et, ot), (ew, ow) = ([_math_table(fn, keys) for fn in _EVEN_ODD[config.j]]
+                          for keys in (t_keys, w_keys))
     A, B = (ew, ow)[::config.variant.sign]
     a2, a3, a4 = _place(config.j, et[t_at], ot[t_at], A[w_at], B[w_at])
     return (basis[..., 0, :] + axial[..., None] * basis[..., 1, :]
@@ -468,10 +470,6 @@ class SurfacePatch:
     def shape(self) -> tuple[int, int, int]:
         return (len(self.grid.s_values), len(self.grid.t_values), len(self.grid.w_values))
 
-    def flat_index(self, i: int, jj: int, k: int) -> int:
-        ns, nt, nw = self.shape
-        return (i * nt + jj) * nw + k
-
     @functools.cached_property
     def cache(self) -> PointMapCache:
         """The patch's one PointMapCache, seeded with its frames and built on
@@ -480,16 +478,19 @@ class SurfacePatch:
 
     def nodes(self):
         """Yield (i, j, k, s, t, w) of the non-degenerate nodes."""
-        for i, s in enumerate(self.grid.s_values):
-            for jj, t in enumerate(self.grid.t_values):
-                for k, w in enumerate(self.grid.w_values):
-                    if self.flat_index(i, jj, k) not in self.degenerate:
-                        yield (i, jj, k, s, t, w)
+        s_keys, i, t_keys, j, w_keys, k = self.node_keys()
+        for a, b, c in zip(i.tolist(), j.tolist(), k.tolist()):
+            yield a, b, c, s_keys[a], t_keys[b], w_keys[c]
 
-    def node_rows(self):
-        """The (s, t, w) of the non-degenerate nodes, one list per s row that has any."""
-        for _, row in itertools.groupby(self.nodes(), key=lambda node: node[0]):
-            yield [node[3:] for node in row]
+    def node_keys(self):
+        """(s_keys, s_at, t_keys, t_at, w_keys, w_at): the grid axes and each
+        non-degenerate node's index on them (int arrays), in node order."""
+        ns, nt, nw = self.shape
+        keep = np.ones(ns * nt * nw, dtype=bool)
+        keep[list(self.degenerate)] = False
+        flat = np.flatnonzero(keep)
+        return (self.grid.s_values, flat // (nt * nw), self.grid.t_values, flat // nw % nt,
+                self.grid.w_values, flat % nw)
 
     def max_sphere_residual(self) -> float:
         """max |<P-b, P-b> - lam*r^2| over all nodes (lam = 0: |<P-b, P-b>|),

@@ -10,10 +10,11 @@ Two independent routes:
   principal curvatures use the general family formulas of
   gauss_mean_principal, one for both variants: mu1 = mu2 = eps3*eps4*lam^j
   / r, and a rational expression for mu3 in which the supercritical variant
-  negates r'^2 - lam*eps1 and r''. It runs in passes over the nodes of one
-  s row too: g, h and N elementwise over the nodes, stacked det and solve,
-  then the family formulas over the array of f_j, each node keeping the
-  error of its one-node call.
+  negates r'^2 - lam*eps1 and r''. It takes one pass over any list of
+  nodes, such as a whole patch: row values once per distinct s, trig once
+  per distinct t and w, then g, h, N and the family formulas elementwise
+  over the nodes and det g stacked, each node keeping the error of its
+  one-node call.
 * NUMERIC differentiates the point map with 5-point central stencils
   (step 1e-4; 1e-3 for second partials) in passes over the nodes of one s
   row (at most PASS_NODES of them): the 75-node stencils of a pass go
@@ -26,7 +27,9 @@ Two independent routes:
 
 Both routes read the per-s values (frame, b, r, r', r'') from the rows of a
 PointMapCache; a patch's one cache evaluates them once per s value for all
-its consumers. node_reports feeds the patch loops pass by pass;
+its consumers. The patch loops take the closed form in one pass over the
+patch (_closed_forms over SurfacePatch.node_keys) and the numeric route
+pass by pass (node_reports; PASS_NODES bounds the numeric passes only);
 curvature_report, the one scalar entry point, is a pass of one node.
 
 Conventions: K = det(S) and 3H = tr(S); the sign eps_N = <N,N> (= lam here)
@@ -35,14 +38,16 @@ the K-H relation 3Hr - Kr^3 - 2 eps3 eps4 lam^j = 0.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .canal import (CanalConfig, PointMapCache, _distinct, degeneracy_factor,
-                    family_function, indexed_points, transverse, DEGENERATE_A_TOL)
+from .canal import (_EVEN_ODD, CanalConfig, PointMapCache, PointMapRow, _distinct, _math_table,
+                    _pattern, degeneracy_factor, family_function, indexed_points, transverse,
+                    DEGENERATE_A_TOL)
 from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
                      InadmissibleConfigError, RankDeficientError,
                      SingularMetricError, or_error, unwrap)
@@ -94,82 +99,67 @@ def _normal_sign(config: CanalConfig, eps) -> int:
 # ---------------------------------------------------------------------------
 # closed-form route
 
-def _closed_forms(config, s, t, w, cache):
-    """(g, h, N, a2) of the nodes (s, t[n], w[n]) as (n, 3, 3), (n, 3, 3), (n, 4)
-    and (n,) arrays (None if no node gets that far), and each node's error or
-    None. g holds the Minkowski products of the frame components of the surface
-    partials (stacked over the nodes); everything is in the order of the scalar
-    formulas, so every node gets the bits of its one-node call."""
-    errors = [or_error(_check_node, config, v) for v in w]
-    errors = [e if isinstance(e, CanalError) else None for e in errors]
-    if all(errors):
+def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
+    """((g, h, S, N, f_j, r, K, H, mu1 = mu2, mu3), errors) at the nodes
+    (s_keys[s_at], t_keys[t_at], w_keys[w_at]), arrays over the nodes (None if
+    no node gets as far as its row); a node's error is the first its one-node
+    call raises: the node check, its row, transverse, det g ~ 0, the focal D.
+    The per-s factors are floats once per s key, trig runs in math once per t
+    and w key, the rest elementwise in the order of the scalar formulas, det
+    and solve stacked: every node gets the bits of its one-node call."""
+    s_at, t_at, w_at = (np.asarray(x, dtype=np.intp) for x in (s_at, t_at, w_at))
+    checked = [or_error(_check_node, config, v) for v in w_keys]
+    errors = [checked[k] if isinstance(checked[k], CanalError) else None for k in w_at.tolist()]
+    wanted = {i for i, e in zip(s_at.tolist(), errors) if e is None}
+    rows = [or_error(cache.row, x) if i in wanted else None for i, x in enumerate(s_keys)]
+    errors = [e or (rows[i] if isinstance(rows[i], CanalError) else None)
+              for e, i in zip(errors, s_at.tolist())]
+    good = [row for row in rows if isinstance(row, PointMapRow)]
+    if not good:
         return None, errors
-    try:
-        row = cache.row(s)
-    except CanalError as exc:
-        return None, [e or exc for e in errors]
-    coeff = [e or or_error(transverse, config.j, config.variant, tn, wn)
-             for e, tn, wn in zip(errors, t, w)]
-    errors = [x if isinstance(x, CanalError) else None for x in coeff]
-    fr = row.frame
-    e1, e2, e3, e4 = fr.eps
-    rv, rp, rpp, phi, a1 = row.r, row.rp, row.rpp, row.phi, row.axial
-    q = rp * rp - config.lam * e1
-    psi = phi / rv                                      # sigma * sqrt(|q|)
-    # d/ds of sigma*r*sqrt(|q|); the r'' term flips sign with the variant
-    dphi = config.sigma * rp * (abs(q) + config.variant.sign * rv * rpp) / math.sqrt(abs(q))
-    da1 = -config.lam * e1 * (rp * rp + rv * rpp)
-    c = _normal_sign(config, fr.eps)
-    k1, k2, k3 = fr.k1, fr.k2, fr.k3
-    n0, F = c * a1 / rv, list(zip(*fr.tetrad))         # F: (F1..F4) per component
-    # per node in floats (a pass has few nodes, each many terms): the frame
-    # components of the s, t and w partials, and N = n0 F1 + n1 F2 + n2 F3 + n3 F4
-    parts, normals = [], []
-    for a, dat, daw in (((0.0,) * 3,) * 3 if e else x for e, x in zip(errors, coeff)):
-        parts.append(((1.0 + da1 + e3 * e4 * k1 * phi * a[0],
-                       a1 * k1 + dphi * a[0] + e1 * e4 * k2 * phi * a[1],
-                       dphi * a[1] + k2 * phi * a[0] + e1 * e2 * k3 * phi * a[2],
-                       dphi * a[2] + k3 * phi * a[1]),
-                      (0.0, phi * dat[0], phi * dat[1], phi * dat[2]),
-                      (0.0, phi * daw[0], phi * daw[1], phi * daw[2])))
-        n1, n2, n3 = c * psi * a[0], c * psi * a[1], c * psi * a[2]
-        normals.append([x1 * n0 + x2 * n1 + x3 * n2 + x4 * n3 for x1, x2, x3, x4 in F])
+    lam, v, sigma = config.lam, config.variant.sign, config.sigma
+    e1, e2, e3, e4 = eps = good[0].frame.eps       # the rows' frame type fixes eps
+    c = _normal_sign(config, eps)
+
+    def per_s(row):         # r, r'', k1, Q, phi, dphi and the terms' per-s prefixes
+        fr, rv, rp, rpp, phi, a1 = row.frame, row.r, row.rp, row.rpp, row.phi, row.axial
+        q = rp * rp - lam * e1                      # v*q > 0 once the row is built
+        # d/ds of sigma*r*sqrt(|q|); the r'' term flips sign with the variant
+        dphi = sigma * rp * (abs(q) + v * rv * rpp) / math.sqrt(abs(q))
+        return (rv, rpp, fr.k1, v * q, phi, dphi, 1.0 + -lam * e1 * (rp * rp + rv * rpp),
+                a1 * fr.k1, e3 * e4 * fr.k1 * phi, e1 * e4 * fr.k2 * phi, fr.k2 * phi,
+                e1 * e2 * fr.k3 * phi, fr.k3 * phi, c * a1 / rv, c * (phi / rv))
+    # every node of a failed row has an error: the first good row stands in for it
+    rows = [row if isinstance(row, PointMapRow) else good[0] for row in rows]
+    (rv, rpp, k1, Q, phi, dphi, one_da1, a1k1, p0, p1, p2, p3, p4, n0, cpsi) = np.array(
+        [per_s(row) for row in rows])[s_at].T
+    F = np.array([row.basis[1:] for row in rows])[s_at]
+    (et, ot), (ew, ow) = ([_math_table(fn, keys)[at] for fn in _EVEN_ODD[config.j]]
+                          for keys, at in ((t_keys, t_at), (w_keys, w_at)))
+    overflow = np.isnan(et) | np.isnan(ot) | np.isnan(ew) | np.isnan(ow)
+    for n in np.flatnonzero(overflow).tolist():
+        errors[n] = errors[n] or or_error(transverse, config.j, config.variant,
+                                          t_keys[t_at[n]], w_keys[w_at[n]])
+    # nodes with an error may get nan: no result of theirs is read
     with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
-        P = np.array(parts)
+        a, dat, daw = _pattern(config.j, v, et, ot, ew, ow)
+        P = np.zeros((len(errors), 3, 4))
+        P[:, 0] = np.transpose((one_da1 + p0 * a[0], a1k1 + dphi * a[0] + p1 * a[1],
+                                dphi * a[1] + p2 * a[0] + p3 * a[2], dphi * a[2] + p4 * a[1]))
+        for k in range(3):
+            P[:, 1, k + 1], P[:, 2, k + 1] = phi * dat[k], phi * daw[k]
         m = P[:, :, None] * P[:, None]      # e_i u_i v_i = e_i (u_i v_i): e_i = +-1
         g = e1 * m[..., 0] + e2 * m[..., 1] + e3 * m[..., 2] + e4 * m[..., 3]
-        h = -c * g / rv
+        h = -c * g / rv[:, None, None]
         h[:, 0, 0] = -c * (g[:, 0, 0] - e1 * P[:, 0, 0]) / rv
-    a2 = np.array([0.0 if e else x[0][0] for e, x in zip(errors, coeff)])
-    return (g, h, np.array(normals), a2), errors
-
-
-def _closed_reports(config, s, t, w, cache):
-    """The closed-form CurvatureReport, or the CanalError it raises, of each node
-    (s, t[n], w[n]): _closed_forms, det and solve stacked over the nodes, then
-    K, H and mu from the family formulas over the array of f = sigma*a2."""
-    forms, errors = _closed_forms(config, s, t, w, cache)
-    if forms is None:
-        return errors
-    g, h, N, a2 = forms
+        N = (F[:, 0] * n0[:, None] + F[:, 1] * (cpsi * a[0])[:, None]
+             + F[:, 2] * (cpsi * a[1])[:, None] + F[:, 3] * (cpsi * a[2])[:, None])
+        K, H, mu12, mu3, focal = _family_curvatures(config.j, lam, config.variant, eps, k1, rv,
+                                                    Q, rpp, sigma * a[0])
     S, errors = _shape_operators(g, h, errors)
-    row = cache.row(s)
-    fr = row.frame
-    # Q > 0 holds once the row is built; f_j = a2 overflows only where transverse did
-    Q = _admissible_q(config.lam, config.variant, fr.eps[0], row.rp)
-    K, H, mu12, mu3, focal = _family_curvatures(config.j, config.lam, config.variant, fr.eps,
-                                                fr.k1, row.r, Q, row.rpp, config.sigma * a2)
-
-    def report(n):
-        if focal[n]:
-            raise SingularMetricError(_FOCAL)
-        Nn = tuple(N[n].tolist())
-        return CurvatureReport(g=g[n], h=h[n], S=S[n], N=Nn, eps_N=1 if inner(Nn, Nn) > 0 else -1,
-                               K=float(K[n]), H=float(H[n]), mu=(mu12, mu12, float(mu3[n])),
-                               f_j=float(a2[n]),
-                               A=degeneracy_factor(config.j, config.variant, w[n]),
-                               route=Route.CLOSED_FORM)
-    return [e or or_error(report, n) for n, e in enumerate(errors)]
+    errors = [e or (SingularMetricError(_FOCAL) if fo else None)
+              for e, fo in zip(errors, focal.tolist())]
+    return (g, h, S, N, a[0], rv, K, H, mu12, mu3), errors
 
 
 def _admissible_q(lam, variant, eps1, rp):
@@ -334,20 +324,19 @@ def _numeric_reports(config, s, t, w, cache):
 # split evenly into passes this small keep most of the speed of whole rows,
 # with a peak memory that does not grow with the row.
 PASS_NODES = 8
-_REPORTS = {Route.CLOSED_FORM: _closed_reports, Route.NUMERIC: _numeric_reports}
 
 
-def node_reports(patch, routes):
-    """(s, t, w, reports) per non-degenerate node of the patch, in node order:
-    per route the node's CurvatureReport or the CanalError it raises (see
-    unwrap). Both routes take each s row in passes of at most PASS_NODES
-    nodes, reading the patch's cache."""
-    for row in patch.node_rows():
+def node_reports(patch):
+    """(s, t, w, report) per non-degenerate node of the patch, in node order:
+    the node's numeric CurvatureReport or the CanalError it raises (see
+    unwrap), each s row in passes of at most PASS_NODES nodes, reading the
+    patch's cache."""
+    for _, row in itertools.groupby(patch.nodes(), key=lambda node: node[0]):
+        row = [node[3:] for node in row]
         passes = -(-len(row) // PASS_NODES)
         for k in range(passes):
             s, t, w = zip(*row[k * len(row) // passes:(k + 1) * len(row) // passes])
-            columns = [_REPORTS[route](patch.config, s[0], t, w, patch.cache) for route in routes]
-            yield from zip(s, t, w, zip(*columns))
+            yield from zip(s, t, w, _numeric_reports(patch.config, s[0], t, w, patch.cache))
 
 
 # ---------------------------------------------------------------------------
@@ -392,5 +381,15 @@ def _principal(vals) -> tuple[float, float, float]:
 def curvature_report(curve, config, s, t, w,
                      route: Route = Route.CLOSED_FORM) -> CurvatureReport:
     """Full per-node report: g, h, S, N (a 4-tuple), eps_N, K, H, mu, f_j, A,
-    the one-node case of the row pass of node_reports."""
-    return unwrap(_REPORTS[route](config, s, (t,), (w,), PointMapCache(curve, config))[0])
+    the one-node case of the route's pass."""
+    cache = PointMapCache(curve, config)
+    if route is Route.NUMERIC:
+        return unwrap(_numeric_reports(config, s, (t,), (w,), cache)[0])
+    forms, (error,) = _closed_forms(config, cache, (s,), (0,), (t,), (0,), (w,), (0,))
+    unwrap(error)
+    g, h, S, N, f, _, K, H, mu12, mu3 = (x[0] for x in forms)
+    N = tuple(N.tolist())
+    return CurvatureReport(g=g, h=h, S=S, N=N, eps_N=1 if inner(N, N) > 0 else -1, K=float(K),
+                           H=float(H), mu=(float(mu12), float(mu12), float(mu3)), f_j=float(f),
+                           A=degeneracy_factor(config.j, config.variant, w),
+                           route=Route.CLOSED_FORM)

@@ -18,21 +18,13 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 from .errors import DomainError, ExprSyntaxError, UnknownFunctionError
 
-FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tan": math.tan,
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-}
+FUNCTIONS = {name: getattr(math, name)
+             for name in ("sin", "cos", "sinh", "cosh", "tan", "tanh", "exp", "log", "sqrt")}
 
 
 class Expr:
@@ -60,27 +52,27 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Add(Expr):
+class _Binary(Expr):
+    """left op right; the subclass is the operator (nodes of two classes never compare equal)."""
+
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +97,11 @@ _OPS = set("+-*/^()")
 # one, fold, differentiate and Python's compiler through the other
 MAX_NESTING = 100
 _SUBTREES = ("left", "right", "arg", "base")     # the Expr fields of the node types
+MAX_DERIVATIVE_NODES = 10_000      # of a derivative tree (the product rule copies)
+
+
+# a number: digits with at most one dot, and an exponent only if digits follow
+_NUMBER, _NAME = re.compile(r"\d*\.?\d*(?:[eE][+-]?\d+)?"), re.compile(r"\w*")
 
 
 def _tokenize(text):
@@ -123,20 +120,7 @@ def _tokenize(text):
             i += 1
             continue
         if c.isdigit() or c == ".":
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            # exponent part like 1.5e-3
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
+            j = _NUMBER.match(text, i).end()
             try:
                 value = float(text[i:j])
             except ValueError:
@@ -147,9 +131,7 @@ def _tokenize(text):
             i = j
             continue
         if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+            j = _NAME.match(text, i).end()
             tokens.append(("name", text[i:j], i))
             i = j
             continue
@@ -179,26 +161,17 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self):
-        node = self.parse_term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-            else:
-                return node
+        return self._binary("+-", (Add, Sub), self.parse_term)
 
     def parse_term(self):
-        node = self.parse_unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.parse_unary()
-                node = Mul(node, rhs) if value == "*" else Div(node, rhs)
-            else:
-                return node
+        return self._binary("*/", (Mul, Div), self.parse_unary)
+
+    def _binary(self, ops, types, operand):
+        """operand (op operand)* over the ops, left-associative."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = types[ops.index(self.advance()[1])](node, operand())
+        return node
 
     def parse_unary(self):
         signs = 0
@@ -265,15 +238,21 @@ def parse(text: str, variables: tuple[str, ...] = ("s",)) -> Expr:
     return fold(_shallow(node, 0))
 
 
+def _levels(node: Expr):
+    """The nodes of the tree level by level, from the root down."""
+    level = [node]
+    while level:
+        yield level
+        level = [getattr(n, f) for n in level for f in _SUBTREES if hasattr(n, f)]
+
+
 def _shallow(node: Expr, offset) -> Expr:
     """The node, unless its tree nests deeper than MAX_NESTING levels above its
     leaves (ExprSyntaxError); measured level by level, without recursion."""
-    level = [node]
-    for _ in range(MAX_NESTING + 1):
-        level = [getattr(n, f) for n in level for f in _SUBTREES if hasattr(n, f)]
-        if not level:
-            return node
-    raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", offset)
+    for depth, _ in enumerate(_levels(node)):
+        if depth > MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", offset)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +326,14 @@ def _to_python(node):
 # differentiation and constant folding
 
 def differentiate(expr: Expr, var: str = "s") -> Expr:
-    """Exact symbolic derivative, constant-folded."""
-    return fold(_diff(expr, var))
+    """Exact symbolic derivative, constant-folded; ExprSyntaxError past
+    MAX_DERIVATIVE_NODES nodes, before the next order is taken of it."""
+    out = fold(_diff(expr, var))
+    size = sum(map(len, _levels(out)))
+    if size > MAX_DERIVATIVE_NODES:
+        raise ExprSyntaxError(f"expression too large to differentiate: a derivative of "
+                              f"{size} nodes, more than {MAX_DERIVATIVE_NODES}")
+    return out
 
 
 _CHAIN = {

@@ -11,12 +11,11 @@ import math
 
 import numpy as np
 
-from . import expr as ex
-from .analysis import solve_minimal_radius
+from . import analysis, expr as ex
 from .canal import (DEGENERATE_A_TOL, CanalConfig, GridSpec, RadiusProfile, SurfacePatch,
                     Variant, degenerate_nodes)
 from .curve import CurveSpec, FrenetFrame
-from .curvature import Route, node_reports
+from .curvature import _closed_forms, node_reports
 from .errors import CanalError, EmptySliceError, NumericError, unwrap
 
 CSV_HEADER = "s,t,w,K_cf,H_cf,mu1,mu2,mu3,K_num,H_num"   # column contract v1
@@ -58,19 +57,22 @@ def export_obj(patch: SurfacePatch, drop: int = 1, axis: str = "w",
 
 
 def export_curvature_csv(patch: SurfacePatch) -> str:
-    """Per-node curvature rows, closed form and numeric side by side.
+    """Per-node curvature rows, closed form and numeric side by side: the
+    closed form in one pass over the patch, the numeric one pass by pass.
 
     Degenerate nodes and nodes where either route breaks down numerically
-    are skipped.
+    are skipped; any other error, the closed form's first, is raised.
     """
+    forms, cf_errors = _closed_forms(patch.config, patch.cache, *patch.node_keys())
+    K, H, mu12, mu3 = (x.tolist() for x in forms[6:]) if forms else ((),) * 4
     rows = [CSV_HEADER]
-    for s, t, w, (cf, num) in node_reports(patch, (Route.CLOSED_FORM, Route.NUMERIC)):
-        try:
-            cf, num = unwrap(cf), unwrap(num)
-        except NumericError:
+    for n, (s, t, w, num) in enumerate(node_reports(patch)):
+        error = cf_errors[n] or (num if isinstance(num, CanalError) else None)
+        if isinstance(error, NumericError):
             continue
+        unwrap(error)
         rows.append(",".join(repr(float(v)) for v in
-                    (s, t, w, cf.K, cf.H, cf.mu[0], cf.mu[1], cf.mu[2], num.K, num.H)))
+                    (s, t, w, K[n], H[n], mu12[n], mu12[n], mu3[n], num.K, num.H)))
     return "\n".join(rows) + "\n"
 
 
@@ -82,11 +84,12 @@ _CURVE_MODE = {"kind": "symbolic", "step": 1e-4}
 
 
 # the radius kinds: the constructor that rebuilds a profile from its generator,
-# the JSON names of the generator's arguments, and the one a failed build names
+# the JSON names of the generator's arguments, and the one a failed build names;
+# the solver is looked up when called, so a wrapper put on it later is seen
 _RADIUS_KINDS = {
     "constant": (RadiusProfile.from_constant, ("value",), "value"),
     "expr": (RadiusProfile.from_expr, ("text",), "text"),
-    "minimal": (solve_minimal_radius,
+    "minimal": (lambda *args: analysis.solve_minimal_radius(*args),
                 ("eps1_lambda", "c1", "r0", "s_range", "sign", "n_nodes"), "s_range"),
 }
 MAX_RADIUS_NODES = 65537

@@ -299,18 +299,18 @@ def test_weingarten_all_pairs_for_tubular(beta1, gamma4):
 
 
 def test_weingarten_evaluates_k_and_h_once_per_stencil_point(beta1, monkeypatch):
-    """One array pass of the family formulas per s row: each node's 8 stencil
-    points (4 offsets along each axis of the pair) are array elements of that
-    pass, each evaluated exactly once."""
+    """One array pass of the family formulas per pair per patch: each node's
+    8 stencil points (4 offsets along each axis of the pair) are array
+    elements of that pass, each evaluated exactly once."""
     from collections import Counter
     import canal4.analysis as analysis
     from canal4.analysis import WEINGARTEN_FD_STEP as h
     points, sizes = [], []
     kh_points, kernel = analysis._kh_points, analysis._family_curvatures
 
-    def recorded(config, cache, eps, pts):
-        points.append(pts)
-        return kh_points(config, cache, eps, pts)
+    def recorded(config, cache, eps, s_keys, s_at, t_keys, t_at, w_keys, w_at):
+        points.append([(s_keys[i], t_keys[j], w_keys[k]) for i, j, k in zip(s_at, t_at, w_at)])
+        return kh_points(config, cache, eps, s_keys, s_at, t_keys, t_at, w_keys, w_at)
 
     def counted(*args):
         sizes.append(args[-1].shape)
@@ -318,7 +318,7 @@ def test_weingarten_evaluates_k_and_h_once_per_stencil_point(beta1, monkeypatch)
 
     patch = sample_grid(beta1, make_config(1, 1, R2S),
                         GridSpec((1.0, 1.5), (0.3, 1.2, 2.0), (0.4, -0.6)))
-    for pair in ("tw", "sw"):
+    for pair in ("tw", "sw", "st"):
         expected = weingarten_check(patch, pair)
         points.clear()
         sizes.clear()
@@ -327,13 +327,13 @@ def test_weingarten_evaluates_k_and_h_once_per_stencil_point(beta1, monkeypatch)
         report = weingarten_check(patch, pair)
         monkeypatch.undo()
         assert report == expected and report.nodes_checked == 12
-        assert sizes == [(8 * 6,)] * 2             # one call per s row, 8 points per node
-        for row, (i, s) in zip(points, enumerate(patch.grid.s_values)):
-            stencil = Counter(
-                tuple(x + d if a == ax else x for a, x in enumerate((s, t, w)))
-                for t in patch.grid.t_values for w in patch.grid.w_values
-                for ax in map("stw".index, pair) for d in (-2 * h, -h, h, 2 * h))
-            assert Counter(row) == stencil and max(stencil.values()) == 1
+        assert sizes == [(8 * 12,)] and len(points) == 1     # one call, 8 points per node
+        stencil = Counter(
+            tuple(x + d if a == ax else x for a, x in enumerate(node[3:]))
+            for node in patch.nodes()
+            for ax in map("stw".index, pair) for d in (-2 * h, -h, h, 2 * h))
+        assert Counter(points[0]) == stencil and max(stencil.values()) == 1
+        assert len(points[0]) == 8 * 12
 
 
 def _error_patches(beta1, gamma2):
@@ -378,6 +378,62 @@ def test_weingarten_equals_scalar_reference(family_curves, beta1, gamma2, rng):
     assert [k.split(":")[0] for k in kinds] == ["InadmissibleConfigError", "DomainError",
                                                "InadmissibleConfigError"]
     assert "(2, 'standard', 0.3, 710.476)" in kinds[1]     # node 0's w offset comes first
+
+
+def _reference_closed_kh(patch):
+    """check_kh_relation(patch) node by node: oracles.reference_closed_report
+    at each node, raising where it raises."""
+    from canal4.analysis import KH_TOL_CLOSED, TheoremReport
+    fr = patch.frames[0]
+    sgn = fr.eps[2] * fr.eps[3] * patch.config.lam ** patch.config.j
+    worst, n = 0.0, 0
+    for _, _, _, s, t, w in patch.nodes():
+        rep = oracles.reference_closed_report(patch.curve, patch.config, s, t, w)
+        r = patch.config.radius(s)
+        worst = max(worst, abs(3.0 * rep.H * r - rep.K * r ** 3 - 2.0 * sgn))
+        n += 1
+    return TheoremReport("kh-relation[closed-form]", worst, KH_TOL_CLOSED,
+                         worst <= KH_TOL_CLOSED, n)
+
+
+def test_kh_closed_form_equals_per_node_reference(family_curves, beta2, rng):
+    """The closed-form K-H check, one pass over the patch, gives the residual
+    bits and node count of the node-by-node reference loop; on patches whose
+    nodes fail (a degenerate w the patch does not flag, an s row past the
+    domain, a cosh overflow in transverse) it raises the reference's first
+    error, type and message."""
+    from canal4.canal import SurfacePatch, Variant
+    cases = [(j, CanalConfig(j, lam, conftest.random_polynomial_radius(
+                 rng, j, lam, conftest.SWEEP_S_RANGE[j]), sigma))
+             for j, lam in ALL_FAMILIES for sigma in (1, -1)]
+    cases += [(3, CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), -1,
+                              Variant.ALT_SUPERCRITICAL)),
+              (4, CanalConfig(4, -1, RadiusProfile.from_constant(0.3)))]
+    for j, cfg in cases:
+        patch = _patch(family_curves[j], cfg, j)
+        assert repr(check_kh_relation(patch)) == repr(_reference_closed_kh(patch))
+    cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1, Variant.ALT_SUPERCRITICAL)
+    kinds = []
+    for s_vals, t_vals, w_vals in (((1.2, 1.4), (0.3, -0.4), (0.4, 0.0)),    # w = 0: A = 0
+                                   ((1.2, 3.01), (0.3,), (0.4, -0.7)),        # s past the domain
+                                   ((1.2,), (0.3, 800.0), (0.4,)),            # cosh(800)
+                                   ((1.2, 3.01), (800.0, 0.3), (0.4, 0.0))):  # node 0 first
+        grid = GridSpec(s_vals, t_vals, w_vals)
+        frames = tuple(beta2.frame(1.2) for _ in s_vals)   # a row past the domain fails later
+        patch = SurfacePatch(beta2, cfg, grid, np.zeros((len(s_vals) * len(t_vals)
+                                                         * len(w_vals), 4)), frames, frozenset())
+        got, one = (_outcome(lambda: check(patch))
+                    for check in (check_kh_relation, _reference_closed_kh))
+        assert type(got) is type(one) and str(got) == str(one)
+        kinds.append(type(got).__name__)
+    assert kinds == ["DegenerateNodeError", "OutOfDomainError", "DomainError", "DomainError"]
+    # at t or w = 700 the forms overflow to inf and K, H are nan: skipped, with no warning
+    patches = [SurfacePatch(beta2, cfg, GridSpec((1.2,), t_vals, w_vals),
+                            np.zeros((len(t_vals) * len(w_vals), 4)), (beta2.frame(1.2),),
+                            frozenset()) for t_vals, w_vals in (((0.3, 700.0), (0.4, 700.0)),
+                                                                ((0.3,), (0.4,)))]
+    got, one = map(check_kh_relation, patches)
+    assert (got.max_residual, got.nodes_checked) == (one.max_residual, 4)
 
 
 def _outcome(fn):

@@ -447,8 +447,8 @@ def test_nullcone_grid_equals_nullcone_point(beta2):
     grid = GridSpec((0.8, 1.4), (0.0, 0.7), (0.3, 0.9))
     patch = sample_grid(beta2, cfg, grid)
     for i, jj, k, s, t, w in patch.nodes():
-        assert patch.points[patch.flat_index(i, jj, k)] == nullcone_point(beta2, 3, (a2, a4),
-                                                                          s, t, w)
+        assert patch.points[(i * 2 + jj) * 2 + k] == nullcone_point(beta2, 3, (a2, a4),
+                                                                   s, t, w)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -283,26 +283,40 @@ def _assert_same_outcome(got, one):
         (one.eps_N, one.K, one.H, one.mu, one.f_j, one.A, one.route))
 
 
+def _row_keys(s, t, w):
+    """The key and index lists of the closed-form pass over the nodes (s, t[n], w[n])."""
+    return (s,), [0] * len(t), t, range(len(t)), w, range(len(w))
+
+
+def _assert_pass_node(forms, n, ref):
+    """Node n of a _closed_forms pass equals the reference report bit for bit."""
+    g, h, S, N, f, _, K, H, mu12, mu3 = (x[n] for x in forms)
+    for got, one in ((g, ref.g), (h, ref.h), (S, ref.S)):
+        assert got.tobytes() == one.tobytes()
+    assert repr((tuple(N.tolist()), float(K), float(H), (float(mu12), float(mu12), float(mu3)),
+                 float(f))) == repr((ref.N, ref.K, ref.H, ref.mu, ref.f_j))
+
+
 def test_closed_row_pass_equals_per_node_reference(family_curves, rng):
-    """The closed-form pass over an s row gives every node's g, h, N and
-    report bit for bit equal to the original per-node closed form, on every
-    family and branch, the supercritical variant and the tubes; so do the
-    one-node calls, which are passes of one node."""
-    from canal4.curvature import _closed_forms, _closed_reports
+    """The closed-form pass over the nodes of an s row gives every node's g,
+    h, S, N, K, H, mu and f_j bit for bit equal to the original per-node
+    closed form, on every family and branch, the supercritical variant and
+    the tubes; so do the one-node calls, which are passes of one node."""
+    from canal4.curvature import _closed_forms
     for curve, cfg in _row_configs(family_curves, rng):
         s = rng.uniform(*conftest.SWEEP_S_RANGE[cfg.j])
         t = [rng.uniform(0.0, 6.0) if cfg.j == 1 else rng.uniform(-1.3, 1.3) for _ in range(3)]
         w = [rng.choice((-1, 1)) * rng.uniform(0.3, 1.2) for _ in range(3)]
         t, w = [x for x in t for _ in w], w * len(t)
-        (g, h, N, _), errors = _closed_forms(cfg, s, t, w, PointMapCache(curve, cfg))
+        forms, errors = _closed_forms(cfg, PointMapCache(curve, cfg), *_row_keys(s, t, w))
         assert errors == [None] * len(t)
-        reports = _closed_reports(cfg, s, t, w, PointMapCache(curve, cfg))
         for n, node in enumerate(zip(t, w)):
             g_ref, h_ref, N_ref = oracles.reference_closed_forms(curve, cfg, s, *node)
-            assert g[n].tobytes() == g_ref.tobytes() and h[n].tobytes() == h_ref.tobytes()
-            assert N[n].tobytes() == N_ref.tobytes()
-            ref = _outcome(lambda: oracles.reference_closed_report(curve, cfg, s, *node))
-            _assert_same_outcome(reports[n], ref)
+            assert forms[0][n].tobytes() == g_ref.tobytes()
+            assert forms[1][n].tobytes() == h_ref.tobytes()
+            assert forms[3][n].tobytes() == N_ref.tobytes()
+            ref = oracles.reference_closed_report(curve, cfg, s, *node)
+            _assert_pass_node(forms, n, ref)
             _assert_same_outcome(curvature_report(curve, cfg, s, *node), ref)
 
 
@@ -312,7 +326,7 @@ def test_closed_row_errors_match_per_node_reference(beta2):
     node gets the report or the error (type and message) of the per-node
     reference. Past the domain the row fails every node after its own
     degenerate check."""
-    from canal4.curvature import _closed_reports
+    from canal4.curvature import _closed_forms
     cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
                       Variant.ALT_SUPERCRITICAL)
     row = PointMapCache(beta2, cfg).row(1.2)
@@ -323,11 +337,14 @@ def test_closed_row_errors_match_per_node_reference(beta2):
     w = (0.4, 0.0, 0.5, -0.7, 0.5)
     kinds = []
     for s in (1.2, 3.01):
-        reports = _closed_reports(cfg, s, t, w, PointMapCache(beta2, cfg))
-        for node, got in zip(zip(t, w), reports):
-            _assert_same_outcome(got, _outcome(
-                lambda: oracles.reference_closed_report(beta2, cfg, s, *node)))
-            kinds.append(type(got).__name__)
+        forms, errors = _closed_forms(cfg, PointMapCache(beta2, cfg), *_row_keys(s, t, w))
+        for n, node in enumerate(zip(t, w)):
+            one = _outcome(lambda: oracles.reference_closed_report(beta2, cfg, s, *node))
+            if errors[n] is None:
+                _assert_pass_node(forms, n, one)
+            else:
+                assert type(errors[n]) is type(one) and str(errors[n]) == str(one)
+            kinds.append(type(errors[n] or one).__name__)
     assert kinds == ["CurvatureReport", "DegenerateNodeError", "DomainError",
                      "CurvatureReport", "SingularMetricError", "OutOfDomainError",
                      "DegenerateNodeError", "OutOfDomainError", "OutOfDomainError",

@@ -62,6 +62,23 @@ def test_eval_domain_errors():
         evaluate(parse("exp(s)"), s=1e6)   # overflow reported, not inf
 
 
+@pytest.mark.parametrize("text, expected", [
+    (".5e-3*s", [("num", 5e-4, 0), ("op", "*", 5), ("name", "s", 6)]),
+    ("5.+x_1", [("num", 5.0, 0), ("op", "+", 2), ("name", "x_1", 3)]),
+    ("2e+", [("num", 2.0, 0), ("name", "e", 1), ("op", "+", 2)]),   # no digits: no exponent
+    ("1.2.3", [("num", 1.2, 0), ("num", 0.3, 3)]),             # the second dot starts a number
+    (".", "bad number '.'"), ("9e999", "out of range")])
+def test_number_and_name_tokens(text, expected):
+    """A number is digits with at most one dot, and an exponent only if
+    digits follow its e; a name is letters, digits and underscores."""
+    from canal4.expr import _tokenize
+    if isinstance(expected, str):
+        with pytest.raises(ExprSyntaxError, match=expected):
+            _tokenize(text)
+    else:
+        assert _tokenize(text) == expected + [("end", "", len(text))]
+
+
 def test_missing_variable_is_a_domain_error():
     with pytest.raises(DomainError, match="'t'"):
         evaluate(parse("s + t", ("s", "t")), s=1.0)
