@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
 from .canal import (_A2_AND_A, CanalConfig, PointMapCache, RadiusProfile, SurfacePatch,
                     _math_table, family_function)
 from .curvature import (_FOCAL, Route, _admissible_q, _closed_forms, _family_curvatures,
@@ -57,8 +58,10 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
     closed form in one pass over the patch; raises the first node's error."""
     tol = tolerance if tolerance is not None else (
         KH_TOL_CLOSED if route is Route.CLOSED_FORM else KH_TOL_NUMERIC)
-    sgn = -_normal_sign(patch.config, patch.frames[0].eps)      # eps3 eps4 lam^j
     keys = patch.node_keys()
+    if not len(keys[1]):
+        return TheoremReport(f"kh-relation[{route.value}]", 0.0, tol, True, 0)
+    sgn = -_normal_sign(patch.config, patch.frames[0].eps)      # eps3 eps4 lam^j
     if route is Route.NUMERIC:
         K, H = np.array([(rep.K, rep.H) for rep in (unwrap(x[3]) for x in node_reports(patch))]
                         ).reshape(-1, 2).T
@@ -81,6 +84,8 @@ def _kh_points(config, cache, eps, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     """Closed-form (K, H) arrays at the points (s_keys[s_at], t_keys[t_at],
     w_keys[w_at]): row values once per s key, f_j's trig once per t and w key.
     Raises the first point's gauss_mean_principal error (row, Q, f_j, D)."""
+    cache.fill(s_keys)
+
     def per_s(x):
         row = cache.row(x)
         return (row.r, row.frame.k1, row.rpp,
@@ -155,11 +160,11 @@ class FlatnessReport:
 
 
 def _max_k1(curve: CurveSpec, n_samples: int) -> float:
-    worst = 0.0
-    for s in curve.sweep(n_samples):
-        d2 = curve.derivative(s, 2)
-        worst = max(worst, math.sqrt(abs(inner(d2, d2))))
-    return worst
+    sweep = curve.sweep(n_samples)
+    d2 = curve.derivatives(sweep, 2)    # or the scalar calls, which raise the first error
+    d2 = d2[0] if d2 is not None else np.array([curve.derivative(s, 2) for s in sweep])
+    with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
+        return max([0.0, *np.sqrt(np.abs(inner(d2, d2))).tolist()])     # max skips nan
 
 
 def _sample_K_H(curve, config, n=20):
@@ -178,7 +183,7 @@ def classify_flat(curve: CurveSpec, radius: RadiusProfile,
     """Flat iff k1 = 0 and r'' = 0 with |r'| != 1; |r'| = 1 is EXCLUDED."""
     smin, smax = curve.domain
     max_k1 = _max_k1(curve, n_samples)
-    max_rpp = max(abs(radius.r_second(s)) for s in curve.sweep(n_samples))
+    max_rpp = max(map(abs, ex.values(radius.r_second, curve.sweep(n_samples))))
     if max_k1 > TAU_K:
         return FlatnessReport("not-flat", f"k1 reaches {max_k1:.3g} > {TAU_K:g}",
                               max_k1, max_rpp, None)
@@ -208,8 +213,11 @@ class MinimalityReport:
 
 def minimal_radius_residual(radius: RadiusProfile, eps1_lambda: int, s: float) -> float:
     """-2 (r'^2 - eps1*lam) - 3 r r'' at s; zero along minimal profiles."""
-    rp = radius.r_prime(s)
-    return -2.0 * (rp * rp - eps1_lambda) - 3.0 * radius(s) * radius.r_second(s)
+    return _radius_residual(radius.r_prime(s), radius(s), radius.r_second(s), eps1_lambda)
+
+
+def _radius_residual(rp, r, rpp, eps1_lambda):
+    return -2.0 * (rp * rp - eps1_lambda) - 3.0 * r * rpp
 
 
 def classify_minimal(curve: CurveSpec, radius: RadiusProfile, lam: int,
@@ -224,7 +232,9 @@ def classify_minimal(curve: CurveSpec, radius: RadiusProfile, lam: int,
                                 max_k1, math.inf, None)
     fr = curve.frame(0.5 * (smin + smax))
     e1l = fr.eps[0] * lam
-    worst = max(abs(minimal_radius_residual(radius, e1l, s)) for s in curve.sweep(n_samples))
+    sweep = curve.sweep(n_samples)
+    worst = max(abs(_radius_residual(*x, e1l)) for x in
+                zip(*(ex.values(fn, sweep) for fn in (radius.r_prime, radius.r, radius.r_second))))
     if worst > MINIMAL_RESIDUAL_TOL:
         return MinimalityReport("not-minimal",
                                 f"radius equation residual {worst:.3g} > {MINIMAL_RESIDUAL_TOL:g}",

@@ -36,6 +36,9 @@ from .minkowski import Vec4, inner
 
 DEGENERATE_A_TOL = 1e-6     # |A| below this: shape operator undefined at node
 VARIANT_BOUNDARY_TOL = 1e-12
+# Fewest new s values PointMapCache.fill runs its array pass for: below, its
+# fixed cost (measured: 230-450 us) exceeds the scalar rows' (20-40 us each)
+BATCH_MIN_S = 16
 
 
 class Variant(Enum):
@@ -71,8 +74,8 @@ class RadiusProfile:
     def from_constant(cls, c: float) -> "RadiusProfile":
         if not (c > 0 and math.isfinite(c)):
             raise InadmissibleConfigError(f"radius must be positive and finite, got {c!r}")
-        c = float(c)
-        return cls(lambda s: c, lambda s: 0.0, lambda s: 0.0, ("constant", c))
+        r, zero = (ex.compile_expr(ex.Const(x)) for x in (float(c), 0.0))    # with array passes
+        return cls(r, zero, zero, ("constant", float(c)))
 
     def __call__(self, s: float) -> float:
         return self.r(s)
@@ -197,8 +200,12 @@ def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile,
     """Pick the variant from the sign of r'^2 - lam*eps1 over the domain."""
     eps1 = -1 if j == 1 else 1
     sign = None
-    for s in curve.sweep(n_samples):
-        q = radius.r_prime(s) ** 2 - lam * eps1
+    sweep = curve.sweep(n_samples)
+    for s, rp in zip(sweep, ex.values(radius.r_prime, sweep)):
+        try:
+            q = rp ** 2 - lam * eps1
+        except OverflowError:
+            raise DomainError(f"r'^2 - lam*eps1 overflows at s={s!r} (r' = {rp:.6g})") from None
         here = 1 if q > VARIANT_BOUNDARY_TOL else (-1 if q < -VARIANT_BOUNDARY_TOL else 0)
         if here == 0:
             raise InadmissibleConfigError(
@@ -250,6 +257,39 @@ class PointMapCache:
                             for a, slot in zip(config.a_free, _FREE_SLOTS[config.j]))
                       if config.lam == 0 else None)
 
+    def fill(self, keys) -> None:
+        """Build the rows of the keys with no row or frame yet in one array
+        pass, if there are at least BATCH_MIN_S of them. It raises nothing: a
+        row that fails a check of row's, or all if the pass cannot vouch for
+        them, is left to row(s), whose scalar path raises its error."""
+        todo = [s for s in dict.fromkeys(keys) if s not in self._rows and s not in self._frames]
+        if len(todo) < BATCH_MIN_S:
+            return
+        config, n = self.config, len(todo)
+        keep = np.ones(n, dtype=bool)
+        r = rp = rpp = axial = phi = np.zeros(n)
+        if config.lam != 0:
+            fns = (config.radius.r, config.radius.r_prime, config.radius.r_second)
+            table = ex.over(fns, np.array(todo))     # None for a minimal profile
+            if table is None:
+                return
+            r, rp, rpp = table
+            eps1 = -1 if config.j == 1 else 1       # of every frame of type j
+            with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
+                vq = config.variant.sign * (rp * rp - config.lam * eps1)
+                phi = config.sigma * (r * np.sqrt(vq))
+                axial = -config.lam * eps1 * r * rp
+            keep &= ~(r <= 0) & ~(vq <= VARIANT_BOUNDARY_TOL)      # row's tests, nan passing
+        frames, tetrads = self.curve.frames(todo)
+        b = self.curve.derivatives(todo, 0)
+        if b is None or tetrads is None:
+            return
+        keep &= [fr is not None and fr.frame_type == config.j for fr in frames]
+        basis = np.concatenate((b[0][:, None], tetrads), axis=1)      # b, F1..F4 of each row
+        values = np.array((r, rp, rpp, axial, phi)).T[keep].tolist()
+        for i, base, v in zip(np.flatnonzero(keep).tolist(), basis[keep], values):
+            self._rows[todo[i]] = PointMapRow(frames[i], base, *v)
+
     def row(self, s: float) -> PointMapRow:
         """The row at s, built and checked on first use."""
         hit = self._rows.get(s)
@@ -297,11 +337,12 @@ def indexed_points(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_ke
     (et, ot), (ew, ow) = ([_math_table(fn, keys) for fn in _EVEN_ODD[config.j]]
                           for keys in (t_keys, w_keys))
     A, B = (ew, ow)[::config.variant.sign]
-    a2, a3, a4 = _place(config.j, et[t_at], ot[t_at], A[w_at], B[w_at])
-    return (basis[..., 0, :] + axial[..., None] * basis[..., 1, :]
-            + (phi * a2)[..., None] * basis[..., 2, :]
-            + (phi * a3)[..., None] * basis[..., 3, :]
-            + (phi * a4)[..., None] * basis[..., 4, :])
+    with np.errstate(all="ignore"):     # overflow gives inf or nan, which callers check for
+        a2, a3, a4 = _place(config.j, et[t_at], ot[t_at], A[w_at], B[w_at])
+        return (basis[..., 0, :] + axial[..., None] * basis[..., 1, :]
+                + (phi * a2)[..., None] * basis[..., 2, :]
+                + (phi * a3)[..., None] * basis[..., 3, :]
+                + (phi * a4)[..., None] * basis[..., 4, :])
 
 
 def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,
@@ -401,7 +442,7 @@ def validate_config(curve: CurveSpec, config: CanalConfig,
     if config.lam == 0:
         return AdmissibilityReport(not reasons, tuple(reasons))
 
-    r_min = min(map(config.radius, curve.sweep(n_samples)))
+    r_min = min(ex.values(config.radius.r, curve.sweep(n_samples)))
     if r_min <= 0:
         reasons.append(f"radius must stay positive (min {r_min:.6g})")
 
@@ -532,6 +573,7 @@ def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> Surfac
                           t_vals, np.tile(np.repeat(np.arange(nt), nw), ns),
                           w_vals, np.tile(np.arange(nw), ns * nt))
 
+    cache.fill(s_vals)
     frames = []
     try:
         for s in s_vals:

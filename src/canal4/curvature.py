@@ -111,6 +111,7 @@ def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     checked = [or_error(_check_node, config, v) for v in w_keys]
     errors = [checked[k] if isinstance(checked[k], CanalError) else None for k in w_at.tolist()]
     wanted = {i for i, e in zip(s_at.tolist(), errors) if e is None}
+    cache.fill(x for i, x in enumerate(s_keys) if i in wanted)
     rows = [or_error(cache.row, x) if i in wanted else None for i, x in enumerate(s_keys)]
     errors = [e or (rows[i] if isinstance(rows[i], CanalError) else None)
               for e, i in zip(errors, s_at.tolist())]
@@ -331,6 +332,7 @@ def node_reports(patch):
     the node's numeric CurvatureReport or the CanalError it raises (see
     unwrap), each s row in passes of at most PASS_NODES nodes, reading the
     patch's cache."""
+    patch.cache.fill(v for s in patch.grid.s_values for v in _axis_values(s))
     for _, row in itertools.groupby(patch.nodes(), key=lambda node: node[0]):
         row = [node[3:] for node in row]
         passes = -(-len(row) // PASS_NODES)

@@ -16,8 +16,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import expr as ex
-from .errors import (DomainError, FrameDegenerateError, NonUnitSpeedError,
+from .errors import (CanalError, DomainError, FrameDegenerateError, NonUnitSpeedError,
                      NullResidualError, OutOfDomainError)
 from .minkowski import TAU_NULL, Vec4, inner, norm, triple_cross
 
@@ -69,6 +71,12 @@ def _euclid_sq(v) -> float:
 
 def _is_null_residual(v) -> bool:
     return abs(inner(v, v)) <= TAU_NULL * max(1.0, _euclid_sq(v))
+
+
+def _null_rows(v, q):
+    """_is_null_residual of 4-tuples of column arrays, with q = inner(v, v);
+    fmax, as max(1.0, x), keeps 1.0 against a nan."""
+    return abs(q) <= TAU_NULL * np.fmax(1.0, _euclid_sq(v))
 
 
 def _scaled(v, a):      # v * a
@@ -165,6 +173,19 @@ class CurveSpec:
         x1, x2, x3, x4 = self._fns(order)
         return (x1(s), x2(s), x3(s), x4(s))
 
+    def derivatives(self, s_values, *orders: int):
+        """b^(order) of the orders at each s in one array pass, an (orders, n,
+        4) array with the bits of derivative(s, order); None where the pass
+        cannot vouch for every s (see expr.over), and derivative decides."""
+        s = np.array(s_values, dtype=float)
+        try:
+            for x in (s.min(), s.max()):        # a nan is both
+                self._check_domain(x)
+        except OutOfDomainError:
+            return None
+        out = ex.over([f for k in orders for f in self._fns(k)], s)
+        return None if out is None else out.reshape(len(orders), 4, -1).transpose(0, 2, 1)
+
     # -- frames -------------------------------------------------------------
 
     def frenet(self, s: float) -> FrenetFrame:
@@ -198,12 +219,60 @@ class CurveSpec:
         k3 = e4 * inner(d4, f4) / (k1 * k2)
         return _checked_frame((f1, f2, f3, f4), (e1, e2, e3, e4), (k1, k2, k3), f" at s={s!r}")
 
+    def frames(self, s_values):
+        """(frames, tetrads): frame(s) at each s, and F1..F4 as an (n, 4, 4)
+        array, from frenet's operations in its order on 4-tuples of column
+        arrays. A row that fails a check of frenet's gets None (frame(s) then
+        raises its error), or the line frame at k1 = 0 on a line."""
+        d = self.derivatives(s_values, 1, 2, 3, 4)
+        if d is None:
+            return [None] * len(s_values), None
+        f1, d2, d3, d4 = (tuple(x.T) for x in d)
+        with np.errstate(all="ignore"):     # a row that overflows fails a check
+            q = inner(f1, f1)
+            ok = (abs(abs(q) - 1.0) <= 10 * TOL_UNIT) & ~_null_rows(f1, q)
+            e1 = np.where(q > 0, 1, -1)
+            rho2 = _minus(d2, e1 * inner(d2, f1), f1)
+            q = inner(rho2, rho2)
+            k1 = np.sqrt(abs(q))
+            flat = ok & (k1 <= TAU_K)       # frenet's FrameDegenerateError at k1
+            ok &= ~_null_rows(rho2, q) & (k1 > TAU_K)
+            f2 = _scaled(rho2, 1.0 / k1)
+            e2 = np.where(inner(f2, f2) > 0, 1, -1)
+            rho3 = _minus(_minus(d3, e1 * inner(d3, f1), f1), e2 * inner(d3, f2), f2)
+            q = inner(rho3, rho3)
+            k2 = np.sqrt(abs(q)) / k1
+            ok &= ~_null_rows(rho3, q) & (k2 > TAU_K)
+            f3 = _scaled(rho3, 1.0 / np.sqrt(abs(q)))
+            e3 = np.where(inner(f3, f3) > 0, 1, -1)
+            cross = triple_cross(f1, f2, f3)
+            q = inner(cross, cross)
+            e4 = np.where(q > 0, 1, -1)
+            f4 = _scaled(cross, -e4 / np.sqrt(abs(q)))
+            k3 = e4 * inner(d4, f4) / (k1 * k2)
+        table = np.array((*f1, *f2, *f3, *f4, k1, k2, k3)).T
+        ok &= np.isfinite(table).all(axis=1) & (e1 + e2 + e3 + e4 == 2)    # one eps = -1
+        if flat.any() and self._line_frame is None:
+            try:
+                if self.is_straight():
+                    self._line_frame = self.frame_for_line()
+            except CanalError:              # frame(s) raises it
+                pass
+        out = [self._line_frame if f else None for f in flat.tolist()]
+        if self._line_frame is not None:
+            table[flat, :16] = sum(self._line_frame.tetrad, ())
+        eps = np.array((e1, e2, e3, e4)).T[ok].tolist()
+        for i, x, e in zip(np.flatnonzero(ok).tolist(), table[ok].tolist(), eps):
+            out[i] = FrenetFrame((tuple(x[:4]), tuple(x[4:8]), tuple(x[8:12]), tuple(x[12:16])),
+                                 tuple(e), *x[16:])
+        return out, table[:, :16].reshape(-1, 4, 4)
+
     def is_straight(self, n_samples: int = 16) -> bool:
         """True when b'' vanishes across the domain (within TAU_K)."""
-        for s in self.sweep(n_samples):
-            if math.sqrt(_euclid_sq(self.derivative(s, 2))) > TAU_K:
-                return False
-        return True
+        sweep = self.sweep(n_samples)
+        d2 = self.derivatives(sweep, 2)
+        rows = d2[0].tolist() if d2 is not None else (self.derivative(s, 2) for s in sweep)
+        return not any(math.sqrt(_euclid_sq(d)) > TAU_K for d in rows)
 
     def frame_for_line(self) -> FrenetFrame:
         """Constant frame for a straight (k1 = 0) non-null curve, with the
@@ -245,9 +314,11 @@ class CurveSpec:
         """Report max | |<b',b'>| - 1 | over an even sample of the domain."""
         if n_samples < 2:
             raise ValueError("n_samples must be >= 2")
-        worst = 0.0
-        for s in self.sweep(n_samples):
-            d1 = self.derivative(s, 1)
+        sweep = self.sweep(n_samples)
+        d1 = self.derivatives(sweep, 1)     # or the scalar calls, which raise the first error
+        d1 = d1[0] if d1 is not None else np.array([self.derivative(s, 1) for s in sweep])
+        with np.errstate(all="ignore"):
             gap = abs(abs(inner(d1, d1)) - 1.0)
-            worst = max(worst, math.inf if math.isnan(gap) else gap)    # nan: the speed overflows
+        # nan: the speed overflows
+        worst = max([0.0, *np.where(np.isnan(gap), math.inf, gap).tolist()])
         return UnitSpeedReport(worst, TOL_UNIT, worst <= TOL_UNIT, n_samples)

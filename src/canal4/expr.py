@@ -16,10 +16,14 @@ functions of (s, t, w)).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
+import types
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownFunctionError
 
@@ -264,6 +268,21 @@ _NAMESPACE = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
 _NAMESPACE["_pow"] = math.pow
 
 
+def _per_element(fn):
+    """fn through math on each element of an array (numpy's exp, cosh and
+    power may differ from libm in the last bit), or on a float."""
+    def apply(x, *args):
+        if not isinstance(x, np.ndarray):
+            return fn(x, *args)
+        return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, len(x))
+    return apply
+
+
+# the array passes' globals: + - * / (the code's own operators) and sqrt run in
+# numpy, which rounds them correctly, as Python floats do
+_ARRAY_NAMESPACE = {**{k: _per_element(fn) for k, fn in _NAMESPACE.items()}, "_sqrt": np.sqrt}
+
+
 def _domain_error(expr, variables, values, problem, name):
     """DomainError for a math error or a non-finite value at these values."""
     where = ", ".join(f"{k}={v!r}" for k, v in zip(variables, values))
@@ -276,7 +295,10 @@ def _domain_error(expr, variables, values, problem, name):
 def compile_expr(expr: Expr, variables: tuple[str, ...] = ("s",), name: str | None = None):
     """Compile to a positional function of the variables. Math errors and
     non-finite results raise DomainError instead of returning NaN/Inf; its
-    message names the function (such as r' or x2'') when name is given."""
+    message names the function (such as r' or x2'') when name is given. Its
+    array attribute, over's pass, runs the same code under _ARRAY_NAMESPACE;
+    None if a literal is not finite (Python folds 1e308*10 to inf, which
+    1e308*10*s/0 would carry past the trapped division into exp(-inf) = 0)."""
     try:
         fn = eval(f"lambda {', '.join(variables)}: {_to_python(expr)}",
                   _NAMESPACE)  # code generated from our own AST
@@ -291,7 +313,36 @@ def compile_expr(expr: Expr, variables: tuple[str, ...] = ("s",), name: str | No
         if math.isfinite(value):
             return value
         raise _domain_error(expr, variables, values, value, name)
+    finite = all(math.isfinite(c) for c in fn.__code__.co_consts if type(c) is float)
+    checked.array = types.FunctionType(fn.__code__, _ARRAY_NAMESPACE) if finite else None
     return checked
+
+
+def over(fns, *columns):
+    """The compiled functions fns at each element of the aligned float arrays
+    columns in one array pass: a (len(fns), n) array with the bits of their
+    scalar calls, or None where the pass cannot vouch for every element (no
+    array pass, an IEEE exception, a math error); the scalar calls decide
+    then. With every IEEE exception trapped, no inf or nan forms in the pass."""
+    passes = [getattr(fn, "array", None) for fn in fns]
+    if None in passes:
+        return None
+    out = np.empty((len(fns), len(columns[0])))
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            for k, array_pass in enumerate(passes):
+                out[k] = array_pass(*columns)       # a constant fills its row
+    except (ArithmeticError, ValueError):           # FloatingPointError or math's errors
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+def values(fn, points):
+    """fn at each point (floats), in order: the floats of its array pass where
+    that succeeds, else map(fn, points), which meets each point's error where
+    a loop of scalar calls does."""
+    out = over((fn,), np.array(points, dtype=float))
+    return map(fn, points) if out is None else out[0].tolist()
 
 
 def evaluate(expr: Expr, **env: float) -> float:

@@ -52,6 +52,16 @@ def test_kh_identity_closed_and_numeric(beta1):
     assert rep_num.passed and rep_num.max_residual <= 1e-4
 
 
+@pytest.mark.parametrize("route", [Route.CLOSED_FORM, Route.NUMERIC])
+def test_kh_relation_on_a_patch_without_s_values(beta1, route):
+    """A patch with no s values has no nodes: a passing report of 0 nodes, as
+    weingarten_check gives, not an IndexError from its missing frames."""
+    patch = sample_grid(beta1, make_config(1, 1, R2S), GridSpec((), (0.1,), (0.2,)))
+    rep = check_kh_relation(patch, route)
+    assert (rep.passed, rep.nodes_checked, rep.max_residual) == (True, 0, 0.0)
+    assert weingarten_check(patch, "tw").nodes_checked == 0
+
+
 def test_kh_identity_all_families(family_curves, rng):
     for j, lam in ALL_FAMILIES:
         curve = family_curves[j]

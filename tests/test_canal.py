@@ -1,6 +1,7 @@
 """Canal point construction, admissibility, null cones, and grid sampling."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,15 +13,16 @@ import oracles
 from oracles import (example_surface_11, example_surface_1m1,
                      example_surface_31, example_surface_3m1)
 
+from canal4 import canal
 from canal4 import expr as ex
-from canal4.analysis import _hermite
+from canal4.analysis import _hermite, solve_minimal_radius
 from canal4.canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
                           Variant, canal_point, canal_points, degeneracy_factor,
                           family_function, nullcone_point, resolve_variant, sample_grid,
                           transverse, validate_config)
 from canal4.curve import CurveSpec
-from canal4.errors import (DomainError, FrameDegenerateError, InadmissibleConfigError,
-                           VariantViolatedError)
+from canal4.errors import (CanalError, DomainError, FrameDegenerateError,
+                           InadmissibleConfigError, VariantViolatedError)
 from canal4.minkowski import Vec4, inner
 
 R2S = RadiusProfile.from_expr("2*s")
@@ -470,3 +472,105 @@ def test_hermite_reproduces_cubics_and_node_values(coeffs, start, gaps, at):
     for frac in at:
         x = s[0] + frac * (s[-1] - s[0])
         assert abs(f(x) - (c0 + x * (c1 + x * (c2 + x * c3)))) <= 1e-12 * size, x
+
+
+# ---------------------------------------------------------------------------
+# PointMapCache.fill: rows of one array pass, or the scalar path's errors
+
+def _outcome(cache, s):
+    """The row at s as text (repr of the frame, hex of the floats and of the
+    basis), or the type and message of the error it raises."""
+    try:
+        row = cache.row(s)
+    except Exception as exc:                # noqa: BLE001 -- compared, not handled
+        return type(exc).__name__, str(exc)
+    return (repr(row.frame), row.basis.tobytes().hex(),
+            [x.hex() for x in (row.r, row.rp, row.rpp, row.axial, row.phi)])
+
+
+def _filled(curve, config, s):
+    cache = PointMapCache(curve, config)
+    cache.fill(s)
+    return cache
+
+
+_A_FREE = (ex.parse("w*cos(t)", ("s", "t", "w")), ex.parse("w*sin(t)", ("s", "t", "w")))
+
+
+@pytest.mark.parametrize("curve, config", [
+    ("beta1", CanalConfig(1, 1, R2S)),
+    ("beta2", CanalConfig(3, -1, RadiusProfile.from_expr("1 + 0.3*s"), sigma=-1)),
+    ("beta2", CanalConfig(3, 0, a_free=_A_FREE)),
+    ("gamma2", CanalConfig(2, 1, RadiusProfile.from_constant(0.7), 1, Variant.ALT_SUPERCRITICAL)),
+    ("gamma4", CanalConfig(4, -1, RadiusProfile.from_expr("exp(s/4)"))),
+    ("varying_curvature_curve", CanalConfig(1, 1, RadiusProfile.from_expr("2 + sin(s)"))),
+    ("spacelike_line", CanalConfig(2, -1, solve_minimal_radius(1, 1.0, 1.0, (0.5, 2.5)))),
+    ("timelike_line", CanalConfig(1, 1, RadiusProfile.from_constant(1.5))),
+], ids=["beta1", "beta2", "nullcone", "tube-alt", "gamma4", "varying", "minimal", "line-tube"])
+def test_fill_builds_the_rows_of_the_scalar_path(curve, config, request):
+    """Every row from the one pass, but those of a minimal profile, which has
+    no array pass (its rows come from row(s)); the scalar path's bits."""
+    curve = request.getfixturevalue(curve)
+    s = curve.sweep(canal.BATCH_MIN_S + 3)
+    batch = _filled(curve, config, s)
+    assert set(batch._rows) == (set() if config.radius and config.radius.generator[0] == "minimal"
+                                else set(s))
+    scalar = PointMapCache(curve, config)
+    assert [_outcome(batch, x) for x in s] == [_outcome(scalar, x) for x in s]
+
+
+@pytest.mark.parametrize("curve, config", [
+    (CurveSpec(("0", "2*s", "0", "0"), (0.0, 2.0)), CanalConfig(2, -1, R2S)),     # not unit speed
+    (CurveSpec(("0", "cos(s)", "sin(s)", "0"), (0.0, 3.0)), CanalConfig(2, -1, R2S)),  # k2 = 0
+    ("beta1", CanalConfig(2, -1, R2S)),                                   # frame type mismatch
+    ("beta1", CanalConfig(1, 1, RadiusProfile.from_expr("1.7 - s"))),     # r <= 0 from s = 1.7
+    ("gamma2", CanalConfig(2, 1, RadiusProfile.from_expr("0.5*s^2"))),    # variant violated below 1
+    ("beta1", CanalConfig(1, 1, RadiusProfile.from_expr("2 + 1/(s - 1.625)"))),  # r fails at 1.625
+    ("beta1", CanalConfig(1, 1, RadiusProfile.from_expr("2 + sqrt(s - 1) - sqrt(s - 1)"))),  # below 1
+], ids=["speed", "k2", "frame-type", "radius-sign", "variant", "radius-pole", "radius-sqrt"])
+def test_fill_leaves_every_failing_row_to_the_scalar_error(curve, config, request):
+    """A row that fails a check gets, from row(s), the scalar path's error
+    with its type and message; the other rows are the scalar path's rows."""
+    if isinstance(curve, str):
+        curve = request.getfixturevalue(curve)
+    s = curve.sweep(2 * canal.BATCH_MIN_S + 7)      # 0.25 + 0.0625 * i hits 1.625 on beta1
+    batch, scalar = _filled(curve, config, s), PointMapCache(curve, config)
+    outcomes = [_outcome(batch, x) for x in s]
+    assert outcomes == [_outcome(scalar, x) for x in s]
+    assert any(len(o) == 2 for o in outcomes)
+
+
+@pytest.mark.parametrize("tail, error", [
+    (" + ((s - 1.625)/(s - 1.625) - 1)", "DomainError"),       # b^(k) fails at s = 1.625 only
+    ("", "InadmissibleConfigError"),                           # r <= 0 from s = 1.625 on
+])
+def test_sample_grid_checks_the_earlier_rows_before_the_first_error(tail, error, monkeypatch):
+    """On a curve or radius that fails at an interior s, sample_grid raises the
+    scalar path's error only after the points of the earlier rows are built
+    and checked; the array pass and the scalar rows agree."""
+    curve = CurveSpec(("2*sinh(s)", "2*cosh(s)", "sqrt(3)*cos(s)", "sqrt(3)*sin(s)" + tail),
+                      (0.25, 3.0))
+    config = CanalConfig(1, 1, R2S if tail else RadiusProfile.from_expr("1.625 - s"))
+    grid = GridSpec(curve.sweep(2 * canal.BATCH_MIN_S + 7), (0.1, 0.2), (0.3,))
+    runs = []
+    for batch_min in (canal.BATCH_MIN_S, 10 ** 9):          # the array pass, then scalar rows
+        monkeypatch.setattr(canal, "BATCH_MIN_S", batch_min)
+        rows = []
+        monkeypatch.setattr(canal, "_points_at", lambda *a, f=canal._points_at:
+                            rows.append(len(a[2])) or f(*a))
+        with pytest.raises(CanalError) as err:
+            sample_grid(curve, config, grid)
+        runs.append((type(err.value).__name__, str(err.value), rows))
+        monkeypatch.undo()
+    assert runs[0] == runs[1]
+    assert runs[0][0] == error and runs[0][2] == [grid.s_values.index(1.625)]
+
+
+def test_point_map_overflow_raises_no_numpy_warning(beta2):
+    """A product of finite trig values that overflows gives a DomainError,
+    with no RuntimeWarning (an error under -W error) on the way."""
+    config = CanalConfig(3, 1, R2S)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite surface point at s=1.0, t=400.0"):
+            sample_grid(beta2, config, GridSpec((1.0,), (400.0,), (400.0,)))

@@ -664,6 +664,18 @@ def test_hyperbolic_overflow_exit_3(tmp_path, capsys, command, axis):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["build", "curvature", "verify", "export"])
+@pytest.mark.parametrize("radius, at", [("1e200*s", "s=0.25 (r' = 1e+200)"),
+                                        ("exp(1000*s)", "s=0.421875 (r' = 1.6519e+186)")])
+def test_overflowing_radius_slope_exit_3(tmp_path, capsys, command, radius, at):
+    """r'^2 overflows while the variant is resolved: a numeric breakdown that
+    names r' and s, not an OverflowError traceback."""
+    out = ["--obj" if command == "export" else "--out", str(tmp_path / "x")]
+    assert run([command, "--example", "beta1", "--radius", radius, "--family", "j1,l1",
+                "--grid", "2x2x1", *(out if command != "verify" else [])]) == 3
+    assert capsys.readouterr().err == f"numeric breakdown: r'^2 - lam*eps1 overflows at {at}\n"
+
+
 def test_domain_error_names_the_function(tmp_path, capsys):
     assert run(["build", "--example", "beta1", "--radius", "1e308*10*s",
                 "--out", str(tmp_path / "x.json")]) == 3

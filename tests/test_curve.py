@@ -273,3 +273,47 @@ def test_varying_curvature_frame(varying_curvature_curve):
         assert fr.k1 == pytest.approx(math.cosh(s), rel=1e-10)
         assert fr.k2 > 0.1
         assert abs(fr.k3) < 1e-9        # curve sits in a hyperplane
+
+
+# ---------------------------------------------------------------------------
+# array passes over an s axis: the bits of the scalar loop
+
+_CURVES = ["beta1", "beta2", "gamma2", "gamma4", "varying_curvature_curve", "spacelike_line",
+           "timelike_line"]
+
+
+def _hex_rows(rows):
+    return [[float(x).hex() for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("name", _CURVES)
+def test_array_passes_equal_the_scalar_loop(name, request):
+    """derivatives, frames and their tetrads equal derivative(s, k) and
+    frame(s) at every s bit for bit (by repr and hex), the stencil overhang
+    and the lines' k1 = 0 rows included."""
+    curve = request.getfixturevalue(name)
+    smin, smax = curve.domain
+    s = curve.sweep(37) + [smin - STENCIL_REACH, smax + STENCIL_REACH]
+    for k in range(5):
+        assert _hex_rows(curve.derivatives(s, k)[0].tolist()) == _hex_rows(
+            [curve.derivative(x, k) for x in s])
+    frames, tetrads = curve.frames(s)
+    assert [repr(fr) for fr in frames] == [repr(curve.frame(x)) for x in s]
+    assert _hex_rows(tetrads.reshape(-1, 16).tolist()) == _hex_rows(
+        [sum(fr.tetrad, ()) for fr in frames])
+
+
+def test_array_passes_leave_failing_rows_to_the_scalar_path():
+    """A row frenet rejects gets no frame from the pass; a pass that cannot
+    vouch for some s (outside the domain, a math error) gets no rows at all."""
+    s = [0.5, 1.0, 1.5]
+    for curve in (CurveSpec(("0", "2*s", "0", "0"), (0.0, 2.0)),            # not unit speed
+                  CurveSpec(("1048576*s", "1048576*s", "s", "0"), (0.0, 2.0)),  # null tangent
+                  CurveSpec(("0", "cos(s)", "sin(s)", "0"), (0.0, 3.0))):   # k2 = 0, not straight
+        assert curve.frames(s)[0] == [None] * 3
+    beta1 = CurveSpec(("2*sinh(s)", "2*cosh(s)", "sqrt(3)*cos(s)", "sqrt(3)*sin(s)"), (0.25, 3.0))
+    assert beta1.derivatives([1.0, 3.5], 1) is None
+    assert beta1.frames([1.0, 3.5])[0] == [None, None]
+    broken = CurveSpec(("2*sinh(s)", "2*cosh(s)", "sqrt(3)*cos(s)", "sqrt(3)*sin(s) + log(s - 1)"),
+                       (0.25, 3.0))
+    assert broken.derivatives([1.5, 0.5, 2.0], 0) is None

@@ -2,13 +2,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canal4.errors import DomainError, ExprSyntaxError, UnknownFunctionError
-from canal4.expr import (MAX_NESTING, Add, Const, Var, compile_expr, differentiate, evaluate,
-                         parse, variables_of)
+from canal4.expr import (FUNCTIONS, MAX_NESTING, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var,
+                         compile_expr, differentiate, evaluate, fold, over, parse, values,
+                         variables_of)
 
 
 def test_parse_linear():
@@ -231,3 +233,76 @@ def test_polynomial_identity(a, b):
     e = parse(f"({a!r}) + ({b!r})*s^2")
     s = 0.7
     assert evaluate(e, s=s) == pytest.approx(a + b * s * s, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array passes: the bits of the scalar calls, or None and the scalar error
+
+_LEAVES = st.one_of(st.just(Var("s")), st.sampled_from([0.0, 1.0, -2.5, 0.5, 3.0]).map(Const),
+                    st.floats(-4.0, 4.0, allow_nan=False).map(Const))
+
+
+def _grow(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from([Add, Sub, Mul, Div]), children,
+                  children),
+        st.builds(Pow, children, st.sampled_from([2.0, 3.0, -1.0, -2.0, 0.5, -0.5, 1.5, 1 / 3])),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), children))
+
+
+_TREES = st.recursive(_LEAVES, _grow, max_leaves=10)
+# points where log, sqrt, fractional powers, 1/s, exp and cosh fail or overflow
+_POINTS = st.lists(st.one_of(st.sampled_from([0.0, -1.0, 1.0, 0.5, -0.5, 2.0, 750.0, -750.0]),
+                             st.floats(-3.0, 3.0, allow_nan=False)), min_size=1, max_size=6)
+
+
+def _scalar_calls(fn, points):
+    """[fn(p) for p in points] as hex strings (the sign of a zero counts), or
+    the first DomainError."""
+    try:
+        return [fn(p).hex() for p in points]
+    except DomainError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, _POINTS, st.booleans())
+def test_array_pass_gives_the_scalar_bits_or_the_scalar_error(tree, points, folded):
+    """Every function, ^ with negative and fractional exponents, constant
+    components: over gives the bits of the scalar calls, or None; where a
+    scalar call fails it gives None, and values raises the scalar loop's
+    first error, with its type and message."""
+    fn = compile_expr(fold(tree) if folded else tree, name="f")
+    expected = _scalar_calls(fn, points)
+    out = over((fn,), np.array(points))
+    if isinstance(expected, DomainError):
+        assert out is None
+        with pytest.raises(DomainError) as err:
+            list(values(fn, points))
+        assert type(err.value) is type(expected) and str(err.value) == str(expected)
+    else:
+        if out is not None:     # None also where an overflow the scalar calls survive traps
+            assert [x.hex() for x in out[0].tolist()] == expected
+        assert [x.hex() for x in values(fn, points)] == expected
+
+
+def test_array_pass_runs_for_curves_and_constants():
+    """The pass vouches for ordinary components, constants included."""
+    s = np.array([0.3, 1.1, 2.9])
+    fns = [compile_expr(parse(t)) for t in ("2*sinh(s)", "sqrt(3)*cos(s)", "0", "s^-2 + log(s)")]
+    out = over(fns, s)
+    assert out is not None and out.shape == (4, 3)
+    assert out.tolist() == [[fn(x) for x in s.tolist()] for fn in fns]
+
+
+@pytest.mark.parametrize("text", ["exp(-1/(s - 1.1))", "1/(1/(s - 1.1))", "tanh(1/(s - 1.1))",
+                                  "exp(-(1e308*10*s)/(s - 1.1))", "1/(1e308*10*s/(s - 1.1))"])
+def test_array_pass_traps_an_inf_that_would_vanish(text):
+    """1/0 is inf in numpy, and exp(-inf), 1/inf and tanh(inf) are finite:
+    the pass traps the division (and has no pass for a literal that Python
+    folds to inf), so the scalar call's ZeroDivisionError stays."""
+    fn = compile_expr(parse(text), name="f")
+    assert over((fn,), np.array([1.1])) is None
+    with pytest.raises(DomainError, match=r"^f\(s\) = .* at s=1.1: float division by zero"):
+        list(values(fn, [1.1]))
