@@ -23,8 +23,8 @@ import numpy as np
 from . import expr as ex
 from .canal import (_A2_AND_A, CanalConfig, PointMapCache, RadiusProfile, SurfacePatch,
                     _math_table, family_function)
-from .curvature import (_FOCAL, Route, _admissible_q, _closed_forms, _family_curvatures,
-                        _normal_sign, node_reports)
+from .curvature import (_FOCAL, Route, _admissible_q, _closed_forms, _cube, _family_curvatures,
+                        _normal_sign, numeric_kh)
 from .curve import CurveSpec, TAU_K
 from .errors import (CanalError, DomainExitError, InadmissibleConfigError, SingularMetricError,
                      or_error, unwrap)
@@ -54,26 +54,27 @@ class TheoremReport:
 
 def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
                       tolerance: float | None = None) -> TheoremReport:
-    """max |3 H r - K r^3 - 2 eps3 eps4 lam^j| over non-degenerate nodes, the
-    closed form in one pass over the patch; raises the first node's error."""
+    """max |3 H r - K r^3 - 2 eps3 eps4 lam^j| over non-degenerate nodes, in one
+    closed-form pass or numeric_kh's blocks; raises a DomainError where r^3
+    overflows on a row, else the first node's error."""
     tol = tolerance if tolerance is not None else (
         KH_TOL_CLOSED if route is Route.CLOSED_FORM else KH_TOL_NUMERIC)
     keys = patch.node_keys()
     if not len(keys[1]):
         return TheoremReport(f"kh-relation[{route.value}]", 0.0, tol, True, 0)
     sgn = -_normal_sign(patch.config, patch.frames[0].eps)      # eps3 eps4 lam^j
+    # r^3 of each row first (nan where the row fails): where it overflows, no residual exists
+    r = [getattr(or_error(patch.cache.row, s), "r", math.nan) for s in keys[0]]
+    r, r3 = np.array([(x, _cube(x, "r^3 at s={!r} (r = {:.6g})", s, x))
+                      for s, x in zip(keys[0], r)])[keys[1]].T
     if route is Route.NUMERIC:
-        K, H = np.array([(rep.K, rep.H) for rep in (unwrap(x[3]) for x in node_reports(patch))]
-                        ).reshape(-1, 2).T
+        K, H, errors = numeric_kh(patch)
     else:
         forms, errors = _closed_forms(patch.config, patch.cache, *keys)
-        unwrap(next(filter(None, errors), None))
         K, H = forms[6:8] if forms else ((), ())
-    worst = 0.0
-    if len(K):
-        r, r3 = np.array([(row.r, row.r ** 3) for row in map(patch.cache.row, keys[0])])[keys[1]].T
-        with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
-            worst = max([worst, *np.abs(3.0 * H * r - K * r3 - 2.0 * sgn).tolist()])
+    unwrap(next(filter(None, errors), None))
+    with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
+        worst = max([0.0, *np.abs(3.0 * H * r - K * r3 - 2.0 * sgn).tolist()])
     return TheoremReport(f"kh-relation[{route.value}]", worst, tol, worst <= tol, len(K))
 
 

@@ -330,20 +330,24 @@ def indexed_points(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_ke
 
     Evaluates b + axial*F1 + (phi*a2)*F2 + (phi*a3)*F3 + (phi*a4)*F4 with the
     cache rows at s_keys, elementwise in that order (the same IEEE results as
-    scalar arithmetic). Trig runs in math once per key (_math_table).
+    scalar arithmetic), gathering one basis vector at a time. Trig runs in
+    math once per key (_math_table).
     """
     rows = [cache.row(v) for v in s_keys]
-    basis = np.array([r.basis for r in rows])[s_at]
-    axial, phi = np.array([(r.axial, r.phi) for r in rows])[s_at].T
+    s_at, t_at, w_at = np.broadcast_arrays(s_at, t_at, w_at)
+    basis = np.array([r.basis for r in rows]).transpose(1, 0, 2)     # (5, len(s_keys), 4)
+    axial, phi = np.array([(r.axial, r.phi) for r in rows]).T[:, s_at]
     (et, ot), (ew, ow) = ([_math_table(fn, keys) for fn in _EVEN_ODD[config.j]]
                           for keys in (t_keys, w_keys))
     A, B = (ew, ow)[::config.variant.sign]
     with np.errstate(all="ignore"):     # overflow gives inf or nan, which callers check for
-        a2, a3, a4 = _place(config.j, et[t_at], ot[t_at], A[w_at], B[w_at])
-        return (basis[..., 0, :] + axial[..., None] * basis[..., 1, :]
-                + (phi * a2)[..., None] * basis[..., 2, :]
-                + (phi * a3)[..., None] * basis[..., 3, :]
-                + (phi * a4)[..., None] * basis[..., 4, :])
+        a = _place(config.j, et[t_at], ot[t_at], A[w_at], B[w_at])
+        out, term = basis[0][s_at], np.empty(s_at.shape + (4,))
+        for k, vector in enumerate(basis[1:]):
+            np.take(vector, s_at, axis=0, out=term)
+            term *= (axial if k == 0 else phi * a[k - 1])[..., None]
+            out += term
+        return out
 
 
 def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,

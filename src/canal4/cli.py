@@ -120,18 +120,15 @@ class Job:
 
         if example:
             self.curve_components = builtin.example_components(example)
-            default_range_s = builtin.EXAMPLE_DOMAIN
-            default_radius = builtin.EXAMPLE_RADIUS
-            default_family = (builtin.EXAMPLE_FRAME_TYPE[example], 1)
-            default_slice_w = builtin.EXAMPLE_SLICE_W
+            default_range_s, default_radius, default_family, default_slice_w = (
+                builtin.EXAMPLE_DOMAIN, builtin.EXAMPLE_RADIUS,
+                (builtin.EXAMPLE_FRAME_TYPE[example], 1), builtin.EXAMPLE_SLICE_W)
         else:
             if not all(explicit):
                 raise ConfigError("all four of --curve-x1..x4 are required")
             self.curve_components = tuple(explicit)
-            default_range_s = (0.25, 3.0)
-            default_radius = None
-            default_family = None
-            default_slice_w = None
+            default_range_s, default_radius, default_family, default_slice_w = (
+                (0.25, 3.0), None, None, None)
 
         range_s = get("range_s")
         self.s_range = _parse_range(range_s, "--range-s") if range_s else default_range_s
@@ -184,19 +181,13 @@ class Job:
         # grid
         grid_text = get("grid")
         self.counts = _parse_grid(grid_text) if grid_text else (12, 16, 1)
-        if self.j == 1:
-            default_t = (0.0, 2.0 * math.pi)
-            default_w = (-0.5 * math.pi, 0.5 * math.pi)
-            t_endpoint = False
-        else:
-            default_t = (-2.0, 2.0)
-            default_w = (-2.0, 2.0)
-            t_endpoint = True
+        default_t, default_w, self.t_endpoint = (
+            ((0.0, 2.0 * math.pi), (-0.5 * math.pi, 0.5 * math.pi), False) if self.j == 1
+            else ((-2.0, 2.0), (-2.0, 2.0), True))
         range_t = get("range_t")
         self.t_range = _parse_range(range_t, "--range-t") if range_t else default_t
         range_w = get("range_w")
         self.w_range = _parse_range(range_w, "--range-w") if range_w else default_w
-        self.t_endpoint = t_endpoint
 
         if default_slice_w is None:
             default_slice_w = 0.5 * (self.w_range[0] + self.w_range[1])
@@ -285,12 +276,8 @@ def _verify_grid(job: Job) -> GridSpec:
     inset = max(0.01, 4 * analysis.WEINGARTEN_FD_STEP)
     s_vals = GridSpec.linspace((s0 + inset, s1 - inset), 5)
     if job.j == 1:
-        t_vals = (0.35, 1.15, 2.05, 3.85, 5.35)
-        w_vals = (-1.05, -0.35, 0.45, 1.05)
-    else:
-        t_vals = (-1.45, -0.65, 0.35, 0.85, 1.35)
-        w_vals = (-1.15, -0.45, 0.55, 1.25)
-    return GridSpec(s_vals, t_vals, w_vals)
+        return GridSpec(s_vals, (0.35, 1.15, 2.05, 3.85, 5.35), (-1.05, -0.35, 0.45, 1.05))
+    return GridSpec(s_vals, (-1.45, -0.65, 0.35, 0.85, 1.35), (-1.15, -0.45, 0.55, 1.25))
 
 
 def cmd_verify(args, file_values):

@@ -1,36 +1,23 @@
 """Fundamental forms, shape operator and curvatures of canal hypersurfaces.
 
-Two independent routes:
+Two independent routes, each a pass over any nodes given as keys and index
+arrays (such as SurfacePatch.node_keys), elementwise in the order of the
+scalar formulas: every node gets the bits and the error of its one-node call
+(curvature_report, the one scalar entry point). Both read the per-s values
+(frame, b, r, r', r'') from a PointMapCache, a patch's one cache.
 
 * CLOSED_FORM evaluates exact expressions in (s, t, w, r, r', r'', k1, k2,
-  k3). The first fundamental form comes from the frame components of the
-  surface partials (the moving-frame relations make these finite formulas);
-  the second form follows from h_col = -c/r * g_col with c = -eps3*eps4*
-  lam^j, except h11 which picks up the tangential term. K, H and the
-  principal curvatures use the general family formulas of
-  gauss_mean_principal, one for both variants: mu1 = mu2 = eps3*eps4*lam^j
-  / r, and a rational expression for mu3 in which the supercritical variant
-  negates r'^2 - lam*eps1 and r''. It takes one pass over any list of
-  nodes, such as a whole patch: row values once per distinct s, trig once
-  per distinct t and w, then g, h, N and the family formulas elementwise
-  over the nodes and det g stacked, each node keeping the error of its
-  one-node call.
-* NUMERIC differentiates the point map with 5-point central stencils
-  (step 1e-4; 1e-3 for second partials) in passes over the nodes of one s
-  row (at most PASS_NODES of them): the 75-node stencils of a pass go
-  through one indexed_points call, then the partials, g, N, h and the
-  stacked det, solve and eigvals run as arrays, each node keeping its own
-  errors. It takes the normal as the normalized triple cross product of
-  the partials, oriented along the radial vector c(C - b) of its own
-  stencil centre (the exact normal is (c/r)(C - b)), and computes g, h,
-  S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S).
-
-Both routes read the per-s values (frame, b, r, r', r'') from the rows of a
-PointMapCache; a patch's one cache evaluates them once per s value for all
-its consumers. The patch loops take the closed form in one pass over the
-patch (_closed_forms over SurfacePatch.node_keys) and the numeric route
-pass by pass (node_reports; PASS_NODES bounds the numeric passes only);
-curvature_report, the one scalar entry point, is a pass of one node.
+  k3). g comes from the frame components of the surface partials (the
+  moving-frame relations make these finite formulas), h_col = -c/r * g_col
+  with c = -eps3*eps4*lam^j except h11, which picks up the tangential term,
+  and K, H and mu from the family formulas of gauss_mean_principal, one for
+  both variants (the supercritical one negates r'^2 - lam*eps1 and r'').
+* NUMERIC differentiates the point map with 5-point central stencils (step
+  1e-4; 1e-3 for second partials), the 75-point stencils of a pass in one
+  indexed_points call. The normal is the normalized triple cross product of
+  the partials, oriented along the radial vector c(C - b) (the exact normal
+  is (c/r)(C - b)); S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S).
+  numeric_kh takes a patch in blocks of NUMERIC_BLOCK nodes across s rows.
 
 Conventions: K = det(S) and 3H = tr(S); the sign eps_N = <N,N> (= lam here)
 is reported but not folded into K or H, matching the family formulas and
@@ -38,14 +25,13 @@ the K-H relation 3Hr - Kr^3 - 2 eps3 eps4 lam^j = 0.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .canal import (_EVEN_ODD, CanalConfig, PointMapCache, PointMapRow, _distinct, _math_table,
+from .canal import (_EVEN_ODD, CanalConfig, PointMapCache, PointMapRow, _math_table,
                     _pattern, degeneracy_factor, family_function, indexed_points, transverse,
                     DEGENERATE_A_TOL)
 from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
@@ -246,30 +232,43 @@ def _fd2(P, h):
             + 16.0 * P[..., 3, :] - P[..., 4, :]) * (1.0 / (12 * h * h))
 
 
-def _numeric_forms(config, s, t, w, cache):
-    """(g, h, N) of the nodes (s, t[n], w[n]) as (n, 3, 3), (n, 3, 3), (n, 4)
-    arrays (None if no node gets that far), and each node's error or None.
-    One indexed_points call evaluates the stencils of all nodes; the rest is
-    elementwise in the order of the scalar formulas, so every node gets the
-    bits of its one-node call."""
-    errors = [or_error(_check_node, config, v) for v in w]
-    errors = [e if isinstance(e, CanalError) else None for e in errors]
-    if all(errors):
+def _numeric_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
+    """((g, h, S, N, K, H, eig), errors) as _closed_forms gives its forms: one
+    indexed_points call evaluates every stencil, and det, solve and eigvals
+    are stacked (the same bits as one call per matrix). A stencil s row that
+    fails gives its error, the first in _axis_values order, to the nodes of
+    its own s key only."""
+    s_at, t_at, w_at = (np.asarray(x, dtype=np.intp) for x in (s_at, t_at, w_at))
+    checked = {k: or_error(_check_node, config, w_keys[k]) for k in dict.fromkeys(w_at.tolist())}
+    errors = [checked[k] if isinstance(checked[k], CanalError) else None for k in w_at.tolist()]
+
+    def stencil_rows(x):
+        for v in _axis_values(x):
+            cache.row(v)
+    wanted = dict.fromkeys(i for i, e in zip(s_at.tolist(), errors) if e is None)
+    failed = {i: or_error(stencil_rows, s_keys[i]) for i in wanted}
+    errors = [e or failed[i] for e, i in zip(errors, s_at.tolist())]
+    good = [i for i, e in failed.items() if e is None]
+    if not good:
         return None, errors
-    (t_keys, t_at), (w_keys, w_at) = _distinct(t), _distinct(w)
+
+    def stencil(keys, at, used=None):
+        """The stencil values of the keys used (by default those in at, found
+        without np.unique's sort) and each node's index among them."""
+        used = list(dict.fromkeys(at.tolist())) if used is None else used
+        pos = np.zeros(len(keys), dtype=np.intp)
+        pos[used] = range(len(used))
+        return [v for i in used for v in _axis_values(keys[i])], pos[at]
+    (s_values, s_in), (t_values, t_in), (w_values, w_in) = (
+        stencil(s_keys, s_at, good), stencil(t_keys, t_at), stencil(w_keys, w_at))
     si, ti, wi = _STENCIL.T
-    try:
-        P = indexed_points(config, cache, _axis_values(s), si,
-                           [v for x in t_keys for v in _axis_values(x)],
-                           9 * np.array(t_at)[:, None] + ti,
-                           [v for x in w_keys for v in _axis_values(x)],
-                           9 * np.array(w_at)[:, None] + wi)
-    except CanalError as exc:               # a per-s row of the stencil
-        return None, [e or exc for e in errors]
+    P = indexed_points(config, cache, s_values, 9 * s_in[:, None] + si, t_values,
+                       9 * t_in[:, None] + ti, w_values, 9 * w_in[:, None] + wi)
 
     def flag(bad, error):
-        for n in np.flatnonzero(bad):
-            errors[n] = errors[n] or error(f"s={s!r}, t={t[n]!r}, w={w[n]!r}")
+        for n in np.flatnonzero(bad).tolist():
+            errors[n] = errors[n] or error(
+                f"s={s_keys[s_at[n]]!r}, t={t_keys[t_at[n]]!r}, w={w_keys[w_at[n]]!r}")
 
     flag(~np.isfinite(P).all(axis=(1, 2)),
          lambda at: DomainError(f"non-finite surface point near {at}"))
@@ -288,57 +287,42 @@ def _numeric_forms(config, s, t, w, cache):
         N = cross * (1.0 / np.sqrt(np.abs(qn)))[:, None]
         # the exact normal is (c/r)(C - b), so the numeric one is close to
         # +-that; P[:, 14] is the stencil centre, the node itself
-        row = cache.row(s)
-        radial = _normal_sign(config, row.frame.eps) * (P[:, 14] - row.basis[0])
+        rows = [cache.row(s_keys[i]) for i in good]
+        radial = _normal_sign(config, rows[0].frame.eps) * (
+            P[:, 14] - np.array([row.basis[0] for row in rows])[s_in])
         N = np.where(((N * radial).sum(axis=1) < 0)[:, None], -N, N)
         h = inner(np.concatenate((second, mixed), axis=1)[:, _H_INDEX], N[:, None, None])
         flag(~(np.isfinite(g).all(axis=(1, 2)) & np.isfinite(h).all(axis=(1, 2))),
              lambda at: DomainError(f"non-finite partials near {at}"))
-        return (g, h, N), errors
-
-
-def _numeric_reports(config, s, t, w, cache):
-    """The numeric CurvatureReport, or the CanalError it raises, of each node
-    (s, t[n], w[n]): _numeric_forms, then det, solve and eigvals stacked over
-    the nodes (the same bits as one call per matrix)."""
-    forms, errors = _numeric_forms(config, s, t, w, cache)
-    if forms is None:
-        return errors
-    g, h, N = forms
     S, errors = _shape_operators(g, h, errors)
-    K = np.linalg.det(h) / np.linalg.det(g)
-    H = np.trace(S, axis1=1, axis2=2) / 3.0
     eig = np.linalg.eigvals(S)
-
-    def report(n):
-        Nn = tuple(N[n].tolist())
-        return CurvatureReport(g=g[n], h=h[n], S=S[n], N=Nn, eps_N=1 if inner(Nn, Nn) > 0 else -1,
-                               K=float(K[n]), H=float(H[n]), mu=_principal(eig[n]),
-                               f_j=family_function(config.j, config.variant, t[n], w[n]),
-                               A=degeneracy_factor(config.j, config.variant, w[n]),
-                               route=Route.NUMERIC)
-    return [e or or_error(report, n) for n, e in enumerate(errors)]
+    errors = [e or x for e, x in zip(errors, _complex_pairs(eig))]
+    return (g, h, S, N, np.linalg.det(h) / np.linalg.det(g),
+            np.trace(S, axis1=1, axis2=2) / 3.0, eig), errors
 
 
-# Most nodes in one pass. A pass has a fixed cost (tens of numpy calls) and
-# the numeric one holds the stencil arrays of all its nodes at once: rows
-# split evenly into passes this small keep most of the speed of whole rows,
-# with a peak memory that does not grow with the row.
-PASS_NODES = 8
+# Nodes per numeric pass: a pass has a fixed cost (tens of numpy calls) and holds
+# about 12 KB a node. 48 keeps most of the speed of larger blocks, whose arrays
+# raised the peak RSS of a CLI run by 1.5-3% (block sweep in CHANGES.md).
+NUMERIC_BLOCK = 48
 
 
-def node_reports(patch):
-    """(s, t, w, report) per non-degenerate node of the patch, in node order:
-    the node's numeric CurvatureReport or the CanalError it raises (see
-    unwrap), each s row in passes of at most PASS_NODES nodes, reading the
-    patch's cache."""
-    patch.cache.fill(v for s in patch.grid.s_values for v in _axis_values(s))
-    for _, row in itertools.groupby(patch.nodes(), key=lambda node: node[0]):
-        row = [node[3:] for node in row]
-        passes = -(-len(row) // PASS_NODES)
-        for k in range(passes):
-            s, t, w = zip(*row[k * len(row) // passes:(k + 1) * len(row) // passes])
-            yield from zip(s, t, w, _numeric_reports(patch.config, s[0], t, w, patch.cache))
+def numeric_kh(patch):
+    """(K, H, errors) of the numeric route at the patch's nodes (node_keys):
+    arrays (any value where a node has an error) and each node's CanalError
+    or None, in passes over blocks of NUMERIC_BLOCK nodes across s rows."""
+    s_keys, s_at, t_keys, t_at, w_keys, w_at = patch.node_keys()
+    patch.cache.fill(v for s in s_keys for v in _axis_values(s))
+    K, H = np.full((2, len(s_at)), math.nan)
+    errors = []
+    for lo in range(0, len(s_at), NUMERIC_BLOCK):
+        block = slice(lo, lo + NUMERIC_BLOCK)
+        forms, block_errors = _numeric_forms(patch.config, patch.cache, s_keys, s_at[block],
+                                             t_keys, t_at[block], w_keys, w_at[block])
+        if forms is not None:
+            K[block], H[block] = forms[4:6]
+        errors += block_errors
+    return K, H, errors
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +342,40 @@ def _shape_operators(g, h, errors):
     return np.linalg.solve(g, h), errors
 
 
+def _cube(x: float, what: str, *args) -> float:
+    """x ** 3 in floats; where it overflows, a DomainError naming what.format(*args)."""
+    try:
+        return x ** 3
+    except OverflowError:
+        raise DomainError(what.format(*args) + " overflows") from None
+
+
 def _check_metric(scale: float, det_g: float):
     """Raise SingularMetricError when det g ~ 0 against g's scale max |g_ij|."""
     scale = scale or 1.0
-    if abs(det_g) < SINGULAR_REL_TOL * scale ** 3:
+    if abs(det_g) < SINGULAR_REL_TOL * _cube(scale, "scale^3 of det g (max |g_ij| = {:.3g})",
+                                             scale):
         raise SingularMetricError(f"det g = {det_g:.3g} below {SINGULAR_REL_TOL:g}*scale^3")
 
 
-def _principal(vals) -> tuple[float, float, float]:
-    """Real parts of S's eigenvalues, the double root first.
+def _complex_pairs(eig):
+    """ComplexEigenvaluesError or None per row of S's (n, 3) eigenvalues: FD
+    noise splits the structural double root into a conjugate pair, so the
+    threshold on the imaginary parts is relative to the eigenvalues' size."""
+    imag, real = np.abs(eig.imag).max(axis=1), np.abs(eig.real)
+    top = real[:, 0]
+    for k in (1, 2):                        # as max() of floats: a leading nan only stays
+        top = np.where(real[:, k] > top, real[:, k], top)
+    return [ComplexEigenvaluesError(f"complex principal curvatures (max imag {x:.3g})")
+            if bad else None
+            for bad, x in zip((imag > EIG_IMAG_REL_TOL * (1.0 + top)).tolist(), imag.tolist())]
 
-    FD noise splits the structural double root into a conjugate pair whose
-    imaginary part scales with the perturbation, so the truncation threshold
-    is relative to the eigenvalue magnitude.
-    """
-    imag = float(np.abs(vals.imag).max())
+
+def _principal(vals) -> tuple[float, float, float]:
+    """Real parts of S's eigenvalues, the double root first; raises the
+    ComplexEigenvaluesError of _complex_pairs."""
+    unwrap(_complex_pairs(vals[None])[0])
     vals = tuple(vals.real.tolist())
-    if imag > EIG_IMAG_REL_TOL * (1.0 + max(map(abs, vals))):
-        raise ComplexEigenvaluesError(f"complex principal curvatures (max imag {imag:.3g})")
     _, a, b = min((abs(vals[a] - vals[b]), a, b) for a, b in ((0, 1), (0, 2), (1, 2)))
     return (vals[a], vals[b], vals[({0, 1, 2} - {a, b}).pop()])
 
@@ -384,14 +384,17 @@ def curvature_report(curve, config, s, t, w,
                      route: Route = Route.CLOSED_FORM) -> CurvatureReport:
     """Full per-node report: g, h, S, N (a 4-tuple), eps_N, K, H, mu, f_j, A,
     the one-node case of the route's pass."""
-    cache = PointMapCache(curve, config)
-    if route is Route.NUMERIC:
-        return unwrap(_numeric_reports(config, s, (t,), (w,), cache)[0])
-    forms, (error,) = _closed_forms(config, cache, (s,), (0,), (t,), (0,), (w,), (0,))
+    numeric = route is Route.NUMERIC
+    forms, (error,) = (_numeric_forms if numeric else _closed_forms)(
+        config, PointMapCache(curve, config), (s,), (0,), (t,), (0,), (w,), (0,))
     unwrap(error)
-    g, h, S, N, f, _, K, H, mu12, mu3 = (x[0] for x in forms)
+    if numeric:
+        g, h, S, N, K, H, eig = (x[0] for x in forms)
+        mu, f = _principal(eig), family_function(config.j, config.variant, t, w)
+    else:
+        g, h, S, N, f, _, K, H, mu12, mu3 = (x[0] for x in forms)
+        mu, f = (float(mu12), float(mu12), float(mu3)), float(f)
     N = tuple(N.tolist())
     return CurvatureReport(g=g, h=h, S=S, N=N, eps_N=1 if inner(N, N) > 0 else -1, K=float(K),
-                           H=float(H), mu=(float(mu12), float(mu12), float(mu3)), f_j=float(f),
-                           A=degeneracy_factor(config.j, config.variant, w),
-                           route=Route.CLOSED_FORM)
+                           H=float(H), mu=mu, f_j=f,
+                           A=degeneracy_factor(config.j, config.variant, w), route=route)

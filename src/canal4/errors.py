@@ -15,7 +15,8 @@ def or_error(fn, *args):
     computation hands on for its caller to raise where it reaches the node."""
     try:
         return fn(*args)
-    except CanalError as exc:
+    except CanalError as exc:       # its traceback would hold it and the batch in a cycle
+        exc.__traceback__ = exc.__cause__ = exc.__context__ = None
         return exc
 
 

@@ -20,6 +20,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 import types
 from dataclasses import dataclass
 
@@ -263,8 +264,10 @@ def _shallow(node: Expr, offset) -> Expr:
 # evaluation: one code generator
 
 _MATH_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
-# the globals of every compiled function
-_NAMESPACE = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
+# the globals of every compiled function; the names are interned once here, or
+# each compile would intern them anew, and a dropped one leaves a dead slot in
+# the interpreter's table of interned strings, which grows with them
+_NAMESPACE = {sys.intern(f"_{name}"): fn for name, fn in FUNCTIONS.items()}
 _NAMESPACE["_pow"] = math.pow
 
 

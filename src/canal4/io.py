@@ -15,7 +15,7 @@ from . import analysis, expr as ex
 from .canal import (DEGENERATE_A_TOL, CanalConfig, GridSpec, RadiusProfile, SurfacePatch,
                     Variant, degenerate_nodes)
 from .curve import CurveSpec, FrenetFrame
-from .curvature import _closed_forms, node_reports
+from .curvature import _closed_forms, numeric_kh
 from .errors import CanalError, EmptySliceError, NumericError, unwrap
 
 CSV_HEADER = "s,t,w,K_cf,H_cf,mu1,mu2,mu3,K_num,H_num"   # column contract v1
@@ -58,21 +58,22 @@ def export_obj(patch: SurfacePatch, drop: int = 1, axis: str = "w",
 
 def export_curvature_csv(patch: SurfacePatch) -> str:
     """Per-node curvature rows, closed form and numeric side by side: the
-    closed form in one pass over the patch, the numeric one pass by pass.
+    closed form in one pass over the patch, the numeric one by numeric_kh.
 
     Degenerate nodes and nodes where either route breaks down numerically
     are skipped; any other error, the closed form's first, is raised.
     """
     forms, cf_errors = _closed_forms(patch.config, patch.cache, *patch.node_keys())
     K, H, mu12, mu3 = (x.tolist() for x in forms[6:]) if forms else ((),) * 4
+    K_num, H_num, num_errors = numeric_kh(patch)
     rows = [CSV_HEADER]
-    for n, (s, t, w, num) in enumerate(node_reports(patch)):
-        error = cf_errors[n] or (num if isinstance(num, CanalError) else None)
+    for n, (_, _, _, s, t, w) in enumerate(patch.nodes()):
+        error = cf_errors[n] or num_errors[n]
         if isinstance(error, NumericError):
             continue
         unwrap(error)
         rows.append(",".join(repr(float(v)) for v in
-                    (s, t, w, K[n], H[n], mu12[n], mu12[n], mu3[n], num.K, num.H)))
+                    (s, t, w, K[n], H[n], mu12[n], mu12[n], mu3[n], K_num[n], H_num[n])))
     return "\n".join(rows) + "\n"
 
 

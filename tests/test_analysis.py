@@ -491,28 +491,35 @@ def test_radius_evaluated_once_per_distinct_s(beta1):
 
 
 def test_numeric_loops_evaluate_the_point_map_once_per_pass(beta1, monkeypatch):
-    """The numeric K-H check and the CSV export put the stencils of an s row
-    through one point-map evaluation per pass of at most PASS_NODES nodes,
-    not one per node: 6 nodes a row take one pass, 12 take two."""
+    """The numeric K-H check and the CSV export put the stencils of the
+    patch's nodes through one point-map evaluation per block of NUMERIC_BLOCK
+    nodes in node order, blocks crossing s rows: ceil(n / block) calls of
+    block nodes each, the last the rest, at the real block size and at 5."""
     import canal4.curvature as curvature
     from canal4.io import export_curvature_csv
-    rows = []
+    sizes, rows = [], []
     original = curvature.indexed_points
 
-    def counted(config, cache, s_keys, *rest):
-        rows.append(s_keys[4])          # the row's own s among the stencil's nine
-        return original(config, cache, s_keys, *rest)
+    def counted(config, cache, s_keys, s_at, *rest):
+        sizes.append(len(s_at))
+        rows.append(len(s_keys) // 9)   # the s rows of the block, nine stencil values each
+        return original(config, cache, s_keys, s_at, *rest)
 
     monkeypatch.setattr(curvature, "indexed_points", counted)
-    assert curvature.PASS_NODES == 8
-    for w_values, passes in (((0.4, -0.6), 1), ((0.4, -0.6, 0.2, -0.1), 2)):
-        patch = sample_grid(beta1, make_config(1, 1, R2S),
-                            GridSpec((1.0, 1.5), (0.3, 1.2, 2.0), w_values))
-        for check in (lambda: check_kh_relation(patch, Route.NUMERIC),
-                      lambda: export_curvature_csv(patch)):
-            rows.clear()
-            check()
-            assert rows == [1.0] * passes + [1.5] * passes
+    for block in (curvature.NUMERIC_BLOCK, 5):
+        monkeypatch.setattr(curvature, "NUMERIC_BLOCK", block)
+        for t_values in ((0.3, 1.2, 2.0), tuple(0.1 * k for k in range(1, 23))):
+            patch = sample_grid(beta1, make_config(1, 1, R2S),
+                                GridSpec((1.0, 1.5, 2.0), t_values, (0.4, -0.6)))
+            n = 3 * len(t_values) * 2
+            calls = -(-n // block)
+            for check in (lambda: check_kh_relation(patch, Route.NUMERIC),
+                          lambda: export_curvature_csv(patch)):
+                sizes.clear()
+                rows.clear()
+                check()
+                assert sizes == [block] * (calls - 1) + [n - block * (calls - 1)]
+                assert max(rows) >= 2          # some block spans two s rows
 
 
 def test_import_does_not_load_scipy():

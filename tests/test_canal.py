@@ -574,3 +574,23 @@ def test_point_map_overflow_raises_no_numpy_warning(beta2):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="non-finite surface point at s=1.0, t=400.0"):
             sample_grid(beta2, config, GridSpec((1.0,), (400.0,), (400.0,)))
+
+
+@pytest.mark.parametrize("shape", [(9, 75), (9, 9)], ids=["stencil", "square"])
+def test_indexed_points_with_two_dimensional_indices(beta2, shape):
+    """s, t and w index arrays of shape (n, m) give, element by element, the
+    bits of a one-node call: axial and phi follow each element's own s index
+    (a square index array must not pair them with another element's)."""
+    from canal4.canal import indexed_points
+    cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
+                      Variant.ALT_SUPERCRITICAL)
+    cache = PointMapCache(beta2, cfg)
+    keys = (np.linspace(0.5, 2.5, 7).tolist(), np.linspace(-1.3, 1.3, 5).tolist(),
+            np.linspace(0.2, 1.2, 6).tolist())
+    rng = np.random.default_rng(17)
+    at = [rng.integers(0, len(k), size=shape) for k in keys]
+    P = indexed_points(cfg, cache, keys[0], at[0], keys[1], at[1], keys[2], at[2])
+    assert P.shape == (*shape, 4)
+    for n, m in itertools.product(*map(range, shape)):
+        one = indexed_points(cfg, cache, *(x for k, a in zip(keys, at) for x in (k, [a[n, m]])))
+        assert P[n, m].tobytes() == one[0].tobytes()

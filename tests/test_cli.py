@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: subcommands, exit codes, file formats,
 determinism, and the checked-in OBJ golden."""
+import contextlib
+import io
 import json
 import math
+import tempfile
 import time
 import re
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -690,3 +694,89 @@ def test_curvature_on_short_s_range(tmp_path):
     assert run(["curvature", "--example", "beta1", "--range-s=1:2", "--range-w=-1:1",
                 "--grid", "3x3x3", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 27
+
+
+@pytest.mark.parametrize("route", ["cf", "num", "both"])
+def test_overflowing_radius_cube_exit_3(capsys, route):
+    """r^3 overflows in the K-H check on either route: a numeric breakdown that
+    names r^3 and s, not an OverflowError traceback."""
+    assert run(["verify", "--example", "beta1", "--radius", "1e120*s", "--route", route]) == 3
+    assert capsys.readouterr().err == "numeric breakdown: r^3 at s=0.26 (r = 2.6e+119) overflows\n"
+
+
+def test_overflowing_metric_scale_exit_3(capsys):
+    """The singular-metric test's scale^3 overflows at g ~ 1e239: a numeric
+    breakdown, not an OverflowError traceback."""
+    assert run(["verify", "--example", "beta1", "--radius", "1e60*s"]) == 3
+    assert capsys.readouterr().err == (
+        "numeric breakdown: scale^3 of det g (max |g_ij| = 3.87e+239) overflows\n")
+
+
+_RADII = ("2*s", "1e120*s", "1e120", "0.5 + s", "1e200*s", "1e308", "exp(700*s)", "nan",
+          "700", "2*s + 1e120", "-1e120*s", "1e308*s*s")
+_RANGES = ("0.5:2", "1:1.001", "1:1.0000001", "2:0.5", "1e120:2e120", "700:701",
+           "-1e200:1e200", "nan:1", "0:1e308")
+_LITERALS = ("2", "1e120", "1e200", "1e308", "700", "nan", "-1e120", "0.5")
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, config file text) of one build | curvature | verify | classify |
+    export command over a builtin curve: radii made of ordinary and extreme
+    literals, and some ranges short, reversed or extreme; each option is a
+    flag or a line of the config file. {tmp} stands for a writable directory."""
+    command = draw(st.sampled_from(("verify", "build", "curvature", "classify", "export")))
+    example = draw(st.sampled_from(("beta1", "beta2")))
+    j = 1 if example == "beta1" else 3
+    options = {
+        "example": example,
+        "radius": draw(st.sampled_from(_RADII)),
+        "family": draw(st.sampled_from((None, f"j{j},l1", f"j{j},l-1", "j2,l1"))),
+        "grid": draw(st.sampled_from(("2x2x1", "1x1x1", "3x2x2", "2x3x3"))),
+    }
+    for axis in "stw":
+        if draw(st.integers(0, 3)) == 0:
+            options[f"range_{axis}"] = draw(st.sampled_from(_RANGES))
+    if command == "verify":
+        options["route"] = draw(st.sampled_from(("cf", "num", "both")))
+        options["check"] = ",".join(draw(st.lists(st.sampled_from(
+            ("kh", "weingarten-st", "weingarten-tw", "unit-speed", "sphere")),
+            max_size=3, unique=True))) or None      # none: the default kh,weingarten-tw
+    elif command == "export":
+        options["obj"], options["csv"] = "{tmp}/x.obj", "{tmp}/x.csv"
+        options["slice_w"] = draw(st.sampled_from(_LITERALS))
+    elif command != "classify":
+        options["out"] = "{tmp}/x.out"
+    argv, lines = [command], []
+    for key, value in options.items():
+        if value is None:
+            continue
+        if draw(st.booleans()):
+            lines.append(f"{key} = {value}")
+        else:
+            argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv, "\n".join(lines)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_command_lines())
+@example((["verify", "--example=beta1", "--radius=1e120*s"], ""))     # r^3 overflows
+def test_any_command_line_keeps_the_exit_code_contract(case):
+    """Every drawn command line, run in process with warnings as errors, exits
+    0, 1, 2 or 3 and prints no traceback."""
+    argv, config = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        if config:
+            Path(tmp, "job.cfg").write_text(config.replace("{tmp}", tmp) + "\n")
+            argv += ["--config", str(Path(tmp, "job.cfg"))]
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:       # argparse rejects the command line
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, config, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -12,7 +12,7 @@ import oracles
 
 from canal4.canal import (CanalConfig, PointMapCache, RadiusProfile, Variant,
                           degeneracy_factor)
-from canal4.curvature import (Route, _check_metric, _numeric_reports, _principal,
+from canal4.curvature import (Route, _check_metric, _numeric_forms, _principal,
                                curvature_report)
 from canal4.errors import (DegenerateNodeError, InadmissibleConfigError, SingularMetricError,
                            unwrap)
@@ -164,24 +164,37 @@ def test_routes_agree_on_forms(family_curves, rng):
         assert np.max(np.abs(cf.h - num.h) / (1 + np.abs(cf.h))) <= 1e-4
 
 
+def _keys(nodes):
+    """(s_keys, s_at, t_keys, t_at, w_keys, w_at) of a list of (s, t, w) nodes."""
+    from canal4.canal import _distinct
+    return tuple(x for axis in zip(*nodes) for x in _distinct(axis))
+
+
 def test_numeric_route_equals_scalar_reference(family_curves, rng):
-    """The one-call stencil gives g, h and N bit for bit equal to the per-node
-    scalar stencil, from curvature_report and from the row pass on a cache
-    shared across nodes."""
+    """The stencil gives g, h and N bit for bit equal to the per-node scalar
+    stencil, from curvature_report and from one pass over a block of nodes of
+    three s rows on a cache shared across nodes; the pass's K and H are the
+    per-node reference's."""
     for j, lam in ALL_FAMILIES:
         curve = family_curves[j]
         s_range = conftest.SWEEP_S_RANGE[j]
         cfg = CanalConfig(j, lam, conftest.random_polynomial_radius(rng, j, lam, s_range))
-        cache = PointMapCache(curve, cfg)
-        s0, t0, w0 = admissible_node(rng, curve, cfg, s_range, d_floor=0.25)
+        nodes = [admissible_node(rng, curve, cfg, s_range, d_floor=0.25) for _ in range(3)]
         # the second node shares s with the first, so it reads cached rows
-        for s, t, w in ((s0, t0, w0), (s0, -t0, 0.5 * w0)):
+        s0, t0, w0 = nodes[0]
+        nodes.insert(1, (s0, -t0, 0.5 * w0))
+        forms, errors = _numeric_forms(cfg, PointMapCache(curve, cfg), *_keys(nodes))
+        assert errors == [None] * len(nodes)
+        for n, (s, t, w) in enumerate(nodes):
             g_ref, h_ref, N_ref = oracles.reference_numeric_forms(curve, cfg, s, t, w)
-            for rep in (curvature_report(curve, cfg, s, t, w, Route.NUMERIC),
-                        unwrap(_numeric_reports(cfg, s, (t,), (w,), cache)[0])):
-                assert np.array_equal(rep.g, g_ref)
-                assert np.array_equal(rep.h, h_ref)
-                assert np.array(rep.N).tobytes() == N_ref.tobytes()
+            rep = curvature_report(curve, cfg, s, t, w, Route.NUMERIC)
+            for g, h, N in ((rep.g, rep.h, np.array(rep.N)), (forms[0][n], forms[1][n],
+                                                              forms[3][n])):
+                assert np.array_equal(g, g_ref)
+                assert np.array_equal(h, h_ref)
+                assert N.tobytes() == N_ref.tobytes()
+            K, H, _ = oracles.reference_numeric_report(curve, cfg, s, t, w)
+            assert (float(forms[4][n]), float(forms[5][n])) == (K, H) == (rep.K, rep.H)
 
 
 def test_numeric_route_needs_no_closed_form(family_curves, rng, monkeypatch):
@@ -217,18 +230,17 @@ def _row_configs(family_curves, rng):
 
 
 def test_row_pass_equals_scalar_reference(family_curves, rng):
-    """One pass over a whole s row gives every node's g, h and N bit for bit
-    equal to the per-node scalar stencil."""
-    from canal4.curvature import _numeric_forms
+    """One pass over a block of nodes from three s rows gives every node's g,
+    h and N bit for bit equal to the per-node scalar stencil."""
     for curve, cfg in _row_configs(family_curves, rng):
-        s = rng.uniform(*conftest.SWEEP_S_RANGE[cfg.j])
-        t = [rng.uniform(0.0, 6.0) if cfg.j == 1 else rng.uniform(-1.3, 1.3) for _ in range(3)]
-        w = [rng.choice((-1, 1)) * rng.uniform(0.3, 1.2) for _ in range(3)]
-        t, w = [x for x in t for _ in w], w * len(t)
-        (g, h, N), errors = _numeric_forms(cfg, s, t, w, PointMapCache(curve, cfg))
-        assert errors == [None] * len(t)
-        for n, node in enumerate(zip(t, w)):
-            g_ref, h_ref, N_ref = oracles.reference_numeric_forms(curve, cfg, s, *node)
+        s = sorted(rng.uniform(*conftest.SWEEP_S_RANGE[cfg.j]) for _ in range(3))
+        t = [rng.uniform(0.0, 6.0) if cfg.j == 1 else rng.uniform(-1.3, 1.3) for _ in range(2)]
+        w = [rng.choice((-1, 1)) * rng.uniform(0.3, 1.2) for _ in range(2)]
+        nodes = [(a, b, c) for a in s for b in t for c in w]
+        (g, h, _, N, *_), errors = _numeric_forms(cfg, PointMapCache(curve, cfg), *_keys(nodes))
+        assert errors == [None] * len(nodes)
+        for n, node in enumerate(nodes):
+            g_ref, h_ref, N_ref = oracles.reference_numeric_forms(curve, cfg, *node)
             assert np.array_equal(g[n], g_ref)
             assert np.array_equal(h[n], h_ref)
             assert N[n].tobytes() == N_ref.tobytes()
@@ -242,32 +254,37 @@ def _outcome(fn):
 
 
 def test_row_errors_match_one_node_calls(beta2):
-    """Good nodes, a degenerate one (supercritical w = 0) and one whose
-    stencil overflows cosh in one row: each node gets the report or the error
-    (type and message) of its one-node call. A stencil s past the domain
-    fails every node's per-s rows, after the degenerate node's own check."""
-    from canal4.curvature import _numeric_reports
+    """One block over three s rows, the middle one past the domain: good
+    nodes, a degenerate one (supercritical w = 0) and one whose stencil
+    overflows cosh in each row. Each node gets the result or the error (type
+    and message) of its one-node call. The stencil s past the domain fails
+    only its own row's nodes, after the degenerate node's own check."""
+    from canal4.curvature import CurvatureReport
     cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
                       Variant.ALT_SUPERCRITICAL)
     t = (0.3, -0.4, 800.0, 0.3, 0.9)
     w = (0.4, 0.0, 0.5, -0.7, 0.0)
+    nodes = [(s, *node) for s in (1.2, 3.001, 1.5) for node in zip(t, w)]
+    forms, errors = _numeric_forms(cfg, PointMapCache(beta2, cfg), *_keys(nodes))
+    g, h, S, N, K, H, eig = forms
     kinds = []
-    for s in (1.2, 3.001):
-        row = _numeric_reports(cfg, s, t, w, PointMapCache(beta2, cfg))
-        for node, got in zip(zip(t, w), row):
-            one = _outcome(lambda: curvature_report(beta2, cfg, s, *node, Route.NUMERIC))
-            assert type(got) is type(one)
-            if isinstance(one, Exception):
-                assert str(got) == str(one)
-            else:
-                for field in ("g", "h", "S"):
-                    assert np.array_equal(getattr(got, field), getattr(one, field))
-                assert (got.N, got.K, got.H, got.mu) == (one.N, one.K, one.H, one.mu)
-            kinds.append(type(got).__name__)
+    for n, (node, error) in enumerate(zip(nodes, errors)):
+        one = _outcome(lambda: curvature_report(beta2, cfg, *node, Route.NUMERIC))
+        if error is None:
+            assert type(one) is CurvatureReport
+            for got, want in ((g[n], one.g), (h[n], one.h), (S[n], one.S)):
+                assert np.array_equal(got, want)
+            assert ((tuple(N[n].tolist()), float(K[n]), float(H[n]), _principal(eig[n]))
+                    == (one.N, one.K, one.H, one.mu))
+        else:
+            assert type(error) is type(one)
+            assert str(error) == str(one)
+        kinds.append(type(one).__name__)
     assert kinds == ["CurvatureReport", "DegenerateNodeError", "DomainError",
                      "CurvatureReport", "DegenerateNodeError", "OutOfDomainError",
                      "DegenerateNodeError", "OutOfDomainError", "OutOfDomainError",
-                     "DegenerateNodeError"]
+                     "DegenerateNodeError", "CurvatureReport", "DegenerateNodeError",
+                     "DomainError", "CurvatureReport", "DegenerateNodeError"]
 
 
 def _assert_same_outcome(got, one):
@@ -389,6 +406,22 @@ def test_numeric_patch_loops_equal_per_node_reference(beta1, beta2):
         patch = sample_grid(curve, cfg, grid)
         assert check_kh_relation(patch, Route.NUMERIC) == oracles.reference_kh_report(patch)
         assert export_curvature_csv(patch) == oracles.reference_curvature_csv(patch)
+
+
+def test_numeric_patch_loops_over_several_blocks_equal_per_node_reference(beta1):
+    """On a patch of more nodes than one NUMERIC_BLOCK, in blocks that cross s
+    rows, the numeric K-H check and the CSV export give the report and the
+    bytes of the node-by-node reference loop."""
+    from canal4.analysis import check_kh_relation
+    from canal4.canal import GridSpec, sample_grid
+    from canal4.curvature import NUMERIC_BLOCK
+    from canal4.io import export_curvature_csv
+    grid = GridSpec(GridSpec.linspace((0.6, 2.4), 3), GridSpec.linspace((0.0, 6.0), 6, False),
+                    GridSpec.linspace((-1.2, 1.2), 4))
+    patch = sample_grid(beta1, make_config(1, 1, R2S), grid)
+    assert len(patch.node_keys()[1]) > NUMERIC_BLOCK
+    assert check_kh_relation(patch, Route.NUMERIC) == oracles.reference_kh_report(patch)
+    assert export_curvature_csv(patch) == oracles.reference_curvature_csv(patch)
 
 
 def test_metric_signature(family_curves, rng):
