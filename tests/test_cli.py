@@ -696,20 +696,17 @@ def test_curvature_on_short_s_range(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 27
 
 
-@pytest.mark.parametrize("route", ["cf", "num", "both"])
-def test_overflowing_radius_cube_exit_3(capsys, route):
-    """r^3 overflows in the K-H check on either route: a numeric breakdown that
-    names r^3 and s, not an OverflowError traceback."""
-    assert run(["verify", "--example", "beta1", "--radius", "1e120*s", "--route", route]) == 3
-    assert capsys.readouterr().err == "numeric breakdown: r^3 at s=0.26 (r = 2.6e+119) overflows\n"
-
-
-def test_overflowing_metric_scale_exit_3(capsys):
-    """The singular-metric test's scale^3 overflows at g ~ 1e239: a numeric
-    breakdown, not an OverflowError traceback."""
-    assert run(["verify", "--example", "beta1", "--radius", "1e60*s"]) == 3
-    assert capsys.readouterr().err == (
-        "numeric breakdown: scale^3 of det g (max |g_ij| = 3.87e+239) overflows\n")
+@pytest.mark.parametrize("radius, route, cube", [
+    ("1e120*s", "cf", "r^3 at s=0.26 (r = 2.6e+119)"),
+    ("1e120*s", "num", "r^3 at s=0.26 (r = 2.6e+119)"),
+    ("1e120*s", "both", "r^3 at s=0.26 (r = 2.6e+119)"),
+    ("1e60*s", "cf", "scale^3 of det g (max |g_ij| = 3.87e+239)")])
+def test_overflowing_cube_exit_3(capsys, radius, route, cube):
+    """r^3 in the K-H check, on either route, and the singular-metric test's
+    scale^3 overflow: a numeric breakdown that names the cube, not an
+    OverflowError traceback."""
+    assert run(["verify", "--example", "beta1", "--radius", radius, "--route", route]) == 3
+    assert capsys.readouterr().err == f"numeric breakdown: {cube} overflows\n"
 
 
 _RADII = ("2*s", "1e120*s", "1e120", "0.5 + s", "1e200*s", "1e308", "exp(700*s)", "nan",

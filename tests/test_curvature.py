@@ -392,36 +392,24 @@ def test_gauss_mean_principal_equals_float_reference(family_curves, rng):
 
 def test_numeric_patch_loops_equal_per_node_reference(beta1, beta2):
     """check_kh_relation on the numeric route and the CSV export give the
-    report and the bytes of the node-by-node reference loop."""
-    from canal4.analysis import check_kh_relation
-    from canal4.canal import GridSpec, sample_grid
-    from canal4.io import export_curvature_csv
-    cases = [(beta1, make_config(1, 1, R2S), (0.0, 6.0), (-1.2, 1.2)),
-             (beta2, make_config(3, -1, R2S), (-1.3, 1.3), (-1.2, 1.2)),
-             (beta2, CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
-                                 Variant.ALT_SUPERCRITICAL), (-1.3, 1.3), (-1.0, 1.0))]
-    for curve, cfg, t_range, w_range in cases:
-        grid = GridSpec(GridSpec.linspace((0.6, 2.4), 2), GridSpec.linspace(t_range, 3, False),
-                        GridSpec.linspace(w_range, 3))
-        patch = sample_grid(curve, cfg, grid)
-        assert check_kh_relation(patch, Route.NUMERIC) == oracles.reference_kh_report(patch)
-        assert export_curvature_csv(patch) == oracles.reference_curvature_csv(patch)
-
-
-def test_numeric_patch_loops_over_several_blocks_equal_per_node_reference(beta1):
-    """On a patch of more nodes than one NUMERIC_BLOCK, in blocks that cross s
-    rows, the numeric K-H check and the CSV export give the report and the
-    bytes of the node-by-node reference loop."""
+    report and the bytes of the node-by-node reference loop, the last patch
+    in more than one NUMERIC_BLOCK, in blocks that cross s rows."""
     from canal4.analysis import check_kh_relation
     from canal4.canal import GridSpec, sample_grid
     from canal4.curvature import NUMERIC_BLOCK
     from canal4.io import export_curvature_csv
-    grid = GridSpec(GridSpec.linspace((0.6, 2.4), 3), GridSpec.linspace((0.0, 6.0), 6, False),
-                    GridSpec.linspace((-1.2, 1.2), 4))
-    patch = sample_grid(beta1, make_config(1, 1, R2S), grid)
+    cases = [(beta1, make_config(1, 1, R2S), (0.0, 6.0), (-1.2, 1.2), (2, 3, 3)),
+             (beta2, make_config(3, -1, R2S), (-1.3, 1.3), (-1.2, 1.2), (2, 3, 3)),
+             (beta2, CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
+                                 Variant.ALT_SUPERCRITICAL), (-1.3, 1.3), (-1.0, 1.0), (2, 3, 3)),
+             (beta1, make_config(1, 1, R2S), (0.0, 6.0), (-1.2, 1.2), (3, 6, 4))]
+    for curve, cfg, t_range, w_range, (ns, nt, nw) in cases:
+        grid = GridSpec(GridSpec.linspace((0.6, 2.4), ns), GridSpec.linspace(t_range, nt, False),
+                        GridSpec.linspace(w_range, nw))
+        patch = sample_grid(curve, cfg, grid)
+        assert check_kh_relation(patch, Route.NUMERIC) == oracles.reference_kh_report(patch)
+        assert export_curvature_csv(patch) == oracles.reference_curvature_csv(patch)
     assert len(patch.node_keys()[1]) > NUMERIC_BLOCK
-    assert check_kh_relation(patch, Route.NUMERIC) == oracles.reference_kh_report(patch)
-    assert export_curvature_csv(patch) == oracles.reference_curvature_csv(patch)
 
 
 def test_metric_signature(family_curves, rng):
