@@ -714,23 +714,34 @@ _RADII = ("2*s", "1e120*s", "1e120", "0.5 + s", "1e200*s", "1e308", "exp(700*s)"
 _RANGES = ("0.5:2", "1:1.001", "1:1.0000001", "2:0.5", "1e120:2e120", "700:701",
            "-1e200:1e200", "nan:1", "0:1e308")
 _LITERALS = ("2", "1e120", "1e200", "1e308", "700", "nan", "-1e120", "0.5")
+# explicit curves: lines, a nearly null line, the helix of beta1, planar ones,
+# one whose speed overflows and one whose third derivative does
+_CURVES = (("0", "s", "0", "0"), ("s", "0", "0", "0"), ("1.0000000001*s", "s", "0", "0"),
+           ("2*sinh(s)", "2*cosh(s)", "sqrt(3)*cos(s)", "sqrt(3)*sin(s)"),
+           ("sinh(s)", "cosh(s)", "0", "0"), ("s*s", "s", "0", "0"),
+           ("1e200*s", "1e200*s", "s", "0"),
+           ("2*sinh(s)", "2*cosh(s)", "sqrt(3)/2e76*cos(2e76*s)", "sqrt(3)/2e76*sin(2e76*s)"))
 
 
 @st.composite
 def _command_lines(draw):
     """(argv, config file text) of one build | curvature | verify | classify |
-    export command over a builtin curve: radii made of ordinary and extreme
-    literals, and some ranges short, reversed or extreme; each option is a
-    flag or a line of the config file. {tmp} stands for a writable directory."""
+    export command over a builtin or explicit curve: radii made of ordinary
+    and extreme literals, and some ranges short, reversed or extreme; each
+    option is a flag or a line of the config file. {tmp} stands for a
+    writable directory."""
     command = draw(st.sampled_from(("verify", "build", "curvature", "classify", "export")))
-    example = draw(st.sampled_from(("beta1", "beta2")))
-    j = 1 if example == "beta1" else 3
-    options = {
-        "example": example,
+    example = draw(st.sampled_from(("beta1", "beta2", None)))
+    options = {"example": example}
+    if example is None:
+        options.update(zip(("curve_x1", "curve_x2", "curve_x3", "curve_x4"),
+                           draw(st.sampled_from(_CURVES))))
+    j = {"beta1": 1, "beta2": 3, None: draw(st.integers(1, 4))}[example]
+    options.update({
         "radius": draw(st.sampled_from(_RADII)),
         "family": draw(st.sampled_from((None, f"j{j},l1", f"j{j},l-1", "j2,l1"))),
         "grid": draw(st.sampled_from(("2x2x1", "1x1x1", "3x2x2", "2x3x3"))),
-    }
+    })
     for axis in "stw":
         if draw(st.integers(0, 3)) == 0:
             options[f"range_{axis}"] = draw(st.sampled_from(_RANGES))
