@@ -23,8 +23,8 @@ import numpy as np
 from . import expr as ex
 from .canal import (_A2_AND_A, CanalConfig, PointMapCache, RadiusProfile, SurfacePatch,
                     _math_table, family_function)
-from .curvature import (_FOCAL, Route, _admissible_q, _closed_forms, _cube, _family_curvatures,
-                        _normal_sign, numeric_kh)
+from .curvature import (_FOCAL, Route, _admissible_q, _cube, _family_curvatures, _normal_sign,
+                        curvatures, node_blocks)
 from .curve import CurveSpec, TAU_K
 from .errors import (CanalError, DomainExitError, InadmissibleConfigError, SingularMetricError,
                      or_error, unwrap)
@@ -54,9 +54,9 @@ class TheoremReport:
 
 def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
                       tolerance: float | None = None) -> TheoremReport:
-    """max |3 H r - K r^3 - 2 eps3 eps4 lam^j| over non-degenerate nodes, in one
-    closed-form pass or numeric_kh's blocks; raises a DomainError where r^3
-    overflows on a row, else the first node's error."""
+    """max |3 H r - K r^3 - 2 eps3 eps4 lam^j| over non-degenerate nodes, with
+    K and H from curvatures' block loop on the route; raises a DomainError
+    where r^3 overflows on a row, else the first node's error in node order."""
     tol = tolerance if tolerance is not None else (
         KH_TOL_CLOSED if route is Route.CLOSED_FORM else KH_TOL_NUMERIC)
     keys = patch.node_keys()
@@ -67,11 +67,7 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
     r = [getattr(or_error(patch.cache.row, s), "r", math.nan) for s in keys[0]]
     r, r3 = np.array([(x, _cube(x, "r^3 at s={!r} (r = {:.6g})", s, x))
                       for s, x in zip(keys[0], r)])[keys[1]].T
-    if route is Route.NUMERIC:
-        K, H, errors = numeric_kh(patch)
-    else:
-        forms, errors = _closed_forms(patch.config, patch.cache, *keys)
-        K, H = forms[6:8] if forms else ((), ())
+    K, H, _, errors = curvatures(patch.config, patch.cache, route, *keys)
     unwrap(next(filter(None, errors), None))
     with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
         worst = max([0.0, *np.abs(3.0 * H * r - K * r3 - 2.0 * sgn).tolist()])
@@ -85,8 +81,6 @@ def _kh_points(config, cache, eps, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     """Closed-form (K, H) arrays at the points (s_keys[s_at], t_keys[t_at],
     w_keys[w_at]): row values once per s key, f_j's trig once per t and w key.
     Raises the first point's gauss_mean_principal error (row, Q, f_j, D)."""
-    cache.fill(s_keys)
-
     def per_s(x):
         row = cache.row(x)
         return (row.r, row.frame.k1, row.rpp,
@@ -116,36 +110,36 @@ def weingarten_check(patch: SurfacePatch, pair: str,
     """Normalized max of |H_u K_v - H_v K_u| over the patch nodes.
 
     Partials of the closed-form K and H fields by 5-point finite differences,
-    from one _kh_points pass over the 8 stencil points of every node, keyed by
-    each grid value and its 4 offsets along the pair's axes. The stencil rows
-    go into the patch's cache, so the pairs share them.
+    from one _kh_points pass per closed-form node block over the 8 stencil
+    points of its nodes, keyed by each grid value and its 4 offsets along the
+    pair's axes. The stencil rows go into the patch's cache, which pairs share.
     """
     if pair not in ("st", "sw", "tw"):
         raise ValueError(f"pair must be 'st', 'sw' or 'tw', got {pair!r}")
     h = WEINGARTEN_FD_STEP
     keys = patch.node_keys()
-    n = len(keys[1])
-    if not n:
-        return TheoremReport(f"weingarten-{pair}", 0.0, tolerance, True, 0)
-    stencil = []
-    for axis, values, at in zip("stw", keys[::2], keys[1::2]):
-        # node by node: 4 offsets along the pair's 1st axis, then its 2nd; none off the pair
-        offsets = (-2 * h, -h, h, 2 * h) if axis in pair else ()
-        shift = [k if a == axis else 0 for a in pair for k in (1, 2, 3, 4)]
-        stencil += [[y for x in values for y in (x, *(x + d for d in offsets))],
-                    ((1 + len(offsets)) * at[:, None] + shift).ravel()]
-    (k0, k1, k2, k3), (h0, h1, h2, h3) = (
-        x.reshape(-1, 4).T
-        for x in _kh_points(patch.config, patch.cache, patch.frames[0].eps, *stencil))
-    with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
-        Ku, Kv = ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h)).reshape(-1, 2).T
-        Hu, Hv = ((h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h)).reshape(-1, 2).T
-        num = np.abs(Hu * Kv - Hv * Ku)
-        # np.maximum differs from max only on nan, where num is nan too
-        scale = np.maximum(np.maximum(np.abs(Hu), np.abs(Hv))
-                           * np.maximum(np.abs(Ku), np.abs(Kv)), WEINGARTEN_ETA)
-        worst = max([0.0, *(num / scale).tolist()])     # max skips nan
-    return TheoremReport(f"weingarten-{pair}", worst, tolerance, worst <= tolerance, n)
+    # node by node: 4 offsets along the pair's 1st axis, then its 2nd; none off the pair
+    offsets = [(-2 * h, -h, h, 2 * h) if axis in pair else () for axis in "stw"]
+    shifts = [[k if a == axis else 0 for a in pair for k in (1, 2, 3, 4)] for axis in "stw"]
+    values = [[y for x in axis_keys for y in (x, *(x + d for d in axis_offsets))]
+              for axis_keys, axis_offsets in zip(keys[::2], offsets)]
+    patch.cache.fill(values[0])
+    worst = 0.0
+    for _, block in node_blocks(Route.CLOSED_FORM, keys):
+        stencil = [x for v, o, shift, at in zip(values, offsets, shifts, block[1::2])
+                   for x in (v, ((1 + len(o)) * at[:, None] + shift).ravel())]
+        (k0, k1, k2, k3), (h0, h1, h2, h3) = (
+            x.reshape(-1, 4).T
+            for x in _kh_points(patch.config, patch.cache, patch.frames[0].eps, *stencil))
+        with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
+            Ku, Kv = ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h)).reshape(-1, 2).T
+            Hu, Hv = ((h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h)).reshape(-1, 2).T
+            num = np.abs(Hu * Kv - Hv * Ku)
+            # np.maximum differs from max only on nan, where num is nan too
+            scale = np.maximum(np.maximum(np.abs(Hu), np.abs(Hv))
+                               * np.maximum(np.abs(Ku), np.abs(Kv)), WEINGARTEN_ETA)
+            worst = max([worst, *(num / scale).tolist()])     # max skips nan
+    return TheoremReport(f"weingarten-{pair}", worst, tolerance, worst <= tolerance, len(keys[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +163,14 @@ def _max_k1(curve: CurveSpec, n_samples: int) -> float:
 
 
 def _sample_K_H(curve, config, n=20):
-    """max |K| and max |H| of the closed form at n sample nodes, in one pass."""
+    """max |K| and max |H| of the closed form at n sample nodes."""
     smin, smax = curve.domain
     nodes = [(smin + (smax - smin) * (i + 0.5) / n, 0.4 + 0.11 * (i % 5), 0.3 + 0.07 * (i % 7))
              for i in range(n)]
-    forms, errors = _closed_forms(config, PointMapCache(curve, config),
-                                  *(x for axis in zip(*nodes) for x in (axis, range(n))))
+    K, H, _, errors = curvatures(config, PointMapCache(curve, config), Route.CLOSED_FORM,
+                                 *(x for axis in zip(*nodes) for x in (axis, range(n))))
     unwrap(next(filter(None, errors), None))
-    return tuple(max([0.0, *np.abs(x).tolist()]) for x in forms[6:8])
+    return tuple(max([0.0, *np.abs(x).tolist()]) for x in (K, H))
 
 
 def classify_flat(curve: CurveSpec, radius: RadiusProfile,

@@ -17,7 +17,10 @@ scalar formulas: every node gets the bits and the error of its one-node call
   indexed_points call. The normal is the normalized triple cross product of
   the partials, oriented along the radial vector c(C - b) (the exact normal
   is (c/r)(C - b)); S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S).
-  numeric_kh takes a patch in blocks of NUMERIC_BLOCK nodes across s rows.
+
+Both passes return ((g, h, S, N, K, H, mu), errors). curvatures, the one loop of
+every patch-wide pass, runs them over node blocks of BLOCK_NODES[route]: 4096
+closed-form nodes of ~1 KB or 48 numeric ones of ~12 KB, whatever the patch.
 
 Conventions: K = det(S) and 3H = tr(S); the sign eps_N = <N,N> (= lam here)
 is reported but not folded into K or H, matching the family formulas and
@@ -82,26 +85,32 @@ def _normal_sign(config: CanalConfig, eps) -> int:
     return -eps[2] * eps[3] * config.lam ** config.j
 
 
+def _checked_nodes(config: CanalConfig, s_keys, s_at, t_at, w_keys, w_at, row):
+    """The index arrays as intp, {i: row(s_keys[i]) or its error} for the s keys
+    of nodes that pass _check_node, and each node's first error (check, row)."""
+    s_at, t_at, w_at = (np.asarray(x, dtype=np.intp) for x in (s_at, t_at, w_at))
+    checked = {k: or_error(_check_node, config, w_keys[k]) for k in dict.fromkeys(w_at.tolist())}
+    errors = [checked[k] if isinstance(checked[k], CanalError) else None for k in w_at.tolist()]
+    rows = {i: or_error(row, s_keys[i])
+            for i in dict.fromkeys(i for i, e in zip(s_at.tolist(), errors) if e is None)}
+    return s_at, t_at, w_at, rows, [e or (rows[i] if isinstance(rows[i], CanalError) else None)
+                                    for e, i in zip(errors, s_at.tolist())]
+
+
 # ---------------------------------------------------------------------------
 # closed-form route
 
 def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
-    """((g, h, S, N, f_j, r, K, H, mu1 = mu2, mu3), errors) at the nodes
-    (s_keys[s_at], t_keys[t_at], w_keys[w_at]), arrays over the nodes (None if
-    no node gets as far as its row); a node's error is the first its one-node
+    """((g, h, S, N, K, H, mu = (mu1, mu2, mu3)), errors) at the nodes
+    (s_keys[s_at], t_keys[t_at], w_keys[w_at]), (n, ...) arrays (None if no
+    node gets as far as its row); a node's error is the first its one-node
     call raises: the node check, its row, transverse, det g ~ 0, the focal D.
     The per-s factors are floats once per s key, trig runs in math once per t
     and w key, the rest elementwise in the order of the scalar formulas, det
     and solve stacked: every node gets the bits of its one-node call."""
-    s_at, t_at, w_at = (np.asarray(x, dtype=np.intp) for x in (s_at, t_at, w_at))
-    checked = [or_error(_check_node, config, v) for v in w_keys]
-    errors = [checked[k] if isinstance(checked[k], CanalError) else None for k in w_at.tolist()]
-    wanted = {i for i, e in zip(s_at.tolist(), errors) if e is None}
-    cache.fill(x for i, x in enumerate(s_keys) if i in wanted)
-    rows = [or_error(cache.row, x) if i in wanted else None for i, x in enumerate(s_keys)]
-    errors = [e or (rows[i] if isinstance(rows[i], CanalError) else None)
-              for e, i in zip(errors, s_at.tolist())]
-    good = [row for row in rows if isinstance(row, PointMapRow)]
+    s_at, t_at, w_at, rows, errors = _checked_nodes(config, s_keys, s_at, t_at, w_keys, w_at,
+                                                    cache.row)
+    good = [row for row in rows.values() if isinstance(row, PointMapRow)]
     if not good:
         return None, errors
     lam, v, sigma = config.lam, config.variant.sign, config.sigma
@@ -117,7 +126,7 @@ def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
                 a1 * fr.k1, e3 * e4 * fr.k1 * phi, e1 * e4 * fr.k2 * phi, fr.k2 * phi,
                 e1 * e2 * fr.k3 * phi, fr.k3 * phi, c * a1 / rv, c * (phi / rv))
     # every node of a failed row has an error: the first good row stands in for it
-    rows = [row if isinstance(row, PointMapRow) else good[0] for row in rows]
+    rows = [x if isinstance(x, PointMapRow) else good[0] for x in map(rows.get, range(len(s_keys)))]
     (rv, rpp, k1, Q, phi, dphi, one_da1, a1k1, p0, p1, p2, p3, p4, n0, cpsi) = np.array(
         [per_s(row) for row in rows])[s_at].T
     F = np.array([row.basis[1:] for row in rows])[s_at]
@@ -146,7 +155,7 @@ def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     S, errors = _shape_operators(g, h, errors)
     errors = [e or (SingularMetricError(_FOCAL) if fo else None)
               for e, fo in zip(errors, focal.tolist())]
-    return (g, h, S, N, a[0], rv, K, H, mu12, mu3), errors
+    return (g, h, S, N, K, H, np.transpose((mu12, mu12, mu3))), errors
 
 
 def _admissible_q(lam, variant, eps1, rp):
@@ -233,21 +242,15 @@ def _fd2(P, h):
 
 
 def _numeric_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
-    """((g, h, S, N, K, H, eig), errors) as _closed_forms gives its forms: one
-    indexed_points call evaluates every stencil, and det, solve and eigvals
-    are stacked (the same bits as one call per matrix). A stencil s row that
-    fails gives its error, the first in _axis_values order, to the nodes of
-    its own s key only."""
-    s_at, t_at, w_at = (np.asarray(x, dtype=np.intp) for x in (s_at, t_at, w_at))
-    checked = {k: or_error(_check_node, config, w_keys[k]) for k in dict.fromkeys(w_at.tolist())}
-    errors = [checked[k] if isinstance(checked[k], CanalError) else None for k in w_at.tolist()]
-
+    """As _closed_forms, mu the eigenvalues of S: one indexed_points call
+    evaluates every stencil; det, solve and eigvals are stacked (the same bits
+    as one call per matrix). A stencil s row that fails gives its error, the
+    first in _axis_values order, to the nodes of its own s key only."""
     def stencil_rows(x):
         for v in _axis_values(x):
             cache.row(v)
-    wanted = dict.fromkeys(i for i, e in zip(s_at.tolist(), errors) if e is None)
-    failed = {i: or_error(stencil_rows, s_keys[i]) for i in wanted}
-    errors = [e or failed[i] for e, i in zip(errors, s_at.tolist())]
+    s_at, t_at, w_at, failed, errors = _checked_nodes(config, s_keys, s_at, t_at, w_keys, w_at,
+                                                      stencil_rows)
     good = [i for i, e in failed.items() if e is None]
     if not good:
         return None, errors
@@ -301,28 +304,34 @@ def _numeric_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
             np.trace(S, axis1=1, axis2=2) / 3.0, eig), errors
 
 
-# Nodes per numeric pass: a pass has a fixed cost (tens of numpy calls) and holds
-# about 12 KB a node. 48 keeps most of the speed of larger blocks, whose arrays
-# raised the peak RSS of a CLI run by 1.5-3% (block sweep in CHANGES.md).
-NUMERIC_BLOCK = 48
+_PASSES = {Route.CLOSED_FORM: _closed_forms, Route.NUMERIC: _numeric_forms}
+# Nodes per pass: the knees of the sweeps in CHANGES.md (fixed cost vs memory)
+BLOCK_NODES = {Route.CLOSED_FORM: 4096, Route.NUMERIC: 48}
 
 
-def numeric_kh(patch):
-    """(K, H, errors) of the numeric route at the patch's nodes (node_keys):
-    arrays (any value where a node has an error) and each node's CanalError
-    or None, in passes over blocks of NUMERIC_BLOCK nodes across s rows."""
-    s_keys, s_at, t_keys, t_at, w_keys, w_at = patch.node_keys()
-    patch.cache.fill(v for s in s_keys for v in _axis_values(s))
-    K, H = np.full((2, len(s_at)), math.nan)
+def node_blocks(route: Route, keys):
+    """(slice, keys of its nodes) of each run of BLOCK_NODES[route] nodes of
+    keys (s_keys, s_at, t_keys, t_at, w_keys, w_at), in node order."""
+    for lo in range(0, len(keys[1]), BLOCK_NODES[route]):
+        b = slice(lo, lo + BLOCK_NODES[route])
+        yield b, tuple(x[b] if i % 2 else x for i, x in enumerate(keys))
+
+
+def curvatures(config: CanalConfig, cache: PointMapCache, route: Route, *keys):
+    """(K, H, mu, errors) of the route at the nodes of keys: the passes' arrays,
+    nan where a node has an error, and each node's CanalError or None; the cache
+    is filled once with the rows they read (numeric: every stencil s value)."""
+    numeric = route is Route.NUMERIC
+    cache.fill([v for s in keys[0] for v in (_axis_values(s) if numeric else (s,))])
+    K, H = np.full((2, len(keys[1])), math.nan)
+    mu = np.full((len(K), 3), math.nan, dtype=complex if numeric else float)
     errors = []
-    for lo in range(0, len(s_at), NUMERIC_BLOCK):
-        block = slice(lo, lo + NUMERIC_BLOCK)
-        forms, block_errors = _numeric_forms(patch.config, patch.cache, s_keys, s_at[block],
-                                             t_keys, t_at[block], w_keys, w_at[block])
+    for block, block_keys in node_blocks(route, keys):
+        forms, block_errors = _PASSES[route](config, cache, *block_keys)
         if forms is not None:
-            K[block], H[block] = forms[4:6]
+            K[block], H[block], mu[block] = forms[4:]
         errors += block_errors
-    return K, H, errors
+    return K, H, mu, errors
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +393,11 @@ def curvature_report(curve, config, s, t, w,
                      route: Route = Route.CLOSED_FORM) -> CurvatureReport:
     """Full per-node report: g, h, S, N (a 4-tuple), eps_N, K, H, mu, f_j, A,
     the one-node case of the route's pass."""
-    numeric = route is Route.NUMERIC
-    forms, (error,) = (_numeric_forms if numeric else _closed_forms)(
-        config, PointMapCache(curve, config), (s,), (0,), (t,), (0,), (w,), (0,))
+    forms, (error,) = _PASSES[route](config, PointMapCache(curve, config),
+                                     (s,), (0,), (t,), (0,), (w,), (0,))
     unwrap(error)
-    if numeric:
-        g, h, S, N, K, H, eig = (x[0] for x in forms)
-        mu, f = _principal(eig), family_function(config.j, config.variant, t, w)
-    else:
-        g, h, S, N, f, _, K, H, mu12, mu3 = (x[0] for x in forms)
-        mu, f = (float(mu12), float(mu12), float(mu3)), float(f)
-    N = tuple(N.tolist())
+    g, h, S, N, K, H, mu = (x[0] for x in forms)
+    mu, N = _principal(mu) if route is Route.NUMERIC else tuple(mu.tolist()), tuple(N.tolist())
     return CurvatureReport(g=g, h=h, S=S, N=N, eps_N=1 if inner(N, N) > 0 else -1, K=float(K),
-                           H=float(H), mu=mu, f_j=f,
+                           H=float(H), mu=mu, f_j=family_function(config.j, config.variant, t, w),
                            A=degeneracy_factor(config.j, config.variant, w), route=route)

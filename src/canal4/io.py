@@ -15,7 +15,7 @@ from . import analysis, expr as ex
 from .canal import (DEGENERATE_A_TOL, CanalConfig, GridSpec, RadiusProfile, SurfacePatch,
                     Variant, degenerate_nodes)
 from .curve import CurveSpec, FrenetFrame
-from .curvature import _closed_forms, numeric_kh
+from .curvature import Route, curvatures
 from .errors import CanalError, EmptySliceError, NumericError, unwrap
 
 CSV_HEADER = "s,t,w,K_cf,H_cf,mu1,mu2,mu3,K_num,H_num"   # column contract v1
@@ -57,23 +57,26 @@ def export_obj(patch: SurfacePatch, drop: int = 1, axis: str = "w",
 
 
 def export_curvature_csv(patch: SurfacePatch) -> str:
-    """Per-node curvature rows, closed form and numeric side by side: the
-    closed form in one pass over the patch, the numeric one by numeric_kh.
+    """Per-node curvature rows, closed form and numeric side by side, each
+    from curvatures' block loop over the patch.
 
     Degenerate nodes and nodes where either route breaks down numerically
-    are skipped; any other error, the closed form's first, is raised.
+    are skipped, but if every node breaks down the first one's error is
+    raised; any other error, the closed form's first, is raised.
     """
-    forms, cf_errors = _closed_forms(patch.config, patch.cache, *patch.node_keys())
-    K, H, mu12, mu3 = (x.tolist() for x in forms[6:]) if forms else ((),) * 4
-    K_num, H_num, num_errors = numeric_kh(patch)
+    keys = patch.node_keys()
+    K, H, mu, cf_errors = curvatures(patch.config, patch.cache, Route.CLOSED_FORM, *keys)
+    K_num, H_num, _, num_errors = curvatures(patch.config, patch.cache, Route.NUMERIC, *keys)
     rows = [CSV_HEADER]
-    for n, (_, _, _, s, t, w) in enumerate(patch.nodes()):
-        error = cf_errors[n] or num_errors[n]
+    for (_, _, _, *node), cf_error, num_error, *values in zip(
+            patch.nodes(), cf_errors, num_errors, K, H, *mu.T, K_num, H_num):
+        error = cf_error or num_error
         if isinstance(error, NumericError):
             continue
         unwrap(error)
-        rows.append(",".join(repr(float(v)) for v in
-                    (s, t, w, K[n], H[n], mu12[n], mu12[n], mu3[n], K_num[n], H_num[n])))
+        rows.append(",".join(repr(float(v)) for v in (*node, *values)))
+    if cf_errors and len(rows) == 1:
+        unwrap(cf_errors[0] or num_errors[0])
     return "\n".join(rows) + "\n"
 
 

@@ -407,19 +407,26 @@ def reference_numeric_report(curve, config, s, t, w):
             _principal(np.linalg.eigvals(S)))
 
 
-def reference_kh_report(patch):
-    """check_kh_relation(patch, Route.NUMERIC), node by node."""
-    from canal4.analysis import KH_TOL_NUMERIC, TheoremReport
+def reference_kh_report(patch, route=None):
+    """check_kh_relation(patch, route), node by node; the numeric route by
+    default."""
+    from canal4.analysis import KH_TOL_CLOSED, KH_TOL_NUMERIC, TheoremReport
+    from canal4.curvature import Route
+    route = route or Route.NUMERIC
+    tol = KH_TOL_NUMERIC if route is Route.NUMERIC else KH_TOL_CLOSED
     fr = patch.frames[0]
     sgn = fr.eps[2] * fr.eps[3] * patch.config.lam ** patch.config.j
     worst, n = 0.0, 0
     for i, jj, k, s, t, w in patch.nodes():
-        K, H, _ = reference_numeric_report(patch.curve, patch.config, s, t, w)
+        if route is Route.NUMERIC:
+            K, H, _ = reference_numeric_report(patch.curve, patch.config, s, t, w)
+        else:
+            rep = reference_closed_report(patch.curve, patch.config, s, t, w)
+            K, H = rep.K, rep.H
         r = patch.config.radius(s)
         worst = max(worst, abs(3.0 * H * r - K * r ** 3 - 2.0 * sgn))
         n += 1
-    return TheoremReport("kh-relation[numeric]", worst, KH_TOL_NUMERIC,
-                         worst <= KH_TOL_NUMERIC, n)
+    return TheoremReport(f"kh-relation[{route.value}]", worst, tol, worst <= tol, n)
 
 
 def reference_curvature_csv(patch):

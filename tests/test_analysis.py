@@ -1,4 +1,5 @@
 """Theorem checks: the K-H identity, Weingarten pairs, flatness, minimality."""
+import functools
 import math
 import os
 import subprocess
@@ -390,22 +391,6 @@ def test_weingarten_equals_scalar_reference(family_curves, beta1, gamma2, rng):
     assert "(2, 'standard', 0.3, 710.476)" in kinds[1]     # node 0's w offset comes first
 
 
-def _reference_closed_kh(patch):
-    """check_kh_relation(patch) node by node: oracles.reference_closed_report
-    at each node, raising where it raises."""
-    from canal4.analysis import KH_TOL_CLOSED, TheoremReport
-    fr = patch.frames[0]
-    sgn = fr.eps[2] * fr.eps[3] * patch.config.lam ** patch.config.j
-    worst, n = 0.0, 0
-    for _, _, _, s, t, w in patch.nodes():
-        rep = oracles.reference_closed_report(patch.curve, patch.config, s, t, w)
-        r = patch.config.radius(s)
-        worst = max(worst, abs(3.0 * rep.H * r - rep.K * r ** 3 - 2.0 * sgn))
-        n += 1
-    return TheoremReport("kh-relation[closed-form]", worst, KH_TOL_CLOSED,
-                         worst <= KH_TOL_CLOSED, n)
-
-
 def test_kh_closed_form_equals_per_node_reference(family_curves, beta2, rng):
     """The closed-form K-H check, one pass over the patch, gives the residual
     bits and node count of the node-by-node reference loop; on patches whose
@@ -421,7 +406,8 @@ def test_kh_closed_form_equals_per_node_reference(family_curves, beta2, rng):
               (4, CanalConfig(4, -1, RadiusProfile.from_constant(0.3)))]
     for j, cfg in cases:
         patch = _patch(family_curves[j], cfg, j)
-        assert repr(check_kh_relation(patch)) == repr(_reference_closed_kh(patch))
+        assert repr(check_kh_relation(patch)) == repr(
+            oracles.reference_kh_report(patch, Route.CLOSED_FORM))
     cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1, Variant.ALT_SUPERCRITICAL)
     kinds = []
     for s_vals, t_vals, w_vals in (((1.2, 1.4), (0.3, -0.4), (0.4, 0.0)),    # w = 0: A = 0
@@ -433,7 +419,8 @@ def test_kh_closed_form_equals_per_node_reference(family_curves, beta2, rng):
         patch = SurfacePatch(beta2, cfg, grid, np.zeros((len(s_vals) * len(t_vals)
                                                          * len(w_vals), 4)), frames, frozenset())
         got, one = (_outcome(lambda: check(patch))
-                    for check in (check_kh_relation, _reference_closed_kh))
+                    for check in (check_kh_relation, functools.partial(
+                        oracles.reference_kh_report, route=Route.CLOSED_FORM)))
         assert type(got) is type(one) and str(got) == str(one)
         kinds.append(type(got).__name__)
     assert kinds == ["DegenerateNodeError", "OutOfDomainError", "DomainError", "DomainError"]
@@ -444,6 +431,61 @@ def test_kh_closed_form_equals_per_node_reference(family_curves, beta2, rng):
                                                                 ((0.3,), (0.4,)))]
     got, one = map(check_kh_relation, patches)
     assert (got.max_residual, got.nodes_checked) == (one.max_residual, 4)
+
+
+def _first_node_error(patch, route):
+    """The error (type and message) of the first node, in node order, whose
+    one-node curvature_report raises on the route; None if none does."""
+    for _, _, _, s, t, w in patch.nodes():
+        one = _outcome(lambda: curvature_report(patch.curve, patch.config, s, t, w, route))
+        if isinstance(one, Exception):
+            return one
+    return None
+
+
+def test_block_loops_equal_per_node_references(beta1, beta2, monkeypatch):
+    """In blocks of 7 closed-form and 5 numeric nodes, on patches of several
+    blocks, the K-H check on both routes, the CSV export and the Weingarten
+    check give the node-by-node references' reports and bytes. Where the first
+    failing node (node 8 past the domain in s, node 7 at t = 800, whose cosh
+    overflows) sits in a later block than good nodes, each raises that node's
+    error, type and message: the K-H checks its one-node call's, the CSV and
+    Weingarten their references'; the CSV skips the numeric breakdowns."""
+    import canal4.curvature as curvature
+    from canal4.canal import SurfacePatch, Variant
+    from canal4.io import export_curvature_csv
+    monkeypatch.setitem(curvature.BLOCK_NODES, Route.CLOSED_FORM, 7)
+    monkeypatch.setitem(curvature.BLOCK_NODES, Route.NUMERIC, 5)
+    checks = [(lambda p, route=route: check_kh_relation(p, route),
+               lambda p, route=route: (_first_node_error(p, route)
+                                       or oracles.reference_kh_report(p, route)))
+              for route in Route]
+    checks += [(export_curvature_csv, oracles.reference_curvature_csv)]
+    checks += [(lambda p, pair=pair: weingarten_check(p, pair),
+                lambda p, pair=pair: oracles.reference_weingarten(p, pair))
+               for pair in ("sw", "tw")]
+    supercritical = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
+                                Variant.ALT_SUPERCRITICAL)
+    patches = [sample_grid(beta1, make_config(1, 1, R2S),
+                           GridSpec((1.0, 1.5, 2.0), (0.3, 1.2, 2.0, 4.1), (0.4, -0.6, 1.0))),
+               sample_grid(beta2, supercritical,
+                           GridSpec((1.2, 1.5, 1.8), (-0.4, 0.3, 0.9), (0.4, -0.7)))]
+    for s_vals, t_vals in (((1.2, 1.4, 3.01), (0.3, -0.4, 0.9, 1.1)),
+                           ((1.2, 1.4), (0.3, -0.4, 0.9, 1.1, 0.2, -0.2, 0.5, 800.0))):
+        # the row past the domain fails in the cache, not in the frames given here
+        frames = tuple(beta2.frame(min(s, 1.4)) for s in s_vals)
+        patches.append(SurfacePatch(beta2, supercritical, GridSpec(s_vals, t_vals, (0.4,)),
+                                    np.zeros((len(s_vals) * len(t_vals), 4)), frames,
+                                    frozenset()))
+    kinds = []
+    for patch in patches:
+        assert len(patch.node_keys()[1]) > 7
+        for check, reference in checks:
+            got, one = _outcome(lambda: check(patch)), _outcome(lambda: reference(patch))
+            assert type(got) is type(one) and repr(got) == repr(one)
+            kinds.append(type(got).__name__)
+    assert kinds == (["TheoremReport"] * 2 + ["str"] + ["TheoremReport"] * 2) * 2 + [
+        "OutOfDomainError"] * 5 + ["DomainError"] * 2 + ["str"] + ["DomainError"] * 2
 
 
 def _outcome(fn):
@@ -492,34 +534,59 @@ def test_radius_evaluated_once_per_distinct_s(beta1):
 
 def test_numeric_loops_evaluate_the_point_map_once_per_pass(beta1, monkeypatch):
     """The numeric K-H check and the CSV export put the stencils of the
-    patch's nodes through one point-map evaluation per block of NUMERIC_BLOCK
-    nodes in node order, blocks crossing s rows: ceil(n / block) calls of
-    block nodes each, the last the rest, at the real block size and at 5."""
+    patch's nodes through one point-map evaluation per numeric block in node
+    order, blocks crossing s rows: ceil(n / block) calls of block nodes each,
+    the last the rest. The closed-form K-H check, the CSV's closed form and
+    the Weingarten check make as many pass calls over the closed-form
+    blocks. Both at the real block sizes and at 7 (closed form) and 5."""
+    import canal4.analysis as analysis
     import canal4.curvature as curvature
     from canal4.io import export_curvature_csv
-    sizes, rows = [], []
-    original = curvature.indexed_points
+    sizes, rows, cf_sizes, kh_sizes = [], [], [], []
+    original, closed, kh_points = (curvature.indexed_points, curvature._closed_forms,
+                                   analysis._kh_points)
 
     def counted(config, cache, s_keys, s_at, *rest):
         sizes.append(len(s_at))
         rows.append(len(s_keys) // 9)   # the s rows of the block, nine stencil values each
         return original(config, cache, s_keys, s_at, *rest)
 
+    def closed_counted(config, cache, s_keys, s_at, *rest):
+        cf_sizes.append(len(s_at))
+        return closed(config, cache, s_keys, s_at, *rest)
+
+    def kh_counted(config, cache, eps, s_keys, s_at, *rest):
+        kh_sizes.append(len(s_at) // 8)     # 8 stencil points per node
+        return kh_points(config, cache, eps, s_keys, s_at, *rest)
+
     monkeypatch.setattr(curvature, "indexed_points", counted)
-    for block in (curvature.NUMERIC_BLOCK, 5):
-        monkeypatch.setattr(curvature, "NUMERIC_BLOCK", block)
+    monkeypatch.setitem(curvature._PASSES, Route.CLOSED_FORM, closed_counted)
+    monkeypatch.setattr(analysis, "_kh_points", kh_counted)
+    real = curvature.BLOCK_NODES[Route.CLOSED_FORM], curvature.BLOCK_NODES[Route.NUMERIC]
+    for cf_block, num_block in (real, (7, 5)):
+        monkeypatch.setitem(curvature.BLOCK_NODES, Route.CLOSED_FORM, cf_block)
+        monkeypatch.setitem(curvature.BLOCK_NODES, Route.NUMERIC, num_block)
         for t_values in ((0.3, 1.2, 2.0), tuple(0.1 * k for k in range(1, 23))):
             patch = sample_grid(beta1, make_config(1, 1, R2S),
                                 GridSpec((1.0, 1.5, 2.0), t_values, (0.4, -0.6)))
             n = 3 * len(t_values) * 2
-            calls = -(-n // block)
-            for check in (lambda: check_kh_relation(patch, Route.NUMERIC),
-                          lambda: export_curvature_csv(patch)):
-                sizes.clear()
-                rows.clear()
+
+            def blocks(block):
+                calls = -(-n // block)
+                return [block] * (calls - 1) + [n - block * (calls - 1)]
+            for check, expected in (
+                    (lambda: check_kh_relation(patch, Route.NUMERIC), {"num": blocks(num_block)}),
+                    (lambda: export_curvature_csv(patch),
+                     {"num": blocks(num_block), "cf": blocks(cf_block)}),
+                    (lambda: check_kh_relation(patch), {"cf": blocks(cf_block)}),
+                    (lambda: weingarten_check(patch, "tw"), {"kh": blocks(cf_block)})):
+                for recorded in (sizes, rows, cf_sizes, kh_sizes):
+                    recorded.clear()
                 check()
-                assert sizes == [block] * (calls - 1) + [n - block * (calls - 1)]
-                assert max(rows) >= 2          # some block spans two s rows
+                assert {"num": sizes, "cf": cf_sizes, "kh": kh_sizes} == {
+                    "num": [], "cf": [], "kh": [], **expected}
+                if sizes:
+                    assert max(rows) >= 2          # some block spans two s rows
 
 
 def test_import_does_not_load_scipy():

@@ -709,6 +709,20 @@ def test_overflowing_cube_exit_3(capsys, radius, route, cube):
     assert capsys.readouterr().err == f"numeric breakdown: {cube} overflows\n"
 
 
+@pytest.mark.parametrize("command, flag", [("curvature", "--out"), ("export", "--csv")])
+def test_csv_with_no_surviving_node_exit_3(tmp_path, capsys, command, flag):
+    """When every node of a patch breaks down numerically (here the singular-
+    metric test's scale^3 overflows at each), the CSV export raises the first
+    node's error: exit 3, one numeric-breakdown line and no file, not a CSV
+    of the header alone."""
+    out = tmp_path / "c.csv"
+    assert run([command, "--example", "beta1", "--radius", "2*s + 1e120", "--grid", "2x2x1",
+                flag, str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric breakdown: scale^3 of det g (max |g_ij| = 3.22e+241) overflows\n")
+    assert not out.exists()
+
+
 _RADII = ("2*s", "1e120*s", "1e120", "0.5 + s", "1e200*s", "1e308", "exp(700*s)", "nan",
           "700", "2*s + 1e120", "-1e120*s", "1e308*s*s")
 _RANGES = ("0.5:2", "1:1.001", "1:1.0000001", "2:0.5", "1e120:2e120", "700:701",

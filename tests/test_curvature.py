@@ -209,6 +209,7 @@ def test_numeric_route_needs_no_closed_form(family_curves, rng, monkeypatch):
         raise AssertionError("the numeric route called the closed form")
 
     monkeypatch.setattr(curvature, "_closed_forms", unavailable)
+    monkeypatch.setitem(curvature._PASSES, Route.CLOSED_FORM, unavailable)
     for case, ref in zip(cases, expected):
         rep = curvature_report(*case)
         assert np.array_equal(rep.g, ref.g)
@@ -307,11 +308,11 @@ def _row_keys(s, t, w):
 
 def _assert_pass_node(forms, n, ref):
     """Node n of a _closed_forms pass equals the reference report bit for bit."""
-    g, h, S, N, f, _, K, H, mu12, mu3 = (x[n] for x in forms)
+    g, h, S, N, K, H, mu = (x[n] for x in forms)
     for got, one in ((g, ref.g), (h, ref.h), (S, ref.S)):
         assert got.tobytes() == one.tobytes()
-    assert repr((tuple(N.tolist()), float(K), float(H), (float(mu12), float(mu12), float(mu3)),
-                 float(f))) == repr((ref.N, ref.K, ref.H, ref.mu, ref.f_j))
+    assert repr((tuple(N.tolist()), float(K), float(H), tuple(mu.tolist()))) == repr(
+        (ref.N, ref.K, ref.H, ref.mu))
 
 
 def test_closed_row_pass_equals_per_node_reference(family_curves, rng):
@@ -341,8 +342,8 @@ def test_closed_row_errors_match_per_node_reference(beta2):
     """One supercritical row mixes good nodes, a degenerate one (w = 0), one
     whose cosh overflows (t = 800) and one on the focal locus D = 0: each
     node gets the report or the error (type and message) of the per-node
-    reference. Past the domain the row fails every node after its own
-    degenerate check."""
+    reference, in the pass and from curvature_report (f_j included). Past the
+    domain the row fails every node after its own degenerate check."""
     from canal4.curvature import _closed_forms
     cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
                       Variant.ALT_SUPERCRITICAL)
@@ -361,6 +362,7 @@ def test_closed_row_errors_match_per_node_reference(beta2):
                 _assert_pass_node(forms, n, one)
             else:
                 assert type(errors[n]) is type(one) and str(errors[n]) == str(one)
+            _assert_same_outcome(_outcome(lambda: curvature_report(beta2, cfg, s, *node)), one)
             kinds.append(type(errors[n] or one).__name__)
     assert kinds == ["CurvatureReport", "DegenerateNodeError", "DomainError",
                      "CurvatureReport", "SingularMetricError", "OutOfDomainError",
@@ -393,10 +395,10 @@ def test_gauss_mean_principal_equals_float_reference(family_curves, rng):
 def test_numeric_patch_loops_equal_per_node_reference(beta1, beta2):
     """check_kh_relation on the numeric route and the CSV export give the
     report and the bytes of the node-by-node reference loop, the last patch
-    in more than one NUMERIC_BLOCK, in blocks that cross s rows."""
+    in more than one numeric block, in blocks that cross s rows."""
     from canal4.analysis import check_kh_relation
     from canal4.canal import GridSpec, sample_grid
-    from canal4.curvature import NUMERIC_BLOCK
+    from canal4.curvature import BLOCK_NODES
     from canal4.io import export_curvature_csv
     cases = [(beta1, make_config(1, 1, R2S), (0.0, 6.0), (-1.2, 1.2), (2, 3, 3)),
              (beta2, make_config(3, -1, R2S), (-1.3, 1.3), (-1.2, 1.2), (2, 3, 3)),
@@ -409,7 +411,7 @@ def test_numeric_patch_loops_equal_per_node_reference(beta1, beta2):
         patch = sample_grid(curve, cfg, grid)
         assert check_kh_relation(patch, Route.NUMERIC) == oracles.reference_kh_report(patch)
         assert export_curvature_csv(patch) == oracles.reference_curvature_csv(patch)
-    assert len(patch.node_keys()[1]) > NUMERIC_BLOCK
+    assert len(patch.node_keys()[1]) > BLOCK_NODES[Route.NUMERIC]
 
 
 def test_metric_signature(family_curves, rng):
