@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as ex
 from .canal import (_A2_AND_A, CanalConfig, PointMapCache, RadiusProfile, SurfacePatch,
-                    _math_table, family_function)
+                    _math_table, family_function, frame_signs)
 from .curvature import (_FOCAL, Route, _admissible_q, _cube, _family_curvatures, _normal_sign,
                         curvatures, node_blocks)
 from .curve import CurveSpec, TAU_K
@@ -39,6 +39,7 @@ FLAT_K_TOL = 1e-9
 MINIMAL_RESIDUAL_TOL = 1e-6
 MINIMAL_H_TOL = 1e-5
 LINEAR_SLOPE_BOUNDARY_TOL = 1e-9
+CLASSIFY_SAMPLES = 200         # s values of the flat and minimal classification sweeps
 RK4_SUBSTEPS = 8               # solve_minimal_radius: RK4 steps per table interval,
 EXIT_SUBSTEPS = 512            # and in an interval where those steps leave its domain
 
@@ -52,17 +53,15 @@ class TheoremReport:
     nodes_checked: int
 
 
-def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
-                      tolerance: float | None = None) -> TheoremReport:
+def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM) -> TheoremReport:
     """max |3 H r - K r^3 - 2 eps3 eps4 lam^j| over non-degenerate nodes, with
     K and H from curvatures' block loop on the route; raises a DomainError
     where r^3 overflows on a row, else the first node's error in node order."""
-    tol = tolerance if tolerance is not None else (
-        KH_TOL_CLOSED if route is Route.CLOSED_FORM else KH_TOL_NUMERIC)
+    tol = KH_TOL_CLOSED if route is Route.CLOSED_FORM else KH_TOL_NUMERIC
     keys = patch.node_keys()
     if not len(keys[1]):
         return TheoremReport(f"kh-relation[{route.value}]", 0.0, tol, True, 0)
-    sgn = -_normal_sign(patch.config, patch.frames[0].eps)      # eps3 eps4 lam^j
+    sgn = -_normal_sign(patch.config)     # eps3 eps4 lam^j
     # r^3 of each row first (nan where the row fails): where it overflows, no residual exists
     r = [getattr(or_error(patch.cache.row, s), "r", math.nan) for s in keys[0]]
     r, r3 = np.array([(x, _cube(x, "r^3 at s={!r} (r = {:.6g})", s, x))
@@ -77,14 +76,14 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM,
 # ---------------------------------------------------------------------------
 # Weingarten
 
-def _kh_points(config, cache, eps, s_keys, s_at, t_keys, t_at, w_keys, w_at):
+def _kh_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     """Closed-form (K, H) arrays at the points (s_keys[s_at], t_keys[t_at],
     w_keys[w_at]): row values once per s key, f_j's trig once per t and w key.
     Raises the first point's gauss_mean_principal error (row, Q, f_j, D)."""
     def per_s(x):
         row = cache.row(x)
         return (row.r, row.frame.k1, row.rpp,
-                _admissible_q(config.lam, config.variant, eps[0], row.rp))
+                _admissible_q(config.lam, config.variant, frame_signs(config.j)[0], row.rp))
     rows = [or_error(per_s, x) for x in s_keys]
     failed = np.array([isinstance(x, CanalError) for x in rows])
     r, k1, rpp, Q = np.array([(1.0, 0.0, 0.0, 1.0) if bad else x
@@ -94,8 +93,9 @@ def _kh_points(config, cache, eps, s_keys, s_at, t_keys, t_at, w_keys, w_at):
         f = _math_table(W, w_keys)[w_at]
         if T is not None:
             f = _math_table(T, t_keys)[t_at] * f
-        K, H, _, _, focal = _family_curvatures(config.j, config.lam, config.variant, eps, k1, r,
-                                               Q, rpp, config.sigma * f)
+        K, H, _, _, focal = _family_curvatures(config.j, config.lam, config.variant,
+                                               frame_signs(config.j), k1, r, Q, rpp,
+                                               config.sigma * f)
     bad = failed[s_at] | np.isnan(f) | focal      # nan f: cosh or sinh overflowed
     if bad.any():
         p = int(np.argmax(bad))
@@ -105,8 +105,7 @@ def _kh_points(config, cache, eps, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     return K, H
 
 
-def weingarten_check(patch: SurfacePatch, pair: str,
-                     tolerance: float = WEINGARTEN_TOL) -> TheoremReport:
+def weingarten_check(patch: SurfacePatch, pair: str) -> TheoremReport:
     """Normalized max of |H_u K_v - H_v K_u| over the patch nodes.
 
     Partials of the closed-form K and H fields by 5-point finite differences,
@@ -130,7 +129,7 @@ def weingarten_check(patch: SurfacePatch, pair: str,
                    for x in (v, ((1 + len(o)) * at[:, None] + shift).ravel())]
         (k0, k1, k2, k3), (h0, h1, h2, h3) = (
             x.reshape(-1, 4).T
-            for x in _kh_points(patch.config, patch.cache, patch.frames[0].eps, *stencil))
+            for x in _kh_points(patch.config, patch.cache, *stencil))
         with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
             Ku, Kv = ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h)).reshape(-1, 2).T
             Hu, Hv = ((h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h)).reshape(-1, 2).T
@@ -139,7 +138,8 @@ def weingarten_check(patch: SurfacePatch, pair: str,
             scale = np.maximum(np.maximum(np.abs(Hu), np.abs(Hv))
                                * np.maximum(np.abs(Ku), np.abs(Kv)), WEINGARTEN_ETA)
             worst = max([worst, *(num / scale).tolist()])     # max skips nan
-    return TheoremReport(f"weingarten-{pair}", worst, tolerance, worst <= tolerance, len(keys[1]))
+    return TheoremReport(f"weingarten-{pair}", worst, WEINGARTEN_TOL, worst <= WEINGARTEN_TOL,
+                         len(keys[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +154,18 @@ class FlatnessReport:
     sampled_max_K: float | None
 
 
-def _max_k1(curve: CurveSpec, n_samples: int) -> float:
-    sweep = curve.sweep(n_samples)
+def _max_k1(curve: CurveSpec) -> float:
+    sweep = curve.sweep(CLASSIFY_SAMPLES)
     d2 = curve.derivatives(sweep, 2)    # or the scalar calls, which raise the first error
     d2 = d2[0] if d2 is not None else np.array([curve.derivative(s, 2) for s in sweep])
     with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
         return max([0.0, *np.sqrt(np.abs(inner(d2, d2))).tolist()])     # max skips nan
 
 
-def _sample_K_H(curve, config, n=20):
-    """max |K| and max |H| of the closed form at n sample nodes."""
+def _sample_K_H(curve, config):
+    """max |K| and max |H| of the closed form at n = 20 sample nodes."""
     smin, smax = curve.domain
+    n = 20
     nodes = [(smin + (smax - smin) * (i + 0.5) / n, 0.4 + 0.11 * (i % 5), 0.3 + 0.07 * (i % 7))
              for i in range(n)]
     K, H, _, errors = curvatures(config, PointMapCache(curve, config), Route.CLOSED_FORM,
@@ -173,12 +174,11 @@ def _sample_K_H(curve, config, n=20):
     return tuple(max([0.0, *np.abs(x).tolist()]) for x in (K, H))
 
 
-def classify_flat(curve: CurveSpec, radius: RadiusProfile,
-                  n_samples: int = 200) -> FlatnessReport:
+def classify_flat(curve: CurveSpec, radius: RadiusProfile) -> FlatnessReport:
     """Flat iff k1 = 0 and r'' = 0 with |r'| != 1; |r'| = 1 is EXCLUDED."""
     smin, smax = curve.domain
-    max_k1 = _max_k1(curve, n_samples)
-    max_rpp = max(map(abs, ex.values(radius.r_second, curve.sweep(n_samples))))
+    max_k1 = _max_k1(curve)
+    max_rpp = max(map(abs, ex.values(radius.r_second, curve.sweep(CLASSIFY_SAMPLES))))
     if max_k1 > TAU_K:
         return FlatnessReport("not-flat", f"k1 reaches {max_k1:.3g} > {TAU_K:g}",
                               max_k1, max_rpp, None)
@@ -215,19 +215,18 @@ def _radius_residual(rp, r, rpp, eps1_lambda):
     return -2.0 * (rp * rp - eps1_lambda) - 3.0 * r * rpp
 
 
-def classify_minimal(curve: CurveSpec, radius: RadiusProfile, lam: int,
-                     n_samples: int = 200) -> MinimalityReport:
+def classify_minimal(curve: CurveSpec, radius: RadiusProfile, lam: int) -> MinimalityReport:
     """Minimal iff k1 = 0 and the radius equation residual vanishes."""
     if lam not in (-1, 1):
         raise InadmissibleConfigError("minimality classification needs lambda = +-1")
     smin, smax = curve.domain
-    max_k1 = _max_k1(curve, n_samples)
+    max_k1 = _max_k1(curve)
     if max_k1 > TAU_K:
         return MinimalityReport("not-minimal", f"k1 reaches {max_k1:.3g} > {TAU_K:g}",
                                 max_k1, math.inf, None)
     fr = curve.frame(0.5 * (smin + smax))
     e1l = fr.eps[0] * lam
-    sweep = curve.sweep(n_samples)
+    sweep = curve.sweep(CLASSIFY_SAMPLES)
     worst = max(abs(_radius_residual(*x, e1l)) for x in
                 zip(*(ex.values(fn, sweep) for fn in (radius.r_prime, radius.r, radius.r_second))))
     if worst > MINIMAL_RESIDUAL_TOL:

@@ -40,6 +40,13 @@ VARIANT_BOUNDARY_TOL = 1e-12
 # fixed cost exceeds the scalar rows' (230-450 us against 20-40 us per row,
 # measured on a 2-core VM with Python 3.11 and numpy 2.4)
 BATCH_MIN_S = 16
+ADMISSIBILITY_SAMPLES = 33  # s values of the validate_config and resolve_variant sweeps
+
+
+@functools.cache
+def frame_signs(j: int) -> tuple[int, int, int, int]:
+    """(eps1, .., eps4) of a frame of type j: F_j is timelike, eps_j = -1, the rest +1."""
+    return tuple(-1 if i == j else 1 for i in range(1, 5))
 
 
 class Variant(Enum):
@@ -196,12 +203,11 @@ def _root_q(config: CanalConfig, s: float, eps1: int, rp: float) -> float:
     return math.sqrt(v * q)
 
 
-def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile,
-                    n_samples: int = 33) -> Variant:
+def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile) -> Variant:
     """Pick the variant from the sign of r'^2 - lam*eps1 over the domain."""
-    eps1 = -1 if j == 1 else 1
+    eps1 = frame_signs(j)[0]
     sign = None
-    sweep = curve.sweep(n_samples)
+    sweep = curve.sweep(ADMISSIBILITY_SAMPLES)
     for s, rp in zip(sweep, ex.values(radius.r_prime, sweep)):
         try:
             q = rp ** 2 - lam * eps1
@@ -243,27 +249,29 @@ class PointMapCache:
     """Per-s rows of the point map, memoized by exact float value of s.
 
     Grid rows, finite-difference stencils and the curvature formulas revisit
-    the same s values; one cache per patch (SurfacePatch.cache) evaluates and
-    checks the frame, b(s), r, r' and r'' once for every node and every check
-    at that s. frames holds (s, frame) pairs already built, such as a patch's.
-    For lam = 0 the cache also holds the two free a-functions, compiled once.
+    the same s values; one cache per patch (SurfacePatch.cache, sample_grid's)
+    evaluates and checks the frame, b(s), r, r' and r'' once for every node,
+    grid row and check at that s. Making one costs next to nothing: the lam = 0
+    free a-functions are compiled on first use.
     """
 
-    def __init__(self, curve: CurveSpec, config: CanalConfig, frames=None):
+    def __init__(self, curve: CurveSpec, config: CanalConfig):
         self.curve = curve
         self.config = config
-        self._frames: dict[float, FrenetFrame] = dict(frames or {})
         self._rows: dict[float, PointMapRow] = {}
-        self.a_fns = (tuple(ex.compile_expr(a, ("s", "t", "w"), f"a{slot}")
-                            for a, slot in zip(config.a_free, _FREE_SLOTS[config.j]))
-                      if config.lam == 0 else None)
+
+    @functools.cached_property
+    def a_fns(self):
+        """The two free a-functions of a lam = 0 config, compiled once."""
+        return tuple(ex.compile_expr(a, ("s", "t", "w"), f"a{slot}")
+                     for a, slot in zip(self.config.a_free, _FREE_SLOTS[self.config.j]))
 
     def fill(self, keys) -> None:
-        """Build the rows of the keys with no row or frame yet in one array
-        pass, if there are at least BATCH_MIN_S of them. It raises nothing: a
-        row that fails a check of row's, or all if the pass cannot vouch for
-        them, is left to row(s), whose scalar path raises its error."""
-        todo = [s for s in dict.fromkeys(keys) if s not in self._rows and s not in self._frames]
+        """Build the rows of the keys with no row yet in one array pass, if
+        there are at least BATCH_MIN_S of them. It raises nothing: a row that
+        fails a check of row's, or all if the pass cannot vouch for them, is
+        left to row(s), whose scalar path raises its error."""
+        todo = [s for s in dict.fromkeys(keys) if s not in self._rows]
         if len(todo) < BATCH_MIN_S:
             return
         config, n = self.config, len(todo)
@@ -275,7 +283,7 @@ class PointMapCache:
             if table is None:
                 return
             r, rp, rpp = table
-            eps1 = -1 if config.j == 1 else 1       # of every frame of type j
+            eps1 = frame_signs(config.j)[0]
             with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
                 vq = config.variant.sign * (rp * rp - config.lam * eps1)
                 phi = config.sigma * (r * np.sqrt(vq))
@@ -297,7 +305,7 @@ class PointMapCache:
         if hit is not None:
             return hit
         config = self.config
-        fr = self._frames.get(s) or self.curve.frame(s)
+        fr = self.curve.frame(s)
         if fr.frame_type != config.j:
             raise InadmissibleConfigError(
                 f"curve has frame type {fr.frame_type}, config wants j = {config.j}")
@@ -305,7 +313,7 @@ class PointMapCache:
         if config.lam == 0:
             hit = self._rows[s] = PointMapRow(fr, basis, 0.0, 0.0, 0.0, 0.0, 0.0)
             return hit
-        eps1 = fr.eps[0]
+        eps1 = frame_signs(config.j)[0]
         rv = config.radius(s)
         if rv <= 0:
             raise InadmissibleConfigError(f"radius r({s!r}) = {rv:.6g} must be positive")
@@ -428,12 +436,11 @@ class AdmissibilityReport:
     reasons: tuple[str, ...]
 
 
-def validate_config(curve: CurveSpec, config: CanalConfig,
-                    n_samples: int = 33) -> AdmissibilityReport:
+def validate_config(curve: CurveSpec, config: CanalConfig) -> AdmissibilityReport:
     """Report-valued admissibility sweep: frame type, radius, variant, lam rules."""
     reasons = []
 
-    rep = curve.verify_unit_speed(n_samples)
+    rep = curve.verify_unit_speed(ADMISSIBILITY_SAMPLES)
     if not rep.passed:
         reasons.append(f"curve is not unit speed (deviation {rep.max_deviation:.3g})")
 
@@ -447,12 +454,12 @@ def validate_config(curve: CurveSpec, config: CanalConfig,
     if config.lam == 0:
         return AdmissibilityReport(not reasons, tuple(reasons))
 
-    r_min = min(ex.values(config.radius.r, curve.sweep(n_samples)))
+    r_min = min(ex.values(config.radius.r, curve.sweep(ADMISSIBILITY_SAMPLES)))
     if r_min <= 0:
         reasons.append(f"radius must stay positive (min {r_min:.6g})")
 
     try:
-        variant = resolve_variant(curve, config.j, config.lam, config.radius, n_samples)
+        variant = resolve_variant(curve, config.j, config.lam, config.radius)
         if variant is not config.variant:
             reasons.append(
                 f"declared variant {config.variant.value!r} but r'^2 - lam*eps1 "
@@ -498,7 +505,7 @@ class _Vec4View(Sequence):
 class SurfacePatch:
     """Sampled (s,t,w) lattice of canal points with cached frames per s."""
 
-    def __init__(self, curve, config, grid, coords, frames, degenerate):
+    def __init__(self, curve, config, grid, coords, frames, degenerate, cache=None):
         self.curve = curve
         self.config = config
         self.grid = grid
@@ -506,6 +513,7 @@ class SurfacePatch:
         self.coords.flags.writeable = False
         self.frames = frames            # one FrenetFrame per s value
         self.degenerate = degenerate    # frozenset of flat indices
+        self.cache = cache or PointMapCache(curve, config)   # sample_grid's, or a new one
 
     @property
     def points(self) -> Sequence[Vec4]:
@@ -515,12 +523,6 @@ class SurfacePatch:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (len(self.grid.s_values), len(self.grid.t_values), len(self.grid.w_values))
-
-    @functools.cached_property
-    def cache(self) -> PointMapCache:
-        """The patch's one PointMapCache, seeded with its frames and built on
-        first use; every curvature, theorem and export pass reads it."""
-        return PointMapCache(self.curve, self.config, zip(self.grid.s_values, self.frames))
 
     def nodes(self):
         """Yield (i, j, k, s, t, w) of the non-degenerate nodes."""
@@ -587,4 +589,4 @@ def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> Surfac
         lattice(len(frames))
         raise
     return SurfacePatch(curve, config, grid, lattice(len(frames)), tuple(frames),
-                        degenerate_nodes(config, grid))
+                        degenerate_nodes(config, grid), cache)

@@ -307,7 +307,7 @@ def cmd_verify(args, file_values):
                 "unit-speed", rep.max_deviation, rep.tolerance, rep.passed, rep.n_samples))
         elif name == "sphere":
             resid = patch.max_sphere_residual()
-            r_max = max(job.config.radius(s) for s in patch.grid.s_values) if job.lam else 1.0
+            r_max = max(patch.cache.row(s).r for s in patch.grid.s_values) if job.lam else 1.0
             tol = 1e-9 * (1.0 + r_max * r_max)
             reports.append(analysis.TheoremReport(
                 "sphere-membership", resid, tol, resid <= tol, len(patch.coords)))

@@ -35,8 +35,8 @@ from enum import Enum
 import numpy as np
 
 from .canal import (_EVEN_ODD, CanalConfig, PointMapCache, PointMapRow, _math_table,
-                    _pattern, degeneracy_factor, family_function, indexed_points, transverse,
-                    DEGENERATE_A_TOL)
+                    _pattern, degeneracy_factor, family_function, frame_signs, indexed_points,
+                    transverse, DEGENERATE_A_TOL)
 from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
                      InadmissibleConfigError, RankDeficientError,
                      SingularMetricError, or_error, unwrap)
@@ -80,9 +80,9 @@ def _check_node(config: CanalConfig, w: float):
     return A
 
 
-def _normal_sign(config: CanalConfig, eps) -> int:
+def _normal_sign(config: CanalConfig) -> int:
     """c = -eps3*eps4*lam^j: the unit normal is N = (c/r)(C - b)."""
-    return -eps[2] * eps[3] * config.lam ** config.j
+    return -math.prod(frame_signs(config.j)[2:]) * config.lam ** config.j
 
 
 def _checked_nodes(config: CanalConfig, s_keys, s_at, t_at, w_keys, w_at, row):
@@ -114,8 +114,8 @@ def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     if not good:
         return None, errors
     lam, v, sigma = config.lam, config.variant.sign, config.sigma
-    e1, e2, e3, e4 = eps = good[0].frame.eps       # the rows' frame type fixes eps
-    c = _normal_sign(config, eps)
+    e1, e2, e3, e4 = eps = frame_signs(config.j)
+    c = _normal_sign(config)
 
     def per_s(row):         # r, r'', k1, Q, phi, dphi and the terms' per-s prefixes
         fr, rv, rp, rpp, phi, a1 = row.frame, row.r, row.rp, row.rpp, row.phi, row.axial
@@ -290,9 +290,8 @@ def _numeric_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
         N = cross * (1.0 / np.sqrt(np.abs(qn)))[:, None]
         # the exact normal is (c/r)(C - b), so the numeric one is close to
         # +-that; P[:, 14] is the stencil centre, the node itself
-        rows = [cache.row(s_keys[i]) for i in good]
-        radial = _normal_sign(config, rows[0].frame.eps) * (
-            P[:, 14] - np.array([row.basis[0] for row in rows])[s_in])
+        radial = _normal_sign(config) * (
+            P[:, 14] - np.array([cache.row(s_keys[i]).basis[0] for i in good])[s_in])
         N = np.where(((N * radial).sum(axis=1) < 0)[:, None], -N, N)
         h = inner(np.concatenate((second, mixed), axis=1)[:, _H_INDEX], N[:, None, None])
         flag(~(np.isfinite(g).all(axis=(1, 2)) & np.isfinite(h).all(axis=(1, 2))),

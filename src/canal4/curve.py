@@ -267,9 +267,9 @@ class CurveSpec:
                                  tuple(e), *x[16:])
         return out, table[:, :16].reshape(-1, 4, 4)
 
-    def is_straight(self, n_samples: int = 16) -> bool:
-        """True when b'' vanishes across the domain (within TAU_K)."""
-        sweep = self.sweep(n_samples)
+    def is_straight(self) -> bool:
+        """True when b'' vanishes across the domain (within TAU_K) at 16 s values."""
+        sweep = self.sweep(16)
         d2 = self.derivatives(sweep, 2)
         rows = d2[0].tolist() if d2 is not None else (self.derivative(s, 2) for s in sweep)
         return not any(math.sqrt(_euclid_sq(d)) > TAU_K for d in rows)

@@ -544,7 +544,7 @@ def reference_closed_forms(curve, config, s, t, w):
     """Exact (g, h, N) of one node: frame components of the partials in floats,
     N in (4,) array arithmetic."""
     from canal4.canal import PointMapCache, transverse
-    from canal4.curvature import _check_node, _normal_sign
+    from canal4.curvature import _check_node
     _check_node(config, w)
     row = PointMapCache(curve, config).row(s)
     fr = row.frame
@@ -554,7 +554,7 @@ def reference_closed_forms(curve, config, s, t, w):
     psi = phi / rv
     dphi = config.sigma * rp * (abs(q) + config.variant.sign * rv * rpp) / sqrt(abs(q))
     da1 = -config.lam * e1 * (rp * rp + rv * rpp)
-    c = _normal_sign(config, fr.eps)
+    c = -e3 * e4 * config.lam ** config.j     # the frame's signs, not frame_signs(j)
     k1, k2, k3 = fr.k1, fr.k2, fr.k3
     a, dat, daw = transverse(config.j, config.variant, t, w)
     cs = (1.0 + da1 + e3 * e4 * k1 * phi * a[0],
@@ -603,7 +603,7 @@ def reference_weingarten(patch, pair):
     from canal4.analysis import WEINGARTEN_ETA, WEINGARTEN_FD_STEP, WEINGARTEN_TOL, TheoremReport
     from canal4.canal import PointMapCache
     cfg = patch.config
-    cache = PointMapCache(patch.curve, cfg, zip(patch.grid.s_values, patch.frames))
+    cache = PointMapCache(patch.curve, cfg)
 
     def kh(s, t, w):
         row = cache.row(s)

@@ -19,7 +19,7 @@ from canal4.analysis import (check_kh_relation, classify_flat, classify_minimal,
 from canal4.canal import (CanalConfig, GridSpec, RadiusProfile, sample_grid,
                           validate_config)
 from canal4.curvature import Route, curvature_report
-from canal4.errors import DomainExitError, InadmissibleConfigError
+from canal4.errors import CanalError, DomainExitError, InadmissibleConfigError
 
 R2S = RadiusProfile.from_expr("2*s")
 
@@ -110,7 +110,7 @@ def test_weingarten_sw_passes_for_tubular(beta1):
 def test_weingarten_st_unconditional_for_j4(gamma4, rng):
     radius = conftest.random_polynomial_radius(rng, 4, 1, conftest.SWEEP_S_RANGE[4])
     patch = _patch(gamma4, CanalConfig(4, 1, radius), 4)
-    rep = weingarten_check(patch, "st", tolerance=1e-12)
+    rep = weingarten_check(patch, "st")
     assert rep.passed and rep.max_residual <= 1e-12
 
 
@@ -319,9 +319,9 @@ def test_weingarten_evaluates_k_and_h_once_per_stencil_point(beta1, monkeypatch)
     points, sizes = [], []
     kh_points, kernel = analysis._kh_points, analysis._family_curvatures
 
-    def recorded(config, cache, eps, s_keys, s_at, t_keys, t_at, w_keys, w_at):
+    def recorded(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
         points.append([(s_keys[i], t_keys[j], w_keys[k]) for i, j, k in zip(s_at, t_at, w_at)])
-        return kh_points(config, cache, eps, s_keys, s_at, t_keys, t_at, w_keys, w_at)
+        return kh_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at)
 
     def counted(*args):
         sizes.append(args[-1].shape)
@@ -491,14 +491,15 @@ def test_block_loops_equal_per_node_references(beta1, beta2, monkeypatch):
 def _outcome(fn):
     try:
         return fn()
-    except Exception as exc:
+    except CanalError as exc:
         return exc
 
 
 def test_radius_evaluated_once_per_distinct_s(beta1):
     """The K-H check (both routes), the Weingarten check and the CSV export
     evaluate r, r' and r'' at most once per distinct s, not once per node;
-    and since they share the patch's cache, so do all four run on one patch."""
+    and since they share the cache sample_grid built the patch with, so do
+    the patch's build and all four checks run on one patch."""
     from collections import Counter
     from canal4.io import export_curvature_csv
     calls = Counter()
@@ -512,11 +513,11 @@ def test_radius_evaluated_once_per_distinct_s(beta1):
     radius = RadiusProfile(counted("r", R2S.r), counted("r'", R2S.r_prime),
                            counted("r''", R2S.r_second), R2S.generator)
 
+    config = make_config(1, 1, radius)
+
     def new_patch():
-        patch = sample_grid(beta1, make_config(1, 1, radius),
-                            GridSpec((1.0, 1.5), (0.3, 1.2, 2.0), (0.4, -0.6)))
         calls.clear()
-        return patch
+        return sample_grid(beta1, config, GridSpec((1.0, 1.5), (0.3, 1.2, 2.0), (0.4, -0.6)))
 
     checks = (lambda patch: check_kh_relation(patch, Route.CLOSED_FORM),
               lambda patch: check_kh_relation(patch, Route.NUMERIC),
@@ -555,9 +556,9 @@ def test_numeric_loops_evaluate_the_point_map_once_per_pass(beta1, monkeypatch):
         cf_sizes.append(len(s_at))
         return closed(config, cache, s_keys, s_at, *rest)
 
-    def kh_counted(config, cache, eps, s_keys, s_at, *rest):
+    def kh_counted(config, cache, s_keys, s_at, *rest):
         kh_sizes.append(len(s_at) // 8)     # 8 stencil points per node
-        return kh_points(config, cache, eps, s_keys, s_at, *rest)
+        return kh_points(config, cache, s_keys, s_at, *rest)
 
     monkeypatch.setattr(curvature, "indexed_points", counted)
     monkeypatch.setitem(curvature._PASSES, Route.CLOSED_FORM, closed_counted)

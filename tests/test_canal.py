@@ -482,7 +482,7 @@ def _outcome(cache, s):
     basis), or the type and message of the error it raises."""
     try:
         row = cache.row(s)
-    except Exception as exc:                # noqa: BLE001 -- compared, not handled
+    except CanalError as exc:
         return type(exc).__name__, str(exc)
     return (repr(row.frame), row.basis.tobytes().hex(),
             [x.hex() for x in (row.r, row.rp, row.rpp, row.axial, row.phi)])

@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 
 import oracles
 
-from canal4.analysis import classify_flat, classify_minimal, solve_minimal_radius
+from canal4.analysis import (check_kh_relation, classify_flat, classify_minimal,
+                             solve_minimal_radius, weingarten_check)
 from canal4.cli import main
 from canal4.io import (CSV_HEADER, export_curvature_csv, export_obj, patch_from_json,
                        patch_to_json)
 from canal4.canal import CanalConfig, GridSpec, RadiusProfile, Variant, sample_grid
 from canal4.curve import CurveSpec
-from canal4.curvature import curvature_report
+from canal4.curvature import Route, curvature_report
 from canal4.errors import DegenerateNodeError
 
 GOLDEN = Path(__file__).parent / "golden" / "beta1_w2.obj"
@@ -350,6 +351,30 @@ def test_radius_json_round_trip_keeps_profile_and_verdicts(case):
     assert _profile(again, s_values) == _profile(radius, s_values)
     assert classify_flat(line, again) == classify_flat(line, radius)
     assert classify_minimal(line, again, lam) == classify_minimal(line, radius, lam)
+
+
+@pytest.mark.parametrize("curve, config, grid", [
+    ("beta1", CanalConfig(1, 1, RadiusProfile.from_expr("2*s")),
+     GridSpec((1.0, 1.5, 2.0), (0.35, 1.15, 2.05), (-0.35, 0.45))),
+    ("beta2", CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
+                          Variant.ALT_SUPERCRITICAL),
+     GridSpec((1.0, 1.5, 2.0), (-0.55, 0.35, 0.85), (-0.45, 0.55))),
+    ("spacelike_line", CanalConfig(2, 1, solve_minimal_radius(1, 1.0, 1.0, (0.5, 2.5))),
+     GridSpec((0.8, 1.2, 1.6), (0.2, 0.9), (0.4, -0.3))),
+], ids=["beta1", "beta2-supercritical", "minimal-line"])
+def test_patch_json_round_trip_keeps_the_geometry(curve, config, grid, request):
+    """A reloaded patch, whose cache builds its rows from the curve, gives the
+    K-H reports (both routes), the Weingarten reports and the curvature CSV of
+    the patch it was written from, which reads sample_grid's cache."""
+    patch = sample_grid(request.getfixturevalue(curve), config, grid)
+    back = patch_from_json(patch_to_json(patch))
+    checks = ([lambda p, route=route: check_kh_relation(p, route) for route in Route]
+              + [lambda p, pair=pair: weingarten_check(p, pair) for pair in ("st", "sw", "tw")])
+    for check in checks:
+        report = check(patch)
+        assert report.nodes_checked == len(patch.coords)
+        assert repr(check(back)) == repr(report)
+    assert export_curvature_csv(back).encode() == export_curvature_csv(patch).encode()
 
 
 def test_patch_json_rejects_unknown_radius_and_other_curve_modes(beta1):

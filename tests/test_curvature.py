@@ -14,8 +14,8 @@ from canal4.canal import (CanalConfig, PointMapCache, RadiusProfile, Variant,
                           degeneracy_factor)
 from canal4.curvature import (Route, _check_metric, _numeric_forms, _principal,
                                curvature_report)
-from canal4.errors import (DegenerateNodeError, InadmissibleConfigError, SingularMetricError,
-                           unwrap)
+from canal4.errors import (CanalError, DegenerateNodeError, InadmissibleConfigError,
+                           SingularMetricError, unwrap)
 from canal4.minkowski import inner
 
 R2S = RadiusProfile.from_expr("2*s")
@@ -250,7 +250,7 @@ def test_row_pass_equals_scalar_reference(family_curves, rng):
 def _outcome(fn):
     try:
         return fn()
-    except Exception as exc:
+    except CanalError as exc:
         return exc
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from canal4.curve import STENCIL_REACH, CurveSpec
-from canal4.errors import (DomainError, FrameDegenerateError, NonUnitSpeedError,
+from canal4.errors import (CanalError, DomainError, FrameDegenerateError, NonUnitSpeedError,
                            NullResidualError, OutOfDomainError)
 from canal4.minkowski import Vec4, inner
 
@@ -134,7 +134,7 @@ def test_curvature_constancy(beta1, beta2):
 def _outcome(fn):
     try:
         return fn()
-    except Exception as exc:
+    except CanalError as exc:
         return exc
 
 
