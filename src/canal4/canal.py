@@ -30,8 +30,8 @@ import numpy as np
 
 from . import expr as ex
 from .curve import CurveSpec, FrenetFrame
-from .errors import (CanalError, DomainError, InadmissibleConfigError,
-                     NullConditionViolatedError, VariantViolatedError)
+from .errors import (CanalError, DomainError, FailedRows, InadmissibleConfigError,
+                     NullConditionViolatedError, VariantViolatedError, check)
 from .minkowski import Vec4, inner
 
 DEGENERATE_A_TOL = 1e-6     # |A| below this: shape operator undefined at node
@@ -194,13 +194,19 @@ def degeneracy_factor(j: int, variant: Variant, w: float) -> float:
                           "cosh or sinh overflows") from None
 
 
-def _root_q(config: CanalConfig, s: float, eps1: int, rp: float) -> float:
-    """sqrt(v*q), q = r'^2 - lam*eps1 and v the variant's sign; raises unless v*q > 0."""
-    v, q = config.variant.sign, rp * rp - config.lam * eps1
-    if v * q <= VARIANT_BOUNDARY_TOL:
-        raise VariantViolatedError(f"r'^2 - lam*eps1 = {q:.3g} at s={s!r} has the wrong sign "
-                                   f"for the {config.variant.value} variant")
-    return math.sqrt(v * q)
+def _row_terms(config: CanalConfig, s, value, sqrt, check):
+    """(r, r', r'', axial, phi) at s (a float or a column array), value(k) giving
+    r^(k) there; checks r > 0, then v*(r'^2 - lam*eps1) > 0, each once its value is known."""
+    v, eps1 = config.variant.sign, frame_signs(config.j)[0]
+    r = value(0)
+    check(r <= 0, InadmissibleConfigError, lambda: f"radius r({s!r}) = {r:.6g} must be positive")
+    rp = value(1)
+    q = rp * rp - config.lam * eps1
+    check(v * q <= VARIANT_BOUNDARY_TOL, VariantViolatedError,
+          lambda: f"r'^2 - lam*eps1 = {q:.3g} at s={s!r} has the wrong sign "
+                  f"for the {config.variant.value} variant")
+    phi = config.sigma * (r * sqrt(v * q))
+    return r, rp, value(2), -config.lam * eps1 * r * rp, phi
 
 
 def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile) -> Variant:
@@ -274,28 +280,22 @@ class PointMapCache:
         todo = [s for s in dict.fromkeys(keys) if s not in self._rows]
         if len(todo) < BATCH_MIN_S:
             return
-        config, n = self.config, len(todo)
-        keep = np.ones(n, dtype=bool)
-        r = rp = rpp = axial = phi = np.zeros(n)
+        config, failed = self.config, FailedRows(len(todo))
+        terms = np.zeros((5, len(todo)))
         if config.lam != 0:
             fns = (config.radius.r, config.radius.r_prime, config.radius.r_second)
             table = ex.over(fns, np.array(todo))     # None for a minimal profile
             if table is None:
                 return
-            r, rp, rpp = table
-            eps1 = frame_signs(config.j)[0]
             with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
-                vq = config.variant.sign * (rp * rp - config.lam * eps1)
-                phi = config.sigma * (r * np.sqrt(vq))
-                axial = -config.lam * eps1 * r * rp
-            keep &= ~(r <= 0) & ~(vq <= VARIANT_BOUNDARY_TOL)      # row's tests, nan passing
+                terms = _row_terms(config, todo, table.__getitem__, np.sqrt, failed)
         frames, tetrads = self.curve.frames(todo)
         b = self.curve.derivatives(todo, 0)
         if b is None or tetrads is None:
             return
-        keep &= [fr is not None and fr.frame_type == config.j for fr in frames]
+        keep = ~failed.rows & [fr is not None and fr.frame_type == config.j for fr in frames]
         basis = np.concatenate((b[0][:, None], tetrads), axis=1)      # b, F1..F4 of each row
-        values = np.array((r, rp, rpp, axial, phi)).T[keep].tolist()
+        values = np.array(terms).T[keep].tolist()
         for i, base, v in zip(np.flatnonzero(keep).tolist(), basis[keep], values):
             self._rows[todo[i]] = PointMapRow(frames[i], base, *v)
 
@@ -310,17 +310,11 @@ class PointMapCache:
             raise InadmissibleConfigError(
                 f"curve has frame type {fr.frame_type}, config wants j = {config.j}")
         basis = np.array((self.curve.derivative(s, 0), *fr.tetrad))
-        if config.lam == 0:
-            hit = self._rows[s] = PointMapRow(fr, basis, 0.0, 0.0, 0.0, 0.0, 0.0)
-            return hit
-        eps1 = frame_signs(config.j)[0]
-        rv = config.radius(s)
-        if rv <= 0:
-            raise InadmissibleConfigError(f"radius r({s!r}) = {rv:.6g} must be positive")
-        rp = config.radius.r_prime(s)
-        phi = config.sigma * (rv * _root_q(config, s, eps1, rp))
-        hit = self._rows[s] = PointMapRow(fr, basis, rv, rp, config.radius.r_second(s),
-                                          -config.lam * eps1 * rv * rp, phi)
+        terms = (0.0,) * 5
+        if config.lam != 0:
+            fns = (config.radius.r, config.radius.r_prime, config.radius.r_second)
+            terms = _row_terms(config, s, lambda k: fns[k](s), math.sqrt, check)
+        hit = self._rows[s] = PointMapRow(fr, basis, *terms)
         return hit
 
 

@@ -12,16 +12,16 @@ by construction, k3 = eps4<F3',F4> signed. The frame vectors satisfy
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import expr as ex
-from .errors import (CanalError, DomainError, FrameDegenerateError, NonUnitSpeedError,
-                     NullResidualError, OutOfDomainError)
-from .minkowski import TAU_NULL, Vec4, inner, norm, triple_cross
+from .errors import (CanalError, DomainError, FailedRows, FrameDegenerateError,
+                     NonUnitSpeedError, NullResidualError, OutOfDomainError, check)
+from .minkowski import TAU_NULL, Vec4, inner, triple_cross
 
 TAU_K = 1e-8            # curvature degeneracy threshold
 TOL_UNIT = 1e-10        # unit speed: max | |<b',b'>| - 1 |
@@ -63,20 +63,24 @@ class UnitSpeedReport:
     n_samples: int
 
 
-# Frames are built and kept on 4-tuples of floats.
+# Frames are built on 4-tuples of floats or of column arrays (a row per s) by the
+# same code, with these operations (numpy's sqrt and fmax round as math's do).
+_FLOATS = SimpleNamespace(sqrt=math.sqrt, fmax=max, not_=lambda x: not x,
+                          sign=lambda q: 1 if q > 0 else -1,
+                          finite=lambda xs: all(map(math.isfinite, xs)))
+_ARRAYS = SimpleNamespace(sqrt=np.sqrt, fmax=np.fmax, not_=np.logical_not,   # fmax(1, nan) = 1
+                          sign=lambda q: np.where(q > 0, 1, -1),
+                          finite=lambda xs: np.isfinite(xs).all(axis=0))
+
 
 def _euclid_sq(v) -> float:
     return v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]
 
 
-def _is_null_residual(v) -> bool:
-    return abs(inner(v, v)) <= TAU_NULL * max(1.0, _euclid_sq(v))
-
-
-def _null_rows(v, q):
-    """_is_null_residual of 4-tuples of column arrays, with q = inner(v, v);
-    fmax, as max(1.0, x), keeps 1.0 against a nan."""
-    return abs(q) <= TAU_NULL * np.fmax(1.0, _euclid_sq(v))
+def _square(v, ops):
+    """(<v,v>, sqrt |<v,v>|, whether v counts as null: |<v,v>| <= TAU_NULL * max(1, |v|^2))."""
+    q = inner(v, v)
+    return q, ops.sqrt(abs(q)), abs(q) <= TAU_NULL * ops.fmax(1.0, _euclid_sq(v))
 
 
 def _scaled(v, a):      # v * a
@@ -87,33 +91,57 @@ def _minus(u, a, v):    # u - a * v
     return (u[0] - v[0] * a, u[1] - v[1] * a, u[2] - v[2] * a, u[3] - v[3] * a)
 
 
-def _fourth(f1, f2, f3):
+def _tangent_sign(f1, at, ops, check):
+    """eps1 = sign <F1,F1>, once |<b',b'>| = 1 (a nan fails) and F1 = b' is not null."""
+    q, _, null = _square(f1, ops)
+    check(ops.not_(abs(abs(q) - 1.0) <= 10 * TOL_UNIT), NonUnitSpeedError,
+          lambda: f"<b',b'> = {q:.6g}{at}; curve is not unit speed")
+    check(null, NullResidualError, lambda: f"tangent is null{at}")
+    return ops.sign(q)
+
+
+def _fourth(f1, f2, f3, ops):
     """(F4, eps4): the unit triple cross product of F1, F2, F3, signed so
     that det(F1, F2, F3, F4) = +1, and its sign."""
     cross = triple_cross(f1, f2, f3)
-    e4 = 1 if inner(cross, cross) > 0 else -1
-    return _scaled(cross, -e4 / norm(cross)), e4
+    q = inner(cross, cross)
+    e4 = ops.sign(q)
+    return _scaled(cross, -e4 / ops.sqrt(abs(q))), e4
 
 
-def _tangent_sign(f1, at: str) -> int:
-    """eps1 = sign <F1,F1> of the tangent F1 = b'; raises unless |<b',b'>| = 1
-    (a nan fails too) and F1 is not null."""
-    q1 = inner(f1, f1)
-    if not abs(abs(q1) - 1.0) <= 10 * TOL_UNIT:
-        raise NonUnitSpeedError(f"<b',b'> = {q1:.6g}{at}; curve is not unit speed")
-    if _is_null_residual(f1):
-        raise NullResidualError(f"tangent is null{at}")
-    return 1 if q1 > 0 else -1
+def _checked(vectors, eps, ks, at, ops, check):
+    """(vectors, eps, *ks), all finite (else a DomainError), eps with one -1."""
+    check(ops.not_(ops.finite((*sum(vectors, ()), *ks))), DomainError,
+          lambda: f"non-finite frame component or curvature{at}")
+    check(eps[0] + eps[1] + eps[2] + eps[3] != 2, NullResidualError,
+          lambda: f"frame signs {eps}{at}: not a Lorentz tetrad")
+    return (vectors, eps, *ks)
 
 
-def _checked_frame(tetrad, eps, ks, at: str) -> FrenetFrame:
-    """The FrenetFrame once every component and curvature is finite (else a
-    DomainError) and eps has exactly one -1 (else a NullResidualError)."""
-    if not all(map(math.isfinite, itertools.chain(*tetrad, ks))):
-        raise DomainError(f"non-finite frame component or curvature{at}")
-    if eps.count(-1) != 1:
-        raise NullResidualError(f"frame signs {eps}{at}: not a Lorentz tetrad")
-    return FrenetFrame(tetrad, eps, *ks)
+def _gram_schmidt(f1, d2, d3, d4, at, ops, check):
+    """(F1..F4, eps, k1, k2, k3) of Gram-Schmidt on F1 = b', b'' .. b^(4). A k1 <=
+    TAU_K has |<rho2,rho2>| <= 1e-16, a null residual, so it fails as "k1 vanishes"."""
+    e1 = _tangent_sign(f1, at, ops, check)
+
+    rho2 = _minus(d2, e1 * inner(d2, f1), f1)
+    _, k1, null = _square(rho2, ops)
+    check(null & (k1 <= TAU_K), FrameDegenerateError, lambda: f"k1 vanishes{at}")
+    check(null, NullResidualError, lambda: f"principal normal direction is null{at}")
+    f2 = _scaled(rho2, 1.0 / k1)
+    e2 = ops.sign(inner(f2, f2))
+
+    rho3 = _minus(_minus(d3, e1 * inner(d3, f1), f1), e2 * inner(d3, f2), f2)
+    _, n3, null = _square(rho3, ops)
+    k2 = n3 / k1
+    check(null & (k2 <= TAU_K), FrameDegenerateError, lambda: f"k2 vanishes{at}")
+    check(null, NullResidualError, lambda: f"binormal direction is null{at}")
+    check(k2 <= TAU_K, FrameDegenerateError, lambda: f"k2 = {k2:.3g} <= {TAU_K:g}{at}")
+    f3 = _scaled(rho3, 1.0 / n3)
+    e3 = ops.sign(inner(f3, f3))
+
+    f4, e4 = _fourth(f1, f2, f3, ops)
+    k3 = e4 * inner(d4, f4) / (k1 * k2)
+    return _checked((f1, f2, f3, f4), (e1, e2, e3, e4), (k1, k2, k3), at, ops, check)
 
 
 class CurveSpec:
@@ -190,78 +218,32 @@ class CurveSpec:
 
     def frenet(self, s: float) -> FrenetFrame:
         """Moving frame at s; requires k1, k2 > TAU_K and non-null residuals."""
-        f1, d2, d3, d4 = (self.derivative(s, k) for k in range(1, 5))
-        e1 = _tangent_sign(f1, f" at s={s!r}")
-
-        rho2 = _minus(d2, e1 * inner(d2, f1), f1)
-        if _is_null_residual(rho2):
-            if norm(rho2) <= TAU_K:
-                raise FrameDegenerateError(f"k1 vanishes at s={s!r}")
-            raise NullResidualError(f"principal normal direction is null at s={s!r}")
-        k1 = norm(rho2)
-        if k1 <= TAU_K:
-            raise FrameDegenerateError(f"k1 = {k1:.3g} <= {TAU_K:g} at s={s!r}")
-        f2 = _scaled(rho2, 1.0 / k1)
-        e2 = 1 if inner(f2, f2) > 0 else -1
-
-        rho3 = _minus(_minus(d3, e1 * inner(d3, f1), f1), e2 * inner(d3, f2), f2)
-        if _is_null_residual(rho3):
-            if norm(rho3) / k1 <= TAU_K:
-                raise FrameDegenerateError(f"k2 vanishes at s={s!r}")
-            raise NullResidualError(f"binormal direction is null at s={s!r}")
-        k2 = norm(rho3) / k1
-        if k2 <= TAU_K:
-            raise FrameDegenerateError(f"k2 = {k2:.3g} <= {TAU_K:g} at s={s!r}")
-        f3 = _scaled(rho3, 1.0 / norm(rho3))
-        e3 = 1 if inner(f3, f3) > 0 else -1
-
-        f4, e4 = _fourth(f1, f2, f3)
-        k3 = e4 * inner(d4, f4) / (k1 * k2)
-        return _checked_frame((f1, f2, f3, f4), (e1, e2, e3, e4), (k1, k2, k3), f" at s={s!r}")
+        return FrenetFrame(*_gram_schmidt(*(self.derivative(s, k) for k in range(1, 5)),
+                                          f" at s={s!r}", _FLOATS, check))
 
     def frames(self, s_values):
         """(frames, tetrads): frame(s) at each s, and F1..F4 as an (n, 4, 4)
-        array, from frenet's operations in its order on 4-tuples of column
-        arrays. A row that fails a check of frenet's gets None (frame(s) then
-        raises its error), or the line frame at k1 = 0 on a line."""
+        array, from frenet's Gram-Schmidt on 4-tuples of column arrays. A row
+        that fails a check of frenet's gets None (frame(s) then raises its
+        error), or the line frame where frame(s) falls back to it."""
         d = self.derivatives(s_values, 1, 2, 3, 4)
         if d is None:
             return [None] * len(s_values), None
-        f1, d2, d3, d4 = (tuple(x.T) for x in d)
+        failed = FailedRows(len(s_values))
         with np.errstate(all="ignore"):     # a row that overflows fails a check
-            q = inner(f1, f1)
-            ok = (abs(abs(q) - 1.0) <= 10 * TOL_UNIT) & ~_null_rows(f1, q)
-            e1 = np.where(q > 0, 1, -1)
-            rho2 = _minus(d2, e1 * inner(d2, f1), f1)
-            q = inner(rho2, rho2)
-            k1 = np.sqrt(abs(q))
-            flat = ok & (k1 <= TAU_K)       # frenet's FrameDegenerateError at k1
-            ok &= ~_null_rows(rho2, q) & (k1 > TAU_K)
-            f2 = _scaled(rho2, 1.0 / k1)
-            e2 = np.where(inner(f2, f2) > 0, 1, -1)
-            rho3 = _minus(_minus(d3, e1 * inner(d3, f1), f1), e2 * inner(d3, f2), f2)
-            q = inner(rho3, rho3)
-            k2 = np.sqrt(abs(q)) / k1
-            ok &= ~_null_rows(rho3, q) & (k2 > TAU_K)
-            f3 = _scaled(rho3, 1.0 / np.sqrt(abs(q)))
-            e3 = np.where(inner(f3, f3) > 0, 1, -1)
-            cross = triple_cross(f1, f2, f3)
-            q = inner(cross, cross)
-            e4 = np.where(q > 0, 1, -1)
-            f4 = _scaled(cross, -e4 / np.sqrt(abs(q)))
-            k3 = e4 * inner(d4, f4) / (k1 * k2)
-        table = np.array((*f1, *f2, *f3, *f4, k1, k2, k3)).T
-        ok &= np.isfinite(table).all(axis=1) & (e1 + e2 + e3 + e4 == 2)    # one eps = -1
+            tetrad, eps, *ks = _gram_schmidt(*(tuple(x.T) for x in d), "", _ARRAYS, failed)
+        table = np.array((*sum(tetrad, ()), *ks)).T
+        flat = failed.degenerate            # where frame(s) tries the line frame
         if flat.any() and self._line_frame is None:
             try:
-                if self.is_straight():
-                    self._line_frame = self.frame_for_line()
-            except CanalError:              # frame(s) raises it
+                self.frame(s_values[int(flat.argmax())])    # sets it on a straight curve
+            except CanalError:                  # frame(s) raises it
                 pass
         out = [self._line_frame if f else None for f in flat.tolist()]
         if self._line_frame is not None:
             table[flat, :16] = sum(self._line_frame.tetrad, ())
-        eps = np.array((e1, e2, e3, e4)).T[ok].tolist()
+        ok = ~failed.rows
+        eps = np.array(eps).T[ok].tolist()
         for i, x, e in zip(np.flatnonzero(ok).tolist(), table[ok].tolist(), eps):
             out[i] = FrenetFrame((tuple(x[:4]), tuple(x[4:8]), tuple(x[8:12]), tuple(x[12:16])),
                                  tuple(e), *x[16:])
@@ -282,22 +264,24 @@ class CurveSpec:
         order e1, e2, e3, e4, skipping near-parallel and null residuals.
         """
         s0 = 0.5 * (self.domain[0] + self.domain[1])
+        at = f" at s={s0!r}"
         frame = [self.derivative(s0, 1)]
-        eps = [_tangent_sign(frame[0], f" at s={s0!r}")]
+        eps = [_tangent_sign(frame[0], at, _FLOATS, check)]
         for rho in _AXES:
             if len(frame) == 3:
                 break
             for f, e in zip(frame, eps):
                 rho = _minus(rho, e * inner(rho, f), f)
-            if _euclid_sq(rho) < 1e-12 or _is_null_residual(rho):
+            _, size, null = _square(rho, _FLOATS)
+            if _euclid_sq(rho) < 1e-12 or null:
                 continue
-            rho = _scaled(rho, 1.0 / norm(rho))
-            frame.append(rho)
-            eps.append(1 if inner(rho, rho) > 0 else -1)
+            frame.append(_scaled(rho, 1.0 / size))
+            eps.append(_FLOATS.sign(inner(frame[-1], frame[-1])))
         if len(frame) != 3:
             raise NullResidualError("could not complete a non-null frame for the line")
-        f4, e4 = _fourth(*frame)
-        return _checked_frame((*frame, f4), (*eps, e4), (0.0, 0.0, 0.0), f" at s={s0!r}")
+        f4, e4 = _fourth(*frame, _FLOATS)
+        return FrenetFrame(*_checked((*frame, f4), (*eps, e4), (0.0, 0.0, 0.0), at, _FLOATS,
+                                     check))
 
     def frame(self, s: float) -> FrenetFrame:
         """frenet(s), falling back to the constant line frame when k1 = 0."""

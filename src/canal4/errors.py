@@ -4,10 +4,31 @@ Two branches matter for the CLI exit-code contract: ConfigError maps to
 exit 2 (bad input / inadmissible configuration), NumericError maps to
 exit 3 (computation broke down at runtime).
 """
+import numpy as np
 
 
 class CanalError(Exception):
     """Base class for all package errors."""
+
+
+def check(bad, error, message):
+    """Raise error(message()) if bad: a check on floats (FailedRows on arrays)."""
+    if bad:
+        raise error(message())
+
+
+class FailedRows:
+    """check on column arrays of n rows: marks the rows that fail (rows), and
+    those whose first failing check raises a FrameDegenerateError (degenerate)."""
+
+    def __init__(self, n):
+        self.rows = np.zeros(n, dtype=bool)
+        self.degenerate = np.zeros(n, dtype=bool)
+
+    def __call__(self, bad, error, message):
+        if error is FrameDegenerateError:
+            self.degenerate |= bad & ~self.rows
+        self.rows |= bad
 
 
 def or_error(fn, *args):

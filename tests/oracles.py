@@ -309,13 +309,13 @@ def tubular_table(j, lam, r, k1, t, w):
 
 def reference_point(curve, config, s, t, w, frame=None):
     """b + axial F1 + (phi a2) F2 + (phi a3) F3 + (phi a4) F4 in (4,) array
-    arithmetic, left to right."""
-    from canal4.canal import _root_q, transverse
+    arithmetic, left to right, with phi = sigma r sqrt(v (r'^2 - lam eps1))."""
+    from canal4.canal import transverse
     fr = frame if frame is not None else curve.frame(s)
     eps1 = fr.eps[0]
     rv = config.radius(s)
     rp = config.radius.r_prime(s)
-    phi = config.sigma * (rv * _root_q(config, s, eps1, rp))
+    phi = config.sigma * (rv * sqrt(config.variant.sign * (rp * rp - config.lam * eps1)))
     (a2, a3, a4), _, _ = transverse(config.j, config.variant, t, w)
     axial = -config.lam * eps1 * rv * rp
     F1, F2, F3, F4 = map(np.array, fr.tetrad)

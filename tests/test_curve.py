@@ -138,11 +138,29 @@ def _outcome(fn):
         return exc
 
 
+# K = 1e-11: b' = (s, sqrt(K + s^2), sqrt(1 - K), 0) is unit spacelike, and
+# b'' = (1, s/sqrt(K + s^2), 0, 0) has <b'',b''> = -K/(K + s^2): null within
+# TAU_NULL, but k1 = sqrt(K)/s > TAU_K
+NULL_NORMAL = CurveSpec(("s^2/2", "(s*sqrt(1e-11 + s^2) + 1e-11*log(s + sqrt(1e-11 + s^2)))/2",
+                         "sqrt(1 - 1e-11)*s", "0"), (0.5, 1.5))
+# m = 1e-6: b' = (sqrt(m) sinh(s + 12), sqrt(m) cosh(s + 12), sqrt(1 - m) cos s,
+# sqrt(1 - m) sin s) is unit spacelike; rho3 = 2 sqrt(m) (sinh, cosh, 0, 0) +
+# O(m), with <rho3,rho3> ~ 4m against a Euclidean |rho3|^2 ~ 4m cosh(2s + 24):
+# null within TAU_NULL, but k2 ~ 2e-3 > TAU_K
+NULL_BINORMAL = CurveSpec(("0.001*cosh(s + 12)", "0.001*sinh(s + 12)", "sqrt(1 - 1e-6)*sin(s)",
+                           "-sqrt(1 - 1e-6)*cos(s)"), (0.5, 1.5))
+# a helix of radius 1e-4 (k1 ~ 1e4) that climbs 5e-17 per unit s: k2 = 5e-9
+FLAT_HELIX = CurveSpec(("0", "0.0001*cos(s/0.0001)", "0.0001*sin(s/0.0001)", "5e-17*s/0.0001"),
+                       (0.5, 1.5))
+
+
 def test_frenet_equals_array_reference(family_curves, varying_curvature_curve, timelike_line):
     """Gram-Schmidt on float tuples gives the frames of the array original bit
     for bit (by repr) on every curve, and its errors with the same type and
     message: non-unit speed, a null tangent, k1 = 0 (where frame falls back
-    to the line frame) and k2 = 0."""
+    to the line frame), a null principal normal, k2 = 0, a null binormal and
+    0 < k2 <= TAU_K; frames gives each failing row no frame (the line its
+    line frame)."""
     import oracles
     curves = [*family_curves.values(), varying_curvature_curve]
     for curve in curves:
@@ -153,15 +171,23 @@ def test_frenet_equals_array_reference(family_curves, varying_curvature_curve, t
     bad = {"NonUnitSpeedError": CurveSpec(("0", "2*s", "0", "0"), (0.0, 2.0)),
            "NullResidualError": CurveSpec(("1048576*s", "1048576*s", "s", "0"), (0.0, 2.0)),
            "FrameDegenerateError": CurveSpec(("0", "s", "0", "0"), (0.5, 2.5)),
-           "FrameDegenerateError k2": CurveSpec(("0", "cos(s)", "sin(s)", "0"), (0.0, 3.0))}
+           "FrameDegenerateError k2": CurveSpec(("0", "cos(s)", "sin(s)", "0"), (0.0, 3.0)),
+           "NullResidualError normal": NULL_NORMAL,
+           "NullResidualError binormal": NULL_BINORMAL,
+           "FrameDegenerateError small k2": FLAT_HELIX}
+    line = bad["FrameDegenerateError"]
     for kind, curve in bad.items():
         got = _outcome(lambda: curve.frenet(1.0))
         one = _outcome(lambda: oracles.reference_frenet(curve, 1.0))
         assert type(got).__name__ == kind.split()[0] and type(got) is type(one)
         assert str(got) == str(one)
+        assert curve.frames([1.0])[0] == [line.frame_for_line() if curve is line else None]
     assert "k1 vanishes" in str(_outcome(lambda: bad["FrameDegenerateError"].frenet(1.0)))
     assert "k2 vanishes" in str(_outcome(lambda: bad["FrameDegenerateError k2"].frenet(1.0)))
-    line = bad["FrameDegenerateError"]
+    assert str(_outcome(lambda: NULL_NORMAL.frenet(1.0))) == (
+        "principal normal direction is null at s=1.0")
+    assert str(_outcome(lambda: NULL_BINORMAL.frenet(1.0))) == "binormal direction is null at s=1.0"
+    assert str(_outcome(lambda: FLAT_HELIX.frenet(1.0))) == "k2 = 5e-09 <= 1e-08 at s=1.0"
     for other in (timelike_line, line):
         assert repr(other.frame(1.0)) == repr(other.frame_for_line()) == repr(
             oracles.reference_frame_for_line(other))
