@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .canal import (_A2_AND_A, CanalConfig, PointMapCache, RadiusProfile, SurfacePatch,
-                    _math_table, family_function, frame_signs)
+from .canal import (CanalConfig, PointMapCache, RadiusProfile, SurfacePatch, _even_odd_at,
+                    _place, family_function, frame_signs)
 from .curvature import (_FOCAL, Route, _admissible_q, _cube, _family_curvatures, _normal_sign,
                         curvatures, node_blocks)
 from .curve import CurveSpec, TAU_K
@@ -88,11 +88,9 @@ def _kh_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     failed = np.array([isinstance(x, CanalError) for x in rows])
     r, k1, rpp, Q = np.array([(1.0, 0.0, 0.0, 1.0) if bad else x
                               for bad, x in zip(failed, rows)])[s_at].T
-    T, W, _ = _A2_AND_A[config.j][config.variant.sign]
+    et, ot, ew, ow = _even_odd_at(config.j, t_keys, t_at, w_keys, w_at)
     with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
-        f = _math_table(W, w_keys)[w_at]
-        if T is not None:
-            f = _math_table(T, t_keys)[t_at] * f
+        f = _place(config.j, et, ot, *(ew, ow)[::config.variant.sign])[0]
         K, H, _, _, focal = _family_curvatures(config.j, config.lam, config.variant,
                                                frame_signs(config.j), k1, r, Q, rpp,
                                                config.sigma * f)

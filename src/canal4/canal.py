@@ -134,17 +134,6 @@ def _place(j: int, even_t, odd_t, A, B):
     return x[i2], x[i3], x[i4]
 
 
-def _a2_and_A(j: int, v: int):
-    """Functions (T, W, A): a2 = T(t)*W(w) (W(w) where T is None), A(w) the factor A."""
-    A, B = _EVEN_ODD[j][::v]
-    T = (*_EVEN_ODD[j], None)[_SLOTS[j][0]]
-    return T, B if T is None else A, A
-
-
-# per frame type and variant sign; f_j and A are called on every closed-form node
-_A2_AND_A = {j: {v: _a2_and_A(j, v) for v in (1, -1)} for j in _SLOTS}
-
-
 def _math_table(fn, values):
     """fn of each value in math (numpy's cosh may differ from libm in the last
     ulp) as an array, nan where fn overflows (nan raises no warning, inf may)."""
@@ -154,6 +143,13 @@ def _math_table(fn, values):
         except OverflowError:
             return math.nan
     return np.array([at(v) for v in values], dtype=float)
+
+
+def _even_odd_at(j: int, t_keys, t_at, w_keys, w_at):
+    """[even(t), odd(t), even(w), odd(w)] at the nodes (t_keys[t_at], w_keys[w_at]),
+    arrays over the shape of the index arrays: _math_table once per key."""
+    return [_math_table(fn, keys)[at] for keys, at in ((t_keys, t_at), (w_keys, w_at))
+            for fn in _EVEN_ODD[j]]
 
 
 def _pattern(j: int, v: int, et, ot, ew, ow):
@@ -175,10 +171,12 @@ def transverse(j: int, variant: Variant, t: float, w: float):
 
 
 def family_function(j: int, variant: Variant, t: float, w: float) -> float:
-    """f_j = a2, the pattern's F2 coefficient, coupled to k1 in the curvatures."""
-    T, W, _ = _A2_AND_A[j][variant.sign]
+    """f_j = a2, the pattern's F2 coefficient, coupled to k1 in the curvatures;
+    a2 of j = 4 is B, which reads no t."""
+    even, odd = _EVEN_ODD[j]
     try:
-        return W(w) if T is None else T(t) * W(w)
+        A, B = (even(w), odd(w))[::variant.sign]
+        return _place(j, *((0.0, 0.0) if j == 4 else (even(t), odd(t))), A, B)[0]
     except OverflowError:
         raise DomainError(f"family_function{(j, variant.value, t, w)}: "
                           "cosh or sinh overflows") from None
@@ -188,7 +186,7 @@ def degeneracy_factor(j: int, variant: Variant, w: float) -> float:
     """A of the pattern: cos w (j=1), cosh w (j>=2) or sinh w (supercritical);
     det g carries A^2."""
     try:
-        return _A2_AND_A[j][variant.sign][2](w)
+        return _EVEN_ODD[j][::variant.sign][0](w)
     except OverflowError:
         raise DomainError(f"degeneracy_factor{(j, variant.value, w)}: "
                           "cosh or sinh overflows") from None
@@ -328,26 +326,28 @@ def _distinct(values):
 def indexed_points(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_keys, t_at,
                    w_keys, w_at) -> np.ndarray:
     """Surface points at (s_keys[s_at], t_keys[t_at], w_keys[w_at]), an (..., 4)
-    array over the broadcast shape of the index arrays; lam = +-1 only.
+    array over the broadcast shape of the index arrays, for every family.
 
-    Evaluates b + axial*F1 + (phi*a2)*F2 + (phi*a3)*F3 + (phi*a4)*F4 with the
-    cache rows at s_keys, elementwise in that order (the same IEEE results as
-    scalar arithmetic), gathering one basis vector at a time. Trig runs in
-    math once per key (_math_table).
+    Evaluates b + axial*F1 + (phi*a2)*F2 + (phi*a3)*F3 + (phi*a4)*F4 (lam = +-1,
+    trig in math once per key) or b + a2*F2 + a3*F3 + a4*F4 (lam = 0, a from
+    _null_pattern) with the cache rows at s_keys, elementwise in that order (the
+    same IEEE results as scalar arithmetic), gathering one basis vector at a time.
     """
     rows = [cache.row(v) for v in s_keys]
     s_at, t_at, w_at = np.broadcast_arrays(s_at, t_at, w_at)
     basis = np.array([r.basis for r in rows]).transpose(1, 0, 2)     # (5, len(s_keys), 4)
-    axial, phi = np.array([(r.axial, r.phi) for r in rows]).T[:, s_at]
-    (et, ot), (ew, ow) = ([_math_table(fn, keys) for fn in _EVEN_ODD[config.j]]
-                          for keys in (t_keys, w_keys))
-    A, B = (ew, ow)[::config.variant.sign]
     with np.errstate(all="ignore"):     # overflow gives inf or nan, which callers check for
-        a = _place(config.j, et[t_at], ot[t_at], A[w_at], B[w_at])
+        if config.lam == 0:
+            terms = _null_pattern(config, cache.a_fns, s_keys, s_at, t_keys, t_at, w_keys, w_at)
+        else:
+            axial, phi = np.array([(r.axial, r.phi) for r in rows]).T[:, s_at]
+            et, ot, ew, ow = _even_odd_at(config.j, t_keys, t_at, w_keys, w_at)
+            a = _place(config.j, et, ot, *(ew, ow)[::config.variant.sign])
+            terms = (axial, phi * a[0], phi * a[1], phi * a[2])
         out, term = basis[0][s_at], np.empty(s_at.shape + (4,))
-        for k, vector in enumerate(basis[1:]):
+        for vector, coeff in zip(basis[5 - len(terms):], terms):      # lam = 0: no F1 term
             np.take(vector, s_at, axis=0, out=term)
-            term *= (axial if k == 0 else phi * a[k - 1])[..., None]
+            term *= coeff[..., None]
             out += term
         return out
 
@@ -365,26 +365,14 @@ def canal_points(curve: CurveSpec, config: CanalConfig, s, t, w,
 
 def _points_at(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_keys, t_at,
                w_keys, w_at) -> np.ndarray:
-    """Surface points at (s_keys[s_at], t_keys[t_at], w_keys[w_at]) for 1-D
-    index sequences, an (n, 4) array checked finite: indexed_points, or for
-    lam = 0 b + a2*F2 + a3*F3 + a4*F4 with the coefficients of
-    _nullcone_coefficients, node by node."""
-    def node(k):
-        return s_keys[s_at[k]], t_keys[t_at[k]], w_keys[w_at[k]]
+    """indexed_points for 1-D index sequences, an (n, 4) array checked finite."""
     if not len(s_at):
         return np.empty((0, 4))
-    if config.lam == 0:
-        basis = np.array([cache.row(v).basis for v in s_keys])[s_at]
-        fa, fb = cache.a_fns
-        coeff = np.array([_nullcone_coefficients(config.j, config.sigma, fa(*p), fb(*p))
-                          for p in map(node, range(len(s_at)))])
-        out = (basis[:, 0] + coeff[:, :1] * basis[:, 2] + coeff[:, 1:2] * basis[:, 3]
-               + coeff[:, 2:] * basis[:, 4])
-    else:
-        out = indexed_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at)
+    out = indexed_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at)
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
-        s, t, w = node(int(np.argmin(finite)))
+        k = int(np.argmin(finite))
+        s, t, w = s_keys[s_at[k]], t_keys[t_at[k]], w_keys[w_at[k]]
         raise DomainError(f"non-finite surface point at s={s!r}, t={t!r}, w={w!r}")
     return out
 
@@ -398,18 +386,30 @@ def canal_point(curve: CurveSpec, config: CanalConfig, s: float, t: float,
 _FREE_SLOTS = {2: (3, 4), 3: (2, 4), 4: (2, 3)}
 
 
-def _nullcone_coefficients(j: int, sigma: int, first: float, second: float):
-    """(a2, a3, a4): the free values in the slots of _FREE_SLOTS[j], and
-    a_j = sigma * sqrt(first^2 + second^2), so that sum eps_i a_i^2 = 0."""
-    coeff = {j: sigma * math.hypot(first, second)}
-    coeff[_FREE_SLOTS[j][0]] = first
-    coeff[_FREE_SLOTS[j][1]] = second
-    residual = -coeff[j] ** 2 + sum(coeff[i] ** 2 for i in (2, 3, 4) if i != j)
-    scale = 1.0 + sum(v * v for v in coeff.values())
-    if abs(residual) > 1e-9 * scale:
+def _null_pattern(config: CanalConfig, fns, s_keys, s_at, t_keys, t_at, w_keys, w_at):
+    """(a2, a3, a4) at the nodes, arrays over the index shape: the free
+    a-functions fns in the slots of _FREE_SLOTS[j] and a_j = sigma * hypot of
+    them. fns run in one ex.over pass, else in scalar calls node by node, so
+    the first failing node raises its error; so does the first whose sum
+    eps_i a_i^2 exceeds 1e-9 of its scale (NullConditionViolatedError). Runs
+    under indexed_points' errstate: an inf square makes no error."""
+    at = [np.ravel(x) for x in (s_at, t_at, w_at)]
+    table = ex.over(fns, *(np.asarray(keys, dtype=float)[i]
+                           for keys, i in zip((s_keys, t_keys, w_keys), at)))
+    if table is None:
+        table = np.array([[fn(s_keys[i], t_keys[k], w_keys[m]) for fn in fns]
+                          for i, k, m in zip(*(x.tolist() for x in at))]).reshape(-1, len(fns)).T
+    first, second = table
+    aj = config.sigma * np.array(list(map(math.hypot, first.tolist(), second.tolist())))
+    sq = [x * x for x in (aj, first, second)]
+    residual, tol = -sq[0] + (sq[1] + sq[2]), 1e-9 * (1.0 + (sq[0] + sq[1] + sq[2]))
+    bad = np.abs(residual) > tol
+    if bad.any():
+        k = int(np.argmax(bad))
         raise NullConditionViolatedError(
-            f"sum eps_i a_i^2 = {residual:.3g} (tolerance {1e-9 * scale:.3g})")
-    return coeff[2], coeff[3], coeff[4]
+            f"sum eps_i a_i^2 = {residual[k]:.3g} (tolerance {tol[k]:.3g})")
+    coeff = {config.j: aj, **dict(zip(_FREE_SLOTS[config.j], (first, second)))}
+    return tuple(coeff[i].reshape(np.shape(s_at)) for i in (2, 3, 4))
 
 
 def nullcone_point(curve: CurveSpec, j: int, a_free, s: float, t: float, w: float,
@@ -541,8 +541,9 @@ class SurfacePatch:
         rows = [self.cache.row(s) for s in self.grid.s_values]
         b = np.array([row.basis[0] for row in rows])
         target = [self.config.lam * row.r ** 2 for row in rows]
-        d = self.coords.reshape(ns, nt * nw, 4) - b.reshape(ns, 1, 4)
-        return float(np.abs(inner(d, d) - np.reshape(target, (ns, 1))).max(initial=0.0))
+        with np.errstate(all="ignore"):     # overflow gives inf or nan, which no tolerance passes
+            d = self.coords.reshape(ns, nt * nw, 4) - b.reshape(ns, 1, 4)
+            return float(np.abs(inner(d, d) - np.reshape(target, (ns, 1))).max(initial=0.0))
 
 
 def degenerate_nodes(config: CanalConfig, grid: GridSpec) -> frozenset[int]:

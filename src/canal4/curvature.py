@@ -34,9 +34,9 @@ from enum import Enum
 
 import numpy as np
 
-from .canal import (_EVEN_ODD, CanalConfig, PointMapCache, PointMapRow, _math_table,
-                    _pattern, degeneracy_factor, family_function, frame_signs, indexed_points,
-                    transverse, DEGENERATE_A_TOL)
+from .canal import (CanalConfig, PointMapCache, PointMapRow, _even_odd_at, _pattern,
+                    degeneracy_factor, family_function, frame_signs, indexed_points, transverse,
+                    DEGENERATE_A_TOL)
 from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
                      InadmissibleConfigError, RankDeficientError,
                      SingularMetricError, or_error, unwrap)
@@ -130,8 +130,7 @@ def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     (rv, rpp, k1, Q, phi, dphi, one_da1, a1k1, p0, p1, p2, p3, p4, n0, cpsi) = np.array(
         [per_s(row) for row in rows])[s_at].T
     F = np.array([row.basis[1:] for row in rows])[s_at]
-    (et, ot), (ew, ow) = ([_math_table(fn, keys)[at] for fn in _EVEN_ODD[config.j]]
-                          for keys, at in ((t_keys, t_at), (w_keys, w_at)))
+    et, ot, ew, ow = _even_odd_at(config.j, t_keys, t_at, w_keys, w_at)
     overflow = np.isnan(et) | np.isnan(ot) | np.isnan(ew) | np.isnan(ow)
     for n in np.flatnonzero(overflow).tolist():
         errors[n] = errors[n] or or_error(transverse, config.j, config.variant,

@@ -323,6 +323,21 @@ def reference_point(curve, config, s, t, w, frame=None):
             + (phi * a3) * F3 + (phi * a4) * F4)
 
 
+def reference_nullcone_point(curve, config, s, t, w):
+    """b + a2 F2 + a3 F3 + a4 F4 of a lam = 0 config in (4,) array arithmetic,
+    left to right, node by node: the two free a-functions compiled here, in
+    their slots (a2, a4 for j = 3; a3, a4 for j = 2; a2, a3 for j = 4), and
+    the remaining a_j = sigma hypot of them."""
+    from canal4 import expr as ex
+    slots = {2: (3, 4), 3: (2, 4), 4: (2, 3)}[config.j]
+    free = [ex.compile_expr(a, ("s", "t", "w"), f"a{slot}")(s, t, w)
+            for a, slot in zip(config.a_free, slots)]
+    a = dict(zip(slots, free))
+    a[config.j] = config.sigma * math.hypot(*free)
+    _, F2, F3, F4 = map(np.array, curve.frame(s).tetrad)
+    return np.array(curve.derivative(s, 0)) + a[2] * F2 + a[3] * F3 + a[4] * F4
+
+
 def reference_grid_coords(curve, config, grid):
     """sample_grid's points built one s row at a time: one canal_points call
     per row, stacked into the (n, 4) array in row-major (s, t, w) order."""

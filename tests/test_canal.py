@@ -453,6 +453,61 @@ def test_nullcone_grid_equals_nullcone_point(beta2):
                                                                    s, t, w)
 
 
+def _null_config(j, sigma, first, second):
+    return CanalConfig(j, 0, None, sigma, Variant.STANDARD,
+                       tuple(ex.parse(a, ("s", "t", "w")) for a in (first, second)))
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_nullcone_points_equal_node_by_node_reference(family_curves, j, sigma):
+    """sample_grid (its 2 and 20 s rows: the scalar rows and fill's array
+    pass) and canal_points give the bits of the node-by-node null-cone
+    reference on every frame type and branch; in the second pair of
+    a-functions 1e200*s*1e200 overflows, which the array pass cannot vouch
+    for, so scalar calls give every value (exp(-inf) = 0)."""
+    curve = family_curves[j]
+    for first, second in (("w*cos(t) + 0.3*s", "w*sin(t) - 0.2"),
+                          ("exp(-(1e200*s*1e200)) + t*w", "1e-3*s - exp(w)")):
+        cfg = _null_config(j, sigma, first, second)
+        for ns in (2, 20):
+            grid = GridSpec(GridSpec.linspace((0.5, 2.5), ns), (-1.3, 0.0, 0.4, 1.1),
+                            (-0.9, 0.2, 1.1))
+            nodes = list(itertools.product(grid.s_values, grid.t_values, grid.w_values))
+            expected = np.array([oracles.reference_nullcone_point(curve, cfg, *p)
+                                 for p in nodes])
+            assert sample_grid(curve, cfg, grid).coords.tobytes() == expected.tobytes()
+            got = canal_points(curve, cfg, *zip(*nodes[::-1]))
+            assert got.tobytes() == expected[::-1].tobytes()
+
+
+@pytest.mark.parametrize("first, second", [
+    ("1/(t - 0.7)", "log(w + 1)"),         # both fail; the second first, at the first node
+    ("log(w + 1.5) + 1/(t - 0.7)", "w"),   # the first, at a later node
+    ("t", "sqrt(0.6 - s)"),                # the second, in the second s row
+], ids=["second-at-first-node", "first-later", "second-later-row"])
+def test_nullcone_a_function_error_is_the_references_first(beta2, first, second):
+    """When an a-function fails at some node, sample_grid and canal_points
+    raise the first error of the node-by-node reference, its type and its
+    message."""
+    cfg = _null_config(3, 1, first, second)
+    grid = GridSpec((0.5, 0.8), (0.0, 0.7), (-1.0, 0.5))
+    nodes = list(itertools.product(grid.s_values, grid.t_values, grid.w_values))
+    for p in nodes:
+        try:
+            oracles.reference_nullcone_point(beta2, cfg, *p)
+        except CanalError as exc:
+            expected = exc
+            break
+    else:
+        raise AssertionError("no node fails")
+    for build in (lambda: sample_grid(beta2, cfg, grid),
+                  lambda: canal_points(beta2, cfg, *zip(*nodes))):
+        with pytest.raises(type(expected)) as info:
+            build()
+        assert str(info.value) == str(expected)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
        start=st.floats(-2.0, 2.0),
@@ -576,14 +631,17 @@ def test_point_map_overflow_raises_no_numpy_warning(beta2):
             sample_grid(beta2, config, GridSpec((1.0,), (400.0,), (400.0,)))
 
 
-@pytest.mark.parametrize("shape", [(9, 75), (9, 9)], ids=["stencil", "square"])
-def test_indexed_points_with_two_dimensional_indices(beta2, shape):
+@pytest.mark.parametrize("shape, lam", [((9, 75), 1), ((9, 9), 1), ((9, 75), 0), ((9, 9), 0)],
+                         ids=["stencil", "square", "stencil-null-cone", "square-null-cone"])
+def test_indexed_points_with_two_dimensional_indices(beta2, shape, lam):
     """s, t and w index arrays of shape (n, m) give, element by element, the
-    bits of a one-node call: axial and phi follow each element's own s index
-    (a square index array must not pair them with another element's)."""
+    bits of a one-node call: axial and phi, or the null cone's coefficients,
+    follow each element's own s index (a square index array must not pair
+    them with another element's)."""
     from canal4.canal import indexed_points
-    cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
-                      Variant.ALT_SUPERCRITICAL)
+    cfg = (CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
+                       Variant.ALT_SUPERCRITICAL) if lam else
+           _null_config(3, -1, "w*cos(t) + s", "s*s*sin(t)"))
     cache = PointMapCache(beta2, cfg)
     keys = (np.linspace(0.5, 2.5, 7).tolist(), np.linspace(-1.3, 1.3, 5).tolist(),
             np.linspace(0.2, 1.2, 6).tolist())

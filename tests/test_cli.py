@@ -152,6 +152,15 @@ def test_lambda0_build(tmp_path):
     assert loaded.max_sphere_residual() <= 1e-9
 
 
+def test_weingarten_on_a_null_cone_family_exit_2(capsys):
+    """A null-cone row carries r' = 0, so Q = v(r'^2 - lam*eps1) = 0: the
+    Q test of the Weingarten check's (K, H) pass is what rejects lam = 0."""
+    assert run(["verify", "--example", "beta2", "--family", "j3,l0", "--a2", "w", "--a4", "t",
+                "--check", "weingarten-tw"]) == 2
+    assert tuple(capsys.readouterr()) == (
+        "", "error: r'^2 - lam*eps1 = 0 has the wrong sign for the standard variant\n")
+
+
 def test_export_determinism_and_golden(tmp_path):
     obj_a = tmp_path / "a.obj"
     obj_b = tmp_path / "b.obj"
@@ -649,6 +658,94 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
     _bad_config_exit(capsys, ["verify", "--config", str(tmp_path / "absent.cfg")])
 
 
+_LINE = ["--curve-x1", "0", "--curve-x2", "s", "--curve-x3", "0", "--curve-x4", "0"]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["build", "--example", "beta1", "--family", "j1", "--out", "{tmp}/x"], None,
+     "bad family 'j1'; expected like 'j1,l1' or 'j3,l-1'"),
+    (["verify", "--example", "beta1", "--variant", "sideways"], None,
+     "--variant must be auto|standard|alt, got 'sideways'"),
+    (["export", "--example", "beta1", "--drop", "x5", "--obj", "{tmp}/x"], None,
+     "--drop must be one of x1..x4, got 'x5'"),
+    (["verify", "--example", "beta1", "--check", "kh,nope"], None,
+     "unknown check 'nope'; available: kh, weingarten-st, weingarten-sw, weingarten-tw, "
+     "unit-speed, sphere"),
+    (["verify", "--example", "beta1", "--route", "fast"], None,
+     "--route must be cf|num|both, got 'fast'"),
+    (["build", "--example", "beta1", "--grid", "2x2", "--out", "{tmp}/x"], None,
+     "bad grid '2x2'; expected like '24x24x1'"),
+    (["build", "--example", "beta1", "--grid", "2xAx2", "--out", "{tmp}/x"], None,
+     "bad grid '2xAx2'; counts must be integers"),
+    (["build", "--example", "beta1", "--grid", "2x0x2", "--out", "{tmp}/x"], None,
+     "grid counts must be >= 1, got '2x0x2'"),
+    (["build", "--example", "beta1", "--range-s", "0.5", "--out", "{tmp}/x"], None,
+     "bad --range-s '0.5'; expected like '0.25:3'"),
+    (["build", "--out", "{tmp}/x"], None, "a curve is required (--example or --curve-x1..x4)"),
+    (["build", *_LINE[:4], "--family", "j2,l1", "--radius", "1", "--out", "{tmp}/x"], None,
+     "all four of --curve-x1..x4 are required"),
+    (["build", *_LINE, "--family", "j2,l-1", "--out", "{tmp}/x"], None,
+     "--radius is required for lambda = +-1 families"),
+    (["build", "--example", "beta2", "--family", "j3,l0", "--a2", "w", "--out", "{tmp}/x"],
+     None, "lambda = 0 with j = 3 needs --a2 and --a4"),
+    (["build", "--example", "beta1", "--grid", "2x2x1"], None,
+     "--out PATH is required for build"),
+    (["curvature", "--example", "beta1", "--grid", "2x2x1"], None,
+     "--out PATH is required for curvature"),
+    (["classify", "--example", "beta2", "--family", "j3,l0", "--a2", "w", "--a4", "t"], None,
+     "classification applies to the lambda = +-1 families"),
+    (["export", "--example", "beta1"], None, "export needs --obj and/or --csv"),
+    (["build", "--out", "{tmp}/x"], "example = beta1\nbranch = *\n",
+     "--branch must be '+' or '-', got '*'"),
+    (["build", "--out", "{tmp}/x"], "example beta1\n",
+     "{tmp}/job.cfg:1: expected key=value, got 'example beta1'"),
+], ids=["family", "variant", "drop", "check", "route", "grid-parts", "grid-integers",
+        "grid-counts", "range-colon", "no-curve", "some-components", "no-radius",
+        "no-a-functions", "build-out", "curvature-out", "classify-null-cone", "export-outputs",
+        "config-branch", "config-line"])
+def test_config_errors_exit_2_with_one_error_line(tmp_path, capsys, argv, config, message):
+    """Each bad option or config line exits 2 with one error line naming it,
+    prints nothing and writes no file."""
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    if config is not None:
+        (tmp_path / "job.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "job.cfg")]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message.replace('{tmp}', str(tmp_path))}\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_export_slice_t_writes_the_fixed_t_slice(tmp_path, beta1):
+    """export --slice-t writes the ns x nw vertices of the lattice at t =
+    slice_t and skips the faces at the degenerate w columns (cos w ~ 0 at
+    the ends of the default w range of j = 1)."""
+    out = tmp_path / "t.obj"
+    assert run(["export", "--example", "beta1", "--grid", "3x7x5", "--slice-t", "0.5",
+                "--obj", str(out)]) == 0
+    w_values = GridSpec.linspace((-0.5 * math.pi, 0.5 * math.pi), 5)
+    grid = GridSpec(GridSpec.linspace((0.25, 3.0), 3), (0.5,), w_values)
+    patch = sample_grid(beta1, CanalConfig(1, 1, RadiusProfile.from_expr("2*s")), grid)
+    lines = out.read_text().splitlines()
+    assert lines[1:16] == ["v %.9g %.9g %.9g" % tuple(p[1:]) for p in patch.coords.tolist()]
+    faces = [[int(v) for v in line.split()[1:]] for line in lines[16:]]
+    assert len(faces) == 8 and all(line.startswith("f ") for line in lines[16:])
+    # vertex k + 1 is node (k // 5, k % 5): no face touches w columns 0 or 4
+    assert {(v - 1) % 5 for face in faces for v in face} == {1, 2, 3}
+
+
+def test_classify_out_writes_the_printed_verdicts(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert run(["classify", *_LINE, "--range-s", "0.5:2.5", "--family", "j2,l-1",
+                "--radius", "0.5*s + 1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert capsys.readouterr().out == (
+        f"flat: {doc['flat']['verdict']} ({doc['flat']['reason']})\n"
+        f"minimal[lambda=-1]: {doc['minimal']['verdict']} ({doc['minimal']['reason']})\n")
+    assert (doc["flat"]["verdict"], doc["minimal"]["verdict"]) == ("flat", "not-minimal")
+    assert doc["minimal"]["lambda"] == -1
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--example", "beta1", "--family", "j1,l1", "--grid", "2x2x1", "--out"],
     ["export", "--example", "beta1", "--family", "j1,l1", "--grid", "2x2x1", "--obj"],
@@ -753,6 +850,9 @@ _RADII = ("2*s", "1e120*s", "1e120", "0.5 + s", "1e200*s", "1e308", "exp(700*s)"
 _RANGES = ("0.5:2", "1:1.001", "1:1.0000001", "2:0.5", "1e120:2e120", "700:701",
            "-1e200:1e200", "nan:1", "0:1e308")
 _LITERALS = ("2", "1e120", "1e200", "1e308", "700", "nan", "-1e120", "0.5")
+# free coefficients of the null-cone families: literals and short expressions in s, t, w
+_A_FREE = _LITERALS + ("w*cos(t)", "s*t", "exp(w)", "t/w", "sinh(700*t)", "1e200*s*w",
+                       "log(s - 1)", "sqrt(t)")
 # explicit curves: lines, a nearly null line, the helix of beta1, planar ones,
 # one whose speed overflows and one whose third derivative does
 _CURVES = (("0", "s", "0", "0"), ("s", "0", "0", "0"), ("1.0000000001*s", "s", "0", "0"),
@@ -766,9 +866,9 @@ _CURVES = (("0", "s", "0", "0"), ("s", "0", "0", "0"), ("1.0000000001*s", "s", "
 def _command_lines(draw):
     """(argv, config file text) of one build | curvature | verify | classify |
     export command over a builtin or explicit curve: radii made of ordinary
-    and extreme literals, and some ranges short, reversed or extreme; each
-    option is a flag or a line of the config file. {tmp} stands for a
-    writable directory."""
+    and extreme literals, null-cone families with free coefficients of the
+    same kind, and some ranges short, reversed or extreme; each option is a
+    flag or a line of the config file. {tmp} stands for a writable directory."""
     command = draw(st.sampled_from(("verify", "build", "curvature", "classify", "export")))
     example = draw(st.sampled_from(("beta1", "beta2", None)))
     options = {"example": example}
@@ -778,9 +878,13 @@ def _command_lines(draw):
     j = {"beta1": 1, "beta2": 3, None: draw(st.integers(1, 4))}[example]
     options.update({
         "radius": draw(st.sampled_from(_RADII)),
-        "family": draw(st.sampled_from((None, f"j{j},l1", f"j{j},l-1", "j2,l1"))),
+        "family": draw(st.sampled_from((None, f"j{j},l1", f"j{j},l-1", "j2,l1", f"j{j},l0",
+                                        "j3,l0"))),
         "grid": draw(st.sampled_from(("2x2x1", "1x1x1", "3x2x2", "2x3x3"))),
     })
+    if options["family"] in (f"j{j},l0", "j3,l0"):     # most draws give the slots of j
+        options.update({k: draw(st.sampled_from((None, *_A_FREE, *_A_FREE)))
+                        for k in ("a2", "a3", "a4")})
     for axis in "stw":
         if draw(st.integers(0, 3)) == 0:
             options[f"range_{axis}"] = draw(st.sampled_from(_RANGES))
@@ -808,6 +912,10 @@ def _command_lines(draw):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_command_lines())
 @example((["verify", "--example=beta1", "--radius=1e120*s"], ""))     # r^3 overflows
+@example((["build", "--example=beta2", "--family=j3,l0", "--a2=2", "--a4=1e200", "--grid=2x2x2",
+           "--out={tmp}/x.out"], ""))      # (1e200)^2 of the null condition overflows
+@example((["verify", "--example=beta2", "--family=j3,l0", "--a2=2", "--a4=1e200",
+           "--check=sphere"], ""))         # so does <P - b, P - b>: FAIL, with no warning
 def test_any_command_line_keeps_the_exit_code_contract(case):
     """Every drawn command line, run in process with warnings as errors, exits
     0, 1, 2 or 3 and prints no traceback."""
