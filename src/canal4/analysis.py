@@ -23,11 +23,11 @@ import numpy as np
 from . import expr as ex
 from .canal import (CanalConfig, PointMapCache, RadiusProfile, SurfacePatch, _even_odd_at,
                     _place, family_function, frame_signs)
-from .curvature import (_FOCAL, Route, _admissible_q, _cube, _family_curvatures, _normal_sign,
-                        curvatures, node_blocks)
+from .curvature import (_FOCAL, _NULL_CONE, Route, _family_curvatures, _normal_sign, curvatures,
+                        node_blocks)
 from .curve import CurveSpec, TAU_K
 from .errors import (CanalError, DomainExitError, InadmissibleConfigError, SingularMetricError,
-                     or_error, unwrap)
+                     _power, or_error, unwrap)
 from .minkowski import inner
 
 KH_TOL_CLOSED = 1e-9
@@ -64,7 +64,7 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM) -> 
     sgn = -_normal_sign(patch.config)     # eps3 eps4 lam^j
     # r^3 of each row first (nan where the row fails): where it overflows, no residual exists
     r = [getattr(or_error(patch.cache.row, s), "r", math.nan) for s in keys[0]]
-    r, r3 = np.array([(x, _cube(x, "r^3 at s={!r} (r = {:.6g})", s, x))
+    r, r3 = np.array([(x, _power(x, 3, "r^3 at s={!r} (r = {:.6g})", s, x))
                       for s, x in zip(keys[0], r)])[keys[1]].T
     K, H, _, errors = curvatures(patch.config, patch.cache, route, *keys)
     unwrap(next(filter(None, errors), None))
@@ -79,14 +79,11 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM) -> 
 def _kh_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     """Closed-form (K, H) arrays at the points (s_keys[s_at], t_keys[t_at],
     w_keys[w_at]): row values once per s key, f_j's trig once per t and w key.
-    Raises the first point's gauss_mean_principal error (row, Q, f_j, D)."""
-    def per_s(x):
-        row = cache.row(x)
-        return (row.r, row.frame.k1, row.rpp,
-                _admissible_q(config.lam, config.variant, frame_signs(config.j)[0], row.rp))
-    rows = [or_error(per_s, x) for x in s_keys]
+    Raises the first point's gauss_mean_principal error (row, f_j, D); a row
+    holds Q > 0 (lam = +-1; weingarten_check rejects lam = 0)."""
+    rows = [or_error(cache.row, x) for x in s_keys]
     failed = np.array([isinstance(x, CanalError) for x in rows])
-    r, k1, rpp, Q = np.array([(1.0, 0.0, 0.0, 1.0) if bad else x
+    r, k1, rpp, Q = np.array([(1.0, 0.0, 0.0, 1.0) if bad else (x.r, x.k1, x.rpp, x.Q)
                               for bad, x in zip(failed, rows)])[s_at].T
     et, ot, ew, ow = _even_odd_at(config.j, t_keys, t_at, w_keys, w_at)
     with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
@@ -115,6 +112,8 @@ def weingarten_check(patch: SurfacePatch, pair: str) -> TheoremReport:
         raise ValueError(f"pair must be 'st', 'sw' or 'tw', got {pair!r}")
     h = WEINGARTEN_FD_STEP
     keys = patch.node_keys()
+    if patch.config.lam == 0 and len(keys[1]):      # as the K-H check's node check
+        raise InadmissibleConfigError(_NULL_CONE)
     # node by node: 4 offsets along the pair's 1st axis, then its 2nd; none off the pair
     offsets = [(-2 * h, -h, h, 2 * h) if axis in pair else () for axis in "stw"]
     shifts = [[k if a == axis else 0 for a in pair for k in (1, 2, 3, 4)] for axis in "stw"]

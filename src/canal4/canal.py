@@ -31,7 +31,7 @@ import numpy as np
 from . import expr as ex
 from .curve import CurveSpec, FrenetFrame
 from .errors import (CanalError, DomainError, FailedRows, InadmissibleConfigError,
-                     NullConditionViolatedError, VariantViolatedError, check)
+                     NullConditionViolatedError, VariantViolatedError, _power, check)
 from .minkowski import Vec4, inner
 
 DEGENERATE_A_TOL = 1e-6     # |A| below this: shape operator undefined at node
@@ -193,8 +193,8 @@ def degeneracy_factor(j: int, variant: Variant, w: float) -> float:
 
 
 def _row_terms(config: CanalConfig, s, value, sqrt, check):
-    """(r, r', r'', axial, phi) at s (a float or a column array), value(k) giving
-    r^(k) there; checks r > 0, then v*(r'^2 - lam*eps1) > 0, each once its value is known."""
+    """(r, r', r'', Q, axial, phi) at s (a float or column array), value(k) giving
+    r^(k); checks r > 0, then Q = v*(r'^2 - lam*eps1) > 0, each once it is known."""
     v, eps1 = config.variant.sign, frame_signs(config.j)[0]
     r = value(0)
     check(r <= 0, InadmissibleConfigError, lambda: f"radius r({s!r}) = {r:.6g} must be positive")
@@ -203,8 +203,8 @@ def _row_terms(config: CanalConfig, s, value, sqrt, check):
     check(v * q <= VARIANT_BOUNDARY_TOL, VariantViolatedError,
           lambda: f"r'^2 - lam*eps1 = {q:.3g} at s={s!r} has the wrong sign "
                   f"for the {config.variant.value} variant")
-    phi = config.sigma * (r * sqrt(v * q))
-    return r, rp, value(2), -config.lam * eps1 * r * rp, phi
+    Q = v * q
+    return r, rp, value(2), Q, -config.lam * eps1 * r * rp, config.sigma * (r * sqrt(Q))
 
 
 def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile) -> Variant:
@@ -235,18 +235,20 @@ def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile) -
 
 @dataclass(frozen=True)
 class PointMapRow:
-    """Everything the point map and the curvature formulas need at one s.
+    """Everything the point map and the curvature formulas need at one s: the
+    numbers of frame(s) (its signs are frame_signs(j)) and of the radius; for
+    lam = 0 the radius fields are 0.0."""
 
-    For lam = 0 only frame and basis are set; the radius fields are 0.0.
-    """
-
-    frame: FrenetFrame
     basis: np.ndarray       # (5, 4): b, F1, F2, F3, F4
+    k1: float
+    k2: float
+    k3: float
     r: float
     rp: float
     rpp: float
+    Q: float                # v*(r'^2 - lam*eps1) > 0
     axial: float            # -lam*eps1*r*r'
-    phi: float              # sigma*r*sqrt(|q|)
+    phi: float              # sigma*r*sqrt(Q)
 
 
 class PointMapCache:
@@ -279,7 +281,7 @@ class PointMapCache:
         if len(todo) < BATCH_MIN_S:
             return
         config, failed = self.config, FailedRows(len(todo))
-        terms = np.zeros((5, len(todo)))
+        terms = np.zeros((6, len(todo)))
         if config.lam != 0:
             fns = (config.radius.r, config.radius.r_prime, config.radius.r_second)
             table = ex.over(fns, np.array(todo))     # None for a minimal profile
@@ -287,15 +289,16 @@ class PointMapCache:
                 return
             with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
                 terms = _row_terms(config, todo, table.__getitem__, np.sqrt, failed)
-        frames, tetrads = self.curve.frames(todo)
+        frames = self.curve.frames(todo)
         b = self.curve.derivatives(todo, 0)
-        if b is None or tetrads is None:
+        if b is None or frames is None:
             return
-        keep = ~failed.rows & [fr is not None and fr.frame_type == config.j for fr in frames]
+        tetrads, ks, eps, ok = frames
+        keep = ~failed.rows & ok & (eps[:, config.j - 1] == -1)      # frame type j
         basis = np.concatenate((b[0][:, None], tetrads), axis=1)      # b, F1..F4 of each row
-        values = np.array(terms).T[keep].tolist()
+        values = np.concatenate((ks, np.transpose(terms)), axis=1)[keep].tolist()
         for i, base, v in zip(np.flatnonzero(keep).tolist(), basis[keep], values):
-            self._rows[todo[i]] = PointMapRow(frames[i], base, *v)
+            self._rows[todo[i]] = PointMapRow(base, *v)
 
     def row(self, s: float) -> PointMapRow:
         """The row at s, built and checked on first use."""
@@ -308,11 +311,11 @@ class PointMapCache:
             raise InadmissibleConfigError(
                 f"curve has frame type {fr.frame_type}, config wants j = {config.j}")
         basis = np.array((self.curve.derivative(s, 0), *fr.tetrad))
-        terms = (0.0,) * 5
+        terms = (0.0,) * 6
         if config.lam != 0:
             fns = (config.radius.r, config.radius.r_prime, config.radius.r_second)
             terms = _row_terms(config, s, lambda k: fns[k](s), math.sqrt, check)
-        hit = self._rows[s] = PointMapRow(fr, basis, *terms)
+        hit = self._rows[s] = PointMapRow(basis, fr.k1, fr.k2, fr.k3, *terms)
         return hit
 
 
@@ -497,17 +500,24 @@ class _Vec4View(Sequence):
 
 
 class SurfacePatch:
-    """Sampled (s,t,w) lattice of canal points with cached frames per s."""
+    """Sampled (s,t,w) lattice of canal points; the per-s rows are its cache's."""
 
-    def __init__(self, curve, config, grid, coords, frames, degenerate, cache=None):
+    def __init__(self, curve, config, grid, coords, degenerate, cache=None):
         self.curve = curve
         self.config = config
         self.grid = grid
         self.coords = coords            # (n, 4) float64, flat row-major (s, t, w)
         self.coords.flags.writeable = False
-        self.frames = frames            # one FrenetFrame per s value
         self.degenerate = degenerate    # frozenset of flat indices
         self.cache = cache or PointMapCache(curve, config)   # sample_grid's, or a new one
+
+    @property
+    def frames(self) -> tuple[FrenetFrame, ...]:
+        """frame(s) at each s value, built from the cache rows on access."""
+        eps = frame_signs(self.config.j)
+        return tuple(FrenetFrame(tuple(map(tuple, row.basis[1:].tolist())), eps,
+                                 row.k1, row.k2, row.k3)
+                     for row in map(self.cache.row, self.grid.s_values))
 
     @property
     def points(self) -> Sequence[Vec4]:
@@ -540,7 +550,8 @@ class SurfacePatch:
         ns, nt, nw = self.shape
         rows = [self.cache.row(s) for s in self.grid.s_values]
         b = np.array([row.basis[0] for row in rows])
-        target = [self.config.lam * row.r ** 2 for row in rows]
+        target = [self.config.lam * _power(row.r, 2, "r^2 at s={!r} (r = {:.6g})", s, row.r)
+                  for s, row in zip(self.grid.s_values, rows)]
         with np.errstate(all="ignore"):     # overflow gives inf or nan, which no tolerance passes
             d = self.coords.reshape(ns, nt * nw, 4) - b.reshape(ns, 1, 4)
             return float(np.abs(inner(d, d) - np.reshape(target, (ns, 1))).max(initial=0.0))
@@ -576,12 +587,11 @@ def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> Surfac
                           w_vals, np.tile(np.arange(nw), ns * nt))
 
     cache.fill(s_vals)
-    frames = []
-    try:
-        for s in s_vals:
-            frames.append(cache.row(s).frame)
-    except CanalError:
-        lattice(len(frames))
-        raise
-    return SurfacePatch(curve, config, grid, lattice(len(frames)), tuple(frames),
-                        degenerate_nodes(config, grid), cache)
+    for ns, s in enumerate(s_vals):
+        try:
+            cache.row(s)
+        except CanalError:
+            lattice(ns)
+            raise
+    return SurfacePatch(curve, config, grid, lattice(len(s_vals)), degenerate_nodes(config, grid),
+                        cache)

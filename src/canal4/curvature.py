@@ -39,7 +39,7 @@ from .canal import (CanalConfig, PointMapCache, PointMapRow, _even_odd_at, _patt
                     DEGENERATE_A_TOL)
 from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
                      InadmissibleConfigError, RankDeficientError,
-                     SingularMetricError, or_error, unwrap)
+                     SingularMetricError, _power, or_error, unwrap)
 from .minkowski import inner, triple_cross
 
 FD_STEP = 1e-4         # first partials
@@ -47,6 +47,7 @@ FD_STEP2 = 1e-3        # second partials: rounding noise scales as |C|/h^2
 EIG_IMAG_REL_TOL = 1e-5
 SINGULAR_REL_TOL = 1e-12
 _FOCAL = "curvature denominator vanished (focal point)"
+_NULL_CONE = "curvature is not defined for the null-cone families (lambda = 0)"
 
 
 class Route(Enum):
@@ -72,8 +73,7 @@ class CurvatureReport:
 def _check_node(config: CanalConfig, w: float):
     """A at the node; raises for the null-cone families and degenerate nodes."""
     if config.lam == 0:
-        raise InadmissibleConfigError(
-            "curvature is not defined for the null-cone families (lambda = 0)")
+        raise InadmissibleConfigError(_NULL_CONE)
     A = degeneracy_factor(config.j, config.variant, w)
     if abs(A) < DEGENERATE_A_TOL:
         raise DegenerateNodeError(f"|A| = {abs(A):.3g} < {DEGENERATE_A_TOL:g} at w={w!r}")
@@ -118,13 +118,13 @@ def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     c = _normal_sign(config)
 
     def per_s(row):         # r, r'', k1, Q, phi, dphi and the terms' per-s prefixes
-        fr, rv, rp, rpp, phi, a1 = row.frame, row.r, row.rp, row.rpp, row.phi, row.axial
-        q = rp * rp - lam * e1                      # v*q > 0 once the row is built
-        # d/ds of sigma*r*sqrt(|q|); the r'' term flips sign with the variant
-        dphi = sigma * rp * (abs(q) + v * rv * rpp) / math.sqrt(abs(q))
-        return (rv, rpp, fr.k1, v * q, phi, dphi, 1.0 + -lam * e1 * (rp * rp + rv * rpp),
-                a1 * fr.k1, e3 * e4 * fr.k1 * phi, e1 * e4 * fr.k2 * phi, fr.k2 * phi,
-                e1 * e2 * fr.k3 * phi, fr.k3 * phi, c * a1 / rv, c * (phi / rv))
+        rv, rp, rpp, Q, phi, a1 = row.r, row.rp, row.rpp, row.Q, row.phi, row.axial
+        k1, k2, k3 = row.k1, row.k2, row.k3
+        # d/ds of sigma*r*sqrt(Q); the r'' term flips sign with the variant
+        dphi = sigma * rp * (Q + v * rv * rpp) / math.sqrt(Q)
+        return (rv, rpp, k1, Q, phi, dphi, 1.0 + -lam * e1 * (rp * rp + rv * rpp), a1 * k1,
+                e3 * e4 * k1 * phi, e1 * e4 * k2 * phi, k2 * phi, e1 * e2 * k3 * phi, k3 * phi,
+                c * a1 / rv, c * (phi / rv))
     # every node of a failed row has an error: the first good row stands in for it
     rows = [x if isinstance(x, PointMapRow) else good[0] for x in map(rows.get, range(len(s_keys)))]
     (rv, rpp, k1, Q, phi, dphi, one_da1, a1k1, p0, p1, p2, p3, p4, n0, cpsi) = np.array(
@@ -155,15 +155,6 @@ def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     errors = [e or (SingularMetricError(_FOCAL) if fo else None)
               for e, fo in zip(errors, focal.tolist())]
     return (g, h, S, N, K, H, np.transpose((mu12, mu12, mu3))), errors
-
-
-def _admissible_q(lam, variant, eps1, rp):
-    """Q = v(r'^2 - lam*eps1), v the variant's sign; raises unless Q > 0."""
-    Q = variant.sign * (rp * rp - lam * eps1)
-    if Q <= 0:
-        raise InadmissibleConfigError(f"r'^2 - lam*eps1 = {variant.sign * Q:.3g} has the wrong "
-                                      f"sign for the {variant.value} variant")
-    return Q
 
 
 def _family_curvatures(j, lam, variant, eps, k1, r, Q, rpp, f):
@@ -199,7 +190,10 @@ def gauss_mean_principal(j, lam, variant, eps, k1, r, rp, rpp, t, w, sigma=1):
     sqrt(q) -> i sqrt(Q), which maps the standard point map onto this one.
     The scalar case of _family_curvatures, which the patch loops run on arrays.
     """
-    Q = _admissible_q(lam, variant, eps[0], rp)
+    Q = variant.sign * (rp * rp - lam * eps[0])
+    if Q <= 0:
+        raise InadmissibleConfigError(f"r'^2 - lam*eps1 = {variant.sign * Q:.3g} has the wrong "
+                                      f"sign for the {variant.value} variant")
     K, H, mu12, mu3, focal = _family_curvatures(j, lam, variant, eps, k1, r, Q, rpp,
                                                 sigma * family_function(j, variant, t, w))
     if focal:
@@ -349,19 +343,11 @@ def _shape_operators(g, h, errors):
     return np.linalg.solve(g, h), errors
 
 
-def _cube(x: float, what: str, *args) -> float:
-    """x ** 3 in floats; where it overflows, a DomainError naming what.format(*args)."""
-    try:
-        return x ** 3
-    except OverflowError:
-        raise DomainError(what.format(*args) + " overflows") from None
-
-
 def _check_metric(scale: float, det_g: float):
     """Raise SingularMetricError when det g ~ 0 against g's scale max |g_ij|."""
     scale = scale or 1.0
-    if abs(det_g) < SINGULAR_REL_TOL * _cube(scale, "scale^3 of det g (max |g_ij| = {:.3g})",
-                                             scale):
+    if abs(det_g) < SINGULAR_REL_TOL * _power(scale, 3, "scale^3 of det g (max |g_ij| = {:.3g})",
+                                              scale):
         raise SingularMetricError(f"det g = {det_g:.3g} below {SINGULAR_REL_TOL:g}*scale^3")
 
 

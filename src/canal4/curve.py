@@ -222,32 +222,28 @@ class CurveSpec:
                                           f" at s={s!r}", _FLOATS, check))
 
     def frames(self, s_values):
-        """(frames, tetrads): frame(s) at each s, and F1..F4 as an (n, 4, 4)
-        array, from frenet's Gram-Schmidt on 4-tuples of column arrays. A row
-        that fails a check of frenet's gets None (frame(s) then raises its
-        error), or the line frame where frame(s) falls back to it."""
+        """(tetrads, k, eps, ok): F1..F4, k1..k3 and eps1..eps4 of frame(s) at each
+        s as (n, 4, 4), (n, 3) and (n, 4) arrays, from frenet's Gram-Schmidt on
+        4-tuples of column arrays; ok marks the rows they hold: none where a check
+        of frenet's fails (frame(s) raises), the line frame's where frame(s)
+        falls back to it. None where the derivatives have no array pass."""
         d = self.derivatives(s_values, 1, 2, 3, 4)
         if d is None:
-            return [None] * len(s_values), None
+            return None
         failed = FailedRows(len(s_values))
         with np.errstate(all="ignore"):     # a row that overflows fails a check
             tetrad, eps, *ks = _gram_schmidt(*(tuple(x.T) for x in d), "", _ARRAYS, failed)
-        table = np.array((*sum(tetrad, ()), *ks)).T
+        tetrads, ks, eps = np.array(tetrad).transpose(2, 0, 1), np.array(ks).T, np.array(eps).T
         flat = failed.degenerate            # where frame(s) tries the line frame
         if flat.any() and self._line_frame is None:
             try:
                 self.frame(s_values[int(flat.argmax())])    # sets it on a straight curve
             except CanalError:                  # frame(s) raises it
                 pass
-        out = [self._line_frame if f else None for f in flat.tolist()]
-        if self._line_frame is not None:
-            table[flat, :16] = sum(self._line_frame.tetrad, ())
-        ok = ~failed.rows
-        eps = np.array(eps).T[ok].tolist()
-        for i, x, e in zip(np.flatnonzero(ok).tolist(), table[ok].tolist(), eps):
-            out[i] = FrenetFrame((tuple(x[:4]), tuple(x[4:8]), tuple(x[8:12]), tuple(x[12:16])),
-                                 tuple(e), *x[16:])
-        return out, table[:, :16].reshape(-1, 4, 4)
+        line = self._line_frame
+        if line is not None:
+            tetrads[flat], ks[flat], eps[flat] = line.tetrad, (line.k1, line.k2, line.k3), line.eps
+        return tetrads, ks, eps, ~failed.rows | (flat & (line is not None))
 
     def is_straight(self) -> bool:
         """True when b'' vanishes across the domain (within TAU_K) at 16 s values."""

@@ -48,6 +48,14 @@ def unwrap(result):
     return result
 
 
+def _power(x: float, n: int, what: str, *args) -> float:
+    """x ** n in floats; where it overflows, a DomainError naming what.format(*args)."""
+    try:
+        return x ** n
+    except OverflowError:
+        raise DomainError(what.format(*args) + " overflows") from None
+
+
 class ConfigError(CanalError):
     """Invalid user input or inadmissible configuration (CLI exit 2)."""
 

@@ -463,7 +463,7 @@ def fold(node: Expr) -> Expr:
             if isinstance(b, Const) and b.value == 0.0:
                 return a
             if isinstance(a, Const) and a.value == 0.0:
-                return Neg(b)
+                return fold(Neg(b))
             return Sub(a, b)
         if isinstance(node, Mul):
             for u, v in ((a, b), (b, a)):
@@ -514,8 +514,9 @@ def variables_of(expr: Expr) -> frozenset[str]:
 def _to_str(node, parent_prec):
     if isinstance(node, Const):
         v = node.value
-        text = repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
-        return f"({text})" if v < 0 and parent_prec > 1 else text
+        sign = "-" if math.copysign(1.0, v) < 0 else ""       # -0.0 prints as -0
+        text = sign + repr(int(abs(v))) if v == int(v) and abs(v) < 1e15 else repr(v)
+        return f"({text})" if sign and parent_prec > 1 else text
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):

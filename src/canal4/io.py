@@ -13,8 +13,8 @@ import numpy as np
 
 from . import analysis, expr as ex
 from .canal import (DEGENERATE_A_TOL, CanalConfig, GridSpec, RadiusProfile, SurfacePatch,
-                    Variant, degenerate_nodes)
-from .curve import CurveSpec, FrenetFrame
+                    Variant, degenerate_nodes, frame_signs)
+from .curve import CurveSpec
 from .curvature import Route, curvatures
 from .errors import CanalError, EmptySliceError, NumericError, unwrap
 
@@ -138,8 +138,9 @@ def _require(ok: bool, field: str, expected: str):
         raise ValueError(f"{field}: expected {expected}")
 
 
-def _frame_from_payload(fr, field: str, j: int) -> FrenetFrame:
-    """The frame of a document's frames entry, whose timelike vector is F_j."""
+def _check_frame(fr, field: str, j: int) -> None:
+    """Check a document's frames entry, whose timelike vector is F_j; the
+    reader keeps none, as a patch takes its frames from the curve."""
     vectors, eps, k = (_get(fr, key, f"{field}.") for key in ("vectors", "eps", "k"))
     _require(isinstance(vectors, list) and len(vectors) == 4
              and all(_numbers(v, 4) for v in vectors), f"{field}.vectors",
@@ -148,7 +149,6 @@ def _frame_from_payload(fr, field: str, j: int) -> FrenetFrame:
              f"{field}.eps", "4 signs +-1 with exactly one -1")
     _require(eps[j - 1] == -1, f"{field}.eps", f"the -1 at the frame type config.j = {j}")
     _require(_numbers(k, 3), f"{field}.k", "3 finite numbers")
-    return FrenetFrame(tuple(tuple(map(float, v)) for v in vectors), tuple(eps), *map(float, k))
 
 
 def _built(field: str, build, *args):
@@ -193,7 +193,9 @@ def _radius_from_payload(payload):
 
 
 def patch_to_json(patch: SurfacePatch) -> str:
+    """The canal-patch v1 document of the patch, its frames from the cache rows."""
     config = patch.config
+    eps = list(frame_signs(config.j))
     doc = {
         "format": "canal-patch",
         "version": 1,
@@ -217,12 +219,8 @@ def patch_to_json(patch: SurfacePatch) -> str:
         },
         "points": patch.coords.tolist(),
         "frames": [
-            {
-                "vectors": [list(f) for f in fr.tetrad],
-                "eps": list(fr.eps),
-                "k": [fr.k1, fr.k2, fr.k3],
-            }
-            for fr in patch.frames
+            {"vectors": row.basis[1:].tolist(), "eps": eps, "k": [row.k1, row.k2, row.k3]}
+            for row in map(patch.cache.row, patch.grid.s_values)
         ],
         "degenerate": sorted(patch.degenerate),
     }
@@ -272,10 +270,11 @@ def patch_from_json(text: str) -> SurfacePatch:
              "points", f"{n} points of 4 finite numbers for the {ns}x{nt}x{nw} grid")
     frames = _get(doc, "frames", kind=list)
     _require(len(frames) == ns, "frames", f"{ns}, one per s value, got {len(frames)}")
-    frames = tuple(_frame_from_payload(fr, f"frames[{i}]", config.j) for i, fr in enumerate(frames))
+    for i, fr in enumerate(frames):
+        _check_frame(fr, f"frames[{i}]", config.j)
     degenerate = _get(doc, "degenerate", kind=list)
     _require(all(type(k) is int and 0 <= k < n for k in degenerate), "degenerate",
              f"flat node indices, ints in [0, {n})")
     _require(sorted(degenerate) == sorted(expected), "degenerate",
              f"the {len(expected)} nodes where |A| < {DEGENERATE_A_TOL:g}")
-    return SurfacePatch(curve, config, grid, coords, frames, expected)
+    return SurfacePatch(curve, config, grid, coords, expected)

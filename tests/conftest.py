@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from canal4.canal import CanalConfig, RadiusProfile, Variant
 from canal4.curvature import gauss_mean_principal
-from canal4.curve import CurveSpec
+from canal4.curve import CurveSpec, FrenetFrame
 from canal4.minkowski import Vec4
 
 # every property test draws the same examples on every run
@@ -150,6 +150,17 @@ def admissible_node(rng, curve, config, s_range, d_floor=0.2, a_floor=1e-3,
 def arr(v):
     """A Vec4 or a 4-tuple as a (4,) float array, for vector arithmetic."""
     return np.array(v.as_tuple() if isinstance(v, Vec4) else v, dtype=float)
+
+
+def frames_of(curve, s_values):
+    """curve.frames(s_values) as a list: the FrenetFrame of each row whose
+    numbers it holds, None for the others."""
+    out = curve.frames(s_values)
+    if out is None:
+        return [None] * len(s_values)
+    tetrads, ks, eps, ok = (x.tolist() for x in out)
+    return [FrenetFrame(tuple(map(tuple, t)), tuple(e), *k) if good else None
+            for t, k, e, good in zip(tetrads, ks, eps, ok)]
 
 
 def make_config(j, lam, radius, sigma=1):

@@ -429,8 +429,8 @@ def reference_kh_report(patch, route=None):
     from canal4.curvature import Route
     route = route or Route.NUMERIC
     tol = KH_TOL_NUMERIC if route is Route.NUMERIC else KH_TOL_CLOSED
-    fr = patch.frames[0]
-    sgn = fr.eps[2] * fr.eps[3] * patch.config.lam ** patch.config.j
+    e3, e4 = (-1 if i == patch.config.j else 1 for i in (3, 4))     # F_j is timelike
+    sgn = e3 * e4 * patch.config.lam ** patch.config.j
     worst, n = 0.0, 0
     for i, jj, k, s, t, w in patch.nodes():
         if route is Route.NUMERIC:
@@ -562,7 +562,7 @@ def reference_closed_forms(curve, config, s, t, w):
     from canal4.curvature import _check_node
     _check_node(config, w)
     row = PointMapCache(curve, config).row(s)
-    fr = row.frame
+    fr = curve.frame(s)
     e1, e2, e3, e4 = fr.eps
     rv, rp, rpp, phi, a1 = row.r, row.rp, row.rpp, row.phi, row.axial
     q = rp * rp - config.lam * e1
@@ -600,11 +600,12 @@ def reference_closed_report(curve, config, s, t, w):
     from canal4.minkowski import inner
     A = _check_node(config, w)
     row = PointMapCache(curve, config).row(s)
+    fr = curve.frame(s)
     g, h, N = reference_closed_forms(curve, config, s, t, w)
     S = reference_shape_operator(g, h)
     K, H, mu = reference_gauss_mean_principal(
-        config.j, config.lam, config.variant, row.frame.eps, row.frame.k1, row.r, row.rp,
-        row.rpp, t, w, config.sigma)
+        config.j, config.lam, config.variant, fr.eps, fr.k1, row.r, row.rp, row.rpp, t, w,
+        config.sigma)
     return CurvatureReport(g=g, h=h, S=S, N=tuple(N.tolist()), eps_N=1 if inner(N, N) > 0 else -1,
                            K=float(K), H=float(H), mu=tuple(float(m) for m in mu),
                            f_j=family_function(config.j, config.variant, t, w),
@@ -614,17 +615,18 @@ def reference_closed_report(curve, config, s, t, w):
 
 def reference_weingarten(patch, pair):
     """weingarten_check(patch, pair) node by node: 5-point stencils of
-    reference_gauss_mean_principal, 8 calls per node."""
+    reference_gauss_mean_principal, 8 calls per node; a null-cone patch with
+    a node fails as the K-H check does."""
     from canal4.analysis import WEINGARTEN_ETA, WEINGARTEN_FD_STEP, WEINGARTEN_TOL, TheoremReport
     from canal4.canal import PointMapCache
+    from canal4.errors import InadmissibleConfigError
     cfg = patch.config
     cache = PointMapCache(patch.curve, cfg)
 
     def kh(s, t, w):
-        row = cache.row(s)
-        return reference_gauss_mean_principal(cfg.j, cfg.lam, cfg.variant, row.frame.eps,
-                                              row.frame.k1, row.r, row.rp, row.rpp, t, w,
-                                              cfg.sigma)[:2]
+        row, fr = cache.row(s), patch.curve.frame(s)
+        return reference_gauss_mean_principal(cfg.j, cfg.lam, cfg.variant, fr.eps, fr.k1,
+                                              row.r, row.rp, row.rpp, t, w, cfg.sigma)[:2]
 
     def fd(node, i):
         h = WEINGARTEN_FD_STEP
@@ -635,6 +637,9 @@ def reference_weingarten(patch, pair):
 
     worst, n = 0.0, 0
     for node in patch.nodes():
+        if cfg.lam == 0:
+            raise InadmissibleConfigError(
+                "curvature is not defined for the null-cone families (lambda = 0)")
         (Ku, Hu), (Kv, Hv) = [fd(node[3:], "stw".index(a)) for a in pair]
         num = abs(Hu * Kv - Hv * Ku)
         scale = max(max(abs(Hu), abs(Hv)) * max(abs(Ku), abs(Kv)), WEINGARTEN_ETA)

@@ -350,15 +350,14 @@ def test_weingarten_evaluates_k_and_h_once_per_stencil_point(beta1, monkeypatch)
 def _error_patches(beta1, gamma2):
     """Patches whose Weingarten stencils fail: a radius that turns negative
     one stencil step below the grid, cosh overflowing along t at one node and
-    along w at an earlier one, and a null-cone family (no Q > 0)."""
+    along w at an earlier one, and a null-cone family (no curvature)."""
     from canal4 import expr as ex
     from canal4.canal import SurfacePatch, Variant
     yield sample_grid(beta1, make_config(1, 1, RadiusProfile.from_expr("2*s - 1.999")),
                       GridSpec((1.0, 1.5), (0.3, 1.2), (0.4,))), "sw"
     cfg = CanalConfig(2, -1, RadiusProfile.from_expr("1 + 0.2*s"))
     grid = GridSpec((1.0, 1.2), (0.3, 710.475), (710.475, 0.3))
-    yield SurfacePatch(gamma2, cfg, grid, np.zeros((8, 4)),
-                       tuple(gamma2.frame(s) for s in grid.s_values), frozenset()), "tw"
+    yield SurfacePatch(gamma2, cfg, grid, np.zeros((8, 4)), frozenset()), "tw"
     a_free = tuple(ex.parse(a, ("s", "t", "w")) for a in ("t", "w"))
     yield sample_grid(gamma2, CanalConfig(2, 0, None, 1, Variant.STANDARD, a_free),
                       GridSpec((1.0,), (0.3,), (0.4,))), "st"
@@ -415,9 +414,8 @@ def test_kh_closed_form_equals_per_node_reference(family_curves, beta2, rng):
                                    ((1.2,), (0.3, 800.0), (0.4,)),            # cosh(800)
                                    ((1.2, 3.01), (800.0, 0.3), (0.4, 0.0))):  # node 0 first
         grid = GridSpec(s_vals, t_vals, w_vals)
-        frames = tuple(beta2.frame(1.2) for _ in s_vals)   # a row past the domain fails later
         patch = SurfacePatch(beta2, cfg, grid, np.zeros((len(s_vals) * len(t_vals)
-                                                         * len(w_vals), 4)), frames, frozenset())
+                                                         * len(w_vals), 4)), frozenset())
         got, one = (_outcome(lambda: check(patch))
                     for check in (check_kh_relation, functools.partial(
                         oracles.reference_kh_report, route=Route.CLOSED_FORM)))
@@ -426,9 +424,8 @@ def test_kh_closed_form_equals_per_node_reference(family_curves, beta2, rng):
     assert kinds == ["DegenerateNodeError", "OutOfDomainError", "DomainError", "DomainError"]
     # at t or w = 700 the forms overflow to inf and K, H are nan: skipped, with no warning
     patches = [SurfacePatch(beta2, cfg, GridSpec((1.2,), t_vals, w_vals),
-                            np.zeros((len(t_vals) * len(w_vals), 4)), (beta2.frame(1.2),),
-                            frozenset()) for t_vals, w_vals in (((0.3, 700.0), (0.4, 700.0)),
-                                                                ((0.3,), (0.4,)))]
+                            np.zeros((len(t_vals) * len(w_vals), 4)), frozenset())
+               for t_vals, w_vals in (((0.3, 700.0), (0.4, 700.0)), ((0.3,), (0.4,)))]
     got, one = map(check_kh_relation, patches)
     assert (got.max_residual, got.nodes_checked) == (one.max_residual, 4)
 
@@ -472,11 +469,9 @@ def test_block_loops_equal_per_node_references(beta1, beta2, monkeypatch):
                            GridSpec((1.2, 1.5, 1.8), (-0.4, 0.3, 0.9), (0.4, -0.7)))]
     for s_vals, t_vals in (((1.2, 1.4, 3.01), (0.3, -0.4, 0.9, 1.1)),
                            ((1.2, 1.4), (0.3, -0.4, 0.9, 1.1, 0.2, -0.2, 0.5, 800.0))):
-        # the row past the domain fails in the cache, not in the frames given here
-        frames = tuple(beta2.frame(min(s, 1.4)) for s in s_vals)
+        # the row past the domain fails in the cache
         patches.append(SurfacePatch(beta2, supercritical, GridSpec(s_vals, t_vals, (0.4,)),
-                                    np.zeros((len(s_vals) * len(t_vals), 4)), frames,
-                                    frozenset()))
+                                    np.zeros((len(s_vals) * len(t_vals), 4)), frozenset()))
     kinds = []
     for patch in patches:
         assert len(patch.node_keys()[1]) > 7

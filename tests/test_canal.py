@@ -1,14 +1,16 @@
 """Canal point construction, admissibility, null cones, and grid sampling."""
+import dataclasses
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, arr, make_config
+from conftest import ALL_FAMILIES, TUBULAR_FAMILIES, admissible_node, arr, frames_of, make_config
 import oracles
 from oracles import (example_surface_11, example_surface_1m1,
                      example_surface_31, example_surface_3m1)
@@ -533,14 +535,14 @@ def test_hermite_reproduces_cubics_and_node_values(coeffs, start, gaps, at):
 # PointMapCache.fill: rows of one array pass, or the scalar path's errors
 
 def _outcome(cache, s):
-    """The row at s as text (repr of the frame, hex of the floats and of the
-    basis), or the type and message of the error it raises."""
+    """The row at s as text, field for field (the bytes of basis, repr of each
+    float), or the type and message of the error it raises."""
     try:
         row = cache.row(s)
     except CanalError as exc:
         return type(exc).__name__, str(exc)
-    return (repr(row.frame), row.basis.tobytes().hex(),
-            [x.hex() for x in (row.r, row.rp, row.rpp, row.axial, row.phi)])
+    return [x.tobytes().hex() if isinstance(x, np.ndarray) else repr(x)
+            for x in (getattr(row, f.name) for f in dataclasses.fields(row))]
 
 
 def _filled(curve, config, s):
@@ -619,6 +621,60 @@ def test_sample_grid_checks_the_earlier_rows_before_the_first_error(tail, error,
         monkeypatch.undo()
     assert runs[0] == runs[1]
     assert runs[0][0] == error and runs[0][2] == [grid.s_values.index(1.625)]
+
+
+@st.composite
+def _unit_speed_curves(draw):
+    """Closed-form unit-speed curves on (0.25, 3.0): (a sinh cs, a cosh cs,
+    b cos ds, b sin ds) with b^2 d^2 - a^2 c^2 = +-1 (beta1 has -1, beta2 +1),
+    or (a cosh cs, a sinh cs, b sin ds, -b cos ds) with a^2 c^2 + b^2 d^2 = 1
+    (as gamma2 and gamma4)."""
+    c, d = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
+    if draw(st.booleans()):
+        a, b = draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))
+        if draw(st.booleans()):
+            b = math.sqrt(a * a * c * c + 1.0) / d      # b^2 d^2 - a^2 c^2 = 1
+        else:
+            a = math.sqrt(b * b * d * d + 1.0) / c      # b^2 d^2 - a^2 c^2 = -1
+        x = (f"{a!r}*sinh({c!r}*s)", f"{a!r}*cosh({c!r}*s)", f"{b!r}*cos({d!r}*s)",
+             f"{b!r}*sin({d!r}*s)")
+    else:
+        angle = draw(st.floats(0.1, 1.47))
+        a, b = math.cos(angle) / c, math.sin(angle) / d
+        x = (f"{a!r}*cosh({c!r}*s)", f"{a!r}*sinh({c!r}*s)", f"{b!r}*sin({d!r}*s)",
+             f"-{b!r}*cos({d!r}*s)")
+    return CurveSpec(x, (0.25, 3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve=_unit_speed_curves(),
+       s=st.lists(st.floats(0.25, 3.0), min_size=1, max_size=2 * canal.BATCH_MIN_S + 4),
+       r=st.tuples(st.floats(0.5, 2.0), st.floats(-0.1, 0.5)))
+def test_array_and_scalar_paths_agree_on_drawn_curves(curve, s, r):
+    """On drawn unit-speed curves and s values on both sides of BATCH_MIN_S:
+    each row of frames is frame(s)'s, bit for bit, or none where frame(s)
+    raises; fill's rows are row(s)'s, field for field; sample_grid gives the
+    same bits, or the same error, with and without the array pass."""
+    def frame(x):
+        try:
+            return repr(curve.frame(x))
+        except CanalError:
+            return repr(None)
+    assert [repr(fr) for fr in frames_of(curve, s)] == [frame(x) for x in s]
+    fr = curve.frame(1.5)           # r'^2 - lam*eps1 = r'^2 + 1 with lam = -eps1
+    config = CanalConfig(fr.frame_type, -fr.eps[0],
+                         RadiusProfile.from_expr(f"{r[0]!r} + {r[1]!r}*s"))
+    batch, scalar = _filled(curve, config, s), PointMapCache(curve, config)
+    assert [_outcome(batch, x) for x in s] == [_outcome(scalar, x) for x in s]
+    grid, runs = GridSpec(tuple(s), (0.3,), (0.4,)), []
+    for batch_min in (canal.BATCH_MIN_S, 10 ** 9):          # the array pass, then scalar rows
+        with mock.patch.object(canal, "BATCH_MIN_S", batch_min):
+            try:
+                patch = sample_grid(curve, config, grid)
+                runs.append((patch.coords.tobytes(), [repr(f) for f in patch.frames]))
+            except CanalError as exc:
+                runs.append((type(exc).__name__, str(exc)))
+    assert runs[0] == runs[1]
 
 
 def test_point_map_overflow_raises_no_numpy_warning(beta2):

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 import oracles
 
+from canal4 import expr as ex
 from canal4.analysis import (check_kh_relation, classify_flat, classify_minimal,
                              solve_minimal_radius, weingarten_check)
 from canal4.cli import main
@@ -153,12 +155,13 @@ def test_lambda0_build(tmp_path):
 
 
 def test_weingarten_on_a_null_cone_family_exit_2(capsys):
-    """A null-cone row carries r' = 0, so Q = v(r'^2 - lam*eps1) = 0: the
-    Q test of the Weingarten check's (K, H) pass is what rejects lam = 0."""
-    assert run(["verify", "--example", "beta2", "--family", "j3,l0", "--a2", "w", "--a4", "t",
-                "--check", "weingarten-tw"]) == 2
-    assert tuple(capsys.readouterr()) == (
-        "", "error: r'^2 - lam*eps1 = 0 has the wrong sign for the standard variant\n")
+    """The Weingarten check rejects lam = 0 as the K-H check does, with its
+    message: a null-cone row carries Q = 0, which no (K, H) pass reads."""
+    for check in ("weingarten-tw", "kh"):
+        assert run(["verify", "--example", "beta2", "--family", "j3,l0", "--a2", "w", "--a4", "t",
+                    "--check", check]) == 2
+        assert tuple(capsys.readouterr()) == (
+            "", "error: curvature is not defined for the null-cone families (lambda = 0)\n")
 
 
 def test_export_determinism_and_golden(tmp_path):
@@ -468,6 +471,45 @@ def test_patch_json_rejects_a_frame_count_other_than_ns(beta1):
         doc["frames"][0][key] = bad(doc["frames"][0][key])
         with pytest.raises(ValueError, match=rf"^frames\[0\]\.{key}: expected "):
             patch_from_json(json.dumps(doc))
+
+
+def test_patch_json_replaces_an_edited_frame_by_the_curves(beta1):
+    """The reader checks each document frame but keeps none: a document edited
+    to frames[0].k = [9, 9, 9] and frames[1].vectors[0] = [1, 0, 0, 0] reloads
+    with the curve's frame at each s, bit for bit, and writes the unedited
+    text back."""
+    patch = sample_grid(beta1, CanalConfig(1, 1, RadiusProfile.from_expr("2*s")),
+                        GridSpec((1.0, 1.5), (0.2, 0.9), (0.4,)))
+    text = patch_to_json(patch)
+    doc = json.loads(text)
+    doc["frames"][0]["k"] = [9, 9, 9]
+    doc["frames"][1]["vectors"][0] = [1, 0, 0, 0]
+    back = patch_from_json(json.dumps(doc))
+    assert [repr(fr) for fr in back.frames] == [repr(beta1.frame(s)) for s in (1.0, 1.5)]
+    assert patch_to_json(back) == text
+
+
+def test_patch_json_reloads_the_frames_bit_for_bit(family_curves, spacelike_line,
+                                                   timelike_line, rng):
+    """A reloaded patch takes its frames from the curve re-parsed from the
+    document, on the scalar path: they are the frames of the patch it was
+    written from (array pass rows, 20 s values), bit for bit, for every
+    family, the supercritical variant, both lines and a null cone."""
+    beta2 = family_curves[3]
+    a_free = tuple(ex.parse(a, ("s", "t", "w")) for a in ("w*cos(t)", "w*sin(t)"))
+    cases = [(family_curves[j], CanalConfig(j, lam, conftest.random_polynomial_radius(
+                 rng, j, lam, conftest.SWEEP_S_RANGE[j]))) for j, lam in conftest.ALL_FAMILIES]
+    cases += [(beta2, CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
+                                  Variant.ALT_SUPERCRITICAL)),
+              (spacelike_line, CanalConfig(2, -1, RadiusProfile.from_expr("2*s"))),
+              (timelike_line, CanalConfig(1, 1, RadiusProfile.from_expr("2*s"))),
+              (beta2, CanalConfig(3, 0, a_free=a_free))]
+    grid = GridSpec(GridSpec.linspace((0.6, 1.5), 20), (0.3,), (0.4,))
+    for curve, config in cases:
+        patch = sample_grid(curve, config, grid)
+        back = patch_from_json(patch_to_json(patch))
+        assert back.frames == patch.frames
+        assert [repr(fr) for fr in back.frames] == [repr(curve.frame(s)) for s in grid.s_values]
 
 
 @pytest.mark.parametrize("degenerate", [[1, 3, 99], [-1], [1.0], [True], ["1"]])
@@ -831,6 +873,14 @@ def test_overflowing_cube_exit_3(capsys, radius, route, cube):
     assert capsys.readouterr().err == f"numeric breakdown: {cube} overflows\n"
 
 
+def test_overflowing_square_in_the_sphere_check_exit_3(capsys):
+    """r^2 of the sphere check through the same guard as the K-H check's r^3:
+    a numeric breakdown that names the square, not an OverflowError traceback."""
+    assert run(["verify", "--example", "beta1", "--radius", "1e200", "--check", "sphere"]) == 3
+    assert capsys.readouterr().err == (
+        "numeric breakdown: r^2 at s=0.26 (r = 1e+200) overflows\n")
+
+
 @pytest.mark.parametrize("command, flag", [("curvature", "--out"), ("export", "--csv")])
 def test_csv_with_no_surviving_node_exit_3(tmp_path, capsys, command, flag):
     """When every node of a patch breaks down numerically (here the singular-
@@ -916,6 +966,7 @@ def _command_lines(draw):
            "--out={tmp}/x.out"], ""))      # (1e200)^2 of the null condition overflows
 @example((["verify", "--example=beta2", "--family=j3,l0", "--a2=2", "--a4=1e200",
            "--check=sphere"], ""))         # so does <P - b, P - b>: FAIL, with no warning
+@example((["verify", "--example=beta1", "--radius=1e200", "--check=sphere"], ""))  # r^2 overflows
 def test_any_command_line_keeps_the_exit_code_contract(case):
     """Every drawn command line, run in process with warnings as errors, exits
     0, 1, 2 or 3 and prints no traceback."""

@@ -287,6 +287,17 @@ def test_array_pass_gives_the_scalar_bits_or_the_scalar_error(tree, points, fold
         assert [x.hex() for x in values(fn, points)] == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_print_parse_round_trip_is_exact(tree):
+    """A folded tree prints to text that parses back to the same tree, each
+    constant bit for bit (repr tells -0.0 from 0.0): a reloaded patch takes
+    its frames from the curve re-parsed from str(component)."""
+    folded = fold(tree)
+    back = parse(str(folded))
+    assert back == folded and repr(back) == repr(folded)
+
+
 def test_array_pass_runs_for_curves_and_constants():
     """The pass vouches for ordinary components, constants included."""
     s = np.array([0.3, 1.1, 2.9])
