@@ -26,8 +26,8 @@ from .canal import (CanalConfig, PointMapCache, RadiusProfile, SurfacePatch, _ev
 from .curvature import (_FOCAL, _NULL_CONE, Route, _family_curvatures, _normal_sign, curvatures,
                         node_blocks)
 from .curve import CurveSpec, TAU_K
-from .errors import (CanalError, DomainExitError, InadmissibleConfigError, SingularMetricError,
-                     _power, or_error, unwrap)
+from .errors import (DomainExitError, InadmissibleConfigError, SingularMetricError, _power,
+                     unwrap)
 from .minkowski import inner
 
 KH_TOL_CLOSED = 1e-9
@@ -63,7 +63,7 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM) -> 
         return TheoremReport(f"kh-relation[{route.value}]", 0.0, tol, True, 0)
     sgn = -_normal_sign(patch.config)     # eps3 eps4 lam^j
     # r^3 of each row first (nan where the row fails): where it overflows, no residual exists
-    r = [getattr(or_error(patch.cache.row, s), "r", math.nan) for s in keys[0]]
+    r = patch.cache.take(keys[0])[0]["r"].tolist()
     r, r3 = np.array([(x, _power(x, 3, "r^3 at s={!r} (r = {:.6g})", s, x))
                       for s, x in zip(keys[0], r)])[keys[1]].T
     K, H, _, errors = curvatures(patch.config, patch.cache, route, *keys)
@@ -81,10 +81,9 @@ def _kh_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     w_keys[w_at]): row values once per s key, f_j's trig once per t and w key.
     Raises the first point's gauss_mean_principal error (row, f_j, D); a row
     holds Q > 0 (lam = +-1; weingarten_check rejects lam = 0)."""
-    rows = [or_error(cache.row, x) for x in s_keys]
-    failed = np.array([isinstance(x, CanalError) for x in rows])
-    r, k1, rpp, Q = np.array([(1.0, 0.0, 0.0, 1.0) if bad else (x.r, x.k1, x.rpp, x.Q)
-                              for bad, x in zip(failed, rows)])[s_at].T
+    rows, row_errors = cache.take(s_keys)
+    failed = np.array([e is not None for e in row_errors])
+    r, k1, rpp, Q = (rows[x][s_at] for x in ("r", "k1", "rpp", "Q"))
     et, ot, ew, ow = _even_odd_at(config.j, t_keys, t_at, w_keys, w_at)
     with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
         f = _place(config.j, et, ot, *(ew, ow)[::config.variant.sign])[0]
@@ -96,7 +95,7 @@ def _kh_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
         p = int(np.argmax(bad))
         if not failed[s_at[p]] and np.isnan(f[p]):     # raises its DomainError
             family_function(config.j, config.variant, t_keys[t_at[p]], w_keys[w_at[p]])
-        raise rows[s_at[p]] if failed[s_at[p]] else SingularMetricError(_FOCAL)
+        raise row_errors[s_at[p]] if failed[s_at[p]] else SingularMetricError(_FOCAL)
     return K, H
 
 

@@ -31,7 +31,8 @@ import numpy as np
 from . import expr as ex
 from .curve import CurveSpec, FrenetFrame
 from .errors import (CanalError, DomainError, FailedRows, InadmissibleConfigError,
-                     NullConditionViolatedError, VariantViolatedError, _power, check)
+                     NullConditionViolatedError, VariantViolatedError, _power, check, or_error,
+                     unwrap)
 from .minkowski import Vec4, inner
 
 DEGENERATE_A_TOL = 1e-6     # |A| below this: shape operator undefined at node
@@ -233,26 +234,16 @@ def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile) -
     return Variant.ALT_SUPERCRITICAL
 
 
-@dataclass(frozen=True)
-class PointMapRow:
-    """Everything the point map and the curvature formulas need at one s: the
-    numbers of frame(s) (its signs are frame_signs(j)) and of the radius; for
-    lam = 0 the radius fields are 0.0."""
-
-    basis: np.ndarray       # (5, 4): b, F1, F2, F3, F4
-    k1: float
-    k2: float
-    k3: float
-    r: float
-    rp: float
-    rpp: float
-    Q: float                # v*(r'^2 - lam*eps1) > 0
-    axial: float            # -lam*eps1*r*r'
-    phi: float              # sigma*r*sqrt(Q)
+# A PointMapCache row, all float64: what the point map and the curvature formulas
+# need at one s. basis (b, F1..F4) and k1..k3 are frame(s)'s numbers (its signs
+# are frame_signs(j)); Q = v*(r'^2 - lam*eps1) > 0, axial = -lam*eps1*r*r' and
+# phi = sigma*r*sqrt(Q). For lam = 0 the radius fields are 0.0.
+ROW = np.dtype([("basis", float, (5, 4))]
+               + [(x, float) for x in ("k1", "k2", "k3", "r", "rp", "rpp", "Q", "axial", "phi")])
 
 
 class PointMapCache:
-    """Per-s rows of the point map, memoized by exact float value of s.
+    """Per-s rows (ROW) of the point map, memoized by exact float value of s.
 
     Grid rows, finite-difference stencils and the curvature formulas revisit
     the same s values; one cache per patch (SurfacePatch.cache, sample_grid's)
@@ -264,7 +255,8 @@ class PointMapCache:
     def __init__(self, curve: CurveSpec, config: CanalConfig):
         self.curve = curve
         self.config = config
-        self._rows: dict[float, PointMapRow] = {}
+        self._table = np.full((1, ROW.itemsize // 8), math.nan)    # row 0: a key with no row
+        self._at: dict[float, int] = {}             # s -> its row in _table
 
     @functools.cached_property
     def a_fns(self):
@@ -272,12 +264,21 @@ class PointMapCache:
         return tuple(ex.compile_expr(a, ("s", "t", "w"), f"a{slot}")
                      for a, slot in zip(self.config.a_free, _FREE_SLOTS[self.config.j]))
 
+    def _store(self, keys, columns) -> None:
+        """Add the rows of an (n, 29) float array (basis, k1..k3, _row_terms') for
+        n new keys; a full table grows to at least twice its rows."""
+        start, end = len(self._at) + 1, len(self._at) + 1 + len(columns)
+        if end > len(self._table):
+            self._table = np.concatenate((self._table[:start], np.empty((end, ROW.itemsize // 8))))
+        self._table[start:end] = columns
+        self._at.update(zip(keys, range(start, end)))
+
     def fill(self, keys) -> None:
         """Build the rows of the keys with no row yet in one array pass, if
         there are at least BATCH_MIN_S of them. It raises nothing: a row that
         fails a check of row's, or all if the pass cannot vouch for them, is
         left to row(s), whose scalar path raises its error."""
-        todo = [s for s in dict.fromkeys(keys) if s not in self._rows]
+        todo = [s for s in dict.fromkeys(keys) if s not in self._at]
         if len(todo) < BATCH_MIN_S:
             return
         config, failed = self.config, FailedRows(len(todo))
@@ -295,28 +296,37 @@ class PointMapCache:
             return
         tetrads, ks, eps, ok = frames
         keep = ~failed.rows & ok & (eps[:, config.j - 1] == -1)      # frame type j
-        basis = np.concatenate((b[0][:, None], tetrads), axis=1)      # b, F1..F4 of each row
-        values = np.concatenate((ks, np.transpose(terms)), axis=1)[keep].tolist()
-        for i, base, v in zip(np.flatnonzero(keep).tolist(), basis[keep], values):
-            self._rows[todo[i]] = PointMapRow(base, *v)
+        self._store([s for s, k in zip(todo, keep.tolist()) if k], np.concatenate(
+            (b[0], tetrads.reshape(-1, 16), ks, np.transpose(terms)), axis=1)[keep])
 
-    def row(self, s: float) -> PointMapRow:
-        """The row at s, built and checked on first use."""
-        hit = self._rows.get(s)
-        if hit is not None:
-            return hit
-        config = self.config
-        fr = self.curve.frame(s)
-        if fr.frame_type != config.j:
-            raise InadmissibleConfigError(
-                f"curve has frame type {fr.frame_type}, config wants j = {config.j}")
-        basis = np.array((self.curve.derivative(s, 0), *fr.tetrad))
-        terms = (0.0,) * 6
-        if config.lam != 0:
-            fns = (config.radius.r, config.radius.r_prime, config.radius.r_second)
-            terms = _row_terms(config, s, lambda k: fns[k](s), math.sqrt, check)
-        hit = self._rows[s] = PointMapRow(basis, fr.k1, fr.k2, fr.k3, *terms)
-        return hit
+    def row(self, s: float):
+        """A copy of the ROW record at s, built and checked on first use."""
+        if s not in self._at:
+            config = self.config
+            fr = self.curve.frame(s)
+            if fr.frame_type != config.j:
+                raise InadmissibleConfigError(
+                    f"curve has frame type {fr.frame_type}, config wants j = {config.j}")
+            b = self.curve.derivative(s, 0)
+            terms = (0.0,) * 6
+            if config.lam != 0:
+                fns = (config.radius.r, config.radius.r_prime, config.radius.r_second)
+                terms = _row_terms(config, s, lambda k: fns[k](s), math.sqrt, check)
+            self._store((s,), [[*b, *(x for F in fr.tetrad for x in F), fr.k1, fr.k2, fr.k3, *terms]])
+        return self._table[self._at[s]].copy().view(ROW)[0]
+
+    def take(self, keys):
+        """(rows, errors) in key order: the rows of the keys as one ROW array,
+        nan in every field of a key whose row(s) raises, and each key's
+        CanalError or None. Every key is built before any error is raised."""
+        built = {s: or_error(self.row, s) for s in dict.fromkeys(keys) if s not in self._at}
+        return (self._table[[self._at.get(s, 0) for s in keys]].view(ROW)[:, 0],
+                [None if s in self._at else built[s] for s in keys])
+
+    def rows(self, keys) -> np.ndarray:
+        """take(keys)'s rows; raises the first key's error in key order."""
+        rows, errors = self.take(keys)
+        return unwrap(next(filter(None, errors), rows))
 
 
 def _distinct(values):
@@ -336,14 +346,14 @@ def indexed_points(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_ke
     _null_pattern) with the cache rows at s_keys, elementwise in that order (the
     same IEEE results as scalar arithmetic), gathering one basis vector at a time.
     """
-    rows = [cache.row(v) for v in s_keys]
+    rows = cache.rows(s_keys)
     s_at, t_at, w_at = np.broadcast_arrays(s_at, t_at, w_at)
-    basis = np.array([r.basis for r in rows]).transpose(1, 0, 2)     # (5, len(s_keys), 4)
+    basis = rows["basis"].transpose(1, 0, 2)        # (5, len(s_keys), 4)
     with np.errstate(all="ignore"):     # overflow gives inf or nan, which callers check for
         if config.lam == 0:
             terms = _null_pattern(config, cache.a_fns, s_keys, s_at, t_keys, t_at, w_keys, w_at)
         else:
-            axial, phi = np.array([(r.axial, r.phi) for r in rows]).T[:, s_at]
+            axial, phi = rows["axial"][s_at], rows["phi"][s_at]
             et, ot, ew, ow = _even_odd_at(config.j, t_keys, t_at, w_keys, w_at)
             a = _place(config.j, et, ot, *(ew, ow)[::config.variant.sign])
             terms = (axial, phi * a[0], phi * a[1], phi * a[2])
@@ -514,10 +524,9 @@ class SurfacePatch:
     @property
     def frames(self) -> tuple[FrenetFrame, ...]:
         """frame(s) at each s value, built from the cache rows on access."""
-        eps = frame_signs(self.config.j)
-        return tuple(FrenetFrame(tuple(map(tuple, row.basis[1:].tolist())), eps,
-                                 row.k1, row.k2, row.k3)
-                     for row in map(self.cache.row, self.grid.s_values))
+        eps, rows = frame_signs(self.config.j), self.cache.rows(self.grid.s_values)
+        return tuple(FrenetFrame(tuple(map(tuple, F)), eps, *k) for F, k in
+                     zip(rows["basis"][:, 1:].tolist(), rows[["k1", "k2", "k3"]].tolist()))
 
     @property
     def points(self) -> Sequence[Vec4]:
@@ -548,12 +557,11 @@ class SurfacePatch:
         """max |<P-b, P-b> - lam*r^2| over all nodes (lam = 0: |<P-b, P-b>|),
         with b and r from the cache rows."""
         ns, nt, nw = self.shape
-        rows = [self.cache.row(s) for s in self.grid.s_values]
-        b = np.array([row.basis[0] for row in rows])
-        target = [self.config.lam * _power(row.r, 2, "r^2 at s={!r} (r = {:.6g})", s, row.r)
-                  for s, row in zip(self.grid.s_values, rows)]
+        rows = self.cache.rows(self.grid.s_values)
+        target = [self.config.lam * _power(r, 2, "r^2 at s={!r} (r = {:.6g})", s, r)
+                  for s, r in zip(self.grid.s_values, rows["r"].tolist())]
         with np.errstate(all="ignore"):     # overflow gives inf or nan, which no tolerance passes
-            d = self.coords.reshape(ns, nt * nw, 4) - b.reshape(ns, 1, 4)
+            d = self.coords.reshape(ns, nt * nw, 4) - rows["basis"][:, None, 0]
             return float(np.abs(inner(d, d) - np.reshape(target, (ns, 1))).max(initial=0.0))
 
 
@@ -587,11 +595,9 @@ def sample_grid(curve: CurveSpec, config: CanalConfig, grid: GridSpec) -> Surfac
                           w_vals, np.tile(np.arange(nw), ns * nt))
 
     cache.fill(s_vals)
-    for ns, s in enumerate(s_vals):
-        try:
-            cache.row(s)
-        except CanalError:
+    for ns, error in enumerate(cache.take(s_vals)[1]):
+        if error:
             lattice(ns)
-            raise
+            raise error
     return SurfacePatch(curve, config, grid, lattice(len(s_vals)), degenerate_nodes(config, grid),
                         cache)

@@ -167,9 +167,7 @@ class Job:
             a_free = tuple(ex.parse(t, ("s", "t", "w")) for t in texts)
 
         variant_text = get("variant", "auto")
-        variant = {"standard": Variant.STANDARD, "std": Variant.STANDARD,
-                   "alt": Variant.ALT_SUPERCRITICAL,
-                   "supercritical": Variant.ALT_SUPERCRITICAL}.get(variant_text)
+        variant = {"standard": Variant.STANDARD, "alt": Variant.ALT_SUPERCRITICAL}.get(variant_text)
         if self.lam == 0:
             variant = Variant.STANDARD
         elif variant_text == "auto":
@@ -195,9 +193,9 @@ class Job:
         slice_t = get("slice_t")
         self.slice_t = None if slice_t is None else _parse_number(slice_t, "--slice-t")
         drop = get("drop", "x1")
-        if str(drop) not in ("x1", "x2", "x3", "x4", "1", "2", "3", "4"):
+        if str(drop) not in ("x1", "x2", "x3", "x4"):
             raise ConfigError(f"--drop must be one of x1..x4, got {drop!r}")
-        self.drop = int(str(drop).lstrip("x"))
+        self.drop = int(str(drop)[1])
 
     def grid(self, axis=None) -> GridSpec:
         """The s, t and w values. axis "t" or "w" asks for a one-value slice at
@@ -307,7 +305,7 @@ def cmd_verify(args, file_values):
                 "unit-speed", rep.max_deviation, rep.tolerance, rep.passed, rep.n_samples))
         elif name == "sphere":
             resid = patch.max_sphere_residual()
-            r_max = max(patch.cache.row(s).r for s in patch.grid.s_values) if job.lam else 1.0
+            r_max = max(patch.cache.rows(patch.grid.s_values)["r"].tolist()) if job.lam else 1.0
             tol = 1e-9 * (1.0 + r_max * r_max)
             reports.append(analysis.TheoremReport(
                 "sphere-membership", resid, tol, resid <= tol, len(patch.coords)))

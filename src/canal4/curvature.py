@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .canal import (CanalConfig, PointMapCache, PointMapRow, _even_odd_at, _pattern,
+from .canal import (CanalConfig, PointMapCache, _even_odd_at, _pattern,
                     degeneracy_factor, family_function, frame_signs, indexed_points, transverse,
                     DEGENERATE_A_TOL)
 from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
@@ -85,16 +85,22 @@ def _normal_sign(config: CanalConfig) -> int:
     return -math.prod(frame_signs(config.j)[2:]) * config.lam ** config.j
 
 
-def _checked_nodes(config: CanalConfig, s_keys, s_at, t_at, w_keys, w_at, row):
-    """The index arrays as intp, {i: row(s_keys[i]) or its error} for the s keys
-    of nodes that pass _check_node, and each node's first error (check, row)."""
+def _checked_nodes(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_at, w_keys, w_at,
+                   values=lambda s: (s,)):
+    """The index arrays as intp; the rows of values(s) for the s key of each
+    node that passes _check_node, from one take, as a (keys, len(values(s))) ROW
+    array, and each node's key among them (0 for one that fails the check); and
+    each node's first error (the check's, else the first of its key's rows)."""
     s_at, t_at, w_at = (np.asarray(x, dtype=np.intp) for x in (s_at, t_at, w_at))
     checked = {k: or_error(_check_node, config, w_keys[k]) for k in dict.fromkeys(w_at.tolist())}
     errors = [checked[k] if isinstance(checked[k], CanalError) else None for k in w_at.tolist()]
-    rows = {i: or_error(row, s_keys[i])
-            for i in dict.fromkeys(i for i, e in zip(s_at.tolist(), errors) if e is None)}
-    return s_at, t_at, w_at, rows, [e or (rows[i] if isinstance(rows[i], CanalError) else None)
-                                    for e, i in zip(errors, s_at.tolist())]
+    used = list(dict.fromkeys(i for i, e in zip(s_at.tolist(), errors) if e is None))
+    keys, at = _stencil(s_keys, s_at, used, values)
+    rows, row_errors = cache.take(keys)
+    m = len(values(0.0))                    # rows per s key
+    first = {i: next(filter(None, row_errors[m * k:m * k + m]), None) for k, i in enumerate(used)}
+    return (s_at, t_at, w_at, rows.reshape(len(used), m), at,
+            [e or first[i] for e, i in zip(errors, s_at.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -105,49 +111,42 @@ def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     (s_keys[s_at], t_keys[t_at], w_keys[w_at]), (n, ...) arrays (None if no
     node gets as far as its row); a node's error is the first its one-node
     call raises: the node check, its row, transverse, det g ~ 0, the focal D.
-    The per-s factors are floats once per s key, trig runs in math once per t
-    and w key, the rest elementwise in the order of the scalar formulas, det
-    and solve stacked: every node gets the bits of its one-node call."""
-    s_at, t_at, w_at, rows, errors = _checked_nodes(config, s_keys, s_at, t_at, w_keys, w_at,
-                                                    cache.row)
-    good = [row for row in rows.values() if isinstance(row, PointMapRow)]
-    if not good:
+    Each node reads its row's columns, trig runs in math once per t and w key,
+    the rest elementwise in the order of the scalar formulas, det and solve
+    stacked: every node gets the bits of its one-node call."""
+    s_at, t_at, w_at, rows, at, errors = _checked_nodes(config, cache, s_keys, s_at, t_at,
+                                                        w_keys, w_at)
+    if all(errors):                         # no node gets as far as its row
         return None, errors
     lam, v, sigma = config.lam, config.variant.sign, config.sigma
     e1, e2, e3, e4 = eps = frame_signs(config.j)
     c = _normal_sign(config)
-
-    def per_s(row):         # r, r'', k1, Q, phi, dphi and the terms' per-s prefixes
-        rv, rp, rpp, Q, phi, a1 = row.r, row.rp, row.rpp, row.Q, row.phi, row.axial
-        k1, k2, k3 = row.k1, row.k2, row.k3
-        # d/ds of sigma*r*sqrt(Q); the r'' term flips sign with the variant
-        dphi = sigma * rp * (Q + v * rv * rpp) / math.sqrt(Q)
-        return (rv, rpp, k1, Q, phi, dphi, 1.0 + -lam * e1 * (rp * rp + rv * rpp), a1 * k1,
-                e3 * e4 * k1 * phi, e1 * e4 * k2 * phi, k2 * phi, e1 * e2 * k3 * phi, k3 * phi,
-                c * a1 / rv, c * (phi / rv))
-    # every node of a failed row has an error: the first good row stands in for it
-    rows = [x if isinstance(x, PointMapRow) else good[0] for x in map(rows.get, range(len(s_keys)))]
-    (rv, rpp, k1, Q, phi, dphi, one_da1, a1k1, p0, p1, p2, p3, p4, n0, cpsi) = np.array(
-        [per_s(row) for row in rows])[s_at].T
-    F = np.array([row.basis[1:] for row in rows])[s_at]
+    rv, rp, rpp, Q, phi, a1, k1, k2, k3 = (
+        rows[x][at, 0] for x in ("r", "rp", "rpp", "Q", "phi", "axial", "k1", "k2", "k3"))
     et, ot, ew, ow = _even_odd_at(config.j, t_keys, t_at, w_keys, w_at)
     overflow = np.isnan(et) | np.isnan(ot) | np.isnan(ew) | np.isnan(ow)
     for n in np.flatnonzero(overflow).tolist():
         errors[n] = errors[n] or or_error(transverse, config.j, config.variant,
                                           t_keys[t_at[n]], w_keys[w_at[n]])
-    # nodes with an error may get nan: no result of theirs is read
+    # nodes with an error (a failed row's are nan) may get nan: no result of theirs is read
     with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
+        # d/ds of sigma*r*sqrt(Q); the r'' term flips sign with the variant
+        dphi = sigma * rp * (Q + v * rv * rpp) / np.sqrt(Q)
         a, dat, daw = _pattern(config.j, v, et, ot, ew, ow)
         P = np.zeros((len(errors), 3, 4))
-        P[:, 0] = np.transpose((one_da1 + p0 * a[0], a1k1 + dphi * a[0] + p1 * a[1],
-                                dphi * a[1] + p2 * a[0] + p3 * a[2], dphi * a[2] + p4 * a[1]))
+        P[:, 0] = np.transpose((
+            1.0 + -lam * e1 * (rp * rp + rv * rpp) + e3 * e4 * k1 * phi * a[0],
+            a1 * k1 + dphi * a[0] + e1 * e4 * k2 * phi * a[1],
+            dphi * a[1] + k2 * phi * a[0] + e1 * e2 * k3 * phi * a[2],
+            dphi * a[2] + k3 * phi * a[1]))
         for k in range(3):
             P[:, 1, k + 1], P[:, 2, k + 1] = phi * dat[k], phi * daw[k]
         m = P[:, :, None] * P[:, None]      # e_i u_i v_i = e_i (u_i v_i): e_i = +-1
         g = e1 * m[..., 0] + e2 * m[..., 1] + e3 * m[..., 2] + e4 * m[..., 3]
         h = -c * g / rv[:, None, None]
         h[:, 0, 0] = -c * (g[:, 0, 0] - e1 * P[:, 0, 0]) / rv
-        N = (F[:, 0] * n0[:, None] + F[:, 1] * (cpsi * a[0])[:, None]
+        F, cpsi = rows["basis"][at, 0, 1:], c * (phi / rv)
+        N = (F[:, 0] * (c * a1 / rv)[:, None] + F[:, 1] * (cpsi * a[0])[:, None]
              + F[:, 2] * (cpsi * a[1])[:, None] + F[:, 3] * (cpsi * a[2])[:, None])
         K, H, mu12, mu3, focal = _family_curvatures(config.j, lam, config.variant, eps, k1, rv,
                                                     Q, rpp, sigma * a[0])
@@ -222,6 +221,15 @@ def _axis_values(x):
             + [x + d for d in (-2 * FD_STEP2, -FD_STEP2, FD_STEP2, 2 * FD_STEP2)])
 
 
+def _stencil(keys, at, used=None, values=_axis_values):
+    """The values of the keys used (by default those in at, found without
+    np.unique's sort) and each node's index among those keys."""
+    used = list(dict.fromkeys(at.tolist())) if used is None else used
+    pos = np.zeros(len(keys), dtype=np.intp)
+    pos[used] = range(len(used))
+    return [v for i in used for v in values(keys[i])], pos[at]
+
+
 def _fd1(P, h):
     """5-point first derivative over axis -2 (4 offsets) of a point array."""
     return ((P[..., 0, :] - 8.0 * P[..., 1, :] + 8.0 * P[..., 2, :] - P[..., 3, :])
@@ -239,24 +247,13 @@ def _numeric_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     evaluates every stencil; det, solve and eigvals are stacked (the same bits
     as one call per matrix). A stencil s row that fails gives its error, the
     first in _axis_values order, to the nodes of its own s key only."""
-    def stencil_rows(x):
-        for v in _axis_values(x):
-            cache.row(v)
-    s_at, t_at, w_at, failed, errors = _checked_nodes(config, s_keys, s_at, t_at, w_keys, w_at,
-                                                      stencil_rows)
-    good = [i for i, e in failed.items() if e is None]
+    s_at, t_at, w_at, rows, at, errors = _checked_nodes(config, cache, s_keys, s_at, t_at,
+                                                        w_keys, w_at, _axis_values)
+    good = list(dict.fromkeys(i for i, e in zip(s_at.tolist(), errors) if e is None))
     if not good:
         return None, errors
-
-    def stencil(keys, at, used=None):
-        """The stencil values of the keys used (by default those in at, found
-        without np.unique's sort) and each node's index among them."""
-        used = list(dict.fromkeys(at.tolist())) if used is None else used
-        pos = np.zeros(len(keys), dtype=np.intp)
-        pos[used] = range(len(used))
-        return [v for i in used for v in _axis_values(keys[i])], pos[at]
     (s_values, s_in), (t_values, t_in), (w_values, w_in) = (
-        stencil(s_keys, s_at, good), stencil(t_keys, t_at), stencil(w_keys, w_at))
+        _stencil(s_keys, s_at, good), _stencil(t_keys, t_at), _stencil(w_keys, w_at))
     si, ti, wi = _STENCIL.T
     P = indexed_points(config, cache, s_values, 9 * s_in[:, None] + si, t_values,
                        9 * t_in[:, None] + ti, w_values, 9 * w_in[:, None] + wi)
@@ -283,8 +280,7 @@ def _numeric_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
         N = cross * (1.0 / np.sqrt(np.abs(qn)))[:, None]
         # the exact normal is (c/r)(C - b), so the numeric one is close to
         # +-that; P[:, 14] is the stencil centre, the node itself
-        radial = _normal_sign(config) * (
-            P[:, 14] - np.array([cache.row(s_keys[i]).basis[0] for i in good])[s_in])
+        radial = _normal_sign(config) * (P[:, 14] - rows["basis"][at, 4, 0])
         N = np.where(((N * radial).sum(axis=1) < 0)[:, None], -N, N)
         h = inner(np.concatenate((second, mixed), axis=1)[:, _H_INDEX], N[:, None, None])
         flag(~(np.isfinite(g).all(axis=(1, 2)) & np.isfinite(h).all(axis=(1, 2))),

@@ -195,7 +195,7 @@ def _radius_from_payload(payload):
 def patch_to_json(patch: SurfacePatch) -> str:
     """The canal-patch v1 document of the patch, its frames from the cache rows."""
     config = patch.config
-    eps = list(frame_signs(config.j))
+    eps, rows = list(frame_signs(config.j)), patch.cache.rows(patch.grid.s_values)
     doc = {
         "format": "canal-patch",
         "version": 1,
@@ -219,8 +219,8 @@ def patch_to_json(patch: SurfacePatch) -> str:
         },
         "points": patch.coords.tolist(),
         "frames": [
-            {"vectors": row.basis[1:].tolist(), "eps": eps, "k": [row.k1, row.k2, row.k3]}
-            for row in map(patch.cache.row, patch.grid.s_values)
+            {"vectors": F, "eps": eps, "k": list(k)}
+            for F, k in zip(rows["basis"][:, 1:].tolist(), rows[["k1", "k2", "k3"]].tolist())
         ],
         "degenerate": sorted(patch.degenerate),
     }

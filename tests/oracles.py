@@ -564,7 +564,7 @@ def reference_closed_forms(curve, config, s, t, w):
     row = PointMapCache(curve, config).row(s)
     fr = curve.frame(s)
     e1, e2, e3, e4 = fr.eps
-    rv, rp, rpp, phi, a1 = row.r, row.rp, row.rpp, row.phi, row.axial
+    rv, rp, rpp, phi, a1 = row[["r", "rp", "rpp", "phi", "axial"]].tolist()
     q = rp * rp - config.lam * e1
     psi = phi / rv
     dphi = config.sigma * rp * (abs(q) + config.variant.sign * rv * rpp) / sqrt(abs(q))
@@ -604,8 +604,8 @@ def reference_closed_report(curve, config, s, t, w):
     g, h, N = reference_closed_forms(curve, config, s, t, w)
     S = reference_shape_operator(g, h)
     K, H, mu = reference_gauss_mean_principal(
-        config.j, config.lam, config.variant, fr.eps, fr.k1, row.r, row.rp, row.rpp, t, w,
-        config.sigma)
+        config.j, config.lam, config.variant, fr.eps, fr.k1, *row[["r", "rp", "rpp"]].tolist(),
+        t, w, config.sigma)
     return CurvatureReport(g=g, h=h, S=S, N=tuple(N.tolist()), eps_N=1 if inner(N, N) > 0 else -1,
                            K=float(K), H=float(H), mu=tuple(float(m) for m in mu),
                            f_j=family_function(config.j, config.variant, t, w),
@@ -626,7 +626,8 @@ def reference_weingarten(patch, pair):
     def kh(s, t, w):
         row, fr = cache.row(s), patch.curve.frame(s)
         return reference_gauss_mean_principal(cfg.j, cfg.lam, cfg.variant, fr.eps, fr.k1,
-                                              row.r, row.rp, row.rpp, t, w, cfg.sigma)[:2]
+                                              *row[["r", "rp", "rpp"]].tolist(), t, w,
+                                              cfg.sigma)[:2]
 
     def fd(node, i):
         h = WEINGARTEN_FD_STEP

@@ -1,5 +1,4 @@
 """Canal point construction, admissibility, null cones, and grid sampling."""
-import dataclasses
 import itertools
 import math
 import warnings
@@ -535,14 +534,25 @@ def test_hermite_reproduces_cubics_and_node_values(coeffs, start, gaps, at):
 # PointMapCache.fill: rows of one array pass, or the scalar path's errors
 
 def _outcome(cache, s):
-    """The row at s as text, field for field (the bytes of basis, repr of each
-    float), or the type and message of the error it raises."""
+    """The row at s as the hex of its bytes (every field's), or the type and
+    message of the error it raises."""
     try:
         row = cache.row(s)
     except CanalError as exc:
         return type(exc).__name__, str(exc)
-    return [x.tobytes().hex() if isinstance(x, np.ndarray) else repr(x)
-            for x in (getattr(row, f.name) for f in dataclasses.fields(row))]
+    return row.tobytes().hex()
+
+
+def _taken(cache, keys):
+    """take(keys) as _outcome's text per key, in key order; asserts that a row
+    is nan in every field exactly where its key has an error."""
+    rows, errors = cache.take(keys)
+    assert rows.dtype == canal.ROW and len(rows) == len(errors) == len(keys)
+    nan = np.isnan(rows.view(float).reshape(len(keys), canal.ROW.itemsize // 8))
+    failed = [e is not None for e in errors]
+    assert nan.all(axis=1).tolist() == nan.any(axis=1).tolist() == failed
+    return [(type(e).__name__, str(e)) if e else row.tobytes().hex()
+            for row, e in zip(rows, errors)]
 
 
 def _filled(curve, config, s):
@@ -570,10 +580,13 @@ def test_fill_builds_the_rows_of_the_scalar_path(curve, config, request):
     curve = request.getfixturevalue(curve)
     s = curve.sweep(canal.BATCH_MIN_S + 3)
     batch = _filled(curve, config, s)
-    assert set(batch._rows) == (set() if config.radius and config.radius.generator[0] == "minimal"
-                                else set(s))
+    assert set(batch._at) == (set() if config.radius and config.radius.generator[0] == "minimal"
+                              else set(s))
     scalar = PointMapCache(curve, config)
-    assert [_outcome(batch, x) for x in s] == [_outcome(scalar, x) for x in s]
+    outcomes = [_outcome(scalar, x) for x in s]
+    assert _taken(_filled(curve, config, s), [*s, s[0]]) == outcomes + outcomes[:1]
+    assert [_outcome(batch, x) for x in s] == outcomes
+    assert _taken(batch, []) == []
 
 
 @pytest.mark.parametrize("curve, config", [
@@ -586,15 +599,17 @@ def test_fill_builds_the_rows_of_the_scalar_path(curve, config, request):
     ("beta1", CanalConfig(1, 1, RadiusProfile.from_expr("2 + sqrt(s - 1) - sqrt(s - 1)"))),  # below 1
 ], ids=["speed", "k2", "frame-type", "radius-sign", "variant", "radius-pole", "radius-sqrt"])
 def test_fill_leaves_every_failing_row_to_the_scalar_error(curve, config, request):
-    """A row that fails a check gets, from row(s), the scalar path's error
-    with its type and message; the other rows are the scalar path's rows."""
+    """A row that fails a check gets, from row(s) and take, the scalar path's
+    error with its type and message; the other rows are the scalar path's rows."""
     if isinstance(curve, str):
         curve = request.getfixturevalue(curve)
     s = curve.sweep(2 * canal.BATCH_MIN_S + 7)      # 0.25 + 0.0625 * i hits 1.625 on beta1
     batch, scalar = _filled(curve, config, s), PointMapCache(curve, config)
-    outcomes = [_outcome(batch, x) for x in s]
-    assert outcomes == [_outcome(scalar, x) for x in s]
-    assert any(len(o) == 2 for o in outcomes)
+    outcomes = [_outcome(scalar, x) for x in s]
+    keys = [*s, *s[-2:]]                            # the last two keys again
+    assert _taken(_filled(curve, config, s), keys) == outcomes + outcomes[-2:]
+    assert [_outcome(batch, x) for x in s] == outcomes
+    assert any(isinstance(o, tuple) for o in outcomes)
 
 
 @pytest.mark.parametrize("tail, error", [

@@ -710,6 +710,10 @@ _LINE = ["--curve-x1", "0", "--curve-x2", "s", "--curve-x3", "0", "--curve-x4", 
      "--variant must be auto|standard|alt, got 'sideways'"),
     (["export", "--example", "beta1", "--drop", "x5", "--obj", "{tmp}/x"], None,
      "--drop must be one of x1..x4, got 'x5'"),
+    (["verify", "--example", "beta1", "--variant", "std"], None,
+     "--variant must be auto|standard|alt, got 'std'"),
+    (["export", "--example", "beta1", "--drop", "2", "--obj", "{tmp}/x"], None,
+     "--drop must be one of x1..x4, got '2'"),
     (["verify", "--example", "beta1", "--check", "kh,nope"], None,
      "unknown check 'nope'; available: kh, weingarten-st, weingarten-sw, weingarten-tw, "
      "unit-speed, sphere"),
@@ -741,8 +745,8 @@ _LINE = ["--curve-x1", "0", "--curve-x2", "s", "--curve-x3", "0", "--curve-x4", 
      "--branch must be '+' or '-', got '*'"),
     (["build", "--out", "{tmp}/x"], "example beta1\n",
      "{tmp}/job.cfg:1: expected key=value, got 'example beta1'"),
-], ids=["family", "variant", "drop", "check", "route", "grid-parts", "grid-integers",
-        "grid-counts", "range-colon", "no-curve", "some-components", "no-radius",
+], ids=["family", "variant", "drop", "variant-std", "drop-digit", "check", "route", "grid-parts",
+        "grid-integers", "grid-counts", "range-colon", "no-curve", "some-components", "no-radius",
         "no-a-functions", "build-out", "curvature-out", "classify-null-cone", "export-outputs",
         "config-branch", "config-line"])
 def test_config_errors_exit_2_with_one_error_line(tmp_path, capsys, argv, config, message):

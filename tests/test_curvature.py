@@ -347,10 +347,11 @@ def test_closed_row_errors_match_per_node_reference(beta2):
     from canal4.curvature import _closed_forms
     cfg = CanalConfig(3, 1, RadiusProfile.from_expr("0.6 + 0.3*s"), 1,
                       Variant.ALT_SUPERCRITICAL)
-    row, fr = PointMapCache(beta2, cfg).row(1.2), beta2.frame(1.2)
-    Q, R = -(row.rp ** 2 - fr.eps[0]), -row.rpp
+    r, rp, rpp = PointMapCache(beta2, cfg).row(1.2)[["r", "rp", "rpp"]].tolist()
+    fr = beta2.frame(1.2)
+    Q, R = -(rp ** 2 - fr.eps[0]), -rpp
     # D = Q - eps2 r k1 f sqrt(Q) + r R = 0 with f = sinh(t) sinh(w), w = 0.5
-    f = (Q + row.r * R) / (fr.eps[1] * row.r * fr.k1 * math.sqrt(Q))
+    f = (Q + r * R) / (fr.eps[1] * r * fr.k1 * math.sqrt(Q))
     t = (0.3, -0.4, 800.0, 0.3, math.asinh(f / math.sinh(0.5)))
     w = (0.4, 0.0, 0.5, -0.7, 0.5)
     kinds = []
