@@ -73,9 +73,9 @@ class RadiusProfile:
 
     @classmethod
     def from_expr(cls, source) -> "RadiusProfile":
-        e = ex.parse(source) if isinstance(source, str) else source
-        d1 = ex.differentiate(e)
-        d2 = ex.differentiate(d1)
+        e, nodes = ex.parse(source) if isinstance(source, str) else source, ex.Nodes()
+        d1 = ex.differentiate(e, nodes=nodes)
+        d2 = ex.differentiate(d1, nodes=nodes)
         return cls(ex.compile_expr(e, name="r"), ex.compile_expr(d1, name="r'"),
                    ex.compile_expr(d2, name="r''"), ("expr", str(e)))
 
@@ -291,13 +291,12 @@ class PointMapCache:
             with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
                 terms = _row_terms(config, todo, table.__getitem__, np.sqrt, failed)
         frames = self.curve.frames(todo)
-        b = self.curve.derivatives(todo, 0)
-        if b is None or frames is None:
+        if frames is None:
             return
-        tetrads, ks, eps, ok = frames
-        keep = ~failed.rows & ok & (eps[:, config.j - 1] == -1)      # frame type j
+        basis, ks, eps, ok = frames
+        keep = ~failed.masks()[0] & ok & (eps[:, config.j - 1] == -1)      # frame type j
         self._store([s for s, k in zip(todo, keep.tolist()) if k], np.concatenate(
-            (b[0], tetrads.reshape(-1, 16), ks, np.transpose(terms)), axis=1)[keep])
+            (basis.reshape(-1, 20), ks, np.transpose(terms)), axis=1)[keep])
 
     def row(self, s: float):
         """A copy of the ROW record at s, built and checked on first use."""
@@ -337,7 +336,7 @@ def _distinct(values):
 
 
 def indexed_points(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_keys, t_at,
-                   w_keys, w_at) -> np.ndarray:
+                   w_keys, w_at, rows=None) -> np.ndarray:
     """Surface points at (s_keys[s_at], t_keys[t_at], w_keys[w_at]), an (..., 4)
     array over the broadcast shape of the index arrays, for every family.
 
@@ -345,8 +344,9 @@ def indexed_points(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_ke
     trig in math once per key) or b + a2*F2 + a3*F3 + a4*F4 (lam = 0, a from
     _null_pattern) with the cache rows at s_keys, elementwise in that order (the
     same IEEE results as scalar arithmetic), gathering one basis vector at a time.
+    rows: the cache rows at s_keys, if the caller has gathered them already.
     """
-    rows = cache.rows(s_keys)
+    rows = cache.rows(s_keys) if rows is None else rows
     s_at, t_at, w_at = np.broadcast_arrays(s_at, t_at, w_at)
     basis = rows["basis"].transpose(1, 0, 2)        # (5, len(s_keys), 4)
     with np.errstate(all="ignore"):     # overflow gives inf or nan, which callers check for

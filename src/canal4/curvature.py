@@ -249,14 +249,16 @@ def _numeric_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     first in _axis_values order, to the nodes of its own s key only."""
     s_at, t_at, w_at, rows, at, errors = _checked_nodes(config, cache, s_keys, s_at, t_at,
                                                         w_keys, w_at, _axis_values)
-    good = list(dict.fromkeys(i for i, e in zip(s_at.tolist(), errors) if e is None))
+    # each s key of a node with no error -> the index of its stencil rows in rows
+    good = {i: k for i, k, e in zip(s_at.tolist(), at.tolist(), errors) if e is None}
     if not good:
         return None, errors
     (s_values, s_in), (t_values, t_in), (w_values, w_in) = (
-        _stencil(s_keys, s_at, good), _stencil(t_keys, t_at), _stencil(w_keys, w_at))
+        _stencil(s_keys, s_at, list(good)), _stencil(t_keys, t_at), _stencil(w_keys, w_at))
     si, ti, wi = _STENCIL.T
     P = indexed_points(config, cache, s_values, 9 * s_in[:, None] + si, t_values,
-                       9 * t_in[:, None] + ti, w_values, 9 * w_in[:, None] + wi)
+                       9 * t_in[:, None] + ti, w_values, 9 * w_in[:, None] + wi,
+                       rows[list(good.values())].reshape(-1))
 
     def flag(bad, error):
         for n in np.flatnonzero(bad).tolist():

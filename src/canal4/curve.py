@@ -12,6 +12,7 @@ by construction, k3 = eps4<F3',F4> signed. The frame vectors satisfy
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -19,8 +20,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import expr as ex
-from .errors import (CanalError, DomainError, FailedRows, FrameDegenerateError,
-                     NonUnitSpeedError, NullResidualError, OutOfDomainError, check)
+from .errors import (CanalError, DomainError, ExprSyntaxError, FailedRows,
+                     FrameDegenerateError, NonUnitSpeedError, NullResidualError, OutOfDomainError, check)
 from .minkowski import TAU_NULL, Vec4, inner, triple_cross
 
 TAU_K = 1e-8            # curvature degeneracy threshold
@@ -149,11 +150,12 @@ class CurveSpec:
 
     The curve is expected to be unit speed (|<b',b'>| = 1); this is validated
     where it matters (frenet, verify_unit_speed), never silently fixed by
-    reparametrization.
+    reparametrization. A component given as a tree is folded, as parse folds
+    text; b .. b'''' are derived and compiled together, once.
     """
 
     def __init__(self, components, domain):
-        comps = tuple(ex.parse(c) if isinstance(c, str) else c for c in components)
+        comps = tuple(ex.parse(c) if isinstance(c, str) else ex.fold(c) for c in components)
         if len(comps) != 4:
             raise ValueError("a curve needs exactly 4 components")
         smin, smax = float(domain[0]), float(domain[1])
@@ -161,23 +163,52 @@ class CurveSpec:
             raise ValueError(f"empty domain [{smin}, {smax}]")
         self.components = comps
         self.domain = (smin, smax)
-        # compiled component derivatives, order 0..4, built lazily per order
-        self._compiled: dict[int, tuple] = {}
-        self._exprs: dict[int, tuple] = {0: comps}
+        # b .. b^(k) as lists of trees, the one compiled function of them all
+        # (None if it does not compile) and the refusal of order k + 1 (type,
+        # message) if k < 4, from _shared on first use
+        self._orders: list[list] | None = None
+        self._all = self._refusal = None
+        self._checked: dict[int, list] = {}     # order -> its compiled components
         # constant frame of a straight curve, set by the first k1 = 0 frame
         self._line_frame: FrenetFrame | None = None
 
     # -- evaluation ---------------------------------------------------------
 
-    def _fns(self, order):
-        """The compiled components of b^(order); each order is compiled once."""
-        if order not in self._compiled:
-            if order not in self._exprs:
-                self._fns(order - 1)
-                self._exprs[order] = tuple(ex.differentiate(c) for c in self._exprs[order - 1])
-            self._compiled[order] = tuple(ex.compile_expr(c, name=f"x{i}" + "'" * order)
-                                          for i, c in enumerate(self._exprs[order], 1))
-        return self._compiled[order]
+    def _shared(self, orders):
+        """The one compiled function of b .. b^(k) where it covers the orders,
+        else None. On first use, derives the orders once over one table of
+        interned nodes, up to the first that differentiate refuses."""
+        if self._orders is None:
+            nodes = ex.Nodes()
+            self._orders = [[nodes.fold(c) for c in self.components]]
+            try:
+                while len(self._orders) <= MAX_DERIVATIVE_ORDER:
+                    self._orders.append([ex.differentiate(c, nodes=nodes)
+                                         for c in self._orders[-1]])
+            except (ExprSyntaxError, RecursionError) as exc:
+                self._refusal = type(exc), str(exc)
+            with contextlib.suppress(ExprSyntaxError):  # the single components' compiles decide
+                self._all = ex.compile_expr([c for k in self._orders for c in k], name="b")
+        return self._all if max(orders) < len(self._orders) else None
+
+    def _components(self, order):
+        """b^(order)'s components, each compiled on its own on first use; raises
+        the refusal for an order it covers, as a derivative call does."""
+        if order >= len(self._orders):
+            raise self._refusal[0](self._refusal[1])
+        if order not in self._checked:
+            self._checked[order] = [ex.compile_expr(c, name=f"x{i}" + "'" * order)
+                                    for i, c in enumerate(self._orders[order], 1)]
+        return self._checked[order]
+
+    def _values(self, s, orders):
+        """b^(k)(s) of each order in orders: one call of the one function, else
+        each order's own components in order, which raise the first error."""
+        fn = self._shared(orders)
+        out = None if fn is None else fn(s)
+        if out is None:
+            return [tuple([f(s) for f in self._components(k)]) for k in orders]
+        return [tuple(out[4 * k:4 * k + 4]) for k in orders]
 
     def _check_domain(self, s):
         # analytic components extend smoothly; allow an overhang so FD
@@ -198,8 +229,7 @@ class CurveSpec:
         if not 0 <= order <= MAX_DERIVATIVE_ORDER:
             raise ValueError(f"order must be 0..{MAX_DERIVATIVE_ORDER}")
         self._check_domain(s)
-        x1, x2, x3, x4 = self._fns(order)
-        return (x1(s), x2(s), x3(s), x4(s))
+        return self._values(s, (order,))[0]
 
     def derivatives(self, s_values, *orders: int):
         """b^(order) of the orders at each s in one array pass, an (orders, n,
@@ -211,30 +241,36 @@ class CurveSpec:
                 self._check_domain(x)
         except OutOfDomainError:
             return None
-        out = ex.over([f for k in orders for f in self._fns(k)], s)
-        return None if out is None else out.reshape(len(orders), 4, -1).transpose(0, 2, 1)
+        fn = self._shared(orders)
+        out = ex.over((fn,) if fn else [f for k in orders for f in self._components(k)], s)
+        if out is None:
+            return None
+        out = out.reshape(-1, 4, len(s))
+        return (out[list(orders)] if fn else out).transpose(0, 2, 1)
 
     # -- frames -------------------------------------------------------------
 
     def frenet(self, s: float) -> FrenetFrame:
         """Moving frame at s; requires k1, k2 > TAU_K and non-null residuals."""
-        return FrenetFrame(*_gram_schmidt(*(self.derivative(s, k) for k in range(1, 5)),
-                                          f" at s={s!r}", _FLOATS, check))
+        self._check_domain(s)
+        return FrenetFrame(*_gram_schmidt(*self._values(s, (1, 2, 3, 4)), f" at s={s!r}",
+                                          _FLOATS, check))
 
     def frames(self, s_values):
-        """(tetrads, k, eps, ok): F1..F4, k1..k3 and eps1..eps4 of frame(s) at each
-        s as (n, 4, 4), (n, 3) and (n, 4) arrays, from frenet's Gram-Schmidt on
-        4-tuples of column arrays; ok marks the rows they hold: none where a check
-        of frenet's fails (frame(s) raises), the line frame's where frame(s)
-        falls back to it. None where the derivatives have no array pass."""
-        d = self.derivatives(s_values, 1, 2, 3, 4)
+        """(basis, k, eps, ok): b and F1..F4, k1..k3 and eps1..eps4 of frame(s) at
+        each s as (n, 5, 4), (n, 3) and (n, 4) arrays, from frenet's Gram-Schmidt
+        on 4-tuples of column arrays; ok marks the rows they hold: none where a
+        check of frenet's fails (frame(s) raises), the line frame's where
+        frame(s) falls back to it. None where the derivatives have no array pass."""
+        d = self.derivatives(s_values, 0, 1, 2, 3, 4)
         if d is None:
             return None
         failed = FailedRows(len(s_values))
         with np.errstate(all="ignore"):     # a row that overflows fails a check
-            tetrad, eps, *ks = _gram_schmidt(*(tuple(x.T) for x in d), "", _ARRAYS, failed)
-        tetrads, ks, eps = np.array(tetrad).transpose(2, 0, 1), np.array(ks).T, np.array(eps).T
-        flat = failed.degenerate            # where frame(s) tries the line frame
+            tetrad, eps, *ks = _gram_schmidt(*[tuple(x.T) for x in d[1:]], "", _ARRAYS, failed)
+        basis = np.array([*d[0].T, *sum(tetrad, ())]).T.reshape(-1, 5, 4)
+        ks, eps = np.array(ks).T, np.array(eps).T
+        bad, flat = failed.masks()          # flat: where frame(s) tries the line frame
         if flat.any() and self._line_frame is None:
             try:
                 self.frame(s_values[int(flat.argmax())])    # sets it on a straight curve
@@ -242,8 +278,8 @@ class CurveSpec:
                 pass
         line = self._line_frame
         if line is not None:
-            tetrads[flat], ks[flat], eps[flat] = line.tetrad, (line.k1, line.k2, line.k3), line.eps
-        return tetrads, ks, eps, ~failed.rows | (flat & (line is not None))
+            basis[flat, 1:], ks[flat], eps[flat] = line.tetrad, (line.k1, line.k2, line.k3), line.eps
+        return basis, ks, eps, ~bad | (flat & (line is not None))
 
     def is_straight(self) -> bool:
         """True when b'' vanishes across the domain (within TAU_K) at 16 s values."""

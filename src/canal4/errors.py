@@ -18,17 +18,21 @@ def check(bad, error, message):
 
 
 class FailedRows:
-    """check on column arrays of n rows: marks the rows that fail (rows), and
-    those whose first failing check raises a FrameDegenerateError (degenerate)."""
+    """check on column arrays of n rows: records each check's mask, combined
+    once after the pass by masks()."""
 
     def __init__(self, n):
-        self.rows = np.zeros(n, dtype=bool)
-        self.degenerate = np.zeros(n, dtype=bool)
+        self.n, self._bad, self._degenerate = n, [], []
 
     def __call__(self, bad, error, message):
-        if error is FrameDegenerateError:
-            self.degenerate |= bad & ~self.rows
-        self.rows |= bad
+        self._bad.append(bad)
+        self._degenerate.append(error is FrameDegenerateError)
+
+    def masks(self):
+        """(rows, degenerate): the rows some check fails, and those whose first
+        failing check raises a FrameDegenerateError."""
+        first = np.array([np.zeros(self.n, dtype=bool), *self._bad]).argmax(axis=0)
+        return first > 0, np.array([False, *self._degenerate])[first]
 
 
 def or_error(fn, *args):

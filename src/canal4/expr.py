@@ -13,9 +13,19 @@ inside the grammar. Supported functions: sin cos sinh cosh tan tanh exp log
 sqrt. The public contract is a single variable ``s``; internally the parser
 accepts a caller-specified variable tuple (used for the null-cone direction
 functions of (s, t, w)).
+
+Folding and differentiation build nodes in a Nodes table, which interns them:
+equal subtrees are one object, fold's rules apply as each node is built (on
+children folded already), and each node is folded and differentiated once, so
+a curve's derivatives of orders 1..4 form one small DAG. compile_expr turns an
+expression, or a list of them, into Python code in which a node read more than
+once is one temp: the 20 components of a curve's b .. b'''' are one function,
+each distinct sin, cosh, ... evaluated once per call or array pass.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 import operator
@@ -94,6 +104,17 @@ class Call(Expr):
     arg: Expr
 
 
+# the fields of each node type, and those that hold a subtree
+_FIELDS = {Const: ("value",), Var: ("name",), Neg: ("arg",), Pow: ("base", "exponent"),
+           Call: ("func", "arg"), **{cls: ("left", "right") for cls in (Add, Sub, Mul, Div)}}
+_KIDS = {cls: tuple(f for f in fields if f in ("left", "right", "arg", "base"))
+         for cls, fields in _FIELDS.items()}
+
+
+def _fields(node):
+    return [getattr(node, f) for f in _FIELDS[type(node)]]
+
+
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
@@ -101,7 +122,6 @@ _OPS = set("+-*/^()")
 # How deep parentheses, and the tree, may nest: the parser recurses through the
 # one, fold, differentiate and Python's compiler through the other
 MAX_NESTING = 100
-_SUBTREES = ("left", "right", "arg", "base")     # the Expr fields of the node types
 MAX_DERIVATIVE_NODES = 10_000      # of a derivative tree (the product rule copies)
 
 
@@ -248,7 +268,7 @@ def _levels(node: Expr):
     level = [node]
     while level:
         yield level
-        level = [getattr(n, f) for n in level for f in _SUBTREES if hasattr(n, f)]
+        level = [getattr(n, f) for n in level for f in _KIDS[type(n)]]
 
 
 def _shallow(node: Expr, offset) -> Expr:
@@ -295,24 +315,38 @@ def _domain_error(expr, variables, values, problem, name):
     return DomainError(f"{what} at {where}: {problem}")
 
 
-def compile_expr(expr: Expr, variables: tuple[str, ...] = ("s",), name: str | None = None):
+def compile_expr(expr: Expr | list[Expr], variables: tuple[str, ...] = ("s",),
+                 name: str | None = None):
     """Compile to a positional function of the variables. Math errors and
     non-finite results raise DomainError instead of returning NaN/Inf; its
     message names the function (such as r' or x2'') when name is given. Its
     array attribute, over's pass, runs the same code under _ARRAY_NAMESPACE;
     None if a literal is not finite (Python folds 1e308*10 to inf, which
-    1e308*10*s/0 would carry past the trapped division into exp(-inf) = 0)."""
+    1e308*10*s/0 would carry past the trapped division into exp(-inf) = 0).
+
+    A list of expressions compiles to one function giving their values as a
+    list, each node they share evaluated once, with the bits of each one's
+    own compile_expr; None where it cannot vouch for every value (a math
+    error, a non-finite value), and each one's own function decides. Its
+    array attribute gives the list of arrays (a constant stays a float).
+    Lists, not tuples: CPython 3.11 keeps each dropped tuple of 20 items on
+    a free list that it never takes one back from, up to 2,000 (368 KiB)."""
+    many = isinstance(expr, list)
     try:
-        fn = eval(f"lambda {', '.join(variables)}: {_to_python(expr)}",
-                  _NAMESPACE)  # code generated from our own AST
+        code = compile(_source(expr if many else (expr,), variables, many), "<string>", "exec")
     except (SyntaxError, RecursionError) as exc:    # nested too deeply to compile
         raise ExprSyntaxError(f"cannot compile {name or 'expression'}: {exc}") from None
+    fn = types.FunctionType(code.co_consts[0], _NAMESPACE)      # the def's code
 
     def checked(*values):
         try:
             value = fn(*values)
         except _MATH_ERRORS as exc:
+            if many:
+                return None
             raise _domain_error(expr, variables, values, exc, name) from exc
+        if many:
+            return value if all(map(math.isfinite, value)) else None
         if math.isfinite(value):
             return value
         raise _domain_error(expr, variables, values, value, name)
@@ -323,20 +357,25 @@ def compile_expr(expr: Expr, variables: tuple[str, ...] = ("s",), name: str | No
 
 def over(fns, *columns):
     """The compiled functions fns at each element of the aligned float arrays
-    columns in one array pass: a (len(fns), n) array with the bits of their
-    scalar calls, or None where the pass cannot vouch for every element (no
-    array pass, an IEEE exception, a math error); the scalar calls decide
-    then. With every IEEE exception trapped, no inf or nan forms in the pass."""
+    columns in one array pass: an (outputs, n) array with the bits of their
+    scalar calls, a row per output (a list's in order), or None where the
+    pass cannot vouch for every element (no array pass, an IEEE exception, a
+    math error); the scalar calls decide then. With every IEEE exception
+    trapped, no inf or nan forms in the pass."""
     passes = [getattr(fn, "array", None) for fn in fns]
     if None in passes:
         return None
-    out = np.empty((len(fns), len(columns[0])))
+    rows = []
     try:
         with np.errstate(all="raise", under="ignore"):
-            for k, array_pass in enumerate(passes):
-                out[k] = array_pass(*columns)       # a constant fills its row
+            for array_pass in passes:
+                value = array_pass(*columns)
+                rows += value if type(value) is list else (value,)
     except (ArithmeticError, ValueError):           # FloatingPointError or math's errors
         return None
+    out = np.empty((len(rows), len(columns[0])))
+    for k, row in enumerate(rows):
+        out[k] = row                                # a constant fills its row
     return out if np.isfinite(out).all() else None
 
 
@@ -358,156 +397,212 @@ def evaluate(expr: Expr, **env: float) -> float:
 
 
 _SYMBOL = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# the code of each interior node type, formatted with its fields (a subtree's code in its place)
+_CODE = {Neg: "(-{0})", Pow: "_pow({0}, {1!r})", Call: "_{0}({1})",
+         **{cls: f"({{0}} {op} {{1}})" for cls, op in _SYMBOL.items()}}
+# the generated function's name and its temps' names, each interned once and
+# kept (see _NAMESPACE)
+_DEF, _TEMPS = sys.intern("_f"), []
 
 
-def _to_python(node):
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_to_python(node.arg)})"
-    if type(node) in _SYMBOL:
-        return f"({_to_python(node.left)} {_SYMBOL[type(node)]} {_to_python(node.right)})"
-    if isinstance(node, Pow):
-        return f"_pow({_to_python(node.base)}, {node.exponent!r})"
-    if isinstance(node, Call):
-        return f"_{node.func}({_to_python(node.arg)})"
-    raise TypeError(f"not an Expr node: {node!r}")
+def _count(node, uses):
+    """uses[id(n)]: how often each node of node's DAG is read, once per parent."""
+    seen = uses.get(id(node), 0)
+    uses[id(node)] = seen + 1
+    if not seen:
+        for f in _KIDS.get(type(node), ()):
+            _count(getattr(node, f), uses)
+
+
+def _code(node, uses, temps, lines):
+    """Python code of node: a node read more than once (not a leaf) becomes a
+    temp, assigned once in lines before its first use; the rest is inline."""
+    if id(node) in temps:
+        return temps[id(node)]
+    if type(node) is Const or type(node) is Var:
+        return repr(node.value) if type(node) is Const else node.name
+    if type(node) not in _CODE:
+        raise TypeError(f"not an Expr node: {node!r}")
+    code = _CODE[type(node)].format(*[_code(f, uses, temps, lines) if isinstance(f, Expr) else f
+                                      for f in _fields(node)])
+    if uses[id(node)] == 1:
+        return code
+    if len(lines) == len(_TEMPS):
+        _TEMPS.append(sys.intern(f"_t{len(_TEMPS)}"))
+    lines.append(f"    {_TEMPS[len(lines)]} = {code}\n")
+    temps[id(node)] = _TEMPS[len(lines) - 1]
+    return temps[id(node)]
+
+
+def _source(outputs, variables, many):
+    """def _f(variables): the outputs' values, a list of them if many."""
+    uses, temps, lines = {}, {}, []
+    for out in outputs:
+        _count(out, uses)
+    value = ", ".join([_code(out, uses, temps, lines) for out in outputs])
+    return (f"def {_DEF}({', '.join(variables)}):\n{''.join(lines)}"
+            f"    return {f'[{value}]' if many else value}\n")
 
 
 # ---------------------------------------------------------------------------
-# differentiation and constant folding
+# constant folding and differentiation over interned nodes
 
-def differentiate(expr: Expr, var: str = "s") -> Expr:
-    """Exact symbolic derivative, constant-folded; ExprSyntaxError past
-    MAX_DERIVATIVE_NODES nodes, before the next order is taken of it."""
-    out = fold(_diff(expr, var))
-    size = sum(map(len, _levels(out)))
+_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+# fold's rule for each node type, on subtrees folded already: a node of table n,
+# or None where the node stays as it is
+def _neg(n, a):
+    if type(a) is Const:
+        return n.new(Const, -a.value)
+    return a.arg if type(a) is Neg else None
+
+
+def _binary(cls, n, a, b):
+    """Two constants combine unless the result is not finite or a division by
+    zero (evaluation reports it); else x+0, 0+x, x-0, 0-x, 0*x, 1*x, -1*x, x/1, 0/x."""
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
+        if not (cls is Div and b.value == 0.0):
+            value = _ARITH[cls](a.value, b.value)
+            if math.isfinite(value):
+                return n.new(Const, value)
+    elif cls is Mul:
+        u, v = (a, b) if ca else (b, a)
+        if type(u) is Const and u.value in (0.0, 1.0, -1.0):
+            return n.new(Const, 0.0) if u.value == 0.0 else v if u.value == 1.0 else n.new(Neg, v)
+    elif cb and b.value == (1.0 if cls is Div else 0.0):
+        return a
+    elif ca and a.value == 0.0:
+        return b if cls is Add else n.new(Neg, b) if cls is Sub else n.new(Const, 0.0)
+
+
+def _pow(n, base, exponent):
+    if exponent == 1.0 or exponent == 0.0:
+        return base if exponent else n.new(Const, 1.0)
+    if type(base) is Const:
+        with contextlib.suppress(ValueError, OverflowError):
+            return n.new(Const, math.pow(base.value, exponent))
+
+
+def _call(n, func, arg):
+    if type(arg) is Const:
+        with contextlib.suppress(ValueError, OverflowError):      # math raises on overflow
+            return n.new(Const, FUNCTIONS[func](arg.value))
+
+
+_RULES = {Neg: _neg, Pow: _pow, Call: _call, **{cls: functools.partial(_binary, cls) for cls in _ARITH}}
+
+
+class Nodes:
+    """A table of interned nodes: each distinct node built here is one object,
+    so repeated subtrees are shared (a DAG). new applies fold's rules as it
+    builds; fold, d and size are memoized per node, so each node is folded
+    and differentiated once."""
+
+    def __init__(self):
+        self._table = {}        # (class, *fields as keys) -> node
+        self._folds = {}        # id(node) -> node folded, for each node of the table and input
+        self._inputs = []       # the input nodes folded, kept alive while their ids are keys
+        self._derivs, self._sizes = {}, {}      # (var, id(node)) -> (node, derivative); sizes
+
+    def new(self, cls, *fields):
+        """cls(*fields) folded, its subtrees folded nodes of this table: fold's
+        rule for cls applied, else the node of this table."""
+        rule = _RULES.get(cls)
+        node = rule(self, *fields) if rule else None
+        if node is None:        # the key: each child by identity, a float with its sign
+            key = (cls, *[id(f) if isinstance(f, Expr) else (f, math.copysign(1.0, f))
+                          if type(f) is float else f for f in fields])
+            node = self._table.get(key)
+            if node is None:
+                node = self._table[key] = self._folds[id(node)] = cls(*fields)
+        return node
+
+    def fold(self, node):
+        """node folded into this table: constant folding plus trivial 0/1 identities."""
+        out = self._folds.get(id(node))
+        if out is None:
+            if type(node) not in _FIELDS:
+                raise TypeError(f"not an Expr node: {node!r}")
+            out = self._folds[id(node)] = self.new(type(node), *[
+                self.fold(f) if isinstance(f, Expr) else f for f in _fields(node)])
+            self._inputs.append(node)
+        return out
+
+    def d(self, node, var="s"):
+        """The derivative of node in var, folded."""
+        hit = self._derivs.get((var, id(node)))
+        if hit is None:
+            hit = self._derivs[var, id(node)] = node, self._d(node, var)
+        return hit[1]
+
+    def _d(self, x, var):
+        cls, d, f, new = type(x), self.d, self.fold, self.new
+        if cls is Const or cls is Var:
+            return new(Const, 1.0 if cls is Var and x.name == var else 0.0)
+        if cls is Neg:
+            return new(Neg, d(x.arg, var))
+        if cls is Add or cls is Sub:
+            return new(cls, d(x.left, var), d(x.right, var))
+        if cls is Pow:
+            if x.exponent == 0.0:
+                return new(Const, 0.0)
+            return new(Mul, new(Mul, new(Const, x.exponent), new(Pow, f(x.base), x.exponent - 1.0)),
+                       d(x.base, var))
+        if cls is Call:
+            return new(Mul, self._outer(_OUTER[x.func], f(x.arg)), d(x.arg, var))
+        if cls is not Mul and cls is not Div:
+            raise TypeError(f"not an Expr node: {x!r}")
+        left, right = new(Mul, d(x.left, var), f(x.right)), new(Mul, f(x.left), d(x.right, var))
+        if cls is Mul:
+            return new(Add, left, right)
+        return new(Div, new(Sub, left, right), new(Pow, f(x.right), 2.0))
+
+    def _outer(self, t, u):
+        """f'(u): the template t of _OUTER with u for its variable, folded."""
+        return u if type(t) is Var else self.new(type(t), *[
+            self._outer(f, u) if isinstance(f, Expr) else f for f in _fields(t)])
+
+    def size(self, node):
+        """The nodes of node's tree (one of this table's), a shared subtree counted at each use."""
+        if id(node) not in self._sizes:
+            self._sizes[id(node)] = 1 + sum(self.size(getattr(node, f)) for f in _KIDS[type(node)])
+        return self._sizes[id(node)]
+
+
+def differentiate(expr: Expr, var: str = "s", nodes: Nodes | None = None) -> Expr:
+    """Exact symbolic derivative, constant-folded, built in nodes (a new
+    table by default: derivatives taken in one table share their nodes and
+    each node's derivative); ExprSyntaxError past MAX_DERIVATIVE_NODES nodes
+    of its tree, before the next order is taken of it."""
+    nodes = Nodes() if nodes is None else nodes
+    out = nodes.d(expr, var)
+    size = nodes.size(out)
     if size > MAX_DERIVATIVE_NODES:
         raise ExprSyntaxError(f"expression too large to differentiate: a derivative of "
                               f"{size} nodes, more than {MAX_DERIVATIVE_NODES}")
     return out
 
 
-_CHAIN = {
-    "sin": lambda u: Call("cos", u),
-    "cos": lambda u: Neg(Call("sin", u)),
-    "sinh": lambda u: Call("cosh", u),
-    "cosh": lambda u: Call("sinh", u),
-    "tan": lambda u: Div(Const(1.0), Pow(Call("cos", u), 2.0)),
-    "tanh": lambda u: Sub(Const(1.0), Pow(Call("tanh", u), 2.0)),
-    "exp": lambda u: Call("exp", u),
-    "log": lambda u: Div(Const(1.0), u),
-    "sqrt": lambda u: Div(Const(1.0), Mul(Const(2.0), Call("sqrt", u))),
-}
-
-
-def _diff(node, var):
-    if isinstance(node, Const):
-        return Const(0.0)
-    if isinstance(node, Var):
-        return Const(1.0 if node.name == var else 0.0)
-    if isinstance(node, Neg):
-        return Neg(_diff(node.arg, var))
-    if isinstance(node, (Add, Sub)):
-        return type(node)(_diff(node.left, var), _diff(node.right, var))
-    if isinstance(node, Mul):
-        return Add(Mul(_diff(node.left, var), node.right),
-                   Mul(node.left, _diff(node.right, var)))
-    if isinstance(node, Div):
-        return Div(Sub(Mul(_diff(node.left, var), node.right),
-                       Mul(node.left, _diff(node.right, var))),
-                   Pow(node.right, 2.0))
-    if isinstance(node, Pow):
-        c = node.exponent
-        if c == 0.0:
-            return Const(0.0)
-        return Mul(Mul(Const(c), Pow(node.base, c - 1.0)), _diff(node.base, var))
-    if isinstance(node, Call):
-        return Mul(_CHAIN[node.func](node.arg), _diff(node.arg, var))
-    raise TypeError(f"not an Expr node: {node!r}")
-
-
-_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
-
-
 def fold(node: Expr) -> Expr:
     """Constant folding plus trivial 0/1 identities; no other simplification.
-    A Const is always finite."""
-    if isinstance(node, (Const, Var)):
-        return node
-    if isinstance(node, Neg):
-        a = fold(node.arg)
-        if isinstance(a, Const):
-            return Const(-a.value)
-        if isinstance(a, Neg):
-            return a.arg
-        return Neg(a)
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        a, b = fold(node.left), fold(node.right)
-        if isinstance(a, Const) and isinstance(b, Const):
-            # keep a division by zero or an overflow: evaluation reports it
-            if not (isinstance(node, Div) and b.value == 0.0):
-                value = _ARITH[type(node)](a.value, b.value)
-                if math.isfinite(value):
-                    return Const(value)
-            return type(node)(a, b)
-        if isinstance(node, Add):
-            if isinstance(a, Const) and a.value == 0.0:
-                return b
-            if isinstance(b, Const) and b.value == 0.0:
-                return a
-            return Add(a, b)
-        if isinstance(node, Sub):
-            if isinstance(b, Const) and b.value == 0.0:
-                return a
-            if isinstance(a, Const) and a.value == 0.0:
-                return fold(Neg(b))
-            return Sub(a, b)
-        if isinstance(node, Mul):
-            for u, v in ((a, b), (b, a)):
-                if isinstance(u, Const):
-                    if u.value == 0.0:
-                        return Const(0.0)
-                    if u.value == 1.0:
-                        return v
-                    if u.value == -1.0:
-                        return fold(Neg(v))
-            return Mul(a, b)
-        if isinstance(b, Const) and b.value == 1.0:
-            return a
-        if isinstance(a, Const) and a.value == 0.0 and not (isinstance(b, Const) and b.value == 0.0):
-            return Const(0.0)
-        return Div(a, b)
-    if isinstance(node, Pow):
-        base = fold(node.base)
-        if node.exponent == 1.0:
-            return base
-        if node.exponent == 0.0:
-            return Const(1.0)
-        if isinstance(base, Const):
-            try:
-                return Const(math.pow(base.value, node.exponent))
-            except (ValueError, OverflowError):
-                return Pow(base, node.exponent)
-        return Pow(base, node.exponent)
-    if isinstance(node, Call):
-        arg = fold(node.arg)
-        if isinstance(arg, Const):
-            try:
-                return Const(FUNCTIONS[node.func](arg.value))
-            except (ValueError, OverflowError):   # math raises on overflow
-                return Call(node.func, arg)
-        return Call(node.func, arg)
-    raise TypeError(f"not an Expr node: {node!r}")
+    A Const is always finite. Repeated subtrees of the result are one object."""
+    return Nodes().fold(node)
+
+
+# f'(u) of each function, a template in the variable u
+_OUTER = {name: parse(text, ("u",)) for name, text in (
+    ("sin", "cos(u)"), ("cos", "-sin(u)"), ("sinh", "cosh(u)"), ("cosh", "sinh(u)"),
+    ("tan", "1/cos(u)^2"), ("tanh", "1 - tanh(u)^2"), ("exp", "exp(u)"), ("log", "1/u"),
+    ("sqrt", "1/(2*sqrt(u))"))}
 
 
 def variables_of(expr: Expr) -> frozenset[str]:
     if isinstance(expr, Var):
         return frozenset((expr.name,))
     return frozenset().union(*(variables_of(getattr(expr, f))
-                               for f in _SUBTREES if hasattr(expr, f)))
+                               for f in _KIDS[type(expr)]))
 
 
 # precedence levels for printing: + - (1), * / (2), unary - (3), ^ (4)

@@ -158,7 +158,8 @@ def frames_of(curve, s_values):
     out = curve.frames(s_values)
     if out is None:
         return [None] * len(s_values)
-    tetrads, ks, eps, ok = (x.tolist() for x in out)
+    basis, ks, eps, ok = out
+    tetrads, ks, eps, ok = (x.tolist() for x in (basis[:, 1:], ks, eps, ok))
     return [FrenetFrame(tuple(map(tuple, t)), tuple(e), *k) if good else None
             for t, k, e, good in zip(tetrads, ks, eps, ok)]
 

@@ -680,3 +680,140 @@ def reference_frame_for_line(curve):
     e4 = 1 if inner(cross, cross) > 0 else -1
     eps.append(e4)
     return _reference_frame((*frame, cross * (-e4 / norm(cross))), tuple(eps), (0.0, 0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# tree reference for the derivatives: the symbolic derivative as a full tree,
+# then constant folding as a second pass over it (the original implementation
+# of expr.differentiate and expr.fold), kept here so that the interned
+# derivation is held to tree equality
+
+def reference_fold(node):
+    """Constant folding plus trivial 0/1 identities, bottom up over a tree."""
+    import operator
+
+    from canal4.expr import FUNCTIONS, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
+    if isinstance(node, (Const, Var)):
+        return node
+    if isinstance(node, Neg):
+        a = reference_fold(node.arg)
+        if isinstance(a, Const):
+            return Const(-a.value)
+        if isinstance(a, Neg):
+            return a.arg
+        return Neg(a)
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        a, b = reference_fold(node.left), reference_fold(node.right)
+        if isinstance(a, Const) and isinstance(b, Const):
+            if not (isinstance(node, Div) and b.value == 0.0):
+                arith = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+                         Div: operator.truediv}
+                value = arith[type(node)](a.value, b.value)
+                if math.isfinite(value):
+                    return Const(value)
+            return type(node)(a, b)
+        if isinstance(node, Add):
+            if isinstance(a, Const) and a.value == 0.0:
+                return b
+            if isinstance(b, Const) and b.value == 0.0:
+                return a
+            return Add(a, b)
+        if isinstance(node, Sub):
+            if isinstance(b, Const) and b.value == 0.0:
+                return a
+            if isinstance(a, Const) and a.value == 0.0:
+                return reference_fold(Neg(b))
+            return Sub(a, b)
+        if isinstance(node, Mul):
+            for u, v in ((a, b), (b, a)):
+                if isinstance(u, Const):
+                    if u.value == 0.0:
+                        return Const(0.0)
+                    if u.value == 1.0:
+                        return v
+                    if u.value == -1.0:
+                        return reference_fold(Neg(v))
+            return Mul(a, b)
+        if isinstance(b, Const) and b.value == 1.0:
+            return a
+        if isinstance(a, Const) and a.value == 0.0 and not (isinstance(b, Const) and b.value == 0.0):
+            return Const(0.0)
+        return Div(a, b)
+    if isinstance(node, Pow):
+        base = reference_fold(node.base)
+        if node.exponent == 1.0:
+            return base
+        if node.exponent == 0.0:
+            return Const(1.0)
+        if isinstance(base, Const):
+            try:
+                return Const(math.pow(base.value, node.exponent))
+            except (ValueError, OverflowError):
+                return Pow(base, node.exponent)
+        return Pow(base, node.exponent)
+    if isinstance(node, Call):
+        arg = reference_fold(node.arg)
+        if isinstance(arg, Const):
+            try:
+                return Const(FUNCTIONS[node.func](arg.value))
+            except (ValueError, OverflowError):
+                return Call(node.func, arg)
+        return Call(node.func, arg)
+    raise TypeError(f"not an Expr node: {node!r}")
+
+
+def _reference_diff(node, var):
+    from canal4.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
+    chain = {
+        "sin": lambda u: Call("cos", u),
+        "cos": lambda u: Neg(Call("sin", u)),
+        "sinh": lambda u: Call("cosh", u),
+        "cosh": lambda u: Call("sinh", u),
+        "tan": lambda u: Div(Const(1.0), Pow(Call("cos", u), 2.0)),
+        "tanh": lambda u: Sub(Const(1.0), Pow(Call("tanh", u), 2.0)),
+        "exp": lambda u: Call("exp", u),
+        "log": lambda u: Div(Const(1.0), u),
+        "sqrt": lambda u: Div(Const(1.0), Mul(Const(2.0), Call("sqrt", u))),
+    }
+    if isinstance(node, Const):
+        return Const(0.0)
+    if isinstance(node, Var):
+        return Const(1.0 if node.name == var else 0.0)
+    if isinstance(node, Neg):
+        return Neg(_reference_diff(node.arg, var))
+    if isinstance(node, (Add, Sub)):
+        return type(node)(_reference_diff(node.left, var), _reference_diff(node.right, var))
+    if isinstance(node, Mul):
+        return Add(Mul(_reference_diff(node.left, var), node.right),
+                   Mul(node.left, _reference_diff(node.right, var)))
+    if isinstance(node, Div):
+        return Div(Sub(Mul(_reference_diff(node.left, var), node.right),
+                       Mul(node.left, _reference_diff(node.right, var))),
+                   Pow(node.right, 2.0))
+    if isinstance(node, Pow):
+        c = node.exponent
+        if c == 0.0:
+            return Const(0.0)
+        return Mul(Mul(Const(c), Pow(node.base, c - 1.0)), _reference_diff(node.base, var))
+    if isinstance(node, Call):
+        return Mul(chain[node.func](node.arg), _reference_diff(node.arg, var))
+    raise TypeError(f"not an Expr node: {node!r}")
+
+
+def reference_tree_size(node):
+    """The nodes of a tree, a shared subtree counted at each use."""
+    return 1 + sum(reference_tree_size(getattr(node, f))
+                   for f in ("left", "right", "arg", "base") if hasattr(node, f))
+
+
+def reference_differentiate(expr, var="s"):
+    """fold(diff(expr)) as two tree passes; ExprSyntaxError past
+    MAX_DERIVATIVE_NODES nodes, with differentiate's message."""
+    from canal4.errors import ExprSyntaxError
+    from canal4.expr import MAX_DERIVATIVE_NODES
+    out = reference_fold(_reference_diff(expr, var))
+    size = reference_tree_size(out)
+    if size > MAX_DERIVATIVE_NODES:
+        raise ExprSyntaxError(f"expression too large to differentiate: a derivative of "
+                              f"{size} nodes, more than {MAX_DERIVATIVE_NODES}")
+    return out

@@ -1,16 +1,23 @@
 """Expression parsing, evaluation, and symbolic differentiation."""
+import gc
 import math
 import random
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canal4 import expr
+from canal4.curve import CurveSpec
 from canal4.errors import DomainError, ExprSyntaxError, UnknownFunctionError
-from canal4.expr import (FUNCTIONS, MAX_NESTING, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var,
-                         compile_expr, differentiate, evaluate, fold, over, parse, values,
+from canal4.expr import (FUNCTIONS, MAX_NESTING, Add, Call, Const, Div, Mul, Neg, Nodes, Pow, Sub,
+                         Var, compile_expr, differentiate, evaluate, fold, over, parse, values,
                          variables_of)
+from oracles import reference_differentiate, reference_fold
 
 
 def test_parse_linear():
@@ -317,3 +324,126 @@ def test_array_pass_traps_an_inf_that_would_vanish(text):
     assert over((fn,), np.array([1.1])) is None
     with pytest.raises(DomainError, match=r"^f\(s\) = .* at s=1.1: float division by zero"):
         list(values(fn, [1.1]))
+
+
+# ---------------------------------------------------------------------------
+# interned derivation and the one compiled function per curve
+
+def _reference_orders(components):
+    """Orders 0..4 of the components as trees from the two-pass reference, up
+    to the first it refuses, and that refusal's message (or None)."""
+    orders = [tuple(components)]
+    while len(orders) < 5:
+        try:
+            orders.append(tuple(reference_differentiate(c) for c in orders[-1]))
+        except ExprSyntaxError as exc:
+            return orders, str(exc)
+    return orders, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_interned_derivatives_are_the_reference_trees(tree):
+    """fold and orders 1..4 of differentiate, taken in one Nodes table, equal
+    the two-pass tree reference, each constant bit for bit; the refusal
+    comes at the same order with the same message."""
+    assert repr(fold(tree)) == repr(reference_fold(tree))
+    (_, *expected), refusal = _reference_orders([tree])
+    nodes, got = Nodes(), tree
+    for (want,) in expected:
+        got = differentiate(got, nodes=nodes)
+        assert repr(got) == repr(want)
+    if refusal is not None:
+        with pytest.raises(ExprSyntaxError, match=f"^{re.escape(refusal)}$"):
+            differentiate(got, nodes=nodes)
+
+
+def _hex_or_error(fn, point):
+    try:
+        return fn(point).hex()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TREES, min_size=4, max_size=4), _POINTS)
+def test_one_function_per_curve_gives_each_components_own_bits(trees, points):
+    """A curve's derivatives through its one compiled function: derivative(s, k)
+    has the bits of compile_expr on each reference component alone, or raises
+    the first component's DomainError (or the refusal) with its text; an array
+    pass of derivatives has the bits of those functions' array pass, and is
+    None where theirs is. compile_expr of the list of every order's nodes
+    agrees with each output's own function, or gives None where one raises."""
+    curve = CurveSpec(trees, (-1e3, 1e3))
+    assert list(map(repr, curve.components)) == [repr(reference_fold(t)) for t in trees]
+    orders, refusal = _reference_orders(curve.components)
+    for k in range(5):
+        if k == len(orders):
+            with pytest.raises(ExprSyntaxError, match=f"^{re.escape(refusal)}$"):
+                curve.derivative(points[0], k)
+            break
+        fns = [compile_expr(c, name=f"x{i}" + "'" * k) for i, c in enumerate(orders[k], 1)]
+        for p in points:
+            expected = [_hex_or_error(fn, p) for fn in fns]
+            error = next((e for e in expected if isinstance(e, tuple)), None)
+            if error is None:
+                assert [x.hex() for x in curve.derivative(p, k)] == expected
+            else:
+                with pytest.raises(error[0]) as err:
+                    curve.derivative(p, k)
+                assert str(err.value) == error[1]
+        got, want = curve.derivatives(points, k), over(fns, np.array(points))
+        if got is not None:
+            assert want is not None and got[0].T.tolist() == want.tolist()
+        assert want is not None or got is None
+    nodes = Nodes()
+    outputs = [[nodes.fold(t) for t in trees]]
+    for _ in orders[1:]:
+        outputs.append(tuple(differentiate(c, nodes=nodes) for c in outputs[-1]))
+    outputs = [c for order in outputs for c in order]
+    shared, alone = compile_expr(outputs), [compile_expr(c) for c in outputs]
+    for p in points:
+        expected = [_hex_or_error(fn, p) for fn in alone]
+        got = shared(p)
+        if got is None:
+            assert any(isinstance(e, tuple) for e in expected)
+        else:
+            assert [x.hex() for x in got] == expected
+    got, want = over((shared,), np.array(points)), over(alone, np.array(points))
+    assert (got is None and want is None) or got.tolist() == want.tolist()
+
+
+def test_curve_specs_retain_no_memory(monkeypatch):
+    """Building and using a CurveSpec leaves nothing behind once it is dropped:
+    the compiled functions' temp names are interned once and kept, not anew
+    with each compile."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import inputs
+
+    def use(components, domain):
+        curve = CurveSpec(components, domain)
+        sweep = curve.sweep(20)
+        curve.frames(sweep)
+        curve.frame(sweep[3])
+        return [curve.derivative(sweep[5], k) for k in range(5)]
+
+    curves = [(comps, domain) for comps, domain, _ in inputs.CURVES.values()]
+    for args in curves:
+        use(*args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(200):
+            use(*curves[i % len(curves)])
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024, f"{retained} bytes retained by 200 curves"
+    # each temp of a compiled function is one of the kept names, not a new string
+    nodes = Nodes()
+    b = [nodes.fold(parse(c)) for c in curves[0][0]]           # b and b'' share their nodes
+    fn = compile_expr([*b, *(differentiate(differentiate(c, nodes=nodes), nodes=nodes) for c in b)])
+    temps = [name for name in fn.array.__code__.co_varnames if name.startswith("_t")]
+    assert temps and all(any(name is kept for kept in expr._TEMPS) for name in temps)
