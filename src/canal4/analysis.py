@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from .canal import (CanalConfig, PointMapCache, RadiusProfile, SurfacePatch, _even_odd_at,
                     _place, family_function, frame_signs)
 from .curvature import (_FOCAL, _NULL_CONE, Route, _family_curvatures, _normal_sign, curvatures,
@@ -151,9 +150,7 @@ class FlatnessReport:
 
 
 def _max_k1(curve: CurveSpec) -> float:
-    sweep = curve.sweep(CLASSIFY_SAMPLES)
-    d2 = curve.derivatives(sweep, 2)    # or the scalar calls, which raise the first error
-    d2 = d2[0] if d2 is not None else np.array([curve.derivative(s, 2) for s in sweep])
+    d2 = np.array(list(curve.derived.values(curve.sweep(CLASSIFY_SAMPLES), 2)))
     with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
         return max([0.0, *np.sqrt(np.abs(inner(d2, d2))).tolist()])     # max skips nan
 
@@ -174,7 +171,7 @@ def classify_flat(curve: CurveSpec, radius: RadiusProfile) -> FlatnessReport:
     """Flat iff k1 = 0 and r'' = 0 with |r'| != 1; |r'| = 1 is EXCLUDED."""
     smin, smax = curve.domain
     max_k1 = _max_k1(curve)
-    max_rpp = max(map(abs, ex.values(radius.r_second, curve.sweep(CLASSIFY_SAMPLES))))
+    max_rpp = max(abs(rpp) for (rpp,) in radius.derived.values(curve.sweep(CLASSIFY_SAMPLES), 2))
     if max_k1 > TAU_K:
         return FlatnessReport("not-flat", f"k1 reaches {max_k1:.3g} > {TAU_K:g}",
                               max_k1, max_rpp, None)
@@ -222,9 +219,8 @@ def classify_minimal(curve: CurveSpec, radius: RadiusProfile, lam: int) -> Minim
                                 max_k1, math.inf, None)
     fr = curve.frame(0.5 * (smin + smax))
     e1l = fr.eps[0] * lam
-    sweep = curve.sweep(CLASSIFY_SAMPLES)
-    worst = max(abs(_radius_residual(*x, e1l)) for x in
-                zip(*(ex.values(fn, sweep) for fn in (radius.r_prime, radius.r, radius.r_second))))
+    worst = max(abs(_radius_residual(*x, e1l))
+                for x in radius.derived.values(curve.sweep(CLASSIFY_SAMPLES), 1, 0, 2))
     if worst > MINIMAL_RESIDUAL_TOL:
         return MinimalityReport("not-minimal",
                                 f"radius equation residual {worst:.3g} > {MINIMAL_RESIDUAL_TOL:g}",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -64,27 +64,34 @@ class RadiusProfile:
     generator that builds them: ("expr", text), derivatives exact;
     ("constant", value), a tube; or ("minimal", eps1_lambda, c1, r0, s_range,
     sign, n_nodes), the arguments of analysis.solve_minimal_radius. Profiles
-    compare and hash by their generator."""
+    compare and hash by their generator. Every reader takes r, r', r'' as the
+    orders of derived: an expression's, or the three callables given."""
 
     r: object = field(compare=False)          # callable s -> float
     r_prime: object = field(compare=False)
     r_second: object = field(compare=False)
     generator: tuple
+    derived: ex.Derived = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.derived is None:
+            given = (self.r, self.r_prime, self.r_second)
+            object.__setattr__(self, "derived", ex.Derived(("r",), (), 2, given))
 
     @classmethod
     def from_expr(cls, source) -> "RadiusProfile":
-        e, nodes = ex.parse(source) if isinstance(source, str) else source, ex.Nodes()
-        d1 = ex.differentiate(e, nodes=nodes)
-        d2 = ex.differentiate(d1, nodes=nodes)
-        return cls(ex.compile_expr(e, name="r"), ex.compile_expr(d1, name="r'"),
-                   ex.compile_expr(d2, name="r''"), ("expr", str(e)))
+        """The profile of an expression (text, or a tree, which is folded as
+        parse folds text); raises differentiate's refusal of r' or r''."""
+        e = ex.parse(source) if isinstance(source, str) else ex.fold(source)
+        derived = ex.Derived(("r",), (e,), 2)
+        derived.derive(2)
+        return cls(*map(derived.function, range(3)), ("expr", str(e)), derived)
 
     @classmethod
     def from_constant(cls, c: float) -> "RadiusProfile":
         if not (c > 0 and math.isfinite(c)):
             raise InadmissibleConfigError(f"radius must be positive and finite, got {c!r}")
-        r, zero = (ex.compile_expr(ex.Const(x)) for x in (float(c), 0.0))    # with array passes
-        return cls(r, zero, zero, ("constant", float(c)))
+        return replace(cls.from_expr(ex.Const(float(c))), generator=("constant", float(c)))
 
     def __call__(self, s: float) -> float:
         return self.r(s)
@@ -195,17 +202,17 @@ def degeneracy_factor(j: int, variant: Variant, w: float) -> float:
 
 def _row_terms(config: CanalConfig, s, value, sqrt, check):
     """(r, r', r'', Q, axial, phi) at s (a float or column array), value(k) giving
-    r^(k); checks r > 0, then Q = v*(r'^2 - lam*eps1) > 0, each once it is known."""
+    [r^(k)]; checks r > 0, then Q = v*(r'^2 - lam*eps1) > 0, each once it is known."""
     v, eps1 = config.variant.sign, frame_signs(config.j)[0]
-    r = value(0)
+    (r,) = value(0)
     check(r <= 0, InadmissibleConfigError, lambda: f"radius r({s!r}) = {r:.6g} must be positive")
-    rp = value(1)
+    (rp,) = value(1)
     q = rp * rp - config.lam * eps1
     check(v * q <= VARIANT_BOUNDARY_TOL, VariantViolatedError,
           lambda: f"r'^2 - lam*eps1 = {q:.3g} at s={s!r} has the wrong sign "
                   f"for the {config.variant.value} variant")
     Q = v * q
-    return r, rp, value(2), Q, -config.lam * eps1 * r * rp, config.sigma * (r * sqrt(Q))
+    return r, rp, value(2)[0], Q, -config.lam * eps1 * r * rp, config.sigma * (r * sqrt(Q))
 
 
 def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile) -> Variant:
@@ -213,7 +220,7 @@ def resolve_variant(curve: CurveSpec, j: int, lam: int, radius: RadiusProfile) -
     eps1 = frame_signs(j)[0]
     sign = None
     sweep = curve.sweep(ADMISSIBILITY_SAMPLES)
-    for s, rp in zip(sweep, ex.values(radius.r_prime, sweep)):
+    for s, (rp,) in zip(sweep, radius.derived.values(sweep, 1)):
         try:
             q = rp ** 2 - lam * eps1
         except OverflowError:
@@ -284,8 +291,7 @@ class PointMapCache:
         config, failed = self.config, FailedRows(len(todo))
         terms = np.zeros((6, len(todo)))
         if config.lam != 0:
-            fns = (config.radius.r, config.radius.r_prime, config.radius.r_second)
-            table = ex.over(fns, np.array(todo))     # None for a minimal profile
+            table = config.radius.derived.array(np.array(todo), 0, 1, 2)   # None for a minimal one
             if table is None:
                 return
             with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
@@ -309,8 +315,7 @@ class PointMapCache:
             b = self.curve.derivative(s, 0)
             terms = (0.0,) * 6
             if config.lam != 0:
-                fns = (config.radius.r, config.radius.r_prime, config.radius.r_second)
-                terms = _row_terms(config, s, lambda k: fns[k](s), math.sqrt, check)
+                terms = _row_terms(config, s, config.radius.derived.at(s), math.sqrt, check)
             self._store((s,), [[*b, *(x for F in fr.tetrad for x in F), fr.k1, fr.k2, fr.k3, *terms]])
         return self._table[self._at[s]].copy().view(ROW)[0]
 
@@ -461,7 +466,7 @@ def validate_config(curve: CurveSpec, config: CanalConfig) -> AdmissibilityRepor
     if config.lam == 0:
         return AdmissibilityReport(not reasons, tuple(reasons))
 
-    r_min = min(ex.values(config.radius.r, curve.sweep(ADMISSIBILITY_SAMPLES)))
+    r_min = min(r for (r,) in config.radius.derived.values(curve.sweep(ADMISSIBILITY_SAMPLES), 0))
     if r_min <= 0:
         reasons.append(f"radius must stay positive (min {r_min:.6g})")
 

@@ -12,7 +12,6 @@ by construction, k3 = eps4<F3',F4> signed. The frame vectors satisfy
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -20,8 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import expr as ex
-from .errors import (CanalError, DomainError, ExprSyntaxError, FailedRows,
-                     FrameDegenerateError, NonUnitSpeedError, NullResidualError, OutOfDomainError, check)
+from .errors import (CanalError, DomainError, FailedRows, FrameDegenerateError, NonUnitSpeedError,
+                     NullResidualError, OutOfDomainError, check)
 from .minkowski import TAU_NULL, Vec4, inner, triple_cross
 
 TAU_K = 1e-8            # curvature degeneracy threshold
@@ -163,52 +162,11 @@ class CurveSpec:
             raise ValueError(f"empty domain [{smin}, {smax}]")
         self.components = comps
         self.domain = (smin, smax)
-        # b .. b^(k) as lists of trees, the one compiled function of them all
-        # (None if it does not compile) and the refusal of order k + 1 (type,
-        # message) if k < 4, from _shared on first use
-        self._orders: list[list] | None = None
-        self._all = self._refusal = None
-        self._checked: dict[int, list] = {}     # order -> its compiled components
+        self.derived = ex.Derived(("x1", "x2", "x3", "x4"), comps, MAX_DERIVATIVE_ORDER)
         # constant frame of a straight curve, set by the first k1 = 0 frame
         self._line_frame: FrenetFrame | None = None
 
     # -- evaluation ---------------------------------------------------------
-
-    def _shared(self, orders):
-        """The one compiled function of b .. b^(k) where it covers the orders,
-        else None. On first use, derives the orders once over one table of
-        interned nodes, up to the first that differentiate refuses."""
-        if self._orders is None:
-            nodes = ex.Nodes()
-            self._orders = [[nodes.fold(c) for c in self.components]]
-            try:
-                while len(self._orders) <= MAX_DERIVATIVE_ORDER:
-                    self._orders.append([ex.differentiate(c, nodes=nodes)
-                                         for c in self._orders[-1]])
-            except (ExprSyntaxError, RecursionError) as exc:
-                self._refusal = type(exc), str(exc)
-            with contextlib.suppress(ExprSyntaxError):  # the single components' compiles decide
-                self._all = ex.compile_expr([c for k in self._orders for c in k], name="b")
-        return self._all if max(orders) < len(self._orders) else None
-
-    def _components(self, order):
-        """b^(order)'s components, each compiled on its own on first use; raises
-        the refusal for an order it covers, as a derivative call does."""
-        if order >= len(self._orders):
-            raise self._refusal[0](self._refusal[1])
-        if order not in self._checked:
-            self._checked[order] = [ex.compile_expr(c, name=f"x{i}" + "'" * order)
-                                    for i, c in enumerate(self._orders[order], 1)]
-        return self._checked[order]
-
-    def _values(self, s, orders):
-        """b^(k)(s) of each order in orders: one call of the one function, else
-        each order's own components in order, which raise the first error."""
-        fn = self._shared(orders)
-        out = None if fn is None else fn(s)
-        if out is None:
-            return [tuple([f(s) for f in self._components(k)]) for k in orders]
-        return [tuple(out[4 * k:4 * k + 4]) for k in orders]
 
     def _check_domain(self, s):
         # analytic components extend smoothly; allow an overhang so FD
@@ -229,7 +187,7 @@ class CurveSpec:
         if not 0 <= order <= MAX_DERIVATIVE_ORDER:
             raise ValueError(f"order must be 0..{MAX_DERIVATIVE_ORDER}")
         self._check_domain(s)
-        return self._values(s, (order,))[0]
+        return self.derived.at(s)(order)
 
     def derivatives(self, s_values, *orders: int):
         """b^(order) of the orders at each s in one array pass, an (orders, n,
@@ -241,19 +199,15 @@ class CurveSpec:
                 self._check_domain(x)
         except OutOfDomainError:
             return None
-        fn = self._shared(orders)
-        out = ex.over((fn,) if fn else [f for k in orders for f in self._components(k)], s)
-        if out is None:
-            return None
-        out = out.reshape(-1, 4, len(s))
-        return (out[list(orders)] if fn else out).transpose(0, 2, 1)
+        out = self.derived.array(s, *orders)
+        return None if out is None else out.transpose(0, 2, 1)
 
     # -- frames -------------------------------------------------------------
 
     def frenet(self, s: float) -> FrenetFrame:
         """Moving frame at s; requires k1, k2 > TAU_K and non-null residuals."""
         self._check_domain(s)
-        return FrenetFrame(*_gram_schmidt(*self._values(s, (1, 2, 3, 4)), f" at s={s!r}",
+        return FrenetFrame(*_gram_schmidt(*map(self.derived.at(s), (1, 2, 3, 4)), f" at s={s!r}",
                                           _FLOATS, check))
 
     def frames(self, s_values):
@@ -283,10 +237,8 @@ class CurveSpec:
 
     def is_straight(self) -> bool:
         """True when b'' vanishes across the domain (within TAU_K) at 16 s values."""
-        sweep = self.sweep(16)
-        d2 = self.derivatives(sweep, 2)
-        rows = d2[0].tolist() if d2 is not None else (self.derivative(s, 2) for s in sweep)
-        return not any(math.sqrt(_euclid_sq(d)) > TAU_K for d in rows)
+        return not any(math.sqrt(_euclid_sq(d)) > TAU_K
+                       for d in self.derived.values(self.sweep(16), 2))
 
     def frame_for_line(self) -> FrenetFrame:
         """Constant frame for a straight (k1 = 0) non-null curve, with the
@@ -330,9 +282,7 @@ class CurveSpec:
         """Report max | |<b',b'>| - 1 | over an even sample of the domain."""
         if n_samples < 2:
             raise ValueError("n_samples must be >= 2")
-        sweep = self.sweep(n_samples)
-        d1 = self.derivatives(sweep, 1)     # or the scalar calls, which raise the first error
-        d1 = d1[0] if d1 is not None else np.array([self.derivative(s, 1) for s in sweep])
+        d1 = np.array(list(self.derived.values(self.sweep(n_samples), 1)))
         with np.errstate(all="ignore"):
             gap = abs(abs(inner(d1, d1)) - 1.0)
         # nan: the speed overflows

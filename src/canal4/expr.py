@@ -19,8 +19,9 @@ equal subtrees are one object, fold's rules apply as each node is built (on
 children folded already), and each node is folded and differentiated once, so
 a curve's derivatives of orders 1..4 form one small DAG. compile_expr turns an
 expression, or a list of them, into Python code in which a node read more than
-once is one temp: the 20 components of a curve's b .. b'''' are one function,
-each distinct sin, cosh, ... evaluated once per call or array pass.
+once is one temp. Derived compiles the orders of named expressions of s into
+one such function, each distinct sin, cosh, ... evaluated once per call or
+array pass: a curve's b .. b'''' (20 components) are one, a radius' r, r', r''.
 """
 from __future__ import annotations
 
@@ -362,7 +363,7 @@ def over(fns, *columns):
     pass cannot vouch for every element (no array pass, an IEEE exception, a
     math error); the scalar calls decide then. With every IEEE exception
     trapped, no inf or nan forms in the pass."""
-    passes = [getattr(fn, "array", None) for fn in fns]
+    passes = [fn.array for fn in fns]
     if None in passes:
         return None
     rows = []
@@ -379,12 +380,73 @@ def over(fns, *columns):
     return out if np.isfinite(out).all() else None
 
 
-def values(fn, points):
-    """fn at each point (floats), in order: the floats of its array pass where
-    that succeeds, else map(fn, points), which meets each point's error where
-    a loop of scalar calls does."""
-    out = over((fn,), np.array(points, dtype=float))
-    return map(fn, points) if out is None else out[0].tolist()
+class Derived:
+    """Named expressions of s (a curve's x1..x4, a radius r) and their derivatives
+    to max_order, derived on first use in one Nodes table up to the first order
+    that differentiate refuses, and compiled into one function of all their values.
+    Where it gives None, each order's own functions decide with single compiles'
+    errors: compiled per name on first use, or given (one name's, order 0 first)."""
+
+    def __init__(self, names, exprs, max_order, given=()):
+        self.names, self._exprs, self._max_order = names, exprs, max_order
+        # each order's trees (none if given), the one function of them all and
+        # the refused order's (error, message), from derive on first use
+        self._orders, self._all, self._refusal = [] if given else None, None, None
+        self._own = {k: [f] for k, f in enumerate(given)}     # order -> its own functions
+
+    def derive(self, order=0):
+        """The one function (None if it does not compile), derived and compiled once;
+        raises the refusal if differentiate refused an order up to order."""
+        if self._orders is None:
+            nodes = Nodes()
+            self._orders = [[nodes.fold(e) for e in self._exprs]]
+            try:
+                while len(self._orders) <= self._max_order:
+                    self._orders.append([differentiate(e, nodes=nodes) for e in self._orders[-1]])
+            except (ExprSyntaxError, RecursionError) as exc:
+                self._refusal = type(exc), str(exc)
+            with contextlib.suppress(ExprSyntaxError):      # each order's own functions decide
+                self._all = compile_expr([e for k in self._orders for e in k])
+        if order >= len(self._orders) and self._refusal:
+            raise self._refusal[0](self._refusal[1])
+        return self._all
+
+    def _functions(self, order):
+        """The order's own functions, compiled on first use."""
+        if order not in self._own:
+            self.derive(order)
+            self._own[order] = [compile_expr(e, name=name + "'" * order)
+                                for name, e in zip(self.names, self._orders[order])]
+        return self._own[order]
+
+    def at(self, s):
+        """A function of each order k giving its values at s (a tuple, one per name):
+        a slice of one call of the one function, else order k's own functions."""
+        fn = self.derive()
+        out = None if fn is None else fn(s)
+        n, derived = len(self.names), len(self._orders)
+        return lambda k: tuple(out[n * k:n * k + n] if out is not None and k < derived
+                               else [f(s) for f in self._functions(k)])
+
+    def function(self, order):
+        """The first name's order as a callable of s, through at."""
+        return lambda s: self.at(s)(order)[0]
+
+    def array(self, s, *orders):
+        """The orders' values at the float array s in one array pass of the one
+        function, an (orders, names, n) array with at's bits; None where it
+        does not cover them or over cannot vouch for them, and at decides."""
+        fn = self.derive()
+        out = None if fn is None or max(orders) >= len(self._orders) else over((fn,), s)
+        return None if out is None else out.reshape(-1, len(self.names), len(s))[list(orders)]
+
+    def values(self, points, *orders):
+        """The orders' values at each point, one flat sequence per point: array's
+        rows, else at's point by point as a loop asks, meeting each point's error."""
+        out = self.array(np.array(points, dtype=float), *orders)
+        if out is None:
+            return (list(itertools.chain.from_iterable(map(self.at(s), orders))) for s in points)
+        return out.reshape(-1, len(points)).T.tolist()
 
 
 def evaluate(expr: Expr, **env: float) -> float:

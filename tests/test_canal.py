@@ -22,7 +22,7 @@ from canal4.canal import (CanalConfig, GridSpec, PointMapCache, RadiusProfile,
                           family_function, nullcone_point, resolve_variant, sample_grid,
                           transverse, validate_config)
 from canal4.curve import CurveSpec
-from canal4.errors import (CanalError, DomainError, FrameDegenerateError,
+from canal4.errors import (CanalError, DomainError, ExprSyntaxError, FrameDegenerateError,
                            InadmissibleConfigError, VariantViolatedError)
 from canal4.minkowski import Vec4, inner
 
@@ -610,6 +610,27 @@ def test_fill_leaves_every_failing_row_to_the_scalar_error(curve, config, reques
     assert _taken(_filled(curve, config, s), keys) == outcomes + outcomes[-2:]
     assert [_outcome(batch, x) for x in s] == outcomes
     assert any(isinstance(o, tuple) for o in outcomes)
+
+
+def test_row_checks_r_before_it_evaluates_r_prime(beta1):
+    """r > 0 is checked before r' is evaluated: at s = 1 the radius
+    sqrt(s - 1)^3 - 1 is -1 and r' divides by zero, and row raises r's
+    error, also after a fill whose array pass cannot vouch for s < 1."""
+    radius = RadiusProfile.from_expr("sqrt(s - 1)^3 - 1")
+    with pytest.raises(DomainError, match=r"^r'\(s\) = .* at s=1\.0: float division by zero$"):
+        radius.r_prime(1.0)
+    cache = PointMapCache(beta1, CanalConfig(1, 1, radius))
+    cache.fill(beta1.sweep(2 * canal.BATCH_MIN_S + 13))        # 0.25 + 0.0625 * i hits 1.0
+    with pytest.raises(InadmissibleConfigError, match=r"^radius r\(1\.0\) = -1 must be positive$"):
+        cache.row(1.0)
+
+
+def test_radius_derivative_refusal_comes_from_the_constructor():
+    """A radius whose r' tree outgrows MAX_DERIVATIVE_NODES is refused when
+    the profile is built, with differentiate's message."""
+    with pytest.raises(ExprSyntaxError, match="^expression too large to differentiate: "
+                                              "a derivative of 11808 nodes, more than 10000$"):
+        RadiusProfile.from_expr("2 + 1e-300*" + "sin(" * 30 + "s" + ")" * 30)
 
 
 @pytest.mark.parametrize("tail, error", [

@@ -670,14 +670,17 @@ def test_deeply_nested_radius_exit_2(tmp_path, capsys, radius):
                               f"--radius={radius}", "--out", str(tmp_path / "x.json")])
 
 
-@pytest.mark.parametrize("tail", ["sin(" * 20 + "s" + ")" * 20, "*".join(["s"] * 20)],
-                         ids=["nested-sin", "product"])
-def test_derivative_blow_up_exit_2(tmp_path, capsys, tail):
-    """A unit-speed curve whose derivative trees outgrow MAX_DERIVATIVE_NODES
-    is a config error within seconds, not 11 s and 1.3 GB (sin nested 20
-    deep) on the way to a fourth derivative."""
+@pytest.mark.parametrize("tail, radius", [
+    ("sin(" * 20 + "s" + ")" * 20, "1"), ("*".join(["s"] * 20), "1"),
+    (None, "2 + 1e-300*" + "sin(" * 30 + "s" + ")" * 30)],
+    ids=["nested-sin", "product", "radius-nested-sin"])
+def test_derivative_blow_up_exit_2(tmp_path, capsys, tail, radius):
+    """A unit-speed curve (or beta1's radius) whose derivative trees outgrow
+    MAX_DERIVATIVE_NODES is a config error within seconds, not 11 s and
+    1.3 GB (sin nested 20 deep) on the way to a fourth derivative."""
+    curve = ["--example", "beta1"] if tail is None else _curve(f"s + 1e-300*{tail}", "1", "0", "0")
     start = time.perf_counter()
-    assert run(["build", *_curve(f"s + 1e-300*{tail}", "1", "0", "0"), "--radius", "1",
+    assert run(["build", *curve, "--radius", radius,
                 "--grid", "2x2x1", "--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
     assert "expression too large to differentiate" in err and "Traceback" not in err

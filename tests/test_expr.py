@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canal4 import expr
+from canal4.canal import RadiusProfile
 from canal4.curve import CurveSpec
 from canal4.errors import DomainError, ExprSyntaxError, UnknownFunctionError
-from canal4.expr import (FUNCTIONS, MAX_NESTING, Add, Call, Const, Div, Mul, Neg, Nodes, Pow, Sub,
-                         Var, compile_expr, differentiate, evaluate, fold, over, parse, values,
+from canal4.expr import (FUNCTIONS, MAX_NESTING, Add, Call, Const, Derived, Div, Mul, Neg, Nodes,
+                         Pow, Sub, Var, compile_expr, differentiate, evaluate, fold, over, parse,
                          variables_of)
 from oracles import reference_differentiate, reference_fold
 
@@ -264,6 +265,12 @@ _POINTS = st.lists(st.one_of(st.sampled_from([0.0, -1.0, 1.0, 0.5, -0.5, 2.0, 75
                              st.floats(-3.0, 3.0, allow_nan=False)), min_size=1, max_size=6)
 
 
+def _values(tree, points):
+    """The tree at each point through Derived.values: the floats of the array
+    pass of its one function, else its scalar calls, point by point."""
+    return [x for (x,) in Derived(("f",), (tree,), 0).values(points, 0)]
+
+
 def _scalar_calls(fn, points):
     """[fn(p) for p in points] as hex strings (the sign of a zero counts), or
     the first DomainError."""
@@ -278,20 +285,22 @@ def _scalar_calls(fn, points):
 def test_array_pass_gives_the_scalar_bits_or_the_scalar_error(tree, points, folded):
     """Every function, ^ with negative and fractional exponents, constant
     components: over gives the bits of the scalar calls, or None; where a
-    scalar call fails it gives None, and values raises the scalar loop's
-    first error, with its type and message."""
+    scalar call fails it gives None, and Derived.values (of the folded tree)
+    raises the scalar loop's first error, with its type and message."""
     fn = compile_expr(fold(tree) if folded else tree, name="f")
     expected = _scalar_calls(fn, points)
     out = over((fn,), np.array(points))
     if isinstance(expected, DomainError):
         assert out is None
+    elif out is not None:       # None also where an overflow the scalar calls survive traps
+        assert [x.hex() for x in out[0].tolist()] == expected
+    expected = _scalar_calls(compile_expr(fold(tree), name="f"), points)
+    if isinstance(expected, DomainError):
         with pytest.raises(DomainError) as err:
-            list(values(fn, points))
+            _values(tree, points)
         assert type(err.value) is type(expected) and str(err.value) == str(expected)
     else:
-        if out is not None:     # None also where an overflow the scalar calls survive traps
-            assert [x.hex() for x in out[0].tolist()] == expected
-        assert [x.hex() for x in values(fn, points)] == expected
+        assert [x.hex() for x in _values(tree, points)] == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -323,7 +332,7 @@ def test_array_pass_traps_an_inf_that_would_vanish(text):
     fn = compile_expr(parse(text), name="f")
     assert over((fn,), np.array([1.1])) is None
     with pytest.raises(DomainError, match=r"^f\(s\) = .* at s=1.1: float division by zero"):
-        list(values(fn, [1.1]))
+        _values(parse(text), [1.1])
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +422,62 @@ def test_one_function_per_curve_gives_each_components_own_bits(trees, points):
     assert (got is None and want is None) or got.tolist() == want.tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(_TREES, _POINTS)
+def test_one_function_per_radius_gives_each_orders_own_bits(tree, points):
+    """A radius through its one compiled function: r, r' and r'' of
+    from_expr(tree) each have the bits of compile_expr on the reference order
+    alone, or raise its DomainError with the same text, and the constructor
+    raises the reference's refusal of r' or r''. The array pass of the three
+    orders has the bits of those functions' array pass, and is None where
+    theirs is."""
+    orders, refusal = _reference_orders([reference_fold(tree)])
+    if len(orders) < 3:
+        with pytest.raises(ExprSyntaxError, match=f"^{re.escape(refusal)}$"):
+            RadiusProfile.from_expr(tree)
+        return
+    radius = RadiusProfile.from_expr(tree)
+    assert radius.generator == ("expr", str(orders[0][0]))
+    fns = [compile_expr(c, name="r" + "'" * k) for k, (c,) in enumerate(orders[:3])]
+    for got, want in zip((radius.r, radius.r_prime, radius.r_second), fns):
+        for p in points:
+            assert _hex_or_error(got, p) == _hex_or_error(want, p)
+    got = radius.derived.array(np.array(points), 0, 1, 2)
+    want = over(fns, np.array(points))
+    assert (got is None) == (want is None)
+    assert got is None or got[:, 0].tolist() == want.tolist()
+
+    def sweep(rows):    # each row's bits, or the first DomainError's type and text
+        try:
+            return [[x.hex() for x in row] for row in rows]
+        except DomainError as exc:
+            return type(exc), str(exc)
+    # a sweep of r', r, r'' is the scalar loop's, point by point and order by order
+    assert sweep(radius.derived.values(points, 1, 0, 2)) == sweep(
+        [fns[k](p) for k in (1, 0, 2)] for p in points)
+
+
+def _retained(use, args):
+    """Bytes still allocated after 200 calls of use, cycling through args,
+    once each has run before and the collector has run after."""
+    for a in args:
+        use(*a)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(200):
+            use(*args[i % len(args)])
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_curve_specs_retain_no_memory(monkeypatch):
-    """Building and using a CurveSpec leaves nothing behind once it is dropped:
-    the compiled functions' temp names are interned once and kept, not anew
-    with each compile."""
+    """Building and using a CurveSpec or a RadiusProfile leaves nothing behind
+    once it is dropped: the compiled functions' temp names are interned once
+    and kept, not anew with each compile."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import inputs
 
@@ -428,19 +489,21 @@ def test_curve_specs_retain_no_memory(monkeypatch):
         return [curve.derivative(sweep[5], k) for k in range(5)]
 
     curves = [(comps, domain) for comps, domain, _ in inputs.CURVES.values()]
-    for args in curves:
-        use(*args)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for i in range(200):
-            use(*curves[i % len(curves)])
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    retained = _retained(use, curves)
     assert retained < 16 * 1024, f"{retained} bytes retained by 200 curves"
+
+    def use_radius(kind, text, domain):
+        radius = (RadiusProfile.from_expr(text) if kind == "expr"
+                  else RadiusProfile.from_constant(float(text)))
+        sweep = np.linspace(*domain, 20)
+        radius.derived.array(sweep, 0, 1, 2)
+        return ([radius.r(sweep[3]), radius.r_prime(sweep[4]), radius.r_second(sweep[5])],
+                list(radius.derived.values(sweep.tolist(), 1, 0, 2)))
+
+    radii = [(f.radius_kind, f.radius, f.domain) for f in inputs.families(3).values()
+             if f.radius_kind in ("expr", "constant")]
+    retained = _retained(use_radius, radii)
+    assert retained < 16 * 1024, f"{retained} bytes retained by 200 radius profiles"
     # each temp of a compiled function is one of the kept names, not a new string
     nodes = Nodes()
     b = [nodes.fold(parse(c)) for c in curves[0][0]]           # b and b'' share their nodes

@@ -45,3 +45,19 @@ def test_tracer_installs_and_restores_every_wrapper():
     finally:
         tracer.uninstall()
     assert current() == before
+
+
+def test_a_radius_profile_records_derive_and_compile_spans():
+    """Building a radius profile runs expr.differentiate and expr.compile_expr
+    under the tracer, so a refactor cannot route around the wrapped names and
+    read expr.compile_ms as 0."""
+    from canal4.canal import RadiusProfile
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        RadiusProfile.from_expr("0.6 + 0.3*s + 0.05*s^2")
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"expr.differentiate", "expr.compile_expr"} <= names
