@@ -80,12 +80,12 @@ class RadiusProfile:
 
     @classmethod
     def from_expr(cls, source) -> "RadiusProfile":
-        """The profile of an expression (text, or a tree, which is folded as
-        parse folds text); raises differentiate's refusal of r' or r''."""
-        e = ex.parse(source) if isinstance(source, str) else ex.fold(source)
-        derived = ex.Derived(("r",), (e,), 2)
+        """The profile of an expression: text, parsed into the table that
+        derives it, or a tree, folded there (a tree is folded, as parse folds
+        text); raises differentiate's refusal of r' or r''."""
+        derived = ex.Derived(("r",), (source,), 2)
         derived.derive(2)
-        return cls(*map(derived.function, range(3)), ("expr", str(e)), derived)
+        return cls(*map(derived.function, range(3)), ("expr", str(derived.exprs[0])), derived)
 
     @classmethod
     def from_constant(cls, c: float) -> "RadiusProfile":

@@ -149,20 +149,20 @@ class CurveSpec:
 
     The curve is expected to be unit speed (|<b',b'>| = 1); this is validated
     where it matters (frenet, verify_unit_speed), never silently fixed by
-    reparametrization. A component given as a tree is folded, as parse folds
-    text; b .. b'''' are derived and compiled together, once.
+    reparametrization. The components are the folded expressions of derived:
+    text is parsed into the table that derives it, and a tree is folded, as
+    parse folds text; b .. b'''' are derived and compiled together, once.
     """
 
     def __init__(self, components, domain):
-        comps = tuple(ex.parse(c) if isinstance(c, str) else ex.fold(c) for c in components)
-        if len(comps) != 4:
+        self.derived = ex.Derived(("x1", "x2", "x3", "x4"), components, MAX_DERIVATIVE_ORDER)
+        self.components = self.derived.exprs
+        if len(self.components) != 4:
             raise ValueError("a curve needs exactly 4 components")
         smin, smax = float(domain[0]), float(domain[1])
         if not smin < smax:
             raise ValueError(f"empty domain [{smin}, {smax}]")
-        self.components = comps
         self.domain = (smin, smax)
-        self.derived = ex.Derived(("x1", "x2", "x3", "x4"), comps, MAX_DERIVATIVE_ORDER)
         # constant frame of a straight curve, set by the first k1 = 0 frame
         self._line_frame: FrenetFrame | None = None
 

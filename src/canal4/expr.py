@@ -14,10 +14,12 @@ sqrt. The public contract is a single variable ``s``; internally the parser
 accepts a caller-specified variable tuple (used for the null-cone direction
 functions of (s, t, w)).
 
-Folding and differentiation build nodes in a Nodes table, which interns them:
-equal subtrees are one object, fold's rules apply as each node is built (on
-children folded already), and each node is folded and differentiated once, so
-a curve's derivatives of orders 1..4 form one small DAG. compile_expr turns an
+Parsing, folding and differentiation build nodes in a Nodes table, which
+interns them: equal subtrees are one object, fold's rules apply as each node is
+built (on children folded already, so the parser builds no unfolded tree), and
+each node is folded and differentiated once, so a curve's derivatives of orders
+1..4 form one small DAG. Derived parses or folds its sources into the table
+that derives them, and drops it once derived. compile_expr turns an
 expression, or a list of them, into Python code in which a node read more than
 once is one temp. Derived compiles the orders of named expressions of s into
 one such function, each distinct sin, cosh, ... evaluated once per call or
@@ -167,10 +169,14 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens, variables):
+    """Builds each node through nodes.new, so fold's rules apply as it parses;
+    each parse_* gives (node, the height of its unfolded tree above its leaves)."""
+
+    def __init__(self, tokens, variables, nodes):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.new = nodes.new
 
     def peek(self):
         return self.tokens[self.pos]
@@ -194,56 +200,52 @@ class _Parser:
 
     def _binary(self, ops, types, operand):
         """operand (op operand)* over the ops, left-associative."""
-        node = operand()
+        node, height = operand()
         while self.peek()[0] == "op" and self.peek()[1] in ops:
-            node = types[ops.index(self.advance()[1])](node, operand())
-        return node
+            cls = types[ops.index(self.advance()[1])]
+            right, right_height = operand()
+            node, height = self.new(cls, node, right), 1 + max(height, right_height)
+        return node, height
 
-    def parse_unary(self):
+    def _minus_signs(self):
+        """How many '-' tokens come next; they are consumed."""
         signs = 0
         while self.peek()[:2] == ("op", "-"):
             self.advance()
             signs += 1
-        node = self.parse_power()
+        return signs
+
+    def parse_unary(self):
+        signs = self._minus_signs()
+        node, height = self.parse_power()
         for _ in range(signs):
-            node = Neg(node)
-        return node
+            node = self.new(Neg, node)
+        return node, height + signs
 
     def parse_power(self):
-        node = self.parse_atom()
-        while True:
-            kind, value, offset = self.peek()
-            if kind == "op" and value == "^":
-                self.advance()
-                # allow a leading sign on the exponent atom
-                sign = 1.0
-                k, v, _ = self.peek()
-                while k == "op" and v == "-":
-                    self.advance()
-                    sign = -sign
-                    k, v, _ = self.peek()
-                exp_node = fold(_shallow(self.parse_atom(), offset))
-                if not isinstance(exp_node, Const):
-                    raise ExprSyntaxError("exponent must be a constant", offset)
-                node = Pow(node, sign * exp_node.value)
-            else:
-                return node
+        node, height = self.parse_atom()
+        while self.peek()[:2] == ("op", "^"):
+            offset = self.advance()[2]
+            sign = (-1.0) ** self._minus_signs()        # a leading sign on the exponent atom
+            exp_node, exp_height = self.parse_atom()
+            _shallow(exp_height, offset)
+            if not isinstance(exp_node, Const):
+                raise ExprSyntaxError("exponent must be a constant", offset)
+            node, height = self.new(Pow, node, sign * exp_node.value), height + 1
+        return node, height
 
     def parse_atom(self):
         kind, value, offset = self.advance()
         if kind == "num":
-            return Const(value)
+            return self.new(Const, value), 0
         if kind == "name":
-            k, v, _ = self.peek()
-            if k == "op" and v == "(":
+            if self.peek()[:2] == ("op", "("):
                 if value not in FUNCTIONS:
                     raise UnknownFunctionError(f"unknown function {value!r}")
-                self.advance()
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return Call(value, arg)
+                arg, height = self.parse_atom()             # '(' expr ')'
+                return self.new(Call, value, arg), height + 1
             if value in self.variables:
-                return Var(value)
+                return self.new(Var, value), 0
             raise ExprSyntaxError(f"unknown variable {value!r}", offset)
         if kind == "op" and value == "(":
             node = self.parse_expr()
@@ -252,33 +254,24 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", offset)
 
 
-def parse(text: str, variables: tuple[str, ...] = ("s",)) -> Expr:
-    """Parse expression text into a tree. Raises ExprSyntaxError/UnknownFunctionError,
-    also for a number literal that overflows to infinity and for nesting
-    deeper than MAX_NESTING."""
-    parser = _Parser(_tokenize(text), variables)
-    node = parser.parse_expr()
+def parse(text: str, variables: tuple[str, ...] = ("s",), nodes: Nodes | None = None) -> Expr:
+    """Parse expression text into a folded expression, built in nodes (a new
+    table by default). Raises ExprSyntaxError/UnknownFunctionError, also for a
+    number literal that overflows to infinity and for nesting deeper than
+    MAX_NESTING."""
+    parser = _Parser(_tokenize(text), variables, Nodes() if nodes is None else nodes)
+    node, height = parser.parse_expr()
     kind, value, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {value!r}", offset)
-    return fold(_shallow(node, 0))
-
-
-def _levels(node: Expr):
-    """The nodes of the tree level by level, from the root down."""
-    level = [node]
-    while level:
-        yield level
-        level = [getattr(n, f) for n in level for f in _KIDS[type(n)]]
-
-
-def _shallow(node: Expr, offset) -> Expr:
-    """The node, unless its tree nests deeper than MAX_NESTING levels above its
-    leaves (ExprSyntaxError); measured level by level, without recursion."""
-    for depth, _ in enumerate(_levels(node)):
-        if depth > MAX_NESTING:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", offset)
+    _shallow(height, 0)
     return node
+
+
+def _shallow(height, offset):
+    """ExprSyntaxError if an unfolded tree nests deeper than MAX_NESTING levels above its leaves."""
+    if height > MAX_NESTING:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", offset)
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +375,29 @@ def over(fns, *columns):
 
 class Derived:
     """Named expressions of s (a curve's x1..x4, a radius r) and their derivatives
-    to max_order, derived on first use in one Nodes table up to the first order
-    that differentiate refuses, and compiled into one function of all their values.
-    Where it gives None, each order's own functions decide with single compiles'
-    errors: compiled per name on first use, or given (one name's, order 0 first)."""
+    to max_order. Each source, text or tree, is parsed or folded into one Nodes
+    table (exprs), in which the orders are derived on first use, up to the first
+    order that differentiate refuses, and compiled into one function of all their
+    values; the table is dropped then. Where that function gives None, each
+    order's own functions decide with single compiles' errors: compiled per name
+    on first use, or given (one name's, order 0 first)."""
 
-    def __init__(self, names, exprs, max_order, given=()):
-        self.names, self._exprs, self._max_order = names, exprs, max_order
-        # each order's trees (none if given), the one function of them all and
-        # the refused order's (error, message), from derive on first use
-        self._orders, self._all, self._refusal = [] if given else None, None, None
+    def __init__(self, names, sources, max_order, given=()):
+        nodes = Nodes()
+        self.names, self._max_order = names, max_order
+        self.exprs = tuple(parse(c, nodes=nodes) if isinstance(c, str) else nodes.fold(c)
+                           for c in sources)
+        # the table until derive and each order's expressions (none if given), the
+        # one function of them all and the refused order's (error, message)
+        self._nodes, self._orders = (None, []) if given else (nodes, None)
+        self._all, self._refusal = None, None
         self._own = {k: [f] for k, f in enumerate(given)}     # order -> its own functions
 
     def derive(self, order=0):
         """The one function (None if it does not compile), derived and compiled once;
         raises the refusal if differentiate refused an order up to order."""
         if self._orders is None:
-            nodes = Nodes()
-            self._orders = [[nodes.fold(e) for e in self._exprs]]
+            nodes, self._nodes, self._orders = self._nodes, None, [self.exprs]
             try:
                 while len(self._orders) <= self._max_order:
                     self._orders.append([differentiate(e, nodes=nodes) for e in self._orders[-1]])

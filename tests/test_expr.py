@@ -130,6 +130,31 @@ def test_parse_nesting_bound(nested):
             parse(nested(n))
 
 
+def test_parse_reports_trailing_input_before_depth():
+    """The unfolded depth is checked once the whole text has parsed, so a text
+    both too deep and followed by more input reports the trailing input."""
+    with pytest.raises(ExprSyntaxError, match=r"^trailing input '\)' \(at offset 102\)$"):
+        parse("-" * 101 + "s)")
+    with pytest.raises(ExprSyntaxError, match=r"^expression nested deeper than 100 levels \(at offset 1\)$"):
+        parse("s^(" + "-" * 101 + "2) + s)")
+
+
+def test_parse_builds_in_the_given_table_and_derived_drops_it():
+    """parse builds its folded nodes in the table it is given: they are that
+    table's nodes, and the same text gives the same object. A CurveSpec holds
+    the table its components were parsed into until it derives them; a derived
+    CurveSpec or RadiusProfile holds no table."""
+    nodes = Nodes()
+    for text in ("2*sinh(s)", "-(-(s)) + 0*s", "s^(1+1) * 3/1"):
+        node = parse(text, nodes=nodes)
+        assert nodes.fold(node) is node and parse(text, nodes=nodes) is node
+    curve = CurveSpec(("2*sinh(s)", "2*cosh(s)", "sqrt(3)*cos(s)", "sqrt(3)*sin(s)"), (0.25, 3.0))
+    assert isinstance(curve.derived._nodes, Nodes)
+    curve.frame(1.0)
+    for derived in (curve.derived, RadiusProfile.from_expr("2*s").derived):
+        assert not any(isinstance(v, Nodes) for v in vars(derived).values())
+
+
 @pytest.mark.parametrize("depth", [300, 5000])
 def test_compile_too_deep_a_tree_is_a_syntax_error(depth):
     """A tree parse would not give (differentiate may) that Python cannot

@@ -29,16 +29,16 @@ CALLS = [(expr, "parse"), (expr, "differentiate"), (expr, "compile_expr"), (expr
 NODES = (expr.Const, expr.Var, expr.Neg, expr._Binary, expr.Pow, expr.Call)
 
 PINS = {
-    "wide": {"parse": 59, "differentiate": 20, "compile_expr": 12, "fold": 608, "nodes": 886,
+    "wide": {"parse": 59, "differentiate": 20, "compile_expr": 12, "fold": 254, "nodes": 470,
              "fill": 12, "row": 24, "frenet": 33, "verify_unit_speed": 12,
              "resolve_variant": 11, "validate_config": 12, "_max_k1": 0,
              "patch_to_json bytes": 3_013_456},
-    "tall": {"parse": 204, "differentiate": 734, "compile_expr": 84, "fold": 3_310,
-             "nodes": 3_619, "fill": 78, "row": 70, "frenet": 84, "verify_unit_speed": 42,
+    "tall": {"parse": 204, "differentiate": 734, "compile_expr": 84, "fold": 1_318,
+             "nodes": 1_613, "fill": 78, "row": 70, "frenet": 84, "verify_unit_speed": 42,
              "resolve_variant": 62, "validate_config": 28, "_max_k1": 26,
              "patch_to_json bytes": 1_343_190},
-    "oracle": {"parse": 103, "differentiate": 378, "compile_expr": 42, "fold": 1_880,
-               "nodes": 2_015, "fill": 53, "row": 83, "frenet": 104, "verify_unit_speed": 21,
+    "oracle": {"parse": 103, "differentiate": 378, "compile_expr": 42, "fold": 781,
+               "nodes": 909, "fill": 53, "row": 83, "frenet": 104, "verify_unit_speed": 21,
                "resolve_variant": 41, "validate_config": 21, "_max_k1": 0,
                "patch_to_json bytes": 0},
 }
