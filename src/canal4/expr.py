@@ -390,7 +390,7 @@ class Derived:
         # the table until derive and each order's expressions (none if given), the
         # one function of them all and the refused order's (error, message)
         self._nodes, self._orders = (None, []) if given else (nodes, None)
-        self._all, self._refusal = None, None
+        self._all, self._refusal, self._last = None, None, (None, None)     # _last: s, at's call
         self._own = {k: [f] for k, f in enumerate(given)}     # order -> its own functions
 
     def derive(self, order=0):
@@ -419,9 +419,12 @@ class Derived:
 
     def at(self, s):
         """A function of each order k giving its values at s (a tuple, one per name):
-        a slice of one call of the one function, else order k's own functions."""
+        a slice of one call of the one function, else order k's own functions.
+        The last call is kept: at the same s object again, the function is not called."""
         fn = self.derive()
-        out = None if fn is None else fn(s)
+        if s is not self._last[0]:
+            self._last = s, None if fn is None else fn(s)
+        out = self._last[1]
         n, derived = len(self.names), len(self._orders)
         return lambda k: tuple(out[n * k:n * k + n] if out is not None and k < derived
                                else [f(s) for f in self._functions(k)])

@@ -625,6 +625,21 @@ def test_row_checks_r_before_it_evaluates_r_prime(beta1):
         cache.row(1.0)
 
 
+def test_each_new_row_calls_the_curve_once(beta1):
+    """row builds a new s from one call of the curve's one compiled function
+    (the frame's orders and b alike), with the bits of a fresh curve's row."""
+    curve = CurveSpec(beta1.components, beta1.domain)
+    config = CanalConfig(1, 1, RadiusProfile.from_expr("2*s"))
+    fn, calls = curve.derived.derive(), []
+    curve.derived._all = lambda s: calls.append(s) or fn(s)
+    cache = PointMapCache(curve, config)
+    rows = [cache.row(s) for s in (0.5, 1.0, 1.5)]
+    assert calls == [0.5, 1.0, 1.5]
+    fresh = PointMapCache(CurveSpec(beta1.components, beta1.domain), config)
+    for s, row in zip((0.5, 1.0, 1.5), rows):
+        assert row.tobytes() == fresh.row(s).tobytes()
+
+
 def test_radius_derivative_refusal_comes_from_the_constructor():
     """A radius whose r' tree outgrows MAX_DERIVATIVE_NODES is refused when
     the profile is built, with differentiate's message."""
