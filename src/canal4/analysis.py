@@ -150,9 +150,13 @@ class FlatnessReport:
 
 
 def _max_k1(curve: CurveSpec) -> float:
-    d2 = np.array(list(curve.derived.values(curve.sweep(CLASSIFY_SAMPLES), 2)))
-    with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
-        return max([0.0, *np.sqrt(np.abs(inner(d2, d2))).tolist()])     # max skips nan
+    """max |b''| (k1 where the curve is unit speed) over the classification
+    sweep, swept on first use and kept as curve.max_k1."""
+    if curve.max_k1 is None:
+        d2 = curve.swept(CLASSIFY_SAMPLES, 2)
+        with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
+            curve.max_k1 = max([0.0, *np.sqrt(np.abs(inner(d2, d2))).tolist()])   # max skips nan
+    return curve.max_k1
 
 
 def _sample_K_H(curve, config):

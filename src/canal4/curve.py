@@ -165,6 +165,7 @@ class CurveSpec:
         self.domain = (smin, smax)
         # constant frame of a straight curve, set by the first k1 = 0 frame
         self._line_frame: FrenetFrame | None = None
+        self.max_k1: float | None = None        # analysis._max_k1's sweep, once swept
 
     # -- evaluation ---------------------------------------------------------
 
@@ -201,6 +202,12 @@ class CurveSpec:
             return None
         out = self.derived.array(s, *orders)
         return None if out is None else out.transpose(0, 2, 1)
+
+    def swept(self, n: int, order: int) -> np.ndarray:
+        """b^(order) at sweep(n), (n, 4): derivatives' array pass, else derivative's calls."""
+        sweep = self.sweep(n)
+        d = self.derivatives(sweep, order)
+        return d[0] if d is not None else np.array([self.derivative(s, order) for s in sweep])
 
     # -- frames -------------------------------------------------------------
 
@@ -282,7 +289,7 @@ class CurveSpec:
         """Report max | |<b',b'>| - 1 | over an even sample of the domain."""
         if n_samples < 2:
             raise ValueError("n_samples must be >= 2")
-        d1 = np.array(list(self.derived.values(self.sweep(n_samples), 1)))
+        d1 = self.swept(n_samples, 1)
         with np.errstate(all="ignore"):
             gap = abs(abs(inner(d1, d1)) - 1.0)
         # nan: the speed overflows

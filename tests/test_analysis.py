@@ -19,6 +19,7 @@ from canal4.analysis import (check_kh_relation, classify_flat, classify_minimal,
 from canal4.canal import (CanalConfig, GridSpec, RadiusProfile, sample_grid,
                           validate_config)
 from canal4.curvature import Route, curvature_report
+from canal4.curve import CurveSpec
 from canal4.errors import CanalError, DomainExitError, InadmissibleConfigError
 
 R2S = RadiusProfile.from_expr("2*s")
@@ -159,6 +160,18 @@ def test_flat_battery(spacelike_line, timelike_line, beta1, beta2, gamma2):
     for radius_text in ("s + 0.5", "1 - s + 2.5"):
         rep = classify_flat(spacelike_line, RadiusProfile.from_expr(radius_text))
         assert rep.verdict == "excluded"
+
+
+def test_classify_sweeps_b2_once_per_curve(beta1):
+    """classify_flat and classify_minimal of one curve share one b'' sweep,
+    kept on the curve, and report the same max k1 as a fresh curve's sweep."""
+    curve, calls = CurveSpec(beta1.components, beta1.domain), []
+    swept = curve.swept
+    curve.swept = lambda n, order: calls.append((n, order)) or swept(n, order)
+    flat, minimal = classify_flat(curve, R2S), classify_minimal(curve, R2S, 1)
+    assert calls == [(200, 2)]
+    fresh = classify_flat(CurveSpec(beta1.components, beta1.domain), R2S)
+    assert flat.max_k1 == minimal.max_k1 == fresh.max_k1 > 0
 
 
 def test_flat_agrees_with_sampled_K(spacelike_line):

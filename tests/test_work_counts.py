@@ -23,6 +23,7 @@ SEED = 3
 CALLS = [(expr, "parse"), (expr, "differentiate"), (expr, "compile_expr"), (expr.Nodes, "fold"),
          (canal.PointMapCache, "fill"), (canal.PointMapCache, "row"),
          (curve.CurveSpec, "frenet"), (curve.CurveSpec, "verify_unit_speed"),
+         (curve.CurveSpec, "swept"),
          (canal, "resolve_variant"), (canal, "validate_config"), (analysis, "_max_k1")]
 # every Expr node is built through one of these constructors (Add, Sub, Mul and
 # Div through _Binary's)
@@ -30,19 +31,18 @@ NODES = (expr.Const, expr.Var, expr.Neg, expr._Binary, expr.Pow, expr.Call)
 
 PINS = {
     "wide": {"parse": 59, "differentiate": 20, "compile_expr": 12, "fold": 254, "nodes": 470,
-             "fill": 12, "row": 24, "frenet": 33, "verify_unit_speed": 12,
+             "fill": 12, "row": 24, "frenet": 33, "verify_unit_speed": 12, "swept": 12,
              "resolve_variant": 11, "validate_config": 12, "_max_k1": 0,
              "patch_to_json bytes": 3_013_456},
     "tall": {"parse": 204, "differentiate": 734, "compile_expr": 84, "fold": 1_318,
              "nodes": 1_613, "fill": 78, "row": 70, "frenet": 84, "verify_unit_speed": 42,
-             "resolve_variant": 62, "validate_config": 28, "_max_k1": 26,
+             "swept": 55, "resolve_variant": 62, "validate_config": 28, "_max_k1": 26,
              "patch_to_json bytes": 1_343_190},
     "oracle": {"parse": 103, "differentiate": 378, "compile_expr": 42, "fold": 781,
                "nodes": 909, "fill": 53, "row": 83, "frenet": 104, "verify_unit_speed": 21,
-               "resolve_variant": 41, "validate_config": 21, "_max_k1": 0,
+               "swept": 21, "resolve_variant": 41, "validate_config": 21, "_max_k1": 0,
                "patch_to_json bytes": 0},
 }
-
 
 def _install(monkeypatch, counts, on):
     """Counting wrappers on CALLS, NODES and io.patch_to_json; they count while on[0]."""
