@@ -3,7 +3,6 @@ spacelike curve with timelike binormal, both with radius 2s and a default
 w = 2 slice for projections."""
 from __future__ import annotations
 
-from .curve import CurveSpec
 from .errors import UnknownExampleError
 
 EXAMPLE_DOMAIN = (0.25, 3.0)   # keeps r = 2s away from the r = 0 apex
@@ -23,18 +22,8 @@ def example_names() -> tuple[str, ...]:
     return tuple(sorted(_CURVES))
 
 
-def example_curve(name: str) -> CurveSpec:
-    try:
-        comps = _CURVES[name]
-    except KeyError:
-        raise UnknownExampleError(
-            f"unknown example {name!r}; available: {', '.join(example_names())}")
-    return CurveSpec(comps, EXAMPLE_DOMAIN)
-
-
 def example_components(name: str) -> tuple[str, str, str, str]:
     if name not in _CURVES:
         raise UnknownExampleError(
             f"unknown example {name!r}; available: {', '.join(example_names())}")
     return _CURVES[name]
-

@@ -236,7 +236,7 @@ def cmd_example(args, file_values):
         "branch = +",
         f"slice_w = {builtin.EXAMPLE_SLICE_W}",
     ]
-    curve = builtin.example_curve(name)
+    curve = CurveSpec(comps, builtin.EXAMPLE_DOMAIN)
     fr = curve.frenet(1.0)
     lines.append(f"# frame type j = {fr.frame_type}, curvatures k1 = {fr.k1:.12g}, "
                  f"k2 = {fr.k2:.12g}, k3 = {fr.k3:.12g}")

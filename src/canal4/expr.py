@@ -186,12 +186,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op):
-        kind, value, offset = self.peek()
-        if kind != "op" or value != op:
-            raise ExprSyntaxError(f"expected {op!r}", offset)
-        return self.advance()
-
     def parse_expr(self):
         return self._binary("+-", (Add, Sub), self.parse_term)
 
@@ -249,7 +243,9 @@ class _Parser:
             raise ExprSyntaxError(f"unknown variable {value!r}", offset)
         if kind == "op" and value == "(":
             node = self.parse_expr()
-            self.expect_op(")")
+            kind, value, offset = self.advance()
+            if kind != "op" or value != ")":
+                raise ExprSyntaxError("expected ')'", offset)
             return node
         raise ExprSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", offset)
 

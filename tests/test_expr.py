@@ -135,7 +135,8 @@ def test_parse_reports_trailing_input_before_depth():
     both too deep and followed by more input reports the trailing input."""
     with pytest.raises(ExprSyntaxError, match=r"^trailing input '\)' \(at offset 102\)$"):
         parse("-" * 101 + "s)")
-    with pytest.raises(ExprSyntaxError, match=r"^expression nested deeper than 100 levels \(at offset 1\)$"):
+    with pytest.raises(ExprSyntaxError,
+                       match=r"^expression nested deeper than 100 levels \(at offset 1\)$"):
         parse("s^(" + "-" * 101 + "2) + s)")
 
 
