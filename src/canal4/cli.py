@@ -33,6 +33,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERIC = 3
 
+MAX_GRID_NODES = 1_000_000     # S*T*W of --grid: more is a ConfigError, before anything is sampled
 _CHECK_NAMES = ("kh", "weingarten-st", "weingarten-sw", "weingarten-tw", "unit-speed", "sphere")
 
 
@@ -81,6 +82,8 @@ def _parse_grid(text):
         raise ConfigError(f"bad grid {text!r}; counts must be integers")
     if min(ns, nt, nw) < 1:
         raise ConfigError(f"grid counts must be >= 1, got {text!r}")
+    if ns * nt * nw > MAX_GRID_NODES:
+        raise ConfigError(f"grid {text!r} has {ns * nt * nw} nodes, more than {MAX_GRID_NODES}")
     return ns, nt, nw
 
 

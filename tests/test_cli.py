@@ -26,7 +26,7 @@ from canal4.io import (CSV_HEADER, export_curvature_csv, export_obj, patch_from_
 from canal4.canal import CanalConfig, GridSpec, RadiusProfile, Variant, sample_grid
 from canal4.curve import CurveSpec
 from canal4.curvature import Route, curvature_report
-from canal4.errors import DegenerateNodeError
+from canal4.errors import ConfigError, DegenerateNodeError
 
 GOLDEN = Path(__file__).parent / "golden" / "beta1_w2.obj"
 
@@ -763,6 +763,24 @@ def test_config_errors_exit_2_with_one_error_line(tmp_path, capsys, argv, config
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message.replace('{tmp}', str(tmp_path))}\n")
     assert not (tmp_path / "x").exists()
+
+
+def test_a_grid_over_the_node_cap_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    """--grid holds at most MAX_GRID_NODES = 1,000,000 nodes: a larger grid
+    exits 2 with one error line and writes nothing. It is refused before
+    sample_grid is reached, so this test allocates no grid."""
+    from canal4 import cli
+    monkeypatch.setattr(cli, "sample_grid", lambda *args: pytest.fail("sample_grid reached"))
+    out = tmp_path / "x.json"
+    assert run(["build", "--example", "beta1", "--family", "j1,l1", "--radius", "2*s",
+                "--grid", "100000x100000x1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: grid '100000x100000x1' has 10000000000 nodes, "
+                                       "more than 1000000\n")
+    assert not out.exists()
+    assert cli.MAX_GRID_NODES == 1_000_000
+    assert cli._parse_grid("1000x1000x1") == (1000, 1000, 1)
+    with pytest.raises(ConfigError, match="^grid '1000x1000x2' has 2000000 nodes, more than "):
+        cli._parse_grid("1000x1000x2")
 
 
 def test_export_slice_t_writes_the_fixed_t_slice(tmp_path, beta1):
