@@ -9,8 +9,8 @@
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 invalid configuration or an unreadable/unwritable file, 3 numeric
-breakdown. Configuration may also come from a flat key=value file
-(--config); command line flags override it.
+breakdown or arrays too large for memory. Configuration may also come
+from a flat key=value file (--config); command line flags override it.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERIC = 3
 
-MAX_GRID_NODES = 1_000_000     # S*T*W of --grid: more is a ConfigError, before anything is sampled
 _CHECK_NAMES = ("kh", "weingarten-st", "weingarten-sw", "weingarten-tw", "unit-speed", "sphere")
 
 
@@ -82,8 +81,6 @@ def _parse_grid(text):
         raise ConfigError(f"bad grid {text!r}; counts must be integers")
     if min(ns, nt, nw) < 1:
         raise ConfigError(f"grid counts must be >= 1, got {text!r}")
-    if ns * nt * nw > MAX_GRID_NODES:
-        raise ConfigError(f"grid {text!r} has {ns * nt * nw} nodes, more than {MAX_GRID_NODES}")
     return ns, nt, nw
 
 
@@ -440,6 +437,9 @@ def main(argv=None) -> int:
     except (CanalError, OSError) as exc:     # OSError: unreadable --config, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except MemoryError as exc:      # numpy's names the array too large to hold (a huge --grid)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import re
@@ -26,7 +29,7 @@ from canal4.io import (CSV_HEADER, export_curvature_csv, export_obj, patch_from_
 from canal4.canal import CanalConfig, GridSpec, RadiusProfile, Variant, sample_grid
 from canal4.curve import CurveSpec
 from canal4.curvature import Route, curvature_report
-from canal4.errors import ConfigError, DegenerateNodeError
+from canal4.errors import DegenerateNodeError
 
 GOLDEN = Path(__file__).parent / "golden" / "beta1_w2.obj"
 
@@ -765,22 +768,35 @@ def test_config_errors_exit_2_with_one_error_line(tmp_path, capsys, argv, config
     assert not (tmp_path / "x").exists()
 
 
-def test_a_grid_over_the_node_cap_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
-    """--grid holds at most MAX_GRID_NODES = 1,000,000 nodes: a larger grid
-    exits 2 with one error line and writes nothing. It is refused before
-    sample_grid is reached, so this test allocates no grid."""
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+def test_a_grid_too_large_to_hold_exits_3(tmp_path):
+    """A grid whose arrays do not fit in memory exits 3 with one error line and
+    writes nothing; --grid has no node cap. The commands run in a child process
+    whose address space is limited to its size after import plus 512 MiB, so no
+    grid is allocated: the 10^10-node build, and a 10^8-node export --slice-t."""
+    import canal4
+    src = str(Path(canal4.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "\n".join([
+        "import json, resource, sys",
+        "from canal4 import cli",
+        "with open('/proc/self/statm') as fh:",
+        "    limit = int(fh.read().split()[0]) * resource.getpagesize() + (512 << 20)",
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))",
+        "print([cli.main(argv) for argv in json.loads(sys.argv[1])])"])
+    common = ["--example", "beta1", "--family", "j1,l1"]
+    outs = tmp_path / "x.json", tmp_path / "x.obj"
+    commands = [["build", "--radius", "2*s", "--grid", "100000x100000x1", "--out", str(outs[0])],
+                ["export", "--grid", "1000x1x100000", "--slice-t", "0.5", "--obj", str(outs[1])]]
+    done = subprocess.run([sys.executable, "-c", code, json.dumps([c + common for c in commands])],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[3, 3]\n"), done.stderr
+    assert re.fullmatch(r"(error: Unable to allocate .* for an array .*\n){2}", done.stderr)
+    assert not any(out.exists() for out in outs)
     from canal4 import cli
-    monkeypatch.setattr(cli, "sample_grid", lambda *args: pytest.fail("sample_grid reached"))
-    out = tmp_path / "x.json"
-    assert run(["build", "--example", "beta1", "--family", "j1,l1", "--radius", "2*s",
-                "--grid", "100000x100000x1", "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", "error: grid '100000x100000x1' has 10000000000 nodes, "
-                                       "more than 1000000\n")
-    assert not out.exists()
-    assert cli.MAX_GRID_NODES == 1_000_000
-    assert cli._parse_grid("1000x1000x1") == (1000, 1000, 1)
-    with pytest.raises(ConfigError, match="^grid '1000x1000x2' has 2000000 nodes, more than "):
-        cli._parse_grid("1000x1000x2")
+    assert cli._parse_grid("1000x1000x2") == (1000, 1000, 2)
+    assert cli._parse_grid("100000x100000x1") == (100000, 100000, 1)
 
 
 def test_export_slice_t_writes_the_fixed_t_slice(tmp_path, beta1):
