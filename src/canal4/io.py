@@ -238,8 +238,8 @@ def patch_from_json(text: str) -> SurfacePatch:
     components, domain = (_get(doc, f"curve.{key}", kind=list) for key in ("components", "domain"))
     _require(_strings(components, 4), "curve.components", "4 expression strings")
     _require(_numbers(domain, 2), "curve.domain", "2 finite numbers")
-    curve = _built("curve.domain", CurveSpec,
-                   tuple(_built("curve.components", ex.parse, c) for c in components), domain)
+    _require(domain[0] < domain[1], "curve.domain", "an interval [smin, smax], smin < smax")
+    curve = _built("curve.components", CurveSpec, components, domain)
     for key, values in (("j", (1, 2, 3, 4)), ("lambda", (-1, 0, 1)), ("sigma", (-1, 1))):
         value = _get(doc, f"config.{key}")
         _require(type(value) is int and value in values, f"config.{key}", f"an int in {values}")

@@ -30,7 +30,7 @@ CALLS = [(expr, "parse"), (expr, "differentiate"), (expr, "compile_expr"), (expr
 NODES = (expr.Const, expr.Var, expr.Neg, expr._Binary, expr.Pow, expr.Call)
 
 PINS = {
-    "wide": {"parse": 59, "differentiate": 20, "compile_expr": 12, "fold": 254, "nodes": 470,
+    "wide": {"parse": 59, "differentiate": 20, "compile_expr": 12, "fold": 54, "nodes": 265,
              "fill": 12, "row": 24, "frenet": 33, "verify_unit_speed": 12, "swept": 12,
              "resolve_variant": 11, "validate_config": 12, "_max_k1": 0,
              "patch_to_json bytes": 3_013_456},
