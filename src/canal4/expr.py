@@ -20,10 +20,9 @@ built (on children folded already, so the parser builds no unfolded tree), and
 each node is folded and differentiated once, so a curve's derivatives of orders
 1..4 form one small DAG. Derived parses or folds its sources into the table
 that derives them, and drops it once derived. compile_expr turns an
-expression, or a list of them, into Python code in which a node read more than
-once is one temp. Derived compiles the orders of named expressions of s into
-one such function, each distinct sin, cosh, ... evaluated once per call or
-array pass: a curve's b .. b'''' (20 components) are one, a radius' r, r', r''.
+expression, or a list of them, into a step list (a Wengert list); Derived
+compiles a curve's b .. b'''' (20 components), or a radius' r, r', r'', into
+one, each distinct sin, cosh, ... evaluated once per call or array pass.
 """
 from __future__ import annotations
 
@@ -33,8 +32,6 @@ import itertools
 import math
 import operator
 import re
-import sys
-import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +92,8 @@ class Div(_Binary):
 
 @dataclass(frozen=True, slots=True)
 class Pow(Expr):
-    """base ^ exponent with a constant exponent."""
-
     base: Expr
-    exponent: float
+    exponent: float         # a constant
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,15 +102,13 @@ class Call(Expr):
     arg: Expr
 
 
-# the fields of each node type, and those that hold a subtree
-_FIELDS = {Const: ("value",), Var: ("name",), Neg: ("arg",), Pow: ("base", "exponent"),
-           Call: ("func", "arg"), **{cls: ("left", "right") for cls in (Add, Sub, Mul, Div)}}
-_KIDS = {cls: tuple(f for f in fields if f in ("left", "right", "arg", "base"))
-         for cls, fields in _FIELDS.items()}
+# the fields of each node type that hold a subtree
+_KIDS = {cls: tuple(f for f in cls.__match_args__ if f in ("left", "right", "arg", "base"))
+         for cls in (Const, Var, Neg, Pow, Call, Add, Sub, Mul, Div)}
 
 
-def _fields(node):
-    return [getattr(node, f) for f in _FIELDS[type(node)]]
+def _fields(node):      # in the order its class takes them
+    return [getattr(node, f) for f in node.__match_args__]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +116,7 @@ def _fields(node):
 
 _OPS = set("+-*/^()")
 # How deep parentheses, and the tree, may nest: the parser recurses through the
-# one, fold, differentiate and Python's compiler through the other
+# one, fold and differentiate through the other
 MAX_NESTING = 100
 MAX_DERIVATIVE_NODES = 10_000      # of a derivative tree (the product rule copies)
 
@@ -133,21 +126,16 @@ _NUMBER, _NAME = re.compile(r"\d*\.?\d*(?:[eE][+-]?\d+)?"), re.compile(r"\w*")
 
 
 def _tokenize(text):
-    tokens = []  # (kind, value, offset)
-    i, n, depth = 0, len(text), 0
+    tokens, i, n, depth = [], 0, len(text), 0      # tokens: (kind, value, offset)
     while i < n:
         c = text[i]
-        if c.isspace():
-            i += 1
-            continue
+        j = i + 1       # the end of the token at i
         if c in _OPS:
             depth += (c == "(") - (c == ")")
             if depth > MAX_NESTING:
                 raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING} levels", i)
             tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
+        elif c.isdigit() or c == ".":
             j = _NUMBER.match(text, i).end()
             try:
                 value = float(text[i:j])
@@ -156,14 +144,12 @@ def _tokenize(text):
             if not math.isfinite(value):
                 raise ExprSyntaxError(f"number {text[i:j]!r} is out of range", i)
             tokens.append(("num", value, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
+        elif c.isalpha() or c == "_":
             j = _NAME.match(text, i).end()
             tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
+        elif not c.isspace():
+            raise ExprSyntaxError(f"unexpected character {c!r}", i)
+        i = j
     tokens.append(("end", "", n))
     return tokens
 
@@ -173,18 +159,14 @@ class _Parser:
     each parse_* gives (node, the height of its unfolded tree above its leaves)."""
 
     def __init__(self, tokens, variables, nodes):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-        self.new = nodes.new
+        self.tokens, self.pos, self.variables, self.new = tokens, 0, variables, nodes.new
 
     def peek(self):
         return self.tokens[self.pos]
 
     def advance(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def parse_expr(self):
         return self._binary("+-", (Add, Sub), self.parse_term)
@@ -203,11 +185,10 @@ class _Parser:
 
     def _minus_signs(self):
         """How many '-' tokens come next; they are consumed."""
-        signs = 0
+        start = self.pos
         while self.peek()[:2] == ("op", "-"):
-            self.advance()
-            signs += 1
-        return signs
+            self.pos += 1
+        return self.pos - start
 
     def parse_unary(self):
         signs = self._minus_signs()
@@ -253,8 +234,7 @@ class _Parser:
 def parse(text: str, variables: tuple[str, ...] = ("s",), nodes: Nodes | None = None) -> Expr:
     """Parse expression text into a folded expression, built in nodes (a new
     table by default). Raises ExprSyntaxError/UnknownFunctionError, also for a
-    number literal that overflows to infinity and for nesting deeper than
-    MAX_NESTING."""
+    number literal that overflows and for nesting deeper than MAX_NESTING."""
     parser = _Parser(_tokenize(text), variables, Nodes() if nodes is None else nodes)
     node, height = parser.parse_expr()
     kind, value, offset = parser.peek()
@@ -271,14 +251,11 @@ def _shallow(height, offset):
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one code generator
+# evaluation: one step list
 
-_MATH_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
-# the globals of every compiled function; the names are interned once here, or
-# each compile would intern them anew, and a dropped one leaves a dead slot in
-# the interpreter's table of interned strings, which grows with them
-_NAMESPACE = {sys.intern(f"_{name}"): fn for name, fn in FUNCTIONS.items()}
-_NAMESPACE["_pow"] = math.pow
+_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+# each step's function, by its node type (a Call's by its function's name)
+_NAMESPACE = {**FUNCTIONS, Pow: math.pow, Neg: operator.neg, **_ARITH}
 
 
 def _per_element(fn):
@@ -291,28 +268,28 @@ def _per_element(fn):
     return apply
 
 
-# the array passes' globals: + - * / (the code's own operators) and sqrt run in
-# numpy, which rounds them correctly, as Python floats do
-_ARRAY_NAMESPACE = {**{k: _per_element(fn) for k, fn in _NAMESPACE.items()}, "_sqrt": np.sqrt}
+# the array passes' functions: + - * /, unary minus (Python's operators) and
+# sqrt run in numpy, which rounds them correctly, as Python floats do
+_ARRAY_NAMESPACE = {**_NAMESPACE, **{k: _per_element(_NAMESPACE[k]) for k in [*FUNCTIONS, Pow]},
+                    "sqrt": np.sqrt}
 
 
 def _domain_error(expr, variables, values, problem, name):
     """DomainError for a math error or a non-finite value at these values."""
     where = ", ".join(f"{k}={v!r}" for k, v in zip(variables, values))
-    if not isinstance(problem, Exception):
-        problem = f"non-finite value {problem!r}"
     what = f"{name}({', '.join(variables)}) = {expr}" if name else str(expr)
     return DomainError(f"{what} at {where}: {problem}")
 
 
 def compile_expr(expr: Expr | list[Expr], variables: tuple[str, ...] = ("s",),
                  name: str | None = None):
-    """Compile to a positional function of the variables. Math errors and
-    non-finite results raise DomainError instead of returning NaN/Inf; its
-    message names the function (such as r' or x2'') when name is given. Its
-    array attribute, over's pass, runs the same code under _ARRAY_NAMESPACE;
-    None if a literal is not finite (Python folds 1e308*10 to inf, which
-    1e308*10*s/0 would carry past the trapped division into exp(-inf) = 0).
+    """Compile to a positional function of the variables that runs _steps'
+    steps over floats. Math errors and non-finite results raise DomainError
+    instead of returning NaN/Inf; its message names the function (such as r'
+    or x2'') when name is given. Its array attribute, over's pass, runs the
+    same steps over arrays; None if a constant they read is not finite
+    (1e308*10 folds to inf, which 1e308*10*s/0 would carry past the trapped
+    division into exp(-inf) = 0).
 
     A list of expressions compiles to one function giving their values as a
     list, each node they share evaluated once, with the bits of each one's
@@ -322,16 +299,13 @@ def compile_expr(expr: Expr | list[Expr], variables: tuple[str, ...] = ("s",),
     Lists, not tuples: CPython 3.11 keeps each dropped tuple of 20 items on
     a free list that it never takes one back from, up to 2,000 (368 KiB)."""
     many = isinstance(expr, list)
-    try:
-        code = compile(_source(expr if many else (expr,), variables, many), "<string>", "exec")
-    except (SyntaxError, RecursionError) as exc:    # nested too deeply to compile
-        raise ExprSyntaxError(f"cannot compile {name or 'expression'}: {exc}") from None
-    fn = types.FunctionType(code.co_consts[0], _NAMESPACE)      # the def's code
+    values, outs, steps, finite = _steps(expr if many else [expr], variables)
+    fn = _runner([(_NAMESPACE[key], i, j, k, ()) for key, i, j, k, _ in steps], values, outs, many)
 
     def checked(*values):
         try:
             value = fn(*values)
-        except _MATH_ERRORS as exc:
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
             if many:
                 return None
             raise _domain_error(expr, variables, values, exc, name) from exc
@@ -339,10 +313,83 @@ def compile_expr(expr: Expr | list[Expr], variables: tuple[str, ...] = ("s",),
             return value if all(map(math.isfinite, value)) else None
         if math.isfinite(value):
             return value
-        raise _domain_error(expr, variables, values, value, name)
-    finite = all(math.isfinite(c) for c in fn.__code__.co_consts if type(c) is float)
-    checked.array = types.FunctionType(fn.__code__, _ARRAY_NAMESPACE) if finite else None
+        raise _domain_error(expr, variables, values, f"non-finite value {value!r}", name)
+    checked.array = _runner([(_ARRAY_NAMESPACE[key], *step) for key, *step in steps],
+                            values, outs, many) if finite else None
     return checked
+
+
+def _runner(steps, values, outs, many):
+    """The function of the variables that runs steps (fn, i, j, k, drop) on slots
+    v, the variables' values then values: each sets v[k] to fn(v[i]) (j None) or
+    fn(v[i], v[j]), then each slot in drop to None; it gives v at outs."""
+    def run(*args):
+        v = [*args, *values]
+        for fn, i, j, k, drop in steps:
+            v[k] = fn(v[i]) if j is None else fn(v[i], v[j])
+            for d in drop:
+                v[d] = None
+        return [v[k] for k in outs] if many else v[outs[0]]
+    return run
+
+
+def _steps(outputs, variables):
+    """One walk of the outputs' DAG: the slots' values after the variables'
+    (a constant's; None for a step's), the outputs' slots, the steps (key in
+    _NAMESPACE, i, j, k, the slots it reads last; see _runner) and whether
+    the constants they read are finite. They run as Python code of the
+    outputs would, with a temp per node read more than once, assigned before
+    the line that first reads it, and the rest inline, left to right. A + - *
+    / or unary minus of inline constants runs here, as CPython folds it (not
+    a division by zero); a temp is a name, which it does not fold further."""
+    nv, values, uses, slots, literal, post, todo = len(variables), [], {}, {}, set(), [], outputs[::-1]
+
+    def new(value):             # a new slot after the variables', holding value
+        values.append(value)
+        return nv + len(values) - 1
+
+    while todo:     # post: (node, its operands' ids, where its walk began), after its operands'
+        node = todo.pop()
+        cls, key = type(node), id(node)
+        if cls is tuple:
+            post.append(node)
+        elif key in uses:
+            uses[key] += 1
+        elif cls is Var:
+            uses[key], slots[key] = 1, variables.index(node.name)
+        elif cls is Const:
+            uses[key], slots[key] = 1, new(node.value)
+            literal.add(key)
+        elif cls in _KIDS:
+            uses[key], kids = 1, [getattr(node, f) for f in _KIDS[cls]]
+            todo += [(node, [*map(id, kids)], len(post)), *kids[::-1]]
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+    steps, pending, marks = [], [], []      # the steps in order; the inline ones not yet run
+    for node, kids, start in post:
+        marks.append(len(pending))
+        cls, key = type(node), id(node)
+        if (cls is Neg or cls in _ARITH) and literal.issuperset(kids):
+            with contextlib.suppress(ZeroDivisionError):
+                slots[key] = new(_NAMESPACE[cls](*[values[slots[kid] - nv] for kid in kids]))
+                if uses[key] == 1:
+                    literal.add(key)
+                continue
+        j = slots[kids[1]] if len(kids) == 2 else new(node.exponent) if cls is Pow else None
+        slots[key] = new(None)
+        pending.append((node.func if cls is Call else cls, slots[kids[0]], j, slots[key]))
+        if uses[key] > 1:       # a temp: its line runs now, the inline steps of its walk first
+            steps += pending[marks[start]:]
+            del pending[marks[start]:]
+    steps += pending
+    outs, later, drops = [slots[id(out)] for out in outputs], {None}, []
+    later.update(outs)          # the slots read after the step
+    for _, i, j, _ in reversed(steps):
+        drops.append(tuple({i, j} - later))
+        later |= {i, j}
+    kept = [values[k - nv] for k in later - {None} if k >= nv]      # a step's value is None
+    return (values, outs, [(*step, drop) for step, drop in zip(steps, drops[::-1])],
+            all(math.isfinite(x) for x in kept if x is not None))
 
 
 def over(fns, *columns):
@@ -390,7 +437,7 @@ class Derived:
         self._own = {k: [f] for k, f in enumerate(given)}     # order -> its own functions
 
     def derive(self, order=0):
-        """The one function (None if it does not compile), derived and compiled once;
+        """The one function (None if given its functions), derived and compiled once;
         raises the refusal if differentiate refused an order up to order."""
         if self._orders is None:
             nodes, self._nodes, self._orders = self._nodes, None, [self.exprs]
@@ -399,8 +446,7 @@ class Derived:
                     self._orders.append([differentiate(e, nodes=nodes) for e in self._orders[-1]])
             except (ExprSyntaxError, RecursionError) as exc:
                 self._refusal = type(exc), str(exc)
-            with contextlib.suppress(ExprSyntaxError):      # each order's own functions decide
-                self._all = compile_expr([e for k in self._orders for e in k])
+            self._all = compile_expr([e for k in self._orders for e in k])
         if order >= len(self._orders) and self._refusal:
             raise self._refusal[0](self._refusal[1])
         return self._all
@@ -455,59 +501,8 @@ def evaluate(expr: Expr, **env: float) -> float:
     return compile_expr(expr, tuple(env))(*env.values())
 
 
-_SYMBOL = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-# the code of each interior node type, formatted with its fields (a subtree's code in its place)
-_CODE = {Neg: "(-{0})", Pow: "_pow({0}, {1!r})", Call: "_{0}({1})",
-         **{cls: f"({{0}} {op} {{1}})" for cls, op in _SYMBOL.items()}}
-# the generated function's name and its temps' names, each interned once and
-# kept (see _NAMESPACE)
-_DEF, _TEMPS = sys.intern("_f"), []
-
-
-def _count(node, uses):
-    """uses[id(n)]: how often each node of node's DAG is read, once per parent."""
-    seen = uses.get(id(node), 0)
-    uses[id(node)] = seen + 1
-    if not seen:
-        for f in _KIDS.get(type(node), ()):
-            _count(getattr(node, f), uses)
-
-
-def _code(node, uses, temps, lines):
-    """Python code of node: a node read more than once (not a leaf) becomes a
-    temp, assigned once in lines before its first use; the rest is inline."""
-    if id(node) in temps:
-        return temps[id(node)]
-    if type(node) is Const or type(node) is Var:
-        return repr(node.value) if type(node) is Const else node.name
-    if type(node) not in _CODE:
-        raise TypeError(f"not an Expr node: {node!r}")
-    code = _CODE[type(node)].format(*[_code(f, uses, temps, lines) if isinstance(f, Expr) else f
-                                      for f in _fields(node)])
-    if uses[id(node)] == 1:
-        return code
-    if len(lines) == len(_TEMPS):
-        _TEMPS.append(sys.intern(f"_t{len(_TEMPS)}"))
-    lines.append(f"    {_TEMPS[len(lines)]} = {code}\n")
-    temps[id(node)] = _TEMPS[len(lines) - 1]
-    return temps[id(node)]
-
-
-def _source(outputs, variables, many):
-    """def _f(variables): the outputs' values, a list of them if many."""
-    uses, temps, lines = {}, {}, []
-    for out in outputs:
-        _count(out, uses)
-    value = ", ".join([_code(out, uses, temps, lines) for out in outputs])
-    return (f"def {_DEF}({', '.join(variables)}):\n{''.join(lines)}"
-            f"    return {f'[{value}]' if many else value}\n")
-
-
 # ---------------------------------------------------------------------------
 # constant folding and differentiation over interned nodes
-
-_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
-
 
 # fold's rule for each node type, on subtrees folded already: a node of table n,
 # or None where the node stays as it is
@@ -582,7 +577,7 @@ class Nodes:
         """node folded into this table: constant folding plus trivial 0/1 identities."""
         out = self._folds.get(id(node))
         if out is None:
-            if type(node) not in _FIELDS:
+            if type(node) not in _KIDS:
                 raise TypeError(f"not an Expr node: {node!r}")
             out = self._folds[id(node)] = self.new(type(node), *[
                 self.fold(f) if isinstance(f, Expr) else f for f in _fields(node)])
@@ -660,35 +655,40 @@ _OUTER = {name: parse(text, ("u",)) for name, text in (
 def variables_of(expr: Expr) -> frozenset[str]:
     if isinstance(expr, Var):
         return frozenset((expr.name,))
-    return frozenset().union(*(variables_of(getattr(expr, f))
-                               for f in _KIDS[type(expr)]))
+    return frozenset().union(*(variables_of(getattr(expr, f)) for f in _KIDS[type(expr)]))
 
 
-# precedence levels for printing: + - (1), * / (2), unary - (3), ^ (4)
-def _to_str(node, parent_prec):
-    if isinstance(node, Const):
-        v = node.value
-        sign = "-" if math.copysign(1.0, v) < 0 else ""       # -0.0 prints as -0
-        text = sign + repr(int(abs(v))) if v == int(v) and abs(v) < 1e15 else repr(v)
-        return f"({text})" if sign and parent_prec > 1 else text
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = f"-{_to_str(node.arg, 3)}"
-        return f"({inner})" if parent_prec > 2 else inner
-    if isinstance(node, (Add, Sub)):
-        inner = f"{_to_str(node.left, 1)} {_SYMBOL[type(node)]} {_to_str(node.right, 2)}"
-        return f"({inner})" if parent_prec > 1 else inner
-    if isinstance(node, (Mul, Div)):
-        inner = f"{_to_str(node.left, 2)}{_SYMBOL[type(node)]}{_to_str(node.right, 3)}"
-        return f"({inner})" if parent_prec > 2 else inner
-    if isinstance(node, Pow):
-        e = node.exponent
-        e_text = repr(int(e)) if e == int(e) and abs(e) < 1e15 else repr(e)
-        if e < 0:
-            e_text = f"({e_text})"
-        inner = f"{_to_str(node.base, 5)}^{e_text}"
-        return f"({inner})" if parent_prec > 4 else inner
-    if isinstance(node, Call):
-        return f"{node.func}({_to_str(node.arg, 0)})"
-    raise TypeError(f"not an Expr node: {node!r}")
+_SYMBOL = {Add: (" + ", 1), Sub: (" - ", 1), Mul: ("*", 2), Div: ("/", 2)}
+
+
+def _to_str(root, prec):
+    """root's text under an operator of precedence prec (+ - 1, * / 2, unary
+    - 3, ^ 4), from a stack of texts and (subtree, precedence) pieces, so a
+    tree of any depth prints."""
+    out, todo = [], [(root, prec)]
+    while todo:
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        (node, prec), cls = piece, type(piece[0])
+        if cls is Const:
+            v = node.value
+            sign = "-" if math.copysign(1.0, v) < 0 else ""       # -0.0 prints as -0
+            text = sign + repr(int(abs(v))) if v == int(v) and abs(v) < 1e15 else repr(v)
+            parts, wrap = [text], sign and prec > 1
+        elif cls is Var or cls is Call:
+            parts, wrap = [node.name] if cls is Var else [f"{node.func}(", (node.arg, 0), ")"], False
+        elif cls is Neg:
+            parts, wrap = ["-", (node.arg, 3)], prec > 2
+        elif cls in _SYMBOL:
+            symbol, level = _SYMBOL[cls]
+            parts, wrap = [(node.left, level), symbol, (node.right, level + 1)], prec > level
+        elif cls is Pow:
+            e = node.exponent
+            e_text = repr(int(e)) if e == int(e) and abs(e) < 1e15 else repr(e)
+            parts, wrap = [(node.base, 5), f"^({e_text})" if e < 0 else f"^{e_text}"], prec > 4
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        todo += reversed(["(", *parts, ")"] if wrap else parts)
+    return "".join(out)

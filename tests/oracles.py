@@ -817,3 +817,125 @@ def reference_differentiate(expr, var="s"):
         raise ExprSyntaxError(f"expression too large to differentiate: a derivative of "
                               f"{size} nodes, more than {MAX_DERIVATIVE_NODES}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# source reference for compiled expressions: each expression printed as Python
+# source, a node read more than once as a temp, and compiled by Python (the
+# original implementation of expr.compile_expr), kept here so that the step
+# list is held to its bits, its errors and their order, and its array passes
+
+def reference_to_str(node, parent_prec=0):
+    """The text of a tree, printed recursively (precedence: + - 1, * / 2,
+    unary - 3, ^ 4)."""
+    from canal4.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
+    symbol = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+    if isinstance(node, Const):
+        v = node.value
+        sign = "-" if math.copysign(1.0, v) < 0 else ""
+        text = sign + repr(int(abs(v))) if v == int(v) and abs(v) < 1e15 else repr(v)
+        return f"({text})" if sign and parent_prec > 1 else text
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        inner = f"-{reference_to_str(node.arg, 3)}"
+        return f"({inner})" if parent_prec > 2 else inner
+    if isinstance(node, (Add, Sub)):
+        inner = f"{reference_to_str(node.left, 1)} {symbol[type(node)]} {reference_to_str(node.right, 2)}"
+        return f"({inner})" if parent_prec > 1 else inner
+    if isinstance(node, (Mul, Div)):
+        inner = f"{reference_to_str(node.left, 2)}{symbol[type(node)]}{reference_to_str(node.right, 3)}"
+        return f"({inner})" if parent_prec > 2 else inner
+    if isinstance(node, Pow):
+        e = node.exponent
+        e_text = repr(int(e)) if e == int(e) and abs(e) < 1e15 else repr(e)
+        if e < 0:
+            e_text = f"({e_text})"
+        inner = f"{reference_to_str(node.base, 5)}^{e_text}"
+        return f"({inner})" if parent_prec > 4 else inner
+    if isinstance(node, Call):
+        return f"{node.func}({reference_to_str(node.arg, 0)})"
+    raise TypeError(f"not an Expr node: {node!r}")
+
+
+def _reference_count(node, uses):
+    """uses[id(n)]: how often each node of node's DAG is read, once per parent."""
+    seen = uses.get(id(node), 0)
+    uses[id(node)] = seen + 1
+    if not seen:
+        for f in ("left", "right", "arg", "base"):
+            if hasattr(node, f):
+                _reference_count(getattr(node, f), uses)
+
+
+def _reference_code(node, uses, temps, lines):
+    """Python code of node: a node read more than once (not a leaf) becomes a
+    temp, assigned once in lines before its first use; the rest is inline."""
+    from canal4.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
+    if id(node) in temps:
+        return temps[id(node)]
+    if type(node) is Const:
+        return repr(node.value)
+    if type(node) is Var:
+        return node.name
+    if type(node) is Neg:
+        code = f"(-{_reference_code(node.arg, uses, temps, lines)})"
+    elif type(node) is Pow:
+        code = f"_pow({_reference_code(node.base, uses, temps, lines)}, {node.exponent!r})"
+    elif type(node) is Call:
+        code = f"_{node.func}({_reference_code(node.arg, uses, temps, lines)})"
+    else:
+        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
+        code = (f"({_reference_code(node.left, uses, temps, lines)} {op} "
+                f"{_reference_code(node.right, uses, temps, lines)})")
+    if uses[id(node)] == 1:
+        return code
+    temps[id(node)] = f"_t{len(lines)}"
+    lines.append(f"    {temps[id(node)]} = {code}\n")
+    return temps[id(node)]
+
+
+def reference_compile_expr(expr, variables=("s",), name=None):
+    """compile_expr as Python source passed to compile: the function of the
+    variables, its DomainErrors (message printed by reference_to_str) and its
+    array attribute (the same code object under the array functions; None if
+    a float constant of the code is not finite), for one tree or a list."""
+    import types
+
+    from canal4.errors import DomainError
+    from canal4.expr import FUNCTIONS, _per_element
+    namespace = {**{f"_{k}": fn for k, fn in FUNCTIONS.items()}, "_pow": math.pow}
+    array_namespace = {**{k: _per_element(fn) for k, fn in namespace.items()}, "_sqrt": np.sqrt}
+    many = isinstance(expr, list)
+    uses, temps, lines = {}, {}, []
+    for out in expr if many else [expr]:
+        _reference_count(out, uses)
+    value = ", ".join([_reference_code(out, uses, temps, lines) for out in (expr if many else [expr])])
+    source = (f"def _f({', '.join(variables)}):\n{''.join(lines)}"
+              f"    return {f'[{value}]' if many else value}\n")
+    fn = types.FunctionType(compile(source, "<string>", "exec").co_consts[0], namespace)
+
+    def error(values, problem):
+        where = ", ".join(f"{k}={v!r}" for k, v in zip(variables, values))
+        if not isinstance(problem, Exception):
+            problem = f"non-finite value {problem!r}"
+        what = reference_to_str(expr)
+        if name:
+            what = f"{name}({', '.join(variables)}) = {what}"
+        return DomainError(f"{what} at {where}: {problem}")
+
+    def checked(*values):
+        try:
+            value = fn(*values)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            if many:
+                return None
+            raise error(values, exc) from exc
+        if many:
+            return value if all(map(math.isfinite, value)) else None
+        if math.isfinite(value):
+            return value
+        raise error(values, value)
+    finite = all(math.isfinite(c) for c in fn.__code__.co_consts if type(c) is float)
+    checked.array = types.FunctionType(fn.__code__, array_namespace) if finite else None
+    return checked

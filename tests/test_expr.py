@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canal4 import expr
 from canal4.canal import RadiusProfile
 from canal4.curve import CurveSpec
 from canal4.errors import DomainError, ExprSyntaxError, UnknownFunctionError
 from canal4.expr import (FUNCTIONS, MAX_NESTING, Add, Call, Const, Derived, Div, Mul, Neg, Nodes,
                          Pow, Sub, Var, compile_expr, differentiate, evaluate, fold, over, parse,
                          variables_of)
-from oracles import reference_differentiate, reference_fold
+from oracles import (reference_compile_expr, reference_differentiate, reference_fold,
+                     reference_to_str)
 
 
 def test_parse_linear():
@@ -157,14 +158,35 @@ def test_parse_builds_in_the_given_table_and_derived_drops_it():
 
 
 @pytest.mark.parametrize("depth", [300, 5000])
-def test_compile_too_deep_a_tree_is_a_syntax_error(depth):
-    """A tree parse would not give (differentiate may) that Python cannot
-    compile: too many nested parentheses, or too deep a recursion."""
-    tree = Var("s")
+def test_a_deep_tree_compiles_and_fails_with_a_domain_error(depth):
+    """A tree parse would not give (differentiate may), nested deeper than
+    Python's compiler or its recursion limit allow, compiles: it gives the
+    bits of the sum, and a call that fails raises DomainError, its message
+    printing the whole tree, not RecursionError."""
+    tree, total = Var("s"), 0.3
     for _ in range(depth):
-        tree = Add(tree, Var("s"))
-    with pytest.raises(ExprSyntaxError, match="^cannot compile r: "):
-        compile_expr(tree, name="r")
+        tree, total = Add(tree, Var("s")), total + 0.3
+    fn = compile_expr(tree, name="r")
+    assert fn(0.3).hex() == total.hex()
+    with pytest.raises(DomainError) as err:
+        fn(1e308)
+    assert str(err.value) == f"r(s) = {' + '.join(['s'] * (depth + 1))} at s=1e+308: non-finite value inf"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/(s-1) + log(s-2)*log(s-2)",
+     "f(s) = 1/(s - 1) + log(s - 2)*log(s - 2) at s=1.0: math domain error"),
+    ("sqrt(s-2) + 1/(s-1)/(s-1) + (1/(s-1))^2",
+     "f(s) = sqrt(s - 2) + 1/(s - 1)/(s - 1) + (1/(s - 1))^2 at s=1.0: float division by zero")])
+def test_a_failing_call_meets_the_errors_in_the_order_of_temps_then_inline(text, message):
+    """The steps run as Python code with a temp per node read more than once
+    ran them: a temp (log(s - 2); 1/(s - 1)) runs before the inline steps of
+    the line that first reads it, so at s = 1 the first text meets log's
+    error before the division by zero, and the second the division before
+    sqrt's error. A post-order step list would swap both messages."""
+    with pytest.raises(DomainError) as err:
+        compile_expr(parse(text), name="f")(1.0)
+    assert str(err.value) == message
 
 
 def test_eval_cosh():
@@ -329,6 +351,66 @@ def test_array_pass_gives_the_scalar_bits_or_the_scalar_error(tree, points, fold
         assert [x.hex() for x in _values(tree, points)] == expected
 
 
+def _outcome(fn, point):
+    """fn(point) as hex (a list of them, or None, for a list), or its DomainError's type and text."""
+    try:
+        value = fn(point)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return value.hex() if type(value) is float else value and [x.hex() for x in value]
+
+
+def _agree(expr_, points, name=None):
+    """compile_expr and the source reference of expr_ give the same scalar
+    bits, or DomainError type and message, at each point, and the same array
+    pass bits, or None."""
+    fn, ref = compile_expr(expr_, name=name), reference_compile_expr(expr_, name=name)
+    assert [_outcome(fn, p) for p in points] == [_outcome(ref, p) for p in points]
+    passes = [over((f,), np.array(points)) for f in (fn, ref)]
+    got, want = [None if a is None else [x.hex() for x in a.ravel().tolist()] for a in passes]
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TREES, min_size=1, max_size=4), _POINTS, st.booleans())
+def test_step_lists_give_the_source_references_results(trees, points, interned):
+    """compile_expr and the source reference (tests/oracles.py: Python code
+    with a temp per node read more than once, compiled) agree on each tree,
+    raw or interned in one table, and on a list of them that shares nodes."""
+    if interned:
+        nodes = Nodes()
+        trees = [nodes.fold(t) for t in trees]
+    for tree in trees:
+        _agree(tree, points, "f")
+    _agree([*trees, Add(trees[0], trees[-1]), Neg(trees[0])], points)
+
+
+_BIG = Add(Const(1e300), Const(1e300))      # 2e300, folded by CPython; a temp where shared
+
+
+@pytest.mark.parametrize("expr_", [
+    Mul(Div(Const(1.0), Mul(Const(1e308), Const(10.0))), Var("s")),       # folds through inf to 0
+    Div(Mul(Mul(Const(1e308), Const(10.0)), Var("s")), Const(0.0)),       # keeps inf: no array pass
+    Add(Div(Const(1.0), Const(0.0)), Var("s")),                            # not folded: raises
+    [_BIG, Call("exp", Neg(Mul(_BIG, Const(1e10)))), Mul(_BIG, Var("s"))],   # a temp is not folded
+    [Call("exp", Neg(Mul(_BIG, Const(1e10)))), _BIG]])
+def test_step_lists_fold_constants_as_the_source_reference_does(expr_):
+    """A + - * / or unary minus of inline constants folds at compile, into
+    the value CPython folds it to; a division by zero does not fold, and a
+    temp is a name, which does not fold into its readers: the array pass
+    exists where the reference's code holds only finite constants."""
+    _agree(expr_, [0.5, 1.0, -2.0], None if isinstance(expr_, list) else "f")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_trees_print_as_the_recursive_reference_prints_them(tree):
+    """str prints each tree, raw or folded, as the recursive printer of
+    tests/oracles.py does."""
+    for t in (tree, fold(tree)):
+        assert str(t) == reference_to_str(t)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_TREES)
 def test_print_parse_round_trip_is_exact(tree):
@@ -359,6 +441,24 @@ def test_array_pass_traps_an_inf_that_would_vanish(text):
     assert over((fn,), np.array([1.1])) is None
     with pytest.raises(DomainError, match=r"^f\(s\) = .* at s=1.1: float division by zero"):
         _values(parse(text), [1.1])
+
+
+def test_an_array_pass_drops_each_value_after_its_last_read(varying_curvature_curve):
+    """Derived.array of the varying curve's orders 0-4 at 20,000 values (a
+    3.2 MB result) peaks, as tracemalloc counts, below 7.2 MB: the source
+    compiler's function (its temps live until it returns) peaked at 7.05 MB,
+    and the pin adds 2%. A step list that kept every value would peak near
+    12.8 MB; dropping each after its last read, it peaks near 6.4 MB."""
+    s = np.linspace(0.3, 1.6, 20_000)
+    varying_curvature_curve.derived.array(s[:10], 0, 1, 2, 3, 4)       # derived and compiled
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = varying_curvature_curve.derived.array(s, 0, 1, 2, 3, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 3_200_000 and peak < 7_200_000, peak
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +600,24 @@ def _retained(use, args):
         tracemalloc.stop()
 
 
+def _held(fn):
+    """The objects fn's closures hold, through cells, lists, tuples, sets and dicts."""
+    held, todo = {}, [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in held:
+            held[id(obj)] = obj
+            if isinstance(obj, types.FunctionType):
+                todo += [obj.__code__, *(cell.cell_contents for cell in obj.__closure__ or ())]
+            elif isinstance(obj, (list, tuple, set, frozenset, dict)):
+                todo += [*obj, *obj.values()] if isinstance(obj, dict) else obj
+    return list(held.values())
+
+
 def test_curve_specs_retain_no_memory(monkeypatch):
     """Building and using a CurveSpec or a RadiusProfile leaves nothing behind
-    once it is dropped: the compiled functions' temp names are interned once
-    and kept, not anew with each compile."""
+    once it is dropped, and a compiled function keeps no code object or
+    string made for it."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import inputs
 
@@ -530,9 +644,12 @@ def test_curve_specs_retain_no_memory(monkeypatch):
              if f.radius_kind in ("expr", "constant")]
     retained = _retained(use_radius, radii)
     assert retained < 16 * 1024, f"{retained} bytes retained by 200 radius profiles"
-    # each temp of a compiled function is one of the kept names, not a new string
+    # the code objects and strings that two compiles of one list hold (through
+    # the closures of the function and its array pass) are the same objects
     nodes = Nodes()
     b = [nodes.fold(parse(c)) for c in curves[0][0]]           # b and b'' share their nodes
-    fn = compile_expr([*b, *(differentiate(differentiate(c, nodes=nodes), nodes=nodes) for c in b)])
-    temps = [name for name in fn.array.__code__.co_varnames if name.startswith("_t")]
-    assert temps and all(any(name is kept for kept in expr._TEMPS) for name in temps)
+    outputs = [*b, *(differentiate(differentiate(c, nodes=nodes), nodes=nodes) for c in b)]
+    first, second = [[*_held(fn), *_held(fn.array)] for fn in map(compile_expr, [outputs] * 2)]
+    for kind in (types.CodeType, str):
+        kept = [{id(x) for x in held if type(x) is kind} for held in (first, second)]
+        assert kept[0] == kept[1] and (kind is str or kept[0])

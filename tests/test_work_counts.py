@@ -6,6 +6,7 @@ change that derives, compiles or sweeps once more than it needs fails here,
 where a timing could not resolve it. A change that lowers a count lowers its
 pin; one that raises a pin says why in CHANGES.md. The bench files are read,
 not changed; outputs go to a temporary directory."""
+import builtins
 import functools
 import sys
 from collections import Counter
@@ -30,22 +31,24 @@ CALLS = [(expr, "parse"), (expr, "differentiate"), (expr, "compile_expr"), (expr
 NODES = (expr.Const, expr.Var, expr.Neg, expr._Binary, expr.Pow, expr.Call)
 
 PINS = {
-    "wide": {"parse": 59, "differentiate": 20, "compile_expr": 12, "fold": 54, "nodes": 265,
-             "fill": 12, "row": 24, "frenet": 33, "verify_unit_speed": 12, "swept": 12,
+    "wide": {"parse": 59, "differentiate": 20, "compile_expr": 12, "compile": 0, "fold": 54,
+             "nodes": 265, "fill": 12, "row": 24, "frenet": 33, "verify_unit_speed": 12, "swept": 12,
              "resolve_variant": 11, "validate_config": 12, "_max_k1": 0,
              "patch_to_json bytes": 3_013_456},
-    "tall": {"parse": 204, "differentiate": 734, "compile_expr": 84, "fold": 1_318,
+    "tall": {"parse": 204, "differentiate": 734, "compile_expr": 84, "compile": 0, "fold": 1_318,
              "nodes": 1_613, "fill": 78, "row": 70, "frenet": 84, "verify_unit_speed": 42,
              "swept": 55, "resolve_variant": 62, "validate_config": 28, "_max_k1": 26,
              "patch_to_json bytes": 1_343_190},
-    "oracle": {"parse": 103, "differentiate": 378, "compile_expr": 42, "fold": 781,
+    "oracle": {"parse": 103, "differentiate": 378, "compile_expr": 42, "compile": 0, "fold": 781,
                "nodes": 909, "fill": 53, "row": 83, "frenet": 104, "verify_unit_speed": 21,
                "swept": 21, "resolve_variant": 41, "validate_config": 21, "_max_k1": 0,
                "patch_to_json bytes": 0},
 }
 
 def _install(monkeypatch, counts, on):
-    """Counting wrappers on CALLS, NODES and io.patch_to_json; they count while on[0]."""
+    """Counting wrappers on CALLS, NODES, io.patch_to_json and Python's compile
+    (an expression evaluates from a step list, with no code compiled for it);
+    they count while on[0]."""
     def counted(fn, name, size=None):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
@@ -70,6 +73,7 @@ def _install(monkeypatch, counts, on):
     for cls in NODES:
         replace(cls, "__init__", "nodes")
     replace(io, "patch_to_json", "patch_to_json bytes", lambda text: len(text.encode()))
+    monkeypatch.setattr(builtins, "compile", counted(builtins.compile, "compile"))
 
 
 @pytest.mark.parametrize("workload", ["wide", "tall", "oracle"])
