@@ -10,7 +10,7 @@
 Weingarten residuals are normalized by the product of the gradient scales
 max(|H_u|,|H_v|) * max(|K_u|,|K_v|) (floored at eta = 1e-12) so that fields
 constant along one parameter (tubular sweeps) do not produce noise/noise
-ratios.
+ratios. The pairs a verify asks for read one closed-form K, H pass per block.
 """
 from __future__ import annotations
 
@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canal import (CanalConfig, PointMapCache, RadiusProfile, SurfacePatch, _even_odd_at,
-                    _place, family_function, frame_signs)
-from .curvature import (_FOCAL, _NULL_CONE, Route, _family_curvatures, _normal_sign, curvatures,
-                        node_blocks)
+                    _place, _stencil, family_function, frame_signs)
+from .curvature import (_FOCAL, _NULL_CONE, BLOCK_NODES, Route, _family_curvatures,
+                        _normal_sign, curvatures, node_blocks)
 from .curve import CurveSpec, TAU_K
-from .errors import (DomainExitError, InadmissibleConfigError, SingularMetricError, _power,
-                     unwrap)
+from .errors import (CanalError, DomainExitError, InadmissibleConfigError, SingularMetricError,
+                     _power, or_error, unwrap)
 from .minkowski import inner
 
 KH_TOL_CLOSED = 1e-9
@@ -76,12 +76,13 @@ def check_kh_relation(patch: SurfacePatch, route: Route = Route.CLOSED_FORM) -> 
 # Weingarten
 
 def _kh_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
-    """Closed-form (K, H) arrays at the points (s_keys[s_at], t_keys[t_at],
-    w_keys[w_at]): row values once per s key, f_j's trig once per t and w key.
-    Raises the first point's gauss_mean_principal error (row, f_j, D); a row
-    holds Q > 0 (lam = +-1; weingarten_check rejects lam = 0)."""
-    rows, row_errors = cache.take(s_keys)
-    failed = np.array([e is not None for e in row_errors])
+    """Closed-form (K, H, bad, error) at the points (s_keys[s_at], t_keys[t_at],
+    w_keys[w_at]), from the rows and f_j's trig of the keys they read; bad marks
+    where gauss_mean_principal raises, error(p) is bad point p's error (row,
+    f_j, D). A row holds Q > 0 (lam = +-1; weingarten_checks rejects lam = 0)."""
+    keys, s_at = _stencil(s_keys, s_at)
+    rows, row_errors = cache.take(keys)
+    failed = np.array([e is not None for e in row_errors])[s_at]
     r, k1, rpp, Q = (rows[x][s_at] for x in ("r", "k1", "rpp", "Q"))
     et, ot, ew, ow = _even_odd_at(config.j, t_keys, t_at, w_keys, w_at)
     with np.errstate(all="ignore"):         # overflow gives inf or nan, as in floats
@@ -89,52 +90,64 @@ def _kh_points(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
         K, H, _, _, focal = _family_curvatures(config.j, config.lam, config.variant,
                                                frame_signs(config.j), k1, r, Q, rpp,
                                                config.sigma * f)
-    bad = failed[s_at] | np.isnan(f) | focal      # nan f: cosh or sinh overflowed
-    if bad.any():
-        p = int(np.argmax(bad))
-        if not failed[s_at[p]] and np.isnan(f[p]):     # raises its DomainError
-            family_function(config.j, config.variant, t_keys[t_at[p]], w_keys[w_at[p]])
-        raise row_errors[s_at[p]] if failed[s_at[p]] else SingularMetricError(_FOCAL)
-    return K, H
+
+    def error(p):       # nan f: cosh or sinh overflowed, and family_function raises
+        e = row_errors[s_at[p]] if failed[p] else np.isnan(f[p]) and or_error(
+            family_function, config.j, config.variant, t_keys[t_at[p]], w_keys[w_at[p]])
+        return e if isinstance(e, CanalError) else SingularMetricError(_FOCAL)
+    return K, H, failed | np.isnan(f) | focal, error
 
 
-def weingarten_check(patch: SurfacePatch, pair: str) -> TheoremReport:
-    """Normalized max of |H_u K_v - H_v K_u| over the patch nodes.
-
-    Partials of the closed-form K and H fields by 5-point finite differences,
-    from one _kh_points pass per closed-form node block over the 8 stencil
-    points of its nodes, keyed by each grid value and its 4 offsets along the
-    pair's axes. The stencil rows go into the patch's cache, which pairs share.
-    """
-    if pair not in ("st", "sw", "tw"):
-        raise ValueError(f"pair must be 'st', 'sw' or 'tw', got {pair!r}")
-    h = WEINGARTEN_FD_STEP
-    keys = patch.node_keys()
+def weingarten_checks(patch: SurfacePatch, pairs) -> dict:
+    """{pair: its TheoremReport, or the CanalError checking it alone raises}
+    for each of the pairs ('st', 'sw' or 'tw'): the normalized max of |H_u K_v
+    - H_v K_u| over the patch nodes, partials of the closed-form K and H by
+    5-point finite differences. One _kh_points pass per block of about 8 *
+    BLOCK_NODES[CLOSED_FORM] points serves every pair: each node's 4 offsets
+    along each axis a pair reads. The stencil rows go into the patch's cache."""
+    if not set(pairs) <= {"st", "sw", "tw"}:
+        raise ValueError(f"pairs must be 'st', 'sw' or 'tw', got {pairs!r}")
+    h, keys = WEINGARTEN_FD_STEP, patch.node_keys()
     if patch.config.lam == 0 and len(keys[1]):      # as the K-H check's node check
         raise InadmissibleConfigError(_NULL_CONE)
-    # node by node: 4 offsets along the pair's 1st axis, then its 2nd; none off the pair
-    offsets = [(-2 * h, -h, h, 2 * h) if axis in pair else () for axis in "stw"]
-    shifts = [[k if a == axis else 0 for a in pair for k in (1, 2, 3, 4)] for axis in "stw"]
+    axes = [a for a in "stw" if a in "".join(pairs)]
+    offsets = [(-2 * h, -h, h, 2 * h) if axis in axes else () for axis in "stw"]
+    shifts = [[k if a == axis else 0 for a in axes for k in (1, 2, 3, 4)] for axis in "stw"]
     values = [[y for x in axis_keys for y in (x, *(x + d for d in axis_offsets))]
               for axis_keys, axis_offsets in zip(keys[::2], offsets)]
     patch.cache.fill(values[0])
-    worst = 0.0
-    for _, block in node_blocks(Route.CLOSED_FORM, keys):
+    worst, out, shape = dict.fromkeys(pairs, 0.0), {}, (-1, len(axes), 4)
+    for _, block in node_blocks(2 * BLOCK_NODES[Route.CLOSED_FORM] // max(len(axes), 1), keys):
+        if len(out) == len(worst):          # every pair has its error
+            break
         stencil = [x for v, o, shift, at in zip(values, offsets, shifts, block[1::2])
                    for x in (v, ((1 + len(o)) * at[:, None] + shift).ravel())]
-        (k0, k1, k2, k3), (h0, h1, h2, h3) = (
-            x.reshape(-1, 4).T
-            for x in _kh_points(patch.config, patch.cache, *stencil))
+        K, H, bad, error = _kh_points(patch.config, patch.cache, *stencil)
         with np.errstate(all="ignore"):     # overflow gives inf or nan, as in floats
-            Ku, Kv = ((k0 - 8.0 * k1 + 8.0 * k2 - k3) / (12.0 * h)).reshape(-1, 2).T
-            Hu, Hv = ((h0 - 8.0 * h1 + 8.0 * h2 - h3) / (12.0 * h)).reshape(-1, 2).T
-            num = np.abs(Hu * Kv - Hv * Ku)
-            # np.maximum differs from max only on nan, where num is nan too
-            scale = np.maximum(np.maximum(np.abs(Hu), np.abs(Hv))
-                               * np.maximum(np.abs(Ku), np.abs(Kv)), WEINGARTEN_ETA)
-            worst = max([worst, *(num / scale).tolist()])     # max skips nan
-    return TheoremReport(f"weingarten-{pair}", worst, WEINGARTEN_TOL, worst <= WEINGARTEN_TOL,
-                         len(keys[1]))
+            # node by node, the partials along each of the axes
+            dK, dH = ((x[..., 0] - 8.0 * x[..., 1] + 8.0 * x[..., 2] - x[..., 3]) / (12.0 * h)
+                      for x in (K.reshape(shape), H.reshape(shape)))
+            for pair in worst.keys() - out.keys():
+                uv = [*map(axes.index, pair)]
+                if bad.reshape(shape)[:, uv].any():     # in node order, then 1st axis, 2nd
+                    at = np.arange(len(K)).reshape(shape)[:, uv].ravel()
+                    out[pair] = error(at[np.argmax(bad[at])])
+                    continue
+                (Ku, Kv), (Hu, Hv) = dK[:, uv].T, dH[:, uv].T
+                num = np.abs(Hu * Kv - Hv * Ku)
+                # np.maximum differs from max only on nan, where num is nan too
+                scale = np.maximum(np.maximum(np.abs(Hu), np.abs(Hv))
+                                   * np.maximum(np.abs(Ku), np.abs(Kv)), WEINGARTEN_ETA)
+                worst[pair] = max([worst[pair], *(num / scale).tolist()])     # max skips nan
+        del K, H, bad, error, dK, dH        # freed before the next block's pass
+    return {pair: out.get(pair) or TheoremReport(
+        f"weingarten-{pair}", worst[pair], WEINGARTEN_TOL, worst[pair] <= WEINGARTEN_TOL,
+        len(keys[1])) for pair in pairs}
+
+
+def weingarten_check(patch: SurfacePatch, pair: str) -> TheoremReport:
+    """weingarten_checks of the one pair: its report, or its error raised."""
+    return unwrap(weingarten_checks(patch, (pair,))[pair])
 
 
 # ---------------------------------------------------------------------------

@@ -153,10 +153,20 @@ def _math_table(fn, values):
     return np.array([at(v) for v in values], dtype=float)
 
 
+def _stencil(keys, at, used=None, values=lambda x: (x,)):
+    """The values of the keys used (by default those that the index array at
+    reads, in key order) and each node's index among those keys."""
+    if used is None:
+        used = np.flatnonzero(np.bincount(np.ravel(at), minlength=len(keys))).tolist()
+    pos = np.zeros(len(keys), dtype=np.intp)
+    pos[used] = range(len(used))
+    return [v for i in used for v in values(keys[i])], pos[at]
+
+
 def _even_odd_at(j: int, t_keys, t_at, w_keys, w_at):
     """[even(t), odd(t), even(w), odd(w)] at the nodes (t_keys[t_at], w_keys[w_at]),
-    arrays over the shape of the index arrays: _math_table once per key."""
-    return [_math_table(fn, keys)[at] for keys, at in ((t_keys, t_at), (w_keys, w_at))
+    arrays over the shape of the index arrays: _math_table once per key they read."""
+    return [_math_table(fn, keys)[at] for keys, at in map(_stencil, (t_keys, w_keys), (t_at, w_at))
             for fn in _EVEN_ODD[j]]
 
 

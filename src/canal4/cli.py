@@ -26,7 +26,7 @@ from .canal import (_FREE_SLOTS, CanalConfig, GridSpec, RadiusProfile, Variant,
                     resolve_variant, sample_grid, validate_config)
 from .curve import CurveSpec
 from .curvature import Route
-from .errors import CanalError, ConfigError, NumericError
+from .errors import CanalError, ConfigError, NumericError, unwrap
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -285,6 +285,8 @@ def cmd_verify(args, file_values):
     for c in checks:
         if c not in _CHECK_NAMES:
             raise ConfigError(f"unknown check {c!r}; available: {', '.join(_CHECK_NAMES)}")
+    if not checks:
+        raise ConfigError(f"--check names no check; available: {', '.join(_CHECK_NAMES)}")
     route_text = _merged(args, file_values, "route", "cf")
     if route_text not in ("cf", "num", "both"):
         raise ConfigError(f"--route must be cf|num|both, got {route_text!r}")
@@ -292,17 +294,17 @@ def cmd_verify(args, file_values):
               "both": (Route.CLOSED_FORM, Route.NUMERIC)}[route_text]
 
     patch = job.validated_patch(_verify_grid(job))
-    reports = []
+    pairs = [name.split("-", 1)[1] for name in checks if name.startswith("weingarten-")]
+    reports, weingarten = [], None      # the pairs share one pass, made at the first one's place
     for name in checks:
         if name == "kh":
-            for route in routes:
-                reports.append(analysis.check_kh_relation(patch, route))
+            reports += [analysis.check_kh_relation(patch, route) for route in routes]
         elif name.startswith("weingarten-"):
-            reports.append(analysis.weingarten_check(patch, name.split("-", 1)[1]))
+            weingarten = weingarten or analysis.weingarten_checks(patch, pairs)
+            reports.append(unwrap(weingarten[name.split("-", 1)[1]]))
         elif name == "unit-speed":
             rep = job.curve.verify_unit_speed()
-            reports.append(analysis.TheoremReport(
-                "unit-speed", rep.max_deviation, rep.tolerance, rep.passed, rep.n_samples))
+            reports.append(analysis.TheoremReport("unit-speed", *vars(rep).values()))
         elif name == "sphere":
             resid = patch.max_sphere_residual()
             r_max = max(patch.cache.rows(patch.grid.s_values)["r"].tolist()) if job.lam else 1.0
@@ -310,18 +312,13 @@ def cmd_verify(args, file_values):
             reports.append(analysis.TheoremReport(
                 "sphere-membership", resid, tol, resid <= tol, len(patch.coords)))
 
-    all_passed = all(r.passed for r in reports)
     for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.theorem}: max residual {r.max_residual:.6g} "
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.theorem}: max residual {r.max_residual:.6g} "
               f"(tolerance {r.tolerance:g}, {r.nodes_checked} nodes)")
     out = _merged(args, file_values, "out")
     if out:
-        doc = [{"theorem": r.theorem, "max_residual": r.max_residual,
-                "tolerance": r.tolerance, "passed": r.passed,
-                "nodes_checked": r.nodes_checked} for r in reports]
-        _write(out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+        _write(out, json.dumps([vars(r) for r in reports], sort_keys=True, indent=2) + "\n")
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
 def cmd_classify(args, file_values):

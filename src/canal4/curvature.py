@@ -18,8 +18,9 @@ scalar formulas: every node gets the bits and the error of its one-node call
   the partials, oriented along the radial vector c(C - b) (the exact normal
   is (c/r)(C - b)); S = g^-1 h, K = det h / det g, 3H = tr S, mu = eig(S).
 
-Both passes return ((g, h, S, N, K, H, mu), errors). curvatures, the one loop of
-every patch-wide pass, runs them over node blocks of BLOCK_NODES[route]: 4096
+Both passes return ((g, h, N, K, H, mu), errors); S is solved where it is read:
+in the numeric pass and in curvature_report. curvatures, the one loop of every
+patch-wide pass, runs them over node blocks of BLOCK_NODES[route]: 4096
 closed-form nodes of ~1 KB or 48 numeric ones of ~12 KB, whatever the patch.
 
 Conventions: K = det(S) and 3H = tr(S); the sign eps_N = <N,N> (= lam here)
@@ -34,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .canal import (CanalConfig, PointMapCache, _even_odd_at, _pattern,
+from .canal import (CanalConfig, PointMapCache, _even_odd_at, _pattern, _stencil,
                     degeneracy_factor, family_function, frame_signs, indexed_points, transverse,
                     DEGENERATE_A_TOL)
 from .errors import (CanalError, ComplexEigenvaluesError, DegenerateNodeError, DomainError,
@@ -107,13 +108,13 @@ def _checked_nodes(config: CanalConfig, cache: PointMapCache, s_keys, s_at, t_at
 # closed-form route
 
 def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
-    """((g, h, S, N, K, H, mu = (mu1, mu2, mu3)), errors) at the nodes
+    """((g, h, N, K, H, mu = (mu1, mu2, mu3)), errors) at the nodes
     (s_keys[s_at], t_keys[t_at], w_keys[w_at]), (n, ...) arrays (None if no
     node gets as far as its row); a node's error is the first its one-node
     call raises: the node check, its row, transverse, det g ~ 0, the focal D.
     Each node reads its row's columns, trig runs in math once per t and w key,
-    the rest elementwise in the order of the scalar formulas, det and solve
-    stacked: every node gets the bits of its one-node call."""
+    the rest elementwise in the order of the scalar formulas, det stacked (S
+    is not solved): every node gets the bits of its one-node call."""
     s_at, t_at, w_at, rows, at, errors = _checked_nodes(config, cache, s_keys, s_at, t_at,
                                                         w_keys, w_at)
     if all(errors):                         # no node gets as far as its row
@@ -150,10 +151,9 @@ def _closed_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
              + F[:, 2] * (cpsi * a[1])[:, None] + F[:, 3] * (cpsi * a[2])[:, None])
         K, H, mu12, mu3, focal = _family_curvatures(config.j, lam, config.variant, eps, k1, rv,
                                                     Q, rpp, sigma * a[0])
-    S, errors = _shape_operators(g, h, errors)
     errors = [e or (SingularMetricError(_FOCAL) if fo else None)
-              for e, fo in zip(errors, focal.tolist())]
-    return (g, h, S, N, K, H, np.transpose((mu12, mu12, mu3))), errors
+              for e, fo in zip(_metric_errors(g, errors), focal.tolist())]
+    return (g, h, N, K, H, np.transpose((mu12, mu12, mu3))), errors
 
 
 def _family_curvatures(j, lam, variant, eps, k1, r, Q, rpp, f):
@@ -221,15 +221,6 @@ def _axis_values(x):
             + [x + d for d in (-2 * FD_STEP2, -FD_STEP2, FD_STEP2, 2 * FD_STEP2)])
 
 
-def _stencil(keys, at, used=None, values=_axis_values):
-    """The values of the keys used (by default those in at, found without
-    np.unique's sort) and each node's index among those keys."""
-    used = list(dict.fromkeys(at.tolist())) if used is None else used
-    pos = np.zeros(len(keys), dtype=np.intp)
-    pos[used] = range(len(used))
-    return [v for i in used for v in values(keys[i])], pos[at]
-
-
 def _fd1(P, h):
     """5-point first derivative over axis -2 (4 offsets) of a point array."""
     return ((P[..., 0, :] - 8.0 * P[..., 1, :] + 8.0 * P[..., 2, :] - P[..., 3, :])
@@ -254,7 +245,8 @@ def _numeric_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
     if not good:
         return None, errors
     (s_values, s_in), (t_values, t_in), (w_values, w_in) = (
-        _stencil(s_keys, s_at, list(good)), _stencil(t_keys, t_at), _stencil(w_keys, w_at))
+        _stencil(s_keys, s_at, list(good), _axis_values),
+        _stencil(t_keys, t_at, None, _axis_values), _stencil(w_keys, w_at, None, _axis_values))
     si, ti, wi = _STENCIL.T
     P = indexed_points(config, cache, s_values, 9 * s_in[:, None] + si, t_values,
                        9 * t_in[:, None] + ti, w_values, 9 * w_in[:, None] + wi,
@@ -287,10 +279,13 @@ def _numeric_forms(config, cache, s_keys, s_at, t_keys, t_at, w_keys, w_at):
         h = inner(np.concatenate((second, mixed), axis=1)[:, _H_INDEX], N[:, None, None])
         flag(~(np.isfinite(g).all(axis=(1, 2)) & np.isfinite(h).all(axis=(1, 2))),
              lambda at: DomainError(f"non-finite partials near {at}"))
-    S, errors = _shape_operators(g, h, errors)
+    errors = _metric_errors(g, errors)
+    bad = np.array([e is not None for e in errors])
+    g[bad], h[bad] = np.eye(3), 0.0         # keeps the stacked calls finite and solvable
+    S = np.linalg.solve(g, h)
     eig = np.linalg.eigvals(S)
     errors = [e or x for e, x in zip(errors, _complex_pairs(eig))]
-    return (g, h, S, N, np.linalg.det(h) / np.linalg.det(g),
+    return (g, h, N, np.linalg.det(h) / np.linalg.det(g),
             np.trace(S, axis1=1, axis2=2) / 3.0, eig), errors
 
 
@@ -299,11 +294,11 @@ _PASSES = {Route.CLOSED_FORM: _closed_forms, Route.NUMERIC: _numeric_forms}
 BLOCK_NODES = {Route.CLOSED_FORM: 4096, Route.NUMERIC: 48}
 
 
-def node_blocks(route: Route, keys):
-    """(slice, keys of its nodes) of each run of BLOCK_NODES[route] nodes of
-    keys (s_keys, s_at, t_keys, t_at, w_keys, w_at), in node order."""
-    for lo in range(0, len(keys[1]), BLOCK_NODES[route]):
-        b = slice(lo, lo + BLOCK_NODES[route])
+def node_blocks(size: int, keys):
+    """(slice, keys of its nodes) of each run of size nodes of keys (s_keys,
+    s_at, t_keys, t_at, w_keys, w_at), in node order."""
+    for lo in range(0, len(keys[1]), size):
+        b = slice(lo, lo + size)
         yield b, tuple(x[b] if i % 2 else x for i, x in enumerate(keys))
 
 
@@ -316,10 +311,10 @@ def curvatures(config: CanalConfig, cache: PointMapCache, route: Route, *keys):
     K, H = np.full((2, len(keys[1])), math.nan)
     mu = np.full((len(K), 3), math.nan, dtype=complex if numeric else float)
     errors = []
-    for block, block_keys in node_blocks(route, keys):
+    for block, block_keys in node_blocks(BLOCK_NODES[route], keys):
         forms, block_errors = _PASSES[route](config, cache, *block_keys)
         if forms is not None:
-            K[block], H[block], mu[block] = forms[4:]
+            K[block], H[block], mu[block] = forms[3:]
         errors += block_errors
     return K, H, mu, errors
 
@@ -327,18 +322,14 @@ def curvatures(config: CanalConfig, cache: PointMapCache, route: Route, *keys):
 # ---------------------------------------------------------------------------
 # shared pieces
 
-def _shape_operators(g, h, errors):
-    """S = g^-1 h of each node, det and solve stacked over the nodes (the same
-    bits as one call per matrix), and the errors with each det g ~ 0 added."""
+def _metric_errors(g, errors):
+    """The errors with each det g ~ 0 added, det stacked over the nodes (the
+    same bits as one call per matrix)."""
     with np.errstate(all="ignore"):         # a flagged node's g may be nan
         det_g = np.linalg.det(g)
         scales = np.abs(g).max(axis=(1, 2))
-    errors = [e or or_error(_check_metric, sc, d)
-              for e, sc, d in zip(errors, scales.tolist(), det_g.tolist())]
-    bad = np.array([e is not None for e in errors])
-    if bad.any():                           # keeps the stacked calls finite and solvable
-        g[bad], h[bad] = np.eye(3), 0.0
-    return np.linalg.solve(g, h), errors
+    return [e or or_error(_check_metric, sc, d)
+            for e, sc, d in zip(errors, scales.tolist(), det_g.tolist())]
 
 
 def _check_metric(scale: float, det_g: float):
@@ -373,12 +364,13 @@ def _principal(vals) -> tuple[float, float, float]:
 
 def curvature_report(curve, config, s, t, w,
                      route: Route = Route.CLOSED_FORM) -> CurvatureReport:
-    """Full per-node report: g, h, S, N (a 4-tuple), eps_N, K, H, mu, f_j, A,
-    the one-node case of the route's pass."""
+    """Full per-node report: g, h, S = g^-1 h (solved here), N (a 4-tuple),
+    eps_N, K, H, mu, f_j, A, the one-node case of the route's pass."""
     forms, (error,) = _PASSES[route](config, PointMapCache(curve, config),
                                      (s,), (0,), (t,), (0,), (w,), (0,))
     unwrap(error)
-    g, h, S, N, K, H, mu = (x[0] for x in forms)
+    g, h, N, K, H, mu = (x[0] for x in forms)
+    S = np.linalg.solve(g, h)
     mu, N = _principal(mu) if route is Route.NUMERIC else tuple(mu.tolist()), tuple(N.tolist())
     return CurvatureReport(g=g, h=h, S=S, N=N, eps_N=1 if inner(N, N) > 0 else -1, K=float(K),
                            H=float(H), mu=mu, f_j=family_function(config.j, config.variant, t, w),

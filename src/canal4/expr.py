@@ -300,7 +300,7 @@ def compile_expr(expr: Expr | list[Expr], variables: tuple[str, ...] = ("s",),
     a free list that it never takes one back from, up to 2,000 (368 KiB)."""
     many = isinstance(expr, list)
     values, outs, steps, finite = _steps(expr if many else [expr], variables)
-    fn = _runner([(_NAMESPACE[key], i, j, k, ()) for key, i, j, k, _ in steps], values, outs, many)
+    fn = _runner([(_NAMESPACE[key], i, j, k) for key, i, j, k, _ in steps], values, outs, many)
 
     def checked(*values):
         try:
@@ -314,21 +314,25 @@ def compile_expr(expr: Expr | list[Expr], variables: tuple[str, ...] = ("s",),
         if math.isfinite(value):
             return value
         raise _domain_error(expr, variables, values, f"non-finite value {value!r}", name)
-    checked.array = _runner([(_ARRAY_NAMESPACE[key], *step) for key, *step in steps],
-                            values, outs, many) if finite else None
+    checked.array = _runner([(_ARRAY_NAMESPACE[key], i, j, k) for key, i, j, k, _ in steps],
+                            values, outs, many, [drop for *_, drop in steps]) if finite else None
     return checked
 
 
-def _runner(steps, values, outs, many):
-    """The function of the variables that runs steps (fn, i, j, k, drop) on slots
-    v, the variables' values then values: each sets v[k] to fn(v[i]) (j None) or
-    fn(v[i], v[j]), then each slot in drop to None; it gives v at outs."""
+def _runner(steps, values, outs, many, drops=None):
+    """The function of the variables that runs steps (fn, i, j, k) on slots v, the
+    variables' values then values: each sets v[k] to fn(v[i]) (j None) or fn(v[i],
+    v[j]), then each slot of its drops entry (an array pass's) to None; gives v at outs."""
     def run(*args):
         v = [*args, *values]
-        for fn, i, j, k, drop in steps:
-            v[k] = fn(v[i]) if j is None else fn(v[i], v[j])
-            for d in drop:
-                v[d] = None
+        if drops is None:
+            for fn, i, j, k in steps:
+                v[k] = fn(v[i]) if j is None else fn(v[i], v[j])
+        else:
+            for (fn, i, j, k), drop in zip(steps, drops):
+                v[k] = fn(v[i]) if j is None else fn(v[i], v[j])
+                for d in drop:
+                    v[d] = None
         return [v[k] for k in outs] if many else v[outs[0]]
     return run
 
@@ -430,10 +434,11 @@ class Derived:
         self.names, self._max_order = names, max_order
         self.exprs = tuple(parse(c, nodes=nodes) if isinstance(c, str) else nodes.fold(c)
                            for c in sources)
-        # the table until derive and each order's expressions (none if given), the
-        # one function of them all and the refused order's (error, message)
+        # the table until derive and each order's expressions (none if given), the one
+        # function of them all, the refused order's (error, message), at's last (s, call)
+        # and values' last (the bytes of its points, pass)
         self._nodes, self._orders = (None, []) if given else (nodes, None)
-        self._all, self._refusal, self._last = None, None, (None, None)     # _last: s, at's call
+        self._all, self._refusal, self._last, self._pass = None, None, (None, None), (None, None)
         self._own = {k: [f] for k, f in enumerate(given)}     # order -> its own functions
 
     def derive(self, order=0):
@@ -485,11 +490,16 @@ class Derived:
 
     def values(self, points, *orders):
         """The orders' values at each point, one flat sequence per point: array's
-        rows, else at's point by point as a loop asks, meeting each point's error."""
-        out = self.array(np.array(points, dtype=float), *orders)
-        if out is None:
+        rows, else at's point by point as a loop asks, meeting each point's error.
+        The last pass, of every order, is kept: points of the same bits again
+        (one admissibility sweep, read three times) run no pass."""
+        s = np.array(points, dtype=float)
+        if s.tobytes() != self._pass[0]:
+            self._pass = s.tobytes(), self.derive() and self.array(s, *range(len(self._orders)))
+        out = self._pass[1]
+        if out is None or max(orders) >= len(out):
             return (list(itertools.chain.from_iterable(map(self.at(s), orders))) for s in points)
-        return out.reshape(-1, len(points)).T.tolist()
+        return out[list(orders)].reshape(-1, len(points)).T.tolist()
 
 
 def evaluate(expr: Expr, **env: float) -> float:

@@ -1,5 +1,6 @@
 """Theorem checks: the K-H identity, Weingarten pairs, flatness, minimality."""
 import functools
+import json
 import math
 import os
 import subprocess
@@ -323,9 +324,10 @@ def test_weingarten_all_pairs_for_tubular(beta1, gamma4):
 
 
 def test_weingarten_evaluates_k_and_h_once_per_stencil_point(beta1, monkeypatch):
-    """One array pass of the family formulas per pair per patch: each node's
-    8 stencil points (4 offsets along each axis of the pair) are array
-    elements of that pass, each evaluated exactly once."""
+    """One array pass of the family formulas per patch for all the pairs asked:
+    each node's stencil points (4 offsets along each axis a pair reads: 8 for
+    one pair, 12 for all three) are array elements of that pass, each
+    evaluated exactly once, and each pair gets its per-pair reference report."""
     from collections import Counter
     import canal4.analysis as analysis
     from canal4.analysis import WEINGARTEN_FD_STEP as h
@@ -342,22 +344,24 @@ def test_weingarten_evaluates_k_and_h_once_per_stencil_point(beta1, monkeypatch)
 
     patch = sample_grid(beta1, make_config(1, 1, R2S),
                         GridSpec((1.0, 1.5), (0.3, 1.2, 2.0), (0.4, -0.6)))
-    for pair in ("tw", "sw", "st"):
-        expected = weingarten_check(patch, pair)
+    expected = {pair: oracles.reference_weingarten(patch, pair) for pair in ("st", "sw", "tw")}
+    for pairs, axes in ((("tw",), "tw"), (("sw",), "sw"), (("st",), "st"),
+                        (("tw", "st"), "stw"), (("st", "sw", "tw", "sw"), "stw")):
         points.clear()
         sizes.clear()
         monkeypatch.setattr(analysis, "_kh_points", recorded)
         monkeypatch.setattr(analysis, "_family_curvatures", counted)
-        report = weingarten_check(patch, pair)
+        reports = analysis.weingarten_checks(patch, pairs)
         monkeypatch.undo()
-        assert report == expected and report.nodes_checked == 12
-        assert sizes == [(8 * 12,)] and len(points) == 1     # one call, 8 points per node
+        assert {p: repr(r) for p, r in reports.items()} == {p: repr(expected[p]) for p in pairs}
+        assert all(r.nodes_checked == 12 for r in reports.values())
+        assert sizes == [(4 * len(axes) * 12,)] and len(points) == 1     # one call
         stencil = Counter(
             tuple(x + d if a == ax else x for a, x in enumerate(node[3:]))
             for node in patch.nodes()
-            for ax in map("stw".index, pair) for d in (-2 * h, -h, h, 2 * h))
+            for ax in map("stw".index, axes) for d in (-2 * h, -h, h, 2 * h))
         assert Counter(points[0]) == stencil and max(stencil.values()) == 1
-        assert len(points[0]) == 8 * 12
+        assert len(points[0]) == 4 * len(axes) * 12
 
 
 def _error_patches(beta1, gamma2):
@@ -401,6 +405,58 @@ def test_weingarten_equals_scalar_reference(family_curves, beta1, gamma2, rng):
     assert [k.split(":")[0] for k in kinds] == ["InadmissibleConfigError", "DomainError",
                                                "InadmissibleConfigError"]
     assert "(2, 'standard', 0.3, 710.476)" in kinds[1]     # node 0's w offset comes first
+
+
+def test_verify_reports_equal_the_per_check_references(family_curves, beta1, gamma2, rng,
+                                                       monkeypatch, tmp_path):
+    """verify (its Weingarten pairs in one shared pass), given check lists in
+    several orders and with duplicates, reports in its --out JSON what each
+    check made on its own by the references reports, bit for bit:
+    reference_weingarten per pair and reference_kh_report's closed form,
+    which solves S at every node. Where checks fail (the _error_patches), it
+    raises the first failing check's error in list order, type and message."""
+    from canal4 import cli
+    from canal4.canal import SurfacePatch
+    lists = [["kh", "weingarten-st", "weingarten-sw", "weingarten-tw"],
+             ["weingarten-tw", "weingarten-sw", "weingarten-st", "kh"],
+             ["weingarten-sw", "kh", "weingarten-sw", "weingarten-tw", "weingarten-st"],
+             ["weingarten-tw", "weingarten-st", "weingarten-tw"],
+             ["kh", "weingarten-tw"], ["weingarten-st", "kh"], ["weingarten-sw"]]
+    patches = [_patch(family_curves[j], CanalConfig(j, lam, conftest.random_polynomial_radius(
+                   rng, j, lam, conftest.SWEEP_S_RANGE[j]), sigma), j)
+               for (j, lam), sigma in zip(ALL_FAMILIES[::2], (1, -1, 1, -1))]
+    patches += [patch for patch, _ in _error_patches(beta1, gamma2)]
+    patches.append(SurfacePatch(gamma2, CanalConfig(2, -1, RadiusProfile.from_expr("1 + 0.2*s")),
+                                GridSpec((1.0,), (710.475,), (710.475,)), np.zeros((1, 4)),
+                                frozenset()))      # cosh overflows along t and w at one node
+    report, first_errors = tmp_path / "report.json", set()
+    for patch in patches:
+        monkeypatch.setattr(cli.Job, "validated_patch", lambda self, grid=None: patch)
+        alone = {f"weingarten-{p}": _outcome(lambda: [oracles.reference_weingarten(patch, p)])
+                 for p in ("st", "sw", "tw")}
+        with np.errstate(all="ignore"):     # N overflows where cosh t cosh w does
+            alone["kh"] = _outcome(lambda: [oracles.reference_kh_report(patch, Route.CLOSED_FORM)])
+        for checks in lists:
+            want = []
+            for name in checks:
+                if isinstance(alone[name], CanalError):
+                    want = alone[name]
+                    break
+                want += alone[name]
+            args = cli.build_parser().parse_args(["verify", "--example", "beta1", "--check",
+                                                  ",".join(checks), "--out", str(report)])
+            got = _outcome(lambda: cli.cmd_verify(args, {}))
+            if isinstance(want, CanalError):
+                assert type(got) is type(want) and str(got) == str(want), checks
+                first_errors.add(f"{type(want).__name__}: {want}")
+            else:
+                assert json.loads(report.read_text()) == [vars(r) for r in want], checks
+            report.unlink(missing_ok=True)
+    # the overflow patches fail at a t or a w offset first, as the pair reads them, and det g
+    # ~ 0 in the K-H check; the radius patch at a row, the null-cone one at its first check
+    assert sorted(e.split(":")[0] for e in first_errors) == [
+        "DomainError", "DomainError", "DomainError", "InadmissibleConfigError",
+        "InadmissibleConfigError", "SingularMetricError"]
 
 
 def test_kh_closed_form_equals_per_node_reference(family_curves, beta2, rng):
@@ -545,9 +601,11 @@ def test_numeric_loops_evaluate_the_point_map_once_per_pass(beta1, monkeypatch):
     """The numeric K-H check and the CSV export put the stencils of the
     patch's nodes through one point-map evaluation per numeric block in node
     order, blocks crossing s rows: ceil(n / block) calls of block nodes each,
-    the last the rest. The closed-form K-H check, the CSV's closed form and
-    the Weingarten check make as many pass calls over the closed-form
-    blocks. Both at the real block sizes and at 7 (closed form) and 5."""
+    the last the rest. The closed-form K-H check and the CSV's closed form
+    make as many pass calls over the closed-form blocks, and the Weingarten
+    checks of all three pairs over blocks of as many stencil points (12 a
+    node, 8 for one pair). Both at the real block sizes and at 7 (closed form)
+    and 5."""
     import canal4.analysis as analysis
     import canal4.curvature as curvature
     from canal4.io import export_curvature_csv
@@ -565,7 +623,7 @@ def test_numeric_loops_evaluate_the_point_map_once_per_pass(beta1, monkeypatch):
         return closed(config, cache, s_keys, s_at, *rest)
 
     def kh_counted(config, cache, s_keys, s_at, *rest):
-        kh_sizes.append(len(s_at) // 8)     # 8 stencil points per node
+        kh_sizes.append(len(s_at) // 12)    # 12 stencil points per node
         return kh_points(config, cache, s_keys, s_at, *rest)
 
     monkeypatch.setattr(curvature, "indexed_points", counted)
@@ -588,7 +646,8 @@ def test_numeric_loops_evaluate_the_point_map_once_per_pass(beta1, monkeypatch):
                     (lambda: export_curvature_csv(patch),
                      {"num": blocks(num_block), "cf": blocks(cf_block)}),
                     (lambda: check_kh_relation(patch), {"cf": blocks(cf_block)}),
-                    (lambda: weingarten_check(patch, "tw"), {"kh": blocks(cf_block)})):
+                    (lambda: analysis.weingarten_checks(patch, ("st", "sw", "tw")),
+                     {"kh": blocks(8 * cf_block // 12)})):
                 for recorded in (sizes, rows, cf_sizes, kh_sizes):
                     recorded.clear()
                 check()

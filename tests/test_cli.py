@@ -167,6 +167,19 @@ def test_weingarten_on_a_null_cone_family_exit_2(capsys):
             "", "error: curvature is not defined for the null-cone families (lambda = 0)\n")
 
 
+def test_verify_refuses_a_check_list_naming_no_check_exit_2(tmp_path, capsys):
+    """A check list with no name in it, from the flag or a config file, is
+    refused with one error line and exit 2; it used to print nothing and exit 0."""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("example = beta1\ncheck = ,\n")
+    for args in (["--example", "beta1", "--check=,"], ["--example", "beta1", "--check", " , "],
+                 ["--example", "beta1", "--check="], ["--config", str(cfg)]):
+        assert run(["verify", *args]) == 2
+        assert tuple(capsys.readouterr()) == (
+            "", "error: --check names no check; available: kh, weingarten-st, weingarten-sw, "
+                "weingarten-tw, unit-speed, sphere\n")
+
+
 def test_export_determinism_and_golden(tmp_path):
     obj_a = tmp_path / "a.obj"
     obj_b = tmp_path / "b.obj"

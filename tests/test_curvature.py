@@ -189,12 +189,12 @@ def test_numeric_route_equals_scalar_reference(family_curves, rng):
             g_ref, h_ref, N_ref = oracles.reference_numeric_forms(curve, cfg, s, t, w)
             rep = curvature_report(curve, cfg, s, t, w, Route.NUMERIC)
             for g, h, N in ((rep.g, rep.h, np.array(rep.N)), (forms[0][n], forms[1][n],
-                                                              forms[3][n])):
+                                                              forms[2][n])):
                 assert np.array_equal(g, g_ref)
                 assert np.array_equal(h, h_ref)
                 assert N.tobytes() == N_ref.tobytes()
             K, H, _ = oracles.reference_numeric_report(curve, cfg, s, t, w)
-            assert (float(forms[4][n]), float(forms[5][n])) == (K, H) == (rep.K, rep.H)
+            assert (float(forms[3][n]), float(forms[4][n])) == (K, H) == (rep.K, rep.H)
 
 
 def test_numeric_route_needs_no_closed_form(family_curves, rng, monkeypatch):
@@ -238,7 +238,7 @@ def test_row_pass_equals_scalar_reference(family_curves, rng):
         t = [rng.uniform(0.0, 6.0) if cfg.j == 1 else rng.uniform(-1.3, 1.3) for _ in range(2)]
         w = [rng.choice((-1, 1)) * rng.uniform(0.3, 1.2) for _ in range(2)]
         nodes = [(a, b, c) for a in s for b in t for c in w]
-        (g, h, _, N, *_), errors = _numeric_forms(cfg, PointMapCache(curve, cfg), *_keys(nodes))
+        (g, h, N, *_), errors = _numeric_forms(cfg, PointMapCache(curve, cfg), *_keys(nodes))
         assert errors == [None] * len(nodes)
         for n, node in enumerate(nodes):
             g_ref, h_ref, N_ref = oracles.reference_numeric_forms(curve, cfg, *node)
@@ -267,13 +267,13 @@ def test_row_errors_match_one_node_calls(beta2):
     w = (0.4, 0.0, 0.5, -0.7, 0.0)
     nodes = [(s, *node) for s in (1.2, 3.001, 1.5) for node in zip(t, w)]
     forms, errors = _numeric_forms(cfg, PointMapCache(beta2, cfg), *_keys(nodes))
-    g, h, S, N, K, H, eig = forms
+    g, h, N, K, H, eig = forms
     kinds = []
     for n, (node, error) in enumerate(zip(nodes, errors)):
         one = _outcome(lambda: curvature_report(beta2, cfg, *node, Route.NUMERIC))
         if error is None:
             assert type(one) is CurvatureReport
-            for got, want in ((g[n], one.g), (h[n], one.h), (S[n], one.S)):
+            for got, want in ((g[n], one.g), (h[n], one.h), (np.linalg.solve(g[n], h[n]), one.S)):
                 assert np.array_equal(got, want)
             assert ((tuple(N[n].tolist()), float(K[n]), float(H[n]), _principal(eig[n]))
                     == (one.N, one.K, one.H, one.mu))
@@ -307,9 +307,10 @@ def _row_keys(s, t, w):
 
 
 def _assert_pass_node(forms, n, ref):
-    """Node n of a _closed_forms pass equals the reference report bit for bit."""
-    g, h, S, N, K, H, mu = (x[n] for x in forms)
-    for got, one in ((g, ref.g), (h, ref.h), (S, ref.S)):
+    """Node n of a _closed_forms pass equals the reference report bit for bit
+    (S, which the pass does not solve, as curvature_report solves it)."""
+    g, h, N, K, H, mu = (x[n] for x in forms)
+    for got, one in ((g, ref.g), (h, ref.h), (np.linalg.solve(g, h), ref.S)):
         assert got.tobytes() == one.tobytes()
     assert repr((tuple(N.tolist()), float(K), float(H), tuple(mu.tolist()))) == repr(
         (ref.N, ref.K, ref.H, ref.mu))
@@ -332,7 +333,7 @@ def test_closed_row_pass_equals_per_node_reference(family_curves, rng):
             g_ref, h_ref, N_ref = oracles.reference_closed_forms(curve, cfg, s, *node)
             assert forms[0][n].tobytes() == g_ref.tobytes()
             assert forms[1][n].tobytes() == h_ref.tobytes()
-            assert forms[3][n].tobytes() == N_ref.tobytes()
+            assert forms[2][n].tobytes() == N_ref.tobytes()
             ref = oracles.reference_closed_report(curve, cfg, s, *node)
             _assert_pass_node(forms, n, ref)
             _assert_same_outcome(curvature_report(curve, cfg, s, *node), ref)
